@@ -11,12 +11,8 @@ models.
 """
 
 from .algebra import (
-    ComplexifiedAlgebra,
     LieAlgebra,
     Subalgebra,
-    complexify,
-    complexify_subspace,
-    conjugate_subspace,
     conjugate_vector,
     from_matrix_generators,
     make_subalgebra,
@@ -37,7 +33,6 @@ from .exact import (
     Subspace,
     format_scalar,
     kernel_basis,
-    membership,
     parse_scalar,
     rref,
     subspace_intersection,
@@ -66,7 +61,6 @@ from .torsion import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexifiedAlgebra",
     "ExactMatrix",
     "GaussianRational",
     "HomogeneousPair",
@@ -86,17 +80,13 @@ __all__ = [
     "check_nijenhuis",
     "check_nijenhuis_ad",
     "check_split_admissible",
-    "complexify",
-    "complexify_subspace",
     "compute_z_spaces",
-    "conjugate_subspace",
     "conjugate_vector",
     "corollary_oneof_property",
     "format_scalar",
     "from_matrix_generators",
     "kernel_basis",
     "make_subalgebra",
-    "membership",
     "operator_ad",
     "operator_from_rules",
     "operator_left_mult",

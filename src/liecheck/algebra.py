@@ -1,4 +1,4 @@
-"""Lie algebras by structure constants, subalgebras and complexification.
+"""Lie algebras by structure constants, subalgebras and conjugate vectors.
 
 An algebra is stored as a basis-label list plus the structure tensor ``c``
 with ``[b_i, b_j] = sum_k c[i][j][k] b_k`` over exact rationals.  The tensor
@@ -245,47 +245,8 @@ def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     return Subalgebra(alg, space)
 
 
-class ComplexifiedAlgebra:
-    """The same structure constants read over Gaussian-rational scalars."""
-
-    __slots__ = ("real_form",)
-
-    def __init__(self, real_form: LieAlgebra):
-        self.real_form = real_form
-
-    @property
-    def dim(self) -> int:
-        return self.real_form.dim
-
-    @property
-    def basis_labels(self) -> tuple:
-        return self.real_form.basis_labels
-
-    def bracket(self, v: Sequence, w: Sequence) -> tuple:
-        return self.real_form.bracket(v, w)
-
-    def format_element(self, v: Sequence) -> str:
-        return self.real_form.format_element(v)
-
-    def __repr__(self):
-        return f"ComplexifiedAlgebra({self.real_form.name!r})"
-
-
-def complexify(alg: LieAlgebra) -> ComplexifiedAlgebra:
-    return ComplexifiedAlgebra(alg)
-
-
-def complexify_subspace(s: Subspace) -> Subspace:
-    """The subspace read over Q(i); the echelon basis is unchanged."""
-    return s.over_gaussian()
-
-
 def conjugate_vector(v: Sequence) -> tuple:
     return tuple(conjugate_scalar(x) for x in v)
-
-
-def conjugate_subspace(s: Subspace) -> Subspace:
-    return s.conjugated()
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,22 @@ Commands::
 
 Exit codes: 0 the checked property holds, 1 it fails (a mathematical
 verdict, with an exact witness in the report), 2 usage or input error.
-The two are never conflated: a malformed file, an unknown name or a violated
-precondition is always 2.
+The two are never conflated: a malformed or non-UTF-8 file, an unknown
+name, an out-of-range or non-finite option or a violated precondition is
+always 2.  Any other exception is an internal fault, not a verdict: its
+traceback is printed, then ``error: internal error: <Type>: <message>``,
+and the exit code is 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+import traceback
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +34,7 @@ from . import harness as hz
 from .complexstruct import check_integrable
 from .errors import LieCheckError
 from .exact import format_scalar
-from .operators import check_admissible, check_split_admissible
+from .operators import _split_verdict, check_admissible
 from .specfile import SpecfileError, build, parse, serialize
 from .torsion import check_nijenhuis, check_nijenhuis_ad
 
@@ -37,42 +43,26 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _vector_json(alg, v) -> dict:
-    return {
-        "coords": [format_scalar(x) for x in v],
-        "pretty": alg.format_element(v),
-    }
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _witness_json(alg, witness: Optional[dict]) -> list:
-    if witness is None:
-        return []
-    out = {}
-    for key, val in witness.items():
-        if isinstance(val, tuple):
-            out[key] = _vector_json(alg, val)
-        else:
-            out[key] = val
-    return [out]
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise LieCheckError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
-def _emit(args, payload: dict, text_lines: list):
-    if args.report == "json":
-        body = json.dumps(payload, indent=2)
+def _write(path: Optional[str], text: str):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        body = "\n".join(text_lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-    else:
-        print(body)
-
-
-def _load(args):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = parse(text)
-    return doc, build(doc)
+        sys.stdout.write(text)
 
 
 def _pick(table: dict, requested: Optional[str], what: str):
@@ -87,236 +77,171 @@ def _pick(table: dict, requested: Optional[str], what: str):
     )
 
 
-def _base_payload(command: str, args) -> dict:
+def _vector_json(alg, v) -> dict:
     return {
-        "command": command,
-        "input": args.file,
-        "verdict": None,
-        "witnesses": [],
-        "dims": {},
-        "tolerances": {},
-        "seed": None,
-        "elapsed_ms": None,
+        "coords": [format_scalar(x) for x in v],
+        "pretty": alg.format_element(v),
     }
 
 
-def _finish(payload: dict, started: float):
-    payload["elapsed_ms"] = float((time.perf_counter() - started) * 1000.0)
+def _witness(alg, witness, names: Optional[tuple] = None) -> tuple:
+    """A witness as its JSON list and its text lines.
+
+    ``witness`` is a dict, or a tuple whose entries ``names`` labels.  Each
+    vector appears in label form and in raw coordinates.
+    """
+    if witness is None:
+        return [], []
+    if names is not None:
+        witness = dict(zip(names, witness))
+    entries, lines = {}, ["witness:"]
+    for key, val in witness.items():
+        if isinstance(val, tuple):
+            vec = entries[key] = _vector_json(alg, val)
+            lines.append(f"  {key} = {vec['pretty']}   coords ({', '.join(vec['coords'])})")
+        else:
+            entries[key] = val
+            lines.append(f"  {key} = {val}")
+    return [entries], lines
 
 
-def cmd_parse(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = parse(text)
-    canonical = serialize(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical)
-    else:
-        sys.stdout.write(canonical)
-    return 0
+def _dims(pair, **extra) -> dict:
+    return {"g": pair.alg.dim, "k": pair.k.dim, **extra}
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    doc, built = _load(args)
-    pair = _pick(built.pairs, args.pair, "pair")
-    op = _pick(built.operators, args.operator, "operator")
+# Each command maps (args, pair, operator) to (verdict, report fields, text
+# lines); _report does the rest.
+
+def _check(args, pair, op) -> tuple:
     report = check_admissible(pair, op)
-    split_report = None
-    if pair.m is not None:
-        split_report = check_split_admissible(pair, op)
-
-    payload = _base_payload("check", args)
-    payload["verdict"] = report.holds
-    payload["scope"] = report.scope
-    payload["clauses"] = list(report.clauses)
-    payload["failed_clause"] = report.failed_clause
-    payload["witnesses"] = _witness_json(pair.alg, report.witness)
-    payload["dims"] = {"g": pair.alg.dim, "k": pair.k.dim}
-    if split_report is not None:
-        payload["split_admissible"] = split_report.holds
-        payload["split_failed_clause"] = split_report.failed_clause
-    _finish(payload, started)
-
+    witnesses, witness_lines = _witness(pair.alg, report.witness)
+    fields = {
+        "witnesses": witnesses,
+        "dims": _dims(pair),
+        "scope": report.scope,
+        "clauses": list(report.clauses),
+        "failed_clause": report.failed_clause,
+    }
     lines = [
-        f"admissible: {'yes' if report.holds else 'no'} (scope: {report.scope})",
+        f"admissible: {_yes(report.holds)} (scope: {report.scope})",
         f"clauses evaluated: {', '.join(report.clauses)}",
     ]
     if not report.holds:
         lines.append(f"failed clause: {report.failed_clause}")
-        lines.extend(_witness_lines(pair.alg, report.witness))
-    if split_report is not None:
-        lines.append(f"split admissible: {'yes' if split_report.holds else 'no'}")
-        if not split_report.holds:
-            lines.append(f"split failed clause: {split_report.failed_clause}")
-    _emit(args, payload, lines)
-    return 0 if report.holds else 1
+        lines.extend(witness_lines)
+    if pair.m is not None:
+        split = _split_verdict(pair, op, report)
+        fields["split_admissible"] = split.holds
+        fields["split_failed_clause"] = split.failed_clause
+        lines.append(f"split admissible: {_yes(split.holds)}")
+        if not split.holds:
+            lines.append(f"split failed clause: {split.failed_clause}")
+    return report.holds, fields, lines
 
 
-def _witness_lines(alg, witness: Optional[dict]) -> list:
-    if witness is None:
-        return []
-    lines = ["witness:"]
-    for key, val in witness.items():
-        if isinstance(val, tuple):
-            coords = "(" + ", ".join(format_scalar(x) for x in val) + ")"
-            lines.append(f"  {key} = {alg.format_element(val)}   coords {coords}")
-        else:
-            lines.append(f"  {key} = {val}")
-    return lines
-
-
-def cmd_torsion(args) -> int:
-    started = time.perf_counter()
-    doc, built = _load(args)
-    pair = _pick(built.pairs, args.pair, "pair")
-    op = _pick(built.operators, args.operator, "operator")
+def _torsion(args, pair, op) -> tuple:
     if args.mode == "ad":
         if op.ad_generator is None:
             raise LieCheckError("--mode ad needs an operator declared as ad(...)")
         report = check_nijenhuis_ad(pair, op.ad_generator)
-    elif args.mode == "all":
-        report = check_nijenhuis(pair, op, pairs="all")
-    elif args.mode == "complement":
-        report = check_nijenhuis(pair, op, pairs="complement")
     else:
-        report = check_nijenhuis(pair, op)
-
-    payload = _base_payload("torsion", args)
-    payload["verdict"] = report.verdict
-    payload["mode"] = report.mode
-    payload["checked_pairs"] = report.checked_pairs
-    payload["dims"] = {"g": pair.alg.dim, "k": pair.k.dim}
-    if report.witness is not None:
-        v, w, beta = report.witness
-        payload["witnesses"] = [{
-            "v": _vector_json(pair.alg, v),
-            "w": _vector_json(pair.alg, w),
-            "torsion_value": _vector_json(pair.alg, beta),
-        }]
-    _finish(payload, started)
-
-    lines = [
-        f"nijenhuis: {'yes' if report.verdict else 'no'} "
-        f"({report.mode}, {report.checked_pairs} pairs checked)",
-    ]
-    if report.witness is not None:
-        v, w, beta = report.witness
-        lines.append(f"witness v = {pair.alg.format_element(v)}")
-        lines.append(f"witness w = {pair.alg.format_element(w)}")
-        lines.append(f"torsion value = {pair.alg.format_element(beta)}")
-        lines.append(
-            "coords: v=(" + ", ".join(format_scalar(x) for x in v) + ")  w=("
-            + ", ".join(format_scalar(x) for x in w) + ")  value=("
-            + ", ".join(format_scalar(x) for x in beta) + ")"
-        )
-    _emit(args, payload, lines)
-    return 0 if report.verdict else 1
-
-
-def cmd_integrability(args) -> int:
-    started = time.perf_counter()
-    doc, built = _load(args)
-    pair = _pick(built.pairs, args.pair, "pair")
-    op = _pick(built.operators, args.operator, "operator")
-    report = check_integrable(pair, op)
-
-    calg = pair.alg
-    payload = _base_payload("integrability", args)
-    payload["verdict"] = report.integrable
-    payload["ac_admissible"] = report.ac_admissible
-    payload["z_plus_closed"] = report.z_plus_closed
-    payload["nijenhuis_verdict"] = report.nijenhuis_verdict
-    payload["dims"] = {
-        "g": calg.dim,
-        "k": pair.k.dim,
-        "z_plus": report.z_plus.dim,
-        "z_minus": report.z_minus.dim,
+        report = check_nijenhuis(pair, op, pairs=args.mode or "auto")
+    witnesses, witness_lines = _witness(pair.alg, report.witness,
+                                        ("v", "w", "torsion_value"))
+    fields = {
+        "witnesses": witnesses,
+        "dims": _dims(pair),
+        "mode": report.mode,
+        "checked_pairs": report.checked_pairs,
     }
-    payload["z_plus_basis"] = [_vector_json(calg, v) for v in report.z_plus.vectors()]
-    payload["z_plus_mod_k"] = [_vector_json(calg, v) for v in report.z_plus_mod_k]
-    if report.split is not None:
-        payload["split_diagnostics"] = {
-            "sum_is_all": report.split.sum_is_all,
-            "intersection_is_kc": report.split.intersection_is_kc,
-            "eigenspace_decomposition_holds": report.split.eigenspace_decomposition_holds,
-        }
-    if report.witness is not None:
-        x, y, br = report.witness
-        payload["witnesses"] = [{
-            "x": _vector_json(calg, x),
-            "y": _vector_json(calg, y),
-            "bracket": _vector_json(calg, br),
-        }]
-    _finish(payload, started)
-
     lines = [
-        f"integrable: {'yes' if report.integrable else 'no'}",
-        f"dim Z+: {report.z_plus.dim}   (Z+ closed under bracket: "
-        f"{'yes' if report.z_plus_closed else 'no'}; torsion verdict agrees)",
-        "Z+ basis:",
+        f"nijenhuis: {_yes(report.verdict)} "
+        f"({report.mode}, {report.checked_pairs} pairs checked)",
+        *witness_lines,
     ]
-    lines.extend(f"  {calg.format_element(v)}" for v in report.z_plus.vectors())
-    lines.append("Z+ modulo k_C:")
-    lines.extend(f"  {calg.format_element(v)}" for v in report.z_plus_mod_k)
+    return report.verdict, fields, lines
+
+
+def _integrability(args, pair, op) -> tuple:
+    report = check_integrable(pair, op)
+    alg = pair.alg
+    witnesses, witness_lines = _witness(alg, report.witness, ("x", "y", "bracket"))
+    fields = {
+        "witnesses": witnesses,
+        "dims": _dims(pair, z_plus=report.z_plus.dim, z_minus=report.z_minus.dim),
+        "ac_admissible": report.ac_admissible,
+        "z_plus_closed": report.z_plus_closed,
+        "nijenhuis_verdict": report.nijenhuis_verdict,
+        "z_plus_basis": [_vector_json(alg, v) for v in report.z_plus.vectors()],
+        "z_plus_mod_k": [_vector_json(alg, v) for v in report.z_plus_mod_k],
+    }
+    lines = [
+        f"integrable: {_yes(report.integrable)}",
+        f"dim Z+: {report.z_plus.dim}   (Z+ closed under bracket: "
+        f"{_yes(report.z_plus_closed)}; torsion verdict agrees)",
+        "Z+ basis:",
+        *(f"  {v['pretty']}" for v in fields["z_plus_basis"]),
+        "Z+ modulo k_C:",
+        *(f"  {v['pretty']}" for v in fields["z_plus_mod_k"]),
+    ]
     if report.split is not None:
         d = report.split
+        fields["split_diagnostics"] = asdict(d)
         lines.append(
             "split diagnostics: sum_is_all="
             f"{d.sum_is_all} intersection_is_kc={d.intersection_is_kc} "
             f"eigenspace_decomposition={d.eigenspace_decomposition_holds}"
         )
-    if report.witness is not None:
-        x, y, br = report.witness
-        lines.append(f"witness [x,y] outside Z+: x = {calg.format_element(x)}, "
-                     f"y = {calg.format_element(y)}")
-    _emit(args, payload, lines)
-    return 0 if report.integrable else 1
+    lines.extend(witness_lines)
+    return report.integrable, fields, lines
 
 
-def cmd_harness(args) -> int:
-    started = time.perf_counter()
+def _writes_csv(args) -> bool:
+    return args.command == "harness" and bool(args.out) and args.out.endswith(".csv")
+
+
+def _check_harness_options(args):
     if not (hz.MIN_STEP <= args.step <= hz.MAX_STEP):
         raise LieCheckError(
             f"--step must lie in [{hz.MIN_STEP}, {hz.MAX_STEP}]"
         )
     if not (1 <= args.samples <= 10 ** 6):
         raise LieCheckError("--samples must lie in [1, 1000000]")
-    doc, built = _load(args)
-    pair = _pick(built.pairs, args.pair, "pair")
-    op = _pick(built.operators, args.operator, "operator")
+    if not math.isfinite(args.theta):
+        raise LieCheckError("--theta must be a finite number")
+
+
+def _harness(args, pair, op) -> tuple:
     report = hz.run_harness(pair, op, samples=args.samples, h=args.step,
                             seed=args.seed, theta=args.theta)
-
-    payload = _base_payload("harness", args)
-    payload["verdict"] = report.passed
-    payload["model"] = report.model_kind
-    payload["seed"] = report.seed
-    payload["tolerances"] = {k: _fmt_float(v) for k, v in report.tolerances.items()}
-    payload["h"] = _fmt_float(report.h)
-    payload["nijenhuis_exact"] = report.nijenhuis_exact
-    payload["max_deviation"] = _fmt_float(report.max_deviation)
-    payload["max_numerical_torsion"] = _fmt_float(report.max_numerical)
-    payload["relation_residuals"] = {
-        "alpha_related": _fmt_float(report.relation.alpha_related_max),
-        "base_consistency": _fmt_float(report.relation.base_consistency_max),
+    passed = report.passed
+    rel = report.relation
+    residuals = {
+        "alpha_related": rel.alpha_related_max,
+        "base_consistency": rel.base_consistency_max,
+        "stabilizer": rel.stabilizer_max,
+        "representative_independence": rel.rep_independence_max,
     }
-    if report.relation.stabilizer_max is not None:
-        payload["relation_residuals"]["stabilizer"] = _fmt_float(
-            report.relation.stabilizer_max)
-    if report.relation.rep_independence_max is not None:
-        payload["relation_residuals"]["representative_independence"] = _fmt_float(
-            report.relation.rep_independence_max)
-    if report.relation.flip_pushforward is not None:
-        payload["sphere_demos"] = {
-            "pushforward_of_field": [_fmt_float(x) for x in report.relation.flip_pushforward],
-            "field_at_moved_point": [_fmt_float(x) for x in report.relation.flip_field_at_image],
-            "bundle_map_of_field": [_fmt_float(x) for x in report.relation.rotation_bundle_value],
-            "field_of_mapped_element": [_fmt_float(x) for x in report.relation.rotation_field_value],
-            "theta": _fmt_float(report.relation.theta),
+    fields = {
+        "model": report.model_kind,
+        "seed": report.seed,
+        "tolerances": {k: _fmt_float(v) for k, v in report.tolerances.items()},
+        "h": _fmt_float(report.h),
+        "nijenhuis_exact": report.nijenhuis_exact,
+        "max_deviation": _fmt_float(report.max_deviation),
+        "max_numerical_torsion": _fmt_float(report.max_numerical),
+        "relation_residuals": {k: _fmt_float(v) for k, v in residuals.items()
+                               if v is not None},
+    }
+    if rel.flip_pushforward is not None:
+        fields["sphere_demos"] = {
+            "pushforward_of_field": [_fmt_float(x) for x in rel.flip_pushforward],
+            "field_at_moved_point": [_fmt_float(x) for x in rel.flip_field_at_image],
+            "bundle_map_of_field": [_fmt_float(x) for x in rel.rotation_bundle_value],
+            "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
+            "theta": _fmt_float(rel.theta),
         }
-    payload["samples"] = [
+    fields["samples"] = [
         {
             "deviation": _fmt_float(s.deviation),
             "numerical_max": _fmt_float(float(np.max(np.abs(s.numerical)))),
@@ -324,31 +249,53 @@ def cmd_harness(args) -> int:
         }
         for s in report.samples
     ]
-    _finish(payload, started)
-
+    if _writes_csv(args):
+        rows = [",".join((str(idx), *s.values())) for idx, s in enumerate(fields["samples"])]
+        _write(args.out, "\n".join(["index,deviation,numerical_max,predicted_max", *rows]) + "\n")
     lines = [
-        f"harness: {'pass' if report.passed else 'FAIL'} on {report.model_kind} model",
+        f"harness: {'pass' if passed else 'FAIL'} on {report.model_kind} model",
         f"samples: {len(report.samples)}  step: {_fmt_float(report.h)}  "
         f"seed: {report.seed}",
         f"max |numerical - predicted|: {_fmt_float(report.max_deviation)}",
         f"exact torsion verdict: {'holds' if report.nijenhuis_exact else 'fails'}"
         + (f"  (max |numerical|: {_fmt_float(report.max_numerical)})"
            if report.nijenhuis_exact else ""),
-        f"relation residual (worst): {_fmt_float(report.relation.max_residual)}",
+        f"relation residual (worst): {_fmt_float(rel.max_residual)}",
     ]
-    if args.out and args.out.endswith(".csv"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("index,deviation,numerical_max,predicted_max\n")
-            for idx, s in enumerate(report.samples):
-                fh.write(
-                    f"{idx},{_fmt_float(s.deviation)},"
-                    f"{_fmt_float(float(np.max(np.abs(s.numerical))))},"
-                    f"{_fmt_float(float(np.max(np.abs(s.predicted))))}\n"
-                )
-        print("\n".join(lines))
-        return 0 if report.passed else 1
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return passed, fields, lines
+
+
+_COMMANDS = {
+    "check": _check,
+    "torsion": _torsion,
+    "integrability": _integrability,
+    "harness": _harness,
+}
+
+
+def _report(args) -> int:
+    """Load the input, run the command on the chosen pair and operator, and
+    emit its report; the exit code follows the verdict."""
+    started = time.perf_counter()
+    built = build(parse(_read(args.file)))
+    pair = _pick(built.pairs, args.pair, "pair")
+    op = _pick(built.operators, args.operator, "operator")
+    verdict, fields, lines = _COMMANDS[args.command](args, pair, op)
+    payload = {
+        "command": args.command,
+        "input": args.file,
+        "verdict": verdict,
+        "witnesses": [],
+        "dims": {},
+        "tolerances": {},
+        "seed": None,
+        "elapsed_ms": None,
+        **fields,
+    }
+    payload["elapsed_ms"] = float((time.perf_counter() - started) * 1000.0)
+    body = json.dumps(payload, indent=2) if args.report == "json" else "\n".join(lines)
+    _write(None if _writes_csv(args) else args.out, body + "\n")
+    return 0 if verdict else 1
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -358,58 +305,50 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_names=True):
+    def command(name, help_text, verdict=True):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input .lie file")
-        if with_names:
+        if verdict:
             p.add_argument("--pair", help="pair name (optional when unique)")
             p.add_argument("--operator", help="operator name (optional when unique)")
-        p.add_argument("--report", choices=("text", "json"), default="text")
+            p.add_argument("--report", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to this path")
+        return p
 
-    p = sub.add_parser("parse", help="syntax check and canonical dump")
-    common(p, with_names=False)
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("check", help="admissibility verdict")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("torsion", help="Nijenhuis torsion verdict")
-    common(p)
+    command("parse", "syntax check and canonical dump", verdict=False)
+    command("check", "admissibility verdict")
+    p = command("torsion", "Nijenhuis torsion verdict")
     p.add_argument("--mode", choices=("all", "complement", "ad"),
                    help="pair iteration mode (default: complement when declared)")
-    p.set_defaults(fn=cmd_torsion)
-
-    p = sub.add_parser("integrability", help="almost complex integrability verdict")
-    common(p)
-    p.set_defaults(fn=cmd_integrability)
-
-    p = sub.add_parser("harness", help="numerical cross-validation")
-    common(p)
+    command("integrability", "almost complex integrability verdict")
+    p = command("harness", "numerical cross-validation")
     p.add_argument("--samples", type=int, default=hz.DEFAULT_SAMPLES)
     p.add_argument("--step", type=float, default=hz.DEFAULT_STEP)
     p.add_argument("--seed", type=int, default=hz.DEFAULT_SEED)
     p.add_argument("--theta", type=float, default=1.0)
-    p.set_defaults(fn=cmd_harness)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_arg_parser()
-    args = ap.parse_args(argv)
-    if not hasattr(args, "mode"):
-        args.mode = None
+    args = _build_arg_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "parse":
+            _write(args.out, serialize(parse(_read(args.file))))
+            return 0
+        if args.command == "harness":
+            _check_harness_options(args)
+        return _report(args)
     except SpecfileError as exc:
-        print(f"error: {args.file}:{exc}", file=sys.stderr)
-        return 2
+        message = f"{args.file}:{exc}"
     except LieCheckError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        message = f"{type(exc).__name__}: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except Exception as exc:
+        traceback.print_exc()
+        message = f"internal error: {type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def console_main():

@@ -7,8 +7,8 @@ For an operator J whose square is -1 modulo k, the subspaces
 are computed as exact kernels of a stacked system over Q(i) (they are not
 eigenspaces of the complex extension in general).  The induced almost
 complex structure is integrable exactly when Z+ is closed under the bracket,
-and that is equivalent to the torsion verdict; both are computed and
-cross-asserted here.
+and that is equivalent to the torsion verdict; both are computed, and a
+disagreement raises :class:`InternalInconsistency`.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import complexify_subspace
 from .errors import (
+    InternalInconsistency,
     MissingComplement,
     NotACAdmissible,
-    NotAdmissible,
     NotSplitACAdmissible,
 )
 from .exact import (
@@ -31,7 +30,12 @@ from .exact import (
     subspace_intersection,
     subspace_sum,
 )
-from .operators import HomogeneousPair, LinearOperator, check_admissible
+from .operators import (
+    HomogeneousPair,
+    LinearOperator,
+    _require_admissible,
+    _split_kernel_failure,
+)
 from .torsion import check_nijenhuis
 
 
@@ -73,9 +77,11 @@ class IntegrabilityReport:
 
 def check_ac_admissible(pair: HomogeneousPair, op: LinearOperator) -> bool:
     """Whether (J^2 + 1) maps every basis vector into k (given admissibility)."""
-    adm = check_admissible(pair, op)
-    if not adm.holds:
-        raise NotAdmissible(adm)
+    _require_admissible(pair, op)
+    return _squares_to_minus_one(pair, op)
+
+
+def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
     alg = pair.alg
     j2 = op.matrix @ op.matrix
     for j in range(alg.dim):
@@ -113,14 +119,13 @@ def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     return out[0], out[1]
 
 
-def _mod_k_representatives(pair: HomogeneousPair, z_plus: Subspace) -> tuple:
+def _mod_k_representatives(kc: Subspace, z_plus: Subspace) -> tuple:
     """Canonical representatives of Z+ modulo k_C.
 
     k_C is contained in Z+, so the pivot columns of k_C are a subset of the
     pivots of Z+; the remaining echelon rows, reduced against k_C, represent
     the quotient.
     """
-    kc = complexify_subspace(pair.k.space)
     k_pivots = set(kc.pivot_cols)
     reps = []
     for row, piv in zip(z_plus.vectors(), z_plus.pivot_cols):
@@ -135,68 +140,59 @@ def _mod_k_representatives(pair: HomogeneousPair, z_plus: Subspace) -> tuple:
     return tuple(reps)
 
 
-def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> IntegrabilityReport:
-    """Full integrability verdict: Z+ closure, cross-checked against torsion."""
-    ac = check_ac_admissible(pair, op)
-    if not ac:
-        raise NotACAdmissible(
-            "the operator does not square to -1 modulo the subalgebra"
-        )
-    z_plus, z_minus = compute_z_spaces(pair, op)
-    alg = pair.alg
+def _bracket_escape(alg, z_plus: Subspace) -> Optional[tuple]:
+    """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+."""
     rows = z_plus.vectors()
-    closed = True
-    witness = None
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
             br = alg.bracket(rows[a], rows[b])
             if br not in z_plus:
-                closed = False
-                witness = (rows[a], rows[b], br)
-                break
-        if not closed:
-            break
+                return rows[a], rows[b], br
+    return None
+
+
+def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> IntegrabilityReport:
+    """Full integrability verdict: Z+ closure, cross-checked against torsion.
+
+    Each layer runs once.  The torsion check settles admissibility, so it
+    runs only for an operator that squares to -1 modulo k; otherwise
+    admissibility is checked alone, because it is reported first.
+    """
+    if not _squares_to_minus_one(pair, op):
+        _require_admissible(pair, op)
+        raise NotACAdmissible("the operator does not square to -1 modulo the subalgebra")
     nij = check_nijenhuis(pair, op)
-    assert closed == nij.verdict, (
-        "internal inconsistency: Z+ closure and the torsion verdict disagree"
-    )
+    z_plus, z_minus = compute_z_spaces(pair, op)
+    witness = _bracket_escape(pair.alg, z_plus)
+    if (witness is None) != nij.verdict:
+        raise InternalInconsistency("Z+ closure and the torsion verdict disagree")
+    kc = pair.k.space.over_gaussian()
     split = None
-    if pair.m is not None and _split_clauses_hold(pair, op):
-        split = split_diagnostics(pair, op)
+    if pair.m is not None and _failed_split_clause(pair, op) is None:
+        split = _split_identities(pair, op, kc, z_plus, z_minus)
     return IntegrabilityReport(
         ac_admissible=True,
         z_plus=z_plus,
         z_minus=z_minus,
-        z_plus_closed=closed,
+        z_plus_closed=witness is None,
         nijenhuis_verdict=nij.verdict,
-        z_plus_mod_k=_mod_k_representatives(pair, z_plus),
+        z_plus_mod_k=_mod_k_representatives(kc, z_plus),
         witness=witness,
         split=split,
     )
 
 
-def _split_clauses_hold(pair: HomogeneousPair, op: LinearOperator) -> bool:
-    """Whether the operator satisfies the split clauses on (k, m)."""
-    try:
-        _require_split_clauses(pair, op)
-    except NotSplitACAdmissible:
-        return False
-    return True
-
-
-def _require_split_clauses(pair: HomogeneousPair, op: LinearOperator):
-    alg = pair.alg
-    zero = alg.zero_vector()
-    for x in pair.k.space.vectors():
-        if op.apply(x) != zero:
-            raise NotSplitACAdmissible("k_in_kernel")
-    for x in pair.m.vectors():
-        if op.apply(x) not in pair.m:
-            raise NotSplitACAdmissible("m_invariant")
+def _failed_split_clause(pair: HomogeneousPair, op: LinearOperator) -> Optional[str]:
+    """The first split clause the operator violates on (k, m), or None."""
+    failure = _split_kernel_failure(pair, op)
+    if failure is not None:
+        return failure[0]
+    zero = pair.alg.zero_vector()
     for x in pair.m.vectors():
         sq = op.apply(op.apply(x))
         if tuple(a + b for a, b in zip(sq, x)) != zero:
-            raise NotSplitACAdmissible("square_is_minus_one_on_m")
+            return "square_is_minus_one_on_m"
+    return None
 
 
 def split_diagnostics(pair: HomogeneousPair, op: LinearOperator) -> SplitDiagnostics:
@@ -204,12 +200,17 @@ def split_diagnostics(pair: HomogeneousPair, op: LinearOperator) -> SplitDiagnos
     and Z_pm decompose as k_C plus the (+/-i)-eigenspace of J on m_C."""
     if pair.m is None:
         raise MissingComplement("split diagnostics need a declared complement")
-    _require_split_clauses(pair, op)
-    alg = pair.alg
-    n = alg.dim
+    clause = _failed_split_clause(pair, op)
+    if clause is not None:
+        raise NotSplitACAdmissible(clause)
     z_plus, z_minus = compute_z_spaces(pair, op)
-    kc = complexify_subspace(pair.k.space)
+    return _split_identities(pair, op, pair.k.space.over_gaussian(), z_plus, z_minus)
 
+
+def _split_identities(pair: HomogeneousPair, op: LinearOperator, kc: Subspace,
+                      z_plus: Subspace, z_minus: Subspace) -> SplitDiagnostics:
+    """The split identities for Z+ and Z- already computed; k_C is k over Q(i)."""
+    n = pair.alg.dim
     total = subspace_sum(z_plus, z_minus)
     sum_is_all = total.dim == n
 

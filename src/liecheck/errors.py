@@ -110,3 +110,7 @@ class SectionSingular(LieCheckError):
 
 class StepTooSmall(LieCheckError):
     """Finite-difference step below the supported minimum."""
+
+
+class InternalInconsistency(LieCheckError):
+    """Two computations that must agree did not: a fault in the package."""

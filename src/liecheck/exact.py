@@ -532,12 +532,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def membership(s: Subspace, v: Sequence) -> tuple:
-    """Whether ``v`` lies in ``s``; when it does, also its coordinates."""
-    coords = s.coordinates_of(v)
-    return (coords is not None), coords
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")

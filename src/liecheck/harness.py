@@ -186,7 +186,15 @@ class MatrixModel:
 
     def base_tangent_coords(self, z0: np.ndarray) -> np.ndarray:
         """Coordinates v with (sum v_i G_i) base = z0, minimal-norm choice."""
+        if self.kind == "full-group":
+            return self.algebra_coords(z0)
         return self._base_pinv @ z0
+
+    def push(self, g: np.ndarray, v: Sequence) -> np.ndarray:
+        """The algebra element v carried to the point g(base): g (sum v_i G_i) base."""
+        if self.kind == "full-group":
+            return g @ self.element(v)
+        return g @ (self.element(v) @ _P0)
 
     def ambient_extension(self, field_fn: Callable) -> Callable:
         """Extend a manifold field to ambient points via the retraction."""
@@ -274,17 +282,15 @@ def bundle_map(model: MatrixModel, pair: HomogeneousPair, op: LinearOperator,
                p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Apply the induced bundle map at p to a tangent vector z."""
     model.check_point(p)
-    g = model.section(p)
-    op_float = _float_matrix(op.matrix)
-    if model.kind == "sphere-orbit":
-        z0 = np.linalg.solve(g, z)
-        v = model.base_tangent_coords(z0)
-        iv = op_float @ v
-        return g @ (model.element(iv) @ _P0)
-    u = np.linalg.solve(g, z)
-    v = model.algebra_coords(u)
-    iv = op_float @ v
-    return g @ model.element(iv)
+    return _bundle_with_section(model, op, model.section(p), z)
+
+
+def _bundle_with_section(model: MatrixModel, op: LinearOperator,
+                         g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The bundle map at g(base) through the representative g: pull z back
+    to the base, apply the operator there, push the result forward by g."""
+    iv = _float_matrix(op.matrix) @ model.base_tangent_coords(np.linalg.solve(g, z))
+    return model.push(g, iv)
 
 
 def fd_bracket(model: MatrixModel, x_field: Callable, y_field: Callable,
@@ -377,11 +383,7 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
     v0 = model.algebra_coords(g_inv @ model.element(v) @ g)
     w0 = model.algebra_coords(g_inv @ model.element(w) @ g)
     op_float = _float_matrix(op.matrix)
-    beta = _torsion_float(model, op_float, v0, w0)
-    if model.kind == "sphere-orbit":
-        predicted = g @ (model.element(beta) @ _P0)
-    else:
-        predicted = g @ model.element(beta)
+    predicted = model.push(g, _torsion_float(model, op_float, v0, w0))
     deviation = float(np.max(np.abs(omega - predicted)))
     return FieldSample(p, v, w, h, omega, predicted, deviation)
 
@@ -414,18 +416,13 @@ class RelationReport:
             vals.append(self.stabilizer_max)
         if self.rep_independence_max is not None:
             vals.append(self.rep_independence_max)
-        return max(vals)
+        return float(np.max(vals))
 
 
-def _bundle_with_section(model, pair, op, g, p, z):
-    op_float = _float_matrix(op.matrix)
-    if model.kind == "sphere-orbit":
-        z0 = np.linalg.solve(g, z)
-        iv = op_float @ model.base_tangent_coords(z0)
-        return g @ (model.element(iv) @ _P0)
-    u = np.linalg.solve(g, z)
-    iv = op_float @ model.algebra_coords(u)
-    return g @ model.element(iv)
+def _worst(acc: float, x: float) -> float:
+    """Running maximum that keeps a NaN (``max(0.0, nan)`` is 0.0), so that
+    a NaN deviation fails its gate."""
+    return float(np.maximum(acc, x))
 
 
 def relation_checks(model: MatrixModel, pair: HomogeneousPair,
@@ -449,24 +446,13 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
         g, p = model.random_point(rng)
         v = rng.uniform(-1.0, 1.0, size=model.dim)
         velt = model.element(v)
-        if model.kind == "sphere-orbit":
-            lhs = h_el @ (velt @ np.linalg.solve(h_el, p))
-            advh = model.algebra_coords(h_el @ velt @ np.linalg.inv(h_el))
-            rhs = model.element(advh) @ p
-            alpha_max = max(alpha_max, float(np.max(np.abs(lhs - rhs))))
-            # Two expressions for the pushed-down field at p = g(base).
-            direct = velt @ p
-            adg = model.algebra_coords(np.linalg.inv(g) @ velt @ g)
-            via_base = g @ (model.element(adg) @ _P0)
-            base_max = max(base_max, float(np.max(np.abs(direct - via_base))))
-        else:
-            lhs = h_el @ (velt @ np.linalg.solve(h_el, p))
-            advh = model.algebra_coords(h_el @ velt @ np.linalg.inv(h_el))
-            rhs = model.element(advh) @ p
-            alpha_max = max(alpha_max, float(np.max(np.abs(lhs - rhs))))
-            adg = model.algebra_coords(np.linalg.inv(p) @ velt @ p)
-            via_base = p @ model.element(adg)
-            base_max = max(base_max, float(np.max(np.abs(velt @ p - via_base))))
+        lhs = h_el @ (velt @ np.linalg.solve(h_el, p))
+        advh = model.algebra_coords(h_el @ velt @ np.linalg.inv(h_el))
+        rhs = model.element(advh) @ p
+        alpha_max = _worst(alpha_max, float(np.max(np.abs(lhs - rhs))))
+        # Two expressions for the pushed-down field at p = g(base).
+        adg = model.algebra_coords(np.linalg.inv(g) @ velt @ g)
+        base_max = _worst(base_max, float(np.max(np.abs(velt @ p - model.push(g, adg)))))
 
     stab_max = None
     rep_max = None
@@ -483,14 +469,14 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
             velt = model.element(v)
             lhs = k_el @ (velt @ _P0)
             rhs = model.element(model.algebra_coords(k_el @ velt @ np.linalg.inv(k_el))) @ _P0
-            stab_max = max(stab_max, float(np.max(np.abs(lhs - rhs))))
+            stab_max = _worst(stab_max, float(np.max(np.abs(lhs - rhs))))
 
             g, p = model.random_point(rng)
             z = model.element(rng.uniform(-1.0, 1.0, size=model.dim)) @ p
             sec = model.section(p)
-            n1 = _bundle_with_section(model, pair, op, sec, p, z)
-            n2 = _bundle_with_section(model, pair, op, sec @ k_el, p, z)
-            rep_max = max(rep_max, float(np.max(np.abs(n1 - n2))))
+            n1 = _bundle_with_section(model, op, sec, z)
+            n2 = _bundle_with_section(model, op, sec @ k_el, z)
+            rep_max = _worst(rep_max, float(np.max(np.abs(n1 - n2))))
 
         flip = np.diag([1.0, -1.0, -1.0])
         e1 = model.generators[1]
@@ -531,12 +517,13 @@ class DeviationReport:
 
     @property
     def passed(self) -> bool:
-        if self.max_deviation > self.tolerances.get("torsion", TORSION_TOL):
+        # Each gate is written "not (x <= tol)" so that a NaN fails it.
+        if not (self.max_deviation <= self.tolerances.get("torsion", TORSION_TOL)):
             return False
-        if self.relation.max_residual > self.tolerances.get("relation", RELATION_TOL):
+        if not (self.relation.max_residual <= self.tolerances.get("relation", RELATION_TOL)):
             return False
-        if self.nijenhuis_exact and self.max_numerical > self.tolerances.get(
-            "torsion", TORSION_TOL
+        if self.nijenhuis_exact and not (
+            self.max_numerical <= self.tolerances.get("torsion", TORSION_TOL)
         ):
             return False
         if self.relation.flip_pushforward is not None:
@@ -550,7 +537,7 @@ class DeviationReport:
                  np.array([math.cos(theta), 0.0, 0.0])),
             )
             for got, want in checks:
-                if float(np.max(np.abs(got - want))) > demo:
+                if not (float(np.max(np.abs(got - want))) <= demo):
                     return False
         return True
 
@@ -573,8 +560,8 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
         w = rng.uniform(-1.0, 1.0, size=model.dim)
         sample = numerical_torsion(model, pair, op, v, w, p, h)
         collected.append(sample)
-        max_dev = max(max_dev, sample.deviation)
-        max_num = max(max_num, float(np.max(np.abs(sample.numerical))))
+        max_dev = _worst(max_dev, sample.deviation)
+        max_num = _worst(max_num, float(np.max(np.abs(sample.numerical))))
     return DeviationReport(
         model_kind=model.kind,
         h=h,

@@ -10,7 +10,6 @@ scoped to the identity component and the report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .algebra import LieAlgebra, Subalgebra
@@ -20,6 +19,7 @@ from .errors import (
     InvalidComponentRep,
     LieCheckError,
     MissingComplement,
+    NotAdmissible,
     RuleIncomplete,
 )
 from .exact import ExactMatrix, GaussianRational, Subspace, rref, subspace_intersection
@@ -208,27 +208,45 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     return VerdictReport(True, scope, tuple(clauses))
 
 
+def _require_admissible(pair: HomogeneousPair, op: LinearOperator):
+    """Raise NotAdmissible, carrying the report, unless the operator is admissible."""
+    adm = check_admissible(pair, op)
+    if not adm.holds:
+        raise NotAdmissible(adm)
+
+
 def check_split_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport:
     """The stricter split test: k inside ker, complement invariant, admissible."""
     if pair.m is None:
         raise MissingComplement("split admissibility needs a declared complement")
-    scope = _scope_of(pair)
+    return _split_verdict(pair, op, check_admissible(pair, op))
+
+
+def _split_verdict(pair: HomogeneousPair, op: LinearOperator,
+                   adm: VerdictReport) -> VerdictReport:
+    """The split verdict, given the operator's admissibility report."""
     clauses = ("k_in_kernel", "m_invariant", "admissible")
-    zero = tuple(Fraction(0) for _ in range(pair.alg.dim))
+    failure = _split_kernel_failure(pair, op)
+    if failure is not None:
+        return VerdictReport(False, adm.scope, clauses, *failure)
+    if not adm.holds:
+        return VerdictReport(False, adm.scope, clauses, "admissible", adm.witness)
+    return VerdictReport(True, adm.scope, clauses)
+
+
+def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> Optional[tuple]:
+    """The first failing split clause with its witness: the operator kills k
+    (``k_in_kernel``) and maps the complement into itself (``m_invariant``)."""
+    zero = pair.alg.zero_vector()
     for x in pair.k.space.vectors():
         img = op.apply(x)
         if img != zero:
-            return VerdictReport(False, scope, clauses, "k_in_kernel",
-                                 {"vector": x, "image": img})
+            return "k_in_kernel", {"vector": x, "image": img}
     for x in pair.m.vectors():
         img = op.apply(x)
         if img not in pair.m:
-            return VerdictReport(False, scope, clauses, "m_invariant",
-                                 {"vector": x, "image": img})
-    inner = check_admissible(pair, op)
-    if not inner.holds:
-        return VerdictReport(False, inner.scope, clauses, "admissible", inner.witness)
-    return VerdictReport(True, inner.scope, clauses)
+            return "m_invariant", {"vector": x, "image": img}
+    return None
 
 
 def _sub(a: Sequence, b: Sequence) -> tuple:

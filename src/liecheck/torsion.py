@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import LieCheckError, MissingComplement, NotAdmissible
-from .operators import HomogeneousPair, LinearOperator, check_admissible, operator_ad
+from .operators import (
+    HomogeneousPair,
+    LinearOperator,
+    _require_admissible,
+    check_admissible,
+    operator_ad,
+)
 
 
 @dataclass(frozen=True)
@@ -65,9 +71,7 @@ def check_nijenhuis(
     declared complement only the complement basis pairs are iterated, which
     is sufficient because torsion values on pairs touching k always lie in k.
     """
-    adm = check_admissible(pair, op)
-    if not adm.holds:
-        raise NotAdmissible(adm)
+    _require_admissible(pair, op)
     vectors, mode = _pair_vectors(pair, pairs)
     alg = pair.alg
     checked = 0
@@ -88,18 +92,14 @@ def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
     first.  The verdict agrees with ``check_nijenhuis(pair, operator_ad(d))``.
     """
     alg = pair.alg
+    k = pair.k.space
     basis = [alg.basis_vector(j) for j in range(alg.dim)]
-    for z in pair.k.space.vectors():
-        zd = alg.bracket(z, d)
-        if zd not in pair.k.space:
-            raise NotAdmissible(
-                check_admissible(pair, operator_ad(alg, d))
-            )
-        for bj in basis:
-            if alg.bracket(bj, zd) not in pair.k.space:
-                raise NotAdmissible(
-                    check_admissible(pair, operator_ad(alg, d))
-                )
+    admissible = all(
+        zd in k and all(alg.bracket(bj, zd) in k for bj in basis)
+        for zd in (alg.bracket(z, d) for z in k.vectors())
+    )
+    if not admissible:
+        raise NotAdmissible(check_admissible(pair, operator_ad(alg, d)))
     checked = 0
     for a in range(alg.dim):
         da = alg.bracket(d, basis[a])
@@ -107,7 +107,7 @@ def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
             db = alg.bracket(d, basis[b])
             val = alg.bracket(da, db)
             checked += 1
-            if val not in pair.k.space:
+            if val not in k:
                 return TorsionReport(
                     False, checked, "ad_d-specialized", (basis[a], basis[b], val)
                 )

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from liecheck.cli import main
 
 
@@ -183,3 +185,51 @@ def test_name_disambiguation_required(capsys, corpus_dir):
                        "--pair", "full")
     assert code == 2
     assert "operator" in err
+
+
+def test_non_utf8_input_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.lie"
+    bad.write_bytes(b"algebra a { basis \xff\xfe x; }")
+    for command in ("parse", "check"):
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_harness_non_finite_theta_exit_two(capsys, corpus_dir):
+    for theta in ("inf", "-inf", "nan"):
+        code, _, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
+                           f"--theta={theta}")
+        assert code == 2
+        assert "--theta" in err
+
+
+def test_internal_fault_exit_two(capsys, corpus_dir, monkeypatch):
+    def broken(pair, op):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("liecheck.cli.check_admissible", broken)
+    code, out, err = run(capsys, "check", str(corpus_dir / "so3_sphere.lie"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: internal error: ZeroDivisionError: boom"
+
+
+def test_parse_has_no_report_option(capsys, corpus_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", str(corpus_dir / "nil4.lie"), "--report", "json"])
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
+
+
+def test_harness_csv_output_prints_json_report(capsys, corpus_dir, tmp_path):
+    out_path = tmp_path / "samples.csv"
+    code, out, _ = run(capsys, "harness", str(corpus_dir / "gl3_full.lie"),
+                       "--pair", "full", "--operator", "lmul", "--samples", "3",
+                       "--out", str(out_path), "--report", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "harness" and len(payload["samples"]) == 3
+    rows = out_path.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        s["deviation"] for s in payload["samples"]]

@@ -1,5 +1,6 @@
 """Almost complex admissibility, the Z subspaces, and integrability."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,7 @@ from liecheck import (
     Subspace,
     check_ac_admissible,
     check_integrable,
-    complexify_subspace,
     compute_z_spaces,
-    conjugate_subspace,
     make_subalgebra,
     operator_ad,
     operator_from_rules,
@@ -23,7 +22,9 @@ from liecheck import (
     subspace_intersection,
     subspace_sum,
 )
+from liecheck import complexstruct
 from liecheck.errors import (
+    InternalInconsistency,
     MissingComplement,
     NotACAdmissible,
     NotAdmissible,
@@ -82,7 +83,7 @@ def test_z_spaces_rotation(so3, so3_pair):
         (GaussianRational(0), GaussianRational(1), I),
     ]).over_gaussian()
     assert z_plus == expected_plus
-    assert conjugate_subspace(z_plus) == z_minus
+    assert z_plus.conjugated() == z_minus
     assert z_plus.dim == 2 and z_minus.dim == 2
 
 
@@ -108,10 +109,10 @@ def test_kc_inside_z_plus_and_conjugation(so3, so3_pair, u4, u4_pair):
     ]
     for pair, op in cases:
         z_plus, z_minus = compute_z_spaces(pair, op)
-        kc = complexify_subspace(pair.k.space)
+        kc = pair.k.space.over_gaussian()
         assert z_plus.contains_subspace(kc)
-        assert conjugate_subspace(z_plus) == z_minus
-        assert conjugate_subspace(z_minus) == z_plus
+        assert z_plus.conjugated() == z_minus
+        assert z_minus.conjugated() == z_plus
 
 
 def test_integrable_rotation(so3, so3_pair):
@@ -132,7 +133,7 @@ def test_family_unit_beta_integrable_and_conjugate(so3, so3_pair):
     # beta = -1 matches the rotation structure; beta = +1 is its conjugate
     ad_rep = check_integrable(so3_pair, operator_ad(so3, so3.basis_vector("k0")))
     assert rep_minus.z_plus == ad_rep.z_plus
-    assert rep_plus.z_plus == conjugate_subspace(ad_rep.z_plus)
+    assert rep_plus.z_plus == ad_rep.z_plus.conjugated()
 
 
 def test_not_ac_admissible_raises(so3, so3_pair):
@@ -147,7 +148,7 @@ def test_grassmann_integrable(u4, u4_pair):
     assert report.z_plus.dim == 12
     # Z+ = k_C + the upper-right single-entry block: a13-like combinations
     # (a - i s)/2 reduce to plain matrix units E_jk.
-    expected = list(complexify_subspace(u4_pair.k.space).vectors())
+    expected = list(u4_pair.k.space.over_gaussian().vectors())
     for j in (1, 2):
         for k in (3, 4):
             vec = [GaussianRational(0)] * 16
@@ -247,3 +248,17 @@ def test_gl2_left_structure_integrable(gl3):
     report = check_integrable(pair, op)
     assert report.integrable
     assert report.z_plus.dim == 2
+
+
+def test_closure_and_torsion_disagreement_raises(monkeypatch, so3, so3_pair):
+    # The Z+ closure and the torsion verdict are equivalent; a disagreement is
+    # a fault, reported by an exception that python -O does not strip.
+    real = complexstruct.check_nijenhuis
+
+    def flipped(pair, op, **kwargs):
+        report = real(pair, op, **kwargs)
+        return dataclasses.replace(report, verdict=not report.verdict)
+
+    monkeypatch.setattr(complexstruct, "check_nijenhuis", flipped)
+    with pytest.raises(InternalInconsistency):
+        check_integrable(so3_pair, operator_ad(so3, so3.basis_vector("k0")))

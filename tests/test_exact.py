@@ -11,7 +11,6 @@ from liecheck import (
     Subspace,
     format_scalar,
     kernel_basis,
-    membership,
     parse_scalar,
     rref,
     subspace_intersection,
@@ -163,22 +162,20 @@ def test_kernel_one_equation():
 
 def test_membership_axis():
     s = Subspace.from_vectors(3, [(1, 0, 0)])
-    ok, coords = membership(s, (5, 0, 0))
-    assert ok and coords == (Fraction(5),)
-    ok, coords = membership(s, (0, 1, 0))
-    assert not ok and coords is None
+    assert s.coordinates_of((5, 0, 0)) == (Fraction(5),)
+    assert s.coordinates_of((0, 1, 0)) is None
+    assert (5, 0, 0) in s and (0, 1, 0) not in s
 
 
 def test_membership_scalar_multiple():
     s = Subspace.from_vectors(2, [(1, 2)])
-    ok, coords = membership(s, (3, 6))
-    assert ok and coords == (Fraction(3),)
+    assert s.coordinates_of((3, 6)) == (Fraction(3),)
 
 
 def test_membership_dimension_mismatch():
     s = Subspace.from_vectors(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
-        membership(s, (1, 0, 0))
+        s.coordinates_of((1, 0, 0))
 
 
 # -- sums and intersections --------------------------------------------------

@@ -1,12 +1,13 @@
 """Floating-point models: fields, finite-difference brackets, torsion."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from liecheck import operator_ad, operator_sandwich, LinearOperator
+from liecheck import harness, operator_ad, operator_sandwich, LinearOperator
 from liecheck.errors import (
     LieCheckError,
     PointOffManifold,
@@ -324,3 +325,39 @@ def test_run_harness_sandwich(gl3, gl3_pair):
     assert not report.nijenhuis_exact
     assert report.max_deviation <= 1e-5
     assert report.max_numerical > 1.0
+
+
+# -- NaN must fail the float gates ----------------------------------------------
+
+def test_run_harness_nan_theta_fails(so3, so3_pair):
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = run_harness(so3_pair, op, samples=2, theta=float("nan"))
+    assert np.isnan(report.relation.rotation_bundle_value).all()
+    assert report.passed is False
+
+
+def test_deviation_report_nan_deviation_fails(so3, so3_pair):
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = run_harness(so3_pair, op, samples=2)
+    assert report.passed is True
+    assert dataclasses.replace(report, max_deviation=float("nan")).passed is False
+
+
+def test_run_harness_keeps_nan_deviation(monkeypatch, so3, so3_pair):
+    # Only the first sample is NaN: a running max() would drop it.
+    real = harness.numerical_torsion
+    calls = []
+
+    def first_sample_nan(*args, **kwargs):
+        sample = real(*args, **kwargs)
+        if not calls:
+            sample.deviation = float("nan")
+        calls.append(sample)
+        return sample
+
+    monkeypatch.setattr(harness, "numerical_torsion", first_sample_nan)
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = run_harness(so3_pair, op, samples=3)
+    assert len(calls) == 3
+    assert math.isnan(report.max_deviation)
+    assert report.passed is False
