@@ -5,12 +5,15 @@ with ``[b_i, b_j] = sum_k c[i][j][k] b_k`` over exact rationals.  The tensor
 is validated on construction: antisymmetry entrywise and the Jacobi identity
 on every basis triple.  Matrix algebras are converted at the door by
 :func:`from_matrix_generators`; the generator matrices are retained so that
-multiplication operators can be expressed later.
+multiplication operators can be expressed later.  Structure constants of
+matrix algebras are almost all zero, so the bracket, the validation and the
+construction from generators loop over nonzero entries only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,6 +28,7 @@ from .errors import (
 )
 from .exact import (
     AMBIENT_DIM_CAP,
+    _ZERO,
     ExactMatrix,
     GaussianRational,
     Subspace,
@@ -43,7 +47,13 @@ def _as_fraction(x) -> Fraction:
 
 
 class LieAlgebra:
-    """A finite-dimensional real Lie algebra in a fixed basis."""
+    """A finite-dimensional real Lie algebra in a fixed basis.
+
+    The dense tensor ``c`` is the canonical form.  Derived from it, the
+    nonzero view ``_nz[i][j]`` holds the ``(k, c[i][j][k])`` pairs with a
+    nonzero coefficient, in increasing ``k``; the bracket and the
+    antisymmetry and Jacobi checks run over ``_nz`` alone.
+    """
 
     __slots__ = ("name", "dim", "basis_labels", "c", "_nz", "matrix_size", "matrix_generators")
 
@@ -67,7 +77,7 @@ class LieAlgebra:
         if "i" in labels:
             raise LieCheckError("basis label 'i' is reserved for the imaginary unit")
         c = tuple(
-            tuple(tuple(_as_fraction(x) for x in structure[i][j]) for j in range(n))
+            tuple(tuple(map(_as_fraction, structure[i][j])) for j in range(n))
             for i in range(n)
         )
         for i in range(n):
@@ -80,44 +90,42 @@ class LieAlgebra:
         self.c = c
         self.matrix_size = matrix_size
         self.matrix_generators = matrix_generators
-        # Sparse view c[i][j] -> ((k, coeff), ...) used by bracket and Jacobi.
         self._nz = tuple(
-            tuple(
-                tuple((k, c[i][j][k]) for k in range(n) if c[i][j][k])
-                for j in range(n)
-            )
-            for i in range(n)
+            tuple(tuple(compress(enumerate(row), row)) for row in ci) for ci in c
         )
         self._check_antisymmetry()
         self._check_jacobi()
 
     def _check_antisymmetry(self):
         n = self.dim
+        nz = self._nz
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise InvalidStructureConstants(
-                            f"antisymmetry fails at [{self.basis_labels[i]},"
-                            f"{self.basis_labels[j]}] component {self.basis_labels[k]}"
-                        )
-
-    def _basis_bracket_into(self, i: int, j: int, acc: list, factor):
-        for k, coeff in self._nz[i][j]:
-            acc[k] += factor * coeff
+                sums = {}  # c[i][j][k] + c[j][i][k], over the nonzero terms
+                for k, a in nz[i][j] + nz[j][i]:
+                    sums[k] = sums.get(k, _ZERO) + a
+                bad = [k for k, x in sums.items() if x]
+                if bad:
+                    raise InvalidStructureConstants(
+                        f"antisymmetry fails at [{self.basis_labels[i]},"
+                        f"{self.basis_labels[j]}] component {self.basis_labels[min(bad)]}"
+                    )
 
     def _check_jacobi(self):
         n = self.dim
-        zero = Fraction(0)
+        nz = self._nz
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [zero] * n
+                    if not (nz[j][k] or nz[k][i] or nz[i][j]):
+                        continue  # all three inner brackets vanish
+                    acc = {}
                     for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
                         # [b_a, [b_b, b_c]]
-                        for m, coeff in self._nz[b][cc]:
-                            self._basis_bracket_into(a, m, acc, coeff)
-                    if any(acc):
+                        for m, coeff in nz[b][cc]:
+                            for t, c2 in nz[a][m]:
+                                acc[t] = acc.get(t, _ZERO) + coeff * c2
+                    if any(acc.values()):
                         raise InvalidStructureConstants(
                             "Jacobi identity fails on basis triple "
                             f"({self.basis_labels[i]}, {self.basis_labels[j]}, "
@@ -131,20 +139,17 @@ class LieAlgebra:
         n = self.dim
         if len(v) != n or len(w) != n:
             raise DimensionMismatch("bracket arguments must have the algebra dimension")
-        acc = [0] * n
-        for i in range(n):
-            vi = v[i]
-            if not vi:
-                continue
+        w_nz = tuple(compress(enumerate(w), w))
+        acc = [_ZERO] * n
+        for i, vi in compress(enumerate(v), v):
             nzi = self._nz[i]
-            for j in range(n):
-                wj = w[j]
-                if not wj:
-                    continue
-                f = vi * wj
-                for k, coeff in nzi[j]:
-                    acc[k] = acc[k] + f * coeff
-        return tuple(Fraction(x) if isinstance(x, int) else x for x in acc)
+            for j, wj in w_nz:
+                terms = nzi[j]
+                if terms:
+                    f = vi * wj
+                    for k, coeff in terms:
+                        acc[k] = acc[k] + f * coeff
+        return tuple(acc)
 
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
         """Matrix of ``w -> [d, w]`` in the algebra basis; linear in d."""
@@ -253,13 +258,36 @@ def conjugate_vector(v: Sequence) -> tuple:
 # matrix-generator construction
 # ---------------------------------------------------------------------------
 
+def _entries_by_position(m: ExactMatrix):
+    """The nonzero entries of ``m`` as ``(row * cols + col, value)``."""
+    cols = m.cols
+    return (
+        (r * cols + c, e) for r, terms in enumerate(m.nonzero_rows) for c, e in terms
+    )
+
+
+def _commutator(a: tuple, b: tuple, size: int) -> dict:
+    """Nonzero entries ``{row * size + col: value}`` of ``AB - BA``, for
+    square matrices given by their nonzero rows."""
+    acc = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for r, terms in enumerate(x):
+            for k, u in terms:
+                for c, w in y[k]:
+                    p = r * size + c
+                    acc[p] = acc.get(p, _ZERO) + sign * u * w
+    return {p: v for p, v in acc.items() if v}
+
+
 class _SpanSolver:
     """Solve for coordinates of matrices inside a rational span of matrices.
 
     The generator matrices are flattened into real coordinate vectors (real
     and imaginary parts separately when any generator has entries in Q(i)),
     and a single row reduction of the augmented system ``[A | Id]`` records
-    the elimination, so each later target costs one matrix-vector product.
+    the elimination.  Its right block is kept by column: for each flattened
+    position, the nonzero ``(row, value)`` pairs of that column.  A later
+    target then costs one pass over the target's nonzero entries.
     """
 
     def __init__(self, matrices: Sequence[ExactMatrix]):
@@ -270,14 +298,14 @@ class _SpanSolver:
             for m in matrices
             for e in m.entries
         )
-        columns = [self._flatten(m) for m in matrices]
-        self.height = len(columns[0])
+        columns = [self._flatten(_entries_by_position(m)) for m in matrices]
+        height = self.size * self.size * (2 if self.has_imag else 1)
         n = len(columns)
         aug = ExactMatrix.from_rows(
             [
-                [columns[j][r] for j in range(n)]
-                + [Fraction(int(r == s)) for s in range(self.height)]
-                for r in range(self.height)
+                [col.get(r, _ZERO) for col in columns]
+                + [Fraction(int(r == s)) for s in range(height)]
+                for r in range(height)
             ]
         )
         red, pivots = rref(aug)
@@ -286,44 +314,52 @@ class _SpanSolver:
         self.n = n
         # Rows with pivot inside the generator block recover coordinates;
         # the remaining rows span the left null space (membership test).
-        self._top = [red.row(i)[n:] for i in range(rank)]
-        self._bottom = [red.row(i)[n:] for i in range(rank, red.rows)]
+        self._top = [[] for _ in range(height)]
+        self._bottom = [[] for _ in range(height)]
+        for r, terms in enumerate(red.nonzero_rows):
+            block = self._top if r < rank else self._bottom
+            for c, a in terms:
+                if c >= n:
+                    block[c - n].append((r, a))
         self._complex = None
 
-    def _flatten(self, m: ExactMatrix):
-        re_part, im_part = [], []
-        for e in m.entries:
+    def _flatten(self, entries) -> Optional[dict]:
+        """``{position: rational}`` of the real coordinates of a matrix given
+        by its nonzero ``entries`` (see :func:`_entries_by_position`); the
+        imaginary part of position ``p`` is at ``size**2 + p``.  None when an
+        imaginary part is nonzero but every generator is real."""
+        half = self.size * self.size
+        flat = {}
+        for p, e in entries:
             if isinstance(e, GaussianRational):
-                re_part.append(e.re)
-                im_part.append(e.im)
+                if e.im:
+                    if not self.has_imag:
+                        return None
+                    flat[half + p] = e.im
+                if e.re:
+                    flat[p] = e.re
             else:
-                re_part.append(e)
-                im_part.append(Fraction(0))
-        if self.has_imag:
-            return re_part + im_part
-        if any(im_part):
-            return None
-        return re_part
+                flat[p] = e
+        return flat
 
     def coords(self, target: ExactMatrix) -> Optional[tuple]:
         """Rational coordinates of ``target`` in the real span, or None."""
-        t = self._flatten(target)
-        if t is None:
+        return self._coords(self._flatten(_entries_by_position(target)))
+
+    def _coords(self, flat: Optional[dict]) -> Optional[tuple]:
+        """Coordinates of a target flattened by :meth:`_flatten`, or None."""
+        if flat is None:
             return None
-        for row in self._bottom:
-            acc = 0
-            for a, b in zip(row, t):
-                if a and b:
-                    acc += a * b
-            if acc:
-                return None
-        out = []
-        for row in self._top:
-            acc = Fraction(0)
-            for a, b in zip(row, t):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
+        residues = {}
+        for p, x in flat.items():
+            for r, a in self._bottom[p]:
+                residues[r] = residues.get(r, _ZERO) + a * x
+        if any(residues.values()):
+            return None
+        out = [_ZERO] * self.n
+        for p, x in flat.items():
+            for r, a in self._top[p]:
+                out[r] = out[r] + a * x
         return tuple(out)
 
     def in_complex_span(self, target: ExactMatrix) -> bool:
@@ -372,18 +408,22 @@ def from_matrix_generators(
     solver = _SpanSolver(gens)
     if not solver.independent:
         raise NotIndependent("generators are linearly dependent")
-    zero_row = tuple(Fraction(0) for _ in range(n))
-    structure = [[zero_row for _ in range(n)] for _ in range(n)]
+    zero_row = (_ZERO,) * n
+    structure = [[zero_row] * n for _ in range(n)]
+    views = [g.nonzero_rows for g in gens]
     for i in range(n):
         for j in range(i + 1, n):
-            comm = (gens[i] @ gens[j]) - (gens[j] @ gens[i])
-            coords = solver.coords(comm)
+            comm = _commutator(views[i], views[j], size)
+            coords = solver._coords(solver._flatten(comm.items()))
             if coords is None:
+                comm = ExactMatrix(
+                    size, size, [comm.get(p, _ZERO) for p in range(size * size)]
+                )
                 if solver.in_complex_span(comm):
                     raise NonRealStructureConstants(labels[i], labels[j])
                 raise NotClosed(labels[i], labels[j], comm)
             structure[i][j] = coords
-            structure[j][i] = tuple(-x for x in coords)
+            structure[j][i] = tuple(x if x is _ZERO else -x for x in coords)
     return LieAlgebra(
         name,
         labels,

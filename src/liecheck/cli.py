@@ -34,7 +34,7 @@ from . import harness as hz
 from .complexstruct import check_integrable
 from .errors import LieCheckError
 from .exact import format_scalar
-from .operators import _split_verdict, check_admissible
+from .operators import _require_same_algebra, _split_verdict, check_admissible
 from .specfile import SpecfileError, build, parse, serialize
 from .torsion import check_nijenhuis, check_nijenhuis_ad
 
@@ -280,6 +280,7 @@ def _report(args) -> int:
     built = build(parse(_read(args.file)))
     pair = _pick(built.pairs, args.pair, "pair")
     op = _pick(built.operators, args.operator, "operator")
+    _require_same_algebra(pair, op)
     verdict, fields, lines = _COMMANDS[args.command](args, pair, op)
     payload = {
         "command": args.command,

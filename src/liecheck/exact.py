@@ -1,9 +1,20 @@
-"""Exact scalar fields and dense exact linear algebra.
+"""Exact scalar fields and exact linear algebra over sparse rows.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``, re-exported
 as :data:`Rational`) or Gaussian rationals (:class:`GaussianRational`, the
 field Q(i)).  Matrices and subspaces are immutable and every operation is a
 pure function, so values can be shared freely between threads.
+
+A matrix is stored as its dense row-major ``entries``; equality, hashing
+and row reduction read only those.  The products (``apply``, ``@``) and
+subspace membership iterate a view derived from them instead,
+:attr:`ExactMatrix.nonzero_rows`: per row, the ``(column, value)`` pairs of
+its nonzero entries, built once on first use.  The matrices of this package
+are mostly zeros (a unit generator of gl(n) has one nonzero entry, an
+operator ``ad(D)`` one per row), so those loops skip the zeros without
+testing them.  An entry of a product is a :class:`GaussianRational` exactly
+when one of its terms ``a_ik * b_kj`` with ``a_ik`` nonzero is; membership
+coordinates are the vector's own entries at the pivot columns.
 
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
@@ -28,6 +39,10 @@ Rational = Fraction
 #: Largest supported ambient dimension.  Exact elimination is cubic; this cap
 #: keeps every operation interactive while covering all shipped examples.
 AMBIENT_DIM_CAP = 64
+
+
+#: The shared zero that untouched entries of sparse results refer to.
+_ZERO = Fraction(0)
 
 
 def _as_fraction(x) -> Fraction:
@@ -219,9 +234,13 @@ def format_scalar(x) -> str:
 # ---------------------------------------------------------------------------
 
 class ExactMatrix:
-    """A dense immutable matrix with exact entries, stored row-major."""
+    """An immutable matrix with exact entries, stored row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    :attr:`nonzero_rows` is the sparse view of the same entries that the
+    products and membership tests iterate.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_nonzero_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(_coerce_scalar(e) for e in entries)
@@ -232,6 +251,19 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._nonzero_rows = None
+
+    @property
+    def nonzero_rows(self) -> tuple:
+        """Per row, the ``(column, value)`` pairs of its nonzero entries."""
+        view = self._nonzero_rows
+        if view is None:
+            cols, entries = self.cols, self.entries
+            view = self._nonzero_rows = tuple(
+                tuple((j, e) for j, e in enumerate(entries[i * cols:(i + 1) * cols]) if e)
+                for i in range(self.rows)
+            )
+        return view
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "ExactMatrix":
@@ -280,32 +312,37 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Matrix product; row i of the result combines the rows of ``other``
+        selected by the nonzeros of row i of ``self``."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions do not match")
+        width = other.cols
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        acc = acc + a * other.entry(k, j)
-                out.append(_coerce_scalar(acc) if isinstance(acc, int) else acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        for terms in self.nonzero_rows:
+            acc = [_ZERO] * width
+            for k, a in terms:
+                acc = [x + a * b for x, b in zip(acc, other.row(k))]
+            out.extend(acc)
+        return ExactMatrix(self.rows, width, out)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector.
+
+        A term whose factors are a rational entry and a rational zero of
+        ``vec`` is skipped: it changes neither the value nor the type of its
+        sum.
+        """
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")
+        skip = [x.__class__ is Fraction and not x for x in vec]
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = 0
-            for a, x in zip(ri, vec):
-                if a:
-                    acc = acc + a * x
-            out.append(_coerce_scalar(acc) if isinstance(acc, int) else acc)
+        for terms in self.nonzero_rows:
+            acc = _ZERO
+            for j, a in terms:
+                if skip[j] and a.__class__ is Fraction:
+                    continue
+                acc = acc + a * vec[j]
+            out.append(acc)
         return tuple(out)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -478,19 +515,22 @@ class Subspace:
         return tuple(self.basis.row(i) for i in range(self.dim))
 
     def coordinates_of(self, v: Sequence) -> Optional[tuple]:
-        """Coordinates of ``v`` in the echelon basis, or None if outside."""
+        """Coordinates of ``v`` in the echelon basis, or None if outside.
+
+        The coordinates are the entries of ``v`` at the pivot columns.
+        """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
             )
         residual = [_coerce_scalar(x) for x in v]
         coords = []
-        for ridx, p in enumerate(self.pivot_cols):
+        for p, terms in zip(self.pivot_cols, self.basis.nonzero_rows):
             c = residual[p]
             coords.append(c)
             if c:
-                row = self.basis.row(ridx)
-                residual = [a - c * b for a, b in zip(residual, row)]
+                for j, b in terms:
+                    residual[j] = residual[j] - c * b
         if any(residual):
             return None
         return tuple(coords)

@@ -58,12 +58,16 @@ class LinearOperator:
         return self.matrix.apply(v)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
+        self._same_algebra(other)
         return LinearOperator(self.alg, self.matrix @ other.matrix)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        self._same_algebra(other)
+        return LinearOperator(self.alg, self.matrix + other.matrix)
+
+    def _same_algebra(self, other: "LinearOperator"):
         if other.alg is not self.alg:
             raise DimensionMismatch("operators act on different algebras")
-        return LinearOperator(self.alg, self.matrix + other.matrix)
 
     def scaled(self, s) -> "LinearOperator":
         return LinearOperator(self.alg, self.matrix.scaled(s))
@@ -173,9 +177,8 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     representatives are declared: it commutes with each of them modulo k.
     For a connected subgroup (a) and (b) suffice.
     """
+    _require_same_algebra(pair, op)
     alg = pair.alg
-    if op.matrix.rows != alg.dim:
-        raise DimensionMismatch("operator dimension does not match the pair")
     scope = _scope_of(pair)
     clauses = ["preserves_k", "commutes_with_ad_k"]
     if pair.component_reps:
@@ -206,6 +209,16 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
                     {"rep_index": idx, "v": bj, "value": diff_vec},
                 )
     return VerdictReport(True, scope, tuple(clauses))
+
+
+def _require_same_algebra(pair: HomogeneousPair, op: LinearOperator):
+    """Raise unless the operator is declared on the pair's algebra; equal
+    dimensions are not enough."""
+    if op.alg is not pair.alg:
+        raise LieCheckError(
+            f"operator is declared on algebra {op.alg.name!r}, "
+            f"but the pair is on algebra {pair.alg.name!r}"
+        )
 
 
 def _require_admissible(pair: HomogeneousPair, op: LinearOperator):

@@ -74,11 +74,27 @@ def test_ad_zero_and_self(so3):
         assert so3.ad_matrix(d).apply(d) == so3.zero_vector()
 
 
+def _rejection(c, labels=("k0", "e1", "e2")) -> str:
+    with pytest.raises(InvalidStructureConstants) as err:
+        LieAlgebra("broken", labels, c)
+    return str(err.value)
+
+
 def test_construction_rejects_antisymmetry_violation():
     c = [list(map(list, row)) for row in so3_structure()]
     c[0][1][2] = Fraction(5)  # partner c[1][0][2] untouched
-    with pytest.raises(InvalidStructureConstants):
-        LieAlgebra("broken", ("k0", "e1", "e2"), c)
+    assert _rejection(c) == "antisymmetry fails at [k0,e1] component e2"
+    # Two bad components of one bracket: the first is named.
+    c[0][1][0] = Fraction(3)
+    assert _rejection(c) == "antisymmetry fails at [k0,e1] component k0"
+
+
+def test_construction_rejects_nonzero_diagonal_bracket():
+    # [e1, e1] = e2 is reported before the later bad pair [e1, e2].
+    c = [list(map(list, row)) for row in so3_structure()]
+    c[1][1][2] = Fraction(1)
+    c[1][2][1] = Fraction(7)
+    assert _rejection(c) == "antisymmetry fails at [e1,e1] component e2"
 
 
 def test_construction_rejects_jacobi_violation():
@@ -86,8 +102,21 @@ def test_construction_rejects_jacobi_violation():
     c = [list(map(list, row)) for row in so3_structure()]
     c[0][1][0] = Fraction(1)
     c[1][0][0] = Fraction(-1)
-    with pytest.raises(InvalidStructureConstants):
-        LieAlgebra("broken", ("k0", "e1", "e2"), c)
+    assert _rejection(c) == "Jacobi identity fails on basis triple (k0, e1, e2)"
+
+
+def test_construction_reports_first_jacobi_triple():
+    # so3 plus a line z with [e1, z] = e1: antisymmetric, and the triples
+    # (k0, e1, z), (k0, e2, z) and (e1, e2, z) all fail; (k0, e1, e2) holds.
+    z4 = (Fraction(0),) * 4
+    c = [[z4] * 4 for _ in range(4)]
+    for i, row in enumerate(so3_structure()):
+        for j, coords in enumerate(row):
+            c[i][j] = tuple(coords) + (0,)
+    c[1][3] = (0, 1, 0, 0)
+    c[3][1] = (0, -1, 0, 0)
+    assert _rejection(c, ("k0", "e1", "e2", "z")) == (
+        "Jacobi identity fails on basis triple (k0, e1, z)")
 
 
 def test_from_matrix_generators_so3(so3):

@@ -233,3 +233,16 @@ def test_harness_csv_output_prints_json_report(capsys, corpus_dir, tmp_path):
     rows = out_path.read_text().strip().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == [
         s["deviation"] for s in payload["samples"]]
+
+
+@pytest.mark.parametrize("command", [["check"], ["torsion", "--mode", "all"],
+                                     ["integrability"], ["harness"]],
+                         ids=["check", "torsion-all", "integrability", "harness"])
+def test_operator_on_other_algebra_exit_two(capsys, fixtures_dir, command):
+    # F acts on ab3, the pair on so3; both have dimension 3.
+    code, out, err = run(capsys, command[0], str(fixtures_dir / "two_algebras.lie"),
+                         *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: LieCheckError: operator is declared on algebra 'ab3', "
+                   "but the pair is on algebra 'so3'\n")

@@ -242,3 +242,141 @@ def test_complexified_subspace_and_conjugation():
     t = Subspace.from_vectors(2, [(GaussianRational(1), GaussianRational(0, 1))])
     assert t.conjugated().vectors() == ((GaussianRational(1), GaussianRational(0, -1)),)
     assert t.conjugated().conjugated() == t
+
+
+# -- sparse paths against dense references -----------------------------------
+#
+# apply, @ and membership iterate the nonzero rows of a matrix.  The
+# references below are the dense definitions.  Values and entry types
+# (Fraction or GaussianRational) must both agree, because _one_like,
+# over_gaussian and format_scalar branch on the type.
+
+_FLAVOURS = ("rational", "gaussian", "mixed")
+
+
+def _rand_scalar(rng, flavour, zero_share=0.6):
+    """A zero-heavy random scalar.  "gaussian" entries are all
+    GaussianRational, zeros included; "mixed" has rational zeros and
+    Gaussian nonzeros, as a parsed matrix literal does."""
+    if rng.random() < zero_share:
+        return GaussianRational(0) if flavour == "gaussian" else Fraction(0)
+    if flavour == "rational":
+        return rand_fraction(rng, 3)
+    return rand_gaussian(rng, 3)
+
+
+def _rand_sparse_matrix(rng, rows, cols, flavour):
+    entries = [[_rand_scalar(rng, flavour) for _ in range(cols)] for _ in range(rows)]
+    zero = GaussianRational(0) if flavour == "gaussian" else Fraction(0)
+    if rows > 1:
+        entries[rng.randrange(rows)] = [zero] * cols
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = zero
+    return ExactMatrix.from_rows(entries)
+
+
+def _dense_apply(m, vec):
+    """Entry i sums a * vec[j] over the nonzero entries a of row i."""
+    out = []
+    for i in range(m.rows):
+        terms = [a * x for a, x in zip(m.row(i), vec) if a]
+        out.append(sum(terms[1:], terms[0]) if terms else Fraction(0))
+    return tuple(out)
+
+
+def _dense_matmul(a, b):
+    columns = [_dense_apply(a, b.column(j)) for j in range(b.cols)]
+    return tuple(columns[j][i] for i in range(a.rows) for j in range(b.cols))
+
+
+def _dense_coordinates(space, v):
+    """The entries of v at the pivots, when they recombine the basis to v."""
+    coords = tuple(Fraction(v[p]) if isinstance(v[p], int) else v[p]
+                   for p in space.pivot_cols)
+    combo = [Fraction(0)] * space.ambient_dim
+    for c, row in zip(coords, space.vectors()):
+        combo = [s + c * b for s, b in zip(combo, row)]
+    return coords if tuple(combo) == tuple(v) else None
+
+
+def _assert_same(got, expected):
+    assert got == expected
+    if expected is not None:
+        assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+def test_apply_and_matmul_match_dense(flavour):
+    rng = random.Random(_FLAVOURS.index(flavour))
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        a = _rand_sparse_matrix(rng, rows, inner, flavour)
+        b = _rand_sparse_matrix(rng, inner, cols, rng.choice(_FLAVOURS))
+        for vec_flavour in _FLAVOURS:
+            vec = tuple(_rand_scalar(rng, vec_flavour) for _ in range(inner))
+            _assert_same(a.apply(vec), _dense_apply(a, vec))
+        _assert_same((a @ b).entries, _dense_matmul(a, b))
+    zeros = ExactMatrix.zeros(3, 2)
+    _assert_same(zeros.apply((GaussianRational(1), 2)), (Fraction(0),) * 3)
+    _assert_same((zeros @ ExactMatrix.identity(2)).entries, (Fraction(0),) * 6)
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+def test_coordinates_of_matches_dense(flavour):
+    rng = random.Random(10 + _FLAVOURS.index(flavour))
+    for _ in range(60):
+        ambient = rng.randint(1, 6)
+        basis = _rand_sparse_matrix(rng, rng.randint(1, ambient), ambient, flavour)
+        space = Subspace.from_vectors(ambient, [basis.row(i) for i in range(basis.rows)])
+        for vec_flavour in _FLAVOURS:
+            outside = tuple(_rand_scalar(rng, vec_flavour) for _ in range(ambient))
+            weights = [_rand_scalar(rng, vec_flavour) for _ in range(space.dim)]
+            inside = [_rand_scalar(rng, vec_flavour, zero_share=1.0)] * ambient
+            for w, row in zip(weights, space.vectors()):
+                inside = [s + w * b for s, b in zip(inside, row)]
+            for v in (outside, tuple(inside), (0,) * ambient):
+                _assert_same(space.coordinates_of(v), _dense_coordinates(space, v))
+    assert Subspace.zero(2).coordinates_of((GaussianRational(0), 0)) == ()
+    assert Subspace.zero(2).coordinates_of((0, 1)) is None
+
+
+def _dense_span_coords(gens, target):
+    """Solve sum x_j gens[j] = target over the rationals, real and imaginary
+    parts as separate equations; None when there is no solution."""
+    def flat(m):
+        return ([e.re if isinstance(e, GaussianRational) else e for e in m.entries]
+                + [e.im if isinstance(e, GaussianRational) else Fraction(0)
+                   for e in m.entries])
+
+    columns = [flat(g) for g in gens] + [flat(target)]
+    red, pivots = rref(ExactMatrix.from_rows([list(r) for r in zip(*columns)]))
+    n = len(gens)
+    if n in pivots:
+        return None
+    return tuple(red.entry(i, n) for i in range(n))
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+def test_span_solver_coords_match_dense(flavour):
+    from liecheck.algebra import _SpanSolver
+
+    rng = random.Random(20 + _FLAVOURS.index(flavour))
+    checked = 0
+    while checked < 25:
+        size = rng.randint(1, 3)
+        gens = [_rand_sparse_matrix(rng, size, size, flavour)
+                for _ in range(rng.randint(1, size * size))]
+        solver = _SpanSolver(gens)
+        if not solver.independent:
+            continue
+        checked += 1
+        for target_flavour in _FLAVOURS:
+            weights = [rand_fraction(rng, 3) for _ in gens]
+            inside = ExactMatrix.zeros(size, size)
+            for w, g in zip(weights, gens):
+                inside = inside + g.scaled(w)
+            for target in (inside, _rand_sparse_matrix(rng, size, size, target_flavour),
+                           ExactMatrix.zeros(size, size)):
+                _assert_same(solver.coords(target), _dense_span_coords(gens, target))

@@ -8,6 +8,7 @@ import pytest
 from liecheck import (
     ExactMatrix,
     HomogeneousPair,
+    LieAlgebra,
     LinearOperator,
     check_admissible,
     check_split_admissible,
@@ -18,13 +19,16 @@ from liecheck import (
     operator_right_mult,
     operator_sandwich,
 )
+from liecheck.complexstruct import check_integrable
 from liecheck.errors import (
+    DimensionMismatch,
     ImageOutsideAlgebra,
     InvalidComponentRep,
     LieCheckError,
     MissingComplement,
     RuleIncomplete,
 )
+from liecheck.torsion import check_nijenhuis
 
 from conftest import (
     grassmann_center_vector,
@@ -224,3 +228,19 @@ def test_grassmann_operator_admissible(u4, u4_pair):
     op = operator_ad(u4, d)
     assert check_admissible(u4_pair, op).holds
     assert check_split_admissible(u4_pair, op).holds
+
+
+def test_operator_on_other_algebra_rejected(so3, so3_pair):
+    # ab3 has the dimension of so3, and F is admissible when read on so3.
+    zero = (Fraction(0),) * 3
+    ab3 = LieAlgebra("ab3", ("x", "y", "z"), [[zero] * 3] * 3)
+    op = operator_from_rules(ab3, {"x": (1, 0, 0), "y": (0, 0, 1), "z": (0, -1, 0)})
+    message = "operator is declared on algebra 'ab3', but the pair is on algebra 'so3'"
+    for check in (check_admissible, check_nijenhuis, check_integrable):
+        with pytest.raises(LieCheckError) as err:
+            check(so3_pair, op)
+        assert str(err.value) == message
+    with pytest.raises(DimensionMismatch, match="different algebras"):
+        op.compose(LinearOperator.identity(so3))
+    with pytest.raises(DimensionMismatch, match="different algebras"):
+        LinearOperator.identity(so3).compose(op)
