@@ -16,15 +16,31 @@ sign; the harness tests the right-invariant convention throughout.)
 Sphere fields are extended off the sphere by radial retraction ``z -> z/|z|``
 before differencing; torsion values at on-sphere points are insensitive to
 the choice of extension because the torsion is a tensor.
+
+Evaluation is batched.  Points, tangent vectors and group elements carry
+leading sample axes: a sphere point is ``(..., 3)``, a full-group point or
+group element ``(..., n, n)``, algebra coordinates ``(..., dim)``; a single
+point is a stack without leading axes.  Every function below, from
+:meth:`MatrixModel.element` to :func:`numerical_torsion`, evaluates a whole
+stack with a fixed number of array operations, and every guard
+(:class:`PointOffManifold`, :class:`SectionSingular`) raises if any one point
+of the stack is bad.  The generator stack and the operator matrix are
+converted to floats once.  :func:`run_harness` and :func:`relation_checks`
+draw their samples from the random number generator in the order of a
+per-sample loop and evaluate them ``CHUNK`` at a time, so the arrays in
+flight never hold more than ``CHUNK`` samples whatever the sample count; what
+grows with the sample count is only the report's per-sample record (the
+point, the two algebra elements, the two torsion values and three floats).
+numpy itself is imported by the first computation, not by importing this
+module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     LieCheckError,
@@ -35,6 +51,22 @@ from .errors import (
 from .exact import ExactMatrix, GaussianRational
 from .operators import HomogeneousPair, LinearOperator
 from .torsion import check_nijenhuis
+
+
+class _LazyNumpy:
+    """Stands in for numpy until the first harness computation, which
+    replaces it with the module: the command line imports this module for
+    every command, and the exact commands never need numpy."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 DEFAULT_STEP = 1e-4
 MIN_STEP = 1e-8
@@ -48,42 +80,50 @@ RELATION_TOL = 1e-10
 TORSION_TOL = 1e-5
 DEMO_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
+# Samples evaluated as one stack.  It bounds the arrays in flight: at this
+# size a stack of 3x3 matrices is 18 KB.
+CHUNK = 256
 
-_P0 = np.array([0.0, 0.0, 1.0])
+_P0 = (0.0, 0.0, 1.0)  # the sphere model's base point
 
 # The rotation algebra in its standard 3x3 realization, ordered as
 # (z-axis rotation, then the two generators moving the pole).
 _SO3_STANDARD = (
-    np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
+    ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
 )
 _SO3_TENSOR = {(0, 1): (0, 0, -1), (0, 2): (0, 1, 0), (1, 2): (-1, 0, 0)}
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a truncated series.
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest absolute column sum) of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
-    The argument is scaled below norm 1/4, the series is summed until the
-    terms fall below 1e-18 relative size, and the result is squared back up;
-    accuracy is well below 1e-12 for the matrices used here.
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a matrix or a stack ``(..., n, n)`` of them, by
+    scaling and squaring with a truncated series.
+
+    Each matrix is scaled below norm 1/4, the series is summed until every
+    term falls below 1e-18 relative size, and each result is squared back
+    up; accuracy is well below 1e-12 for the matrices used here.
     """
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > 0.25:
-        squarings = int(math.ceil(math.log2(norm / 0.25)))
-        a = a / (2.0 ** squarings)
-    n = a.shape[0]
-    result = np.eye(n, dtype=a.dtype)
-    term = np.eye(n, dtype=a.dtype)
+    norm = _norm1(a)
+    big = np.isfinite(norm) & (norm > 0.25)
+    squarings = np.where(big, np.ceil(np.log2(np.where(big, norm, 0.25) / 0.25)),
+                         0).astype(int)
+    a = a / (2.0 ** squarings)[..., None, None]
+    result = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
+    term = result
     for k in range(1, 40):
         term = term @ a / k
         result = result + term
-        if np.linalg.norm(term, 1) < 1e-18 * max(1.0, np.linalg.norm(result, 1)):
+        if np.all(_norm1(term) < 1e-18 * np.maximum(1.0, _norm1(result))):
             break
-    for _ in range(squarings):
-        result = result @ result
+    for i in range(int(np.max(squarings, initial=0))):
+        result = np.where((i < squarings)[..., None, None], result @ result, result)
     return result
 
 
@@ -98,11 +138,21 @@ def _float_matrix(m: ExactMatrix) -> np.ndarray:
 
 
 def _hat(u: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
+    """The cross-product matrices of vectors ``(..., 3)``."""
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    o = np.zeros_like(x)
+    return np.stack([np.stack([o, -z, y], axis=-1),
+                     np.stack([z, o, -x], axis=-1),
+                     np.stack([-y, x, o], axis=-1)], axis=-2)
+
+
+def _apply(op_float: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A float operator matrix applied to coordinate vectors ``(..., dim)``."""
+    return v @ op_float.T
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
 
 
 class MatrixModel:
@@ -113,113 +163,156 @@ class MatrixModel:
         if kind not in ("sphere-orbit", "full-group"):
             raise LieCheckError(f"unknown model kind {kind!r}")
         self.kind = kind
-        self.generators = [np.asarray(g) for g in generators]
-        self.n = self.generators[0].shape[0]
+        self.generators = np.stack([np.asarray(g) for g in generators])
+        self.dim, self.n = self.generators.shape[:2]
         self.base_point = np.asarray(base_point)
         self.structure = np.asarray(structure, dtype=float)
         self.labels = labels
-        self.dim = len(self.generators)
+        # The axes of one point: a vector on the sphere, a matrix on the group.
+        self.point_axes = (-1,) if kind == "sphere-orbit" else (-2, -1)
+        self._complex = np.iscomplexobj(self.generators)
+        self._op = self._op_float = None
         self._verify_commutators()
-        flat = np.stack([self._flatten(g) for g in self.generators], axis=1)
-        self._coord_pinv = np.linalg.pinv(flat)
+        self._coord_pinv = np.linalg.pinv(self._flatten(self.generators).T)
         if kind == "sphere-orbit":
-            tang = np.stack([g @ _P0 for g in self.generators], axis=1)
-            self._base_pinv = np.linalg.pinv(tang)
+            self._base_pinv = np.linalg.pinv((self.generators @ self.base_point).T)
 
     def _flatten(self, m: np.ndarray) -> np.ndarray:
-        v = np.asarray(m).reshape(-1)
-        if np.iscomplexobj(v):
-            return np.concatenate([v.real, v.imag])
-        return v.astype(float)
+        flat = np.reshape(m, np.shape(m)[:-2] + (-1,))
+        if self._complex:
+            return np.concatenate([flat.real, flat.imag], axis=-1)
+        return flat
 
     def _verify_commutators(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = self.generators[i] @ self.generators[j] \
-                    - self.generators[j] @ self.generators[i]
-                expected = sum(
-                    self.structure[i, j, k] * self.generators[k]
-                    for k in range(self.dim)
-                )
-                scale = max(1.0, float(np.max(np.abs(comm))))
-                if float(np.max(np.abs(comm - expected))) > STRUCTURE_TOL * scale:
-                    raise LieCheckError(
-                        "model generators do not reproduce the structure constants"
-                    )
+        g = self.generators
+        comm = np.einsum("iab,jbc->ijac", g, g)
+        comm = comm - comm.transpose(1, 0, 2, 3)
+        expected = np.tensordot(self.structure, g, axes=1)
+        scale = np.maximum(1.0, np.abs(comm).max(axis=(-2, -1)))
+        if np.any(np.abs(comm - expected).max(axis=(-2, -1)) > STRUCTURE_TOL * scale):
+            raise LieCheckError(
+                "model generators do not reproduce the structure constants"
+            )
+
+    def operator_matrix(self, op: LinearOperator) -> np.ndarray:
+        """The float matrix of ``op``; converted once while ``op`` is the
+        operator last asked for."""
+        if self._op is not op:
+            self._op, self._op_float = op, _float_matrix(op.matrix)
+        return self._op_float
 
     # -- geometry -------------------------------------------------------------
 
-    def element(self, v: Sequence) -> np.ndarray:
-        coeff = np.asarray([float(x) for x in v])
-        return sum(c * g for c, g in zip(coeff, self.generators))
+    def element(self, v) -> np.ndarray:
+        """The matrices ``sum v_i G_i`` of coordinate vectors ``(..., dim)``."""
+        return np.tensordot(np.asarray(v, dtype=float), self.generators, axes=1)
+
+    def act(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Matrices ``a`` applied to points or tangent vectors ``z``."""
+        if self.kind == "sphere-orbit":
+            return (a @ z[..., None])[..., 0]
+        return a @ z
+
+    def solve(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``a^-1 z`` for points or tangent vectors ``z``.  A sphere vector
+        goes to ``np.linalg.solve`` as a one-column matrix, which numpy 1.x
+        and 2.x read alike."""
+        if self.kind == "sphere-orbit":
+            return np.linalg.solve(a, z[..., None])[..., 0]
+        return np.linalg.solve(a, z)
 
     def retract(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "sphere-orbit":
-            return z / np.linalg.norm(z)
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
         return z
 
     def check_point(self, p: np.ndarray):
         if self.kind == "sphere-orbit":
-            if abs(np.linalg.norm(p) - 1.0) > SPHERE_TOL:
+            if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > SPHERE_TOL):
                 raise PointOffManifold("point is not on the unit sphere")
-        else:
-            if abs(np.linalg.det(p)) < 1e-12:
-                raise PointOffManifold("point is not an invertible matrix")
+        elif np.any(np.abs(np.linalg.det(p)) < 1e-12):
+            raise PointOffManifold("point is not an invertible matrix")
 
     def section(self, p: np.ndarray) -> np.ndarray:
-        """A group element g with g(base) = p; smooth away from the antipode."""
+        """Group elements g with g(base) = p; smooth away from the antipode."""
         if self.kind == "full-group":
             return p
-        c = float(np.dot(_P0, p))
-        if np.linalg.norm(p + _P0) < SECTION_CAP:
+        if np.any(np.linalg.norm(p + self.base_point, axis=-1) < SECTION_CAP):
             raise SectionSingular("point too close to the antipode of the base point")
-        axis = np.cross(_P0, p)
-        s = np.linalg.norm(axis)
-        if s < 1e-15:
-            return np.eye(3)
-        k = _hat(axis / s)
-        return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+        c = p[..., 2]
+        axis = np.stack([-p[..., 1], p[..., 0], np.zeros_like(c)], axis=-1)  # P0 x p
+        s = np.linalg.norm(axis, axis=-1)
+        at_pole = s < 1e-15
+        k = _hat(axis / np.where(at_pole, 1.0, s)[..., None])
+        g = np.eye(3) + s[..., None, None] * k + (1.0 - c)[..., None, None] * (k @ k)
+        return np.where(at_pole[..., None, None], np.eye(3), g)
 
     def algebra_coords(self, m: np.ndarray) -> np.ndarray:
-        """Least-squares coordinates of an ambient matrix in the generator span."""
-        return self._coord_pinv @ self._flatten(m)
+        """Least-squares coordinates of ambient matrices in the generator span."""
+        return self._flatten(m) @ self._coord_pinv.T
 
     def base_tangent_coords(self, z0: np.ndarray) -> np.ndarray:
         """Coordinates v with (sum v_i G_i) base = z0, minimal-norm choice."""
         if self.kind == "full-group":
             return self.algebra_coords(z0)
-        return self._base_pinv @ z0
+        return z0 @ self._base_pinv.T
 
-    def push(self, g: np.ndarray, v: Sequence) -> np.ndarray:
-        """The algebra element v carried to the point g(base): g (sum v_i G_i) base."""
-        if self.kind == "full-group":
-            return g @ self.element(v)
-        return g @ (self.element(v) @ _P0)
+    def push(self, g: np.ndarray, v) -> np.ndarray:
+        """The algebra elements v carried to the points g(base): g (sum v_i G_i) base."""
+        return self.act(g, self.act(self.element(v), self.base_point))
 
     def ambient_extension(self, field_fn: Callable) -> Callable:
         """Extend a manifold field to ambient points via the retraction."""
         return lambda z: field_fn(self.retract(z))
 
-    def random_group_element(self, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
-        coeff = rng.uniform(-spread, spread, size=self.dim)
-        return expm(self.element(coeff))
-
     def random_point(self, rng: np.random.Generator):
-        """A random (group element, point) sample away from singular loci.
+        """A random (group element, point) sample away from singular loci."""
+        _, g, p = _draw(self, rng, 1, (None,))
+        return g[0], p[0]
 
-        Full-group samples stay near the identity: the deviation tolerance is
-        absolute, and conjugation by far-away elements inflates the fields
-        (and so the finite-difference truncation error) exponentially.
-        """
-        while True:
-            if self.kind == "full-group":
-                g = self.random_group_element(rng, spread=0.3)
-                return g, g
-            g = self.random_group_element(rng)
-            p = g @ _P0
-            p = p / np.linalg.norm(p)
-            if np.linalg.norm(p + _P0) > ANTIPODE_SAMPLING_CAP:
-                return g, p
+
+def _draw(model: MatrixModel, rng: np.random.Generator, count: int,
+          layout: tuple) -> tuple:
+    """``count`` samples drawn from ``rng`` in the order of a per-sample loop.
+
+    ``layout`` describes one sample: ``(low, high, width)`` for a block of
+    uniform draws, ``None`` for the random point.  The point is the base
+    moved by ``exp(sum c_i G_i)``.  Full-group samples take c in [-0.3, 0.3]
+    and stay near the identity: the deviation tolerance is absolute, and
+    conjugation by far-away elements inflates the fields (and so the
+    finite-difference truncation error) exponentially.  Sphere samples take
+    c in [-1, 1] and redraw a point within ``ANTIPODE_SAMPLING_CAP`` of the
+    antipode, as a retrying loop would: the rejected draw leaves the stream
+    and the draws after it move up.  Returns the uniform blocks in layout
+    order, the group elements and the points.
+    """
+    spread = 0.3 if model.kind == "full-group" else 1.0
+    blocks = [(-spread, spread, model.dim) if b is None else b for b in layout]
+    at = layout.index(None)
+    edges = np.cumsum([0] + [width for _, _, width in blocks])
+    stream = rng.random(count * edges[-1])
+    while True:
+        rows = stream.reshape(count, edges[-1])
+        draws = [low + (high - low) * rows[:, a:b]
+                 for (low, high, _), a, b in zip(blocks, edges, edges[1:])]
+        uniform = draws[:at] + draws[at + 1:]
+        g = expm(model.element(draws[at]))
+        if model.kind == "full-group":
+            return uniform, g, g
+        p = model.act(g, model.base_point)
+        p = p / np.linalg.norm(p, axis=-1, keepdims=True)
+        near = ~(np.linalg.norm(p + model.base_point, axis=-1) > ANTIPODE_SAMPLING_CAP)
+        if not near.any():
+            return uniform, g, p
+        cut = int(np.argmax(near)) * edges[-1] + edges[at]
+        stream = np.concatenate([stream[:cut], stream[cut + model.dim:],
+                                 rng.random(model.dim)])
+
+
+def _chunks(total: int):
+    """Sizes of the stacks that evaluate ``total`` samples."""
+    for start in range(0, total, CHUNK):
+        yield min(CHUNK, total - start)
 
 
 def build_model(pair: HomogeneousPair) -> MatrixModel:
@@ -253,11 +346,11 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
                     "no matrix realization: the structure constants are not the "
                     "standard rotation-algebra table"
                 )
-            gens = [g.copy() for g in _SO3_STANDARD]
-        model = MatrixModel("sphere-orbit", gens, _P0.copy(), structure,
+            gens = [np.array(g) for g in _SO3_STANDARD]
+        model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure,
                             alg.basis_labels)
         for row in pair.k.space.vectors():
-            if np.linalg.norm(model.element(row) @ _P0) > 1e-12:
+            if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
                 raise LieCheckError(
                     "the subalgebra does not stabilize the base point"
                 )
@@ -272,24 +365,24 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
 # fields, bundle map, finite differences
 # ---------------------------------------------------------------------------
 
-def projected_field(model: MatrixModel, v: Sequence, p: np.ndarray) -> np.ndarray:
+def projected_field(model: MatrixModel, v, p: np.ndarray) -> np.ndarray:
     """The pushed-down field of an algebra element: p -> (element v) p."""
     model.check_point(p)
-    return model.element(v) @ p
+    return model.act(model.element(v), p)
 
 
 def bundle_map(model: MatrixModel, pair: HomogeneousPair, op: LinearOperator,
                p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Apply the induced bundle map at p to a tangent vector z."""
     model.check_point(p)
-    return _bundle_with_section(model, op, model.section(p), z)
+    return _bundle_with_section(model, model.operator_matrix(op), model.section(p), z)
 
 
-def _bundle_with_section(model: MatrixModel, op: LinearOperator,
+def _bundle_with_section(model: MatrixModel, op_float: np.ndarray,
                          g: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The bundle map at g(base) through the representative g: pull z back
     to the base, apply the operator there, push the result forward by g."""
-    iv = _float_matrix(op.matrix) @ model.base_tangent_coords(np.linalg.solve(g, z))
+    iv = _apply(op_float, model.base_tangent_coords(model.solve(g, z)))
     return model.push(g, iv)
 
 
@@ -312,18 +405,18 @@ def fd_bracket(model: MatrixModel, x_field: Callable, y_field: Callable,
 
 
 def _bracket_float(model: MatrixModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", x, y, model.structure)
+    return np.einsum("...j,...jk->...k", y, np.tensordot(x, model.structure, axes=1))
 
 
 def _torsion_half(model: MatrixModel, op_float: np.ndarray,
                   v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    iv = op_float @ v
-    iw = op_float @ w
+    iv = _apply(op_float, v)
+    iw = _apply(op_float, w)
     return (
-        op_float @ _bracket_float(model, v, iw)
-        + op_float @ _bracket_float(model, iv, w)
+        _apply(op_float, _bracket_float(model, v, iw))
+        + _apply(op_float, _bracket_float(model, iv, w))
         - _bracket_float(model, iv, iw)
-        - op_float @ (op_float @ _bracket_float(model, v, w))
+        - _apply(op_float, _apply(op_float, _bracket_float(model, v, w)))
     )
 
 
@@ -337,7 +430,11 @@ def _torsion_float(model: MatrixModel, op_float: np.ndarray,
 
 @dataclass
 class FieldSample:
-    """Numerical torsion vs algebraic prediction at one sampled point."""
+    """Numerical torsion vs algebraic prediction at sampled points.
+
+    Array fields have the leading sample axes of the points; the three
+    maxima (over each point's entries) are floats for a single point.
+    """
 
     point: np.ndarray
     v: np.ndarray
@@ -346,17 +443,26 @@ class FieldSample:
     numerical: np.ndarray
     predicted: np.ndarray
     deviation: float
+    numerical_max: float
+    predicted_max: float
+
+    def unstack(self) -> list:
+        """One sample per entry of the leading axis of a stack."""
+        return [FieldSample(*entries) for entries in zip(
+            self.point, self.v, self.w, repeat(self.h), self.numerical,
+            self.predicted, self.deviation.tolist(), self.numerical_max.tolist(),
+            self.predicted_max.tolist())]
 
 
 def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
-                      op: LinearOperator, v: Sequence, w: Sequence,
-                      p: np.ndarray, h: float = DEFAULT_STEP) -> FieldSample:
+                      op: LinearOperator, v, w, p: np.ndarray,
+                      h: float = DEFAULT_STEP) -> FieldSample:
     """Evaluate the manifold torsion of the induced map on two pushed-down
     fields by four finite-difference brackets, next to the algebraic
-    prediction transported to the same point."""
+    prediction transported to the same points."""
     model.check_point(p)
-    v = np.asarray([float(x) for x in v])
-    w = np.asarray([float(x) for x in w])
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
 
     x_field = model.ambient_extension(lambda q: projected_field(model, v, q))
     y_field = model.ambient_extension(lambda q: projected_field(model, w, q))
@@ -382,10 +488,12 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
     g_inv = np.linalg.inv(g)
     v0 = model.algebra_coords(g_inv @ model.element(v) @ g)
     w0 = model.algebra_coords(g_inv @ model.element(w) @ g)
-    op_float = _float_matrix(op.matrix)
-    predicted = model.push(g, _torsion_float(model, op_float, v0, w0))
-    deviation = float(np.max(np.abs(omega - predicted)))
-    return FieldSample(p, v, w, h, omega, predicted, deviation)
+    predicted = model.push(g, _torsion_float(model, model.operator_matrix(op), v0, w0))
+    axes = model.point_axes
+    return FieldSample(p, v, w, h, omega, predicted,
+                       deviation=np.max(np.abs(omega - predicted), axis=axes),
+                       numerical_max=np.max(np.abs(omega), axis=axes),
+                       predicted_max=np.max(np.abs(predicted), axis=axes))
 
 
 # ---------------------------------------------------------------------------
@@ -439,58 +547,58 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     image field.
     """
     rng = np.random.default_rng(seed)
+    unit = (-1.0, 1.0, model.dim)
     alpha_max = 0.0
     base_max = 0.0
-    for _ in range(samples):
-        h_el = model.random_group_element(rng)
-        g, p = model.random_point(rng)
-        v = rng.uniform(-1.0, 1.0, size=model.dim)
+    for count in _chunks(samples):
+        (h_coeff, v), g, p = _draw(model, rng, count, (unit, None, unit))
+        h_el = expm(model.element(h_coeff))
         velt = model.element(v)
-        lhs = h_el @ (velt @ np.linalg.solve(h_el, p))
+        lhs = model.act(h_el, model.act(velt, model.solve(h_el, p)))
         advh = model.algebra_coords(h_el @ velt @ np.linalg.inv(h_el))
-        rhs = model.element(advh) @ p
-        alpha_max = _worst(alpha_max, float(np.max(np.abs(lhs - rhs))))
+        rhs = model.act(model.element(advh), p)
+        alpha_max = _worst(alpha_max, _max_abs(lhs - rhs))
         # Two expressions for the pushed-down field at p = g(base).
         adg = model.algebra_coords(np.linalg.inv(g) @ velt @ g)
-        base_max = _worst(base_max, float(np.max(np.abs(velt @ p - model.push(g, adg)))))
+        base_max = _worst(base_max, _max_abs(model.act(velt, p) - model.push(g, adg)))
 
     stab_max = None
     rep_max = None
     flip_push = flip_field = rot_bundle = rot_field = None
     if model.kind == "sphere-orbit":
-        k_row = pair.k.space.vectors()[0]
-        k_gen = model.element(k_row)
+        op_float = model.operator_matrix(op)
+        base = model.base_point
+        k_gen = model.element(pair.k.space.vectors()[0])
         stab_max = 0.0
         rep_max = 0.0
-        for _ in range(samples):
-            t = float(rng.uniform(-math.pi, math.pi))
-            k_el = expm(t * k_gen)
-            v = rng.uniform(-1.0, 1.0, size=model.dim)
+        for count in _chunks(samples):
+            (t, v, z_coeff), g, p = _draw(model, rng, count,
+                                          ((-math.pi, math.pi, 1), unit, None, unit))
+            k_el = expm(t[:, :, None] * k_gen)
             velt = model.element(v)
-            lhs = k_el @ (velt @ _P0)
-            rhs = model.element(model.algebra_coords(k_el @ velt @ np.linalg.inv(k_el))) @ _P0
-            stab_max = _worst(stab_max, float(np.max(np.abs(lhs - rhs))))
+            lhs = model.act(k_el, model.act(velt, base))
+            adk = model.algebra_coords(k_el @ velt @ np.linalg.inv(k_el))
+            rhs = model.act(model.element(adk), base)
+            stab_max = _worst(stab_max, _max_abs(lhs - rhs))
 
-            g, p = model.random_point(rng)
-            z = model.element(rng.uniform(-1.0, 1.0, size=model.dim)) @ p
+            z = model.act(model.element(z_coeff), p)
             sec = model.section(p)
-            n1 = _bundle_with_section(model, op, sec, z)
-            n2 = _bundle_with_section(model, op, sec @ k_el, z)
-            rep_max = _worst(rep_max, float(np.max(np.abs(n1 - n2))))
+            n1 = _bundle_with_section(model, op_float, sec, z)
+            n2 = _bundle_with_section(model, op_float, sec @ k_el, z)
+            rep_max = _worst(rep_max, _max_abs(n1 - n2))
 
         flip = np.diag([1.0, -1.0, -1.0])
         e1 = model.generators[1]
-        flip_push = flip @ (e1 @ _P0)
-        flip_field = e1 @ (flip @ _P0)
+        flip_push = flip @ (e1 @ base)
+        flip_field = e1 @ (flip @ base)
 
         g_rot = expm(theta * model.generators[2])
-        p_rot = g_rot @ _P0
+        p_rot = g_rot @ base
         v2 = np.zeros(model.dim)
         v2[2] = 1.0
         z = projected_field(model, v2, p_rot)
         rot_bundle = bundle_map(model, pair, op, p_rot, z)
-        op_float = _float_matrix(op.matrix)
-        rot_field = projected_field(model, op_float @ v2, p_rot)
+        rot_field = projected_field(model, _apply(op_float, v2), p_rot)
 
     return RelationReport(
         samples=samples, seed=seed, theta=theta,
@@ -545,23 +653,23 @@ class DeviationReport:
 def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 samples: int = DEFAULT_SAMPLES, h: float = DEFAULT_STEP,
                 seed: int = DEFAULT_SEED, theta: float = 1.0) -> DeviationReport:
-    """Full harness: relation checks plus sampled torsion cross-validation."""
+    """Full harness: relation checks plus sampled torsion cross-validation,
+    evaluated ``CHUNK`` samples at a time."""
     model = build_model(pair)
     torsion_report = check_nijenhuis(pair, op)
     relation = relation_checks(model, pair, op, samples=max(20, samples),
                                theta=theta, seed=seed)
     rng = np.random.default_rng(seed)
+    unit = (-1.0, 1.0, model.dim)
     collected = []
     max_dev = 0.0
     max_num = 0.0
-    for _ in range(samples):
-        _, p = model.random_point(rng)
-        v = rng.uniform(-1.0, 1.0, size=model.dim)
-        w = rng.uniform(-1.0, 1.0, size=model.dim)
-        sample = numerical_torsion(model, pair, op, v, w, p, h)
-        collected.append(sample)
-        max_dev = _worst(max_dev, sample.deviation)
-        max_num = _worst(max_num, float(np.max(np.abs(sample.numerical))))
+    for count in _chunks(samples):
+        (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
+        stack = numerical_torsion(model, pair, op, v, w, p, h)
+        collected.extend(stack.unstack())
+        max_dev = _worst(max_dev, np.max(stack.deviation))
+        max_num = _worst(max_num, np.max(stack.numerical_max))
     return DeviationReport(
         model_kind=model.kind,
         h=h,

@@ -1,6 +1,10 @@
 """Exit codes, report formats, and the command surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,34 @@ def test_operator_on_other_algebra_exit_two(capsys, fixtures_dir, command):
     assert out == ""
     assert err == ("error: LieCheckError: operator is declared on algebra 'ab3', "
                    "but the pair is on algebra 'so3'\n")
+
+
+def test_exact_commands_do_not_import_numpy(corpus_dir):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import liecheck.cli\n"
+        "if 'numpy' in sys.modules: sys.exit('numpy imported by liecheck.cli')\n"
+        f"status = liecheck.cli.main(['check', {str(corpus_dir / 'so3_sphere.lie')!r}])\n"
+        "if status != 0: sys.exit(f'check exited {status}')\n"
+        "if 'numpy' in sys.modules: sys.exit('numpy imported by check')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_harness_json_report_reproducible(capsys, corpus_dir):
+    argv = ("harness", str(corpus_dir / "gl3_full.lie"), "--pair", "full",
+            "--operator", "smix", "--samples", "30", "--seed", "5",
+            "--report", "json")
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        outputs.append([line for line in lines if '"elapsed_ms"' not in line])
+        assert len(outputs[-1]) == len(lines) - 1
+    assert outputs[0] == outputs[1]

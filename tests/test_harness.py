@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import sphere_family
 from liecheck import harness, operator_ad, operator_sandwich, LinearOperator
 from liecheck.errors import (
     LieCheckError,
@@ -343,21 +344,174 @@ def test_deviation_report_nan_deviation_fails(so3, so3_pair):
     assert dataclasses.replace(report, max_deviation=float("nan")).passed is False
 
 
-def test_run_harness_keeps_nan_deviation(monkeypatch, so3, so3_pair):
-    # Only the first sample is NaN: a running max() would drop it.
+def _nan_at(monkeypatch, stack_index):
+    """Make the first sample of the ``stack_index``-th stack NaN; returns the
+    list of stacks seen."""
     real = harness.numerical_torsion
-    calls = []
+    stacks = []
 
     def first_sample_nan(*args, **kwargs):
-        sample = real(*args, **kwargs)
-        if not calls:
-            sample.deviation = float("nan")
-        calls.append(sample)
-        return sample
+        stack = real(*args, **kwargs)
+        if len(stacks) == stack_index:
+            stack.deviation[0] = float("nan")
+        stacks.append(stack)
+        return stack
 
     monkeypatch.setattr(harness, "numerical_torsion", first_sample_nan)
+    return stacks
+
+
+def test_run_harness_keeps_nan_deviation(monkeypatch, so3, so3_pair):
+    # Only the first sample is NaN: a running max() would drop it.
+    stacks = _nan_at(monkeypatch, 0)
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=3)
-    assert len(calls) == 3
+    assert [len(s.deviation) for s in stacks] == [3]
+    assert math.isnan(report.samples[0].deviation)
     assert math.isnan(report.max_deviation)
     assert report.passed is False
+
+
+def test_run_harness_keeps_nan_deviation_at_chunk_boundary(monkeypatch, so3, so3_pair):
+    # The NaN is the first sample of the second stack.
+    stacks = _nan_at(monkeypatch, 1)
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = run_harness(so3_pair, op, samples=harness.CHUNK + 1)
+    assert [len(s.deviation) for s in stacks] == [harness.CHUNK, 1]
+    assert math.isnan(report.samples[harness.CHUNK].deviation)
+    assert math.isnan(report.max_deviation)
+    assert report.passed is False
+
+
+# -- stacks of points ----------------------------------------------------------
+
+def _stack(model, rng, count):
+    points = np.stack([model.random_point(rng)[1] for _ in range(count)])
+    v = rng.uniform(-1, 1, (count, model.dim))
+    w = rng.uniform(-1, 1, (count, model.dim))
+    return points, v, w
+
+
+@pytest.mark.parametrize("kind", ["sphere", "gl3"])
+def test_stack_matches_point_by_point(kind, so3, so3_pair, gl3, gl3_pair):
+    from liecheck import ExactMatrix
+    if kind == "sphere":
+        pair, op = so3_pair, sphere_family(so3, 1, 2, -2)
+    else:
+        a = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        b = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        pair, op = gl3_pair, operator_sandwich(gl3, a, b)
+    model = build_model(pair)
+    p, v, w = _stack(model, np.random.default_rng(29), 7)
+    z = projected_field(model, w, p)
+    stack = numerical_torsion(model, pair, op, v, w, p)
+    mapped = bundle_map(model, pair, op, p, z)
+    assert stack.deviation.shape == (7,)
+    for i in range(7):
+        one = numerical_torsion(model, pair, op, v[i], w[i], p[i])
+        for name in ("numerical", "predicted"):
+            assert np.max(np.abs(getattr(stack, name)[i] - getattr(one, name))) <= 1e-12
+        for name in ("deviation", "numerical_max", "predicted_max"):
+            assert abs(getattr(stack, name)[i] - getattr(one, name)) <= 1e-12
+        assert np.max(np.abs(mapped[i] - bundle_map(model, pair, op, p[i], z[i]))) <= 1e-12
+
+
+def test_stack_guards_sphere(sphere, so3, so3_pair):
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    p, v, w = _stack(sphere, np.random.default_rng(31), 5)
+    z = projected_field(sphere, w, p)
+    off = p.copy()
+    off[2] *= 1.01
+    with pytest.raises(PointOffManifold):
+        projected_field(sphere, v, off)
+    with pytest.raises(PointOffManifold):
+        bundle_map(sphere, so3_pair, op, off, z)
+    with pytest.raises(PointOffManifold):
+        numerical_torsion(sphere, so3_pair, op, v, w, off)
+    x = sphere.ambient_extension(lambda q: projected_field(sphere, v, q))
+    with pytest.raises(PointOffManifold):
+        fd_bracket(sphere, x, x, off, 1e-4)
+    antipode = p.copy()
+    antipode[3] = -P0
+    with pytest.raises(SectionSingular):
+        bundle_map(sphere, so3_pair, op, antipode, z)
+    with pytest.raises(SectionSingular):
+        numerical_torsion(sphere, so3_pair, op, v, w, antipode)
+    with pytest.raises(StepTooSmall):
+        fd_bracket(sphere, x, x, p, 1e-9)
+    with pytest.raises(StepTooSmall):
+        numerical_torsion(sphere, so3_pair, op, v, w, p, 1e-9)
+
+
+def test_stack_guards_full_group(gl3_model, gl3, gl3_pair):
+    from liecheck import ExactMatrix
+    op = operator_sandwich(gl3, ExactMatrix.identity(3), ExactMatrix.identity(3))
+    p, v, w = _stack(gl3_model, np.random.default_rng(37), 5)
+    z = projected_field(gl3_model, w, p)
+    singular = p.copy()
+    singular[1, 2] = singular[1, 0] + singular[1, 1]
+    with pytest.raises(PointOffManifold):
+        projected_field(gl3_model, v, singular)
+    with pytest.raises(PointOffManifold):
+        bundle_map(gl3_model, gl3_pair, op, singular, z)
+    with pytest.raises(PointOffManifold):
+        numerical_torsion(gl3_model, gl3_pair, op, v, w, singular)
+
+
+def test_expm_stack_matches_single():
+    rng = np.random.default_rng(41)
+    # norms from far below to far above the scaling threshold
+    a = rng.normal(size=(6, 3, 3)) * np.array([1e-3, 0.1, 0.3, 1.0, 4.0, 20.0])[:, None, None]
+    stacked = expm(a)
+    for i in range(6):
+        single = expm(a[i])
+        assert np.max(np.abs(stacked[i] - single)) <= 1e-12 * max(1.0, np.max(np.abs(single)))
+
+
+def _reference_draws(model, rng, count):
+    """The per-sample loop the stacked draw must reproduce: a point (retried
+    near the antipode on the sphere), then v, then w."""
+    out = []
+    for _ in range(count):
+        while True:
+            if model.kind == "full-group":
+                g = expm(model.element(rng.uniform(-0.3, 0.3, size=model.dim)))
+                p = g
+                break
+            g = expm(model.element(rng.uniform(-1.0, 1.0, size=model.dim)))
+            p = g @ P0
+            p = p / np.linalg.norm(p)
+            if np.linalg.norm(p + P0) > harness.ANTIPODE_SAMPLING_CAP:
+                break
+        out.append((p, rng.uniform(-1.0, 1.0, size=model.dim),
+                    rng.uniform(-1.0, 1.0, size=model.dim)))
+    return out
+
+
+@pytest.mark.parametrize("cap", [harness.ANTIPODE_SAMPLING_CAP, 1.9])
+def test_run_harness_draws_in_per_sample_order(monkeypatch, cap, so3, so3_pair):
+    # Cap 1.9 rejects every point more than about 36 degrees from the pole:
+    # with seed 43, 69 redraws among 40 samples, some of them in a row.
+    monkeypatch.setattr(harness, "ANTIPODE_SAMPLING_CAP", cap)
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = run_harness(so3_pair, op, samples=40, seed=43)
+    model = build_model(so3_pair)
+    want = _reference_draws(model, np.random.default_rng(43), 40)
+    for sample, (p, v, w) in zip(report.samples, want):
+        assert np.max(np.abs(sample.point - p)) <= 1e-12
+        assert np.array_equal(sample.v, v) and np.array_equal(sample.w, w)
+
+
+def test_chunking_changes_nothing(gl3, gl3_pair):
+    from liecheck import ExactMatrix
+    a = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    b = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    op = operator_sandwich(gl3, a, b)
+    chunk = harness.CHUNK
+    long = run_harness(gl3_pair, op, samples=2 * chunk + 1, seed=47)
+    short = run_harness(gl3_pair, op, samples=chunk, seed=47)
+    assert len(long.samples) == 2 * chunk + 1 and len(short.samples) == chunk
+    for x, y in zip(long.samples, short.samples):
+        for name in ("point", "v", "w", "numerical", "predicted"):
+            assert np.max(np.abs(getattr(x, name) - getattr(y, name))) <= 1e-12
+        assert abs(x.deviation - y.deviation) <= 1e-12
