@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -53,9 +54,12 @@ class LieAlgebra:
     nonzero view ``_nz[i][j]`` holds the ``(k, c[i][j][k])`` pairs with a
     nonzero coefficient, in increasing ``k``; the bracket and the
     antisymmetry and Jacobi checks run over ``_nz`` alone.
+    :attr:`integer_constants` is the same view times one positive integer,
+    for the integer pair loops of the checks (:func:`bracket_into`).
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "c", "_nz", "matrix_size", "matrix_generators")
+    __slots__ = ("name", "dim", "basis_labels", "c", "_nz", "_integer_nz",
+                 "matrix_size", "matrix_generators", "_span_solver")
 
     def __init__(
         self,
@@ -93,6 +97,8 @@ class LieAlgebra:
         self._nz = tuple(
             tuple(tuple(compress(enumerate(row), row)) for row in ci) for ci in c
         )
+        self._integer_nz = None
+        self._span_solver = None
         self._check_antisymmetry()
         self._check_jacobi()
 
@@ -151,6 +157,21 @@ class LieAlgebra:
                         acc[k] = acc[k] + f * coeff
         return tuple(acc)
 
+    @property
+    def integer_constants(self) -> tuple:
+        """``_nz`` with every structure constant times one positive integer,
+        the lcm of their denominators."""
+        view = self._integer_nz
+        if view is None:
+            scale = lcm(*(x.denominator for ci in self._nz for terms in ci for _, x in terms))
+            view = self._integer_nz = tuple(
+                tuple([terms and tuple([(k, x.numerator * (scale // x.denominator))
+                                        for k, x in terms])
+                       for terms in ci])
+                for ci in self._nz
+            )
+        return view
+
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
         """Matrix of ``w -> [d, w]`` in the algebra basis; linear in d."""
         n = self.dim
@@ -201,6 +222,15 @@ class LieAlgebra:
                 parts.append(f" {head} {body}")
         return "".join(parts)
 
+    def _solver(self) -> "_SpanSolver":
+        """The coordinate solver of the matrix generators, built once per
+        algebra (:func:`from_matrix_generators` hands over its own)."""
+        if self.matrix_generators is None:
+            raise LieCheckError(f"algebra {self.name!r} was not built from matrix generators")
+        if self._span_solver is None:
+            self._span_solver = _SpanSolver(self.matrix_generators)
+        return self._span_solver
+
     def matrix_of_element(self, v: Sequence) -> ExactMatrix:
         """Realize a coordinate vector as a matrix (matrix algebras only)."""
         if self.matrix_generators is None:
@@ -216,6 +246,23 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
+
+
+def bracket_into(constants: tuple, v: dict, w: dict, acc: dict, sign: int = 1) -> dict:
+    """Add ``sign * [v, w]`` to ``acc`` and return it, for sparse integer
+    vectors and the integer structure constants
+    (:attr:`LieAlgebra.integer_constants`)."""
+    w_items = [(j, y) for j, y in w.items() if y]
+    for i, x in v.items():
+        if x:
+            row = constants[i]
+            for j, y in w_items:
+                terms = row[j]
+                if terms:
+                    f = sign * x * y
+                    for k, c in terms:
+                        acc[k] = acc.get(k, 0) + f * c
+    return acc
 
 
 class Subalgebra:
@@ -424,10 +471,12 @@ def from_matrix_generators(
                 raise NotClosed(labels[i], labels[j], comm)
             structure[i][j] = coords
             structure[j][i] = tuple(x if x is _ZERO else -x for x in coords)
-    return LieAlgebra(
+    alg = LieAlgebra(
         name,
         labels,
         structure,
         matrix_size=size,
         matrix_generators=tuple(gens),
     )
+    alg._span_solver = solver
+    return alg

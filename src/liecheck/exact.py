@@ -16,6 +16,16 @@ testing them.  An entry of a product is a :class:`GaussianRational` exactly
 when one of its terms ``a_ik * b_kj`` with ``a_ik`` nonzero is; membership
 coordinates are the vector's own entries at the pivot columns.
 
+The pair loops of the checks ("does this value lie in k?") run in integer
+arithmetic instead.  :attr:`ExactMatrix.integer_columns` holds a real
+matrix's nonzero columns times the lcm of all its denominators, and
+:attr:`Subspace.annihilator` is an integer matrix ``Q`` with one row per
+non-pivot column of the echelon basis, so that ``v`` lies in the subspace
+exactly when ``Q v = 0`` (:func:`annihilated`).  Vectors in that arithmetic
+are sparse dicts ``{index: int}`` (:func:`integer_vector`).  Scaling a
+vector by a positive integer does not change whether it lies in a subspace,
+so the scales are never divided out.
+
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
 above and below), which makes equality of subspaces plain structural
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionCapExceeded, DimensionMismatch
@@ -237,10 +248,11 @@ class ExactMatrix:
     """An immutable matrix with exact entries, stored row-major.
 
     :attr:`nonzero_rows` is the sparse view of the same entries that the
-    products and membership tests iterate.
+    products and membership tests iterate; :attr:`integer_columns` is the
+    integer view that the pair loops of the checks use.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_nonzero_rows")
+    __slots__ = ("rows", "cols", "entries", "_nonzero_rows", "_integer_columns")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(_coerce_scalar(e) for e in entries)
@@ -252,6 +264,7 @@ class ExactMatrix:
         self.cols = cols
         self.entries = entries
         self._nonzero_rows = None
+        self._integer_columns = None
 
     @property
     def nonzero_rows(self) -> tuple:
@@ -263,6 +276,22 @@ class ExactMatrix:
                 tuple((j, e) for j, e in enumerate(entries[i * cols:(i + 1) * cols]) if e)
                 for i in range(self.rows)
             )
+        return view
+
+    @property
+    def integer_columns(self) -> tuple:
+        """Per column, the ``(row, int)`` pairs of its nonzero entries, all
+        times one positive integer (the lcm of the denominators).  Real
+        matrices only."""
+        view = self._integer_columns
+        if view is None:
+            columns = [[] for _ in range(self.cols)]
+            terms = scaled_integers(
+                ((i, j), e) for i, row in enumerate(self.nonzero_rows) for j, e in row
+            )
+            for (i, j), a in terms:
+                columns[j].append((i, a))
+            view = self._integer_columns = tuple(map(tuple, columns))
         return view
 
     @classmethod
@@ -472,7 +501,7 @@ class Subspace:
     when their ``(ambient_dim, basis)`` data are equal.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_cols")
+    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_annihilator")
 
     def __init__(self, ambient_dim: int, basis: ExactMatrix, pivot_cols: tuple):
         if ambient_dim > AMBIENT_DIM_CAP:
@@ -482,6 +511,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivot_cols = pivot_cols
+        self._annihilator = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -537,6 +567,29 @@ class Subspace:
 
     def __contains__(self, v) -> bool:
         return self.coordinates_of(v) is not None
+
+    @property
+    def annihilator(self) -> ExactMatrix:
+        """An integer matrix whose kernel is this subspace (real subspaces
+        only), with one row per non-pivot column of the echelon basis.
+
+        Row ``f`` is ``e_f - sum_r basis[r][f] e_{pivot_r}`` times the lcm of
+        its denominators: a vector lies in the span of the echelon basis
+        exactly when its entries at the non-pivot columns are those of the
+        combination of basis rows given by its pivot entries.
+        """
+        q = self._annihilator
+        if q is None:
+            n, pivots = self.ambient_dim, self.pivot_cols
+            rows = []
+            for f in sorted(set(range(n)) - set(pivots)):
+                terms = [(f, 1)] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
+                row = [_ZERO] * n
+                for j, a in scaled_integers(terms):
+                    row[j] = Fraction(a)
+                rows.append(row)
+            q = self._annihilator = ExactMatrix.from_rows(rows, cols=n)
+        return q
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(v in self for v in other.vectors())
@@ -604,3 +657,48 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                 vec = [x + c * y for x, y in zip(vec, row)]
         vectors.append([_coerce_scalar(x) if isinstance(x, int) else x for x in vec])
     return Subspace.from_vectors(a.ambient_dim, vectors)
+
+
+# ---------------------------------------------------------------------------
+# integer views
+# ---------------------------------------------------------------------------
+
+def _real_rational(x):
+    """A real scalar as a Fraction (or int); a Q(i) scalar with a nonzero
+    imaginary part is rejected."""
+    if isinstance(x, GaussianRational):
+        if x.im:
+            raise TypeError("integer views need real entries")
+        return x.re
+    return x
+
+
+def scaled_integers(terms) -> tuple:
+    """``(key, value)`` pairs with real values, as ``(key, int)``: every value
+    times one positive integer, the lcm of their denominators."""
+    terms = [(key, _real_rational(x)) for key, x in terms]
+    scale = lcm(*(x.denominator for _, x in terms))
+    return tuple((key, x.numerator * (scale // x.denominator)) for key, x in terms)
+
+
+def integer_vector(v: Sequence) -> dict:
+    """The nonzeros of a real vector times the lcm of their denominators, as
+    ``{index: int}``: a positive multiple of ``v``."""
+    return dict(scaled_integers((j, x) for j, x in enumerate(v) if x))
+
+
+def apply_columns(columns: Sequence, v: dict, acc: dict, sign: int = 1) -> dict:
+    """Add ``sign * M v`` to ``acc`` and return it, for ``M`` given by its
+    integer columns (:attr:`ExactMatrix.integer_columns`)."""
+    for j, x in v.items():
+        if x:
+            x *= sign
+            for i, a in columns[j]:
+                acc[i] = acc.get(i, 0) + x * a
+    return acc
+
+
+def annihilated(columns: Sequence, v: dict) -> bool:
+    """Whether ``Q v = 0`` for ``Q`` given by its integer columns: with ``Q``
+    a :attr:`Subspace.annihilator`, whether ``v`` lies in the subspace."""
+    return not any(apply_columns(columns, v, {}).values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .algebra import LieAlgebra, Subalgebra
+from .algebra import LieAlgebra, Subalgebra, bracket_into
 from .errors import (
     DimensionMismatch,
     ImageOutsideAlgebra,
@@ -22,8 +22,16 @@ from .errors import (
     NotAdmissible,
     RuleIncomplete,
 )
-from .exact import ExactMatrix, GaussianRational, Subspace, rref, subspace_intersection
-from .algebra import _SpanSolver
+from .exact import (
+    ExactMatrix,
+    GaussianRational,
+    Subspace,
+    annihilated,
+    apply_columns,
+    integer_vector,
+    rref,
+    subspace_intersection,
+)
 
 
 class LinearOperator:
@@ -124,6 +132,8 @@ class HomogeneousPair:
         n = alg.dim
         if rep.rows != n or rep.cols != n:
             raise InvalidComponentRep(f"component rep #{idx} must be {n}x{n}")
+        if any(isinstance(e, GaussianRational) and e.im for e in rep.entries):
+            raise InvalidComponentRep(f"component rep #{idx} is not real")
         _, pivots = rref(rep)
         if len(pivots) != n:
             raise InvalidComponentRep(f"component rep #{idx} is singular")
@@ -175,40 +185,66 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     Clause (a): the operator preserves k.  Clause (b): it commutes with
     ad_z modulo k for every basis element z of k.  Clause (c), when component
     representatives are declared: it commutes with each of them modulo k.
-    For a connected subgroup (a) and (b) suffice.
+    For a connected subgroup (a) and (b) suffice.  The clauses are decided
+    by :func:`_failing_clause`; the witness of the first failing one is
+    recomputed in the rationals.
     """
     _require_same_algebra(pair, op)
     alg = pair.alg
     scope = _scope_of(pair)
-    clauses = ["preserves_k", "commutes_with_ad_k"]
+    clauses = ("preserves_k", "commutes_with_ad_k")
     if pair.component_reps:
-        clauses.append("commutes_with_component_reps")
+        clauses += ("commutes_with_component_reps",)
+    failure = _failing_clause(pair, op.matrix.integer_columns)
+    if failure is None:
+        return VerdictReport(True, scope, clauses)
+    clause, i, j = failure
+    if clause == "preserves_k":
+        x = pair.k.space.vectors()[i]
+        witness = {"vector": x, "image": op.apply(x)}
+    elif clause == "commutes_with_ad_k":
+        z, bj = pair.k.space.vectors()[i], alg.basis_vector(j)
+        witness = {"z": z, "v": bj,
+                   "value": _sub(op.apply(alg.bracket(z, bj)), alg.bracket(z, op.apply(bj)))}
+    else:
+        rep, bj = pair.component_reps[i], alg.basis_vector(j)
+        witness = {"rep_index": i, "v": bj,
+                   "value": _sub(rep.apply(op.apply(bj)), op.apply(rep.apply(bj)))}
+    return VerdictReport(False, scope, clauses, clause, witness)
 
-    for x in pair.k.space.vectors():
-        img = op.apply(x)
-        if img not in pair.k.space:
-            return VerdictReport(
-                False, scope, tuple(clauses), "preserves_k",
-                {"vector": x, "image": img},
-            )
-    basis = [alg.basis_vector(j) for j in range(alg.dim)]
-    for z in pair.k.space.vectors():
-        for bj in basis:
-            diff_vec = _sub(op.apply(alg.bracket(z, bj)), alg.bracket(z, op.apply(bj)))
-            if diff_vec not in pair.k.space:
-                return VerdictReport(
-                    False, scope, tuple(clauses), "commutes_with_ad_k",
-                    {"z": z, "v": bj, "value": diff_vec},
-                )
+
+def _failing_clause(pair: HomogeneousPair, columns: Sequence) -> Optional[tuple]:
+    """The first admissibility clause instance whose value leaves k, as
+    ``(clause, i, j)`` with i indexing the basis of k or the representatives
+    and j the basis of g; None if there is none.
+
+    The operator is given by its integer columns.  Each clause is linear in
+    the operator, in the structure constants and in the representative, and
+    scaling a value by a positive integer does not move it in or out of k,
+    so the integer views decide the clauses exactly.
+    """
+    n = pair.alg.dim
+    constants = pair.alg.integer_constants
+    k = pair.k.space.annihilator.integer_columns
+    zs = [integer_vector(z) for z in pair.k.space.vectors()]
+    for i, z in enumerate(zs):
+        if not annihilated(k, apply_columns(columns, z, {})):
+            return "preserves_k", i, None
+    images = [dict(col) for col in columns]  # I b_j
+    for i, z in enumerate(zs):
+        for j in range(n):
+            # I [z, b_j] - [z, I b_j]
+            value = apply_columns(columns, bracket_into(constants, z, {j: 1}, {}), {})
+            if not annihilated(k, bracket_into(constants, z, images[j], value, -1)):
+                return "commutes_with_ad_k", i, j
     for idx, rep in enumerate(pair.component_reps):
-        for bj in basis:
-            diff_vec = _sub(rep.apply(op.apply(bj)), op.apply(rep.apply(bj)))
-            if diff_vec not in pair.k.space:
-                return VerdictReport(
-                    False, scope, tuple(clauses), "commutes_with_component_reps",
-                    {"rep_index": idx, "v": bj, "value": diff_vec},
-                )
-    return VerdictReport(True, scope, tuple(clauses))
+        rep_columns = rep.integer_columns
+        for j in range(n):
+            # R I b_j - I R b_j
+            value = apply_columns(rep_columns, images[j], {})
+            if not annihilated(k, apply_columns(columns, dict(rep_columns[j]), value, -1)):
+                return "commutes_with_component_reps", idx, j
+    return None
 
 
 def _require_same_algebra(pair: HomogeneousPair, op: LinearOperator):
@@ -293,11 +329,7 @@ def operator_ad(alg: LieAlgebra, d: Sequence) -> LinearOperator:
 
 
 def _multiplication_operator(alg: LieAlgebra, image) -> LinearOperator:
-    if alg.matrix_generators is None:
-        raise LieCheckError(
-            f"algebra {alg.name!r} was not built from matrix generators"
-        )
-    solver = _SpanSolver(alg.matrix_generators)
+    solver = alg._solver()
     n = alg.dim
     columns = []
     for j, gen in enumerate(alg.matrix_generators):

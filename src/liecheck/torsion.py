@@ -6,6 +6,16 @@ exactly when every value of beta lies in the subalgebra.  By bilinearity the
 basis pairs suffice, and when a complement of k is declared the complement
 pairs suffice by themselves.  Admissibility is a hard precondition, not a
 warning; the verdict is meaningless for operators that do not descend.
+
+The pair loops run in the integer views of :mod:`liecheck.exact` and
+:class:`~liecheck.algebra.LieAlgebra`: the operator's columns and the
+structure constants each times one positive integer, the pair's vectors
+scaled to integers, and membership in k as ``Q beta = 0`` for the integer
+annihilator ``Q`` of k.  Beta is of degree 2 in the operator and 1 in the
+structure constants on every term, and linear in each argument, so the
+integer value is a positive multiple of the rational one and lies in k
+exactly when it does.  At the first failing pair :func:`torsion_form`
+recomputes the witness in the rationals.
 """
 
 from __future__ import annotations
@@ -13,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import LieCheckError, MissingComplement, NotAdmissible
+from .algebra import bracket_into
+from .errors import DimensionMismatch, LieCheckError, MissingComplement, NotAdmissible
+from .exact import annihilated, apply_columns, integer_vector
 from .operators import (
     HomogeneousPair,
     LinearOperator,
+    _failing_clause,
     _require_admissible,
     check_admissible,
     operator_ad,
@@ -73,13 +86,23 @@ def check_nijenhuis(
     """
     _require_admissible(pair, op)
     vectors, mode = _pair_vectors(pair, pairs)
-    alg = pair.alg
+    constants = pair.alg.integer_constants
+    columns = op.matrix.integer_columns
+    k = pair.k.space.annihilator.integer_columns
+    vs = [integer_vector(v) for v in vectors]
+    ivs = [apply_columns(columns, v, {}) for v in vs]
     checked = 0
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            beta = torsion_form(alg, op, vectors[a], vectors[b])
+    for a in range(len(vs)):
+        v, iv = vs[a], ivs[a]
+        for b in range(a + 1, len(vs)):
+            w, iw = vs[b], ivs[b]
             checked += 1
-            if beta not in pair.k.space:
+            # beta = I([v, Iw] + [Iv, w] - I[v, w]) - [Iv, Iw]
+            inner = bracket_into(constants, v, iw, bracket_into(constants, iv, w, {}))
+            apply_columns(columns, bracket_into(constants, v, w, {}), inner, -1)
+            beta = bracket_into(constants, iv, iw, apply_columns(columns, inner, {}), -1)
+            if not annihilated(k, beta):
+                beta = torsion_form(pair.alg, op, vectors[a], vectors[b])
                 return TorsionReport(False, checked, mode, (vectors[a], vectors[b], beta))
     return TorsionReport(True, checked, mode)
 
@@ -87,30 +110,28 @@ def check_nijenhuis(
 def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
     """Specialized verdict for inner operators: [[d, v], [d, w]] in k.
 
-    The admissibility precondition specializes to ``[z, d] in k`` and
-    ``[v, [z, d]] in k`` for basis z of k and basis v of g; both are checked
-    first.  The verdict agrees with ``check_nijenhuis(pair, operator_ad(d))``.
+    Requires ``ad(d)`` to be admissible, by all the clauses of
+    :func:`check_admissible` (raises :class:`NotAdmissible` with its report
+    otherwise).  The verdict agrees with
+    ``check_nijenhuis(pair, operator_ad(d))``.
     """
     alg = pair.alg
-    k = pair.k.space
-    basis = [alg.basis_vector(j) for j in range(alg.dim)]
-    admissible = all(
-        zd in k and all(alg.bracket(bj, zd) in k for bj in basis)
-        for zd in (alg.bracket(z, d) for z in k.vectors())
-    )
-    if not admissible:
+    if len(d) != alg.dim:
+        raise DimensionMismatch("ad argument must have the algebra dimension")
+    constants = alg.integer_constants
+    dv = integer_vector(d)
+    images = [bracket_into(constants, dv, {j: 1}, {}) for j in range(alg.dim)]  # [d, b_j]
+    if _failing_clause(pair, [tuple(image.items()) for image in images]) is not None:
         raise NotAdmissible(check_admissible(pair, operator_ad(alg, d)))
+    k = pair.k.space.annihilator.integer_columns
     checked = 0
     for a in range(alg.dim):
-        da = alg.bracket(d, basis[a])
         for b in range(a + 1, alg.dim):
-            db = alg.bracket(d, basis[b])
-            val = alg.bracket(da, db)
             checked += 1
-            if val not in k:
-                return TorsionReport(
-                    False, checked, "ad_d-specialized", (basis[a], basis[b], val)
-                )
+            if not annihilated(k, bracket_into(constants, images[a], images[b], {})):
+                ea, eb = alg.basis_vector(a), alg.basis_vector(b)
+                val = alg.bracket(alg.bracket(d, ea), alg.bracket(d, eb))
+                return TorsionReport(False, checked, "ad_d-specialized", (ea, eb, val))
     return TorsionReport(True, checked, "ad_d-specialized")
 
 

@@ -9,11 +9,18 @@ from liecheck import (
     GaussianRational,
     HomogeneousPair,
     LieAlgebra,
+    LinearOperator,
     Subspace,
     from_matrix_generators,
     make_subalgebra,
     operator_from_rules,
 )
+from liecheck.specfile import build, parse
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests are skipped without hypothesis
+    given = None
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -156,3 +163,116 @@ def rand_gaussian(rng: random.Random, span: int = 6) -> GaussianRational:
 
 def rand_gaussian_vector(rng: random.Random, n: int, span: int = 6) -> tuple:
     return tuple(rand_gaussian(rng, span) for _ in range(n))
+
+
+# ---------------------------------------------------------------------------
+# random operators on fixture pairs, for tests against Fraction references
+# ---------------------------------------------------------------------------
+
+def property_test(max_examples):
+    """``@given(data=st.data())`` with these settings, or a skip mark when
+    hypothesis is not installed."""
+    def wrap(test):
+        if given is None:
+            return pytest.mark.skip(reason="hypothesis is not installed")(test)
+        return settings(max_examples=max_examples, deadline=None)(
+            given(data=st.data())(test))
+    return wrap
+
+
+def _built(path):
+    return build(parse(path.read_text(encoding="utf-8")))
+
+
+@pytest.fixture(scope="session")
+def loop_cases():
+    """name -> (pair, operator seeds, ad seeds).  Combinations of the
+    operator seeds, and ``ad`` of combinations of the ad seeds, are mostly
+    admissible for the pair; so is any operator with values in k."""
+    fam = _built(CORPUS / "so3_family.lie")
+    so3, k = fam.algebras["so3"], fam.subalgebras["k"]
+    so3_ops = [fam.operators[name] for name in ("rot", "fam_unit", "fam_beta2")]
+    so3_ad = [so3.basis_vector("k0")]
+    # A complement whose echelon basis has denominators.
+    skew = Subspace.from_vectors(3, [(Fraction(1, 2), 1, 0), (Fraction(-1, 3), 0, 1)])
+    flip = _built(FIXTURES / "so3_flip_reps.lie")
+    gl3 = _built(CORPUS / "gl3_full.lie")
+    u4 = _built(CORPUS / "u4_grassmannian.lie")
+    u4_alg = u4.algebras["u4"]
+    nil4 = _built(CORPUS / "nil4.lie")
+
+    def basis(alg):
+        return [alg.basis_vector(j) for j in range(alg.dim)]
+
+    def identity(alg):
+        return LinearOperator.identity(alg)
+
+    return {
+        "so3_split": (fam.pairs["sphere_split"], [identity(so3)] + so3_ops, so3_ad),
+        "so3_plain": (HomogeneousPair(so3, k), [identity(so3)] + so3_ops, so3_ad),
+        "so3_skew": (HomogeneousPair(so3, k, m=skew), [identity(so3)] + so3_ops, so3_ad),
+        "so3_reps": (flip.pairs["flip"], [identity(flip.algebras["so3"]), flip.operators["I"]],
+                     [flip.algebras["so3"].basis_vector("k0")]),
+        "gl3_modsl3": (gl3.pairs["modsl3"], [identity(gl3.algebras["gl3"]),
+                                             gl3.operators["trpart"]],
+                       basis(gl3.algebras["gl3"])),
+        "gl3_full": (gl3.pairs["full"], [identity(gl3.algebras["gl3"]),
+                                         gl3.operators["smix"], gl3.operators["lmul"]],
+                     basis(gl3.algebras["gl3"])),
+        "u4_grass": (u4.pairs["grass"], [identity(u4_alg), u4.operators["jgr"]],
+                     [grassmann_center_vector(u4_alg),
+                      u4_alg.basis_vector("d1"), u4_alg.basis_vector("d3")]),
+        "nil4": (nil4.pairs["nilgroup"], [nil4.operators["jplane"], nil4.operators["jtwist"]],
+                 basis(nil4.algebras["nil4"])),
+    }
+
+
+LOOP_CASES = ("so3_split", "so3_plain", "so3_skew", "so3_reps", "gl3_modsl3",
+              "gl3_full", "u4_grass", "nil4")
+
+
+def _rationals(sparse: bool):
+    """Rationals with denominators up to 6; two of three are 0 if sparse."""
+    value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    if not sparse:
+        return value
+    return st.tuples(st.integers(0, 2), value).map(
+        lambda t: t[1] if t[0] == 0 else Fraction(0))
+
+
+def draw_operator(data, pair, seeds) -> LinearOperator:
+    """A random combination of the seeds; with probability 1/2 plus a random
+    operator with values in k, with probability 1/3 plus a random sparse
+    operator (which is rarely admissible)."""
+    alg, n = pair.alg, pair.alg.dim
+    entries = [Fraction(0)] * (n * n)
+    for seed, c in zip(seeds, data.draw(st.lists(_rationals(False), min_size=len(seeds),
+                                                  max_size=len(seeds)))):
+        entries = [x + c * y for x, y in zip(entries, seed.matrix.entries)]
+    k_basis = pair.k.space.vectors()
+    if k_basis and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_rationals(True), min_size=n * len(k_basis),
+                                    max_size=n * len(k_basis)))
+        for j in range(n):
+            for r, z in enumerate(k_basis):
+                c = coeffs[j * len(k_basis) + r]
+                for i in range(n):
+                    entries[i * n + j] += c * z[i]
+    if data.draw(st.integers(0, 2)) == 0:
+        noise = data.draw(st.lists(_rationals(True), min_size=n * n, max_size=n * n))
+        entries = [x + y for x, y in zip(entries, noise)]
+    return LinearOperator(alg, ExactMatrix(n, n, entries))
+
+
+def draw_ad_vector(data, pair, seeds) -> tuple:
+    """A random combination of the ad seeds; with probability 1/3 plus a
+    random sparse vector."""
+    n = pair.alg.dim
+    d = [Fraction(0)] * n
+    for seed, c in zip(seeds, data.draw(st.lists(_rationals(False), min_size=len(seeds),
+                                                  max_size=len(seeds)))):
+        d = [x + c * y for x, y in zip(d, seed)]
+    if data.draw(st.integers(0, 2)) == 0:
+        noise = data.draw(st.lists(_rationals(True), min_size=n, max_size=n))
+        d = [x + y for x, y in zip(d, noise)]
+    return tuple(d)

@@ -96,6 +96,18 @@ def test_torsion_inadmissible_exit_two(capsys, corpus_dir):
     assert "NotAdmissible" in err
 
 
+@pytest.mark.parametrize("mode", ["ad", "all"])
+def test_torsion_checks_component_reps_exit_two(capsys, fixtures_dir, mode):
+    # ad(k0) does not commute with the declared flip representative.
+    path = str(fixtures_dir / "so3_flip_reps.lie")
+    code, out, err = run(capsys, "torsion", path, "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == "error: NotAdmissible: operator is not admissible for the pair\n"
+    code, out, _ = run(capsys, "check", path, "--report", "json")
+    assert code == 1
+    assert json.loads(out)["failed_clause"] == "commutes_with_component_reps"
+
+
 def test_integrability_sphere(capsys, corpus_dir):
     code, out, _ = run(capsys, "integrability", str(corpus_dir / "so3_sphere.lie"),
                        "--report", "json")

@@ -4,8 +4,9 @@ Zero-heavy random matrices over QQ and QQ_I, so that sparse rows, empty rows
 and columns and rank deficiency are common.  The reduced row-echelon form is
 unique, so the oracle's RREF (with its zero rows dropped) must match ours
 entry for entry; kernels and intersections are compared through the oracle's
-own RREF of the spanning sets it computes.  The module is skipped when
-hypothesis or sympy is not installed.
+own RREF of the spanning sets it computes; the integer annihilator of a
+subspace is compared with the oracle's rank test for membership.  The module
+is skipped when hypothesis or sympy is not installed.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from liecheck import (
     rref,
     subspace_intersection,
 )
+from liecheck.exact import annihilated, integer_vector
 
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
@@ -136,3 +138,28 @@ def test_subspace_intersection_matches_oracle(gaussian, data):
     expected, expected_pivots = _oracle_rref(u * da, gaussian)
     assert ours.pivot_cols == expected_pivots
     _assert_same_rows(ours.basis, expected, gaussian)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_annihilator_matches_oracle_membership(data):
+    m = data.draw(_sparse_matrices(False))
+    space = Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
+    q = space.annihilator
+    assert (q.rows, q.cols) == (m.cols - space.dim, m.cols)
+    assert all(type(e) is Fraction and e.denominator == 1 for e in q.entries)
+    if data.draw(st.booleans()):  # a combination of the spanning rows
+        coeffs = data.draw(st.lists(_sparse_scalars(False), min_size=m.rows,
+                                    max_size=m.rows))
+        v = tuple(sum((c * x for c, x in zip(coeffs, m.column(j))), Fraction(0))
+                  for j in range(m.cols))
+    else:
+        v = tuple(data.draw(st.lists(_sparse_scalars(False), min_size=m.cols,
+                                     max_size=m.cols)))
+    dm = _to_domain(m, False)
+    stacked = _to_domain(ExactMatrix.from_rows([m.row(i) for i in range(m.rows)] + [v]),
+                         False)
+    inside = stacked.rank() == dm.rank()
+    assert (not any(q.apply(v))) == inside
+    assert annihilated(q.integer_columns, integer_vector(v)) == inside
+    assert (v in space) == inside

@@ -31,7 +31,10 @@ from liecheck.errors import (
 from liecheck.torsion import check_nijenhuis
 
 from conftest import (
+    LOOP_CASES,
+    draw_operator,
     grassmann_center_vector,
+    property_test,
     rand_vector,
     sphere_family,
     unit_matrix,
@@ -244,3 +247,75 @@ def test_operator_on_other_algebra_rejected(so3, so3_pair):
         op.compose(LinearOperator.identity(so3))
     with pytest.raises(DimensionMismatch, match="different algebras"):
         LinearOperator.identity(so3).compose(op)
+
+
+def test_non_real_component_rep_rejected(so3):
+    from liecheck import GaussianRational
+    k = make_subalgebra(so3, [so3.basis_vector("k0")])
+    rep = ExactMatrix.from_rows([[1, 0, 0], [0, GaussianRational(0, 1), 0],
+                                 [0, 0, GaussianRational(0, -1)]])
+    with pytest.raises(InvalidComponentRep, match="not real"):
+        HomogeneousPair(so3, k, connected=False, component_reps=(rep,))
+
+
+def test_one_generator_elimination_per_algebra(corpus_dir, monkeypatch):
+    # gl3_full.lie declares left, sandwich and rules operators on gl3; the
+    # multiplication operators reuse the elimination of the generators.
+    import liecheck.algebra
+    from liecheck.specfile import build, parse
+    shapes = []
+    original = liecheck.algebra.rref
+
+    def counting_rref(m):
+        shapes.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(liecheck.algebra, "rref", counting_rref)
+    build(parse((corpus_dir / "gl3_full.lie").read_text()))
+    assert shapes == [(9, 18)]
+
+
+def reference_admissible(pair, op):
+    """Admissibility clause by clause in Fraction arithmetic:
+    ``(failed_clause, witness)`` or ``(None, None)``."""
+    alg, k = pair.alg, pair.k.space
+    for x in k.vectors():
+        img = op.apply(x)
+        if img not in k:
+            return "preserves_k", {"vector": x, "image": img}
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    for z in k.vectors():
+        for bj in basis:
+            value = tuple(a - b for a, b in zip(op.apply(alg.bracket(z, bj)),
+                                                alg.bracket(z, op.apply(bj))))
+            if value not in k:
+                return "commutes_with_ad_k", {"z": z, "v": bj, "value": value}
+    for idx, rep in enumerate(pair.component_reps):
+        for bj in basis:
+            value = tuple(a - b for a, b in zip(rep.apply(op.apply(bj)),
+                                                op.apply(rep.apply(bj))))
+            if value not in k:
+                return "commutes_with_component_reps", {
+                    "rep_index": idx, "v": bj, "value": value}
+    return None, None
+
+
+def _types(witness):
+    if witness is None:
+        return None
+    return {key: [type(x) for x in value] if isinstance(value, tuple) else type(value)
+            for key, value in witness.items()}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@property_test(max_examples=25)
+def test_admissible_matches_fraction_reference(loop_cases, case, data):
+    pair, seeds, _ = loop_cases[case]
+    op = draw_operator(data, pair, seeds)
+    report = check_admissible(pair, op)
+    clause, witness = reference_admissible(pair, op)
+    assert report.holds == (clause is None)
+    assert report.failed_clause == clause
+    assert report.witness == witness
+    assert list(report.witness or ()) == list(witness or ())  # key order
+    assert _types(report.witness) == _types(witness)

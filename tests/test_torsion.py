@@ -22,7 +22,15 @@ from liecheck import (
 )
 from liecheck.errors import MissingComplement, NotAdmissible
 
-from conftest import grassmann_center_vector, rand_vector, sphere_family
+from conftest import (
+    LOOP_CASES,
+    draw_ad_vector,
+    draw_operator,
+    grassmann_center_vector,
+    property_test,
+    rand_vector,
+    sphere_family,
+)
 
 
 def test_torsion_vanishes_on_diagonal(so3):
@@ -224,3 +232,82 @@ def test_trace_part_operator_on_traceless_pair(gl3):
     op = operator_from_rules(gl3, rules)
     assert check_admissible(pair, op).holds
     assert check_nijenhuis(pair, op).verdict
+
+
+def test_ad_mode_checks_component_reps(fixtures_dir):
+    # ad(k0) commutes with ad_k but not with the flip k0 -> -k0, e2 -> -e2.
+    from liecheck.specfile import build, parse
+    doc = build(parse((fixtures_dir / "so3_flip_reps.lie").read_text()))
+    pair, op = doc.pairs["flip"], doc.operators["I"]
+    expected = check_admissible(pair, op)
+    assert expected.failed_clause == "commutes_with_component_reps"
+    for check in (lambda: check_nijenhuis_ad(pair, op.ad_generator),
+                  lambda: check_nijenhuis(pair, op, pairs="all")):
+        with pytest.raises(NotAdmissible) as err:
+            check()
+        assert err.value.report == expected
+
+
+def reference_nijenhuis(pair, op, vectors):
+    """The torsion pair loop in Fraction arithmetic:
+    ``(verdict, checked_pairs, witness)``."""
+    checked = 0
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            beta = torsion_form(pair.alg, op, vectors[a], vectors[b])
+            checked += 1
+            if beta not in pair.k.space:
+                return False, checked, (vectors[a], vectors[b], beta)
+    return True, checked, None
+
+
+def reference_nijenhuis_ad(pair, d):
+    """``[[d, v], [d, w]] in k`` over basis pairs, in Fraction arithmetic."""
+    alg = pair.alg
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    checked = 0
+    for a in range(alg.dim):
+        for b in range(a + 1, alg.dim):
+            val = alg.bracket(alg.bracket(d, basis[a]), alg.bracket(d, basis[b]))
+            checked += 1
+            if val not in pair.k.space:
+                return False, checked, (basis[a], basis[b], val)
+    return True, checked, None
+
+
+def _assert_report_matches(run, op, pair, expected):
+    """``run()`` raises NotAdmissible with the admissibility report of
+    ``op``, or returns a report equal to ``expected``, entry types included."""
+    adm = check_admissible(pair, op)
+    if not adm.holds:
+        with pytest.raises(NotAdmissible) as err:
+            run()
+        assert err.value.report == adm
+        return
+    report = run()
+    assert (report.verdict, report.checked_pairs, report.witness) == expected
+    witness = expected[2]
+    if witness is not None:
+        assert [[type(x) for x in part] for part in report.witness] == [
+            [type(x) for x in part] for part in witness]
+
+
+@pytest.mark.parametrize("case,mode", [(case, "all") for case in LOOP_CASES] + [
+    (case, "complement") for case in ("so3_split", "so3_skew", "u4_grass", "nil4")])
+@property_test(max_examples=20)
+def test_torsion_matches_fraction_reference(loop_cases, case, mode, data):
+    pair, seeds, _ = loop_cases[case]
+    op = draw_operator(data, pair, seeds)
+    vectors = (list(pair.m.vectors()) if mode == "complement"
+               else [pair.alg.basis_vector(j) for j in range(pair.alg.dim)])
+    _assert_report_matches(lambda: check_nijenhuis(pair, op, pairs=mode), op, pair,
+                           reference_nijenhuis(pair, op, vectors))
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@property_test(max_examples=20)
+def test_torsion_ad_matches_fraction_reference(loop_cases, case, data):
+    pair, _, seeds = loop_cases[case]
+    d = draw_ad_vector(data, pair, seeds)
+    _assert_report_matches(lambda: check_nijenhuis_ad(pair, d), operator_ad(pair.alg, d),
+                           pair, reference_nijenhuis_ad(pair, d))
