@@ -4,16 +4,21 @@ For an operator J whose square is -1 modulo k, the subspaces
 
     Z_pm = { v in the complexified algebra : (J -/+ i) v  in  k_C }
 
-are computed as exact kernels of a stacked system over Q(i) (they are not
-eigenspaces of the complex extension in general).  The induced almost
-complex structure is integrable exactly when Z+ is closed under the bracket,
-and that is equivalent to the torsion verdict; both are computed, and a
-disagreement raises :class:`InternalInconsistency`.
+are not eigenspaces of the complex extension in general.  With ``Q`` the
+integer annihilator of k, k_C is the kernel of ``Q`` over Q(i), so Z+ is
+one exact kernel, that of ``Q (J - i)``; J, Q and k are real, so Z- is the
+complex conjugate of Z+, and the split identities for Z- are the conjugates
+of those for Z+.  The induced almost complex structure is integrable
+exactly when Z+ is closed under the bracket, and that is equivalent to the
+torsion verdict; both are computed, and a disagreement raises
+:class:`InternalInconsistency`.  The test that J squares to -1 modulo k
+runs on J's integer columns, like the pair loops of the other checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -26,6 +31,8 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    annihilated,
+    apply_columns,
     kernel_basis,
     subspace_intersection,
     subspace_sum,
@@ -82,41 +89,30 @@ def check_ac_admissible(pair: HomogeneousPair, op: LinearOperator) -> bool:
 
 
 def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
-    alg = pair.alg
-    j2 = op.matrix @ op.matrix
-    for j in range(alg.dim):
-        v = alg.basis_vector(j)
-        img = tuple(a + b for a, b in zip(j2.apply(v), v))
-        if img not in pair.k.space:
-            return False
-    return True
-
-
-def _shifted_stacked(pair: HomogeneousPair, op: LinearOperator, shift: GaussianRational):
-    """The matrix [J + shift*Id | -K^T] whose kernel projects onto Z."""
-    n = pair.alg.dim
-    dk = pair.k.dim
-    entries = []
-    for r in range(n):
-        for c in range(n):
-            e = GaussianRational(op.matrix.entry(r, c))
-            if r == c:
-                e = e + shift
-            entries.append(e)
-        for c in range(dk):
-            entries.append(GaussianRational(-pair.k.space.basis.entry(c, r)))
-    return ExactMatrix(n, n + dk, entries)
+    """Whether (J^2 + 1) e_j lies in k for every j, decided on J's integer
+    columns ``s J``: ``(s J)^2 e_j + s^2 e_j`` is ``s^2 (J^2 + 1) e_j``."""
+    columns = op.matrix.integer_columns
+    s = lcm(*(e.denominator for e in op.matrix.entries))
+    k = pair.k.space.annihilator.integer_columns
+    return all(
+        annihilated(k, apply_columns(columns, dict(columns[j]), {j: s * s}))
+        for j in range(pair.alg.dim)
+    )
 
 
 def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
-    """The exact subspaces Z+ and Z- of the complexified algebra."""
-    n = pair.alg.dim
-    out = []
-    for shift in (GaussianRational(0, -1), GaussianRational(0, 1)):
-        kern = kernel_basis(_shifted_stacked(pair, op, shift))
-        projected = [row[:n] for row in kern.vectors()]
-        out.append(Subspace.from_vectors(n, projected).over_gaussian())
-    return out[0], out[1]
+    """The exact subspaces Z+ and Z- of the complexified algebra.
+
+    k_C is the kernel of the annihilator ``Q`` of k, so Z+ is the kernel of
+    ``Q (J - i) = Q J - i Q``.  Conjugation fixes Q, J and k, so Z- is the
+    conjugate of Z+, and conjugation keeps the echelon basis canonical.
+    """
+    q = pair.k.space.annihilator
+    qj = q @ op.matrix
+    shifted = ExactMatrix(q.rows, q.cols, [GaussianRational(a, -b)
+                                           for a, b in zip(qj.entries, q.entries)])
+    z_plus = kernel_basis(shifted).over_gaussian()
+    return z_plus, z_plus.conjugated()
 
 
 def _mod_k_representatives(kc: Subspace, z_plus: Subspace) -> tuple:
@@ -217,32 +213,21 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator, kc: Subspace,
     inter = subspace_intersection(z_plus, z_minus).over_gaussian()
     intersection_is_kc = inter == kc
 
-    # Matrix of J restricted to m, in the echelon coordinates of m.
+    # J, m and k are real and Z- is the conjugate of Z+, so k_C + E- = Z-
+    # is the conjugate of k_C + E+ = Z+: only the (+i)-eigenspace E+ of J
+    # on m_C is computed, from J restricted to m in its echelon coordinates.
     m_rows = pair.m.vectors()
     dm = pair.m.dim
-    cols = []
-    for x in m_rows:
-        coords = pair.m.coordinates_of(op.apply(x))
-        cols.append(coords)
-    eig_ok = True
-    for shift, z_space in ((GaussianRational(0, -1), z_plus), (GaussianRational(0, 1), z_minus)):
-        entries = []
-        for r in range(dm):
-            for c in range(dm):
-                e = GaussianRational(cols[c][r])
-                if r == c:
-                    e = e + shift
-                entries.append(e)
-        restricted = ExactMatrix(dm, dm, entries)
-        eig_coords = kernel_basis(restricted)
-        ambient_vectors = []
-        for coords in eig_coords.vectors():
-            vec = [GaussianRational(0)] * n
-            for c, row in zip(coords, m_rows):
-                if c:
-                    vec = [a + c * b for a, b in zip(vec, row)]
-            ambient_vectors.append(vec)
-        eig_space = Subspace.from_vectors(n, ambient_vectors).over_gaussian()
-        if subspace_sum(kc, eig_space).over_gaussian() != z_space:
-            eig_ok = False
+    cols = [pair.m.coordinates_of(op.apply(x)) for x in m_rows]
+    restricted = ExactMatrix(dm, dm, [GaussianRational(cols[c][r], -int(r == c))
+                                      for r in range(dm) for c in range(dm)])
+    ambient_vectors = []
+    for coords in kernel_basis(restricted).vectors():
+        vec = [GaussianRational(0)] * n
+        for c, row in zip(coords, m_rows):
+            if c:
+                vec = [a + c * b for a, b in zip(vec, row)]
+        ambient_vectors.append(vec)
+    eig_space = Subspace.from_vectors(n, ambient_vectors).over_gaussian()
+    eig_ok = subspace_sum(kc, eig_space).over_gaussian() == z_plus
     return SplitDiagnostics(sum_is_all, intersection_is_kc, eig_ok)

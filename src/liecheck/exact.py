@@ -29,7 +29,13 @@ so the scales are never divided out.
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
 above and below), which makes equality of subspaces plain structural
-equality.
+equality.  The elimination behind :func:`rref` and :func:`kernel_basis` is
+fraction-free: each row is a list of Gaussian integers over one positive
+common denominator (a real row has no imaginary list), kept free of common
+content, and scalars are built again only for the result.  The result's
+entry types are those of the same elimination run on the scalars.
+:func:`kernel_basis` eliminates once, choosing pivot columns from the
+right, and reads the canonical kernel basis off that form.
 
 The textual scalar syntax (``-3``, ``3/2``, ``3/2+1/4i``, ``-i``, ``2i``) is
 shared with the declarative input format; :func:`parse_scalar` and
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionCapExceeded, DimensionMismatch
@@ -295,6 +301,14 @@ class ExactMatrix:
         return view
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "ExactMatrix":
+        """A matrix of a tuple of exact scalars, taken without coercion."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        m._nonzero_rows = m._integer_columns = None
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "ExactMatrix":
         rows = [tuple(r) for r in rows]
         if rows:
@@ -432,62 +446,174 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
+#: The shared Gaussian zero that eliminations emit.
+_GZERO = GaussianRational(0)
+
+
+def _integer_rows(m: ExactMatrix) -> list:
+    """The rows of ``m`` as ``[re, im, den, mask]``: entry j is
+    ``(re[j] + i*im[j]) / den`` with int lists ``re``, ``im`` and a positive
+    int ``den``; ``im`` is None in a row without imaginary parts.  Bit j of
+    the int ``mask`` is set when entry j is a :class:`GaussianRational`."""
+    cols = m.cols
+    typed = GaussianRational in set(map(type, m.entries))
+    rows = []
+    for i, terms in enumerate(m.nonzero_rows):
+        parts = [(j, e.re, e.im) if e.__class__ is GaussianRational else (j, e, _ZERO)
+                 for j, e in terms]
+        den = lcm(*(x.denominator for _, a, b in parts for x in (a, b)))
+        re, im, mask = [0] * cols, None, 0
+        for j, a, b in parts:
+            re[j] = a.numerator * (den // a.denominator)
+            if b:
+                if im is None:
+                    im = [0] * cols
+                im[j] = b.numerator * (den // b.denominator)
+        if typed:
+            for j, e in enumerate(m.entries[i * cols:(i + 1) * cols]):
+                if e.__class__ is GaussianRational:
+                    mask |= 1 << j
+        rows.append([re, im, den, mask])
+    return rows
+
+
+def _primitive(re: list, im: Optional[list], den: int, mask: int) -> list:
+    """An integer row with the common content of its numerators and its
+    denominator divided out."""
+    g = gcd(den, *re, *(im or ()))
+    if g > 1:
+        re = [x // g for x in re]
+        if im is not None:
+            im = [y // g for y in im]
+        den //= g
+    return [re, im, den, mask]
+
+
+def _eliminate(rows: list, cols: int, order: Iterable) -> list:
+    """Gauss–Jordan elimination of :func:`_integer_rows` in place; returns
+    the pivot columns, and ``rows[:len(pivots)]`` is the reduced form.
+
+    Columns are visited in ``order``; the pivot row is the first remaining
+    row that is nonzero there.  A pivot other than 1 is divided out (a
+    multiplication by its conjugate over the Gaussian integers); then every
+    other row with a nonzero entry in the column subtracts that multiple of
+    the pivot row, brought over the common denominator.  Each row keeps its
+    content removed, so the integers stay as small as the rationals they
+    represent.  The masks follow the entry types of the same elimination
+    run on the scalars: an entry becomes a GaussianRational when a Gaussian
+    operand touches it, so dividing by a Gaussian-typed pivot or subtracting
+    a multiple by a Gaussian-typed factor makes a whole row Gaussian, while
+    a rational factor passes on the pivot row's mask.
+    """
+    full = (1 << cols) - 1
+    nrows = len(rows)
+    pivots = []
+    for col in order:
+        r = len(pivots)
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            re, im, den, mask = rows[p]
+            if re[col] or (im is not None and im[col]):
+                break
+        else:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        a, b = re[col], (0 if im is None else im[col])
+        if b or a != den:
+            if mask >> col & 1:
+                mask = full
+            if b:  # times (a - bi) / (a^2 + b^2)
+                re, im, den = ([x * a + y * b for x, y in zip(re, im)],
+                               [y * a - x * b for x, y in zip(re, im)], a * a + b * b)
+            elif a > 0:
+                den = a
+            else:
+                re, den = [-x for x in re], -a
+                if im is not None:
+                    im = [-y for y in im]
+            rows[r] = _primitive(re, im, den, mask)
+        re, im, den, mask = rows[r]
+        for p in range(nrows):
+            x, y, xden, xmask = rows[p]
+            fx, fy = x[col], (0 if y is None else y[col])
+            if p == r or not (fx or fy):
+                continue
+            xmask = full if xmask >> col & 1 else xmask | mask
+            # den * (x + iy) - (fx + i fy) * (re + i im), over xden * den
+            if im is None and not fy:
+                x = [den * s - fx * t for s, t in zip(x, re)]
+                if y is not None:
+                    y = [den * s for s in y]
+            else:
+                y = y or [0] * cols
+                w = im or [0] * cols
+                x, y = ([den * s - fx * t + fy * u for s, t, u in zip(x, re, w)],
+                        [den * s - fx * u - fy * t for s, t, u in zip(y, re, w)])
+            rows[p] = _primitive(x, y, xden * den, xmask)
+        pivots.append(col)
+    return pivots
+
+
+def _scalar_row(row: list, cols: int) -> list:
+    """The entries of an integer row as scalars, typed by its mask."""
+    re, im, den, mask = row
+    if not mask:
+        return [Fraction(x, den) if x else _ZERO for x in re]
+    return [(GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else _GZERO)
+            if mask >> j & 1 else (Fraction(x, den) if x else _ZERO)
+            for j, (x, y) in enumerate(zip(re, im or [0] * cols))]
+
+
 def rref(m: ExactMatrix) -> tuple:
     """Unique reduced row-echelon form, with zero rows dropped.
 
     Returns ``(reduced, pivot_cols)``.  The pivot rule is deterministic:
     leftmost nonzero column first, first nonzero row as pivot row, pivot
-    normalized to 1, eliminated above and below.
+    normalized to 1, eliminated above and below.  The elimination runs on
+    Gaussian integers (:func:`_eliminate`), with the entry types of the
+    same elimination on the scalars; a row it never changed is returned
+    as given.
     """
-    work = m.to_rows()
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][col]
-        if pv != 1:
-            work[r] = [e / pv for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                row_r = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return ExactMatrix.from_rows(work[:r], cols=m.cols), tuple(pivots)
-
-
-def _one_like(m: ExactMatrix):
-    for e in m.entries:
-        if isinstance(e, GaussianRational):
-            return GaussianRational(1)
-    return Fraction(1)
+    cols = m.cols
+    rows = _integer_rows(m)
+    # Holding the given rows keeps their ids from being reused.
+    given = {id(row): (i, row) for i, row in enumerate(rows)}
+    pivots = _eliminate(rows, cols, range(cols))
+    entries = []
+    for row in rows[:len(pivots)]:
+        i, _ = given.get(id(row), (None, None))
+        entries.extend(_scalar_row(row, cols) if i is None else m.row(i))
+    return ExactMatrix._of(len(pivots), cols, tuple(entries)), tuple(pivots)
 
 
 def kernel_basis(m: ExactMatrix) -> "Subspace":
-    """Canonical basis of the right kernel ``{x : m x = 0}``."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    one = _one_like(m)
-    vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [one - one] * m.cols
-        v[f] = one
-        for ridx, p in enumerate(pivots):
-            v[p] = -red.entry(ridx, f)
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    """Canonical basis of the right kernel ``{x : m x = 0}``, entries typed
+    GaussianRational when ``m`` has a GaussianRational entry.
+
+    One elimination, with pivot columns chosen from the right.  Then each
+    free column f leads its kernel vector ``e_f - sum_r red[r][f] e_{p_r}``
+    (a pivot ``p_r`` with ``red[r][f]`` nonzero lies right of f), whose
+    entries at the other free columns are zero: by ascending f these
+    vectors are already the canonical reduced row-echelon basis.
+    """
+    cols = m.cols
+    rows = _integer_rows(m)
+    gaussian = any(row[3] for row in rows)
+    pivots = _eliminate(rows, cols, range(cols - 1, -1, -1))
+    mask = (1 << cols) - 1 if gaussian else 0
+    free = sorted(set(range(cols)) - set(pivots))
+    kernel = []
+    for f in free:
+        terms = [(p, re[f], 0 if im is None else im[f], den)
+                 for (re, im, den, _), p in zip(rows, pivots)]
+        kden = lcm(*(d for _, x, y, d in terms if x or y))
+        kre, kim = [0] * cols, [0] * cols
+        kre[f] = kden
+        for p, x, y, d in terms:
+            kre[p], kim[p] = -x * (kden // d), -y * (kden // d)
+        kernel.extend(_scalar_row([kre, kim, kden, mask], cols))
+    return Subspace(cols, ExactMatrix._of(len(free), cols, tuple(kernel)), tuple(free))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from liecheck.specfile import build, parse
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the property tests are skipped without hypothesis
-    given = None
+    given = st = None
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -276,3 +276,28 @@ def draw_ad_vector(data, pair, seeds) -> tuple:
         noise = data.draw(st.lists(_rationals(True), min_size=n, max_size=n))
         d = [x + y for x, y in zip(d, noise)]
     return tuple(d)
+
+
+#: Zero-heavy rationals with denominators up to 30, many of them 1 or -1;
+#: the simplest first, which is where hypothesis shrinks to.
+_POOL = ([Fraction(0)] * 400 + [Fraction(1), Fraction(-1)] * 100 + sorted(
+    {Fraction(p, q) for p in range(-30, 31) for q in range(1, 31)},
+    key=lambda x: (abs(x.numerator) + x.denominator, x)))
+
+
+def _scalars(flavour: str):
+    """Scalars from :data:`_POOL`: "rational" ones are Fractions, "gaussian"
+    ones GaussianRationals (many of them real), "mixed" ones either."""
+    rational = st.sampled_from(_POOL)
+    gaussian = st.tuples(rational, rational).map(lambda t: GaussianRational(*t))
+    return {"rational": rational, "gaussian": gaussian,
+            "mixed": st.one_of(rational, gaussian)}[flavour]
+
+
+def draw_matrix(data, flavour: str, rows=None, cols=None) -> ExactMatrix:
+    """A random matrix of :func:`_scalars`, by default 0..10 x 1..12."""
+    rows = data.draw(st.integers(0, 10)) if rows is None else rows
+    cols = data.draw(st.integers(1, 12)) if cols is None else cols
+    entries = data.draw(st.lists(_scalars(flavour), min_size=rows * cols,
+                                 max_size=rows * cols))
+    return ExactMatrix(rows, cols, entries)

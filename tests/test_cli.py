@@ -293,3 +293,14 @@ def test_harness_json_report_reproducible(capsys, corpus_dir):
         outputs.append([line for line in lines if '"elapsed_ms"' not in line])
         assert len(outputs[-1]) == len(lines) - 1
     assert outputs[0] == outputs[1]
+
+
+def test_unused_broken_declaration_exit_two(capsys, fixtures_dir):
+    # Every declaration of the file is built, so a broken operator that the
+    # command does not use still fails it; parse does not build.
+    path = str(fixtures_dir / "unused_bad_operator.lie")
+    code, out, err = run(capsys, "check", path, "--operator", "good")
+    assert (code, out) == (2, "")
+    assert err == "error: DimensionMismatch: inner dimensions do not match\n"
+    code, _, err = run(capsys, "parse", path)
+    assert (code, err) == (0, "")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liecheck import (
+    ExactMatrix,
     GaussianRational,
     HomogeneousPair,
     LieAlgebra,
@@ -14,6 +15,7 @@ from liecheck import (
     check_ac_admissible,
     check_integrable,
     compute_z_spaces,
+    kernel_basis,
     make_subalgebra,
     operator_ad,
     operator_from_rules,
@@ -23,6 +25,7 @@ from liecheck import (
     subspace_sum,
 )
 from liecheck import complexstruct
+from liecheck.complexstruct import SplitDiagnostics
 from liecheck.errors import (
     InternalInconsistency,
     MissingComplement,
@@ -31,7 +34,18 @@ from liecheck.errors import (
     NotSplitACAdmissible,
 )
 
-from conftest import grassmann_center_vector, sphere_family, unit_matrix
+from conftest import (
+    CORPUS,
+    LOOP_CASES,
+    _built,
+    draw_matrix,
+    draw_operator,
+    grassmann_center_vector,
+    property_test,
+    sphere_family,
+    st,
+    unit_matrix,
+)
 
 I = GaussianRational(0, 1)
 
@@ -262,3 +276,122 @@ def test_closure_and_torsion_disagreement_raises(monkeypatch, so3, so3_pair):
     monkeypatch.setattr(complexstruct, "check_nijenhuis", flipped)
     with pytest.raises(InternalInconsistency):
         check_integrable(so3_pair, operator_ad(so3, so3.basis_vector("k0")))
+
+
+# -- Z+/Z- and the split identities against the stacked-kernel references ---
+#
+# compute_z_spaces takes Z+ as the kernel of Q (J - i), Q the annihilator of
+# k, and Z- as its conjugate; _split_identities computes the (+i)-eigenspace
+# of J on m_C only.  The references are the former computations: Z+ and Z-
+# from one stacked system each, and both eigenspaces.
+
+def reference_z_spaces(pair, op):
+    """Z-+ as the kernels of [J -/+ i | -K^T], projected onto the first n
+    coordinates and row-reduced again."""
+    n, dk = pair.alg.dim, pair.k.dim
+    out = []
+    for shift in (-I, I):
+        entries = []
+        for r in range(n):
+            for c in range(n):
+                e = GaussianRational(op.matrix.entry(r, c))
+                entries.append(e + shift if r == c else e)
+            for c in range(dk):
+                entries.append(GaussianRational(-pair.k.space.basis.entry(c, r)))
+        kern = kernel_basis(ExactMatrix(n, n + dk, entries))
+        out.append(Subspace.from_vectors(n, [row[:n] for row in kern.vectors()]).over_gaussian())
+    return tuple(out)
+
+
+def reference_split_diagnostics(pair, op):
+    """The split identities with both eigenspaces of J on m_C computed."""
+    n, dm = pair.alg.dim, pair.m.dim
+    z_plus, z_minus = reference_z_spaces(pair, op)
+    kc = pair.k.space.over_gaussian()
+    m_rows = pair.m.vectors()
+    cols = [pair.m.coordinates_of(op.apply(x)) for x in m_rows]
+    eig_ok = True
+    for shift, z_space in ((-I, z_plus), (I, z_minus)):
+        restricted = ExactMatrix(dm, dm, [
+            GaussianRational(cols[c][r]) + (shift if r == c else 0)
+            for r in range(dm) for c in range(dm)])
+        vectors = []
+        for coords in kernel_basis(restricted).vectors():
+            vec = [GaussianRational(0)] * n
+            for c, row in zip(coords, m_rows):
+                vec = [a + c * b for a, b in zip(vec, row)]
+            vectors.append(vec)
+        eig_space = Subspace.from_vectors(n, vectors).over_gaussian()
+        eig_ok = eig_ok and subspace_sum(kc, eig_space).over_gaussian() == z_space
+    return SplitDiagnostics(
+        subspace_sum(z_plus, z_minus).dim == n,
+        subspace_intersection(z_plus, z_minus).over_gaussian() == kc,
+        eig_ok,
+    )
+
+
+def _abelian(n):
+    zero = (Fraction(0),) * n
+    return LieAlgebra(f"ab{n}", tuple(f"x{j}" for j in range(n)),
+                      [[zero] * n for _ in range(n)])
+
+
+@property_test(max_examples=80)
+def test_z_spaces_match_stacked_reference(data):
+    # Z+ needs no admissibility: any real J and any k of an abelian algebra.
+    n = data.draw(st.integers(1, 6))
+    alg = _abelian(n)
+    k_rows = draw_matrix(data, "rational", rows=data.draw(st.integers(0, n)), cols=n)
+    k = make_subalgebra(alg, [k_rows.row(i) for i in range(k_rows.rows)])
+    op = LinearOperator(alg, draw_matrix(data, "rational", rows=n, cols=n))
+    pair = HomogeneousPair(alg, k)
+    z_plus, z_minus = compute_z_spaces(pair, op)
+    expected_plus, expected_minus = reference_z_spaces(pair, op)
+    assert z_plus == expected_plus and z_minus == expected_minus
+    for space in (z_plus, z_minus):
+        assert all(type(e) is GaussianRational for e in space.basis.entries)
+
+
+@pytest.mark.parametrize("name,pair,op", [
+    ("so3_family", "sphere_split", "rot"),
+    ("u4_grassmannian", "grass", "jgr"),
+    ("nil4", "nilgroup", "jplane"),
+    ("nil4", "nilgroup", "jtwist"),
+    ("plane_rotation", "plane", "rot90"),
+])
+def test_split_diagnostics_match_two_kernel_reference(name, pair, op):
+    built = _built(CORPUS / f"{name}.lie")
+    pair, op = built.pairs[pair], built.operators[op]
+    assert split_diagnostics(pair, op) == reference_split_diagnostics(pair, op)
+    assert compute_z_spaces(pair, op) == reference_z_spaces(pair, op)
+
+
+def reference_squares_to_minus_one(pair, op):
+    """(J^2 + 1) e_j in k for every j, in Fraction arithmetic."""
+    j2 = op.matrix @ op.matrix
+    for j in range(pair.alg.dim):
+        v = pair.alg.basis_vector(j)
+        if tuple(a + b for a, b in zip(j2.apply(v), v)) not in pair.k.space:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@property_test(max_examples=20)
+def test_squares_to_minus_one_matches_fraction_reference(loop_cases, case, data):
+    pair, seeds, _ = loop_cases[case]
+    op = (data.draw(st.sampled_from(seeds)) if data.draw(st.booleans())
+          else draw_operator(data, pair, seeds))
+    assert (complexstruct._squares_to_minus_one(pair, op)
+            == reference_squares_to_minus_one(pair, op))
+
+
+def test_ac_admissible_with_denominators():
+    # The integer columns of J are 2 J, so the identity term of
+    # (J^2 + 1) e_j is scaled by 4 in the integer test.
+    ab2 = _abelian(2)
+    pair = HomogeneousPair(ab2, make_subalgebra(ab2, [ab2.zero_vector()]))
+    op = operator_from_rules(ab2, {"x0": (0, 2), "x1": (Fraction(-1, 2), 0)})
+    assert check_ac_admissible(pair, op)
+    assert not check_ac_admissible(pair, op.scaled(2))
+    assert check_integrable(pair, op).integrable

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,7 @@ from liecheck import (
 )
 from liecheck.errors import DimensionCapExceeded, DimensionMismatch
 
-from conftest import rand_fraction, rand_gaussian
+from conftest import draw_matrix, property_test, rand_fraction, rand_gaussian
 
 
 # -- scalar fields ----------------------------------------------------------
@@ -248,7 +249,7 @@ def test_complexified_subspace_and_conjugation():
 #
 # apply, @ and membership iterate the nonzero rows of a matrix.  The
 # references below are the dense definitions.  Values and entry types
-# (Fraction or GaussianRational) must both agree, because _one_like,
+# (Fraction or GaussianRational) must both agree, because kernel_basis,
 # over_gaussian and format_scalar branch on the type.
 
 _FLAVOURS = ("rational", "gaussian", "mixed")
@@ -380,3 +381,118 @@ def test_span_solver_coords_match_dense(flavour):
             for target in (inside, _rand_sparse_matrix(rng, size, size, target_flavour),
                            ExactMatrix.zeros(size, size)):
                 _assert_same(solver.coords(target), _dense_span_coords(gens, target))
+
+
+# -- Gaussian-integer elimination against the scalar Gauss-Jordan -----------
+#
+# rref and kernel_basis eliminate over Gaussian integers with one common
+# denominator per row and a per-row type mask.  The references are the
+# former implementations: Gauss-Jordan on the scalars themselves, and a
+# kernel built from that RREF and row-reduced once more.
+
+def reference_rref(m):
+    """Gauss-Jordan elimination in Fraction/GaussianRational arithmetic."""
+    work = m.to_rows()
+    pivots = []
+    r = 0
+    for col in range(m.cols):
+        pr = None
+        for i in range(r, len(work)):
+            if work[i][col]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][col]
+        if pv != 1:
+            work[r] = [e / pv for e in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                row_r = work[r]
+                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return ExactMatrix.from_rows(work[:r], cols=m.cols), tuple(pivots)
+
+
+def reference_kernel_basis(m):
+    """The kernel vectors read off the RREF of m, row-reduced again."""
+    red, pivots = reference_rref(m)
+    one = (GaussianRational(1) if any(isinstance(e, GaussianRational) for e in m.entries)
+           else Fraction(1))
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [one - one] * m.cols
+        v[f] = one
+        for ridx, p in enumerate(pivots):
+            v[p] = -red.entry(ridx, f)
+        vectors.append(v)
+    return reference_rref(ExactMatrix.from_rows(vectors, cols=m.cols))
+
+
+def _types(m):
+    return [type(e) for e in m.entries]
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+@property_test(max_examples=100)
+def test_rref_matches_scalar_reference(flavour, data):
+    from liecheck.exact import _eliminate, _integer_rows
+
+    m = draw_matrix(data, flavour)
+    red, pivots = rref(m)
+    expected, expected_pivots = reference_rref(m)
+    assert pivots == expected_pivots
+    assert red == expected
+    assert _types(red) == _types(expected)
+    # Every row the elimination produces has its content divided out.
+    rows = _integer_rows(m)
+    _eliminate(rows, m.cols, range(m.cols))
+    for re, im, den, _ in rows:
+        assert den > 0 and gcd(den, *re, *(im or ())) == 1
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+@property_test(max_examples=100)
+def test_kernel_basis_matches_two_step_reference(flavour, data):
+    m = draw_matrix(data, flavour)
+    kern = kernel_basis(m)
+    expected, expected_pivots = reference_kernel_basis(m)
+    assert kern.pivot_cols == expected_pivots
+    assert kern.basis == expected
+    if flavour == "mixed":
+        # The two-step reference types an entry by its path through two
+        # eliminations; the kernel is typed by whether m has a Gaussian entry.
+        gaussian = any(isinstance(e, GaussianRational) for e in m.entries)
+        assert set(_types(kern.basis)) <= {GaussianRational if gaussian else Fraction}
+    else:
+        assert _types(kern.basis) == _types(expected)
+
+
+def test_rref_types_follow_the_scalar_operations():
+    g1, gi = GaussianRational(1), GaussianRational(0, 1)
+    # A Gaussian-typed pivot equal to 1 is not divided out, so the rational
+    # entries of its row stay rational; a rational factor passes the pivot
+    # row's types on.
+    red, _ = rref(ExactMatrix.from_rows([[g1, Fraction(2)], [Fraction(3), Fraction(5)]]))
+    assert _types(red) == [GaussianRational, Fraction, GaussianRational, Fraction]
+    # A Gaussian-typed pivot other than 1 makes its whole row Gaussian.
+    red, _ = rref(ExactMatrix.from_rows([[GaussianRational(2), Fraction(2)]]))
+    assert _types(red) == [GaussianRational, GaussianRational]
+    # A Gaussian-typed factor makes the whole row it is subtracted from Gaussian.
+    red, _ = rref(ExactMatrix.from_rows([[Fraction(1), Fraction(0), Fraction(1)],
+                                         [gi, Fraction(1), Fraction(0)]]))
+    assert red == ExactMatrix.from_rows([[1, 0, 1], [0, 1, -gi]])
+    assert _types(red) == [Fraction] * 3 + [GaussianRational] * 3
+
+
+def test_rref_keeps_untouched_rows():
+    m = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0]])
+    red, _ = rref(m)
+    assert all(a is b for a, b in zip(red.entries, m.row(1) + m.row(0)))
