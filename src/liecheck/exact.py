@@ -523,16 +523,13 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
         if b or a != den:
             if mask >> col & 1:
                 mask = full
-            if b:  # times (a - bi) / (a^2 + b^2)
-                re, im, den = ([x * a + y * b for x, y in zip(re, im)],
-                               [y * a - x * b for x, y in zip(re, im)], a * a + b * b)
-            elif a > 0:
-                den = a
+            # row / pivot = (re + i im) (a - bi) / (a^2 + b^2)
+            if im is None:
+                re = [x * a for x in re]
             else:
-                re, den = [-x for x in re], -a
-                if im is not None:
-                    im = [-y for y in im]
-            rows[r] = _primitive(re, im, den, mask)
+                re, im = ([x * a + y * b for x, y in zip(re, im)],
+                          [y * a - x * b for x, y in zip(re, im)])
+            rows[r] = _primitive(re, im, a * a + b * b, mask)
         re, im, den, mask = rows[r]
         for p in range(nrows):
             x, y, xden, xmask = rows[p]
@@ -577,12 +574,12 @@ def rref(m: ExactMatrix) -> tuple:
     """
     cols = m.cols
     rows = _integer_rows(m)
-    # Holding the given rows keeps their ids from being reused.
-    given = {id(row): (i, row) for i, row in enumerate(rows)}
+    given = rows[:]  # holds the given rows, so no changed row can reuse their ids
     pivots = _eliminate(rows, cols, range(cols))
+    index = {id(row): i for i, row in enumerate(given)}
     entries = []
     for row in rows[:len(pivots)]:
-        i, _ = given.get(id(row), (None, None))
+        i = index.get(id(row))
         entries.extend(_scalar_row(row, cols) if i is None else m.row(i))
     return ExactMatrix._of(len(pivots), cols, tuple(entries)), tuple(pivots)
 
