@@ -26,6 +26,7 @@ from liecheck import (
 )
 from liecheck import complexstruct
 from liecheck.complexstruct import SplitDiagnostics
+from liecheck.specfile import build, parse
 from liecheck.errors import (
     InternalInconsistency,
     MissingComplement,
@@ -37,7 +38,6 @@ from liecheck.errors import (
 from conftest import (
     CORPUS,
     LOOP_CASES,
-    _built,
     draw_matrix,
     draw_operator,
     grassmann_center_vector,
@@ -360,7 +360,7 @@ def test_z_spaces_match_stacked_reference(data):
     ("plane_rotation", "plane", "rot90"),
 ])
 def test_split_diagnostics_match_two_kernel_reference(name, pair, op):
-    built = _built(CORPUS / f"{name}.lie")
+    built = build(parse((CORPUS / f"{name}.lie").read_text(encoding="utf-8")))
     pair, op = built.pairs[pair], built.operators[op]
     assert split_diagnostics(pair, op) == reference_split_diagnostics(pair, op)
     assert compute_z_spaces(pair, op) == reference_z_spaces(pair, op)
