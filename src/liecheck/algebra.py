@@ -1,13 +1,15 @@
 """Lie algebras by structure constants, subalgebras and conjugate vectors.
 
-An algebra is stored as a basis-label list plus the structure tensor ``c``
-with ``[b_i, b_j] = sum_k c[i][j][k] b_k`` over exact rationals.  The tensor
-is validated on construction: antisymmetry entrywise and the Jacobi identity
-on every basis triple.  Matrix algebras are converted at the door by
+An algebra is stored as a basis-label list plus its nonzero structure
+constants: ``nonzeros[i][j]`` holds the ``(k, c_ijk)`` pairs of
+``[b_i, b_j] = sum_k c_ijk b_k`` with a nonzero rational ``c_ijk``, in
+increasing ``k``.  Structure constants of matrix algebras are almost all
+zero, so the bracket, the validation and the construction from generators
+loop over nonzero entries only.  The constants are validated on
+construction: antisymmetry entrywise and the Jacobi identity on every basis
+triple.  Matrix algebras are converted at the door by
 :func:`from_matrix_generators`; the generator matrices are retained so that
-multiplication operators can be expressed later.  Structure constants of
-matrix algebras are almost all zero, so the bracket, the validation and the
-construction from generators loop over nonzero entries only.
+multiplication operators can be expressed later.
 """
 
 from __future__ import annotations
@@ -50,22 +52,23 @@ def _as_fraction(x) -> Fraction:
 class LieAlgebra:
     """A finite-dimensional real Lie algebra in a fixed basis.
 
-    The dense tensor ``c`` is the canonical form.  Derived from it, the
-    nonzero view ``_nz[i][j]`` holds the ``(k, c[i][j][k])`` pairs with a
-    nonzero coefficient, in increasing ``k``; the bracket and the
-    antisymmetry and Jacobi checks run over ``_nz`` alone.
+    ``nonzeros[i][j]`` is the tuple of ``(k, c_ijk)`` pairs of
+    ``[b_i, b_j]`` with a nonzero rational coefficient, in increasing ``k``;
+    it is the only storage, and :meth:`from_structure_tensor` builds an
+    algebra from the dense tensor ``c[i][j][k]`` instead.
     :attr:`integer_constants` is the same view times one positive integer,
-    for the integer pair loops of the checks (:func:`bracket_into`).
+    for the antisymmetry and Jacobi checks and the integer pair loops of the
+    checks (:func:`bracket_into`).
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "c", "_nz", "_integer_nz",
+    __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz",
                  "matrix_size", "matrix_generators", "_span_solver")
 
     def __init__(
         self,
         name: str,
         basis_labels: Sequence[str],
-        structure: Sequence[Sequence[Sequence]],
+        nonzeros: Sequence[Sequence[Sequence]],
         *,
         matrix_size: Optional[int] = None,
         matrix_generators: Optional[tuple] = None,
@@ -80,36 +83,68 @@ class LieAlgebra:
             raise LieCheckError("duplicate basis label")
         if "i" in labels:
             raise LieCheckError("basis label 'i' is reserved for the imaginary unit")
-        c = tuple(
-            tuple(tuple(map(_as_fraction, structure[i][j])) for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                if len(c[i][j]) != n:
-                    raise DimensionMismatch("structure tensor is not n x n x n")
+        if len(nonzeros) != n or any(len(row) != n for row in nonzeros):
+            raise DimensionMismatch(f"the nonzero structure constants need {n} rows of {n}")
         self.name = name
         self.dim = n
         self.basis_labels = labels
-        self.c = c
+        self.nonzeros = tuple(
+            tuple([self._checked_terms(i, j, terms) if terms else ()
+                   for j, terms in enumerate(row)])
+            for i, row in enumerate(nonzeros)
+        )
         self.matrix_size = matrix_size
         self.matrix_generators = matrix_generators
-        self._nz = tuple(
-            tuple(tuple(compress(enumerate(row), row)) for row in ci) for ci in c
-        )
         self._integer_nz = None
         self._span_solver = None
         self._check_antisymmetry()
         self._check_jacobi()
 
+    @classmethod
+    def from_structure_tensor(cls, name: str, basis_labels: Sequence[str],
+                              structure: Sequence[Sequence[Sequence]]) -> "LieAlgebra":
+        """The algebra with ``[b_i, b_j] = sum_k structure[i][j][k] b_k``."""
+        labels = tuple(basis_labels)
+        n = len(labels)
+        if len(structure) != n or any(len(row) != n or any(len(c) != n for c in row)
+                                      for row in structure):
+            raise DimensionMismatch("structure tensor is not n x n x n")
+        return cls(name, labels, [
+            [tuple([(k, x) for k, x in enumerate(map(_as_fraction, c)) if x]) for c in row]
+            for row in structure
+        ])
+
+    def _checked_terms(self, i: int, j: int, terms: Sequence) -> tuple:
+        """One validated entry of the nonzero view, with ``Fraction`` values."""
+        labels = self.basis_labels
+        where = f"[{labels[i]},{labels[j]}]"
+        out = []
+        for term in terms:
+            try:
+                k, x = term
+            except (TypeError, ValueError):
+                raise TypeError(f"{where} holds {term!r}, not a (k, value) pair") from None
+            if not (isinstance(k, int) and 0 <= k < self.dim):
+                raise DimensionMismatch(f"component index {k!r} out of range in {where}")
+            if out and k <= out[-1][0]:
+                raise InvalidStructureConstants(
+                    f"component {labels[k]} of {where} "
+                    + ("repeated" if k == out[-1][0] else "out of increasing order"))
+            x = _as_fraction(x)
+            if not x:
+                raise InvalidStructureConstants(
+                    f"zero structure constant stored for {where} component {labels[k]}")
+            out.append((k, x))
+        return tuple(out)
+
     def _check_antisymmetry(self):
         n = self.dim
-        nz = self._nz
+        nz = self.integer_constants
         for i in range(n):
             for j in range(i, n):
                 sums = {}  # c[i][j][k] + c[j][i][k], over the nonzero terms
                 for k, a in nz[i][j] + nz[j][i]:
-                    sums[k] = sums.get(k, _ZERO) + a
+                    sums[k] = sums.get(k, 0) + a
                 bad = [k for k, x in sums.items() if x]
                 if bad:
                     raise InvalidStructureConstants(
@@ -118,8 +153,10 @@ class LieAlgebra:
                     )
 
     def _check_jacobi(self):
+        # The Jacobiator is quadratic in the constants, so scaling all of them
+        # by one positive integer keeps the verdict of every triple.
         n = self.dim
-        nz = self._nz
+        nz = self.integer_constants
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -130,7 +167,7 @@ class LieAlgebra:
                         # [b_a, [b_b, b_c]]
                         for m, coeff in nz[b][cc]:
                             for t, c2 in nz[a][m]:
-                                acc[t] = acc.get(t, _ZERO) + coeff * c2
+                                acc[t] = acc.get(t, 0) + coeff * c2
                     if any(acc.values()):
                         raise InvalidStructureConstants(
                             "Jacobi identity fails on basis triple "
@@ -148,7 +185,7 @@ class LieAlgebra:
         w_nz = tuple(compress(enumerate(w), w))
         acc = [_ZERO] * n
         for i, vi in compress(enumerate(v), v):
-            nzi = self._nz[i]
+            nzi = self.nonzeros[i]
             for j, wj in w_nz:
                 terms = nzi[j]
                 if terms:
@@ -159,16 +196,16 @@ class LieAlgebra:
 
     @property
     def integer_constants(self) -> tuple:
-        """``_nz`` with every structure constant times one positive integer,
-        the lcm of their denominators."""
+        """:attr:`nonzeros` with every structure constant times one positive
+        integer, the lcm of their denominators; computed once."""
         view = self._integer_nz
         if view is None:
-            scale = lcm(*(x.denominator for ci in self._nz for terms in ci for _, x in terms))
+            scale = lcm(*(x.denominator for ci in self.nonzeros for terms in ci for _, x in terms))
             view = self._integer_nz = tuple(
                 tuple([terms and tuple([(k, x.numerator * (scale // x.denominator))
                                         for k, x in terms])
                        for terms in ci])
-                for ci in self._nz
+                for ci in self.nonzeros
             )
         return view
 
@@ -391,10 +428,17 @@ class _SpanSolver:
 
     def coords(self, target: ExactMatrix) -> Optional[tuple]:
         """Rational coordinates of ``target`` in the real span, or None."""
-        return self._coords(self._flatten(_entries_by_position(target)))
+        terms = self._nonzero_coords(self._flatten(_entries_by_position(target)))
+        if terms is None:
+            return None
+        out = [_ZERO] * self.n
+        for r, x in terms:
+            out[r] = x
+        return tuple(out)
 
-    def _coords(self, flat: Optional[dict]) -> Optional[tuple]:
-        """Coordinates of a target flattened by :meth:`_flatten`, or None."""
+    def _nonzero_coords(self, flat: Optional[dict]) -> Optional[tuple]:
+        """The nonzero ``(row, value)`` coordinates, in increasing row, of a
+        target flattened by :meth:`_flatten`; None outside the real span."""
         if flat is None:
             return None
         residues = {}
@@ -403,11 +447,11 @@ class _SpanSolver:
                 residues[r] = residues.get(r, _ZERO) + a * x
         if any(residues.values()):
             return None
-        out = [_ZERO] * self.n
+        out = {}
         for p, x in flat.items():
             for r, a in self._top[p]:
-                out[r] = out[r] + a * x
-        return tuple(out)
+                out[r] = out.get(r, _ZERO) + a * x
+        return tuple(sorted((r, x) for r, x in out.items() if x))
 
     def in_complex_span(self, target: ExactMatrix) -> bool:
         """Whether ``target`` lies in the Q(i)-span of the generators."""
@@ -455,28 +499,21 @@ def from_matrix_generators(
     solver = _SpanSolver(gens)
     if not solver.independent:
         raise NotIndependent("generators are linearly dependent")
-    zero_row = (_ZERO,) * n
-    structure = [[zero_row] * n for _ in range(n)]
+    nonzeros = [[()] * n for _ in range(n)]
     views = [g.nonzero_rows for g in gens]
     for i in range(n):
         for j in range(i + 1, n):
             comm = _commutator(views[i], views[j], size)
-            coords = solver._coords(solver._flatten(comm.items()))
-            if coords is None:
+            terms = solver._nonzero_coords(solver._flatten(comm.items()))
+            if terms is None:
                 comm = ExactMatrix(
                     size, size, [comm.get(p, _ZERO) for p in range(size * size)]
                 )
                 if solver.in_complex_span(comm):
                     raise NonRealStructureConstants(labels[i], labels[j])
                 raise NotClosed(labels[i], labels[j], comm)
-            structure[i][j] = coords
-            structure[j][i] = tuple(x if x is _ZERO else -x for x in coords)
-    alg = LieAlgebra(
-        name,
-        labels,
-        structure,
-        matrix_size=size,
-        matrix_generators=tuple(gens),
-    )
+            nonzeros[i][j] = terms
+            nonzeros[j][i] = tuple([(k, -x) for k, x in terms])
+    alg = LieAlgebra(name, labels, nonzeros, matrix_size=size, matrix_generators=tuple(gens))
     alg._span_solver = solver
     return alg

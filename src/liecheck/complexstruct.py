@@ -207,11 +207,10 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator, kc: Subspace,
                       z_plus: Subspace, z_minus: Subspace) -> SplitDiagnostics:
     """The split identities for Z+ and Z- already computed; k_C is k over Q(i)."""
     n = pair.alg.dim
-    total = subspace_sum(z_plus, z_minus)
-    sum_is_all = total.dim == n
-
     inter = subspace_intersection(z_plus, z_minus).over_gaussian()
     intersection_is_kc = inter == kc
+    # dim(Z+ + Z-) = dim Z+ + dim Z- - dim(Z+ n Z-)
+    sum_is_all = z_plus.dim + z_minus.dim - inter.dim == n
 
     # J, m and k are real and Z- is the conjugate of Z+, so k_C + E- = Z-
     # is the conjugate of k_C + E+ = Z+: only the (+i)-eigenspace E+ of J

@@ -93,7 +93,7 @@ _SO3_STANDARD = (
     ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
     ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
 )
-_SO3_TENSOR = {(0, 1): (0, 0, -1), (0, 2): (0, 1, 0), (1, 2): (-1, 0, 0)}
+_SO3_TENSOR = {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)}
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -318,10 +318,11 @@ def _chunks(total: int):
 def build_model(pair: HomogeneousPair) -> MatrixModel:
     """Choose the float model matching a pair, or explain why none fits."""
     alg = pair.alg
-    structure = np.array(
-        [[[float(alg.c[i][j][k]) for k in range(alg.dim)]
-          for j in range(alg.dim)] for i in range(alg.dim)]
-    )
+    structure = np.zeros((alg.dim,) * 3)
+    for i, row in enumerate(alg.nonzeros):
+        for j, terms in enumerate(row):
+            for k, x in terms:
+                structure[i, j, k] = float(x)
     if pair.k.dim == 0:
         if alg.matrix_generators is None:
             raise LieCheckError(
@@ -341,7 +342,7 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
                         "sphere-model generators must be antisymmetric (rotations)"
                     )
         else:
-            if any(tuple(alg.c[i][j]) != want for (i, j), want in _SO3_TENSOR.items()):
+            if any(alg.nonzeros[i][j] != want for (i, j), want in _SO3_TENSOR.items()):
                 raise LieCheckError(
                     "no matrix realization: the structure constants are not the "
                     "standard rotation-algebra table"

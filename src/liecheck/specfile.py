@@ -947,12 +947,12 @@ def build(doc: SpecDocument) -> BuiltDocument:
     algebras = {}
     for name, decl in doc.algebras.items():
         n = len(decl.labels)
-        zero = tuple(Fraction(0) for _ in range(n))
-        structure = [[zero for _ in range(n)] for _ in range(n)]
+        nonzeros = [[()] * n for _ in range(n)]
         for ia, ib, coords in decl.brackets:
-            structure[ia][ib] = coords
-            structure[ib][ia] = tuple(-x for x in coords)
-        algebras[name] = LieAlgebra(name, decl.labels, structure)
+            terms = tuple([(k, x) for k, x in enumerate(coords) if x])
+            nonzeros[ia][ib] = terms
+            nonzeros[ib][ia] = tuple([(k, -x) for k, x in terms])
+        algebras[name] = LieAlgebra(name, decl.labels, nonzeros)
     for name, decl in doc.matrix_algebras.items():
         algebras[name] = from_matrix_generators(
             decl.size, decl.gen_matrices, labels=decl.gen_names, name=name

@@ -64,7 +64,7 @@ def so3_structure():
 
 @pytest.fixture(scope="session")
 def so3():
-    return LieAlgebra("so3", ("k0", "e1", "e2"), so3_structure())
+    return LieAlgebra.from_structure_tensor("so3", ("k0", "e1", "e2"), so3_structure())
 
 
 @pytest.fixture(scope="session")

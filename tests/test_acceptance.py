@@ -152,7 +152,7 @@ def _teob_cases(so3, so3_pair, u4, u4_pair, gl3):
     structure = [list(r) for r in structure]
     structure[0][1] = (0, 0, 1, 0)
     structure[1][0] = (0, 0, -1, 0)
-    nil4 = LieAlgebra("nil4", ("x", "y", "z", "w"), structure)
+    nil4 = LieAlgebra.from_structure_tensor("nil4", ("x", "y", "z", "w"), structure)
     triv4 = make_subalgebra(nil4, [nil4.zero_vector()])
     nil_pair = HomogeneousPair(nil4, triv4)
     jtwist = operator_from_rules(nil4, {
@@ -265,7 +265,7 @@ def test_criterion_09_split_identities(so3, so3_pair, u4, u4_pair):
         diag = split_diagnostics(pair, op)
         ok = ok and diag.all_hold
     z2 = (Fraction(0),) * 2
-    ab2 = LieAlgebra("ab2", ("u", "v"), [[z2, z2], [z2, z2]])
+    ab2 = LieAlgebra.from_structure_tensor("ab2", ("u", "v"), [[z2, z2], [z2, z2]])
     plane = HomogeneousPair(ab2, make_subalgebra(ab2, [ab2.zero_vector()]),
                             m=Subspace.full(2))
     rot = operator_from_rules(ab2, {

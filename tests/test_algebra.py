@@ -14,6 +14,7 @@ from liecheck import (
     make_subalgebra,
 )
 from liecheck.errors import (
+    DimensionMismatch,
     InvalidStructureConstants,
     NonRealStructureConstants,
     NotClosed,
@@ -22,12 +23,17 @@ from liecheck.errors import (
 )
 
 from conftest import (
+    CORPUS,
+    draw_matrix,
     imag_unit_matrix,
+    property_test,
     rand_gaussian_vector,
     rand_vector,
     so3_structure,
+    st,
     unit_matrix,
 )
+from liecheck.specfile import parse
 
 
 def test_so3_bracket_table(so3):
@@ -76,7 +82,7 @@ def test_ad_zero_and_self(so3):
 
 def _rejection(c, labels=("k0", "e1", "e2")) -> str:
     with pytest.raises(InvalidStructureConstants) as err:
-        LieAlgebra("broken", labels, c)
+        LieAlgebra.from_structure_tensor("broken", labels, c)
     return str(err.value)
 
 
@@ -119,15 +125,202 @@ def test_construction_reports_first_jacobi_triple():
         "Jacobi identity fails on basis triple (k0, e1, z)")
 
 
+@pytest.mark.parametrize("nonzeros, message", [
+    ([[(), ((3, 1),)], [(), ()]], "component index 3 out of range in [x,y]"),
+    ([[(), ((0, 1), (0, 2))], [(), ()]], "component x of [x,y] repeated"),
+    ([[(), ((1, 1), (0, 2))], [(), ()]], "component x of [x,y] out of increasing order"),
+    ([[(), ((0, Fraction(0)),)], [(), ()]], "zero structure constant stored for [x,y] component x"),
+    ([[(), ((0, 0.5),)], [(), ()]], "structure constants must be rational"),
+    ([[(), ((0,),)], [(), ()]], "[x,y] holds (0,), not a (k, value) pair"),
+    ([[(), ((0, GaussianRational(1)),)], [(), ()]], "structure constants must be rational"),
+    ([[(), ()]], "the nonzero structure constants need 2 rows of 2"),
+    ([[(), ()], [()]], "the nonzero structure constants need 2 rows of 2"),
+])
+def test_construction_rejects_malformed_nonzeros(nonzeros, message):
+    with pytest.raises((TypeError, DimensionMismatch, InvalidStructureConstants)) as err:
+        LieAlgebra("broken", ("x", "y"), nonzeros)
+    assert str(err.value) == message
+
+
+def test_construction_takes_nonzeros():
+    # ints are converted; the view is stored as tuples of Fractions.
+    alg = LieAlgebra("nil3", ("x", "y", "z"),
+                     [[(), [(2, 1)], ()], [[(2, -1)], (), ()], [(), (), ()]])
+    assert alg.nonzeros == (((), ((2, 1),), ()), (((2, -1),), (), ()), ((), (), ()))
+    assert type(alg.nonzeros[0][1][0][1]) is Fraction
+    assert alg.bracket(alg.basis_vector("x"), alg.basis_vector("y")) == alg.basis_vector("z")
+    with pytest.raises(DimensionMismatch, match="not n x n x n"):
+        LieAlgebra.from_structure_tensor("broken", ("x", "y"), [[(0, 0), (0,)], [(0, 0)] * 2])
+
+
+def _so3_matrices():
+    return [ExactMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            ExactMatrix.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+            ExactMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]])]
+
+
 def test_from_matrix_generators_so3(so3):
-    k0 = ExactMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    e1 = ExactMatrix.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    e2 = ExactMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
-    alg = from_matrix_generators(3, [k0, e1, e2], labels=("k0", "e1", "e2"))
-    assert alg.c == so3.c
+    alg = from_matrix_generators(3, _so3_matrices(), labels=("k0", "e1", "e2"))
+    assert alg.nonzeros == so3.nonzeros
+    assert alg.nonzeros[0] == ((), ((2, Fraction(-1)),), ((1, Fraction(1)),))
+    assert all(type(x) is Fraction for row in alg.nonzeros for terms in row
+               for _, x in terms)
+    for i in range(3):
+        for j in range(3):
+            b_i, b_j = alg.basis_vector(i), alg.basis_vector(j)
+            assert alg.bracket(b_i, b_j) == so3.bracket(b_i, b_j)
     ad = alg.ad_matrix(alg.basis_vector("k0"))
     assert ad.apply(alg.basis_vector("e1")) == alg.bracket(
         alg.basis_vector("k0"), alg.basis_vector("e1"))
+
+
+def _real_coordinates(m: ExactMatrix) -> list:
+    entries = [e if isinstance(e, GaussianRational) else GaussianRational(e)
+               for e in m.entries]
+    return [e.re for e in entries] + [e.im for e in entries]
+
+
+def _solve(columns, targets) -> list:
+    """Coordinates of each target in the span of independent columns, by
+    Gauss-Jordan in Fractions; asserts that every target lies in the span."""
+    n, height = len(columns), len(columns[0])
+    rows = [[Fraction(col[r]) for col in columns] + [Fraction(t[r]) for t in targets]
+            for r in range(height)]
+    for c in range(n):
+        p = next(q for q in range(c, height) if rows[q][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for q in range(height):
+            if q != c and rows[q][c]:
+                f = rows[q][c]
+                rows[q] = [x - f * y for x, y in zip(rows[q], rows[c])]
+    assert not any(x for row in rows[n:] for x in row)
+    return [[rows[k][n + t] for k in range(n)] for t in range(len(targets))]
+
+
+def _generator_family(name: str, size: int) -> list:
+    if name == "so3":
+        return _so3_matrices()
+    if name in ("gl3", "u4"):
+        path = CORPUS / ("gl3_full.lie" if name == "gl3" else "u4_grassmannian.lie")
+        return list(parse(path.read_text(encoding="utf-8")).matrix_algebras[name].gen_matrices)
+    if name == "diagonal":
+        return [unit_matrix(size, i, i) for i in range(size)]
+    return [unit_matrix(size, i, j) for i in range(size) for j in range(i, size)]
+
+
+@property_test(max_examples=25)
+def test_from_matrix_generators_matches_dense_reference(data):
+    # Conjugating by P keeps the structure constants; the reference solves
+    # every commutator [g_i, g_j], i and j in any order, for dense coordinates.
+    name = data.draw(st.sampled_from(["so3", "gl3", "u4", "diagonal", "upper"]))
+    gens = _generator_family(name, data.draw(st.integers(2, 4)))
+    size = gens[0].rows
+    m = draw_matrix(data, "rational", size, size)
+    lower = ExactMatrix(size, size, [m.entries[r * size + c] if r > c else Fraction(int(r == c))
+                                     for r in range(size) for c in range(size)])
+    upper = ExactMatrix(size, size, [m.entries[r * size + c] if r < c else Fraction(int(r == c))
+                                     for r in range(size) for c in range(size)])
+    p = lower @ upper
+    units = [[Fraction(int(r == c)) for r in range(size)] for c in range(size)]
+    inverse_cols = _solve([[p.entries[r * size + c] for r in range(size)] for c in range(size)],
+                          units)
+    p_inv = ExactMatrix(size, size, [inverse_cols[c][r] for r in range(size) for c in range(size)])
+    gens = [p @ g @ p_inv for g in gens]
+    n = len(gens)
+    alg = from_matrix_generators(size, gens)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    dense = _solve([_real_coordinates(g) for g in gens],
+                   [_real_coordinates(gens[i] @ gens[j] - gens[j] @ gens[i]) for i, j in pairs])
+    expected = [[None] * n for _ in range(n)]
+    for (i, j), coords in zip(pairs, dense):
+        expected[i][j] = tuple((k, x) for k, x in enumerate(coords) if x)
+    assert alg.nonzeros == tuple(map(tuple, expected))
+    assert all(type(x) is Fraction for row in alg.nonzeros for terms in row for _, x in terms)
+
+
+def _reference_jacobi_failure(c):
+    """The first basis triple i < j < k on which the Jacobi identity fails,
+    in Fraction arithmetic on the dense tensor, or None."""
+    n = len(c)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [Fraction(0)] * n
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(n):
+                        for t in range(n):
+                            total[t] += c[b][d][m] * c[a][m][t]
+                if any(total):
+                    return i, j, k
+    return None
+
+
+def _semidirect_in_random_basis(data, n: int, value) -> list:
+    """The tensor of R x_0 + R^(n-1), with ``[x_0, x_j] = A x_j`` for a random
+    rational A, in the basis ``b_i = sum_a P[a][i] x_a`` for a random
+    invertible rational P = LU: the Jacobi identity then holds through
+    cancellation between terms, not term by term."""
+    base = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for j in range(1, n):
+        for k in range(1, n):
+            if data.draw(st.booleans()):
+                base[0][j][k] = data.draw(value)
+                base[j][0][k] = -base[0][j][k]
+    lower = [[data.draw(value) if a > i else Fraction(int(a == i)) for i in range(n)]
+             for a in range(n)]
+    upper = [[data.draw(value) if a < i else Fraction(int(a == i)) for i in range(n)]
+             for a in range(n)]
+    p = [[sum(lower[a][m] * upper[m][i] for m in range(n)) for i in range(n)]
+         for a in range(n)]
+    targets = []
+    for i in range(n):
+        for j in range(n):
+            v = [Fraction(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    if p[a][i] and p[b][j]:
+                        v = [x + p[a][i] * p[b][j] * y for x, y in zip(v, base[a][b])]
+            targets.append(v)
+    coords = _solve([[p[a][i] for a in range(n)] for i in range(n)], targets)
+    return [[coords[i * n + j] for j in range(n)] for i in range(n)]
+
+
+@property_test(max_examples=150)
+def test_integer_jacobi_matches_fraction_reference(data):
+    # Graded constants ([b_i, b_j] only in b_k with k > j) often satisfy the
+    # Jacobi identity term by term, free ones rarely do, and a semidirect
+    # product in a random basis does through cancellation; each may get one
+    # bracket perturbed.
+    n = data.draw(st.integers(3, 6))
+    mode = data.draw(st.sampled_from(["free", "graded", "basis"]))
+    density = data.draw(st.integers(1, 4))
+    value = st.sampled_from([Fraction(p, q) for p in range(-30, 31) if p
+                             for q in range(1, 31)])
+    if mode == "basis":
+        c = _semidirect_in_random_basis(data, n, value)
+    else:
+        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1 if mode == "graded" else 0, n):
+                    if data.draw(st.integers(0, 9)) < density:
+                        c[i][j][k] = data.draw(value)
+                        c[j][i][k] = -c[i][j][k]
+    if data.draw(st.booleans()):
+        i, k = data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(i + 1, n - 1))
+        c[i][j][k] += data.draw(value)
+        c[j][i][k] = -c[i][j][k]
+    labels = tuple(f"x{i}" for i in range(n))
+    failure = _reference_jacobi_failure(c)
+    if failure is None:
+        LieAlgebra.from_structure_tensor("random", labels, c)
+    else:
+        with pytest.raises(InvalidStructureConstants) as err:
+            LieAlgebra.from_structure_tensor("random", labels, c)
+        assert str(err.value) == "Jacobi identity fails on basis triple ({}, {}, {})".format(
+            *(labels[t] for t in failure))
 
 
 def test_single_generator_abelian():

@@ -55,7 +55,7 @@ def _nil4_pair():
     structure = [[z] * 4 for _ in range(4)]
     structure[0][1] = (0, 0, 1, 0)
     structure[1][0] = (0, 0, -1, 0)
-    alg = LieAlgebra("nil4", ("x", "y", "z", "w"), structure)
+    alg = LieAlgebra.from_structure_tensor("nil4", ("x", "y", "z", "w"), structure)
     triv = make_subalgebra(alg, [alg.zero_vector()])
     whole = Subspace.full(4)
     return alg, HomogeneousPair(alg, triv, m=whole)
@@ -221,7 +221,7 @@ def test_split_diagnostics_grassmann(u4, u4_pair):
 
 def test_split_diagnostics_plane_rotation():
     z2 = (Fraction(0),) * 2
-    ab2 = LieAlgebra("ab2", ("u", "v"), [[z2, z2], [z2, z2]])
+    ab2 = LieAlgebra.from_structure_tensor("ab2", ("u", "v"), [[z2, z2], [z2, z2]])
     triv = make_subalgebra(ab2, [ab2.zero_vector()])
     pair = HomogeneousPair(ab2, triv, m=Subspace.full(2))
     rot = operator_from_rules(ab2, {
@@ -332,8 +332,8 @@ def reference_split_diagnostics(pair, op):
 
 def _abelian(n):
     zero = (Fraction(0),) * n
-    return LieAlgebra(f"ab{n}", tuple(f"x{j}" for j in range(n)),
-                      [[zero] * n for _ in range(n)])
+    return LieAlgebra.from_structure_tensor(f"ab{n}", tuple(f"x{j}" for j in range(n)),
+                                            [[zero] * n for _ in range(n)])
 
 
 @property_test(max_examples=80)

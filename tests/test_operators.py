@@ -236,7 +236,7 @@ def test_grassmann_operator_admissible(u4, u4_pair):
 def test_operator_on_other_algebra_rejected(so3, so3_pair):
     # ab3 has the dimension of so3, and F is admissible when read on so3.
     zero = (Fraction(0),) * 3
-    ab3 = LieAlgebra("ab3", ("x", "y", "z"), [[zero] * 3] * 3)
+    ab3 = LieAlgebra.from_structure_tensor("ab3", ("x", "y", "z"), [[zero] * 3] * 3)
     op = operator_from_rules(ab3, {"x": (1, 0, 0), "y": (0, 0, 1), "z": (0, -1, 0)})
     message = "operator is declared on algebra 'ab3', but the pair is on algebra 'so3'"
     for check in (check_admissible, check_nijenhuis, check_integrable):
