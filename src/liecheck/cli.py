@@ -24,8 +24,6 @@ import json
 import math
 import sys
 import time
-import traceback
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import harness as hz  # numpy is imported on first harness use only
@@ -184,7 +182,11 @@ def _integrability(args, pair, op) -> tuple:
     ]
     if report.split is not None:
         d = report.split
-        fields["split_diagnostics"] = asdict(d)
+        fields["split_diagnostics"] = {
+            "sum_is_all": d.sum_is_all,
+            "intersection_is_kc": d.intersection_is_kc,
+            "eigenspace_decomposition_holds": d.eigenspace_decomposition_holds,
+        }
         lines.append(
             "split diagnostics: sum_is_all="
             f"{d.sum_is_all} intersection_is_kc={d.intersection_is_kc} "
@@ -207,6 +209,8 @@ def _check_harness_options(args):
         raise LieCheckError("--samples must lie in [1, 1000000]")
     if not math.isfinite(args.theta):
         raise LieCheckError("--theta must be a finite number")
+    if args.seed < 0:
+        raise LieCheckError("--seed must be a non-negative integer")
 
 
 def _harness(args, pair, op) -> tuple:
@@ -344,6 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         message = str(exc)
     except Exception as exc:
+        import traceback  # only this fault path uses it
+
         traceback.print_exc()
         message = f"internal error: {type(exc).__name__}: {exc}"
     print(f"error: {message}", file=sys.stderr)

@@ -17,7 +17,6 @@ runs on J's integer columns, like the pair loops of the other checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -44,23 +43,27 @@ from .operators import (
     _split_kernel_failure,
 )
 from .torsion import check_nijenhuis
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class SplitDiagnostics:
+class SplitDiagnostics(FrozenValue):
     """The three split decomposition identities, checked exactly."""
 
-    sum_is_all: bool
-    intersection_is_kc: bool
-    eigenspace_decomposition_holds: bool
+    __slots__ = ("sum_is_all", "intersection_is_kc", "eigenspace_decomposition_holds")
+
+    def __init__(self, sum_is_all: bool, intersection_is_kc: bool,
+                 eigenspace_decomposition_holds: bool):
+        object.__setattr__(self, "sum_is_all", sum_is_all)
+        object.__setattr__(self, "intersection_is_kc", intersection_is_kc)
+        object.__setattr__(self, "eigenspace_decomposition_holds",
+                           eigenspace_decomposition_holds)
 
     @property
     def all_hold(self) -> bool:
         return self.sum_is_all and self.intersection_is_kc and self.eigenspace_decomposition_holds
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(FrozenValue):
     """Everything the integrability check established.
 
     ``z_plus_mod_k`` lists canonical representatives of Z+ modulo k_C (k_C is
@@ -68,14 +71,21 @@ class IntegrabilityReport:
     part); the full Z+ basis is in ``z_plus``.
     """
 
-    ac_admissible: bool
-    z_plus: Subspace
-    z_minus: Subspace
-    z_plus_closed: bool
-    nijenhuis_verdict: bool
-    z_plus_mod_k: tuple
-    witness: Optional[tuple] = None  # (x, y, [x, y]) outside Z+
-    split: Optional[SplitDiagnostics] = None
+    __slots__ = ("ac_admissible", "z_plus", "z_minus", "z_plus_closed",
+                 "nijenhuis_verdict", "z_plus_mod_k", "witness", "split")
+
+    def __init__(self, ac_admissible: bool, z_plus: Subspace, z_minus: Subspace,
+                 z_plus_closed: bool, nijenhuis_verdict: bool, z_plus_mod_k: tuple,
+                 witness: Optional[tuple] = None,  # (x, y, [x, y]) outside Z+
+                 split: Optional[SplitDiagnostics] = None):
+        object.__setattr__(self, "ac_admissible", ac_admissible)
+        object.__setattr__(self, "z_plus", z_plus)
+        object.__setattr__(self, "z_minus", z_minus)
+        object.__setattr__(self, "z_plus_closed", z_plus_closed)
+        object.__setattr__(self, "nijenhuis_verdict", nijenhuis_verdict)
+        object.__setattr__(self, "z_plus_mod_k", z_plus_mod_k)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "split", split)
 
     @property
     def integrable(self) -> bool:

@@ -38,7 +38,6 @@ module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -51,6 +50,7 @@ from .errors import (
 from .exact import ExactMatrix, GaussianRational
 from .operators import HomogeneousPair, LinearOperator
 from .torsion import check_nijenhuis
+from .values import Value
 
 
 class _LazyNumpy:
@@ -429,23 +429,28 @@ def _torsion_float(model: MatrixModel, op_float: np.ndarray,
                   - _torsion_half(model, op_float, w, v))
 
 
-@dataclass
-class FieldSample:
+class FieldSample(Value):
     """Numerical torsion vs algebraic prediction at sampled points.
 
     Array fields have the leading sample axes of the points; the three
     maxima (over each point's entries) are floats for a single point.
     """
 
-    point: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    h: float
-    numerical: np.ndarray
-    predicted: np.ndarray
-    deviation: float
-    numerical_max: float
-    predicted_max: float
+    __slots__ = ("point", "v", "w", "h", "numerical", "predicted", "deviation",
+                 "numerical_max", "predicted_max")
+
+    def __init__(self, point: np.ndarray, v: np.ndarray, w: np.ndarray, h: float,
+                 numerical: np.ndarray, predicted: np.ndarray, deviation: float,
+                 numerical_max: float, predicted_max: float):
+        self.point = point
+        self.v = v
+        self.w = w
+        self.h = h
+        self.numerical = numerical
+        self.predicted = predicted
+        self.deviation = deviation
+        self.numerical_max = numerical_max
+        self.predicted_max = predicted_max
 
     def unstack(self) -> list:
         """One sample per entry of the leading axis of a stack."""
@@ -501,22 +506,34 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
 # relation checks and the harness report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RelationReport:
+class RelationReport(Value):
     """Residuals of the exact push-forward identities, plus the two
     demonstration computations on the sphere (None for other models)."""
 
-    samples: int
-    seed: int
-    theta: float
-    alpha_related_max: float
-    base_consistency_max: float
-    stabilizer_max: Optional[float] = None
-    rep_independence_max: Optional[float] = None
-    flip_pushforward: Optional[np.ndarray] = None
-    flip_field_at_image: Optional[np.ndarray] = None
-    rotation_bundle_value: Optional[np.ndarray] = None
-    rotation_field_value: Optional[np.ndarray] = None
+    __slots__ = ("samples", "seed", "theta", "alpha_related_max",
+                 "base_consistency_max", "stabilizer_max", "rep_independence_max",
+                 "flip_pushforward", "flip_field_at_image", "rotation_bundle_value",
+                 "rotation_field_value")
+
+    def __init__(self, samples: int, seed: int, theta: float,
+                 alpha_related_max: float, base_consistency_max: float,
+                 stabilizer_max: Optional[float] = None,
+                 rep_independence_max: Optional[float] = None,
+                 flip_pushforward: Optional[np.ndarray] = None,
+                 flip_field_at_image: Optional[np.ndarray] = None,
+                 rotation_bundle_value: Optional[np.ndarray] = None,
+                 rotation_field_value: Optional[np.ndarray] = None):
+        self.samples = samples
+        self.seed = seed
+        self.theta = theta
+        self.alpha_related_max = alpha_related_max
+        self.base_consistency_max = base_consistency_max
+        self.stabilizer_max = stabilizer_max
+        self.rep_independence_max = rep_independence_max
+        self.flip_pushforward = flip_pushforward
+        self.flip_field_at_image = flip_field_at_image
+        self.rotation_bundle_value = rotation_bundle_value
+        self.rotation_field_value = rotation_field_value
 
     @property
     def max_residual(self) -> float:
@@ -610,19 +627,25 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     )
 
 
-@dataclass
-class DeviationReport:
+class DeviationReport(Value):
     """Everything a harness run produced, with pass/fail bookkeeping."""
 
-    model_kind: str
-    h: float
-    seed: int
-    samples: list
-    relation: RelationReport
-    nijenhuis_exact: bool
-    max_deviation: float
-    max_numerical: float
-    tolerances: dict = field(default_factory=dict)
+    __slots__ = ("model_kind", "h", "seed", "samples", "relation", "nijenhuis_exact",
+                 "max_deviation", "max_numerical", "tolerances")
+
+    def __init__(self, model_kind: str, h: float, seed: int, samples: list,
+                 relation: RelationReport, nijenhuis_exact: bool,
+                 max_deviation: float, max_numerical: float,
+                 tolerances: Optional[dict] = None):
+        self.model_kind = model_kind
+        self.h = h
+        self.seed = seed
+        self.samples = samples
+        self.relation = relation
+        self.nijenhuis_exact = nijenhuis_exact
+        self.max_deviation = max_deviation
+        self.max_numerical = max_numerical
+        self.tolerances = {} if tolerances is None else tolerances
 
     @property
     def passed(self) -> bool:

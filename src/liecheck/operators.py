@@ -9,7 +9,6 @@ scoped to the identity component and the report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .algebra import LieAlgebra, Subalgebra, bracket_into
@@ -32,6 +31,7 @@ from .exact import (
     rref,
     subspace_intersection,
 )
+from .values import FrozenValue
 
 
 class LinearOperator:
@@ -156,8 +156,7 @@ class HomogeneousPair:
         return f"HomogeneousPair({self.alg.name!r}, k dim {self.k.dim}{extra})"
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(FrozenValue):
     """Outcome of a check, with an exact witness when it fails.
 
     ``scope`` is ``"full"`` when the verdict covers the whole subgroup and
@@ -166,11 +165,15 @@ class VerdictReport:
     conditions could be decided.
     """
 
-    holds: bool
-    scope: str
-    clauses: tuple
-    failed_clause: Optional[str] = None
-    witness: Optional[dict] = field(default=None)
+    __slots__ = ("holds", "scope", "clauses", "failed_clause", "witness")
+
+    def __init__(self, holds: bool, scope: str, clauses: tuple,
+                 failed_clause: Optional[str] = None, witness: Optional[dict] = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "failed_clause", failed_clause)
+        object.__setattr__(self, "witness", witness)
 
 
 def _scope_of(pair: HomogeneousPair) -> str:

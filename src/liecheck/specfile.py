@@ -38,7 +38,6 @@ per line, scalars in canonical form, brackets emitted only for i < j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,6 +52,7 @@ from .operators import (
     operator_right_mult,
     operator_sandwich,
 )
+from .values import FrozenValue, Value
 
 
 class SpecfileError(LieCheckError):
@@ -88,58 +88,89 @@ class InconsistentBracket(SpecfileError):
 # declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraDecl:
-    name: str
-    labels: tuple
-    brackets: tuple  # ((i, j, coords), ...) with i < j, nonzero coords only
+class AlgebraDecl(FrozenValue):
+    __slots__ = ("name", "labels", "brackets")
+
+    def __init__(self, name: str, labels: tuple, brackets: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", labels)
+        # ((i, j, coords), ...) with i < j, nonzero coords only
+        object.__setattr__(self, "brackets", brackets)
 
 
-@dataclass(frozen=True)
-class MatrixAlgebraDecl:
-    name: str
-    size: int
-    gen_names: tuple
-    gen_matrices: tuple
+class MatrixAlgebraDecl(FrozenValue):
+    __slots__ = ("name", "size", "gen_names", "gen_matrices")
+
+    def __init__(self, name: str, size: int, gen_names: tuple, gen_matrices: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "gen_names", gen_names)
+        object.__setattr__(self, "gen_matrices", gen_matrices)
 
 
-@dataclass(frozen=True)
-class SubspaceDecl:
-    kind: str  # "subalgebra" | "complement"
-    name: str
-    algebra: str
-    vectors: tuple
+class SubspaceDecl(FrozenValue):
+    __slots__ = ("kind", "name", "algebra", "vectors")
+
+    def __init__(self, kind: str, name: str, algebra: str, vectors: tuple):
+        object.__setattr__(self, "kind", kind)  # "subalgebra" | "complement"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "vectors", vectors)
 
 
-@dataclass(frozen=True)
-class OperatorDecl:
-    name: str
-    algebra: str
-    form: str  # "rules" | "ad" | "left" | "right" | "sandwich"
-    data: tuple
+class OperatorDecl(FrozenValue):
+    __slots__ = ("name", "algebra", "form", "data")
+
+    def __init__(self, name: str, algebra: str, form: str, data: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        # "rules" | "ad" | "left" | "right" | "sandwich"
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "data", data)
 
 
-@dataclass(frozen=True)
-class PairDecl:
-    name: str
-    algebra: str
-    subalgebra: str
-    complement: Optional[str] = None
-    connected: bool = True
-    reps: tuple = ()
+class PairDecl(FrozenValue):
+    __slots__ = ("name", "algebra", "subalgebra", "complement", "connected", "reps")
+
+    def __init__(self, name: str, algebra: str, subalgebra: str,
+                 complement: Optional[str] = None, connected: bool = True,
+                 reps: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "subalgebra", subalgebra)
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "reps", reps)
 
 
-@dataclass
-class SpecDocument:
-    """All declarations of a parsed document, keyed by name."""
+class SpecDocument(Value):
+    """All declarations of a parsed document, keyed by name.
 
-    algebras: dict = field(default_factory=dict)
-    matrix_algebras: dict = field(default_factory=dict)
-    subalgebras: dict = field(default_factory=dict)
-    complements: dict = field(default_factory=dict)
-    operators: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
-    source_spans: dict = field(default_factory=dict, compare=False)
+    Equality ignores ``source_spans``, so a document equals its parsed
+    canonical dump.
+    """
+
+    __slots__ = ("algebras", "matrix_algebras", "subalgebras", "complements",
+                 "operators", "pairs", "source_spans")
+
+    def __init__(self, algebras: Optional[dict] = None,
+                 matrix_algebras: Optional[dict] = None,
+                 subalgebras: Optional[dict] = None,
+                 complements: Optional[dict] = None,
+                 operators: Optional[dict] = None,
+                 pairs: Optional[dict] = None,
+                 source_spans: Optional[dict] = None):
+        self.algebras = {} if algebras is None else algebras
+        self.matrix_algebras = {} if matrix_algebras is None else matrix_algebras
+        self.subalgebras = {} if subalgebras is None else subalgebras
+        self.complements = {} if complements is None else complements
+        self.operators = {} if operators is None else operators
+        self.pairs = {} if pairs is None else pairs
+        self.source_spans = {} if source_spans is None else source_spans
+
+    def _key(self) -> tuple:
+        return (self.algebras, self.matrix_algebras, self.subalgebras,
+                self.complements, self.operators, self.pairs)
 
     def algebra_decl(self, name):
         if name in self.algebras:
@@ -153,12 +184,14 @@ class SpecDocument:
 # scanner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME | INT | PUNCT | EOF
-    text: str
-    line: int
-    col: int
+class _Token(FrozenValue):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)  # NAME | INT | PUNCT | EOF
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 _PUNCTS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "*", "+", "-", "/")
@@ -219,20 +252,24 @@ def _scan(text: str):
 # raw syntax tree (lincomb terms unresolved)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RawLincomb:
-    # terms: list of (sign, scalar_or_None, name_token_or_None)
-    terms: list
-    line: int
-    col: int
+class _RawLincomb(Value):
+    __slots__ = ("terms", "line", "col")
+
+    def __init__(self, terms: list, line: int, col: int):
+        # terms: list of (sign, scalar_or_None, name_token_or_None)
+        self.terms = terms
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class _RawItem:
-    kind: str
-    name: str
-    name_tok: _Token
-    payload: dict
+class _RawItem(Value):
+    __slots__ = ("kind", "name", "name_tok", "payload")
+
+    def __init__(self, kind: str, name: str, name_tok: _Token, payload: dict):
+        self.kind = kind
+        self.name = name
+        self.name_tok = name_tok
+        self.payload = payload
 
 
 class _Parser:
@@ -931,15 +968,18 @@ def _labels_for(doc: SpecDocument, algebra: str) -> tuple:
 # semantic build
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BuiltDocument:
+class BuiltDocument(Value):
     """Semantic objects constructed from a parsed document."""
 
-    algebras: dict
-    subalgebras: dict
-    complements: dict
-    operators: dict
-    pairs: dict
+    __slots__ = ("algebras", "subalgebras", "complements", "operators", "pairs")
+
+    def __init__(self, algebras: dict, subalgebras: dict, complements: dict,
+                 operators: dict, pairs: dict):
+        self.algebras = algebras
+        self.subalgebras = subalgebras
+        self.complements = complements
+        self.operators = operators
+        self.pairs = pairs
 
 
 def build(doc: SpecDocument) -> BuiltDocument:

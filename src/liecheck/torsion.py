@@ -20,7 +20,6 @@ recomputes the witness in the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import bracket_into
@@ -34,10 +33,10 @@ from .operators import (
     check_admissible,
     operator_ad,
 )
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(FrozenValue):
     """Verdict of the torsion check, with the first failing pair as witness.
 
     ``mode`` is one of ``all-pairs``, ``complement-pairs`` or
@@ -45,10 +44,14 @@ class TorsionReport:
     witness is deterministic.
     """
 
-    verdict: bool
-    checked_pairs: int
-    mode: str
-    witness: Optional[tuple] = None  # (v, w, beta(v, w))
+    __slots__ = ("verdict", "checked_pairs", "mode", "witness")
+
+    def __init__(self, verdict: bool, checked_pairs: int, mode: str,
+                 witness: Optional[tuple] = None):  # (v, w, beta(v, w))
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "checked_pairs", checked_pairs)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "witness", witness)
 
 
 def torsion_form(alg, op: LinearOperator, v: Sequence, w: Sequence) -> tuple:

@@ -220,6 +220,14 @@ def test_harness_non_finite_theta_exit_two(capsys, corpus_dir):
         assert "--theta" in err
 
 
+def test_harness_negative_seed_exit_two(capsys, corpus_dir):
+    code, out, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
+                         "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: LieCheckError: --seed must be a non-negative integer\n"
+
+
 def test_internal_fault_exit_two(capsys, corpus_dir, monkeypatch):
     def broken(pair, op):
         raise ZeroDivisionError("boom")
@@ -264,9 +272,18 @@ def test_operator_on_other_algebra_exit_two(capsys, fixtures_dir, command):
                    "but the pair is on algebra 'so3'\n")
 
 
-def test_exact_commands_do_not_import_numpy(corpus_dir):
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_exact_commands_do_not_import_numpy(corpus_dir):
+    run_fresh(
         "import sys\n"
         "import liecheck.cli\n"
         "if 'numpy' in sys.modules: sys.exit('numpy imported by liecheck.cli')\n"
@@ -274,11 +291,21 @@ def test_exact_commands_do_not_import_numpy(corpus_dir):
         "if status != 0: sys.exit(f'check exited {status}')\n"
         "if 'numpy' in sys.modules: sys.exit('numpy imported by check')\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+def test_cli_does_not_import_dataclasses_or_traceback(corpus_dir):
+    # Compared against the modules loaded before the import, since site
+    # imports modules of its own.
+    run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded(): return {'dataclasses', 'traceback'} & (set(sys.modules) - before)\n"
+        "import liecheck.cli\n"
+        "if loaded(): sys.exit(f'liecheck.cli imported {loaded()}')\n"
+        f"status = liecheck.cli.main(['check', {str(corpus_dir / 'so3_sphere.lie')!r}])\n"
+        "if status != 0: sys.exit(f'check exited {status}')\n"
+        "if loaded(): sys.exit(f'check imported {loaded()}')\n"
+    )
 
 
 def test_harness_json_report_reproducible(capsys, corpus_dir):

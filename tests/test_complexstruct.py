@@ -1,6 +1,5 @@
 """Almost complex admissibility, the Z subspaces, and integrability."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from liecheck import (
     LieAlgebra,
     LinearOperator,
     Subspace,
+    TorsionReport,
     check_ac_admissible,
     check_integrable,
     compute_z_spaces,
@@ -271,7 +271,8 @@ def test_closure_and_torsion_disagreement_raises(monkeypatch, so3, so3_pair):
 
     def flipped(pair, op, **kwargs):
         report = real(pair, op, **kwargs)
-        return dataclasses.replace(report, verdict=not report.verdict)
+        return TorsionReport(not report.verdict, report.checked_pairs, report.mode,
+                             report.witness)
 
     monkeypatch.setattr(complexstruct, "check_nijenhuis", flipped)
     with pytest.raises(InternalInconsistency):

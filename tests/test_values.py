@@ -1,0 +1,155 @@
+"""Value semantics of the report and declaration classes.
+
+Every class built on :mod:`liecheck.values` compares field by field, names
+every field in its repr, and survives pickling and copying; the frozen ones
+are hashable and immutable, the others unhashable.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from liecheck.complexstruct import IntegrabilityReport, SplitDiagnostics
+from liecheck.harness import DeviationReport, FieldSample, RelationReport
+from liecheck.operators import VerdictReport
+from liecheck.specfile import (
+    AlgebraDecl,
+    BuiltDocument,
+    MatrixAlgebraDecl,
+    OperatorDecl,
+    PairDecl,
+    SpecDocument,
+    SubspaceDecl,
+    _RawItem,
+    _RawLincomb,
+    _Token,
+    parse,
+    serialize,
+)
+from liecheck.torsion import TorsionReport
+
+FROZEN = (
+    SplitDiagnostics, IntegrabilityReport, VerdictReport, TorsionReport,
+    AlgebraDecl, MatrixAlgebraDecl, SubspaceDecl, OperatorDecl, PairDecl, _Token,
+)
+MUTABLE = (
+    FieldSample, RelationReport, DeviationReport, SpecDocument, BuiltDocument,
+    _RawLincomb, _RawItem,
+)
+# Fields that equality ignores, by class.
+UNCOMPARED = {SpecDocument: {"source_spans"}}
+
+every_class = pytest.mark.parametrize("cls", FROZEN + MUTABLE,
+                                      ids=lambda cls: cls.__name__)
+
+
+def fields(cls):
+    return cls.__slots__
+
+
+def values(cls, tag="a"):
+    """Distinct, hashable and picklable values, one per field."""
+    return [f"{name}-{tag}" for name in fields(cls)]
+
+
+def make(cls, tag="a"):
+    return cls(*values(cls, tag))
+
+
+@every_class
+def test_positional_and_keyword_construction_agree(cls):
+    obj = make(cls)
+    assert obj == cls(**dict(zip(fields(cls), values(cls))))
+    assert [getattr(obj, name) for name in fields(cls)] == values(cls)
+
+
+@every_class
+def test_equality_by_field(cls):
+    obj = make(cls)
+    assert obj == make(cls)
+    assert obj != make(cls, "b")
+    assert obj != tuple(values(cls))
+    for idx, name in enumerate(fields(cls)):
+        changed = values(cls)
+        changed[idx] = "other"
+        if name in UNCOMPARED.get(cls, ()):
+            assert cls(*changed) == obj
+        else:
+            assert cls(*changed) != obj
+
+
+@every_class
+def test_repr_names_every_field(cls):
+    text = repr(make(cls))
+    assert text.startswith(f"{cls.__qualname__}(")
+    for name, value in zip(fields(cls), values(cls)):
+        assert f"{name}={value!r}" in text
+
+
+@every_class
+@pytest.mark.parametrize("roundtrip", [
+    lambda obj: pickle.loads(pickle.dumps(obj)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_roundtrip(cls, roundtrip):
+    obj = make(cls)
+    again = roundtrip(obj)
+    assert type(again) is cls
+    assert again == obj
+    assert [getattr(again, name) for name in fields(cls)] == values(cls)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_is_hashable_and_immutable(cls):
+    obj = make(cls)
+    assert hash(obj) == hash(make(cls))
+    assert len({obj, make(cls), make(cls, "b")}) == 2
+    for name in fields(cls):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, "other")
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+    assert [getattr(obj, name) for name in fields(cls)] == values(cls)
+
+
+@pytest.mark.parametrize("cls", MUTABLE, ids=lambda cls: cls.__name__)
+def test_mutable_is_unhashable(cls):
+    obj = make(cls)
+    with pytest.raises(TypeError):
+        hash(obj)
+    name = fields(cls)[0]
+    setattr(obj, name, "other")
+    assert getattr(obj, name) == "other"
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+def test_defaults():
+    assert VerdictReport(True, "full", ()) == VerdictReport(True, "full", (), None, None)
+    assert TorsionReport(True, 0, "all-pairs").witness is None
+    report = IntegrabilityReport(True, "z+", "z-", True, True, ())
+    assert report.witness is None and report.split is None
+    pair = PairDecl("p", "g", "k")
+    assert (pair.complement, pair.connected, pair.reps) == (None, True, ())
+    relation = RelationReport(20, 0, 1.0, 0.0, 0.0)
+    assert all(getattr(relation, name) is None for name in fields(RelationReport)[5:])
+    # A fresh dict per object, never one shared default.
+    first = DeviationReport("full", 1e-4, 0, [], relation, True, 0.0, 0.0)
+    second = DeviationReport("full", 1e-4, 0, [], relation, True, 0.0, 0.0)
+    assert first.tolerances == {} and first.tolerances is not second.tolerances
+    docs = SpecDocument(), SpecDocument()
+    for name in fields(SpecDocument):
+        assert getattr(docs[0], name) == {}
+        assert getattr(docs[0], name) is not getattr(docs[1], name)
+
+
+def test_parsed_document_roundtrips(corpus_dir):
+    doc = parse((corpus_dir / "gl3_full.lie").read_text(encoding="utf-8"))
+    assert doc.source_spans
+    assert parse(serialize(doc)) == doc
+    for other in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
+        assert other == doc and other.source_spans == doc.source_spans
