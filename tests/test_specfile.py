@@ -101,6 +101,122 @@ def test_syntax_error_positions():
         pytest.fail("expected a syntax diagnostic")
 
 
+_A = "algebra a { basis x y; }\n"
+_S = _A + "subalgebra s of a = span(x);\n"
+_M = "matrix_algebra m dim = 1 { gen d = "
+
+# One snippet per diagnostic the scanner, the parser and the lincomb resolver
+# raise, with its exact position and message.
+PINNED_DIAGNOSTICS = [
+    ("algebra a { basis x; } $", SpecSyntaxError, "1:24: unexpected character '$'"),
+    (_A + "operator o on a { x => y; }", SpecSyntaxError,
+     "2:22: unexpected character '>'"),
+    (_M + "[[1.5]]; }", SpecSyntaxError, "1:39: unexpected character '.'"),
+    ("lemma a;", SpecSyntaxError, "1:1: expected algebra, matrix_algebra, "
+     "subalgebra, complement, operator, pair, found 'lemma'"),
+    ("[[1]]", SpecSyntaxError, "1:1: expected algebra, matrix_algebra, "
+     "subalgebra, complement, operator, pair, found '['"),
+    ("algebra { basis x; }", SpecSyntaxError,
+     "1:9: expected an algebra name, found '{'"),
+    ("algebra a { basis x y; bracket [x,y] = x }", SpecSyntaxError,
+     "1:42: expected ';', found '}'"),
+    ("algebra a { basis x;", SpecSyntaxError,
+     "1:21: expected '}', found 'end of input'"),
+    ("algebra a basis x; }", SpecSyntaxError, "1:11: expected '{', found 'basis'"),
+    ("algebra a { basis ; }", SpecSyntaxError,
+     "1:19: expected at least one basis label, found ';'"),
+    ("algebra a { basis x i; }", SpecSyntaxError,
+     "1:21: basis label 'i' is reserved for the imaginary unit"),
+    (_M.replace("gen d", "gen i") + "[[1]]; }", SpecSyntaxError,
+     "1:32: generator name 'i' is reserved for the imaginary unit"),
+    ("algebra a { basis x y; bracket [x,y] = 3//2*x; }", SpecSyntaxError,
+     "1:42: expected a denominator, found '/'"),
+    (_M + "[[1/0]]; }", SpecSyntaxError, "1:40: zero denominator"),
+    (_M + "[[1/00]]; }", SpecSyntaxError, "1:40: zero denominator"),
+    (_M + "[[1+1/0i]]; }", SpecSyntaxError, "1:42: zero denominator"),
+    (_M + "[[2ii]]; }", SpecSyntaxError, "1:39: expected ']', found 'ii'"),
+    (_M + "[[1 2]]; }", SpecSyntaxError, "1:40: expected ']', found '2'"),
+    (_M + "[[1+]]; }", SpecSyntaxError, "1:39: expected ']', found '+'"),
+    (_M + "[[x]]; }", SpecSyntaxError, "1:38: expected a scalar, found 'x'"),
+    (_M + "[1]; }", SpecSyntaxError, "1:37: expected '[', found '1'"),
+    (_M.replace("dim = 1", "dim = 2") + "[[1,0],[0]]; }", SpecSyntaxError,
+     "1:36: ragged matrix rows"),
+    (_M.replace("dim = 1", "dim = 2") + "[[1]]; }", SpecSyntaxError,
+     "1:32: generator 'd' must be 2x2"),
+    (_M.replace("dim = 1", "dim = 0") + "[[1]]; }", SpecSyntaxError,
+     "1:24: matrix size must be positive"),
+    (_M.replace("dim = 1", "dim = x") + "[[1]]; }", SpecSyntaxError,
+     "1:24: expected the matrix size, found 'x'"),
+    ("matrix_algebra m dim = 1 { }", SpecSyntaxError,
+     "1:28: expected at least one generator, found '}'"),
+    (_A + "subalgebra s of a = span(2);", SpecSyntaxError,
+     "2:26: a bare scalar in a vector position must be 0"),
+    (_A + "subalgebra s of a = span(0 + x);", SpecSyntaxError,
+     "2:26: a bare scalar cannot be mixed with basis terms"),
+    (_A + "subalgebra s of a = span(2i*x);", SpecSyntaxError,
+     "2:29: coefficients in vectors must be rational"),
+    (_A + "subalgebra s of a = span(z);", UnresolvedReference,
+     "2:26: unknown basis label 'z'"),
+    (_A + "subalgebra s of a = span(x + );", SpecSyntaxError,
+     "2:30: expected a scalar or a basis label, found ')'"),
+    (_A + "subalgebra s of a = span(x, );", SpecSyntaxError,
+     "2:29: expected a scalar or a basis label, found ')'"),
+    (_A + "subalgebra s of a = span(2*);", SpecSyntaxError,
+     "2:28: expected a basis label, found ')'"),
+    (_A + "operator o on a { }", SpecSyntaxError,
+     "2:19: expected at least one rule, found '}'"),
+    (_A + "operator o on a = foo(x);", SpecSyntaxError,
+     "2:19: expected 'ad', 'left', 'right', 'sandwich', found 'foo'"),
+    (_S + "pair p = (a, s, connected = maybe);", SpecSyntaxError,
+     "3:29: expected 'true', 'false', found 'maybe'"),
+    (_S + "pair p = (a, s, colour = red);", SpecSyntaxError,
+     "3:17: expected 'complement', 'connected', 'reps', found 'colour'"),
+]
+
+
+@pytest.mark.parametrize("text,exc_type,diagnostic", PINNED_DIAGNOSTICS)
+def test_pinned_diagnostics(text, exc_type, diagnostic):
+    with pytest.raises(exc_type) as err:
+        parse(text)
+    assert type(err.value) is exc_type
+    assert str(err.value) == diagnostic
+    assert f"{err.value.line}:{err.value.col}: {err.value.message}" == diagnostic
+
+
+def test_bad_scalar_fixture_diagnostic(fixtures_dir):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse((fixtures_dir / "bad_scalar.lie").read_text())
+    assert str(err.value) == "2:21: expected a denominator, found '/'"
+
+
+@pytest.mark.parametrize("spaced,compact", [
+    ("1 / 2", "1/2"),
+    ("1 + 2 i", "1+2i"),
+    ("2 i", "2i"),
+    ("- 3", "-3"),
+    ("3/2 + 1/4 i", "3/2+1/4i"),
+    ("-\n1 /\n 2", "-1/2"),
+])
+def test_whitespace_inside_scalars(spaced, compact):
+    def entry(scalar):
+        doc = parse(f"matrix_algebra m dim = 1 {{ gen d = [[{scalar}]]; }}")
+        return doc.matrix_algebras["m"].gen_matrices[0].entry(0, 0)
+
+    assert entry(spaced) == entry(compact)
+    assert type(entry(spaced)) is type(entry(compact))
+
+
+def test_signs_and_terms_in_lincombs():
+    doc = parse("algebra a { basis x y; } subalgebra s of a = span(x - -2*y);")
+    assert doc.subalgebras["s"].vectors == ((Fraction(1), Fraction(2)),)
+    # "0 + 2*x" is two terms, a bare scalar and 2*x; "0 + 2i*x" is one term
+    # whose coefficient is the scalar 0+2i.
+    with pytest.raises(SpecSyntaxError, match="cannot be mixed"):
+        parse("algebra a { basis x; } subalgebra s of a = span(0 + 2*x);")
+    with pytest.raises(SpecSyntaxError, match="must be rational"):
+        parse("algebra a { basis x; } subalgebra s of a = span(0 + 2i*x);")
+
+
 def test_malformed_fixtures(fixtures_dir):
     cases = {
         "inconsistent_bracket.lie": InconsistentBracket,
@@ -123,6 +239,14 @@ def test_round_trip_corpus(corpus_dir):
         assert parse(canon) == doc, path.name
         # canonical form is a fixed point
         assert serialize(parse(canon)) == canon, path.name
+
+
+def test_corpus_dumps_match_golden_files(corpus_dir, fixtures_dir):
+    golden = sorted((fixtures_dir / "canonical").glob("*.lie"))
+    assert [p.name for p in golden] == sorted(p.name for p in corpus_dir.glob("*.lie"))
+    for path in golden:
+        doc = parse((corpus_dir / path.name).read_text(encoding="utf-8"))
+        assert serialize(doc) == path.read_text(encoding="utf-8"), path.name
 
 
 def test_round_trip_randomized_documents():
