@@ -38,8 +38,10 @@ entry types are those of the same elimination run on the scalars.
 right, and reads the canonical kernel basis off that form.
 
 The textual scalar syntax (``-3``, ``3/2``, ``3/2+1/4i``, ``-i``, ``2i``) is
-shared with the declarative input format; :func:`parse_scalar` and
-:func:`format_scalar` are the single implementation of it.
+shared with the declarative input format.  It is written once, as the
+pattern :data:`SCALAR_SYNTAX`; :func:`scalar_from_match` builds the value of
+a match, for :func:`parse_scalar` and the ``.lie`` scanner alike, and
+:func:`format_scalar` is the inverse.
 """
 
 from __future__ import annotations
@@ -197,33 +199,64 @@ def conjugate_scalar(x):
 # scalar text syntax
 # ---------------------------------------------------------------------------
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_RE_RAT = re.compile(rf"({_RAT})\Z")
-_RE_UNIT_IM = re.compile(r"([+-]?)i\Z")
-_RE_IM = re.compile(rf"({_RAT})i\Z")
-_RE_FULL_UNIT = re.compile(rf"({_RAT})([+-])i\Z")
-_RE_FULL = re.compile(rf"({_RAT})([+-]\d+(?:/\d+)?)i\Z")
+#: The scalar syntax, a ``re.VERBOSE`` pattern whose named groups
+#: :func:`scalar_from_match` reads.  The sign applies to the first part
+#: (``-1+2i`` is -1 + 2i), whitespace may separate the parts, digits are
+#: ASCII, and an ``i`` does not run on into a name (``2ix`` is ``2``, ``ix``).
+SCALAR_SYNTAX = r"""(?P<sign>[+-])?{0}
+    (?: (?P<num>[0-9]+) (?:{0}/{0}(?P<den>[0-9]+))?
+        (?: {0}(?P<times_i>i)(?!\w)
+          | {0}(?P<im_sign>[+-]){0} (?:(?P<im>[0-9]+)(?:{0}/{0}(?P<im_den>[0-9]+))?{0})? i(?!\w) )?
+      | i(?!\w) )""".format(r"[ \t\r\n]*")
+
+
+class ScalarLiteralError(ValueError):
+    """Scalar syntax without a value: a zero denominator, or an integer too
+    long for ``int``.  ``offset`` is where that integer starts."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+
+def _integer(m, group: str) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # the digits are ASCII, so only their number can fail
+        raise ScalarLiteralError("integer literal too long", m.start(group)) from None
+
+
+def _rational(m, num: str, den: str, sign: int) -> Fraction:
+    n = sign * _integer(m, num)
+    if m[den] is None:
+        return Fraction(n)
+    d = _integer(m, den)
+    if d == 0:
+        raise ScalarLiteralError("zero denominator", m.start(den))
+    return Fraction(n, d)
+
+
+def scalar_from_match(m):
+    """The Fraction or GaussianRational of a match of :data:`SCALAR_SYNTAX`."""
+    sign = -1 if m["sign"] == "-" else 1
+    if m["num"] is None:
+        return GaussianRational(0, sign)
+    first = _rational(m, "num", "den", sign)
+    if m["times_i"]:
+        return GaussianRational(0, first)
+    if m["im_sign"] is None:
+        return first
+    im_sign = -1 if m["im_sign"] == "-" else 1
+    return GaussianRational(first, _rational(m, "im", "im_den", im_sign) if m["im"] else im_sign)
 
 
 def parse_scalar(text: str):
-    """Parse the canonical scalar syntax into a Fraction or GaussianRational."""
-    s = text.strip()
-    m = _RE_RAT.match(s)
-    if m:
-        return Fraction(m.group(1))
-    m = _RE_UNIT_IM.match(s)
-    if m:
-        return GaussianRational(0, -1 if m.group(1) == "-" else 1)
-    m = _RE_IM.match(s)
-    if m:
-        return GaussianRational(0, Fraction(m.group(1)))
-    m = _RE_FULL_UNIT.match(s)
-    if m:
-        return GaussianRational(Fraction(m.group(1)), -1 if m.group(2) == "-" else 1)
-    m = _RE_FULL.match(s)
-    if m:
-        return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
-    raise ValueError(f"not a valid scalar: {text!r}")
+    """Parse one scalar into a Fraction or GaussianRational; else ValueError."""
+    # Compiled on first use: the command line reads scalars through specfile.
+    m = re.fullmatch(SCALAR_SYNTAX, text.strip(), re.VERBOSE)
+    if m is None:
+        raise ValueError(f"not a valid scalar: {text!r}")
+    return scalar_from_match(m)
 
 
 def format_scalar(x) -> str:

@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     document    := item* ;
     item        := algebra | matrixalg | subalgebra | complement | operator | pair ;
     algebra     := "algebra" NAME "{" "basis" NAME+ ";" ("bracket" "[" NAME "," NAME "]" "=" lincomb ";")* "}" ;
-    matrixalg   := "matrix_algebra" NAME "dim" "=" INT "{" ("gen" NAME "=" matrix ";")+ "}" ;
+    matrixalg   := "matrix_algebra" NAME "dim" "=" DIGITS "{" ("gen" NAME "=" matrix ";")+ "}" ;
     subalgebra  := "subalgebra" NAME "of" NAME "=" "span" "(" lincomb ("," lincomb)* ")" ";" ;
     complement  := "complement" NAME "of" NAME "=" "span" "(" lincomb ("," lincomb)* ")" ";" ;
     operator    := "operator" NAME "on" NAME ("{" (NAME "->" lincomb ";")+ "}"
@@ -23,8 +23,13 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
                    ["," "connected" "=" ("true"|"false")] ["," "reps" "(" matrix ("," matrix)* ")"] ")" ";" ;
     lincomb     := [scalar "*"] NAME (("+"|"-") [scalar "*"] NAME)* | scalar ;
     matrix      := "[" row ("," row)* "]" ;   row := "[" scalar ("," scalar)* "]" ;
-    scalar      := rational | [rational] "i" | rational ("+"|"-") [rational] "i" ;
-    rational    := ["-"] INT ["/" INT] ;
+    scalar      := ["+"|"-"] (rational ["i" | ("+"|"-") [rational] "i"] | "i") ;
+    rational    := DIGITS ["/" DIGITS] ;
+
+A scalar is one token, :data:`liecheck.exact.SCALAR_SYNTAX`: whitespace may
+separate its parts but a comment may not, and DIGITS are ASCII ``0-9``.  In
+``1+2i`` the ``+2i`` belongs to the scalar; in ``1 + 2*e1`` it does not, and
+``+ 2`` starts the next term.  A name starts with a letter or ``_``.
 
 A bare scalar as a lincomb must be 0 (the zero vector).  Unspecified
 brackets default to zero and ``[b,a]`` is inferred as ``-[a,b]``; declaring
@@ -38,12 +43,22 @@ per line, scalars in canonical form, brackets emitted only for i < j.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import LieAlgebra, from_matrix_generators, make_subalgebra
 from .errors import LieCheckError
-from .exact import ExactMatrix, GaussianRational, Subspace, format_scalar
+from .exact import (
+    I,
+    SCALAR_SYNTAX,
+    ExactMatrix,
+    GaussianRational,
+    ScalarLiteralError,
+    Subspace,
+    format_scalar,
+    scalar_from_match,
+)
 from .operators import (
     HomogeneousPair,
     operator_ad,
@@ -184,67 +199,59 @@ class SpecDocument(Value):
 # scanner
 # ---------------------------------------------------------------------------
 
-class _Token(FrozenValue):
-    __slots__ = ("kind", "text", "line", "col")
+class _Token:
+    """A token: its kind (NAME, SCALAR, PUNCT or EOF), text, position and value."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)  # NAME | INT | PUNCT | EOF
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+    __slots__ = ("kind", "text", "line", "col", "value")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, value):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-_PUNCTS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "*", "+", "-", "/")
+# A lone ``i`` is a NAME: it may name an algebra, and the parser reads it as
+# the imaginary unit where a scalar is expected.
+_TOKEN = re.compile(rf"""
+      (?P<NEWLINE> \n )
+    | (?P<SKIP> [ \t\r]+ | \#[^\n]* )
+    | (?P<NAME> [^\W\d]\w* )
+    | (?P<SCALAR> {SCALAR_SYNTAX} )
+    | (?P<PUNCT> -> | [{{}}()\[\],;=*+\-/] )
+    | (?P<EOF> \Z )
+    | (?P<BAD> . )
+""", re.VERBOSE)
 
 
-def _scan(text: str):
+def _scan(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("PUNCT", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}()[],;=*+-/":
-            tokens.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col, found=ch)
-    tokens.append(_Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        # \w admits numerals such as "²"; a name starts with a letter or "_".
+        if kind == "BAD" or kind == "NAME" and not (m[0][0].isalpha() or m[0][0] == "_"):
+            raise SpecSyntaxError(f"unexpected character {m[0][0]!r}", line, col,
+                                  found=m[0][0])
+        value = None
+        if kind == "SCALAR":
+            try:
+                value = scalar_from_match(m)
+            except ScalarLiteralError as exc:  # raised when the parser takes the token
+                at = exc.offset
+                value = SpecSyntaxError(str(exc), text.count("\n", 0, at) + 1,
+                                        at - text.rfind("\n", 0, at))
+        tokens.append(_Token(kind, m[0], line, col, value))
+        if "\n" in m[0]:  # the parts of a scalar may stand on several lines
+            line += m[0].count("\n")
+            line_start = m.start() + m[0].rindex("\n") + 1
     return tokens
 
 
@@ -279,8 +286,8 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -316,71 +323,35 @@ class _Parser:
         self.fail([repr(word)])
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "PUNCT" and tok.text == text
 
     def at_name(self, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "NAME" and (text is None or tok.text == text)
 
     # -- scalars ------------------------------------------------------------
 
-    def _parse_rational(self, sign: int = 1) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "INT":
-            self.fail(["an integer"])
-        self.advance()
-        num = int(tok.text) * sign
-        if self.at_punct("/"):
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "INT":
-                self.fail(["a denominator"])
-            self.advance()
-            den = int(den_tok.text)
-            if den == 0:
-                raise SpecSyntaxError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(num, den)
-        return Fraction(num)
+    def _value(self, tok: _Token):
+        if isinstance(tok.value, SpecSyntaxError):  # a literal without a value
+            raise tok.value
+        return tok.value
 
     def _try_scalar(self):
-        """Parse a scalar if one starts here; returns None otherwise.
-
-        Handles the full complex form with backtracking: in ``1+2i`` the
-        ``+2i`` belongs to the scalar, while in ``1 + 2*e1`` it starts the
-        next lincomb term.
-        """
-        start = self.pos
-        sign = 1
-        if self.at_punct("-"):
-            sign = -1
-            self.advance()
-        elif self.at_punct("+"):
-            self.advance()
-        if self.at_name("i"):
-            self.advance()
-            return GaussianRational(0, sign)
-        if self.peek().kind != "INT":
-            self.pos = start
+        """Take a scalar if one starts here; returns None otherwise."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "SCALAR":
+            value = self._value(tok)
+        elif tok.kind == "NAME" and tok.text == "i":
+            value = I
+        else:
             return None
-        re_part = self._parse_rational(sign)
-        if self.at_name("i"):
+        self.pos += 1
+        # In "3//2" the first "/" starts a denominator that is not there.
+        if tok.text[-1] != "i" and "/" not in tok.text and self.at_punct("/"):
             self.advance()
-            return GaussianRational(0, re_part)
-        mark = self.pos
-        if self.at_punct("+") or self.at_punct("-"):
-            im_sign = 1 if self.peek().text == "+" else -1
-            self.advance()
-            if self.at_name("i"):
-                self.advance()
-                return GaussianRational(re_part, im_sign)
-            if self.peek().kind == "INT":
-                im_part = self._parse_rational(im_sign)
-                if self.at_name("i"):
-                    self.advance()
-                    return GaussianRational(re_part, im_part)
-            self.pos = mark
-        return re_part
+            self.fail(["a denominator"])
+        return value
 
     def _scalar(self):
         s = self._try_scalar()
@@ -393,40 +364,29 @@ class _Parser:
     def _lincomb(self) -> _RawLincomb:
         head = self.peek()
         terms = []
-        first = True
         while True:
-            if first:
-                sign = 1
-                if self.at_punct("-"):
-                    sign = -1
-                    self.advance()
-                elif self.at_punct("+"):
-                    self.advance()
-            else:
-                if self.at_punct("+"):
-                    sign = 1
-                    self.advance()
-                elif self.at_punct("-"):
-                    sign = -1
-                    self.advance()
-                else:
+            sign = 1
+            if self.at_punct("+"):
+                self.advance()
+            elif self.at_punct("-"):
+                sign = -1
+                self.advance()
+            elif terms:
+                # A signed scalar is a term of its own: "x -2*y".
+                tok = self.peek()
+                if tok.kind != "SCALAR" or tok.text[0] not in "+-":
                     break
             if self.at_name() and not self.at_name("i"):
                 terms.append((sign, None, self.advance()))
-            else:
-                save = self.pos
-                scalar = self._try_scalar()
-                if scalar is None:
-                    self.fail(["a scalar or a basis label"])
-                if self.at_punct("*"):
-                    self.advance()
-                    name_tok = self.expect_name("a basis label")
-                    terms.append((sign, scalar, name_tok))
-                else:
-                    terms.append((sign, scalar, None))
-            first = False
-        if not terms:
-            self.fail(["a linear combination"])
+                continue
+            scalar = self._try_scalar()
+            if scalar is None:
+                self.fail(["a scalar or a basis label"])
+            name_tok = None
+            if self.at_punct("*"):
+                self.advance()
+                name_tok = self.expect_name("a basis label")
+            terms.append((sign, scalar, name_tok))
         return _RawLincomb(terms, head.line, head.col)
 
     def _matrix(self) -> ExactMatrix:
@@ -506,10 +466,10 @@ class _Parser:
         self.expect_keyword("dim")
         self.expect_punct("=")
         size_tok = self.peek()
-        if size_tok.kind != "INT":
+        if size_tok.kind != "SCALAR" or not size_tok.text.isdigit():
             self.fail(["the matrix size"])
         self.advance()
-        size = int(size_tok.text)
+        size = self._value(size_tok).numerator
         if size < 1:
             raise SpecSyntaxError("matrix size must be positive",
                                   size_tok.line, size_tok.col)

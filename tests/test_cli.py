@@ -212,6 +212,21 @@ def test_non_utf8_input_exit_two(capsys, tmp_path):
         assert "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry,diagnostic", [
+    ("\u00b2", "1:38: unexpected character '\u00b2'"),
+    ("\u0663", "1:38: unexpected character '\u0663'"),
+    ("7" * 5000, "1:38: integer literal too long"),
+])
+def test_malformed_scalar_exit_two_with_one_error_line(capsys, tmp_path, entry, diagnostic):
+    bad = tmp_path / "bad.lie"
+    bad.write_text(f"matrix_algebra m dim = 1 {{ gen d = [[{entry}]]; }}", encoding="utf-8")
+    for command in ("parse", "check"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:{diagnostic}\n"
+
+
 def test_harness_non_finite_theta_exit_two(capsys, corpus_dir):
     for theta in ("inf", "-inf", "nan"):
         code, _, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),

@@ -74,13 +74,16 @@ def test_rational_canonical_form():
     ("0", "0"),
     ("1/2-i", "1/2-i"),
     ("-5/7i", "-5/7i"),
+    ("-1+2i", "-1+2i"),
+    ("- 3/2 - 1/4 i", "-3/2-1/4i"),
 ])
 def test_scalar_round_trip(text, back):
     assert format_scalar(parse_scalar(text)) == back
 
 
 def test_scalar_rejects_garbage():
-    for bad in ("', '", "1.5", "i2", "3 + 4", "--1", "1/0x"):
+    for bad in ("', '", "1.5", "i2", "3 + 4", "--1", "1/0x", "1/0", "1/0i", "1+1/0i",
+                "\u00b2", "\u0663", "2ix"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from liecheck.exact import GaussianRational
 from liecheck.specfile import (
     DuplicateName,
     InconsistentBracket,
+    SpecfileError,
     SpecSyntaxError,
     UnresolvedReference,
     build,
@@ -131,6 +133,8 @@ PINNED_DIAGNOSTICS = [
      "1:32: generator name 'i' is reserved for the imaginary unit"),
     ("algebra a { basis x y; bracket [x,y] = 3//2*x; }", SpecSyntaxError,
      "1:42: expected a denominator, found '/'"),
+    ((Path(__file__).parent / "data" / "bad_scalar.lie").read_text(encoding="utf-8"),
+     SpecSyntaxError, "2:21: expected a denominator, found '/'"),
     (_M + "[[1/0]]; }", SpecSyntaxError, "1:40: zero denominator"),
     (_M + "[[1/00]]; }", SpecSyntaxError, "1:40: zero denominator"),
     (_M + "[[1+1/0i]]; }", SpecSyntaxError, "1:42: zero denominator"),
@@ -138,6 +142,7 @@ PINNED_DIAGNOSTICS = [
     (_M + "[[1 2]]; }", SpecSyntaxError, "1:40: expected ']', found '2'"),
     (_M + "[[1+]]; }", SpecSyntaxError, "1:39: expected ']', found '+'"),
     (_M + "[[x]]; }", SpecSyntaxError, "1:38: expected a scalar, found 'x'"),
+    (_M + "[[1 +\n 2i, x]]; }", SpecSyntaxError, "2:6: expected a scalar, found 'x'"),
     (_M + "[1]; }", SpecSyntaxError, "1:37: expected '[', found '1'"),
     (_M.replace("dim = 1", "dim = 2") + "[[1,0],[0]]; }", SpecSyntaxError,
      "1:36: ragged matrix rows"),
@@ -171,22 +176,30 @@ PINNED_DIAGNOSTICS = [
      "3:29: expected 'true', 'false', found 'maybe'"),
     (_S + "pair p = (a, s, colour = red);", SpecSyntaxError,
      "3:17: expected 'complement', 'connected', 'reps', found 'colour'"),
+    # Digits are ASCII: other digits are neither integers nor names.
+    (_M + "[[\u00b2]]; }", SpecSyntaxError, "1:38: unexpected character '\u00b2'"),
+    (_M + "[[1\u00b2]]; }", SpecSyntaxError, "1:39: unexpected character '\u00b2'"),
+    (_M + "[[\u0663]]; }", SpecSyntaxError, "1:38: unexpected character '\u0663'"),
+    (_M + "[[1/\u0663]]; }", SpecSyntaxError, "1:40: unexpected character '\u0663'"),
+    # An integer too long for int() is diagnosed at the literal.
+    (_M + "[[" + "7" * 5000 + "]]; }", SpecSyntaxError, "1:38: integer literal too long"),
+    (_M + "[[1/" + "7" * 5000 + "]]; }", SpecSyntaxError,
+     "1:40: integer literal too long"),
+    (_M.replace("dim = 1", "dim = " + "7" * 5000) + "[[1]]; }", SpecSyntaxError,
+     "1:24: integer literal too long"),
+    (_A + "subalgebra s of a = span(x - " + "7" * 5000 + "*y);", SpecSyntaxError,
+     "2:30: integer literal too long"),
 ]
 
 
-@pytest.mark.parametrize("text,exc_type,diagnostic", PINNED_DIAGNOSTICS)
+@pytest.mark.parametrize("text,exc_type,diagnostic", PINNED_DIAGNOSTICS,
+                         ids=[case[2] for case in PINNED_DIAGNOSTICS])
 def test_pinned_diagnostics(text, exc_type, diagnostic):
     with pytest.raises(exc_type) as err:
         parse(text)
     assert type(err.value) is exc_type
     assert str(err.value) == diagnostic
     assert f"{err.value.line}:{err.value.col}: {err.value.message}" == diagnostic
-
-
-def test_bad_scalar_fixture_diagnostic(fixtures_dir):
-    with pytest.raises(SpecSyntaxError) as err:
-        parse((fixtures_dir / "bad_scalar.lie").read_text())
-    assert str(err.value) == "2:21: expected a denominator, found '/'"
 
 
 @pytest.mark.parametrize("spaced,compact", [
@@ -215,6 +228,34 @@ def test_signs_and_terms_in_lincombs():
         parse("algebra a { basis x; } subalgebra s of a = span(0 + 2*x);")
     with pytest.raises(SpecSyntaxError, match="must be rational"):
         parse("algebra a { basis x; } subalgebra s of a = span(0 + 2i*x);")
+
+
+MUTATION_ALPHABET = "0123456789/+-*i[](){}#\n.\u00b2\u0663"
+
+
+def test_mutated_inputs_parse_or_raise_a_positioned_diagnostic(corpus_dir, fixtures_dir):
+    rng = random.Random(20261018)
+    for path in sorted(corpus_dir.glob("*.lie")) + sorted(fixtures_dir.glob("*.lie")):
+        text = path.read_text(encoding="utf-8")
+        for _ in range(120):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                op, pos = rng.choice("idr"), rng.randrange(len(chars) + 1)
+                if op == "i":
+                    chars.insert(pos, rng.choice(MUTATION_ALPHABET))
+                elif pos < len(chars) and op == "d":
+                    del chars[pos]
+                elif pos < len(chars):
+                    chars[pos] = rng.choice(MUTATION_ALPHABET)
+            mutated = "".join(chars)
+            try:
+                doc = parse(mutated)
+            except SpecfileError as err:
+                lines = mutated.split("\n")
+                assert 1 <= err.line <= len(lines), (path.name, mutated)
+                assert 1 <= err.col <= len(lines[err.line - 1]) + 1, (path.name, mutated)
+            else:
+                assert parse(serialize(doc)) == doc, (path.name, mutated)
 
 
 def test_malformed_fixtures(fixtures_dir):

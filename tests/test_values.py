@@ -23,7 +23,6 @@ from liecheck.specfile import (
     SubspaceDecl,
     _RawItem,
     _RawLincomb,
-    _Token,
     parse,
     serialize,
 )
@@ -31,7 +30,7 @@ from liecheck.torsion import TorsionReport
 
 FROZEN = (
     SplitDiagnostics, IntegrabilityReport, VerdictReport, TorsionReport,
-    AlgebraDecl, MatrixAlgebraDecl, SubspaceDecl, OperatorDecl, PairDecl, _Token,
+    AlgebraDecl, MatrixAlgebraDecl, SubspaceDecl, OperatorDecl, PairDecl,
 )
 MUTABLE = (
     FieldSample, RelationReport, DeviationReport, SpecDocument, BuiltDocument,
