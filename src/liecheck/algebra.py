@@ -8,8 +8,11 @@ zero, so the bracket, the validation and the construction from generators
 loop over nonzero entries only.  The constants are validated on
 construction: antisymmetry entrywise and the Jacobi identity on every basis
 triple.  Matrix algebras are converted at the door by
-:func:`from_matrix_generators`; the generator matrices are retained so that
-multiplication operators can be expressed later.
+:func:`from_matrix_generators`, in integers: each generator is scaled to
+Gaussian-integer rows, commutators are taken on those rows, and one integer
+elimination (:class:`_SpanSolver`) gives their coordinates; a Fraction is
+made only per nonzero structure constant.  The generators and their solver
+are retained, so multiplication operators are expressed the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    _eliminate,
     conjugate_scalar,
     format_scalar,
     rref,
@@ -342,132 +346,114 @@ def conjugate_vector(v: Sequence) -> tuple:
 # matrix-generator construction
 # ---------------------------------------------------------------------------
 
-def _entries_by_position(m: ExactMatrix):
-    """The nonzero entries of ``m`` as ``(row * cols + col, value)``."""
-    cols = m.cols
-    return (
-        (r * cols + c, e) for r, terms in enumerate(m.nonzero_rows) for c, e in terms
-    )
+def _gaussian_rows(m: ExactMatrix) -> tuple:
+    """``(s, rows)``: ``s * m`` for ``s`` the lcm of the denominators of the
+    entries of ``m``, as its nonzero rows ``{row: {col: (re, im)}}`` of
+    Gaussian integers."""
+    parts = [[(c, e.re, e.im) if e.__class__ is GaussianRational else (c, e, 0) for c, e in terms]
+             for terms in m.nonzero_rows]
+    s = lcm(*(x.denominator for terms in parts for _, a, b in terms for x in (a, b)))
+    return s, {r: {c: (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+                   for c, a, b in terms} for r, terms in enumerate(parts) if terms}
 
 
-def _commutator(a: tuple, b: tuple, size: int) -> dict:
-    """Nonzero entries ``{row * size + col: value}`` of ``AB - BA``, for
-    square matrices given by their nonzero rows."""
-    acc = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for r, terms in enumerate(x):
-            for k, u in terms:
-                for c, w in y[k]:
-                    p = r * size + c
-                    acc[p] = acc.get(p, _ZERO) + sign * u * w
-    return {p: v for p, v in acc.items() if v}
+def _times(x: dict, y: dict, out: Optional[dict] = None, sign: int = 1) -> dict:
+    """Add ``sign * X Y`` to the rows ``out`` (zero by default) and return
+    them, for matrices given by :func:`_gaussian_rows`."""
+    out = {} if out is None else out
+    for r, terms in x.items():
+        acc = out.setdefault(r, {})
+        for k, (a, b) in terms.items():
+            for c, (u, v) in y.get(k, {}).items():
+                re, im = acc.get(c, (0, 0))
+                acc[c] = (re + sign * (a * u - b * v), im + sign * (a * v + b * u))
+    return out
 
 
 class _SpanSolver:
-    """Solve for coordinates of matrices inside a rational span of matrices.
+    """Solve for coordinates of matrices inside the real span of matrices.
 
-    The generator matrices are flattened into real coordinate vectors (real
-    and imaginary parts separately when any generator has entries in Q(i)),
-    and a single row reduction of the augmented system ``[A | Id]`` records
-    the elimination.  Its right block is kept by column: for each flattened
-    position, the nonzero ``(row, value)`` pairs of that column.  A later
-    target then costs one pass over the target's nonzero entries.
+    Each generator is scaled to Gaussian-integer rows (:func:`_gaussian_rows`)
+    and flattened into an integer column of ``A``, real parts first and, when
+    any generator has one, imaginary parts below.  One integer elimination of
+    ``[A | Id]`` over the columns of ``A`` leaves the rows ``[Id | T]`` on
+    top, with ``T A = Id``, and ``[0 | N]`` below, whose rows span the left
+    null space.  Both blocks are kept by column, as integers over one
+    denominator per row of T: a target ``t`` lies in the span exactly when
+    ``N t = 0``, and its coordinates are ``T t``, so a target costs one pass
+    over its nonzero entries.
     """
 
     def __init__(self, matrices: Sequence[ExactMatrix]):
         self.matrices = tuple(matrices)
-        self.size = matrices[0].rows
-        self.has_imag = any(
-            isinstance(e, GaussianRational) and e.im != 0
-            for m in matrices
-            for e in m.entries
-        )
-        columns = [self._flatten(_entries_by_position(m)) for m in matrices]
-        height = self.size * self.size * (2 if self.has_imag else 1)
-        n = len(columns)
-        aug = ExactMatrix.from_rows(
-            [
-                [col.get(r, _ZERO) for col in columns]
-                + [Fraction(int(r == s)) for s in range(height)]
-                for r in range(height)
-            ]
-        )
-        red, pivots = rref(aug)
-        rank = sum(1 for p in pivots if p < n)
-        self.independent = rank == n
+        self.size = size = matrices[0].rows
+        self.scales, self.rows = zip(*map(_gaussian_rows, matrices))
+        self.has_imag = any(b for rows in self.rows for row in rows.values()
+                            for _, b in row.values())
+        n, half = len(matrices), size * size
+        height = half * (2 if self.has_imag else 1)
+        system = [[[0] * n + [int(r == p) for p in range(height)], None, 1, 0]
+                  for r in range(height)]
+        for k, rows in enumerate(self.rows):
+            for r, row in rows.items():
+                for c, (a, b) in row.items():
+                    system[r * size + c][0][k] = a
+                    if b:
+                        system[half + r * size + c][0][k] = b
+        pivots = _eliminate(system, n + height, range(n))
+        self.independent = len(pivots) == n
         self.n = n
-        # Rows with pivot inside the generator block recover coordinates;
-        # the remaining rows span the left null space (membership test).
-        self._top = [[] for _ in range(height)]
-        self._bottom = [[] for _ in range(height)]
-        for r, terms in enumerate(red.nonzero_rows):
-            block = self._top if r < rank else self._bottom
-            for c, a in terms:
-                if c >= n:
-                    block[c - n].append((r, a))
-        self._complex = None
-
-    def _flatten(self, entries) -> Optional[dict]:
-        """``{position: rational}`` of the real coordinates of a matrix given
-        by its nonzero ``entries`` (see :func:`_entries_by_position`); the
-        imaginary part of position ``p`` is at ``size**2 + p``.  None when an
-        imaginary part is nonzero but every generator is real."""
-        half = self.size * self.size
-        flat = {}
-        for p, e in entries:
-            if isinstance(e, GaussianRational):
-                if e.im:
-                    if not self.has_imag:
-                        return None
-                    flat[half + p] = e.im
-                if e.re:
-                    flat[p] = e.re
-            else:
-                flat[p] = e
-        return flat
+        # Rows of T are multiplied by their generator's scale, so that they
+        # give coordinates of the generators as given.
+        self._den = [den for _, _, den, _ in system[:len(pivots)]]
+        self._columns = [[] for _ in range(height)]
+        for r, (re, _, _, _) in enumerate(system):
+            scale = self.scales[pivots[r]] if r < len(pivots) else 1
+            for p, a in enumerate(re[n:]):
+                if a:
+                    self._columns[p].append((r, a * scale))
 
     def coords(self, target: ExactMatrix) -> Optional[tuple]:
         """Rational coordinates of ``target`` in the real span, or None."""
-        terms = self._nonzero_coords(self._flatten(_entries_by_position(target)))
-        if terms is None:
-            return None
-        out = [_ZERO] * self.n
-        for r, x in terms:
-            out[r] = x
-        return tuple(out)
+        scale, rows = _gaussian_rows(target)
+        terms = self.solve(rows, scale)
+        return None if terms is None else tuple(dict(terms).get(k, _ZERO) for k in range(self.n))
 
-    def _nonzero_coords(self, flat: Optional[dict]) -> Optional[tuple]:
-        """The nonzero ``(row, value)`` coordinates, in increasing row, of a
-        target flattened by :meth:`_flatten`; None outside the real span."""
-        if flat is None:
-            return None
-        residues = {}
+    def solve(self, rows: dict, scale: int) -> Optional[tuple]:
+        """The nonzero ``(k, coordinate)`` pairs, in increasing ``k``, of the
+        matrix with Gaussian-integer ``rows`` divided by ``scale``; None
+        outside the real span.  A Fraction is made per nonzero coordinate."""
+        size, half = self.size, self.size * self.size
+        flat = {}
+        for r, row in rows.items():
+            for c, (a, b) in row.items():
+                if a:
+                    flat[r * size + c] = a
+                if b:
+                    if not self.has_imag:
+                        return None
+                    flat[half + r * size + c] = b
+        acc = {}  # rows of [T; N] times the flattened target
         for p, x in flat.items():
-            for r, a in self._bottom[p]:
-                residues[r] = residues.get(r, _ZERO) + a * x
-        if any(residues.values()):
+            for r, a in self._columns[p]:
+                acc[r] = acc.get(r, 0) + a * x
+        if any(x for r, x in acc.items() if r >= len(self._den)):
             return None
-        out = {}
-        for p, x in flat.items():
-            for r, a in self._top[p]:
-                out[r] = out.get(r, _ZERO) + a * x
-        return tuple(sorted((r, x) for r, x in out.items() if x))
+        return tuple([(k, Fraction(x, scale * self._den[k])) for k, x in sorted(acc.items()) if x])
+
+    def matrix(self, rows: dict, scale: int) -> ExactMatrix:
+        """The matrix with Gaussian-integer ``rows`` divided by ``scale``."""
+        size = self.size
+        return ExactMatrix(size, size, [
+            GaussianRational(Fraction(a, scale), Fraction(b, scale)) if b else Fraction(a, scale)
+            for r in range(size) for a, b in (rows.get(r, {}).get(c, (0, 0)) for c in range(size))])
 
     def in_complex_span(self, target: ExactMatrix) -> bool:
         """Whether ``target`` lies in the Q(i)-span of the generators."""
-        def as_gaussian(e):
-            return e if isinstance(e, GaussianRational) else GaussianRational(e)
-
-        if self._complex is None:
-            self._complex = [[as_gaussian(e) for e in m.entries] for m in self.matrices]
-        n = len(self._complex)
-        height = self.size * self.size
-        rows = [
-            [self._complex[j][r] for j in range(n)] + [as_gaussian(target.entries[r])]
-            for r in range(height)
-        ]
-        _, pivots = rref(ExactMatrix.from_rows(rows))
-        return n not in pivots
+        columns = [[e if isinstance(e, GaussianRational) else GaussianRational(e)
+                    for e in m.entries] for m in self.matrices + (target,)]
+        _, pivots = rref(ExactMatrix.from_rows(list(zip(*columns))))
+        return self.n not in pivots
 
 
 def from_matrix_generators(
@@ -500,15 +486,13 @@ def from_matrix_generators(
     if not solver.independent:
         raise NotIndependent("generators are linearly dependent")
     nonzeros = [[()] * n for _ in range(n)]
-    views = [g.nonzero_rows for g in gens]
+    rows, scales = solver.rows, solver.scales
     for i in range(n):
         for j in range(i + 1, n):
-            comm = _commutator(views[i], views[j], size)
-            terms = solver._nonzero_coords(solver._flatten(comm.items()))
+            comm = _times(rows[j], rows[i], _times(rows[i], rows[j]), -1)
+            terms = solver.solve(comm, scales[i] * scales[j])
             if terms is None:
-                comm = ExactMatrix(
-                    size, size, [comm.get(p, _ZERO) for p in range(size * size)]
-                )
+                comm = solver.matrix(comm, scales[i] * scales[j])
                 if solver.in_complex_span(comm):
                     raise NonRealStructureConstants(labels[i], labels[j])
                 raise NotClosed(labels[i], labels[j], comm)

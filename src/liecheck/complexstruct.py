@@ -11,8 +11,9 @@ complex conjugate of Z+, and the split identities for Z- are the conjugates
 of those for Z+.  The induced almost complex structure is integrable
 exactly when Z+ is closed under the bracket, and that is equivalent to the
 torsion verdict; both are computed, and a disagreement raises
-:class:`InternalInconsistency`.  The test that J squares to -1 modulo k
-runs on J's integer columns, like the pair loops of the other checks.
+:class:`InternalInconsistency`.  The closure is decided on ``Q (J - i)`` in
+Gaussian integers, and the test that J squares to -1 modulo k on J's
+integer columns, like the pair loops of the other checks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional
 
+from .algebra import bracket_into
 from .errors import (
     InternalInconsistency,
     MissingComplement,
@@ -33,6 +35,7 @@ from .exact import (
     annihilated,
     apply_columns,
     kernel_basis,
+    scaled_integers,
     subspace_intersection,
     subspace_sum,
 )
@@ -98,11 +101,15 @@ def check_ac_admissible(pair: HomogeneousPair, op: LinearOperator) -> bool:
     return _squares_to_minus_one(pair, op)
 
 
+def _integer_operator(op: LinearOperator) -> tuple:
+    """J's integer columns ``s J`` and their scale ``s``."""
+    return op.matrix.integer_columns, lcm(*(e.denominator for e in op.matrix.entries))
+
+
 def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
     """Whether (J^2 + 1) e_j lies in k for every j, decided on J's integer
     columns ``s J``: ``(s J)^2 e_j + s^2 e_j`` is ``s^2 (J^2 + 1) e_j``."""
-    columns = op.matrix.integer_columns
-    s = lcm(*(e.denominator for e in op.matrix.entries))
+    columns, s = _integer_operator(op)
     k = pair.k.space.annihilator.integer_columns
     return all(
         annihilated(k, apply_columns(columns, dict(columns[j]), {j: s * s}))
@@ -146,14 +153,33 @@ def _mod_k_representatives(kc: Subspace, z_plus: Subspace) -> tuple:
     return tuple(reps)
 
 
-def _bracket_escape(alg, z_plus: Subspace) -> Optional[tuple]:
-    """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+."""
-    rows = z_plus.vectors()
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            br = alg.bracket(rows[a], rows[b])
-            if br not in z_plus:
-                return rows[a], rows[b], br
+def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
+                    z_plus: Subspace) -> Optional[tuple]:
+    """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+.
+
+    Z+ is the kernel of ``Q (J - i)``, so ``v = a + ib`` lies in it exactly
+    when ``Q (s J a + s b)`` and ``Q (s J b - s a)`` vanish.  Each basis row
+    is scaled to Gaussian integers, its brackets are taken on the integer
+    structure constants, and only the witness is recomputed in Q(i).
+    """
+    constants = pair.alg.integer_constants
+    columns, s = _integer_operator(op)
+    q = pair.k.space.annihilator.integer_columns
+    vectors, rows = z_plus.vectors(), []
+    for v in vectors:
+        scaled = scaled_integers(((part, j), x) for j, e in enumerate(v)
+                                 for part, x in enumerate((e.re, e.im)) if x)
+        rows.append([{j: x for (p, j), x in scaled if p == part} for part in (0, 1)])
+    for i, (x_re, x_im) in enumerate(rows):
+        for t in range(i + 1, len(rows)):
+            y_re, y_im = rows[t]
+            # [x, y] = [x_re, y_re] - [x_im, y_im] + i ([x_re, y_im] + [x_im, y_re])
+            re = bracket_into(constants, x_im, y_im, bracket_into(constants, x_re, y_re, {}), -1)
+            im = bracket_into(constants, x_im, y_re, bracket_into(constants, x_re, y_im, {}))
+            if not (annihilated(q, apply_columns(columns, re, {j: s * x for j, x in im.items()}))
+                    and annihilated(q, apply_columns(columns, im,
+                                                     {j: -s * x for j, x in re.items()}))):
+                return vectors[i], vectors[t], pair.alg.bracket(vectors[i], vectors[t])
     return None
 
 
@@ -169,7 +195,7 @@ def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> Integrability
         raise NotACAdmissible("the operator does not square to -1 modulo the subalgebra")
     nij = check_nijenhuis(pair, op)
     z_plus, z_minus = compute_z_spaces(pair, op)
-    witness = _bracket_escape(pair.alg, z_plus)
+    witness = _bracket_escape(pair, op, z_plus)
     if (witness is None) != nij.verdict:
         raise InternalInconsistency("Z+ closure and the torsion verdict disagree")
     kc = pair.k.space.over_gaussian()

@@ -259,24 +259,33 @@ def parse_scalar(text: str):
     return scalar_from_match(m)
 
 
+def _rational_text(x) -> str:
+    """``str(x)`` for an int or a Fraction of any length: ``str`` refuses
+    ints past the interpreter's digit limit (4300 by default, 640 at least),
+    so long ones are split at a power of ten and their halves joined."""
+    if x.denominator != 1:
+        return f"{_rational_text(x.numerator)}/{_rational_text(x.denominator)}"
+    n = x.numerator
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(abs(n), 10 ** k)
+    return ("-" if n < 0 else "") + _rational_text(high) + _rational_text(low).zfill(k)
+
+
 def format_scalar(x) -> str:
     """Emit a scalar in canonical text form (inverse of :func:`parse_scalar`)."""
     x = _coerce_scalar(x)
     if isinstance(x, Fraction):
-        return str(x)
+        return _rational_text(x)
     if x.im == 0:
-        return str(x.re)
-    if x.im == 1:
-        im = "i"
-    elif x.im == -1:
-        im = "-i"
-    else:
-        im = f"{x.im}i"
-    if x.re == 0:
-        return im
-    sign = "+" if x.im > 0 else "-"
+        return _rational_text(x.re)
     mag = abs(x.im)
-    return f"{x.re}{sign}{'i' if mag == 1 else f'{mag}i'}"
+    im = "i" if mag == 1 else f"{_rational_text(mag)}i"
+    sign = "+" if x.im > 0 else "-"
+    if x.re == 0:
+        return im if x.im > 0 else f"-{im}"
+    return f"{_rational_text(x.re)}{sign}{im}"
 
 
 # ---------------------------------------------------------------------------

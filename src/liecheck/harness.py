@@ -316,50 +316,53 @@ def _chunks(total: int):
 
 
 def build_model(pair: HomogeneousPair) -> MatrixModel:
-    """Choose the float model matching a pair, or explain why none fits."""
+    """Choose the float model matching a pair, or explain why none fits.
+
+    The model kind, and every reason for having none that needs no floats,
+    is decided before numpy is first used."""
     alg = pair.alg
-    structure = np.zeros((alg.dim,) * 3)
-    for i, row in enumerate(alg.nonzeros):
-        for j, terms in enumerate(row):
-            for k, x in terms:
-                structure[i, j, k] = float(x)
+    sphere = alg.dim == 3 and pair.k.dim == 1
     if pair.k.dim == 0:
         if alg.matrix_generators is None:
             raise LieCheckError(
                 "the full-group model needs an algebra built from matrix generators"
             )
-        gens = [_float_matrix(g) for g in alg.matrix_generators]
+    elif not sphere:
+        raise LieCheckError(
+            "no numerical model for this pair (supported: trivial stabilizer on a "
+            "matrix algebra, or the 3-dimensional rotation pair)"
+        )
+    elif alg.matrix_generators is not None:
+        if alg.matrix_size != 3:
+            raise LieCheckError("the sphere model needs 3x3 generators")
+    elif any(alg.nonzeros[i][j] != want for (i, j), want in _SO3_TENSOR.items()):
+        raise LieCheckError(
+            "no matrix realization: the structure constants are not the "
+            "standard rotation-algebra table"
+        )
+    structure = np.zeros((alg.dim,) * 3)
+    for i, row in enumerate(alg.nonzeros):
+        for j, terms in enumerate(row):
+            for k, x in terms:
+                structure[i, j, k] = float(x)
+    gens = ([np.array(g) for g in _SO3_STANDARD] if alg.matrix_generators is None
+            else [_float_matrix(g) for g in alg.matrix_generators])
+    if not sphere:
         return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]),
                            structure, alg.basis_labels)
-    if alg.dim == 3 and pair.k.dim == 1:
-        if alg.matrix_generators is not None:
-            gens = [_float_matrix(g) for g in alg.matrix_generators]
-            if gens[0].shape != (3, 3):
-                raise LieCheckError("the sphere model needs 3x3 generators")
-            for g in gens:
-                if float(np.max(np.abs(g + g.T))) > 1e-12:
-                    raise LieCheckError(
-                        "sphere-model generators must be antisymmetric (rotations)"
-                    )
-        else:
-            if any(alg.nonzeros[i][j] != want for (i, j), want in _SO3_TENSOR.items()):
-                raise LieCheckError(
-                    "no matrix realization: the structure constants are not the "
-                    "standard rotation-algebra table"
-                )
-            gens = [np.array(g) for g in _SO3_STANDARD]
-        model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure,
-                            alg.basis_labels)
-        for row in pair.k.space.vectors():
-            if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
-                raise LieCheckError(
-                    "the subalgebra does not stabilize the base point"
-                )
-        return model
-    raise LieCheckError(
-        "no numerical model for this pair (supported: trivial stabilizer on a "
-        "matrix algebra, or the 3-dimensional rotation pair)"
-    )
+    for g in gens:
+        if float(np.max(np.abs(g + g.T))) > 1e-12:
+            raise LieCheckError(
+                "sphere-model generators must be antisymmetric (rotations)"
+            )
+    model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure,
+                        alg.basis_labels)
+    for row in pair.k.space.vectors():
+        if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
+            raise LieCheckError(
+                "the subalgebra does not stabilize the base point"
+            )
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .algebra import LieAlgebra, Subalgebra, bracket_into
+from .algebra import LieAlgebra, Subalgebra, _gaussian_rows, _times, bracket_into
 from .errors import (
     DimensionMismatch,
     ImageOutsideAlgebra,
@@ -22,6 +22,7 @@ from .errors import (
     RuleIncomplete,
 )
 from .exact import (
+    _ZERO,
     ExactMatrix,
     GaussianRational,
     Subspace,
@@ -331,29 +332,41 @@ def operator_ad(alg: LieAlgebra, d: Sequence) -> LinearOperator:
     return LinearOperator(alg, alg.ad_matrix(d), ad_generator=d)
 
 
-def _multiplication_operator(alg: LieAlgebra, image) -> LinearOperator:
+def _multiplication_operator(alg: LieAlgebra, a: Optional[ExactMatrix] = None,
+                             b: Optional[ExactMatrix] = None) -> LinearOperator:
+    """X -> A X B, an absent factor standing for the identity: each product
+    is taken on the Gaussian-integer rows of the generators and the factors,
+    and solved for its coordinates by the generators' span solver."""
     solver = alg._solver()
+    size = solver.size
+    if (a is not None and a.cols != size) or (b is not None and b.rows != size):
+        raise DimensionMismatch("inner dimensions do not match")
+    if (a is not None and a.rows != size) or (b is not None and b.cols != size):
+        raise DimensionMismatch(f"multiplication factors must be {size}x{size}")
+    sa, ra = (1, None) if a is None else _gaussian_rows(a)
+    sb, rb = (1, None) if b is None else _gaussian_rows(b)
     n = alg.dim
     columns = []
-    for j, gen in enumerate(alg.matrix_generators):
-        coords = solver.coords(image(gen))
-        if coords is None:
+    for j, (s, x) in enumerate(zip(solver.scales, solver.rows)):
+        x = x if ra is None else _times(ra, x)
+        terms = solver.solve(x if rb is None else _times(x, rb), sa * s * sb)
+        if terms is None:
             raise ImageOutsideAlgebra(alg.basis_labels[j])
-        columns.append(coords)
-    entries = [columns[j][k] for k in range(n) for j in range(n)]
-    return LinearOperator(alg, ExactMatrix(n, n, entries))
+        columns.append(dict(terms))
+    return LinearOperator(alg, ExactMatrix._of(n, n, tuple(
+        [columns[j].get(k, _ZERO) for k in range(n) for j in range(n)])))
 
 
 def operator_left_mult(alg: LieAlgebra, a: ExactMatrix) -> LinearOperator:
     """X -> A X on a matrix algebra, expressed in the algebra basis."""
-    return _multiplication_operator(alg, lambda x: a @ x)
+    return _multiplication_operator(alg, a)
 
 
 def operator_right_mult(alg: LieAlgebra, b: ExactMatrix) -> LinearOperator:
     """X -> X B on a matrix algebra, expressed in the algebra basis."""
-    return _multiplication_operator(alg, lambda x: x @ b)
+    return _multiplication_operator(alg, b=b)
 
 
 def operator_sandwich(alg: LieAlgebra, a: ExactMatrix, b: ExactMatrix) -> LinearOperator:
     """X -> A X B on a matrix algebra, expressed in the algebra basis."""
-    return _multiplication_operator(alg, lambda x: a @ x @ b)
+    return _multiplication_operator(alg, a, b)

@@ -209,13 +209,9 @@ def _generator_family(name: str, size: int) -> list:
     return [unit_matrix(size, i, j) for i in range(size) for j in range(i, size)]
 
 
-@property_test(max_examples=25)
-def test_from_matrix_generators_matches_dense_reference(data):
-    # Conjugating by P keeps the structure constants; the reference solves
-    # every commutator [g_i, g_j], i and j in any order, for dense coordinates.
-    name = data.draw(st.sampled_from(["so3", "gl3", "u4", "diagonal", "upper"]))
-    gens = _generator_family(name, data.draw(st.integers(2, 4)))
-    size = gens[0].rows
+def draw_conjugator(data, size: int) -> tuple:
+    """A random invertible rational ``P = L U`` (unit triangular factors)
+    and its inverse, solved in Fractions."""
     m = draw_matrix(data, "rational", size, size)
     lower = ExactMatrix(size, size, [m.entries[r * size + c] if r > c else Fraction(int(r == c))
                                      for r in range(size) for c in range(size)])
@@ -226,8 +222,25 @@ def test_from_matrix_generators_matches_dense_reference(data):
     inverse_cols = _solve([[p.entries[r * size + c] for r in range(size)] for c in range(size)],
                           units)
     p_inv = ExactMatrix(size, size, [inverse_cols[c][r] for r in range(size) for c in range(size)])
-    gens = [p @ g @ p_inv for g in gens]
-    n = len(gens)
+    return p, p_inv
+
+
+def draw_conjugated_family(data) -> list:
+    """The generators of a :func:`_generator_family` conjugated by a random
+    rational P, so that they carry denominators; conjugation keeps the
+    structure constants."""
+    name = data.draw(st.sampled_from(["so3", "gl3", "u4", "diagonal", "upper"]))
+    gens = _generator_family(name, data.draw(st.integers(2, 4)))
+    p, p_inv = draw_conjugator(data, gens[0].rows)
+    return [p @ g @ p_inv for g in gens]
+
+
+@property_test(max_examples=25)
+def test_from_matrix_generators_matches_dense_reference(data):
+    # The reference solves every commutator [g_i, g_j], i and j in any
+    # order, for dense coordinates.
+    gens = draw_conjugated_family(data)
+    size, n = gens[0].rows, len(gens)
     alg = from_matrix_generators(size, gens)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     dense = _solve([_real_coordinates(g) for g in gens],
@@ -360,6 +373,32 @@ def test_generator_failures():
     # i E12 lies in the complex span of E12 but not the real one
     with pytest.raises(NonRealStructureConstants):
         from_matrix_generators(2, [imag_unit_matrix(2, 0, 0), unit_matrix(2, 0, 1)])
+
+
+def test_generator_failures_pin_message_and_commutator():
+    # The commutator is rebuilt exactly, denominators and Q(i) entries
+    # included, from the generators as given.
+    with pytest.raises(NotClosed) as err:
+        from_matrix_generators(2, [unit_matrix(2, 0, 1, Fraction(2, 3)),
+                                   unit_matrix(2, 1, 0, Fraction(-3, 4))],
+                               labels=("e12", "f21"))
+    assert str(err.value) == "commutator [e12,f21] is outside the generator span"
+    assert err.value.labels == ("e12", "f21")
+    half = Fraction(1, 2)
+    assert err.value.commutator == ExactMatrix.from_rows([[-half, 0], [0, half]])
+    assert all(type(e) is Fraction for e in err.value.commutator.entries)
+    with pytest.raises(NotClosed) as err:
+        from_matrix_generators(2, [imag_unit_matrix(2, 0, 1, Fraction(2, 3)),
+                                   unit_matrix(2, 1, 0, Fraction(3, 4))])
+    assert str(err.value) == "commutator [g0,g1] is outside the generator span"
+    i_half = GaussianRational(0, half)
+    assert err.value.commutator == ExactMatrix.from_rows([[i_half, 0], [0, -i_half]])
+    with pytest.raises(NonRealStructureConstants) as err:
+        from_matrix_generators(2, [imag_unit_matrix(2, 0, 0, 3), unit_matrix(2, 0, 1)],
+                               labels=("d", "e12"))
+    assert str(err.value) == ("commutator [d,e12] needs non-real coefficients; "
+                              "the generators do not span a real Lie algebra")
+    assert err.value.labels == ("d", "e12")
 
 
 def test_make_subalgebra(so3):

@@ -10,6 +10,8 @@ import pytest
 
 from liecheck.cli import main
 
+from test_exact import decimal_value
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -306,6 +308,54 @@ def test_exact_commands_do_not_import_numpy(corpus_dir):
         "if status != 0: sys.exit(f'check exited {status}')\n"
         "if 'numpy' in sys.modules: sys.exit('numpy imported by check')\n"
     )
+
+
+def test_harness_without_model_does_not_import_numpy(corpus_dir):
+    # The model kind and the three "no model" errors are decided before any
+    # float work, so these commands exit 2 without importing numpy.
+    no_model = ("error: LieCheckError: no numerical model for this pair (supported: "
+                "trivial stabilizer on a matrix algebra, or the 3-dimensional rotation pair)\n")
+    cases = [
+        (["nil4.lie", "--operator", "jplane"], "error: LieCheckError: the full-group model "
+         "needs an algebra built from matrix generators\n"),
+        (["u4_grassmannian.lie"], no_model),
+        (["gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], no_model),
+    ]
+    for argv, stderr in cases:
+        argv = ["harness", str(corpus_dir / argv[0]), *argv[1:]]
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "import liecheck.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    status = liecheck.cli.main({argv!r})\n"
+            f"if (status, err.getvalue()) != (2, {stderr!r}):\n"
+            "    sys.exit(f'exit {status}: {err.getvalue()!r}')\n"
+            "if 'numpy' in sys.modules: sys.exit('numpy imported')\n"
+        )
+
+
+def test_witness_past_the_int_string_limit(capsys, tmp_path):
+    # Generators N*E11 and E21/N with a 3000-digit N, and left(M*E21): the
+    # operator sends the first generator to M*N^2 times the second, about
+    # 9000 digits, which the witness shows exactly.
+    n, m = 10 ** 2999 + 7, 3 * 10 ** 2999 + 1
+    path = tmp_path / "huge.lie"
+    path.write_text(
+        f"matrix_algebra b2 dim = 2 {{ gen a = [[{n},0],[0,0]]; gen b = [[0,0],[1/{n},0]]; }}\n"
+        "subalgebra k of b2 = span(a);\n"
+        f"operator big on b2 = left([[0,0],[{m},0]]);\n"
+        "pair p = (b2, k, connected = true);\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "failed clause: preserves_k" in lines
+    image = next(line for line in lines if line.startswith("  image = "))
+    coords = image.split("coords (")[1].rstrip(")").split(", ")
+    assert coords[0] == "0" and decimal_value(coords[1]) == m * n * n
+    code, out, _ = run(capsys, "check", str(path), "--report", "json")
+    witness = json.loads(out)["witnesses"][0]
+    assert code == 1 and decimal_value(witness["image"]["coords"][1]) == m * n * n
 
 
 def test_cli_does_not_import_dataclasses_or_traceback(corpus_dir):

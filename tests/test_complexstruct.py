@@ -41,11 +41,13 @@ from conftest import (
     draw_matrix,
     draw_operator,
     grassmann_center_vector,
+    imag_unit_matrix,
     property_test,
     sphere_family,
     st,
     unit_matrix,
 )
+from test_algebra import draw_conjugator
 
 I = GaussianRational(0, 1)
 
@@ -385,6 +387,72 @@ def test_squares_to_minus_one_matches_fraction_reference(loop_cases, case, data)
           else draw_operator(data, pair, seeds))
     assert (complexstruct._squares_to_minus_one(pair, op)
             == reference_squares_to_minus_one(pair, op))
+
+
+def reference_bracket_escape(alg, z_plus):
+    """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+,
+    bracketed and tested in GaussianRational arithmetic."""
+    rows = z_plus.vectors()
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            br = alg.bracket(rows[a], rows[b])
+            if br not in z_plus:
+                return rows[a], rows[b], br
+    return None
+
+
+def _closure_algebras():
+    """Even-dimensional algebras for a trivial stabilizer: gl2, u2 (Q(i)
+    generators), the nilpotent nil4 and the upper triangular 3x3 matrices."""
+    from liecheck import from_matrix_generators
+
+    u2 = [imag_unit_matrix(2, 0, 0), imag_unit_matrix(2, 1, 1),
+          unit_matrix(2, 0, 1) + unit_matrix(2, 1, 0, -1),
+          imag_unit_matrix(2, 0, 1) + imag_unit_matrix(2, 1, 0)]
+    return {
+        "gl2": from_matrix_generators(2, [unit_matrix(2, i, j) for i in range(2)
+                                          for j in range(2)]),
+        "u2": from_matrix_generators(2, u2),
+        "nil4": _nil4_pair()[0],
+        "upper3": from_matrix_generators(3, [unit_matrix(3, i, j) for i in range(3)
+                                             for j in range(i, 3)]),
+    }
+
+
+@property_test(max_examples=40)
+def test_z_plus_closure_matches_gaussian_reference(loop_cases, data):
+    # J = P J0 P^-1 squares to -1, and with k = 0 every J is admissible; most
+    # such J are not integrable, so the first escaping pair is compared.  On
+    # the Grassmannian, jgr plus an operator with values in k stays admissible
+    # and squares to -1 modulo k.
+    name = data.draw(st.sampled_from(["gl2", "u2", "nil4", "upper3", "u4_grass"]))
+    if name == "u4_grass":
+        pair, seeds, _ = loop_cases[name]
+        n, k_basis = pair.alg.dim, pair.k.space.vectors()
+        coeffs = data.draw(st.lists(st.sampled_from([Fraction(0)] * 4 + [Fraction(1, 2)]),
+                                    min_size=n * len(k_basis), max_size=n * len(k_basis)))
+        entries = list(seeds[1].matrix.entries)
+        for j in range(n):
+            for r, z in enumerate(k_basis):
+                for i in range(n):
+                    entries[i * n + j] += coeffs[j * len(k_basis) + r] * z[i]
+        op = LinearOperator(pair.alg, ExactMatrix(n, n, entries))
+    else:
+        alg = _closure_algebras()[name]
+        n = alg.dim
+        pair = HomogeneousPair(alg, make_subalgebra(alg, [alg.zero_vector()]))
+        j0 = ExactMatrix(n, n, [Fraction(-1 if c == r + 1 and r % 2 == 0 else
+                                         1 if r == c + 1 and c % 2 == 0 else 0)
+                                for r in range(n) for c in range(n)])
+        p, p_inv = draw_conjugator(data, n)
+        op = LinearOperator(alg, p @ j0 @ p_inv)
+    report = check_integrable(pair, op)
+    expected = reference_bracket_escape(pair.alg, report.z_plus)
+    assert report.z_plus_closed == (expected is None) == report.integrable
+    assert report.witness == expected
+    if expected is not None:
+        for got, want in zip(report.witness, expected):
+            assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_ac_admissible_with_denominators():

@@ -81,6 +81,33 @@ def test_scalar_round_trip(text, back):
     assert format_scalar(parse_scalar(text)) == back
 
 
+def decimal_value(text: str) -> int:
+    """The integer a decimal string denotes, read through int arithmetic in
+    chunks short enough for ``int``."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_format_scalar_past_the_int_string_limit():
+    # Python refuses int -> str conversions above 4300 digits by default;
+    # format_scalar renders any length exactly, zeros inside included.
+    assert format_scalar(Fraction(10 ** 5000, 3)) == "1" + "0" * 5000 + "/3"
+    num, den = format_scalar(Fraction(10 ** 5000, 3)).split("/")
+    assert (decimal_value(num), decimal_value(den)) == (10 ** 5000, 3)
+    for n in (7 ** 6000, -(3 ** 9001), 10 ** 8000 + 1, 10 ** 4300 - 1, -(10 ** 20000)):
+        assert decimal_value(format_scalar(Fraction(n))) == n
+        assert decimal_value(format_scalar(GaussianRational(0, n))[:-1]) == n
+    re, im = Fraction(-(11 ** 5000), 13 ** 4000), 2 ** 20000
+    text = format_scalar(GaussianRational(re, im))
+    head, _, tail = text.partition("+")
+    num, den = head.split("/")
+    assert (Fraction(decimal_value(num), decimal_value(den)), decimal_value(tail[:-1])) == (re, im)
+
+
 def test_scalar_rejects_garbage():
     for bad in ("', '", "1.5", "i2", "3 + 4", "--1", "1/0x", "1/0", "1/0i", "1+1/0i",
                 "\u00b2", "\u0663", "2ix"):

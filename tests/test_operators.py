@@ -32,13 +32,17 @@ from liecheck.torsion import check_nijenhuis
 
 from conftest import (
     LOOP_CASES,
+    draw_matrix,
     draw_operator,
     grassmann_center_vector,
     property_test,
     rand_vector,
     sphere_family,
+    st,
     unit_matrix,
 )
+from test_algebra import draw_conjugated_family
+from test_exact import _dense_span_coords
 
 
 def test_ad_k0_admissible(so3, so3_pair):
@@ -144,6 +148,57 @@ def test_right_mult_composes_with_left(gl3):
     sandwich = operator_sandwich(gl3, a, b)
     assert left.compose(right).matrix == sandwich.matrix
     assert right.compose(left).matrix == sandwich.matrix
+
+
+@property_test(max_examples=40)
+def test_multiplication_operators_match_dense_reference(data):
+    # left, right and sandwich on conjugated generator families, with a
+    # random factor or an element of the span: column j is the dense
+    # coordinate vector of the image of generator j, and the first image
+    # outside the span names its generator.
+    from liecheck import from_matrix_generators
+
+    gens = draw_conjugated_family(data)
+    size, n = gens[0].rows, len(gens)
+    alg = from_matrix_generators(size, gens)
+
+    def factor():
+        if data.draw(st.booleans()):
+            return draw_matrix(data, data.draw(st.sampled_from(["rational", "gaussian", "mixed"])),
+                               size, size)
+        weights = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
+                                     min_size=n, max_size=n))
+        return alg.matrix_of_element(weights)
+
+    a, b = factor(), factor()
+    for image, build in ((lambda x: a @ x, lambda: operator_left_mult(alg, a)),
+                         (lambda x: x @ b, lambda: operator_right_mult(alg, b)),
+                         (lambda x: a @ x @ b, lambda: operator_sandwich(alg, a, b))):
+        columns = [_dense_span_coords(gens, image(g)) for g in gens]
+        outside = [j for j, col in enumerate(columns) if col is None]
+        if outside:
+            with pytest.raises(ImageOutsideAlgebra) as err:
+                build()
+            assert str(err.value) == str(ImageOutsideAlgebra(alg.basis_labels[outside[0]]))
+            continue
+        op = build()
+        assert op.matrix.entries == tuple(columns[j][k] for k in range(n) for j in range(n))
+        assert all(type(e) is Fraction for e in op.matrix.entries)
+
+
+def test_multiplication_factors_must_be_square(gl3):
+    # A 1x3 or 3x1 factor passes the inner-dimension test, but its products
+    # with the generators are not 3x3 matrices.
+    row, column = ExactMatrix.from_rows([[1, 0, 0]]), ExactMatrix.from_rows([[1], [0], [0]])
+    for build in (lambda: operator_left_mult(gl3, row),
+                  lambda: operator_right_mult(gl3, column),
+                  lambda: operator_sandwich(gl3, ExactMatrix.identity(3), column)):
+        with pytest.raises(DimensionMismatch, match="^multiplication factors must be 3x3$"):
+            build()
+    for build in (lambda: operator_left_mult(gl3, column),
+                  lambda: operator_sandwich(gl3, ExactMatrix.identity(3), row)):
+        with pytest.raises(DimensionMismatch, match="^inner dimensions do not match$"):
+            build()
 
 
 def test_multiplication_image_outside(u4):
@@ -261,16 +316,18 @@ def test_non_real_component_rep_rejected(so3):
 def test_one_generator_elimination_per_algebra(corpus_dir, monkeypatch):
     # gl3_full.lie declares left, sandwich and rules operators on gl3; the
     # multiplication operators reuse the elimination of the generators.
+    # The elimination runs on the integer rows of [A | Id], 9 x (9 + 9).
     import liecheck.algebra
     from liecheck.specfile import build, parse
     shapes = []
-    original = liecheck.algebra.rref
+    original = liecheck.algebra._eliminate
 
-    def counting_rref(m):
-        shapes.append((m.rows, m.cols))
-        return original(m)
+    def counting_eliminate(rows, cols, order):
+        shapes.append((len(rows), cols))
+        return original(rows, cols, order)
 
-    monkeypatch.setattr(liecheck.algebra, "rref", counting_rref)
+    monkeypatch.setattr(liecheck.algebra, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(liecheck.algebra, "rref", None)  # no elimination of scalars
     build(parse((corpus_dir / "gl3_full.lie").read_text()))
     assert shapes == [(9, 18)]
 
