@@ -61,8 +61,10 @@ class LieAlgebra:
     it is the only storage, and :meth:`from_structure_tensor` builds an
     algebra from the dense tensor ``c[i][j][k]`` instead.
     :attr:`integer_constants` is the same view times one positive integer,
-    for the antisymmetry and Jacobi checks and the integer pair loops of the
-    checks (:func:`bracket_into`).
+    which keeps every verdict of the antisymmetry and (quadratic) Jacobi
+    checks; those read it packed, ``P[a][m] = sum_t c_amt << (w t)`` with
+    ``2^w > 3 n max|c|^2``, which bounds every field they sum.  The integer
+    pair loops of the checks use it too (:func:`bracket_into`).
     """
 
     __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz",
@@ -101,8 +103,13 @@ class LieAlgebra:
         self.matrix_generators = matrix_generators
         self._integer_nz = None
         self._span_solver = None
-        self._check_antisymmetry()
-        self._check_jacobi()
+        nz = self.integer_constants  # packed as in the class docstring
+        top = max((abs(c) for row in nz for terms in row for _, c in terms), default=0)
+        w = (3 * n * top * top).bit_length()
+        packed = [[sum([c << w * t for t, c in terms]) if terms else 0 for terms in row]
+                  for row in nz]
+        self._check_antisymmetry(w, packed)
+        self._check_jacobi(packed)
 
     @classmethod
     def from_structure_tensor(cls, name: str, basis_labels: Sequence[str],
@@ -141,38 +148,39 @@ class LieAlgebra:
             out.append((k, x))
         return tuple(out)
 
-    def _check_antisymmetry(self):
+    def _check_antisymmetry(self, w: int, packed: list):
         n = self.dim
-        nz = self.integer_constants
         for i in range(n):
             for j in range(i, n):
-                sums = {}  # c[i][j][k] + c[j][i][k], over the nonzero terms
-                for k, a in nz[i][j] + nz[j][i]:
-                    sums[k] = sums.get(k, 0) + a
-                bad = [k for k, x in sums.items() if x]
-                if bad:
+                s = packed[i][j] + packed[j][i]  # c_ij + c_ji, fields under 2^w
+                if s:  # its lowest set bit lies in its first nonzero field
                     raise InvalidStructureConstants(
-                        f"antisymmetry fails at [{self.basis_labels[i]},"
-                        f"{self.basis_labels[j]}] component {self.basis_labels[min(bad)]}"
-                    )
+                        f"antisymmetry fails at [{self.basis_labels[i]},{self.basis_labels[j]}]"
+                        f" component {self.basis_labels[((s & -s).bit_length() - 1) // w]}")
 
-    def _check_jacobi(self):
-        # The Jacobiator is quadratic in the constants, so scaling all of them
-        # by one positive integer keeps the verdict of every triple.
+    def _check_jacobi(self, packed: list):
+        """Reject the first triple ``i < j < k`` whose Jacobiator, summed
+        packed as ``sum c_jkm P[i][m] + ...``, is nonzero.  Each field is a sum
+        of at most ``3 n`` products, so under ``2^w``, and a sum of such fields
+        is zero only if each is: the lowest nonzero one is no multiple of 2^w."""
         n = self.dim
         nz = self.integer_constants
         for i in range(n):
+            nzi, pi = nz[i], packed[i]
             for j in range(i + 1, n):
+                nzj, pj, ij = nz[j], packed[j], nzi[j]
                 for k in range(j + 1, n):
-                    if not (nz[j][k] or nz[k][i] or nz[i][j]):
+                    jk, ki = nzj[k], nz[k][i]
+                    if not (jk or ki or ij):
                         continue  # all three inner brackets vanish
-                    acc = {}
-                    for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-                        # [b_a, [b_b, b_c]]
-                        for m, coeff in nz[b][cc]:
-                            for t, c2 in nz[a][m]:
-                                acc[t] = acc.get(t, 0) + coeff * c2
-                    if any(acc.values()):
+                    acc = 0
+                    for m, c in jk:
+                        acc += c * pi[m]
+                    for m, c in ki:
+                        acc += c * pj[m]
+                    for m, c in ij:
+                        acc += c * packed[k][m]
+                    if acc:
                         raise InvalidStructureConstants(
                             "Jacobi identity fails on basis triple "
                             f"({self.basis_labels[i]}, {self.basis_labels[j]}, "
@@ -214,11 +222,16 @@ class LieAlgebra:
         return view
 
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
-        """Matrix of ``w -> [d, w]`` in the algebra basis; linear in d."""
+        """Matrix of ``w -> [d, w]`` in the algebra basis; linear in d.  Column
+        j is ``sum_i d_i sum_k c_ijk b_k``, in the order and types of :meth:`bracket`."""
         n = self.dim
         if len(d) != n:
             raise DimensionMismatch("ad argument must have the algebra dimension")
-        cols = [self.bracket(d, self.basis_vector(j)) for j in range(n)]
+        cols = [[_ZERO] * n for _ in range(n)]
+        for i, di in compress(enumerate(d), d):
+            for col, terms in zip(cols, self.nonzeros[i]):
+                for k, c in terms:
+                    col[k] = col[k] + di * c
         return ExactMatrix(n, n, [cols[j][k] for k in range(n) for j in range(n)])
 
     def basis_vector(self, which) -> tuple:
@@ -487,8 +500,11 @@ def from_matrix_generators(
         raise NotIndependent("generators are linearly dependent")
     nonzeros = [[()] * n for _ in range(n)]
     rows, scales = solver.rows, solver.scales
+    cols = [{c for row in x.values() for c in row} for x in rows]
     for i in range(n):
         for j in range(i + 1, n):
+            if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+                continue  # no column of one generator is a row of the other
             comm = _times(rows[j], rows[i], _times(rows[i], rows[j]), -1)
             terms = solver.solve(comm, scales[i] * scales[j])
             if terms is None:

@@ -127,14 +127,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _float_matrix(m: ExactMatrix) -> np.ndarray:
-    if any(isinstance(e, GaussianRational) and e.im != 0 for e in m.entries):
-        data = [complex(e) if isinstance(e, GaussianRational) else float(e)
-                for e in m.entries]
-        return np.array(data, dtype=complex).reshape(m.rows, m.cols)
-    data = [float(e.re) if isinstance(e, GaussianRational) else float(e)
-            for e in m.entries]
-    return np.array(data, dtype=float).reshape(m.rows, m.cols)
+def _float(x, what: str, *where) -> float:
+    """``float(x)``, or an input error if x overflows or rounds to 0.0."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if x and not f:
+        raise LieCheckError(what.format(*where) + " is out of the float range")
+    return f
+
+
+def _float_matrix(m: ExactMatrix, what: str) -> np.ndarray:
+    """The float matrix of ``m``, complex when an entry is not real."""
+    at = what + " entry ({},{})"
+    data = np.array([complex(*(_float(x, at, p // m.cols + 1, p % m.cols + 1) for x in (
+        (e.re, e.im) if isinstance(e, GaussianRational) else (e, 0))))
+        for p, e in enumerate(m.entries)]).reshape(m.rows, m.cols)
+    return data if data.imag.any() else data.real.copy()
 
 
 def _hat(u: np.ndarray) -> np.ndarray:
@@ -198,7 +208,7 @@ class MatrixModel:
         """The float matrix of ``op``; converted once while ``op`` is the
         operator last asked for."""
         if self._op is not op:
-            self._op, self._op_float = op, _float_matrix(op.matrix)
+            self._op, self._op_float = op, _float_matrix(op.matrix, "operator")
         return self._op_float
 
     # -- geometry -------------------------------------------------------------
@@ -344,9 +354,11 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
     for i, row in enumerate(alg.nonzeros):
         for j, terms in enumerate(row):
             for k, x in terms:
-                structure[i, j, k] = float(x)
+                structure[i, j, k] = _float(x, "structure constant [{},{}] component {}",
+                                            *(alg.basis_labels[t] for t in (i, j, k)))
     gens = ([np.array(g) for g in _SO3_STANDARD] if alg.matrix_generators is None
-            else [_float_matrix(g) for g in alg.matrix_generators])
+            else [_float_matrix(g, f"generator {label}")
+                  for g, label in zip(alg.matrix_generators, alg.basis_labels)])
     if not sphere:
         return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]),
                            structure, alg.basis_labels)
@@ -357,7 +369,7 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
             )
     model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure,
                         alg.basis_labels)
-    for row in pair.k.space.vectors():
+    for row in _float_matrix(pair.k.space.basis, "subalgebra basis"):
         if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
             raise LieCheckError(
                 "the subalgebra does not stabilize the base point"

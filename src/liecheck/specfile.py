@@ -227,31 +227,34 @@ _TOKEN = re.compile(rf"""
 
 def _scan(text: str) -> list:
     tokens = []
+    values = {}  # scalars are immutable: one value per literal text, as I is
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
+        kind, word = m.lastgroup, m[0]
+        if kind == "SKIP":
+            continue
         if kind == "NEWLINE":
             line, line_start = line + 1, m.end()
             continue
-        if kind == "SKIP":
-            continue
         col = m.start() - line_start + 1
-        # \w admits numerals such as "²"; a name starts with a letter or "_".
-        if kind == "BAD" or kind == "NAME" and not (m[0][0].isalpha() or m[0][0] == "_"):
-            raise SpecSyntaxError(f"unexpected character {m[0][0]!r}", line, col,
-                                  found=m[0][0])
         value = None
         if kind == "SCALAR":
-            try:
-                value = scalar_from_match(m)
-            except ScalarLiteralError as exc:  # raised when the parser takes the token
-                at = exc.offset
-                value = SpecSyntaxError(str(exc), text.count("\n", 0, at) + 1,
-                                        at - text.rfind("\n", 0, at))
-        tokens.append(_Token(kind, m[0], line, col, value))
-        if "\n" in m[0]:  # the parts of a scalar may stand on several lines
-            line += m[0].count("\n")
-            line_start = m.start() + m[0].rindex("\n") + 1
+            value = values.get(word)
+            if value is None:
+                try:
+                    value = values[word] = scalar_from_match(m)
+                except ScalarLiteralError as exc:  # raised when the parser takes the token
+                    at = exc.offset
+                    value = SpecSyntaxError(str(exc), text.count("\n", 0, at) + 1,
+                                            at - text.rfind("\n", 0, at))
+        # \w admits numerals such as "²"; a name starts with a letter or "_".
+        elif kind == "BAD" or kind == "NAME" and not (word[0].isalpha() or word[0] == "_"):
+            raise SpecSyntaxError(f"unexpected character {word[0]!r}", line, col,
+                                  found=word[0])
+        tokens.append(_Token(kind, word, line, col, value))
+        if "\n" in word:  # the parts of a scalar may stand on several lines
+            line += word.count("\n")
+            line_start = m.start() + word.rindex("\n") + 1
     return tokens
 
 
@@ -332,23 +335,20 @@ class _Parser:
 
     # -- scalars ------------------------------------------------------------
 
-    def _value(self, tok: _Token):
-        if isinstance(tok.value, SpecSyntaxError):  # a literal without a value
-            raise tok.value
-        return tok.value
-
     def _try_scalar(self):
         """Take a scalar if one starts here; returns None otherwise."""
         tok = self.tokens[self.pos]
         if tok.kind == "SCALAR":
-            value = self._value(tok)
+            value = tok.value
+            if value.__class__ is SpecSyntaxError:  # a literal without a value
+                raise value
         elif tok.kind == "NAME" and tok.text == "i":
             value = I
         else:
             return None
         self.pos += 1
         # In "3//2" the first "/" starts a denominator that is not there.
-        if tok.text[-1] != "i" and "/" not in tok.text and self.at_punct("/"):
+        if self.tokens[self.pos].text == "/" and tok.text[-1] != "i" and "/" not in tok.text:
             self.advance()
             self.fail(["a denominator"])
         return value
@@ -391,24 +391,24 @@ class _Parser:
 
     def _matrix(self) -> ExactMatrix:
         head = self.expect_punct("[")
-        rows = []
+        entries, widths = [], []
         while True:
             self.expect_punct("[")
-            row = [self._scalar()]
-            while self.at_punct(","):
-                self.advance()
-                row.append(self._scalar())
+            start = len(entries)
+            entries.append(self._scalar())
+            while self.tokens[self.pos].text == ",":  # only a PUNCT reads ","
+                self.pos += 1
+                entries.append(self._scalar())
             self.expect_punct("]")
-            rows.append(row)
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
+            widths.append(len(entries) - start)
+            if not self.at_punct(","):
+                break
+            self.pos += 1
         self.expect_punct("]")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if widths.count(widths[0]) != len(widths):
             raise SpecSyntaxError("ragged matrix rows", head.line, head.col)
-        return ExactMatrix.from_rows(rows)
+        # The entries are exact scalars already.
+        return ExactMatrix._of(len(widths), widths[0], tuple(entries))
 
     # -- items ----------------------------------------------------------------
 
@@ -469,7 +469,9 @@ class _Parser:
         if size_tok.kind != "SCALAR" or not size_tok.text.isdigit():
             self.fail(["the matrix size"])
         self.advance()
-        size = self._value(size_tok).numerator
+        if isinstance(size_tok.value, SpecSyntaxError):  # too many digits
+            raise size_tok.value
+        size = size_tok.value.numerator
         if size < 1:
             raise SpecSyntaxError("matrix size must be positive",
                                   size_tok.line, size_tok.col)

@@ -80,6 +80,29 @@ def test_ad_zero_and_self(so3):
         assert so3.ad_matrix(d).apply(d) == so3.zero_vector()
 
 
+def _dense_ad_reference(alg, d) -> tuple:
+    """The entries of ad(d), row-major, with column j the dense bracket
+    [d, b_j] of d and the basis vector b_j."""
+    n = alg.dim
+    columns = [alg.bracket(d, tuple(Fraction(int(i == j)) for i in range(n))) for j in range(n)]
+    return tuple(columns[j][k] for k in range(n) for j in range(n))
+
+
+@property_test(max_examples=40)
+def test_ad_matrix_matches_dense_bracket_reference(data):
+    # d with denominators, sometimes with Q(i) entries, on a conjugated
+    # generator family: the same entries and the same entry types.
+    gens = draw_conjugated_family(data)
+    alg = from_matrix_generators(gens[0].rows, gens)
+    values = [Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5, 6), Fraction(7, 2)]
+    if data.draw(st.booleans()):
+        values += [GaussianRational(Fraction(1, 2), 1), GaussianRational(0, Fraction(-2, 3))]
+    d = tuple(data.draw(st.sampled_from(values)) for _ in range(alg.dim))
+    got, want = alg.ad_matrix(d).entries, _dense_ad_reference(alg, d)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
 def _rejection(c, labels=("k0", "e1", "e2")) -> str:
     with pytest.raises(InvalidStructureConstants) as err:
         LieAlgebra.from_structure_tensor("broken", labels, c)
@@ -334,6 +357,79 @@ def test_integer_jacobi_matches_fraction_reference(data):
             LieAlgebra.from_structure_tensor("random", labels, c)
         assert str(err.value) == "Jacobi identity fails on basis triple ({}, {}, {})".format(
             *(labels[t] for t in failure))
+
+
+def _borrow_tensor(signs=(1,) * 5, denominator=1):
+    """Integer constants on x0..x4, all in {-1, 0, 1}, whose Jacobiator on
+    (x0, x1, x2) is (8, -1, 0, 0, 0): with 3 n max|c|^2 = 15 the packing
+    width is 4 bits, and 8 = 2^3 is the largest field one bit less could not
+    hold, so at width 3 the field 8 borrows the -1 above it and the packed
+    sum 8 - 8 reads zero.  Every later triple fails too.  The basis change
+    x_a -> signs[a] x_a multiplies component t of the Jacobiator of (a, b, c)
+    by signs[a] signs[b] signs[c] signs[t], and dividing every constant by
+    ``denominator`` leaves the integer view unchanged."""
+    n = 5
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    table = {(0, 1): (1, -1, 0, 1, 1), (1, 2): (1, 1, -1, 1, 1), (0, 2): (-1, 1, -1, -1, -1),
+             (0, 3): (1, 0, 0, -1, -1), (1, 3): (1, 0, 0, -1, -1), (2, 3): (1, 0, 0, -1, -1),
+             (0, 4): (1, -1, 0, -1, -1)}
+    for (i, j), coords in table.items():
+        for k, x in enumerate(coords):
+            c[i][j][k] = Fraction(signs[i] * signs[j] * signs[k] * x, denominator)
+            c[j][i][k] = -c[i][j][k]
+    return c
+
+
+def _jacobiator(c, i, j, k) -> list:
+    n = len(c)
+    return [sum(c[b][d][m] * c[a][m][t] for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
+                for m in range(n)) for t in range(n)]
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1), (1, 1, -1, 1, 1), (-1, -1, 1, -1, 1)])
+@pytest.mark.parametrize("denominator", [1, 7])
+def test_jacobi_packing_width_at_the_bound(signs, denominator):
+    # The first failing triple has Jacobiator components +-8 and -+1 in
+    # adjacent fields, the most one bit too narrow a packing could cancel.
+    c = _borrow_tensor(signs, denominator)
+    labels = tuple(f"x{i}" for i in range(5))
+    head = _jacobiator([[[x * denominator for x in v] for v in row] for row in c], 0, 1, 2)
+    assert head[:2] in ([8, -1], [-8, 1]) and not any(head[2:])
+    assert _reference_jacobi_failure(c) == (0, 1, 2)
+    assert _rejection(c, labels) == "Jacobi identity fails on basis triple (x0, x1, x2)"
+
+
+@property_test(max_examples=60)
+def test_jacobi_packing_matches_reference_near_the_bound(data):
+    # The borrow table under a random sign change of the basis, a random
+    # denominator and random constants on the brackets [x3, x4] and
+    # [x_a, x4]: verdict and first triple as the Fraction reference.
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=5, max_size=5))
+    c = _borrow_tensor(signs, data.draw(st.integers(1, 12)))
+    for i, j in data.draw(st.lists(st.sampled_from([(1, 4), (2, 4), (3, 4)]), max_size=3)):
+        k = data.draw(st.integers(0, 4))
+        c[i][j][k] = data.draw(st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2)]))
+        c[j][i][k] = -c[i][j][k]
+    labels = tuple(f"x{i}" for i in range(5))
+    failure = _reference_jacobi_failure(c)
+    if failure is None:
+        LieAlgebra.from_structure_tensor("random", labels, c)
+    else:
+        assert _rejection(c, labels) == "Jacobi identity fails on basis triple ({}, {}, {})".format(
+            *(labels[t] for t in failure))
+
+
+def test_jacobi_packing_accepts_algebras_at_the_bound():
+    # Valid algebras with negative constants as large as the bound allows:
+    # sl2 ([h,e] = 2e, [h,f] = -2f, [e,f] = h) scaled by 5, and so3 scaled
+    # by -3/2; a packing that loses the sign of a field rejects them.
+    h, e, f = range(3)
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k, x in ((h, e, e, 2), (h, f, f, -2), (e, f, h, 1)):
+        c[i][j][k], c[j][i][k] = Fraction(5 * x), Fraction(-5 * x)
+    for tensor in (c, [[[Fraction(-3, 2) * x for x in v] for v in row] for row in so3_structure()]):
+        assert _reference_jacobi_failure(tensor) is None
+        LieAlgebra.from_structure_tensor("valid", ("a", "b", "c"), tensor)
 
 
 def test_single_generator_abelian():

@@ -245,6 +245,52 @@ def test_harness_negative_seed_exit_two(capsys, corpus_dir):
     assert err == "error: LieCheckError: --seed must be a non-negative integer\n"
 
 
+N_400 = 10 ** 400
+
+
+@pytest.mark.parametrize("generators,rule,entry", [
+    # [g0, g1] = -N g1 and -g1/N: the structure constant is converted first.
+    (f"gen g0 = [[{N_400},0],[0,0]]; gen g1 = [[0,0],[1,0]];", "g0 -> g0; g1 -> g1;",
+     "structure constant [g0,g1] component g1"),
+    (f"gen g0 = [[1/{N_400},0],[0,0]]; gen g1 = [[0,0],[1,0]];", "g0 -> g0; g1 -> g1;",
+     "structure constant [g0,g1] component g1"),
+    # An abelian algebra: no structure constant, so the generator is named.
+    (f"gen g0 = [[{N_400},0],[0,{N_400}]];", "g0 -> g0;", "generator g0 entry (1,1)"),
+    (f"gen g0 = [[1,0],[0,-1/{N_400}]];", "g0 -> g0;", "generator g0 entry (2,2)"),
+    ("gen g0 = [[1,0],[0,1]];", f"g0 -> {N_400}*g0;", "operator entry (1,1)"),
+    ("gen g0 = [[1,0],[0,1]];", f"g0 -> 1/{N_400}*g0;", "operator entry (1,1)"),
+], ids=[f"{where}-{way}" for where in ("structure", "generator", "operator")
+        for way in ("overflow", "underflow")])
+def test_harness_number_out_of_float_range_exit_two(capsys, tmp_path, generators, rule,
+                                                      entry):
+    # A number past the float range, or a nonzero one that rounds to 0.0,
+    # is an input error naming its entry, not an internal fault.
+    path = tmp_path / "far.lie"
+    path.write_text(f"matrix_algebra A dim = 2 {{ {generators} }}\n"
+                    "subalgebra k of A = span(0);\n"
+                    f"operator J on A {{ {rule} }}\n"
+                    "pair p = (A, k);\n", encoding="utf-8")
+    code, out, err = run(capsys, "harness", str(path), "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: LieCheckError: {entry} is out of the float range\n"
+
+
+@pytest.mark.parametrize("span", [f"1/{N_400}*k0 + e1", f"k0 + 1/{N_400}*e1"],
+                         ids=["overflow", "underflow"])
+def test_harness_stabilizer_out_of_float_range_exit_two(capsys, tmp_path, span):
+    # The sphere model tests that k fixes the base point in floats; the
+    # echelon row of k is (1, 10^400, 0) or (1, 10^-400, 0).
+    path = tmp_path / "far.lie"
+    path.write_text("algebra so3 { basis k0 e1 e2; bracket [k0,e1] = -1*e2; "
+                    "bracket [k0,e2] = e1; bracket [e1,e2] = -1*k0; }\n"
+                    f"subalgebra k of so3 = span({span});\n"
+                    "operator I on so3 = ad(k0);\n"
+                    "pair sphere = (so3, k);\n", encoding="utf-8")
+    code, out, err = run(capsys, "harness", str(path), "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: LieCheckError: subalgebra basis entry (1,2) is out of the float range\n"
+
+
 def test_internal_fault_exit_two(capsys, corpus_dir, monkeypatch):
     def broken(pair, op):
         raise ZeroDivisionError("boom")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liecheck.exact import GaussianRational
+from liecheck.exact import GaussianRational, parse_scalar
 from liecheck.specfile import (
     DuplicateName,
     InconsistentBracket,
@@ -217,6 +217,25 @@ def test_whitespace_inside_scalars(spaced, compact):
 
     assert entry(spaced) == entry(compact)
     assert type(entry(spaced)) is type(entry(compact))
+
+
+def test_repeated_literals_give_equal_values_at_each_position():
+    # A literal text is converted once per parse and its value shared; each
+    # position must still hold the value and type of its own conversion.
+    rows = [["1/2", "1+2i", "2"], ["1/2", "-1/2", "2i"], ["2", "1+2i", "1 / 2"]]
+    doc = parse("matrix_algebra m dim = 3 { "
+                + " ".join(f"gen {name} = [{','.join('[' + ','.join(r) + ']' for r in mat)}];"
+                           for name, mat in (("a", rows), ("b", rows[::-1])))
+                + " }\nalgebra g { basis x y; bracket [x,y] = 1/2*x - 1/2*y; }\n"
+                "subalgebra s of g = span(1/2*x, 1/2*y + x, x - 1/2*y);")
+    for mat, texts in zip(doc.matrix_algebras["m"].gen_matrices, (rows, rows[::-1])):
+        want = [parse_scalar(t) for r in texts for t in r]
+        assert list(mat.entries) == want
+        assert [type(e) for e in mat.entries] == [type(e) for e in want]
+    assert doc.algebras["g"].brackets == ((0, 1, (Fraction(1, 2), Fraction(-1, 2))),)
+    assert doc.subalgebras["s"].vectors == (
+        (Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(-1, 2)))
+    assert all(type(x) is Fraction for v in doc.subalgebras["s"].vectors for x in v)
 
 
 def test_signs_and_terms_in_lincombs():
