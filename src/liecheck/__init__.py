@@ -20,7 +20,6 @@ from .algebra import (
 from .complexstruct import (
     IntegrabilityReport,
     SplitDiagnostics,
-    check_ac_admissible,
     check_integrable,
     compute_z_spaces,
     split_diagnostics,
@@ -43,7 +42,6 @@ from .operators import (
     LinearOperator,
     VerdictReport,
     check_admissible,
-    check_split_admissible,
     operator_ad,
     operator_from_rules,
     operator_left_mult,
@@ -54,7 +52,6 @@ from .torsion import (
     TorsionReport,
     check_nijenhuis,
     check_nijenhuis_ad,
-    corollary_oneof_property,
     torsion_form,
 )
 
@@ -74,15 +71,12 @@ __all__ = [
     "Subspace",
     "TorsionReport",
     "VerdictReport",
-    "check_ac_admissible",
     "check_admissible",
     "check_integrable",
     "check_nijenhuis",
     "check_nijenhuis_ad",
-    "check_split_admissible",
     "compute_z_spaces",
     "conjugate_vector",
-    "corollary_oneof_property",
     "format_scalar",
     "from_matrix_generators",
     "kernel_basis",

@@ -39,8 +39,10 @@ from .exact import (
     GaussianRational,
     Subspace,
     _eliminate,
+    annihilated,
     conjugate_scalar,
     format_scalar,
+    integer_vector,
     rref,
 )
 
@@ -285,19 +287,6 @@ class LieAlgebra:
             self._span_solver = _SpanSolver(self.matrix_generators)
         return self._span_solver
 
-    def matrix_of_element(self, v: Sequence) -> ExactMatrix:
-        """Realize a coordinate vector as a matrix (matrix algebras only)."""
-        if self.matrix_generators is None:
-            raise LieCheckError(f"algebra {self.name!r} has no matrix realization")
-        if len(v) != self.dim:
-            raise DimensionMismatch("element must have the algebra dimension")
-        size = self.matrix_size
-        acc = ExactMatrix.zeros(size, size)
-        for coeff, gen in zip(v, self.matrix_generators):
-            if coeff:
-                acc = acc + gen.scaled(coeff)
-        return acc
-
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
@@ -340,14 +329,23 @@ class Subalgebra:
 
 
 def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
-    """Echelonize the span and certify closure under the bracket."""
+    """Echelonize the span and certify closure under the bracket.
+
+    Closure is decided in integers, as the checks decide membership in k:
+    the basis rows scaled to integers, their brackets taken on
+    :attr:`LieAlgebra.integer_constants`, and membership as ``Q [a, b] = 0``
+    for the integer annihilator ``Q`` of the span.  Only the witness of the
+    first pair outside is recomputed in the rationals.
+    """
     space = Subspace.from_vectors(alg.dim, vectors)
     rows = space.vectors()
+    constants = alg.integer_constants
+    q = space.annihilator.integer_columns
+    ints = [integer_vector(row) for row in rows]
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            br = alg.bracket(rows[a], rows[b])
-            if br not in space:
-                raise NotClosedUnderBracket(rows[a], rows[b], br)
+            if not annihilated(q, bracket_into(constants, ints[a], ints[b], {})):
+                raise NotClosedUnderBracket(rows[a], rows[b], alg.bracket(rows[a], rows[b]))
     return Subalgebra(alg, space)
 
 
@@ -425,12 +423,6 @@ class _SpanSolver:
             for p, a in enumerate(re[n:]):
                 if a:
                     self._columns[p].append((r, a * scale))
-
-    def coords(self, target: ExactMatrix) -> Optional[tuple]:
-        """Rational coordinates of ``target`` in the real span, or None."""
-        scale, rows = _gaussian_rows(target)
-        terms = self.solve(rows, scale)
-        return None if terms is None else tuple(dict(terms).get(k, _ZERO) for k in range(self.n))
 
     def solve(self, rows: dict, scale: int) -> Optional[tuple]:
         """The nonzero ``(k, coordinate)`` pairs, in increasing ``k``, of the

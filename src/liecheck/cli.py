@@ -68,6 +68,8 @@ def _pick(table: dict, requested: Optional[str], what: str):
         return table[requested]
     if len(table) == 1:
         return next(iter(table.values()))
+    if not table:
+        raise LieCheckError(f"the input declares no {what}")
     raise LieCheckError(
         f"--{what} is required (the input declares {len(table)} of them)"
     )

@@ -95,12 +95,6 @@ class IntegrabilityReport(FrozenValue):
         return self.z_plus_closed
 
 
-def check_ac_admissible(pair: HomogeneousPair, op: LinearOperator) -> bool:
-    """Whether (J^2 + 1) maps every basis vector into k (given admissibility)."""
-    _require_admissible(pair, op)
-    return _squares_to_minus_one(pair, op)
-
-
 def _integer_operator(op: LinearOperator) -> tuple:
     """J's integer columns ``s J`` and their scale ``s``."""
     return op.matrix.integer_columns, lcm(*(e.denominator for e in op.matrix.entries))

@@ -126,24 +126,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -365,14 +347,6 @@ class ExactMatrix:
         flat = [e for r in rows for e in r]
         return cls(len(rows), cols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -381,20 +355,6 @@ class ExactMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Matrix product; row i of the result combines the rows of ``other``
@@ -430,47 +390,8 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scaled(self, s) -> "ExactMatrix":
-        s = _coerce_scalar(s)
-        return ExactMatrix(self.rows, self.cols, [s * a for a in self.entries])
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return ExactMatrix(self.rows, self.cols + other.cols, out)
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return ExactMatrix(
-            self.rows + other.rows, self.cols, self.entries + other.entries
-        )
-
     def conjugated(self) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [conjugate_scalar(e) for e in self.entries])
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix shapes differ")
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -698,10 +619,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls.from_vectors(ambient_dim, [])
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.identity(ambient_dim), tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -755,9 +672,6 @@ class Subspace:
                 rows.append(row)
             q = self._annihilator = ExactMatrix.from_rows(rows, cols=n)
         return q
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(v in self for v in other.vectors())
 
     def conjugated(self) -> "Subspace":
         # Conjugation fixes the pivot structure, so the result stays canonical.

@@ -17,7 +17,6 @@ from .errors import (
     ImageOutsideAlgebra,
     InvalidComponentRep,
     LieCheckError,
-    MissingComplement,
     NotAdmissible,
     RuleIncomplete,
 )
@@ -55,31 +54,8 @@ class LinearOperator:
         self.matrix = matrix
         self.ad_generator = tuple(ad_generator) if ad_generator is not None else None
 
-    @classmethod
-    def identity(cls, alg: LieAlgebra) -> "LinearOperator":
-        return cls(alg, ExactMatrix.identity(alg.dim))
-
-    @classmethod
-    def zero(cls, alg: LieAlgebra) -> "LinearOperator":
-        return cls(alg, ExactMatrix.zeros(alg.dim, alg.dim))
-
     def apply(self, v: Sequence) -> tuple:
         return self.matrix.apply(v)
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        self._same_algebra(other)
-        return LinearOperator(self.alg, self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._same_algebra(other)
-        return LinearOperator(self.alg, self.matrix + other.matrix)
-
-    def _same_algebra(self, other: "LinearOperator"):
-        if other.alg is not self.alg:
-            raise DimensionMismatch("operators act on different algebras")
-
-    def scaled(self, s) -> "LinearOperator":
-        return LinearOperator(self.alg, self.matrix.scaled(s))
 
     def __eq__(self, other):
         if not isinstance(other, LinearOperator):
@@ -266,13 +242,6 @@ def _require_admissible(pair: HomogeneousPair, op: LinearOperator):
     adm = check_admissible(pair, op)
     if not adm.holds:
         raise NotAdmissible(adm)
-
-
-def check_split_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport:
-    """The stricter split test: k inside ker, complement invariant, admissible."""
-    if pair.m is None:
-        raise MissingComplement("split admissibility needs a declared complement")
-    return _split_verdict(pair, op, check_admissible(pair, op))
 
 
 def _split_verdict(pair: HomogeneousPair, op: LinearOperator,

@@ -36,6 +36,12 @@ brackets default to zero and ``[b,a]`` is inferred as ``-[a,b]``; declaring
 both with values that are not negatives of each other is an error.  The name
 ``i`` is reserved for the imaginary unit and cannot be a basis label.
 
+A name must be declared before it is used: an item may refer only to the
+algebras, subalgebras and complements declared above it.  Each item is
+resolved as it is parsed, so of several errors the first in the text is
+reported; a character outside the grammar is the exception, because the
+whole text is scanned first.
+
 Every parsed document round-trips: ``parse(serialize(doc)) == doc``.
 Serialization is canonical: items sorted by kind then name, one declaration
 per line, scalars in canonical form, brackets emitted only for i < j.
@@ -44,12 +50,12 @@ per line, scalars in canonical form, brackets emitted only for i < j.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import LieAlgebra, from_matrix_generators, make_subalgebra
 from .errors import LieCheckError
 from .exact import (
+    _ZERO,
     I,
     SCALAR_SYNTAX,
     ExactMatrix,
@@ -159,39 +165,30 @@ class PairDecl(FrozenValue):
 
 
 class SpecDocument(Value):
-    """All declarations of a parsed document, keyed by name.
-
-    Equality ignores ``source_spans``, so a document equals its parsed
-    canonical dump.
-    """
+    """All declarations of a parsed document, keyed by name."""
 
     __slots__ = ("algebras", "matrix_algebras", "subalgebras", "complements",
-                 "operators", "pairs", "source_spans")
+                 "operators", "pairs")
 
     def __init__(self, algebras: Optional[dict] = None,
                  matrix_algebras: Optional[dict] = None,
                  subalgebras: Optional[dict] = None,
                  complements: Optional[dict] = None,
                  operators: Optional[dict] = None,
-                 pairs: Optional[dict] = None,
-                 source_spans: Optional[dict] = None):
+                 pairs: Optional[dict] = None):
         self.algebras = {} if algebras is None else algebras
         self.matrix_algebras = {} if matrix_algebras is None else matrix_algebras
         self.subalgebras = {} if subalgebras is None else subalgebras
         self.complements = {} if complements is None else complements
         self.operators = {} if operators is None else operators
         self.pairs = {} if pairs is None else pairs
-        self.source_spans = {} if source_spans is None else source_spans
 
-    def _key(self) -> tuple:
-        return (self.algebras, self.matrix_algebras, self.subalgebras,
-                self.complements, self.operators, self.pairs)
-
-    def algebra_decl(self, name):
-        if name in self.algebras:
-            return self.algebras[name]
-        if name in self.matrix_algebras:
-            return self.matrix_algebras[name]
+    def labels(self, algebra: str) -> Optional[tuple]:
+        """The basis labels of a declared algebra, or None."""
+        if algebra in self.algebras:
+            return self.algebras[algebra].labels
+        if algebra in self.matrix_algebras:
+            return self.matrix_algebras[algebra].gen_names
         return None
 
 
@@ -259,33 +256,17 @@ def _scan(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# raw syntax tree (lincomb terms unresolved)
+# parser
 # ---------------------------------------------------------------------------
 
-class _RawLincomb(Value):
-    __slots__ = ("terms", "line", "col")
-
-    def __init__(self, terms: list, line: int, col: int):
-        # terms: list of (sign, scalar_or_None, name_token_or_None)
-        self.terms = terms
-        self.line = line
-        self.col = col
-
-
-class _RawItem(Value):
-    __slots__ = ("kind", "name", "name_tok", "payload")
-
-    def __init__(self, kind: str, name: str, name_tok: _Token, payload: dict):
-        self.kind = kind
-        self.name = name
-        self.name_tok = name_tok
-        self.payload = payload
-
-
 class _Parser:
+    """Parses the items in order, resolving each into its declaration and
+    registering it in :attr:`doc` before the next item starts."""
+
     def __init__(self, text: str):
         self.tokens = _scan(text)
         self.pos = 0
+        self.doc = SpecDocument()
 
     # -- token helpers ------------------------------------------------------
 
@@ -333,6 +314,43 @@ class _Parser:
         tok = self.tokens[self.pos]
         return tok.kind == "NAME" and (text is None or tok.text == text)
 
+    # -- names ----------------------------------------------------------------
+
+    def _new_name(self, what: str) -> str:
+        """The name an item declares; no earlier item may hold it."""
+        tok = self.expect_name(what)
+        if any(tok.text in getattr(self.doc, table) for table in SpecDocument.__slots__):
+            raise DuplicateName(f"name {tok.text!r} already declared", tok.line, tok.col)
+        return tok.text
+
+    def _algebra_ref(self) -> tuple:
+        """An algebra declared earlier: its name and ``{label: index}``."""
+        tok = self.expect_name("an algebra name")
+        labels = self.doc.labels(tok.text)
+        if labels is None:
+            raise UnresolvedReference(f"unknown algebra {tok.text!r}", tok.line, tok.col)
+        return tok.text, {lab: i for i, lab in enumerate(labels)}
+
+    def _subspace_ref(self, table: dict, kind: str, algebra: str) -> str:
+        """A subalgebra or complement declared earlier on ``algebra``."""
+        tok = self.expect_name(f"a {kind} name")
+        decl = table.get(tok.text)
+        if decl is None:
+            raise UnresolvedReference(f"unknown {kind} {tok.text!r}", tok.line, tok.col)
+        if decl.algebra != algebra:
+            raise UnresolvedReference(
+                f"{kind} {tok.text!r} is declared on {decl.algebra!r}, not {algebra!r}",
+                tok.line, tok.col,
+            )
+        return tok.text
+
+    def _label(self, index: dict) -> _Token:
+        """A basis label of the algebra whose labels ``index`` maps."""
+        tok = self.expect_name("a basis label")
+        if tok.text not in index:
+            raise UnresolvedReference(f"unknown basis label {tok.text!r}", tok.line, tok.col)
+        return tok
+
     # -- scalars ------------------------------------------------------------
 
     def _try_scalar(self):
@@ -361,9 +379,13 @@ class _Parser:
 
     # -- lincombs and matrices ----------------------------------------------
 
-    def _lincomb(self) -> _RawLincomb:
+    def _lincomb(self, index: dict) -> tuple:
+        """A vector over the labels that ``index`` maps to their positions,
+        as a tuple of Fractions; each term is resolved as it is read."""
         head = self.peek()
-        terms = []
+        coords = [_ZERO] * len(index)
+        terms = 0
+        bare = False
         while True:
             sign = 1
             if self.at_punct("+"):
@@ -376,18 +398,31 @@ class _Parser:
                 tok = self.peek()
                 if tok.kind != "SCALAR" or tok.text[0] not in "+-":
                     break
+            terms += 1
             if self.at_name() and not self.at_name("i"):
-                terms.append((sign, None, self.advance()))
+                coords[index[self._label(index).text]] += sign
                 continue
-            scalar = self._try_scalar()
-            if scalar is None:
+            coeff = self._try_scalar()
+            if coeff is None:
                 self.fail(["a scalar or a basis label"])
-            name_tok = None
-            if self.at_punct("*"):
-                self.advance()
-                name_tok = self.expect_name("a basis label")
-            terms.append((sign, scalar, name_tok))
-        return _RawLincomb(terms, head.line, head.col)
+            if not self.at_punct("*"):
+                if coeff != 0:
+                    raise SpecSyntaxError("a bare scalar in a vector position must be 0",
+                                          head.line, head.col)
+                bare = True
+                continue
+            self.advance()
+            label = self._label(index)
+            if isinstance(coeff, GaussianRational):
+                if not coeff.is_real:
+                    raise SpecSyntaxError("coefficients in vectors must be rational",
+                                          label.line, label.col)
+                coeff = coeff.re
+            coords[index[label.text]] += sign * coeff
+        if bare and terms > 1:
+            raise SpecSyntaxError("a bare scalar cannot be mixed with basis terms",
+                                  head.line, head.col)
+        return tuple(coords)
 
     def _matrix(self) -> ExactMatrix:
         head = self.expect_punct("[")
@@ -412,57 +447,83 @@ class _Parser:
 
     # -- items ----------------------------------------------------------------
 
-    def parse_items(self):
-        items = []
+    def parse_items(self) -> SpecDocument:
+        handlers = {
+            "algebra": self._item_algebra,
+            "matrix_algebra": self._item_matrix_algebra,
+            "subalgebra": self._item_subspace,
+            "complement": self._item_subspace,
+            "operator": self._item_operator,
+            "pair": self._item_pair,
+        }
         while not self.peek().kind == "EOF":
             tok = self.peek()
-            if tok.kind != "NAME":
-                self.fail(["algebra", "matrix_algebra", "subalgebra",
-                           "complement", "operator", "pair"])
-            handler = {
-                "algebra": self._item_algebra,
-                "matrix_algebra": self._item_matrix_algebra,
-                "subalgebra": self._item_subspace,
-                "complement": self._item_subspace,
-                "operator": self._item_operator,
-                "pair": self._item_pair,
-            }.get(tok.text)
+            handler = handlers.get(tok.text) if tok.kind == "NAME" else None
             if handler is None:
                 self.fail(["algebra", "matrix_algebra", "subalgebra",
                            "complement", "operator", "pair"])
-            items.append(handler())
-        return items
+            handler()
+        return self.doc
 
     def _item_algebra(self):
         self.expect_keyword("algebra")
-        name_tok = self.expect_name("an algebra name")
+        name = self._new_name("an algebra name")
         self.expect_punct("{")
         self.expect_keyword("basis")
-        labels = []
+        index = {}
         while self.at_name():
-            labels.append(self.advance())
-        if not labels:
+            tok = self.advance()
+            if tok.text in index:
+                raise DuplicateName(f"duplicate basis label {tok.text!r}", tok.line, tok.col)
+            if tok.text == "i":
+                raise SpecSyntaxError("basis label 'i' is reserved for the imaginary unit",
+                                      tok.line, tok.col)
+            index[tok.text] = len(index)
+        if not index:
             self.fail(["at least one basis label"])
         self.expect_punct(";")
-        brackets = []
+        given = {}
         while self.at_name("bracket"):
             self.advance()
             self.expect_punct("[")
-            a = self.expect_name("a basis label")
+            a = self._label(index)
             self.expect_punct(",")
-            b = self.expect_name("a basis label")
+            b = self._label(index)
             self.expect_punct("]")
             self.expect_punct("=")
-            rhs = self._lincomb()
+            coords = self._lincomb(index)
+            ia, ib = index[a.text], index[b.text]
+            if ia == ib:
+                if any(coords):
+                    raise InconsistentBracket(f"[{a.text},{a.text}] must be 0", a.line, a.col)
+            elif (ia, ib) in given and given[(ia, ib)] != coords:
+                raise InconsistentBracket(
+                    f"bracket [{a.text},{b.text}] declared twice with different values",
+                    a.line, a.col,
+                )
+            elif (ib, ia) in given and given[(ib, ia)] != tuple(-x for x in coords):
+                raise InconsistentBracket(
+                    f"brackets [{a.text},{b.text}] and [{b.text},{a.text}] are not negatives",
+                    a.line, a.col,
+                )
+            else:
+                given[(ia, ib)] = coords
             self.expect_punct(";")
-            brackets.append((a, b, rhs))
         self.expect_punct("}")
-        return _RawItem("algebra", name_tok.text, name_tok,
-                        {"labels": labels, "brackets": brackets})
+        canonical = {}
+        for (ia, ib), coords in given.items():
+            if ia < ib:
+                canonical[(ia, ib)] = coords
+            else:
+                canonical[(ib, ia)] = tuple(-x for x in coords)
+        brackets = tuple(
+            (ia, ib, coords) for (ia, ib), coords in sorted(canonical.items()) if any(coords)
+        )
+        self.doc.algebras[name] = AlgebraDecl(name, tuple(index), brackets)
 
     def _item_matrix_algebra(self):
         self.expect_keyword("matrix_algebra")
-        name_tok = self.expect_name("an algebra name")
+        name = self._new_name("an algebra name")
         self.expect_keyword("dim")
         self.expect_punct("=")
         size_tok = self.peek()
@@ -476,10 +537,16 @@ class _Parser:
             raise SpecSyntaxError("matrix size must be positive",
                                   size_tok.line, size_tok.col)
         self.expect_punct("{")
-        gens = []
+        gens = {}
         while self.at_name("gen"):
             self.advance()
             gname = self.expect_name("a generator name")
+            if gname.text in gens:
+                raise DuplicateName(f"duplicate generator {gname.text!r}",
+                                    gname.line, gname.col)
+            if gname.text == "i":
+                raise SpecSyntaxError("generator name 'i' is reserved for the imaginary unit",
+                                      gname.line, gname.col)
             self.expect_punct("=")
             mat = self._matrix()
             self.expect_punct(";")
@@ -488,89 +555,90 @@ class _Parser:
                     f"generator {gname.text!r} must be {size}x{size}",
                     gname.line, gname.col,
                 )
-            gens.append((gname, mat))
+            gens[gname.text] = mat
         if not gens:
             self.fail(["at least one generator"])
         self.expect_punct("}")
-        return _RawItem("matrix_algebra", name_tok.text, name_tok,
-                        {"size": size, "gens": gens})
+        self.doc.matrix_algebras[name] = MatrixAlgebraDecl(
+            name, size, tuple(gens), tuple(gens.values())
+        )
 
     def _item_subspace(self):
-        kind_tok = self.advance()  # subalgebra | complement
-        name_tok = self.expect_name("a name")
+        kind = self.advance().text  # subalgebra | complement
+        name = self._new_name("a name")
         self.expect_keyword("of")
-        alg_tok = self.expect_name("an algebra name")
+        algebra, index = self._algebra_ref()
         self.expect_punct("=")
         self.expect_keyword("span")
         self.expect_punct("(")
-        vectors = [self._lincomb()]
+        vectors = [self._lincomb(index)]
         while self.at_punct(","):
             self.advance()
-            vectors.append(self._lincomb())
+            vectors.append(self._lincomb(index))
         self.expect_punct(")")
         self.expect_punct(";")
-        return _RawItem(kind_tok.text, name_tok.text, name_tok,
-                        {"algebra": alg_tok, "vectors": vectors})
+        table = self.doc.subalgebras if kind == "subalgebra" else self.doc.complements
+        table[name] = SubspaceDecl(kind, name, algebra, tuple(vectors))
 
     def _item_operator(self):
         self.expect_keyword("operator")
-        name_tok = self.expect_name("an operator name")
+        name = self._new_name("an operator name")
         self.expect_keyword("on")
-        alg_tok = self.expect_name("an algebra name")
+        algebra, index = self._algebra_ref()
         if self.at_punct("{"):
             self.advance()
-            rules = []
+            rules = {}
             while self.at_name():
-                label = self.advance()
+                label = self._label(index)
+                if label.text in rules:
+                    raise DuplicateName(f"rule for {label.text!r} given twice",
+                                        label.line, label.col)
                 self.expect_punct("->")
-                rhs = self._lincomb()
+                rules[label.text] = self._lincomb(index)
                 self.expect_punct(";")
-                rules.append((label, rhs))
             if not rules:
                 self.fail(["at least one rule"])
             self.expect_punct("}")
-            if self.at_punct(";"):
-                self.advance()
-            return _RawItem("operator", name_tok.text, name_tok,
-                            {"algebra": alg_tok, "form": "rules", "rules": rules})
-        self.expect_punct("=")
-        form_tok = self.expect_name("ad, left, right or sandwich")
-        form = form_tok.text
-        if form not in ("ad", "left", "right", "sandwich"):
-            self.fail(["'ad'", "'left'", "'right'", "'sandwich'"], form_tok)
-        self.expect_punct("(")
-        if form == "ad":
-            data = {"ad": self._lincomb()}
-        elif form in ("left", "right"):
-            data = {"matrix": self._matrix()}
+            form = "rules"
+            data = tuple(sorted(rules.items(), key=lambda kv: index[kv[0]]))
         else:
-            a = self._matrix()
-            self.expect_punct(",")
-            b = self._matrix()
-            data = {"matrices": (a, b)}
-        self.expect_punct(")")
+            self.expect_punct("=")
+            form_tok = self.expect_name("ad, left, right or sandwich")
+            form = form_tok.text
+            if form not in ("ad", "left", "right", "sandwich"):
+                self.fail(["'ad'", "'left'", "'right'", "'sandwich'"], form_tok)
+            self.expect_punct("(")
+            if form == "ad":
+                data = (self._lincomb(index),)
+            elif form in ("left", "right"):
+                data = (self._matrix(),)
+            else:
+                a = self._matrix()
+                self.expect_punct(",")
+                data = (a, self._matrix())
+            self.expect_punct(")")
         if self.at_punct(";"):
             self.advance()
-        payload = {"algebra": alg_tok, "form": form}
-        payload.update(data)
-        return _RawItem("operator", name_tok.text, name_tok, payload)
+        self.doc.operators[name] = OperatorDecl(name, algebra, form, data)
 
     def _item_pair(self):
         self.expect_keyword("pair")
-        name_tok = self.expect_name("a pair name")
+        name_tok = self.peek()
+        name = self._new_name("a pair name")
         self.expect_punct("=")
         self.expect_punct("(")
-        alg_tok = self.expect_name("an algebra name")
+        algebra, index = self._algebra_ref()
         self.expect_punct(",")
-        sub_tok = self.expect_name("a subalgebra name")
+        subalgebra = self._subspace_ref(self.doc.subalgebras, "subalgebra", algebra)
         complement = None
         connected = True
         reps = []
+        n = len(index)
         while self.at_punct(","):
             self.advance()
             key = self.expect_name("complement, connected or reps")
             if key.text == "complement":
-                complement = self.expect_name("a complement name")
+                complement = self._subspace_ref(self.doc.complements, "complement", algebra)
             elif key.text == "connected":
                 self.expect_punct("=")
                 val = self.expect_name("true or false")
@@ -579,253 +647,27 @@ class _Parser:
                 connected = val.text == "true"
             elif key.text == "reps":
                 self.expect_punct("(")
-                reps.append(self._matrix())
-                while self.at_punct(","):
+                while True:
+                    rep = self._matrix()
+                    if rep.rows != n or rep.cols != n:
+                        raise SpecSyntaxError(f"component rep must be {n}x{n}",
+                                              name_tok.line, name_tok.col)
+                    reps.append(rep)
+                    if not self.at_punct(","):
+                        break
                     self.advance()
-                    reps.append(self._matrix())
                 self.expect_punct(")")
             else:
                 self.fail(["'complement'", "'connected'", "'reps'"], key)
         self.expect_punct(")")
         self.expect_punct(";")
-        return _RawItem("pair", name_tok.text, name_tok,
-                        {"algebra": alg_tok, "subalgebra": sub_tok,
-                         "complement": complement, "connected": connected,
-                         "reps": tuple(reps)})
-
-
-# ---------------------------------------------------------------------------
-# resolution
-# ---------------------------------------------------------------------------
-
-def _resolve_lincomb(raw: _RawLincomb, labels: Sequence[str]) -> tuple:
-    """Turn a raw lincomb into a rational coordinate vector over ``labels``."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    coords = [Fraction(0)] * len(labels)
-    bare = None
-    for sign, scalar, name_tok in raw.terms:
-        if name_tok is None:
-            bare = (sign, scalar, raw)
-            if scalar != 0:
-                raise SpecSyntaxError(
-                    "a bare scalar in a vector position must be 0",
-                    raw.line, raw.col,
-                )
-            continue
-        if name_tok.text not in index:
-            raise UnresolvedReference(
-                f"unknown basis label {name_tok.text!r}",
-                name_tok.line, name_tok.col,
-            )
-        coeff = Fraction(1) if scalar is None else scalar
-        if isinstance(coeff, GaussianRational):
-            if not coeff.is_real:
-                raise SpecSyntaxError(
-                    "coefficients in vectors must be rational",
-                    name_tok.line, name_tok.col,
-                )
-            coeff = coeff.re
-        coords[index[name_tok.text]] += sign * coeff
-    if bare is not None and len(raw.terms) > 1:
-        raise SpecSyntaxError(
-            "a bare scalar cannot be mixed with basis terms", raw.line, raw.col
-        )
-    return tuple(coords)
-
-
-def _resolve(items) -> SpecDocument:
-    doc = SpecDocument()
-    taken = {}
-    for it in items:
-        if it.name in taken:
-            raise DuplicateName(
-                f"name {it.name!r} already declared", it.name_tok.line, it.name_tok.col
-            )
-        taken[it.name] = it
-        doc.source_spans[it.name] = (it.name_tok.line, it.name_tok.col)
-
-    def algebra_labels(alg_tok: _Token) -> tuple:
-        decl = doc.algebra_decl(alg_tok.text)
-        if decl is None:
-            raise UnresolvedReference(
-                f"unknown algebra {alg_tok.text!r}", alg_tok.line, alg_tok.col
-            )
-        if isinstance(decl, AlgebraDecl):
-            return decl.labels
-        return decl.gen_names
-
-    # Algebras first: other items resolve against their labels.
-    for it in items:
-        if it.kind == "algebra":
-            labels = []
-            seen = set()
-            for tok in it.payload["labels"]:
-                if tok.text in seen:
-                    raise DuplicateName(
-                        f"duplicate basis label {tok.text!r}", tok.line, tok.col
-                    )
-                if tok.text == "i":
-                    raise SpecSyntaxError(
-                        "basis label 'i' is reserved for the imaginary unit",
-                        tok.line, tok.col,
-                    )
-                seen.add(tok.text)
-                labels.append(tok.text)
-            labels = tuple(labels)
-            index = {lab: i for i, lab in enumerate(labels)}
-            given = {}
-            for a_tok, b_tok, rhs in it.payload["brackets"]:
-                for tok in (a_tok, b_tok):
-                    if tok.text not in index:
-                        raise UnresolvedReference(
-                            f"unknown basis label {tok.text!r}", tok.line, tok.col
-                        )
-                ia, ib = index[a_tok.text], index[b_tok.text]
-                coords = _resolve_lincomb(rhs, labels)
-                if ia == ib:
-                    if any(coords):
-                        raise InconsistentBracket(
-                            f"[{a_tok.text},{a_tok.text}] must be 0",
-                            a_tok.line, a_tok.col,
-                        )
-                    continue
-                if (ia, ib) in given and given[(ia, ib)] != coords:
-                    raise InconsistentBracket(
-                        f"bracket [{a_tok.text},{b_tok.text}] declared twice "
-                        "with different values", a_tok.line, a_tok.col,
-                    )
-                if (ib, ia) in given and given[(ib, ia)] != tuple(-x for x in coords):
-                    raise InconsistentBracket(
-                        f"brackets [{a_tok.text},{b_tok.text}] and "
-                        f"[{b_tok.text},{a_tok.text}] are not negatives",
-                        a_tok.line, a_tok.col,
-                    )
-                given[(ia, ib)] = coords
-            canonical = {}
-            for (ia, ib), coords in given.items():
-                if ia < ib:
-                    canonical[(ia, ib)] = coords
-                else:
-                    canonical[(ib, ia)] = tuple(-x for x in coords)
-            brackets = tuple(
-                (ia, ib, coords)
-                for (ia, ib), coords in sorted(canonical.items())
-                if any(coords)
-            )
-            doc.algebras[it.name] = AlgebraDecl(it.name, labels, brackets)
-        elif it.kind == "matrix_algebra":
-            names = []
-            seen = set()
-            mats = []
-            for tok, mat in it.payload["gens"]:
-                if tok.text in seen:
-                    raise DuplicateName(
-                        f"duplicate generator {tok.text!r}", tok.line, tok.col
-                    )
-                if tok.text == "i":
-                    raise SpecSyntaxError(
-                        "generator name 'i' is reserved for the imaginary unit",
-                        tok.line, tok.col,
-                    )
-                seen.add(tok.text)
-                names.append(tok.text)
-                mats.append(mat)
-            doc.matrix_algebras[it.name] = MatrixAlgebraDecl(
-                it.name, it.payload["size"], tuple(names), tuple(mats)
-            )
-
-    for it in items:
-        if it.kind in ("subalgebra", "complement"):
-            labels = algebra_labels(it.payload["algebra"])
-            vectors = tuple(
-                _resolve_lincomb(raw, labels) for raw in it.payload["vectors"]
-            )
-            decl = SubspaceDecl(it.kind, it.name, it.payload["algebra"].text, vectors)
-            if it.kind == "subalgebra":
-                doc.subalgebras[it.name] = decl
-            else:
-                doc.complements[it.name] = decl
-        elif it.kind == "operator":
-            labels = algebra_labels(it.payload["algebra"])
-            form = it.payload["form"]
-            if form == "rules":
-                seen = set()
-                rules = []
-                for label_tok, rhs in it.payload["rules"]:
-                    if label_tok.text not in labels:
-                        raise UnresolvedReference(
-                            f"unknown basis label {label_tok.text!r}",
-                            label_tok.line, label_tok.col,
-                        )
-                    if label_tok.text in seen:
-                        raise DuplicateName(
-                            f"rule for {label_tok.text!r} given twice",
-                            label_tok.line, label_tok.col,
-                        )
-                    seen.add(label_tok.text)
-                    rules.append((label_tok.text, _resolve_lincomb(rhs, labels)))
-                rules.sort(key=lambda kv: labels.index(kv[0]))
-                data = tuple(rules)
-            elif form == "ad":
-                data = (_resolve_lincomb(it.payload["ad"], labels),)
-            elif form in ("left", "right"):
-                data = (it.payload["matrix"],)
-            else:
-                data = it.payload["matrices"]
-            doc.operators[it.name] = OperatorDecl(
-                it.name, it.payload["algebra"].text, form, data
-            )
-
-    for it in items:
-        if it.kind != "pair":
-            continue
-        alg_tok = it.payload["algebra"]
-        if doc.algebra_decl(alg_tok.text) is None:
-            raise UnresolvedReference(
-                f"unknown algebra {alg_tok.text!r}", alg_tok.line, alg_tok.col
-            )
-        sub_tok = it.payload["subalgebra"]
-        sub = doc.subalgebras.get(sub_tok.text)
-        if sub is None:
-            raise UnresolvedReference(
-                f"unknown subalgebra {sub_tok.text!r}", sub_tok.line, sub_tok.col
-            )
-        if sub.algebra != alg_tok.text:
-            raise UnresolvedReference(
-                f"subalgebra {sub_tok.text!r} is declared on {sub.algebra!r}, "
-                f"not {alg_tok.text!r}", sub_tok.line, sub_tok.col,
-            )
-        comp_tok = it.payload["complement"]
-        comp_name = None
-        if comp_tok is not None:
-            comp = doc.complements.get(comp_tok.text)
-            if comp is None:
-                raise UnresolvedReference(
-                    f"unknown complement {comp_tok.text!r}", comp_tok.line, comp_tok.col
-                )
-            if comp.algebra != alg_tok.text:
-                raise UnresolvedReference(
-                    f"complement {comp_tok.text!r} is declared on {comp.algebra!r}, "
-                    f"not {alg_tok.text!r}", comp_tok.line, comp_tok.col,
-                )
-            comp_name = comp_tok.text
-        n = len(algebra_labels(alg_tok))
-        for rep in it.payload["reps"]:
-            if rep.rows != n or rep.cols != n:
-                raise SpecSyntaxError(
-                    f"component rep must be {n}x{n}",
-                    it.name_tok.line, it.name_tok.col,
-                )
-        doc.pairs[it.name] = PairDecl(
-            it.name, alg_tok.text, sub_tok.text, comp_name,
-            it.payload["connected"], it.payload["reps"],
-        )
-    return doc
+        self.doc.pairs[name] = PairDecl(name, algebra, subalgebra, complement,
+                                        connected, tuple(reps))
 
 
 def parse(text: str) -> SpecDocument:
     """Parse a document; raises a diagnostic with line/column on failure."""
-    return _resolve(_Parser(text).parse_items())
+    return _Parser(text).parse_items()
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +725,12 @@ def serialize(doc: SpecDocument) -> str:
     for kind, table in (("subalgebra", doc.subalgebras), ("complement", doc.complements)):
         for name in sorted(table):
             s = table[name]
-            labels = _labels_for(doc, s.algebra)
+            labels = doc.labels(s.algebra)
             body = ", ".join(_lincomb_text(v, labels) for v in s.vectors)
             lines.append(f"{kind} {s.name} of {s.algebra} = span({body});")
     for name in sorted(doc.operators):
         o = doc.operators[name]
-        labels = _labels_for(doc, o.algebra)
+        labels = doc.labels(o.algebra)
         if o.form == "rules":
             body = " ".join(
                 f"{lab} -> {_lincomb_text(coords, labels)};" for lab, coords in o.data
@@ -917,13 +759,6 @@ def serialize(doc: SpecDocument) -> str:
             parts.append("reps(" + ", ".join(_matrix_text(r) for r in p.reps) + ")")
         lines.append(f"pair {p.name} = ({', '.join(parts)});")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _labels_for(doc: SpecDocument, algebra: str) -> tuple:
-    decl = doc.algebra_decl(algebra)
-    if isinstance(decl, AlgebraDecl):
-        return decl.labels
-    return decl.gen_names
 
 
 # ---------------------------------------------------------------------------

@@ -136,17 +136,3 @@ def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
                 val = alg.bracket(alg.bracket(d, ea), alg.bracket(d, eb))
                 return TorsionReport(False, checked, "ad_d-specialized", (ea, eb, val))
     return TorsionReport(True, checked, "ad_d-specialized")
-
-
-def corollary_oneof_property(
-    pair: HomogeneousPair, op: LinearOperator, z: Sequence, w: Sequence
-) -> bool:
-    """Membership of beta(z, w) in k for z in k; expected to always hold.
-
-    Exposed as a property-test hook: for an admissible operator the torsion
-    value on any pair with one argument in k lands in k automatically.
-    """
-    if z not in pair.k.space:
-        raise LieCheckError("first argument must lie in the subalgebra")
-    beta = torsion_form(pair.alg, op, z, w)
-    return beta in pair.k.space

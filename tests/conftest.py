@@ -15,7 +15,12 @@ from liecheck import (
     make_subalgebra,
     operator_from_rules,
 )
+from liecheck.algebra import _gaussian_rows
+from liecheck.complexstruct import _squares_to_minus_one
+from liecheck.errors import DimensionMismatch, LieCheckError, MissingComplement
+from liecheck.operators import _require_admissible, _split_verdict, check_admissible
 from liecheck.specfile import build, parse
+from liecheck.torsion import torsion_form
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -51,6 +56,118 @@ def imag_unit_matrix(n, i, j, scale=1):
         [GaussianRational(0, scale) if (r, c) == (i, j) else GaussianRational(0)
          for r in range(n) for c in range(n)],
     )
+
+
+# ---------------------------------------------------------------------------
+# matrix, operator and scalar helpers that the package does not ship
+# ---------------------------------------------------------------------------
+
+def identity_matrix(n):
+    return ExactMatrix(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+
+
+def zero_matrix(rows, cols):
+    return ExactMatrix(rows, cols, [Fraction(0)] * (rows * cols))
+
+
+def matrix_sum(a, b, sign=1):
+    """``a + sign * b`` for matrices of one shape."""
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return ExactMatrix(a.rows, a.cols, [x + sign * y for x, y in zip(a.entries, b.entries)])
+
+
+def scaled_matrix(m, s):
+    return ExactMatrix(m.rows, m.cols, [s * x for x in m.entries])
+
+
+def matrix_of_element(alg, v):
+    """The matrix ``sum_j v_j g_j`` over the generators of a matrix algebra."""
+    acc = zero_matrix(alg.matrix_size, alg.matrix_size)
+    for coeff, gen in zip(v, alg.matrix_generators):
+        if coeff:
+            acc = matrix_sum(acc, scaled_matrix(gen, coeff))
+    return acc
+
+
+def span_coords(solver, target):
+    """Rational coordinates of ``target`` in the real span of a
+    :class:`~liecheck.algebra._SpanSolver`, or None outside it."""
+    scale, rows = _gaussian_rows(target)
+    terms = solver.solve(rows, scale)
+    return None if terms is None else tuple(dict(terms).get(k, Fraction(0))
+                                            for k in range(solver.n))
+
+
+def scalar_div(a, b):
+    """``a / b`` in Q or Q(i); a GaussianRational when either one is."""
+    if isinstance(b, GaussianRational):
+        d = b.re * b.re + b.im * b.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return a * GaussianRational(b.re / d, -b.im / d)
+    return a * (1 / Fraction(b))
+
+
+def identity_operator(alg):
+    return LinearOperator(alg, identity_matrix(alg.dim))
+
+
+def zero_operator(alg):
+    return LinearOperator(alg, zero_matrix(alg.dim, alg.dim))
+
+
+def scaled_operator(op, s):
+    return LinearOperator(op.alg, scaled_matrix(op.matrix, s))
+
+
+def _same_algebra(a, b):
+    if a.alg is not b.alg:
+        raise DimensionMismatch("operators act on different algebras")
+
+
+def operator_sum(a, b):
+    _same_algebra(a, b)
+    return LinearOperator(a.alg, matrix_sum(a.matrix, b.matrix))
+
+
+def compose(a, b):
+    """The operator ``a`` after ``b``."""
+    _same_algebra(a, b)
+    return LinearOperator(a.alg, a.matrix @ b.matrix)
+
+
+def full_subspace(n):
+    return Subspace.from_vectors(n, [identity_matrix(n).row(i) for i in range(n)])
+
+
+def contains_subspace(space, other):
+    return all(v in space for v in other.vectors())
+
+
+# The predicates below run the package's own clauses; the command line
+# reaches them only through ``check``, ``torsion`` and ``integrability``.
+
+def ac_admissible(pair, op):
+    """Whether J^2 + 1 maps g into k, for an admissible J (raises
+    NotAdmissible otherwise)."""
+    _require_admissible(pair, op)
+    return _squares_to_minus_one(pair, op)
+
+
+def split_admissible(pair, op):
+    """The split verdict: k inside the kernel, the complement invariant, and
+    admissibility."""
+    if pair.m is None:
+        raise MissingComplement("split admissibility needs a declared complement")
+    return _split_verdict(pair, op, check_admissible(pair, op))
+
+
+def oneof_property(pair, op, z, w):
+    """Whether beta(z, w) lies in k, for z in k; it always does for an
+    admissible operator."""
+    if z not in pair.k.space:
+        raise LieCheckError("first argument must lie in the subalgebra")
+    return torsion_form(pair.alg, op, z, w) in pair.k.space
 
 
 def so3_structure():
@@ -110,9 +227,9 @@ def u4_algebra():
         labels.append(f"d{j+1}")
     for j in range(n):
         for k in range(j + 1, n):
-            gens.append(unit_matrix(n, j, k) + unit_matrix(n, k, j, -1))
+            gens.append(matrix_sum(unit_matrix(n, j, k), unit_matrix(n, k, j, -1)))
             labels.append(f"a{j+1}{k+1}")
-            gens.append(imag_unit_matrix(n, j, k) + imag_unit_matrix(n, k, j))
+            gens.append(matrix_sum(imag_unit_matrix(n, j, k), imag_unit_matrix(n, k, j)))
             labels.append(f"s{j+1}{k+1}")
     return from_matrix_generators(4, gens, labels=tuple(labels), name="u4")
 
@@ -143,7 +260,7 @@ def grassmann_center_vector(u4):
 
 @pytest.fixture(scope="session")
 def sl2():
-    h = unit_matrix(2, 0, 0) + unit_matrix(2, 1, 1, -1)
+    h = matrix_sum(unit_matrix(2, 0, 0), unit_matrix(2, 1, 1, -1))
     e = unit_matrix(2, 0, 1)
     f = unit_matrix(2, 1, 0)
     return from_matrix_generators(2, [h, e, f], labels=("h", "e", "f"), name="sl2")
@@ -204,22 +321,19 @@ def loop_cases():
     def basis(alg):
         return [alg.basis_vector(j) for j in range(alg.dim)]
 
-    def identity(alg):
-        return LinearOperator.identity(alg)
-
     return {
-        "so3_split": (fam.pairs["sphere_split"], [identity(so3)] + so3_ops, so3_ad),
-        "so3_plain": (HomogeneousPair(so3, k), [identity(so3)] + so3_ops, so3_ad),
-        "so3_skew": (HomogeneousPair(so3, k, m=skew), [identity(so3)] + so3_ops, so3_ad),
-        "so3_reps": (flip.pairs["flip"], [identity(flip.algebras["so3"]), flip.operators["I"]],
+        "so3_split": (fam.pairs["sphere_split"], [identity_operator(so3)] + so3_ops, so3_ad),
+        "so3_plain": (HomogeneousPair(so3, k), [identity_operator(so3)] + so3_ops, so3_ad),
+        "so3_skew": (HomogeneousPair(so3, k, m=skew), [identity_operator(so3)] + so3_ops, so3_ad),
+        "so3_reps": (flip.pairs["flip"], [identity_operator(flip.algebras["so3"]), flip.operators["I"]],
                      [flip.algebras["so3"].basis_vector("k0")]),
-        "gl3_modsl3": (gl3.pairs["modsl3"], [identity(gl3.algebras["gl3"]),
+        "gl3_modsl3": (gl3.pairs["modsl3"], [identity_operator(gl3.algebras["gl3"]),
                                              gl3.operators["trpart"]],
                        basis(gl3.algebras["gl3"])),
-        "gl3_full": (gl3.pairs["full"], [identity(gl3.algebras["gl3"]),
+        "gl3_full": (gl3.pairs["full"], [identity_operator(gl3.algebras["gl3"]),
                                          gl3.operators["smix"], gl3.operators["lmul"]],
                      basis(gl3.algebras["gl3"])),
-        "u4_grass": (u4.pairs["grass"], [identity(u4_alg), u4.operators["jgr"]],
+        "u4_grass": (u4.pairs["grass"], [identity_operator(u4_alg), u4.operators["jgr"]],
                      [grassmann_center_vector(u4_alg),
                       u4_alg.basis_vector("d1"), u4_alg.basis_vector("d3")]),
         "nil4": (nil4.pairs["nilgroup"], [nil4.operators["jplane"], nil4.operators["jtwist"]],

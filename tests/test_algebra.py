@@ -9,6 +9,7 @@ from liecheck import (
     ExactMatrix,
     GaussianRational,
     LieAlgebra,
+    Subspace,
     conjugate_vector,
     from_matrix_generators,
     make_subalgebra,
@@ -24,14 +25,17 @@ from liecheck.errors import (
 
 from conftest import (
     CORPUS,
+    LOOP_CASES,
     draw_matrix,
     imag_unit_matrix,
+    matrix_sum,
     property_test,
     rand_gaussian_vector,
     rand_vector,
     so3_structure,
     st,
     unit_matrix,
+    zero_matrix,
 )
 from liecheck.specfile import parse
 
@@ -53,8 +57,8 @@ def test_bracket_alternating(so3):
 def test_gl2_commutator():
     # [E12, E21] = E11 - E22, checked against the raw matrix commutator.
     e12, e21 = unit_matrix(2, 0, 1), unit_matrix(2, 1, 0)
-    direct = (e12 @ e21) - (e21 @ e12)
-    assert direct == unit_matrix(2, 0, 0) + unit_matrix(2, 1, 1, -1)
+    direct = matrix_sum(e12 @ e21, e21 @ e12, -1)
+    assert direct == matrix_sum(unit_matrix(2, 0, 0), unit_matrix(2, 1, 1, -1))
     gl2 = from_matrix_generators(
         2,
         [unit_matrix(2, i, j) for i in range(2) for j in range(2)],
@@ -74,7 +78,7 @@ def test_ad_matrix_so3(so3):
 
 def test_ad_zero_and_self(so3):
     rng = random.Random(5)
-    assert so3.ad_matrix(so3.zero_vector()) == ExactMatrix.zeros(3, 3)
+    assert so3.ad_matrix(so3.zero_vector()) == zero_matrix(3, 3)
     for _ in range(20):
         d = rand_vector(rng, 3)
         assert so3.ad_matrix(d).apply(d) == so3.zero_vector()
@@ -267,7 +271,8 @@ def test_from_matrix_generators_matches_dense_reference(data):
     alg = from_matrix_generators(size, gens)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     dense = _solve([_real_coordinates(g) for g in gens],
-                   [_real_coordinates(gens[i] @ gens[j] - gens[j] @ gens[i]) for i, j in pairs])
+                   [_real_coordinates(matrix_sum(gens[i] @ gens[j], gens[j] @ gens[i], -1))
+                    for i, j in pairs])
     expected = [[None] * n for _ in range(n)]
     for (i, j), coords in zip(pairs, dense):
         expected[i][j] = tuple((k, x) for k, x in enumerate(coords) if x)
@@ -445,8 +450,8 @@ def test_u2_structure_constants_real():
     g = [
         imag_unit_matrix(2, 0, 0),
         imag_unit_matrix(2, 1, 1),
-        unit_matrix(2, 0, 1) + unit_matrix(2, 1, 0, -1),
-        imag_unit_matrix(2, 0, 1) + imag_unit_matrix(2, 1, 0),
+        matrix_sum(unit_matrix(2, 0, 1), unit_matrix(2, 1, 0, -1)),
+        matrix_sum(imag_unit_matrix(2, 0, 1), imag_unit_matrix(2, 1, 0)),
     ]
     u2 = from_matrix_generators(2, g, labels=("d1", "d2", "a12", "s12"), name="u2")
     b = u2.basis_vector
@@ -508,6 +513,38 @@ def test_make_subalgebra(so3):
         make_subalgebra(so3, [so3.basis_vector("e1"), so3.basis_vector("e2")])
     # the witness bracket is [e1, e2] = -k0
     assert err.value.value == tuple(map(Fraction, (-1, 0, 0)))
+
+
+def _reference_closure_failure(alg, space):
+    """The first echelon pair whose bracket, in Fractions, leaves the span."""
+    rows = space.vectors()
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            value = alg.bracket(rows[a], rows[b])
+            if value not in space:
+                return rows[a], rows[b], value
+    return None
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@property_test(max_examples=25)
+def test_make_subalgebra_matches_fraction_reference(loop_cases, case, data):
+    # Spans of k (closed), of k and a few random vectors, and of random
+    # vectors alone (mostly not closed once there are two).
+    pair = loop_cases[case][0]
+    alg, n = pair.alg, pair.alg.dim
+    vectors = list(pair.k.space.vectors()) if data.draw(st.booleans()) else []
+    extra = draw_matrix(data, "rational", data.draw(st.integers(0 if vectors else 1, 3)), n)
+    vectors += [extra.row(i) for i in range(extra.rows)]
+    space = Subspace.from_vectors(n, vectors)
+    expected = _reference_closure_failure(alg, space)
+    if expected is None:
+        assert make_subalgebra(alg, vectors).space == space
+        return
+    with pytest.raises(NotClosedUnderBracket) as err:
+        make_subalgebra(alg, vectors)
+    assert (err.value.x, err.value.y, err.value.value) == expected
+    assert [type(x) for x in err.value.value] == [type(x) for x in expected[2]]
 
 
 def test_complexify_and_conjugate(so3):

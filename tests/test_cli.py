@@ -442,3 +442,15 @@ def test_unused_broken_declaration_exit_two(capsys, fixtures_dir):
     assert err == "error: DimensionMismatch: inner dimensions do not match\n"
     code, _, err = run(capsys, "parse", path)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("text, what", [
+    ("", "pair"),
+    ("algebra a { basis x y; } subalgebra s of a = span(x); pair p = (a, s);", "operator"),
+])
+def test_input_without_pair_or_operator_exit_two(capsys, tmp_path, text, what):
+    path = tmp_path / "partial.lie"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: LieCheckError: the input declares no {what}\n"

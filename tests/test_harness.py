@@ -6,8 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import sphere_family
-from liecheck import harness, operator_ad, operator_sandwich, LinearOperator
+from conftest import (
+    identity_matrix,
+    matrix_of_element,
+    sphere_family,
+    zero_operator,
+)
+from liecheck import harness, operator_ad, operator_sandwich
 from liecheck.errors import (
     LieCheckError,
     PointOffManifold,
@@ -103,7 +108,7 @@ def test_projected_field_off_manifold(sphere):
 # -- bundle map ---------------------------------------------------------------
 
 def test_bundle_map_zero_operator(sphere, so3_pair):
-    zero = LinearOperator.zero(so3_pair.alg)
+    zero = zero_operator(so3_pair.alg)
     rng = np.random.default_rng(5)
     for _ in range(10):
         _, p = sphere.random_point(rng)
@@ -255,7 +260,7 @@ def test_numerical_torsion_matches_exact_form_at_identity(gl3, gl3_pair):
         exact = torsion_form(gl3, op, v, w)
         sample = numerical_torsion(model, gl3_pair, op, v, w, np.eye(3))
         exact_mat = np.array(
-            [[float(x) for x in gl3.matrix_of_element(exact).row(i)] for i in range(3)]
+            [[float(x) for x in matrix_of_element(gl3, exact).row(i)] for i in range(3)]
         )
         assert np.max(np.abs(sample.predicted - exact_mat)) <= 1e-12
         assert np.max(np.abs(sample.numerical - exact_mat)) <= 1e-5
@@ -299,7 +304,7 @@ def test_relation_checks_sphere(sphere, so3, so3_pair):
 
 def test_relation_checks_full_group(gl3_model, gl3, gl3_pair):
     from liecheck import ExactMatrix
-    op = operator_sandwich(gl3, ExactMatrix.identity(3), ExactMatrix.identity(3))
+    op = operator_sandwich(gl3, identity_matrix(3), identity_matrix(3))
     report = relation_checks(gl3_model, gl3_pair, op, samples=50, seed=23)
     assert report.alpha_related_max <= RELATION_TOL
     assert report.base_consistency_max <= RELATION_TOL
@@ -448,7 +453,7 @@ def test_stack_guards_sphere(sphere, so3, so3_pair):
 
 def test_stack_guards_full_group(gl3_model, gl3, gl3_pair):
     from liecheck import ExactMatrix
-    op = operator_sandwich(gl3, ExactMatrix.identity(3), ExactMatrix.identity(3))
+    op = operator_sandwich(gl3, identity_matrix(3), identity_matrix(3))
     p, v, w = _stack(gl3_model, np.random.default_rng(37), 5)
     z = projected_field(gl3_model, w, p)
     singular = p.copy()

@@ -9,9 +9,7 @@ from liecheck import (
     ExactMatrix,
     HomogeneousPair,
     LieAlgebra,
-    LinearOperator,
     check_admissible,
-    check_split_admissible,
     make_subalgebra,
     operator_ad,
     operator_from_rules,
@@ -32,14 +30,22 @@ from liecheck.torsion import check_nijenhuis
 
 from conftest import (
     LOOP_CASES,
+    compose,
     draw_matrix,
     draw_operator,
     grassmann_center_vector,
+    identity_matrix,
+    identity_operator,
+    matrix_of_element,
+    operator_sum,
     property_test,
     rand_vector,
+    scaled_operator,
     sphere_family,
+    split_admissible,
     st,
     unit_matrix,
+    zero_matrix,
 )
 from test_algebra import draw_conjugated_family
 from test_exact import _dense_span_coords
@@ -54,7 +60,7 @@ def test_ad_k0_admissible(so3, so3_pair):
 
 def test_identity_always_admissible(so3_pair, gl3_pair, u4_pair):
     for pair in (so3_pair, gl3_pair, u4_pair):
-        assert check_admissible(pair, LinearOperator.identity(pair.alg)).holds
+        assert check_admissible(pair, identity_operator(pair.alg)).holds
 
 
 def test_family_admissible_iff_opposite(so3, so3_pair):
@@ -78,17 +84,17 @@ def test_admissible_conditions_are_linear(so3, so3_pair):
         o1 = sphere_family(so3, rng.randint(-3, 3), 1, -1)
         o2 = sphere_family(so3, rng.randint(-3, 3), -2, 2)
         a, b = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
-        combo = o1.scaled(a) + o2.scaled(b)
+        combo = operator_sum(scaled_operator(o1, a), scaled_operator(o2, b))
         assert check_admissible(so3_pair, combo).holds
 
 
 def test_split_admissible_ad_k0(so3, so3_pair):
     op = operator_ad(so3, so3.basis_vector("k0"))
-    assert check_split_admissible(so3_pair, op).holds
+    assert split_admissible(so3_pair, op).holds
 
 
 def test_split_admissible_identity_fails(so3_pair):
-    report = check_split_admissible(so3_pair, LinearOperator.identity(so3_pair.alg))
+    report = split_admissible(so3_pair, identity_operator(so3_pair.alg))
     assert not report.holds and report.failed_clause == "k_in_kernel"
 
 
@@ -96,14 +102,13 @@ def test_split_strictly_stronger(so3, so3_pair):
     # alpha != 0 keeps plain admissibility but breaks the kernel clause
     op = sphere_family(so3, 1, 1, -1)
     assert check_admissible(so3_pair, op).holds
-    report = check_split_admissible(so3_pair, op)
+    report = split_admissible(so3_pair, op)
     assert not report.holds and report.failed_clause == "k_in_kernel"
 
 
 def test_split_needs_complement(so3_pair_plain):
     with pytest.raises(MissingComplement):
-        check_split_admissible(so3_pair_plain,
-                               LinearOperator.identity(so3_pair_plain.alg))
+        split_admissible(so3_pair_plain, identity_operator(so3_pair_plain.alg))
 
 
 def test_rules_operator(so3):
@@ -122,9 +127,9 @@ def test_operator_ad_matches_ad_matrix(so3):
 
 
 def test_sandwich_identity_is_identity(gl3):
-    ident = ExactMatrix.identity(3)
+    ident = identity_matrix(3)
     op = operator_sandwich(gl3, ident, ident)
-    assert op.matrix == ExactMatrix.identity(9)
+    assert op.matrix == identity_matrix(9)
 
 
 def test_left_mult_gl2_by_hand():
@@ -146,8 +151,8 @@ def test_right_mult_composes_with_left(gl3):
     left = operator_left_mult(gl3, a)
     right = operator_right_mult(gl3, b)
     sandwich = operator_sandwich(gl3, a, b)
-    assert left.compose(right).matrix == sandwich.matrix
-    assert right.compose(left).matrix == sandwich.matrix
+    assert compose(left, right).matrix == sandwich.matrix
+    assert compose(right, left).matrix == sandwich.matrix
 
 
 @property_test(max_examples=40)
@@ -168,7 +173,7 @@ def test_multiplication_operators_match_dense_reference(data):
                                size, size)
         weights = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
                                      min_size=n, max_size=n))
-        return alg.matrix_of_element(weights)
+        return matrix_of_element(alg, weights)
 
     a, b = factor(), factor()
     for image, build in ((lambda x: a @ x, lambda: operator_left_mult(alg, a)),
@@ -192,11 +197,11 @@ def test_multiplication_factors_must_be_square(gl3):
     row, column = ExactMatrix.from_rows([[1, 0, 0]]), ExactMatrix.from_rows([[1], [0], [0]])
     for build in (lambda: operator_left_mult(gl3, row),
                   lambda: operator_right_mult(gl3, column),
-                  lambda: operator_sandwich(gl3, ExactMatrix.identity(3), column)):
+                  lambda: operator_sandwich(gl3, identity_matrix(3), column)):
         with pytest.raises(DimensionMismatch, match="^multiplication factors must be 3x3$"):
             build()
     for build in (lambda: operator_left_mult(gl3, column),
-                  lambda: operator_sandwich(gl3, ExactMatrix.identity(3), row)):
+                  lambda: operator_sandwich(gl3, identity_matrix(3), row)):
         with pytest.raises(DimensionMismatch, match="^inner dimensions do not match$"):
             build()
 
@@ -209,7 +214,7 @@ def test_multiplication_image_outside(u4):
 
 def test_multiplication_needs_matrix_realization(so3):
     with pytest.raises(LieCheckError):
-        operator_left_mult(so3, ExactMatrix.identity(3))
+        operator_left_mult(so3, identity_matrix(3))
 
 
 def test_ad_specialized_agrees_with_generic_in_u4(u4, u4_pair):
@@ -259,13 +264,13 @@ def test_component_rep_clause(so3):
     assert not report.holds
     assert report.failed_clause == "commutes_with_component_reps"
     # the identity operator commutes with everything
-    assert check_admissible(pair, LinearOperator.identity(so3)).holds
+    assert check_admissible(pair, identity_operator(so3)).holds
 
 
 def test_invalid_component_rep_rejected(so3):
     k = make_subalgebra(so3, [so3.basis_vector("k0")])
     with pytest.raises(InvalidComponentRep):
-        HomogeneousPair(so3, k, component_reps=(ExactMatrix.zeros(3, 3),))
+        HomogeneousPair(so3, k, component_reps=(zero_matrix(3, 3),))
     not_automorphism = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     with pytest.raises(InvalidComponentRep):
         HomogeneousPair(so3, k, component_reps=(not_automorphism,))
@@ -285,7 +290,7 @@ def test_grassmann_operator_admissible(u4, u4_pair):
     d = grassmann_center_vector(u4)
     op = operator_ad(u4, d)
     assert check_admissible(u4_pair, op).holds
-    assert check_split_admissible(u4_pair, op).holds
+    assert split_admissible(u4_pair, op).holds
 
 
 def test_operator_on_other_algebra_rejected(so3, so3_pair):
@@ -299,9 +304,9 @@ def test_operator_on_other_algebra_rejected(so3, so3_pair):
             check(so3_pair, op)
         assert str(err.value) == message
     with pytest.raises(DimensionMismatch, match="different algebras"):
-        op.compose(LinearOperator.identity(so3))
+        compose(op, identity_operator(so3))
     with pytest.raises(DimensionMismatch, match="different algebras"):
-        LinearOperator.identity(so3).compose(op)
+        compose(identity_operator(so3), op)
 
 
 def test_non_real_component_rep_rejected(so3):

@@ -189,6 +189,21 @@ PINNED_DIAGNOSTICS = [
      "1:24: integer literal too long"),
     (_A + "subalgebra s of a = span(x - " + "7" * 5000 + "*y);", SpecSyntaxError,
      "2:30: integer literal too long"),
+    # A name must be declared before it is used.
+    ("subalgebra s of a = span(x);\nalgebra a { basis x; }", UnresolvedReference,
+     "1:17: unknown algebra 'a'"),
+    ("operator o on a = ad(x);\nalgebra a { basis x; }", UnresolvedReference,
+     "1:15: unknown algebra 'a'"),
+    (_A + "pair p = (a, s);\nsubalgebra s of a = span(x);", UnresolvedReference,
+     "2:14: unknown subalgebra 's'"),
+    (_S + "pair p = (a, s, complement m);\ncomplement m of a = span(y);", UnresolvedReference,
+     "3:28: unknown complement 'm'"),
+    # Of two errors the first in the text is reported: here before the
+    # duplicate name on line 3, and before the missing ")".
+    (_A + "subalgebra s of a = span(x + 2i*y, z);\nsubalgebra s of a = span(x);",
+     SpecSyntaxError, "2:33: coefficients in vectors must be rational"),
+    (_A + "subalgebra s of a = span(q;", UnresolvedReference,
+     "2:26: unknown basis label 'q'"),
 ]
 
 
@@ -381,10 +396,3 @@ def test_build_constructs_working_objects(corpus_dir):
     pair = built.pairs["sphere"]
     assert check_admissible(pair, built.operators["I"]).holds
     assert built.operators["I"].ad_generator == pair.alg.basis_vector("k0")
-
-
-def test_source_spans_recorded():
-    doc = parse(CANONICAL_SPHERE)
-    assert set(doc.source_spans) == {"so3", "k", "I", "sphere"}
-    for line, col in doc.source_spans.values():
-        assert line >= 1 and col >= 1

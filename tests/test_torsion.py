@@ -8,11 +8,9 @@ import pytest
 from liecheck import (
     ExactMatrix,
     HomogeneousPair,
-    LinearOperator,
     check_admissible,
     check_nijenhuis,
     check_nijenhuis_ad,
-    corollary_oneof_property,
     make_subalgebra,
     operator_ad,
     operator_from_rules,
@@ -27,9 +25,11 @@ from conftest import (
     draw_ad_vector,
     draw_operator,
     grassmann_center_vector,
+    oneof_property,
     property_test,
     rand_vector,
     sphere_family,
+    zero_operator,
 )
 
 
@@ -101,7 +101,7 @@ def test_nijenhuis_sandwich_fails_with_witness(gl3, gl3_pair):
 
 def test_zero_operator_nijenhuis(so3_pair, gl3_pair, u4_pair):
     for pair in (so3_pair, gl3_pair, u4_pair):
-        report = check_nijenhuis(pair, LinearOperator.zero(pair.alg))
+        report = check_nijenhuis(pair, zero_operator(pair.alg))
         assert report.verdict
 
 
@@ -192,9 +192,9 @@ def test_grassmann_ad_nijenhuis(u4, u4_pair):
 def test_oneof_property(so3, so3_pair, u4, u4_pair):
     rng = random.Random(59)
     op = operator_ad(so3, so3.basis_vector("k0"))
-    assert corollary_oneof_property(
+    assert oneof_property(
         so3_pair, op, so3.basis_vector("k0"), so3.basis_vector("e1"))
-    assert corollary_oneof_property(
+    assert oneof_property(
         so3_pair, op, so3.zero_vector(), so3.basis_vector("e1"))
     jgr = operator_ad(u4, grassmann_center_vector(u4))
     for _ in range(25):
@@ -203,7 +203,7 @@ def test_oneof_property(so3, so3_pair, u4, u4_pair):
         for c, row in zip(coeffs, u4_pair.k.space.vectors()):
             z = [a + c * b for a, b in zip(z, row)]
         w = rand_vector(rng, 16, 4)
-        assert corollary_oneof_property(u4_pair, jgr, tuple(z), w)
+        assert oneof_property(u4_pair, jgr, tuple(z), w)
 
 
 def test_trace_part_operator_on_traceless_pair(gl3):

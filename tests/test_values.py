@@ -21,8 +21,6 @@ from liecheck.specfile import (
     PairDecl,
     SpecDocument,
     SubspaceDecl,
-    _RawItem,
-    _RawLincomb,
     parse,
     serialize,
 )
@@ -34,10 +32,7 @@ FROZEN = (
 )
 MUTABLE = (
     FieldSample, RelationReport, DeviationReport, SpecDocument, BuiltDocument,
-    _RawLincomb, _RawItem,
 )
-# Fields that equality ignores, by class.
-UNCOMPARED = {SpecDocument: {"source_spans"}}
 
 every_class = pytest.mark.parametrize("cls", FROZEN + MUTABLE,
                                       ids=lambda cls: cls.__name__)
@@ -69,13 +64,10 @@ def test_equality_by_field(cls):
     assert obj == make(cls)
     assert obj != make(cls, "b")
     assert obj != tuple(values(cls))
-    for idx, name in enumerate(fields(cls)):
+    for idx in range(len(fields(cls))):
         changed = values(cls)
         changed[idx] = "other"
-        if name in UNCOMPARED.get(cls, ()):
-            assert cls(*changed) == obj
-        else:
-            assert cls(*changed) != obj
+        assert cls(*changed) != obj
 
 
 @every_class
@@ -148,7 +140,7 @@ def test_defaults():
 
 def test_parsed_document_roundtrips(corpus_dir):
     doc = parse((corpus_dir / "gl3_full.lie").read_text(encoding="utf-8"))
-    assert doc.source_spans
+    assert doc.matrix_algebras and doc.pairs
     assert parse(serialize(doc)) == doc
     for other in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
-        assert other == doc and other.source_spans == doc.source_spans
+        assert other == doc
