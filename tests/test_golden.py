@@ -3,8 +3,11 @@
 Every command of the ``corpus`` workload in ``perfbench/workloads.py``,
 except the float harness, runs in-process through :func:`liecheck.cli.main`
 from the repository root.  A verdict command runs twice, once with its text
-report and once with ``--report json``.  The exit code, the ``error:`` lines
-of stderr and stdout (the JSON without ``elapsed_ms``) must equal those in
+report and once with ``--report json``.  So do ``check``, ``torsion --mode
+ad`` and ``torsion --mode all`` on two fixtures that no workload reaches: the
+``reps(...)`` pair of ``so3_flip_reps.lie`` and the ``right(...)`` operators
+of ``right_mult.lie``.  The exit code, the ``error:`` lines of stderr and
+stdout (the JSON without ``elapsed_ms``) must equal those in
 ``tests/data/golden/corpus.json``.
 
 Regenerate the file, after a deliberate change of output, with::
@@ -25,11 +28,20 @@ from liecheck.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden" / "corpus.json"
+FIXTURE_COMMANDS = [
+    [*command, path, *operator]
+    for path, operators in [("tests/data/so3_flip_reps.lie", [[]]),
+                            ("tests/data/right_mult.lie",
+                             [["--operator", "rdiag"], ["--operator", "rrot"]])]
+    for operator in operators
+    for command in (["check"], ["torsion", "--mode", "ad"], ["torsion", "--mode", "all"])
+]
 WANT = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
 
 
 def _corpus_argvs() -> dict:
-    """``{name: argv}`` for every non-harness corpus command, text and JSON."""
+    """``{name: argv}`` for every non-harness corpus command and every
+    fixture command, text and JSON."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -44,6 +56,9 @@ def _corpus_argvs() -> dict:
             argvs[cmd.cid + " [json]"] = argv
             argv = argv[:-2]
         argvs[cmd.cid] = argv
+    for argv in FIXTURE_COMMANDS:
+        argvs[" ".join(argv)] = argv
+        argvs[" ".join(argv) + " [json]"] = argv + ["--report", "json"]
     return dict(sorted(argvs.items()))
 
 
