@@ -1,9 +1,11 @@
 """Exit codes, report formats, and the command surface."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -335,14 +337,105 @@ def test_operator_on_other_algebra_exit_two(capsys, fixtures_dir, command):
                    "but the pair is on algebra 'so3'\n")
 
 
-def run_fresh(code):
-    """Run ``code`` in a fresh interpreter that imports this checkout."""
+def fresh(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout;
+    its standard streams are pipes."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_fresh(code):
+    done = fresh("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def without_elapsed(report: str) -> dict:
+    payload = json.loads(report)
+    del payload["elapsed_ms"]
+    return payload
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "so3_sphere.lie"], 0),
+    (["check", "gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], 1),
+    (["check", "missing.lie"], 2),
+])
+def test_entry_point_matches_main(capsys, corpus_dir, argv, code):
+    argv = [argv[0], str(corpus_dir / argv[1]), *argv[2:]]
+    done = fresh("-m", "liecheck.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert done.returncode == code
+
+
+def test_entry_point_usage_error_exit_two():
+    done = fresh("-m", "liecheck.cli", "check")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: liecheck check ")
+    assert done.stderr.endswith("error: the following arguments are required: file\n")
+
+
+def test_entry_point_report_past_the_pipe_buffer(capsys, corpus_dir):
+    # More than the 64 KiB a pipe holds, so the process blocks on the write
+    # until the reader drains it, and must still flush the rest before exiting.
+    argv = ["harness", str(corpus_dir / "gl3_full.lie"), "--pair", "full",
+            "--operator", "lmul", "--samples", "2000", "--report", "json"]
+    done = fresh("-m", "liecheck.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.encode()) > 65536
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and without_elapsed(done.stdout) == without_elapsed(out)
+
+
+def test_entry_point_out_files_complete(capsys, corpus_dir, tmp_path):
+    gl3 = str(corpus_dir / "gl3_full.lie")
+    for side in ("fresh", "main"):
+        report = ["check", gl3, "--pair", "modsl3", "--operator", "lmul",
+                  "--report", "json", "--out", str(tmp_path / f"{side}.json")]
+        table = ["harness", gl3, "--pair", "full", "--operator", "lmul",
+                 "--samples", "2000", "--out", str(tmp_path / f"{side}.csv")]
+        if side == "fresh":
+            codes = [fresh("-m", "liecheck.cli", *argv).returncode for argv in (report, table)]
+        else:
+            codes = [run(capsys, *argv)[0] for argv in (report, table)]
+        assert codes == [1, 0]
+    assert (without_elapsed((tmp_path / "fresh.json").read_text())
+            == without_elapsed((tmp_path / "main.json").read_text()))
+    table = (tmp_path / "fresh.csv").read_text()
+    assert table == (tmp_path / "main.csv").read_text()
+    assert len(table.splitlines()) == 2001
+
+
+def test_failed_final_flush_exit_two(corpus_dir):
+    # The report fits in the stream's buffer, so the flush after main()
+    # returns is the first write that fails; it must not end as exit 120.
+    done = fresh("-c", (
+        "import io, sys\n"
+        "import liecheck.cli\n"
+        "class Full(io.StringIO):\n"
+        "    def flush(self): raise OSError(28, 'No space left on device')\n"
+        "sys.stdout = Full()\n"
+        f"sys.argv = ['liecheck', 'check', {str(corpus_dir / 'so3_sphere.lie')!r}]\n"
+        "liecheck.cli.console_main()\n"))
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_writers_leave_no_file_open(capsys, corpus_dir, tmp_path):
+    # The entry point ends the process without running finalizers, so a file
+    # left open there would lose its buffered data without any error.
+    gl3 = str(corpus_dir / "gl3_full.lie")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv in (["parse", gl3, "--out", str(tmp_path / "dump.lie")],
+                     ["check", gl3, "--pair", "full", "--operator", "lmul",
+                      "--report", "json", "--out", str(tmp_path / "report.json")],
+                     ["harness", gl3, "--pair", "full", "--operator", "lmul",
+                      "--samples", "5", "--out", str(tmp_path / "x.csv")]):
+            assert main(argv) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_exact_commands_do_not_import_numpy(corpus_dir):
