@@ -374,9 +374,9 @@ def console_main():
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        if code != 2 and sys.stderr is not None:  # main has not reported an error
-            print(f"error: {exc}", file=sys.stderr)
         code = 2
+        if sys.stderr is not None:
+            print(f"error: {exc}", file=sys.stderr)
     try:
         if sys.stderr is not None:
             sys.stderr.flush()
