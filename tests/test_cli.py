@@ -391,16 +391,15 @@ def test_entry_point_report_past_the_pipe_buffer(capsys, corpus_dir):
 
 def test_entry_point_out_files_complete(capsys, corpus_dir, tmp_path):
     gl3 = str(corpus_dir / "gl3_full.lie")
-    for side in ("fresh", "main"):
-        report = ["check", gl3, "--pair", "modsl3", "--operator", "lmul",
-                  "--report", "json", "--out", str(tmp_path / f"{side}.json")]
-        table = ["harness", gl3, "--pair", "full", "--operator", "lmul",
-                 "--samples", "2000", "--out", str(tmp_path / f"{side}.csv")]
-        if side == "fresh":
-            codes = [fresh("-m", "liecheck.cli", *argv).returncode for argv in (report, table)]
-        else:
-            codes = [run(capsys, *argv)[0] for argv in (report, table)]
-        assert codes == [1, 0]
+
+    def argvs(side):
+        return (["check", gl3, "--pair", "modsl3", "--operator", "lmul",
+                 "--report", "json", "--out", str(tmp_path / f"{side}.json")],
+                ["harness", gl3, "--pair", "full", "--operator", "lmul",
+                 "--samples", "2000", "--out", str(tmp_path / f"{side}.csv")])
+
+    assert [fresh("-m", "liecheck.cli", *argv).returncode for argv in argvs("fresh")] == [1, 0]
+    assert [run(capsys, *argv)[0] for argv in argvs("main")] == [1, 0]
     assert (without_elapsed((tmp_path / "fresh.json").read_text())
             == without_elapsed((tmp_path / "main.json").read_text()))
     table = (tmp_path / "fresh.csv").read_text()
