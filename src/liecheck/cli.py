@@ -362,10 +362,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def console_main():
     """Run :func:`main`, flush its output and end the process at once.
 
-    ``os._exit`` skips interpreter teardown, which frees every module and
-    costs each command more than most of them spend on their own work.  Every
-    file a command writes is closed by a ``with`` block, so only the standard
-    streams are left to flush.  A failed flush is an output error: exit 2.
+    ``os._exit`` skips interpreter teardown (freeing every module), a fixed
+    cost of every command.  Every file a command writes is closed by a
+    ``with`` block, so only the standard streams are left to flush.  A failed
+    flush is an output error: exit 2.
     A usage error or ``--help`` leaves ``main`` by ``SystemExit`` and exits
     the usual way.
     """
