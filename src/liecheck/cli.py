@@ -12,7 +12,8 @@ Exit codes: 0 the checked property holds, 1 it fails (a mathematical
 verdict, with an exact witness in the report), 2 usage or input error.
 The two are never conflated: a malformed or non-UTF-8 file, an unknown
 name, an out-of-range or non-finite option or a violated precondition is
-always 2.  Any other exception is an internal fault, not a verdict: its
+always 2, as is a closed or failing stream (stderr then drops ``error:``
+lines).  Any other exception is an internal fault, not a verdict: its
 traceback is printed, then ``error: internal error: <Type>: <message>``,
 and the exit code is 2.
 """
@@ -58,8 +59,19 @@ def _write(path: Optional[str], text: str):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
+
+
+def _stderr(text: str):
+    """Write to stderr, or drop the text if stderr is closed or fails."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(text)
+    except OSError:
+        pass
 
 
 def _pick(table: dict, requested: Optional[str], what: str):
@@ -86,15 +98,13 @@ def _vector_json(alg, v) -> dict:
 def _witness(alg, witness, names: Optional[tuple] = None) -> tuple:
     """A witness as its JSON list and its text lines.
 
-    ``witness`` is a dict, or a tuple whose entries ``names`` labels.  Each
-    vector appears in label form and in raw coordinates.
+    ``witness`` holds ``(name, value)`` pairs, or values that ``names``
+    labels.  Each vector appears in label form and in raw coordinates.
     """
     if witness is None:
         return [], []
-    if names is not None:
-        witness = dict(zip(names, witness))
     entries, lines = {}, ["witness:"]
-    for key, val in witness.items():
+    for key, val in witness if names is None else zip(names, witness):
         if isinstance(val, tuple):
             vec = entries[key] = _vector_json(alg, val)
             lines.append(f"  {key} = {vec['pretty']}   coords ({', '.join(vec['coords'])})")
@@ -353,9 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         import traceback  # only this fault path uses it
 
-        traceback.print_exc()
+        _stderr(traceback.format_exc())
         message = f"internal error: {type(exc).__name__}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
+    _stderr(f"error: {message}\n")
     return 2
 
 
@@ -375,8 +385,7 @@ def console_main():
             sys.stdout.flush()
     except OSError as exc:
         code = 2
-        if sys.stderr is not None:
-            print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}\n")
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

@@ -54,13 +54,6 @@ class SplitDiagnostics(FrozenValue):
 
     __slots__ = ("sum_is_all", "intersection_is_kc", "eigenspace_decomposition_holds")
 
-    def __init__(self, sum_is_all: bool, intersection_is_kc: bool,
-                 eigenspace_decomposition_holds: bool):
-        object.__setattr__(self, "sum_is_all", sum_is_all)
-        object.__setattr__(self, "intersection_is_kc", intersection_is_kc)
-        object.__setattr__(self, "eigenspace_decomposition_holds",
-                           eigenspace_decomposition_holds)
-
     @property
     def all_hold(self) -> bool:
         return self.sum_is_all and self.intersection_is_kc and self.eigenspace_decomposition_holds
@@ -71,24 +64,14 @@ class IntegrabilityReport(FrozenValue):
 
     ``z_plus_mod_k`` lists canonical representatives of Z+ modulo k_C (k_C is
     always contained in Z+, so the quotient is the geometrically meaningful
-    part); the full Z+ basis is in ``z_plus``.
+    part); the full Z+ basis is in ``z_plus``.  ``witness`` is None or
+    ``(x, y, [x, y])`` outside Z+; ``split`` is None or the
+    :class:`SplitDiagnostics` of a split-admissible operator.
     """
 
     __slots__ = ("ac_admissible", "z_plus", "z_minus", "z_plus_closed",
                  "nijenhuis_verdict", "z_plus_mod_k", "witness", "split")
-
-    def __init__(self, ac_admissible: bool, z_plus: Subspace, z_minus: Subspace,
-                 z_plus_closed: bool, nijenhuis_verdict: bool, z_plus_mod_k: tuple,
-                 witness: Optional[tuple] = None,  # (x, y, [x, y]) outside Z+
-                 split: Optional[SplitDiagnostics] = None):
-        object.__setattr__(self, "ac_admissible", ac_admissible)
-        object.__setattr__(self, "z_plus", z_plus)
-        object.__setattr__(self, "z_minus", z_minus)
-        object.__setattr__(self, "z_plus_closed", z_plus_closed)
-        object.__setattr__(self, "nijenhuis_verdict", nijenhuis_verdict)
-        object.__setattr__(self, "z_plus_mod_k", z_plus_mod_k)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "split", split)
+    _defaults = {"witness": None, "split": None}
 
     @property
     def integrable(self) -> bool:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     LieCheckError,
@@ -454,19 +454,6 @@ class FieldSample(Value):
     __slots__ = ("point", "v", "w", "h", "numerical", "predicted", "deviation",
                  "numerical_max", "predicted_max")
 
-    def __init__(self, point: np.ndarray, v: np.ndarray, w: np.ndarray, h: float,
-                 numerical: np.ndarray, predicted: np.ndarray, deviation: float,
-                 numerical_max: float, predicted_max: float):
-        self.point = point
-        self.v = v
-        self.w = w
-        self.h = h
-        self.numerical = numerical
-        self.predicted = predicted
-        self.deviation = deviation
-        self.numerical_max = numerical_max
-        self.predicted_max = predicted_max
-
     def unstack(self) -> list:
         """One sample per entry of the leading axis of a stack."""
         return [FieldSample(*entries) for entries in zip(
@@ -523,32 +510,14 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
 
 class RelationReport(Value):
     """Residuals of the exact push-forward identities, plus the two
-    demonstration computations on the sphere (None for other models)."""
+    demonstration computations on the sphere.  The last six fields are None
+    for other models; the last four are vectors in R^3."""
 
     __slots__ = ("samples", "seed", "theta", "alpha_related_max",
                  "base_consistency_max", "stabilizer_max", "rep_independence_max",
                  "flip_pushforward", "flip_field_at_image", "rotation_bundle_value",
                  "rotation_field_value")
-
-    def __init__(self, samples: int, seed: int, theta: float,
-                 alpha_related_max: float, base_consistency_max: float,
-                 stabilizer_max: Optional[float] = None,
-                 rep_independence_max: Optional[float] = None,
-                 flip_pushforward: Optional[np.ndarray] = None,
-                 flip_field_at_image: Optional[np.ndarray] = None,
-                 rotation_bundle_value: Optional[np.ndarray] = None,
-                 rotation_field_value: Optional[np.ndarray] = None):
-        self.samples = samples
-        self.seed = seed
-        self.theta = theta
-        self.alpha_related_max = alpha_related_max
-        self.base_consistency_max = base_consistency_max
-        self.stabilizer_max = stabilizer_max
-        self.rep_independence_max = rep_independence_max
-        self.flip_pushforward = flip_pushforward
-        self.flip_field_at_image = flip_field_at_image
-        self.rotation_bundle_value = rotation_bundle_value
-        self.rotation_field_value = rotation_field_value
+    _defaults = dict.fromkeys(__slots__[5:])
 
     @property
     def max_residual(self) -> float:
@@ -643,24 +612,12 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
 
 
 class DeviationReport(Value):
-    """Everything a harness run produced, with pass/fail bookkeeping."""
+    """Everything a harness run produced, with pass/fail bookkeeping; ``tolerances``
+    maps a gate (``torsion``, ``relation``, ``demo``) to a bound, else its default."""
 
     __slots__ = ("model_kind", "h", "seed", "samples", "relation", "nijenhuis_exact",
                  "max_deviation", "max_numerical", "tolerances")
-
-    def __init__(self, model_kind: str, h: float, seed: int, samples: list,
-                 relation: RelationReport, nijenhuis_exact: bool,
-                 max_deviation: float, max_numerical: float,
-                 tolerances: Optional[dict] = None):
-        self.model_kind = model_kind
-        self.h = h
-        self.seed = seed
-        self.samples = samples
-        self.relation = relation
-        self.nijenhuis_exact = nijenhuis_exact
-        self.max_deviation = max_deviation
-        self.max_numerical = max_numerical
-        self.tolerances = {} if tolerances is None else tolerances
+    _defaults = {"tolerances": {}}
 
     @property
     def passed(self) -> bool:

@@ -139,18 +139,12 @@ class VerdictReport(FrozenValue):
     ``scope`` is ``"full"`` when the verdict covers the whole subgroup and
     ``"identity_component"`` when the subgroup was declared non-connected and
     no component representatives were supplied, so only the infinitesimal
-    conditions could be decided.
+    conditions could be decided.  A failing report names the first failing
+    clause, and its ``witness`` is a tuple of ``(name, value)`` pairs.
     """
 
     __slots__ = ("holds", "scope", "clauses", "failed_clause", "witness")
-
-    def __init__(self, holds: bool, scope: str, clauses: tuple,
-                 failed_clause: Optional[str] = None, witness: Optional[dict] = None):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "failed_clause", failed_clause)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"failed_clause": None, "witness": None}
 
 
 def _scope_of(pair: HomogeneousPair) -> str:
@@ -181,15 +175,15 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     clause, i, j = failure
     if clause == "preserves_k":
         x = pair.k.space.vectors()[i]
-        witness = {"vector": x, "image": op.apply(x)}
+        witness = (("vector", x), ("image", op.apply(x)))
     elif clause == "commutes_with_ad_k":
         z, bj = pair.k.space.vectors()[i], alg.basis_vector(j)
-        witness = {"z": z, "v": bj,
-                   "value": _sub(op.apply(alg.bracket(z, bj)), alg.bracket(z, op.apply(bj)))}
+        witness = (("z", z), ("v", bj),
+                   ("value", _sub(op.apply(alg.bracket(z, bj)), alg.bracket(z, op.apply(bj)))))
     else:
         rep, bj = pair.component_reps[i], alg.basis_vector(j)
-        witness = {"rep_index": i, "v": bj,
-                   "value": _sub(rep.apply(op.apply(bj)), op.apply(rep.apply(bj)))}
+        witness = (("rep_index", i), ("v", bj),
+                   ("value", _sub(rep.apply(op.apply(bj)), op.apply(rep.apply(bj)))))
     return VerdictReport(False, scope, clauses, clause, witness)
 
 
@@ -263,11 +257,11 @@ def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> Optional
     for x in pair.k.space.vectors():
         img = op.apply(x)
         if img != zero:
-            return "k_in_kernel", {"vector": x, "image": img}
+            return "k_in_kernel", (("vector", x), ("image", img))
     for x in pair.m.vectors():
         img = op.apply(x)
         if img not in pair.m:
-            return "m_invariant", {"vector": x, "image": img}
+            return "m_invariant", (("vector", x), ("image", img))
     return None
 
 

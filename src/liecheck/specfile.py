@@ -110,78 +110,40 @@ class InconsistentBracket(SpecfileError):
 # ---------------------------------------------------------------------------
 
 class AlgebraDecl(FrozenValue):
-    __slots__ = ("name", "labels", "brackets")
+    """``brackets`` is ``((i, j, coords), ...)`` with i < j, nonzero coords only."""
 
-    def __init__(self, name: str, labels: tuple, brackets: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "labels", labels)
-        # ((i, j, coords), ...) with i < j, nonzero coords only
-        object.__setattr__(self, "brackets", brackets)
+    __slots__ = ("name", "labels", "brackets")
 
 
 class MatrixAlgebraDecl(FrozenValue):
     __slots__ = ("name", "size", "gen_names", "gen_matrices")
 
-    def __init__(self, name: str, size: int, gen_names: tuple, gen_matrices: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "gen_names", gen_names)
-        object.__setattr__(self, "gen_matrices", gen_matrices)
-
 
 class SubspaceDecl(FrozenValue):
-    __slots__ = ("kind", "name", "algebra", "vectors")
+    """``kind`` is ``"subalgebra"`` or ``"complement"``."""
 
-    def __init__(self, kind: str, name: str, algebra: str, vectors: tuple):
-        object.__setattr__(self, "kind", kind)  # "subalgebra" | "complement"
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "vectors", vectors)
+    __slots__ = ("kind", "name", "algebra", "vectors")
 
 
 class OperatorDecl(FrozenValue):
-    __slots__ = ("name", "algebra", "form", "data")
+    """``form`` is ``"rules"``, ``"ad"``, ``"left"``, ``"right"`` or ``"sandwich"``."""
 
-    def __init__(self, name: str, algebra: str, form: str, data: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        # "rules" | "ad" | "left" | "right" | "sandwich"
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "data", data)
+    __slots__ = ("name", "algebra", "form", "data")
 
 
 class PairDecl(FrozenValue):
-    __slots__ = ("name", "algebra", "subalgebra", "complement", "connected", "reps")
+    """``reps`` are the component representatives of a non-connected subgroup."""
 
-    def __init__(self, name: str, algebra: str, subalgebra: str,
-                 complement: Optional[str] = None, connected: bool = True,
-                 reps: tuple = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "subalgebra", subalgebra)
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "reps", reps)
+    __slots__ = ("name", "algebra", "subalgebra", "complement", "connected", "reps")
+    _defaults = {"complement": None, "connected": True, "reps": ()}
 
 
 class SpecDocument(Value):
-    """All declarations of a parsed document, keyed by name."""
+    """All declarations of a parsed document: one dict per kind, keyed by name."""
 
     __slots__ = ("algebras", "matrix_algebras", "subalgebras", "complements",
                  "operators", "pairs")
-
-    def __init__(self, algebras: Optional[dict] = None,
-                 matrix_algebras: Optional[dict] = None,
-                 subalgebras: Optional[dict] = None,
-                 complements: Optional[dict] = None,
-                 operators: Optional[dict] = None,
-                 pairs: Optional[dict] = None):
-        self.algebras = {} if algebras is None else algebras
-        self.matrix_algebras = {} if matrix_algebras is None else matrix_algebras
-        self.subalgebras = {} if subalgebras is None else subalgebras
-        self.complements = {} if complements is None else complements
-        self.operators = {} if operators is None else operators
-        self.pairs = {} if pairs is None else pairs
+    _defaults = dict.fromkeys(__slots__, {})
 
     def labels(self, algebra: str) -> Optional[tuple]:
         """The basis labels of a declared algebra, or None."""
@@ -766,17 +728,9 @@ def serialize(doc: SpecDocument) -> str:
 # ---------------------------------------------------------------------------
 
 class BuiltDocument(Value):
-    """Semantic objects constructed from a parsed document."""
+    """Semantic objects constructed from a parsed document, one dict per kind."""
 
     __slots__ = ("algebras", "subalgebras", "complements", "operators", "pairs")
-
-    def __init__(self, algebras: dict, subalgebras: dict, complements: dict,
-                 operators: dict, pairs: dict):
-        self.algebras = algebras
-        self.subalgebras = subalgebras
-        self.complements = complements
-        self.operators = operators
-        self.pairs = pairs
 
 
 def build(doc: SpecDocument) -> BuiltDocument:

@@ -20,7 +20,7 @@ recomputes the witness in the rationals.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import bracket_into
 from .errors import DimensionMismatch, LieCheckError, MissingComplement, NotAdmissible
@@ -41,17 +41,11 @@ class TorsionReport(FrozenValue):
 
     ``mode`` is one of ``all-pairs``, ``complement-pairs`` or
     ``ad_d-specialized``; iteration is in lexicographic pair order, so the
-    witness is deterministic.
+    witness is deterministic.  ``witness`` is None or ``(v, w, beta(v, w))``.
     """
 
     __slots__ = ("verdict", "checked_pairs", "mode", "witness")
-
-    def __init__(self, verdict: bool, checked_pairs: int, mode: str,
-                 witness: Optional[tuple] = None):  # (v, w, beta(v, w))
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "checked_pairs", checked_pairs)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def torsion_form(alg, op: LinearOperator, v: Sequence, w: Sequence) -> tuple:

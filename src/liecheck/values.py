@@ -1,21 +1,49 @@
 """Base classes for the package's report and declaration records.
 
-A record class lists its fields in ``__slots__`` and writes its own
-``__init__`` that takes them in that order.  :class:`Value` supplies
-field-wise equality, a ``repr`` naming every field, and pickling and
-copying through the constructor; records compare equal only to records of
-the same class, and are unhashable.  :class:`FrozenValue` records are
-immutable and hashable: their ``__init__`` stores fields with
-``object.__setattr__``.
+A record class lists its fields in ``__slots__`` and writes no ``__init__``:
+:class:`Value`'s constructor binds positional, then keyword arguments to the
+fields in ``__slots__`` order, takes a field left out from the class's
+``_defaults`` (copying a dict, so that each record gets a fresh one) and
+raises ``TypeError`` for a call that does not fit.  Records compare field by
+field and only to records of the same class, name every field in their
+``repr``, and pickle and copy through the constructor.  :class:`Value` records
+are unhashable; :class:`FrozenValue` records are immutable and hashable.
 """
 
 from __future__ import annotations
 
 
 class Value:
-    """Field-wise ``__eq__``, ``__repr__`` and ``__reduce__`` over ``__slots__``."""
+    """Field-wise ``__init__``, ``__eq__``, ``__repr__`` and ``__reduce__``."""
 
     __slots__ = ()
+    _defaults: dict = {}
+    _store = staticmethod(setattr)
+
+    def __init__(self, *args, **kwargs):
+        names, store = self.__slots__, self._store
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            store(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not give every field by position."""
+        names, positional = cls.__slots__, cls.__slots__[:len(args)]
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} fields, got {len(args)}")
+        bound = {name: d.copy() if type(d) is dict else d for name, d in cls._defaults.items()}
+        bound.update(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in positional:
+                problem = "repeated" if name in positional else "unknown"
+                raise TypeError(f"{cls.__qualname__}() got {problem} field {name!r}")
+            bound[name] = value
+        missing = [name for name in names if name not in bound]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing field {missing[0]!r}")
+        return [bound[name] for name in names]
 
     def _key(self) -> tuple:
         """The fields that equality (and hashing) compares."""
@@ -40,6 +68,7 @@ class FrozenValue(Value):
     """A :class:`Value` whose fields cannot be assigned or deleted."""
 
     __slots__ = ()
+    _store = staticmethod(object.__setattr__)  # past __setattr__ below
 
     def __hash__(self):
         return hash(self._key())

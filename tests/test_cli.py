@@ -1,6 +1,7 @@
 """Exit codes, report formats, and the command surface."""
 
 import gc
+import io
 import json
 import os
 import subprocess
@@ -337,14 +338,16 @@ def test_operator_on_other_algebra_exit_two(capsys, fixtures_dir, command):
                    "but the pair is on algebra 'so3'\n")
 
 
-def fresh(*args):
+def fresh(*args, **options):
     """Run ``python *args`` in a fresh interpreter that imports this checkout;
-    its standard streams are pipes."""
+    its standard streams are pipes unless ``options`` (passed on to
+    ``subprocess.run``) say otherwise."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=120,
+                          **options)
 
 
 def run_fresh(code):
@@ -546,3 +549,54 @@ def test_input_without_pair_or_operator_exit_two(capsys, tmp_path, text, what):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: LieCheckError: the input declares no {what}\n"
+
+
+class FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+def test_unwritable_error_line_still_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", FailingStream())
+    assert main(["check", "missing.lie"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unwritable_traceback_still_exit_two(capsys, monkeypatch, corpus_dir):
+    def broken(pair, op):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("liecheck.cli.check_admissible", broken)
+    monkeypatch.setattr(sys, "stderr", FailingStream())
+    assert main(["check", str(corpus_dir / "so3_sphere.lie")]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_is_an_output_error(capsys, monkeypatch, corpus_dir):
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (["check", str(corpus_dir / "so3_sphere.lie")],
+                 ["parse", str(corpus_dir / "so3_sphere.lie")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
+def test_closed_stderr_drops_the_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["check", "missing.lie"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def close_fd(fd):
+    """A ``preexec_fn`` that starts the child with ``fd`` closed."""
+    return lambda: os.close(fd)
+
+
+def test_entry_point_with_closed_or_unwritable_streams(corpus_dir):
+    done = fresh("-m", "liecheck.cli", "check", str(corpus_dir / "so3_sphere.lie"),
+                 preexec_fn=close_fd(1))
+    assert (done.returncode, done.stderr) == (2, "error: standard output is closed\n")
+    done = fresh("-m", "liecheck.cli", "check", "missing.lie", preexec_fn=close_fd(2))
+    assert (done.returncode, done.stdout) == (2, "")
+    with open(os.devnull, encoding="utf-8") as read_only:
+        done = fresh("-m", "liecheck.cli", "check", "missing.lie", stderr=read_only)
+    assert (done.returncode, done.stdout) == (2, "")

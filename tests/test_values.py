@@ -12,7 +12,7 @@ import pytest
 
 from liecheck.complexstruct import IntegrabilityReport, SplitDiagnostics
 from liecheck.harness import DeviationReport, FieldSample, RelationReport
-from liecheck.operators import VerdictReport
+from liecheck.operators import VerdictReport, check_admissible
 from liecheck.specfile import (
     AlgebraDecl,
     BuiltDocument,
@@ -21,10 +21,14 @@ from liecheck.specfile import (
     PairDecl,
     SpecDocument,
     SubspaceDecl,
+    build,
     parse,
     serialize,
 )
-from liecheck.torsion import TorsionReport
+from liecheck.torsion import TorsionReport, check_nijenhuis
+from liecheck.values import Value
+
+from conftest import identity_operator, split_admissible
 
 FROZEN = (
     SplitDiagnostics, IntegrabilityReport, VerdictReport, TorsionReport,
@@ -144,3 +148,77 @@ def test_parsed_document_roundtrips(corpus_dir):
     assert parse(serialize(doc)) == doc
     for other in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
         assert other == doc
+
+
+# The one constructor, on Value.
+
+@every_class
+def test_too_many_arguments(cls):
+    n = len(fields(cls))
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\(\) takes {n} fields, got {n + 1}$"):
+        cls(*values(cls), "extra")
+
+
+@every_class
+def test_unknown_keyword(cls):
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\(\) got unknown field 'colour'$"):
+        cls(*values(cls), colour="red")
+
+
+@every_class
+def test_keyword_repeats_a_positional_argument(cls):
+    first = fields(cls)[0]
+    with pytest.raises(TypeError,
+                       match=rf"^{cls.__qualname__}\(\) got repeated field '{first}'$"):
+        cls(*values(cls)[:1], **{first: "again"})
+
+
+@pytest.mark.parametrize("cls", [cls for cls in FROZEN + MUTABLE
+                                 if set(fields(cls)) - set(cls._defaults)],
+                         ids=lambda cls: cls.__name__)
+def test_missing_required_field(cls):
+    required = [name for name in fields(cls) if name not in cls._defaults]
+    for name in required:
+        given = dict(zip(fields(cls), values(cls)))
+        del given[name]
+        with pytest.raises(TypeError,
+                           match=rf"^{cls.__qualname__}\(\) missing field '{name}'$"):
+            cls(**given)
+    with pytest.raises(TypeError, match="missing field"):
+        cls()
+
+
+def test_keywords_fill_fields_after_positional_ones():
+    report = VerdictReport(False, "full", ("preserves_k",), witness=(("vector", (1,)),))
+    assert report == VerdictReport(False, "full", ("preserves_k",), None, (("vector", (1,)),))
+    pair = PairDecl("p", "g", "k", reps=("r",), connected=False)
+    assert (pair.complement, pair.connected, pair.reps) == (None, False, ("r",))
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_only_value_defines_a_constructor():
+    records = [cls for cls in subclasses(Value) if cls.__module__ != "liecheck.values"]
+    assert set(FROZEN + MUTABLE) <= set(records)
+    assert [cls.__qualname__ for cls in records if "__init__" in vars(cls)] == []
+
+
+def test_reports_of_failing_checks_are_hashable(corpus_dir, so3_pair):
+    built = build(parse((corpus_dir / "gl3_full.lie").read_text(encoding="utf-8")))
+    ops = built.operators
+    reports = admissible, split, torsion = (
+        check_admissible(built.pairs["modsl3"], ops["lmul"]),
+        split_admissible(so3_pair, identity_operator(so3_pair.alg)),
+        check_nijenhuis(built.pairs["full"], ops["smix"]),
+    )
+    assert not (admissible.holds or split.holds or torsion.verdict)
+    assert [name for name, _ in admissible.witness] == ["vector", "image"]
+    assert [name for name, _ in split.witness] == ["vector", "image"]
+    for report in reports:
+        again = pickle.loads(pickle.dumps(report))
+        assert again is not report and hash(again) == hash(report)
+        assert len({report, again}) == 1
