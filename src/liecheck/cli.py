@@ -240,7 +240,7 @@ def _harness(args, pair, op) -> tuple:
     fields = {
         "model": report.model_kind,
         "seed": report.seed,
-        "tolerances": {k: _fmt_float(v) for k, v in report.tolerances.items()},
+        "tolerances": {k: _fmt_float(v) for k, v in hz.TOLERANCES.items()},
         "h": _fmt_float(report.h),
         "nijenhuis_exact": report.nijenhuis_exact,
         "max_deviation": _fmt_float(report.max_deviation),
@@ -256,20 +256,19 @@ def _harness(args, pair, op) -> tuple:
             "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
             "theta": _fmt_float(rel.theta),
         }
-    fields["samples"] = [
-        {
-            "deviation": _fmt_float(s.deviation),
-            "numerical_max": _fmt_float(s.numerical_max),
-            "predicted_max": _fmt_float(s.predicted_max),
-        }
-        for s in report.samples
-    ]
+    if args.report == "json" or _writes_csv(args):
+        fields["samples"] = [
+            {"deviation": _fmt_float(d), "numerical_max": _fmt_float(n),
+             "predicted_max": _fmt_float(p)}
+            for d, n, p in zip(report.deviation.tolist(), report.numerical_max.tolist(),
+                               report.predicted_max.tolist())
+        ]
     if _writes_csv(args):
         rows = [",".join((str(idx), *s.values())) for idx, s in enumerate(fields["samples"])]
         _write(args.out, "\n".join(["index,deviation,numerical_max,predicted_max", *rows]) + "\n")
     lines = [
         f"harness: {'pass' if passed else 'FAIL'} on {report.model_kind} model",
-        f"samples: {len(report.samples)}  step: {_fmt_float(report.h)}  "
+        f"samples: {len(report.deviation)}  step: {_fmt_float(report.h)}  "
         f"seed: {report.seed}",
         f"max |numerical - predicted|: {_fmt_float(report.max_deviation)}",
         f"exact torsion verdict: {'holds' if report.nijenhuis_exact else 'fails'}"

@@ -29,8 +29,7 @@ converted to floats once.  :func:`run_harness` and :func:`relation_checks`
 draw their samples from the random number generator in the order of a
 per-sample loop and evaluate them ``CHUNK`` at a time, so the arrays in
 flight never hold more than ``CHUNK`` samples whatever the sample count; what
-grows with the sample count is only the report's per-sample record (the
-point, the two algebra elements, the two torsion values and three floats).
+grows with the sample count is only the report's three float columns.
 numpy itself is imported by the first computation, not by importing this
 module.
 """
@@ -38,7 +37,6 @@ module.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import (
@@ -79,6 +77,8 @@ ANTIPODE_SAMPLING_CAP = 1e-3
 RELATION_TOL = 1e-10
 TORSION_TOL = 1e-5
 DEMO_TOL = 1e-12
+# The float gates of DeviationReport.passed, as the JSON report prints them.
+TOLERANCES = {"torsion": TORSION_TOL, "relation": RELATION_TOL, "demo": DEMO_TOL}
 STRUCTURE_TOL = 1e-12
 # Samples evaluated as one stack.  It bounds the arrays in flight: at this
 # size a stack of 3x3 matrices is 18 KB.
@@ -451,15 +451,7 @@ class FieldSample(Value):
     maxima (over each point's entries) are floats for a single point.
     """
 
-    __slots__ = ("point", "v", "w", "h", "numerical", "predicted", "deviation",
-                 "numerical_max", "predicted_max")
-
-    def unstack(self) -> list:
-        """One sample per entry of the leading axis of a stack."""
-        return [FieldSample(*entries) for entries in zip(
-            self.point, self.v, self.w, repeat(self.h), self.numerical,
-            self.predicted, self.deviation.tolist(), self.numerical_max.tolist(),
-            self.predicted_max.tolist())]
+    __slots__ = ("numerical", "predicted", "deviation", "numerical_max", "predicted_max")
 
 
 def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
@@ -498,7 +490,7 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
     w0 = model.algebra_coords(g_inv @ model.element(w) @ g)
     predicted = model.push(g, _torsion_float(model, model.operator_matrix(op), v0, w0))
     axes = model.point_axes
-    return FieldSample(p, v, w, h, omega, predicted,
+    return FieldSample(omega, predicted,
                        deviation=np.max(np.abs(omega - predicted), axis=axes),
                        numerical_max=np.max(np.abs(omega), axis=axes),
                        predicted_max=np.max(np.abs(predicted), axis=axes))
@@ -531,7 +523,7 @@ class RelationReport(Value):
 
 def _worst(acc: float, x: float) -> float:
     """Running maximum that keeps a NaN (``max(0.0, nan)`` is 0.0), so that
-    a NaN deviation fails its gate."""
+    a NaN residual fails its gate."""
     return float(np.maximum(acc, x))
 
 
@@ -548,6 +540,8 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     and the bundle map applied to a pushed field differs from the pushed
     image field.
     """
+    if samples < 1:
+        raise LieCheckError(f"the relation checks need at least 1 sample, not {samples}")
     rng = np.random.default_rng(seed)
     unit = (-1.0, 1.0, model.dim)
     alpha_max = 0.0
@@ -612,26 +606,30 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
 
 
 class DeviationReport(Value):
-    """Everything a harness run produced, with pass/fail bookkeeping; ``tolerances``
-    maps a gate (``torsion``, ``relation``, ``demo``) to a bound, else its default."""
+    """Everything a harness run produced, with pass/fail bookkeeping.  The last
+    three fields are float columns with one entry per sample, in draw order."""
 
-    __slots__ = ("model_kind", "h", "seed", "samples", "relation", "nijenhuis_exact",
-                 "max_deviation", "max_numerical", "tolerances")
-    _defaults = {"tolerances": {}}
+    __slots__ = ("model_kind", "h", "seed", "relation", "nijenhuis_exact",
+                 "deviation", "numerical_max", "predicted_max")
+
+    @property
+    def max_deviation(self) -> float:
+        return float(np.max(self.deviation))  # np.max keeps a NaN
+
+    @property
+    def max_numerical(self) -> float:
+        return float(np.max(self.numerical_max))
 
     @property
     def passed(self) -> bool:
         # Each gate is written "not (x <= tol)" so that a NaN fails it.
-        if not (self.max_deviation <= self.tolerances.get("torsion", TORSION_TOL)):
+        if not (self.max_deviation <= TORSION_TOL):
             return False
-        if not (self.relation.max_residual <= self.tolerances.get("relation", RELATION_TOL)):
+        if not (self.relation.max_residual <= RELATION_TOL):
             return False
-        if self.nijenhuis_exact and not (
-            self.max_numerical <= self.tolerances.get("torsion", TORSION_TOL)
-        ):
+        if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):
             return False
         if self.relation.flip_pushforward is not None:
-            demo = self.tolerances.get("demo", DEMO_TOL)
             theta = self.relation.theta
             checks = (
                 (self.relation.flip_pushforward, np.array([1.0, 0.0, 0.0])),
@@ -641,7 +639,7 @@ class DeviationReport(Value):
                  np.array([math.cos(theta), 0.0, 0.0])),
             )
             for got, want in checks:
-                if not (float(np.max(np.abs(got - want))) <= demo):
+                if not (float(np.max(np.abs(got - want))) <= DEMO_TOL):
                     return False
         return True
 
@@ -651,29 +649,18 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 seed: int = DEFAULT_SEED, theta: float = 1.0) -> DeviationReport:
     """Full harness: relation checks plus sampled torsion cross-validation,
     evaluated ``CHUNK`` samples at a time."""
+    if samples < 1:
+        raise LieCheckError(f"the harness needs at least 1 sample, not {samples}")
     model = build_model(pair)
     torsion_report = check_nijenhuis(pair, op)
     relation = relation_checks(model, pair, op, samples=max(20, samples),
                                theta=theta, seed=seed)
     rng = np.random.default_rng(seed)
     unit = (-1.0, 1.0, model.dim)
-    collected = []
-    max_dev = 0.0
-    max_num = 0.0
+    columns = []
     for count in _chunks(samples):
         (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
         stack = numerical_torsion(model, pair, op, v, w, p, h)
-        collected.extend(stack.unstack())
-        max_dev = _worst(max_dev, np.max(stack.deviation))
-        max_num = _worst(max_num, np.max(stack.numerical_max))
-    return DeviationReport(
-        model_kind=model.kind,
-        h=h,
-        seed=seed,
-        samples=collected,
-        relation=relation,
-        nijenhuis_exact=torsion_report.verdict,
-        max_deviation=max_dev,
-        max_numerical=max_num,
-        tolerances={"torsion": TORSION_TOL, "relation": RELATION_TOL, "demo": DEMO_TOL},
-    )
+        columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
+    return DeviationReport(model.kind, h, seed, relation, torsion_report.verdict,
+                           *map(np.concatenate, zip(*columns)))

@@ -294,7 +294,7 @@ def test_criterion_10_harness_quantitative(so3, so3_pair, gl3, gl3_pair):
     ]
     for pair, op in cases:
         report = run_harness(pair, op, samples=20, h=1e-4, seed=0)
-        ok = ok and len(report.samples) == 20
+        ok = ok and len(report.deviation) == 20
         ok = ok and report.max_deviation <= 1e-5
         if report.nijenhuis_exact:
             ok = ok and report.max_numerical <= 1e-5

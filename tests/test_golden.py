@@ -6,8 +6,10 @@ from the repository root.  A verdict command runs twice, once with its text
 report and once with ``--report json``.  So do ``check``, ``torsion --mode
 ad`` and ``torsion --mode all`` on two fixtures that no workload reaches: the
 ``reps(...)`` pair of ``so3_flip_reps.lie`` and the ``right(...)`` operators
-of ``right_mult.lie``.  The exit code, the ``error:`` lines of stderr and
-stdout (the JSON without ``elapsed_ms``) must equal those in
+of ``right_mult.lie``.  ``check`` runs, text and JSON, on two more:
+``not_closed.lie`` and ``non_real_constants.lie``, whose generators span no
+real Lie algebra.  The exit code, the ``error:`` lines of stderr and stdout
+(the JSON without ``elapsed_ms``) must equal those in
 ``tests/data/golden/corpus.json``.
 
 Regenerate the file, after a deliberate change of output, with::
@@ -35,7 +37,7 @@ FIXTURE_COMMANDS = [
                              [["--operator", "rdiag"], ["--operator", "rrot"]])]
     for operator in operators
     for command in (["check"], ["torsion", "--mode", "ad"], ["torsion", "--mode", "all"])
-]
+] + [["check", f"tests/data/{name}.lie"] for name in ("not_closed", "non_real_constants")]
 WANT = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
 
 

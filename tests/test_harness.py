@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,37 @@ def test_run_harness_sandwich(gl3, gl3_pair):
     assert report.max_numerical > 1.0
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_count_below_one_is_an_error(samples, so3, so3_pair, sphere):
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    with pytest.raises(LieCheckError, match="at least 1 sample"):
+        run_harness(so3_pair, op, samples=samples)
+    with pytest.raises(LieCheckError, match="at least 1 sample"):
+        relation_checks(sphere, so3_pair, op, samples=samples)
+
+
+def _retained_bytes(run) -> int:
+    """The memory that ``run()``'s result holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()  # held while the memory is read
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_harness_report_memory_per_sample(gl3, gl3_pair):
+    # The report keeps three float columns: 24 bytes a sample.
+    from liecheck import ExactMatrix
+    op = operator_sandwich(gl3, identity_matrix(3),
+                           ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    run_harness(gl3_pair, op, samples=1)  # load numpy before measuring
+    small, large = (_retained_bytes(lambda n=n: run_harness(gl3_pair, op, samples=n))
+                    for n in (harness.CHUNK, 20 * harness.CHUNK))
+    assert (large - small) / (19 * harness.CHUNK) < 100
+
+
 # -- NaN must fail the float gates ----------------------------------------------
 
 def test_run_harness_nan_theta_fails(so3, so3_pair):
@@ -346,9 +378,11 @@ def test_deviation_report_nan_deviation_fails(so3, so3_pair):
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=2)
     assert report.passed is True
+    deviation = report.deviation.copy()
+    deviation[0] = float("nan")
     nan_report = DeviationReport(
-        report.model_kind, report.h, report.seed, report.samples, report.relation,
-        report.nijenhuis_exact, float("nan"), report.max_numerical, report.tolerances)
+        report.model_kind, report.h, report.seed, report.relation,
+        report.nijenhuis_exact, deviation, report.numerical_max, report.predicted_max)
     assert nan_report.passed is False
 
 
@@ -369,13 +403,28 @@ def _nan_at(monkeypatch, stack_index):
     return stacks
 
 
+def _record_stacks(monkeypatch):
+    """Record ``(points, v, w, result)`` for each stack that
+    :func:`run_harness` evaluates; returns the list of stacks seen."""
+    real = harness.numerical_torsion
+    stacks = []
+
+    def recording(model, pair, op, v, w, p, *args):
+        stack = real(model, pair, op, v, w, p, *args)
+        stacks.append((p, v, w, stack))
+        return stack
+
+    monkeypatch.setattr(harness, "numerical_torsion", recording)
+    return stacks
+
+
 def test_run_harness_keeps_nan_deviation(monkeypatch, so3, so3_pair):
     # Only the first sample is NaN: a running max() would drop it.
     stacks = _nan_at(monkeypatch, 0)
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=3)
     assert [len(s.deviation) for s in stacks] == [3]
-    assert math.isnan(report.samples[0].deviation)
+    assert math.isnan(report.deviation[0])
     assert math.isnan(report.max_deviation)
     assert report.passed is False
 
@@ -386,7 +435,7 @@ def test_run_harness_keeps_nan_deviation_at_chunk_boundary(monkeypatch, so3, so3
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=harness.CHUNK + 1)
     assert [len(s.deviation) for s in stacks] == [harness.CHUNK, 1]
-    assert math.isnan(report.samples[harness.CHUNK].deviation)
+    assert math.isnan(report.deviation[harness.CHUNK])
     assert math.isnan(report.max_deviation)
     assert report.passed is False
 
@@ -501,25 +550,33 @@ def test_run_harness_draws_in_per_sample_order(monkeypatch, cap, so3, so3_pair):
     # Cap 1.9 rejects every point more than about 36 degrees from the pole:
     # with seed 43, 69 redraws among 40 samples, some of them in a row.
     monkeypatch.setattr(harness, "ANTIPODE_SAMPLING_CAP", cap)
+    stacks = _record_stacks(monkeypatch)
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=40, seed=43)
     model = build_model(so3_pair)
     want = _reference_draws(model, np.random.default_rng(43), 40)
-    for sample, (p, v, w) in zip(report.samples, want):
-        assert np.max(np.abs(sample.point - p)) <= 1e-12
-        assert np.array_equal(sample.v, v) and np.array_equal(sample.w, w)
+    points, vs, ws = (np.concatenate(column) for column in list(zip(*stacks))[:3])
+    assert len(points) == len(report.deviation) == 40
+    for point, sv, sw, (p, v, w) in zip(points, vs, ws, want):
+        assert np.max(np.abs(point - p)) <= 1e-12
+        assert np.array_equal(sv, v) and np.array_equal(sw, w)
 
 
-def test_chunking_changes_nothing(gl3, gl3_pair):
+def test_chunking_changes_nothing(monkeypatch, gl3, gl3_pair):
     from liecheck import ExactMatrix
     a = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     b = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     op = operator_sandwich(gl3, a, b)
     chunk = harness.CHUNK
+    stacks = _record_stacks(monkeypatch)
     long = run_harness(gl3_pair, op, samples=2 * chunk + 1, seed=47)
     short = run_harness(gl3_pair, op, samples=chunk, seed=47)
-    assert len(long.samples) == 2 * chunk + 1 and len(short.samples) == chunk
-    for x, y in zip(long.samples, short.samples):
-        for name in ("point", "v", "w", "numerical", "predicted"):
-            assert np.max(np.abs(getattr(x, name) - getattr(y, name))) <= 1e-12
-        assert abs(x.deviation - y.deviation) <= 1e-12
+    assert [len(p) for p, *_ in stacks] == [chunk, chunk, 1, chunk]
+    assert len(long.deviation) == 2 * chunk + 1 and len(short.deviation) == chunk
+    (*long_in, long_out), (*short_in, short_out) = stacks[0], stacks[3]
+    for x, y in zip(long_in, short_in):
+        assert np.max(np.abs(x - y)) <= 1e-12
+    for name in ("numerical", "predicted"):
+        assert np.max(np.abs(getattr(long_out, name) - getattr(short_out, name))) <= 1e-12
+    for name in ("deviation", "numerical_max", "predicted_max"):
+        assert np.max(np.abs(getattr(long, name)[:chunk] - getattr(short, name))) <= 1e-12

@@ -133,9 +133,6 @@ def test_defaults():
     relation = RelationReport(20, 0, 1.0, 0.0, 0.0)
     assert all(getattr(relation, name) is None for name in fields(RelationReport)[5:])
     # A fresh dict per object, never one shared default.
-    first = DeviationReport("full", 1e-4, 0, [], relation, True, 0.0, 0.0)
-    second = DeviationReport("full", 1e-4, 0, [], relation, True, 0.0, 0.0)
-    assert first.tolerances == {} and first.tolerances is not second.tolerances
     docs = SpecDocument(), SpecDocument()
     for name in fields(SpecDocument):
         assert getattr(docs[0], name) == {}
