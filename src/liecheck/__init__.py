@@ -8,88 +8,68 @@ structure is integrable (the subspace Z+ of the complexification closed
 under the bracket).  A floating-point harness cross-validates the algebraic
 torsion criterion against finite-difference brackets on concrete matrix
 models.
+
+The public names resolve on first use: ``from liecheck import
+check_integrable`` loads the modules that name needs, and importing the
+package loads none of them.
 """
 
-from .algebra import (
-    LieAlgebra,
-    Subalgebra,
-    conjugate_vector,
-    from_matrix_generators,
-    make_subalgebra,
-)
-from .complexstruct import (
-    IntegrabilityReport,
-    SplitDiagnostics,
-    check_integrable,
-    compute_z_spaces,
-    split_diagnostics,
-)
-from .errors import LieCheckError
-from .exact import (
-    ExactMatrix,
-    GaussianRational,
-    Rational,
-    Subspace,
-    format_scalar,
-    kernel_basis,
-    parse_scalar,
-    rref,
-    subspace_intersection,
-    subspace_sum,
-)
-from .operators import (
-    HomogeneousPair,
-    LinearOperator,
-    VerdictReport,
-    check_admissible,
-    operator_ad,
-    operator_from_rules,
-    operator_left_mult,
-    operator_right_mult,
-    operator_sandwich,
-)
-from .torsion import (
-    TorsionReport,
-    check_nijenhuis,
-    check_nijenhuis_ad,
-    torsion_form,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactMatrix",
-    "GaussianRational",
-    "HomogeneousPair",
-    "IntegrabilityReport",
-    "LieAlgebra",
-    "LieCheckError",
-    "LinearOperator",
-    "Rational",
-    "SplitDiagnostics",
-    "Subalgebra",
-    "Subspace",
-    "TorsionReport",
-    "VerdictReport",
-    "check_admissible",
-    "check_integrable",
-    "check_nijenhuis",
-    "check_nijenhuis_ad",
-    "compute_z_spaces",
-    "conjugate_vector",
-    "format_scalar",
-    "from_matrix_generators",
-    "kernel_basis",
-    "make_subalgebra",
-    "operator_ad",
-    "operator_from_rules",
-    "operator_left_mult",
-    "operator_right_mult",
-    "operator_sandwich",
-    "parse_scalar",
-    "rref",
-    "split_diagnostics",
-    "subspace_intersection",
-    "subspace_sum",
-    "torsion_form",
-]
+# The harness command's option defaults and --step bounds, kept here so that
+# the command line reads them without loading the harness.
+DEFAULT_SAMPLES = 20
+DEFAULT_STEP = 1e-4
+DEFAULT_SEED = 0
+MIN_STEP = 1e-8
+MAX_STEP = 1e-1
+
+_EXPORTS = {
+    "algebra": ("LieAlgebra", "Subalgebra", "conjugate_vector",
+                "from_matrix_generators", "make_subalgebra"),
+    "complexstruct": ("IntegrabilityReport", "SplitDiagnostics", "check_integrable",
+                      "compute_z_spaces", "split_diagnostics"),
+    "errors": ("LieCheckError",),
+    "exact": ("ExactMatrix", "GaussianRational", "Rational", "Subspace", "format_scalar",
+              "kernel_basis", "parse_scalar", "rref", "subspace_intersection",
+              "subspace_sum"),
+    "operators": ("HomogeneousPair", "LinearOperator", "VerdictReport", "check_admissible",
+                  "operator_ad", "operator_from_rules", "operator_left_mult",
+                  "operator_right_mult", "operator_sandwich"),
+    "torsion": ("TorsionReport", "check_nijenhuis", "check_nijenhuis_ad", "torsion_form"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy_module(name: str):
+    """The submodule ``name`` (such as ``"liecheck.harness"``), placed in
+    ``sys.modules`` and on its package now, and run on first attribute
+    access (or when an import statement names it).
+
+    A module that is already imported is returned as it is.  The placeholder
+    is visible to code that walks ``sys.modules``, unlike a module imported
+    inside a function later.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+    return module

@@ -28,13 +28,18 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import harness as hz  # numpy is imported on first harness use only
-from .complexstruct import check_integrable
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_STEP, MIN_STEP, _lazy_module
 from .errors import LieCheckError
 from .exact import format_scalar
-from .operators import _require_same_algebra, _split_verdict, check_admissible
 from .specfile import SpecfileError, build, parse, serialize
-from .torsion import check_nijenhuis, check_nijenhuis_ad
+
+# Each module below runs when a command first reads from it: ``parse`` runs
+# none of them, ``check`` and ``torsion`` no complexstruct, and only
+# ``harness`` the harness (which imports numpy on first use).
+operators = _lazy_module("liecheck.operators")
+torsion = _lazy_module("liecheck.torsion")
+complexstruct = _lazy_module("liecheck.complexstruct")
+harness = _lazy_module("liecheck.harness")
 
 
 def _fmt_float(x: float) -> str:
@@ -122,7 +127,7 @@ def _dims(pair, **extra) -> dict:
 # lines); _report does the rest.
 
 def _check(args, pair, op) -> tuple:
-    report = check_admissible(pair, op)
+    report = operators.check_admissible(pair, op)
     witnesses, witness_lines = _witness(pair.alg, report.witness)
     fields = {
         "witnesses": witnesses,
@@ -139,7 +144,7 @@ def _check(args, pair, op) -> tuple:
         lines.append(f"failed clause: {report.failed_clause}")
         lines.extend(witness_lines)
     if pair.m is not None:
-        split = _split_verdict(pair, op, report)
+        split = operators._split_verdict(pair, op, report)
         fields["split_admissible"] = split.holds
         fields["split_failed_clause"] = split.failed_clause
         lines.append(f"split admissible: {_yes(split.holds)}")
@@ -152,9 +157,9 @@ def _torsion(args, pair, op) -> tuple:
     if args.mode == "ad":
         if op.ad_generator is None:
             raise LieCheckError("--mode ad needs an operator declared as ad(...)")
-        report = check_nijenhuis_ad(pair, op.ad_generator)
+        report = torsion.check_nijenhuis_ad(pair, op.ad_generator)
     else:
-        report = check_nijenhuis(pair, op, pairs=args.mode or "auto")
+        report = torsion.check_nijenhuis(pair, op, pairs=args.mode or "auto")
     witnesses, witness_lines = _witness(pair.alg, report.witness,
                                         ("v", "w", "torsion_value"))
     fields = {
@@ -172,7 +177,7 @@ def _torsion(args, pair, op) -> tuple:
 
 
 def _integrability(args, pair, op) -> tuple:
-    report = check_integrable(pair, op)
+    report = complexstruct.check_integrable(pair, op)
     alg = pair.alg
     witnesses, witness_lines = _witness(alg, report.witness, ("x", "y", "bracket"))
     fields = {
@@ -214,9 +219,9 @@ def _writes_csv(args) -> bool:
 
 
 def _check_harness_options(args):
-    if not (hz.MIN_STEP <= args.step <= hz.MAX_STEP):
+    if not (MIN_STEP <= args.step <= MAX_STEP):
         raise LieCheckError(
-            f"--step must lie in [{hz.MIN_STEP}, {hz.MAX_STEP}]"
+            f"--step must lie in [{MIN_STEP}, {MAX_STEP}]"
         )
     if not (1 <= args.samples <= 10 ** 6):
         raise LieCheckError("--samples must lie in [1, 1000000]")
@@ -227,8 +232,8 @@ def _check_harness_options(args):
 
 
 def _harness(args, pair, op) -> tuple:
-    report = hz.run_harness(pair, op, samples=args.samples, h=args.step,
-                            seed=args.seed, theta=args.theta)
+    report = harness.run_harness(pair, op, samples=args.samples, h=args.step,
+                                 seed=args.seed, theta=args.theta)
     passed = report.passed
     rel = report.relation
     residuals = {
@@ -240,7 +245,7 @@ def _harness(args, pair, op) -> tuple:
     fields = {
         "model": report.model_kind,
         "seed": report.seed,
-        "tolerances": {k: _fmt_float(v) for k, v in hz.TOLERANCES.items()},
+        "tolerances": {k: _fmt_float(v) for k, v in harness.TOLERANCES.items()},
         "h": _fmt_float(report.h),
         "nijenhuis_exact": report.nijenhuis_exact,
         "max_deviation": _fmt_float(report.max_deviation),
@@ -294,7 +299,7 @@ def _report(args) -> int:
     built = build(parse(_read(args.file)))
     pair = _pick(built.pairs, args.pair, "pair")
     op = _pick(built.operators, args.operator, "operator")
-    _require_same_algebra(pair, op)
+    operators._require_same_algebra(pair, op)
     verdict, fields, lines = _COMMANDS[args.command](args, pair, op)
     payload = {
         "command": args.command,
@@ -337,9 +342,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                    help="pair iteration mode (default: complement when declared)")
     command("integrability", "almost complex integrability verdict")
     p = command("harness", "numerical cross-validation")
-    p.add_argument("--samples", type=int, default=hz.DEFAULT_SAMPLES)
-    p.add_argument("--step", type=float, default=hz.DEFAULT_STEP)
-    p.add_argument("--seed", type=int, default=hz.DEFAULT_SEED)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--theta", type=float, default=1.0)
     return ap
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
 from .errors import (
     LieCheckError,
     PointOffManifold,
@@ -53,8 +54,11 @@ from .values import Value
 
 class _LazyNumpy:
     """Stands in for numpy until the first harness computation, which
-    replaces it with the module: the command line imports this module for
-    every command, and the exact commands never need numpy."""
+    replaces it with the module.  A harness command whose pair has no model
+    runs this module but exits 2 before any float work, and never needs
+    numpy.  A ``LazyLoader`` placeholder would not do: it sits in
+    ``sys.modules`` as ``numpy`` from the start, where code that asks
+    whether numpy is imported finds it."""
 
     def __getattr__(self, name):
         global np
@@ -66,11 +70,6 @@ class _LazyNumpy:
 
 np = _LazyNumpy()
 
-DEFAULT_STEP = 1e-4
-MIN_STEP = 1e-8
-MAX_STEP = 1e-1
-DEFAULT_SAMPLES = 20
-DEFAULT_SEED = 0
 SPHERE_TOL = 1e-9
 SECTION_CAP = 1e-6
 ANTIPODE_SAMPLING_CAP = 1e-3
@@ -444,7 +443,17 @@ def _torsion_float(model: MatrixModel, op_float: np.ndarray,
                   - _torsion_half(model, op_float, w, v))
 
 
-class FieldSample(Value):
+class _Record(Value):
+    """A :class:`Value` whose array fields compare as nested lists, so that
+    ``==`` gives a bool, not an array; a NaN entry compares unequal."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([x.tolist() if isinstance(x, np.ndarray) else x for x in super()._key()])
+
+
+class FieldSample(_Record):
     """Numerical torsion vs algebraic prediction at sampled points.
 
     Array fields have the leading sample axes of the points; the three
@@ -500,7 +509,7 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
 # relation checks and the harness report
 # ---------------------------------------------------------------------------
 
-class RelationReport(Value):
+class RelationReport(_Record):
     """Residuals of the exact push-forward identities, plus the two
     demonstration computations on the sphere.  The last six fields are None
     for other models; the last four are vectors in R^3."""
@@ -605,7 +614,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     )
 
 
-class DeviationReport(Value):
+class DeviationReport(_Record):
     """Everything a harness run produced, with pass/fail bookkeeping.  The last
     three fields are float columns with one entry per sample, in draw order."""
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .algebra import LieAlgebra, from_matrix_generators, make_subalgebra
+from . import _lazy_module
 from .errors import LieCheckError
 from .exact import (
     _ZERO,
@@ -65,15 +65,11 @@ from .exact import (
     format_scalar,
     scalar_from_match,
 )
-from .operators import (
-    HomogeneousPair,
-    operator_ad,
-    operator_from_rules,
-    operator_left_mult,
-    operator_right_mult,
-    operator_sandwich,
-)
 from .values import FrozenValue, Value
+
+# Only build() needs these; parsing and serializing run without them.
+_algebra = _lazy_module("liecheck.algebra")
+_operators = _lazy_module("liecheck.operators")
 
 
 class SpecfileError(LieCheckError):
@@ -743,14 +739,14 @@ def build(doc: SpecDocument) -> BuiltDocument:
             terms = tuple([(k, x) for k, x in enumerate(coords) if x])
             nonzeros[ia][ib] = terms
             nonzeros[ib][ia] = tuple([(k, -x) for k, x in terms])
-        algebras[name] = LieAlgebra(name, decl.labels, nonzeros)
+        algebras[name] = _algebra.LieAlgebra(name, decl.labels, nonzeros)
     for name, decl in doc.matrix_algebras.items():
-        algebras[name] = from_matrix_generators(
+        algebras[name] = _algebra.from_matrix_generators(
             decl.size, decl.gen_matrices, labels=decl.gen_names, name=name
         )
     subalgebras = {}
     for name, decl in doc.subalgebras.items():
-        subalgebras[name] = make_subalgebra(algebras[decl.algebra], decl.vectors)
+        subalgebras[name] = _algebra.make_subalgebra(algebras[decl.algebra], decl.vectors)
     complements = {}
     for name, decl in doc.complements.items():
         alg = algebras[decl.algebra]
@@ -759,18 +755,18 @@ def build(doc: SpecDocument) -> BuiltDocument:
     for name, decl in doc.operators.items():
         alg = algebras[decl.algebra]
         if decl.form == "rules":
-            operators[name] = operator_from_rules(alg, dict(decl.data))
+            operators[name] = _operators.operator_from_rules(alg, dict(decl.data))
         elif decl.form == "ad":
-            operators[name] = operator_ad(alg, decl.data[0])
+            operators[name] = _operators.operator_ad(alg, decl.data[0])
         elif decl.form == "left":
-            operators[name] = operator_left_mult(alg, decl.data[0])
+            operators[name] = _operators.operator_left_mult(alg, decl.data[0])
         elif decl.form == "right":
-            operators[name] = operator_right_mult(alg, decl.data[0])
+            operators[name] = _operators.operator_right_mult(alg, decl.data[0])
         else:
-            operators[name] = operator_sandwich(alg, decl.data[0], decl.data[1])
+            operators[name] = _operators.operator_sandwich(alg, decl.data[0], decl.data[1])
     pairs = {}
     for name, decl in doc.pairs.items():
-        pairs[name] = HomogeneousPair(
+        pairs[name] = _operators.HomogeneousPair(
             algebras[decl.algebra],
             subalgebras[decl.subalgebra],
             m=complements[decl.complement] if decl.complement else None,

@@ -298,7 +298,7 @@ def test_internal_fault_exit_two(capsys, corpus_dir, monkeypatch):
     def broken(pair, op):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr("liecheck.cli.check_admissible", broken)
+    monkeypatch.setattr("liecheck.operators.check_admissible", broken)
     code, out, err = run(capsys, "check", str(corpus_dir / "so3_sphere.lie"))
     assert code == 2
     assert out == ""
@@ -514,6 +514,43 @@ def test_cli_does_not_import_dataclasses_or_traceback(corpus_dir):
     )
 
 
+def test_package_names_resolve_on_first_use():
+    run_fresh(
+        "import sys, types\n"
+        "import liecheck\n"
+        "ran = [name for name, module in sys.modules.items()\n"
+        "       if name.startswith('liecheck.') and type(module) is types.ModuleType]\n"
+        "if ran: sys.exit(f'import liecheck ran {ran}')\n"
+        "names = {}\n"
+        "exec('from liecheck import *', names)\n"
+        "missing = sorted(set(liecheck.__all__) - set(names))\n"
+        "if missing: sys.exit(f'import * missed {missing}')\n"
+        "from liecheck.complexstruct import check_integrable\n"
+        "if names['check_integrable'] is not check_integrable: sys.exit('another object')\n"
+    )
+
+
+@pytest.mark.parametrize("command, not_run", [
+    ("parse", ("algebra", "operators", "torsion", "complexstruct", "harness")),
+    ("check", ("complexstruct", "harness")),
+    ("torsion", ("complexstruct", "harness")),
+    ("integrability", ("harness",)),
+])
+def test_command_runs_only_the_modules_it_uses(corpus_dir, command, not_run):
+    # A module not yet run may sit in sys.modules as a lazy placeholder, whose
+    # type is a subclass of ModuleType until its first attribute access.
+    run_fresh(
+        "import contextlib, io, sys, types\n"
+        "import liecheck.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = liecheck.cli.main([{command!r}, {str(corpus_dir / 'so3_sphere.lie')!r}])\n"
+        "if status != 0: sys.exit(f'exit {status}')\n"
+        f"ran = [m for m in {not_run!r}\n"
+        "       if type(sys.modules.get('liecheck.' + m)) is types.ModuleType]\n"
+        f"if ran: sys.exit(f'{command} ran {{ran}}')\n"
+    )
+
+
 def test_harness_json_report_reproducible(capsys, corpus_dir):
     argv = ("harness", str(corpus_dir / "gl3_full.lie"), "--pair", "full",
             "--operator", "smix", "--samples", "30", "--seed", "5",
@@ -566,7 +603,7 @@ def test_unwritable_traceback_still_exit_two(capsys, monkeypatch, corpus_dir):
     def broken(pair, op):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr("liecheck.cli.check_admissible", broken)
+    monkeypatch.setattr("liecheck.operators.check_admissible", broken)
     monkeypatch.setattr(sys, "stderr", FailingStream())
     assert main(["check", str(corpus_dir / "so3_sphere.lie")]) == 2
     assert capsys.readouterr().out == ""

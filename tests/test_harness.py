@@ -386,6 +386,23 @@ def test_deviation_report_nan_deviation_fails(so3, so3_pair):
     assert nan_report.passed is False
 
 
+def test_reports_compare_field_by_field(so3, so3_pair, gl3, gl3_pair):
+    # Array fields compare as a whole, so == gives a bool, never an array or
+    # a ValueError; the sphere's relation report holds arrays too.
+    cases = ((so3_pair, operator_ad(so3, so3.basis_vector("k0"))),
+             (gl3_pair, operator_sandwich(gl3, identity_matrix(3), identity_matrix(3))))
+    for pair, op in cases:
+        report = run_harness(pair, op, samples=3)
+        assert (report == run_harness(pair, op, samples=3)) is True
+        fields = [getattr(report, name) for name in DeviationReport.__slots__]
+        fields[5] = report.deviation + 1.0
+        assert (report == DeviationReport(*fields)) is False
+        assert (report != DeviationReport(*fields)) is True
+        fields[5] = report.deviation.copy()
+        fields[5][1] = float("nan")
+        assert (DeviationReport(*fields) == DeviationReport(*fields)) is False
+
+
 def _nan_at(monkeypatch, stack_index):
     """Make the first sample of the ``stack_index``-th stack NaN; returns the
     list of stacks seen."""
