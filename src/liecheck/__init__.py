@@ -16,6 +16,8 @@ package loads none of them.
 
 import importlib.util
 import sys
+import threading
+import types
 
 __version__ = "0.1.0"
 
@@ -54,6 +56,37 @@ def __getattr__(name):
     return value
 
 
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+# One lock for every first run, so that lazy modules that use each other
+# cannot wait on each other's locks; the names of the modules running now.
+_LOAD_LOCK = threading.RLock()
+_LOADING = set()
+
+
+class _LazyModule(types.ModuleType):
+    """A module whose code has not run yet.  The first attribute access runs
+    it under ``_LOAD_LOCK`` and only then makes it a plain module, so a
+    second thread waits for the run instead of reading a half-run module.
+    (``importlib.util.LazyLoader`` before Python 3.13 makes its placeholder
+    a plain module before running the code.)  An access from the run itself
+    reads what the module holds so far, as an import cycle does."""
+
+    def __getattribute__(self, attr):
+        with _LOAD_LOCK:
+            spec = types.ModuleType.__getattribute__(self, "__spec__")
+            if type(self) is _LazyModule and spec.name not in _LOADING:
+                _LOADING.add(spec.name)
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    _LOADING.discard(spec.name)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
 def _lazy_module(name: str):
     """The submodule ``name`` (such as ``"liecheck.harness"``), placed in
     ``sys.modules`` and on its package now, and run on first attribute
@@ -66,10 +99,9 @@ def _lazy_module(name: str):
     module = sys.modules.get(name)
     if module is None:
         spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
+        module.__class__ = _LazyModule
         sys.modules[name] = module
-        spec.loader.exec_module(module)
         parent, _, child = name.rpartition(".")
         setattr(sys.modules[parent], child, module)
     return module

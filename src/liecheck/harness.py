@@ -56,7 +56,7 @@ class _LazyNumpy:
     """Stands in for numpy until the first harness computation, which
     replaces it with the module.  A harness command whose pair has no model
     runs this module but exits 2 before any float work, and never needs
-    numpy.  A ``LazyLoader`` placeholder would not do: it sits in
+    numpy.  A lazy placeholder module would not do: it sits in
     ``sys.modules`` as ``numpy`` from the start, where code that asks
     whether numpy is imported finds it."""
 
@@ -443,14 +443,24 @@ def _torsion_float(model: MatrixModel, op_float: np.ndarray,
                   - _torsion_half(model, op_float, w, v))
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and np.array_equal(a, b, equal_nan=True))
+    return bool(a == b or (a != a and b != b))  # NaN equals NaN
+
+
 class _Record(Value):
-    """A :class:`Value` whose array fields compare as nested lists, so that
-    ``==`` gives a bool, not an array; a NaN entry compares unequal."""
+    """A :class:`Value` that compares each numpy array field as a whole, in
+    place, so that ``==`` gives a bool, not an array.  NaN equals NaN, so a
+    report equals itself."""
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        return tuple([x.tolist() if isinstance(x, np.ndarray) else x for x in super()._key()])
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all([_same(a, b) for a, b in zip(self._key(), other._key())])
 
 
 class FieldSample(_Record):

@@ -1,16 +1,19 @@
 """Exit codes, report formats, and the command surface."""
 
 import gc
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
+import liecheck
 from liecheck.cli import main
 
 from test_exact import decimal_value
@@ -521,12 +524,75 @@ def test_package_names_resolve_on_first_use():
         "ran = [name for name, module in sys.modules.items()\n"
         "       if name.startswith('liecheck.') and type(module) is types.ModuleType]\n"
         "if ran: sys.exit(f'import liecheck ran {ran}')\n"
+        "listed = set(dir(liecheck))\n"
+        "if not set(liecheck.__all__) <= listed: sys.exit('dir() misses public names')\n"
         "names = {}\n"
         "exec('from liecheck import *', names)\n"
         "missing = sorted(set(liecheck.__all__) - set(names))\n"
         "if missing: sys.exit(f'import * missed {missing}')\n"
         "from liecheck.complexstruct import check_integrable\n"
         "if names['check_integrable'] is not check_integrable: sys.exit('another object')\n"
+    )
+
+
+def test_lazy_module_first_run_blocks_other_threads(tmp_path, monkeypatch):
+    # A second thread that reads a lazy module while its first run is still
+    # going waits for the run to end, instead of finding the module half-run.
+    package = tmp_path / "lazy_gate"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "import threading\nstarted = threading.Event()\nproceed = threading.Event()\n")
+    (package / "slow.py").write_text(
+        "from . import proceed, started\nstarted.set()\nproceed.wait(30)\nVALUE = 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    gate = importlib.import_module("lazy_gate")
+    try:
+        slow = liecheck._lazy_module("lazy_gate.slow")
+        seen = []
+
+        def read():
+            try:
+                seen.append(slow.VALUE)
+            except AttributeError as exc:
+                seen.append(exc)
+
+        first = threading.Thread(target=read)
+        first.start()
+        assert gate.started.wait(30)
+        second = threading.Thread(target=read)
+        second.start()
+        second.join(0.2)
+        gate.proceed.set()
+        first.join(30)
+        second.join(30)
+        assert seen == [1, 1]
+    finally:
+        gate.proceed.set()
+        sys.modules.pop("lazy_gate.slow", None)
+        sys.modules.pop("lazy_gate", None)
+
+
+def test_concurrent_first_build(corpus_dir):
+    # Threads that build at once right after importing specfile all find
+    # the algebra and operators modules whole.
+    run_fresh(
+        "import sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "from liecheck import specfile\n"
+        f"with open({str(corpus_dir / 'so3_sphere.lie')!r}) as f:\n"
+        "    document = specfile.parse(f.read())\n"
+        "barrier = threading.Barrier(4)\n"
+        "errors = []\n"
+        "def work():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        specfile.build(document)\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=work) for _ in range(4)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(60)\n"
+        "if errors: sys.exit(errors[0])\n"
     )
 
 

@@ -388,11 +388,13 @@ def test_deviation_report_nan_deviation_fails(so3, so3_pair):
 
 def test_reports_compare_field_by_field(so3, so3_pair, gl3, gl3_pair):
     # Array fields compare as a whole, so == gives a bool, never an array or
-    # a ValueError; the sphere's relation report holds arrays too.
+    # a ValueError; the sphere's relation report holds arrays too.  NaN
+    # equals NaN, so a report equals itself.
     cases = ((so3_pair, operator_ad(so3, so3.basis_vector("k0"))),
              (gl3_pair, operator_sandwich(gl3, identity_matrix(3), identity_matrix(3))))
     for pair, op in cases:
         report = run_harness(pair, op, samples=3)
+        assert (report == report) is True
         assert (report == run_harness(pair, op, samples=3)) is True
         fields = [getattr(report, name) for name in DeviationReport.__slots__]
         fields[5] = report.deviation + 1.0
@@ -400,7 +402,12 @@ def test_reports_compare_field_by_field(so3, so3_pair, gl3, gl3_pair):
         assert (report != DeviationReport(*fields)) is True
         fields[5] = report.deviation.copy()
         fields[5][1] = float("nan")
-        assert (DeviationReport(*fields) == DeviationReport(*fields)) is False
+        with_nan = DeviationReport(*fields)
+        assert (with_nan == with_nan) is True
+        assert (with_nan == DeviationReport(*fields)) is True
+        assert (with_nan == report) is False
+        fields[5] = report.deviation[:2]
+        assert (report == DeviationReport(*fields)) is False
 
 
 def _nan_at(monkeypatch, stack_index):
