@@ -30,8 +30,7 @@ MIN_STEP = 1e-8
 MAX_STEP = 1e-1
 
 _EXPORTS = {
-    "algebra": ("LieAlgebra", "Subalgebra", "conjugate_vector",
-                "from_matrix_generators", "make_subalgebra"),
+    "algebra": ("LieAlgebra", "Subalgebra", "from_matrix_generators", "make_subalgebra"),
     "complexstruct": ("IntegrabilityReport", "SplitDiagnostics", "check_integrable",
                       "compute_z_spaces", "split_diagnostics"),
     "errors": ("LieCheckError",),

@@ -1,4 +1,4 @@
-"""Lie algebras by structure constants, subalgebras and conjugate vectors.
+"""Lie algebras by structure constants, and their subalgebras.
 
 An algebra is stored as a basis-label list plus its nonzero structure
 constants: ``nonzeros[i][j]`` holds the ``(k, c_ijk)`` pairs of
@@ -40,7 +40,6 @@ from .exact import (
     Subspace,
     _eliminate,
     annihilated,
-    conjugate_scalar,
     format_scalar,
     integer_vector,
     rref,
@@ -321,9 +320,6 @@ class Subalgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def __contains__(self, v) -> bool:
-        return v in self.space
-
     def __repr__(self):
         return f"Subalgebra(dim={self.dim} of {self.parent.name!r})"
 
@@ -347,10 +343,6 @@ def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
             if not annihilated(q, bracket_into(constants, ints[a], ints[b], {})):
                 raise NotClosedUnderBracket(rows[a], rows[b], alg.bracket(rows[a], rows[b]))
     return Subalgebra(alg, space)
-
-
-def conjugate_vector(v: Sequence) -> tuple:
-    return tuple(conjugate_scalar(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +395,7 @@ class _SpanSolver:
                             for _, b in row.values())
         n, half = len(matrices), size * size
         height = half * (2 if self.has_imag else 1)
-        system = [[[0] * n + [int(r == p) for p in range(height)], None, 1, 0]
+        system = [[[0] * n + [int(r == p) for p in range(height)], None, 1]
                   for r in range(height)]
         for k, rows in enumerate(self.rows):
             for r, row in rows.items():
@@ -416,9 +408,9 @@ class _SpanSolver:
         self.n = n
         # Rows of T are multiplied by their generator's scale, so that they
         # give coordinates of the generators as given.
-        self._den = [den for _, _, den, _ in system[:len(pivots)]]
+        self._den = [den for _, _, den in system[:len(pivots)]]
         self._columns = [[] for _ in range(height)]
-        for r, (re, _, _, _) in enumerate(system):
+        for r, (re, _, _) in enumerate(system):
             scale = self.scales[pivots[r]] if r < len(pivots) else 1
             for p, a in enumerate(re[n:]):
                 if a:

@@ -32,6 +32,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    _kernel,
     annihilated,
     apply_columns,
     kernel_basis,
@@ -53,10 +54,6 @@ class SplitDiagnostics(FrozenValue):
     """The three split decomposition identities, checked exactly."""
 
     __slots__ = ("sum_is_all", "intersection_is_kc", "eigenspace_decomposition_holds")
-
-    @property
-    def all_hold(self) -> bool:
-        return self.sum_is_all and self.intersection_is_kc and self.eigenspace_decomposition_holds
 
 
 class IntegrabilityReport(FrozenValue):
@@ -98,36 +95,29 @@ def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     """The exact subspaces Z+ and Z- of the complexified algebra.
 
     k_C is the kernel of the annihilator ``Q`` of k, so Z+ is the kernel of
-    ``Q (J - i) = Q J - i Q``.  Conjugation fixes Q, J and k, so Z- is the
+    ``Q (J - i) = Q J - i Q`` over Q(i), typed so also when ``Q`` has no
+    rows (k is everything).  Conjugation fixes Q, J and k, so Z- is the
     conjugate of Z+, and conjugation keeps the echelon basis canonical.
     """
     q = pair.k.space.annihilator
     qj = q @ op.matrix
     shifted = ExactMatrix(q.rows, q.cols, [GaussianRational(a, -b)
                                            for a, b in zip(qj.entries, q.entries)])
-    z_plus = kernel_basis(shifted).over_gaussian()
+    z_plus = _kernel(shifted, gaussian=True)
     return z_plus, z_plus.conjugated()
 
 
-def _mod_k_representatives(kc: Subspace, z_plus: Subspace) -> tuple:
-    """Canonical representatives of Z+ modulo k_C.
+def _mod_k_representatives(k: Subspace, z_plus: Subspace) -> tuple:
+    """Canonical representatives of Z+ modulo k_C: the echelon rows of Z+
+    whose pivot is not a pivot of k.
 
-    k_C is contained in Z+, so the pivot columns of k_C are a subset of the
-    pivots of Z+; the remaining echelon rows, reduced against k_C, represent
-    the quotient.
+    k_C is contained in Z+, so the pivots of k are pivots of Z+, and an
+    echelon row of Z+ is zero at every other pivot of Z+: these rows are
+    already reduced against k_C.
     """
-    k_pivots = set(kc.pivot_cols)
-    reps = []
-    for row, piv in zip(z_plus.vectors(), z_plus.pivot_cols):
-        if piv in k_pivots:
-            continue
-        r = list(row)
-        for krow, kp in zip(kc.vectors(), kc.pivot_cols):
-            c = r[kp]
-            if c:
-                r = [a - c * b for a, b in zip(r, krow)]
-        reps.append(tuple(r))
-    return tuple(reps)
+    k_pivots = set(k.pivot_cols)
+    return tuple(row for row, piv in zip(z_plus.vectors(), z_plus.pivot_cols)
+                 if piv not in k_pivots)
 
 
 def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
@@ -175,33 +165,20 @@ def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> Integrability
     witness = _bracket_escape(pair, op, z_plus)
     if (witness is None) != nij.verdict:
         raise InternalInconsistency("Z+ closure and the torsion verdict disagree")
-    kc = pair.k.space.over_gaussian()
+    # J^2 = -1 modulo k, J kills k and keeps m, and k n m = 0: so J^2 = -1 on m.
     split = None
-    if pair.m is not None and _failed_split_clause(pair, op) is None:
-        split = _split_identities(pair, op, kc, z_plus, z_minus)
+    if pair.m is not None and _split_kernel_failure(pair, op) is None:
+        split = _split_identities(pair, op, z_plus, z_minus)
     return IntegrabilityReport(
         ac_admissible=True,
         z_plus=z_plus,
         z_minus=z_minus,
         z_plus_closed=witness is None,
         nijenhuis_verdict=nij.verdict,
-        z_plus_mod_k=_mod_k_representatives(kc, z_plus),
+        z_plus_mod_k=_mod_k_representatives(pair.k.space, z_plus),
         witness=witness,
         split=split,
     )
-
-
-def _failed_split_clause(pair: HomogeneousPair, op: LinearOperator) -> Optional[str]:
-    """The first split clause the operator violates on (k, m), or None."""
-    failure = _split_kernel_failure(pair, op)
-    if failure is not None:
-        return failure[0]
-    zero = pair.alg.zero_vector()
-    for x in pair.m.vectors():
-        sq = op.apply(op.apply(x))
-        if tuple(a + b for a, b in zip(sq, x)) != zero:
-            return "square_is_minus_one_on_m"
-    return None
 
 
 def split_diagnostics(pair: HomogeneousPair, op: LinearOperator) -> SplitDiagnostics:
@@ -209,18 +186,24 @@ def split_diagnostics(pair: HomogeneousPair, op: LinearOperator) -> SplitDiagnos
     and Z_pm decompose as k_C plus the (+/-i)-eigenspace of J on m_C."""
     if pair.m is None:
         raise MissingComplement("split diagnostics need a declared complement")
-    clause = _failed_split_clause(pair, op)
-    if clause is not None:
-        raise NotSplitACAdmissible(clause)
+    failure = _split_kernel_failure(pair, op)
+    if failure is not None:
+        raise NotSplitACAdmissible(failure[0])
+    zero = pair.alg.zero_vector()
+    for x in pair.m.vectors():
+        if tuple(a + b for a, b in zip(op.apply(op.apply(x)), x)) != zero:
+            raise NotSplitACAdmissible("square_is_minus_one_on_m")
     z_plus, z_minus = compute_z_spaces(pair, op)
-    return _split_identities(pair, op, pair.k.space.over_gaussian(), z_plus, z_minus)
+    return _split_identities(pair, op, z_plus, z_minus)
 
 
-def _split_identities(pair: HomogeneousPair, op: LinearOperator, kc: Subspace,
+def _split_identities(pair: HomogeneousPair, op: LinearOperator,
                       z_plus: Subspace, z_minus: Subspace) -> SplitDiagnostics:
-    """The split identities for Z+ and Z- already computed; k_C is k over Q(i)."""
+    """The split identities for Z+ and Z- already computed.  Subspaces
+    compare by value, so k stands for k_C."""
     n = pair.alg.dim
-    inter = subspace_intersection(z_plus, z_minus).over_gaussian()
+    kc = pair.k.space
+    inter = subspace_intersection(z_plus, z_minus)
     intersection_is_kc = inter == kc
     # dim(Z+ + Z-) = dim Z+ + dim Z- - dim(Z+ n Z-)
     sum_is_all = z_plus.dim + z_minus.dim - inter.dim == n
@@ -240,6 +223,6 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator, kc: Subspace,
             if c:
                 vec = [a + c * b for a, b in zip(vec, row)]
         ambient_vectors.append(vec)
-    eig_space = Subspace.from_vectors(n, ambient_vectors).over_gaussian()
-    eig_ok = subspace_sum(kc, eig_space).over_gaussian() == z_plus
+    eig_space = Subspace.from_vectors(n, ambient_vectors)
+    eig_ok = subspace_sum(kc, eig_space) == z_plus
     return SplitDiagnostics(sum_is_all, intersection_is_kc, eig_ok)

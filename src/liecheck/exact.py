@@ -32,10 +32,12 @@ above and below), which makes equality of subspaces plain structural
 equality.  The elimination behind :func:`rref` and :func:`kernel_basis` is
 fraction-free: each row is a list of Gaussian integers over one positive
 common denominator (a real row has no imaginary list), kept free of common
-content, and scalars are built again only for the result.  The result's
-entry types are those of the same elimination run on the scalars.
+content, and scalars are built again only for the result.  One rule types
+those scalars: every entry is a :class:`GaussianRational` when the input
+has a GaussianRational entry, and a Fraction otherwise.
 :func:`kernel_basis` eliminates once, choosing pivot columns from the
-right, and reads the canonical kernel basis off that form.
+right, and reads the canonical kernel basis off that form;
+:func:`subspace_intersection` is the kernel of both subspaces' equations.
 
 The textual scalar syntax (``-3``, ``3/2``, ``3/2+1/4i``, ``-i``, ``2i``) is
 shared with the declarative input format.  It is written once, as the
@@ -129,9 +131,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
@@ -147,9 +146,6 @@ class GaussianRational:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -413,34 +409,34 @@ class ExactMatrix:
 _GZERO = GaussianRational(0)
 
 
+def _is_gaussian(m: ExactMatrix) -> bool:
+    """Whether ``m`` has a :class:`GaussianRational` entry: the type rule of
+    every elimination result."""
+    return GaussianRational in set(map(type, m.entries))
+
+
 def _integer_rows(m: ExactMatrix) -> list:
-    """The rows of ``m`` as ``[re, im, den, mask]``: entry j is
+    """The rows of ``m`` as ``[re, im, den]``: entry j is
     ``(re[j] + i*im[j]) / den`` with int lists ``re``, ``im`` and a positive
-    int ``den``; ``im`` is None in a row without imaginary parts.  Bit j of
-    the int ``mask`` is set when entry j is a :class:`GaussianRational`."""
+    int ``den``; ``im`` is None in a row without imaginary parts."""
     cols = m.cols
-    typed = GaussianRational in set(map(type, m.entries))
     rows = []
-    for i, terms in enumerate(m.nonzero_rows):
+    for terms in m.nonzero_rows:
         parts = [(j, e.re, e.im) if e.__class__ is GaussianRational else (j, e, _ZERO)
                  for j, e in terms]
         den = lcm(*(x.denominator for _, a, b in parts for x in (a, b)))
-        re, im, mask = [0] * cols, None, 0
+        re, im = [0] * cols, None
         for j, a, b in parts:
             re[j] = a.numerator * (den // a.denominator)
             if b:
                 if im is None:
                     im = [0] * cols
                 im[j] = b.numerator * (den // b.denominator)
-        if typed:
-            for j, e in enumerate(m.entries[i * cols:(i + 1) * cols]):
-                if e.__class__ is GaussianRational:
-                    mask |= 1 << j
-        rows.append([re, im, den, mask])
+        rows.append([re, im, den])
     return rows
 
 
-def _primitive(re: list, im: Optional[list], den: int, mask: int) -> list:
+def _primitive(re: list, im: Optional[list], den: int) -> list:
     """An integer row with the common content of its numerators and its
     denominator divided out."""
     g = gcd(den, *re, *(im or ()))
@@ -449,7 +445,7 @@ def _primitive(re: list, im: Optional[list], den: int, mask: int) -> list:
         if im is not None:
             im = [y // g for y in im]
         den //= g
-    return [re, im, den, mask]
+    return [re, im, den]
 
 
 def _eliminate(rows: list, cols: int, order: Iterable) -> list:
@@ -462,13 +458,8 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
     other row with a nonzero entry in the column subtracts that multiple of
     the pivot row, brought over the common denominator.  Each row keeps its
     content removed, so the integers stay as small as the rationals they
-    represent.  The masks follow the entry types of the same elimination
-    run on the scalars: an entry becomes a GaussianRational when a Gaussian
-    operand touches it, so dividing by a Gaussian-typed pivot or subtracting
-    a multiple by a Gaussian-typed factor makes a whole row Gaussian, while
-    a rational factor passes on the pivot row's mask.
+    represent.
     """
-    full = (1 << cols) - 1
     nrows = len(rows)
     pivots = []
     for col in order:
@@ -476,7 +467,7 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
         if r == nrows:
             break
         for p in range(r, nrows):
-            re, im, den, mask = rows[p]
+            re, im, den = rows[p]
             if re[col] or (im is not None and im[col]):
                 break
         else:
@@ -484,22 +475,19 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
         rows[r], rows[p] = rows[p], rows[r]
         a, b = re[col], (0 if im is None else im[col])
         if b or a != den:
-            if mask >> col & 1:
-                mask = full
             # row / pivot = (re + i im) (a - bi) / (a^2 + b^2)
             if im is None:
                 re = [x * a for x in re]
             else:
                 re, im = ([x * a + y * b for x, y in zip(re, im)],
                           [y * a - x * b for x, y in zip(re, im)])
-            rows[r] = _primitive(re, im, a * a + b * b, mask)
-        re, im, den, mask = rows[r]
+            rows[r] = _primitive(re, im, a * a + b * b)
+        re, im, den = rows[r]
         for p in range(nrows):
-            x, y, xden, xmask = rows[p]
+            x, y, xden = rows[p]
             fx, fy = x[col], (0 if y is None else y[col])
             if p == r or not (fx or fy):
                 continue
-            xmask = full if xmask >> col & 1 else xmask | mask
             # den * (x + iy) - (fx + i fy) * (re + i im), over xden * den
             if im is None and not fy:
                 x = [den * s - fx * t for s, t in zip(x, re)]
@@ -510,19 +498,19 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
                 w = im or [0] * cols
                 x, y = ([den * s - fx * t + fy * u for s, t, u in zip(x, re, w)],
                         [den * s - fx * u - fy * t for s, t, u in zip(y, re, w)])
-            rows[p] = _primitive(x, y, xden * den, xmask)
+            rows[p] = _primitive(x, y, xden * den)
         pivots.append(col)
     return pivots
 
 
-def _scalar_row(row: list, cols: int) -> list:
-    """The entries of an integer row as scalars, typed by its mask."""
-    re, im, den, mask = row
-    if not mask:
+def _scalar_row(row: list, gaussian: bool) -> list:
+    """The entries of an integer row as scalars, all GaussianRational when
+    ``gaussian`` and all Fraction otherwise."""
+    re, im, den = row
+    if not gaussian:
         return [Fraction(x, den) if x else _ZERO for x in re]
-    return [(GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else _GZERO)
-            if mask >> j & 1 else (Fraction(x, den) if x else _ZERO)
-            for j, (x, y) in enumerate(zip(re, im or [0] * cols))]
+    return [GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else _GZERO
+            for x, y in zip(re, im or [0] * len(re))]
 
 
 def rref(m: ExactMatrix) -> tuple:
@@ -531,25 +519,31 @@ def rref(m: ExactMatrix) -> tuple:
     Returns ``(reduced, pivot_cols)``.  The pivot rule is deterministic:
     leftmost nonzero column first, first nonzero row as pivot row, pivot
     normalized to 1, eliminated above and below.  The elimination runs on
-    Gaussian integers (:func:`_eliminate`), with the entry types of the
-    same elimination on the scalars; a row it never changed is returned
-    as given.
+    Gaussian integers (:func:`_eliminate`).  A row it changed is typed
+    GaussianRational when ``m`` has a GaussianRational entry and Fraction
+    otherwise; a row it never changed is returned as given.
     """
     cols = m.cols
     rows = _integer_rows(m)
+    gaussian = _is_gaussian(m)
     given = rows[:]  # holds the given rows, so no changed row can reuse their ids
     pivots = _eliminate(rows, cols, range(cols))
     index = {id(row): i for i, row in enumerate(given)}
     entries = []
     for row in rows[:len(pivots)]:
         i = index.get(id(row))
-        entries.extend(_scalar_row(row, cols) if i is None else m.row(i))
+        entries.extend(_scalar_row(row, gaussian) if i is None else m.row(i))
     return ExactMatrix._of(len(pivots), cols, tuple(entries)), tuple(pivots)
 
 
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Canonical basis of the right kernel ``{x : m x = 0}``, entries typed
-    GaussianRational when ``m`` has a GaussianRational entry.
+    GaussianRational when ``m`` has a GaussianRational entry."""
+    return _kernel(m, _is_gaussian(m))
+
+
+def _kernel(m: ExactMatrix, gaussian: bool) -> "Subspace":
+    """The kernel of ``m``, typed by ``gaussian``.
 
     One elimination, with pivot columns chosen from the right.  Then each
     free column f leads its kernel vector ``e_f - sum_r red[r][f] e_{p_r}``
@@ -559,20 +553,18 @@ def kernel_basis(m: ExactMatrix) -> "Subspace":
     """
     cols = m.cols
     rows = _integer_rows(m)
-    gaussian = any(row[3] for row in rows)
     pivots = _eliminate(rows, cols, range(cols - 1, -1, -1))
-    mask = (1 << cols) - 1 if gaussian else 0
     free = sorted(set(range(cols)) - set(pivots))
     kernel = []
     for f in free:
         terms = [(p, re[f], 0 if im is None else im[f], den)
-                 for (re, im, den, _), p in zip(rows, pivots)]
+                 for (re, im, den), p in zip(rows, pivots)]
         kden = lcm(*(d for _, x, y, d in terms if x or y))
         kre, kim = [0] * cols, [0] * cols
         kre[f] = kden
         for p, x, y, d in terms:
             kre[p], kim[p] = -x * (kden // d), -y * (kden // d)
-        kernel.extend(_scalar_row([kre, kim, kden, mask], cols))
+        kernel.extend(_scalar_row([kre, kim, kden], gaussian))
     return Subspace(cols, ExactMatrix._of(len(free), cols, tuple(kernel)), tuple(free))
 
 
@@ -615,10 +607,6 @@ class Subspace:
         red, piv = rref(m)
         return cls(ambient_dim, red, piv)
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, [])
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -650,22 +638,27 @@ class Subspace:
     def __contains__(self, v) -> bool:
         return self.coordinates_of(v) is not None
 
+    def _equations(self) -> list:
+        """Per non-pivot column ``f`` of the echelon basis, the nonzero terms
+        ``(column, scalar)`` of ``e_f - sum_r basis[r][f] e_{pivot_r}``: a
+        vector lies in the span of the echelon basis exactly when its
+        entries at the non-pivot columns are those of the combination of
+        basis rows given by its pivot entries, that is, when its product
+        with every such row vanishes."""
+        pivots = self.pivot_cols
+        return [[(f, Fraction(1))] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
+                for f in sorted(set(range(self.ambient_dim)) - set(pivots))]
+
     @property
     def annihilator(self) -> ExactMatrix:
         """An integer matrix whose kernel is this subspace (real subspaces
-        only), with one row per non-pivot column of the echelon basis.
-
-        Row ``f`` is ``e_f - sum_r basis[r][f] e_{pivot_r}`` times the lcm of
-        its denominators: a vector lies in the span of the echelon basis
-        exactly when its entries at the non-pivot columns are those of the
-        combination of basis rows given by its pivot entries.
-        """
+        only): the rows of :meth:`_equations`, each times the lcm of its
+        denominators."""
         q = self._annihilator
         if q is None:
-            n, pivots = self.ambient_dim, self.pivot_cols
+            n = self.ambient_dim
             rows = []
-            for f in sorted(set(range(n)) - set(pivots)):
-                terms = [(f, 1)] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
+            for terms in self._equations():
                 row = [_ZERO] * n
                 for j, a in scaled_integers(terms):
                     row[j] = Fraction(a)
@@ -676,17 +669,6 @@ class Subspace:
     def conjugated(self) -> "Subspace":
         # Conjugation fixes the pivot structure, so the result stays canonical.
         return Subspace(self.ambient_dim, self.basis.conjugated(), self.pivot_cols)
-
-    def over_gaussian(self) -> "Subspace":
-        ent = [
-            e if isinstance(e, GaussianRational) else GaussianRational(e)
-            for e in self.basis.entries
-        ]
-        return Subspace(
-            self.ambient_dim,
-            ExactMatrix(self.basis.rows, self.basis.cols, ent),
-            self.pivot_cols,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -711,31 +693,18 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-bases system."""
+    """The kernel of the equations of ``a`` and ``b`` stacked, typed
+    GaussianRational when either basis has a GaussianRational entry."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    # Columns: basis of a, then negated basis of b; kernel rows (u, w) satisfy
-    # sum u_i a_i = sum w_j b_j, i.e. describe the intersection.
-    entries = []
-    for r in range(a.ambient_dim):
-        for j in range(a.dim):
-            entries.append(a.basis.entry(j, r))
-        for j in range(b.dim):
-            entries.append(-b.basis.entry(j, r))
-    stacked = ExactMatrix(a.ambient_dim, a.dim + b.dim, entries)
-    kern = kernel_basis(stacked)
-    vectors = []
-    for krow in kern.vectors():
-        u = krow[: a.dim]
-        vec = [0] * a.ambient_dim
-        for j, c in enumerate(u):
-            if c:
-                row = a.basis.row(j)
-                vec = [x + c * y for x, y in zip(vec, row)]
-        vectors.append([_coerce_scalar(x) if isinstance(x, int) else x for x in vec])
-    return Subspace.from_vectors(a.ambient_dim, vectors)
+    n = a.ambient_dim
+    equations = a._equations() + b._equations()
+    entries = [_ZERO] * (len(equations) * n)
+    for r, terms in enumerate(equations):
+        for j, x in terms:
+            entries[r * n + j] = x
+    stacked = ExactMatrix._of(len(equations), n, tuple(entries))
+    return _kernel(stacked, _is_gaussian(a.basis) or _is_gaussian(b.basis))
 
 
 # ---------------------------------------------------------------------------

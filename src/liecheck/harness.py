@@ -274,11 +274,6 @@ class MatrixModel:
         """Extend a manifold field to ambient points via the retraction."""
         return lambda z: field_fn(self.retract(z))
 
-    def random_point(self, rng: np.random.Generator):
-        """A random (group element, point) sample away from singular loci."""
-        _, g, p = _draw(self, rng, 1, (None,))
-        return g[0], p[0]
-
 
 def _draw(model: MatrixModel, rng: np.random.Generator, count: int,
           layout: tuple) -> tuple:
@@ -386,8 +381,8 @@ def projected_field(model: MatrixModel, v, p: np.ndarray) -> np.ndarray:
     return model.act(model.element(v), p)
 
 
-def bundle_map(model: MatrixModel, pair: HomogeneousPair, op: LinearOperator,
-               p: np.ndarray, z: np.ndarray) -> np.ndarray:
+def bundle_map(model: MatrixModel, op: LinearOperator, p: np.ndarray,
+               z: np.ndarray) -> np.ndarray:
     """Apply the induced bundle map at p to a tangent vector z."""
     model.check_point(p)
     return _bundle_with_section(model, model.operator_matrix(op), model.section(p), z)
@@ -473,8 +468,7 @@ class FieldSample(_Record):
     __slots__ = ("numerical", "predicted", "deviation", "numerical_max", "predicted_max")
 
 
-def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
-                      op: LinearOperator, v, w, p: np.ndarray,
+def numerical_torsion(model: MatrixModel, op: LinearOperator, v, w, p: np.ndarray,
                       h: float = DEFAULT_STEP) -> FieldSample:
     """Evaluate the manifold torsion of the induced map on two pushed-down
     fields by four finite-difference brackets, next to the algebraic
@@ -486,21 +480,19 @@ def numerical_torsion(model: MatrixModel, pair: HomogeneousPair,
     x_field = model.ambient_extension(lambda q: projected_field(model, v, q))
     y_field = model.ambient_extension(lambda q: projected_field(model, w, q))
     nx_field = model.ambient_extension(
-        lambda q: bundle_map(model, pair, op, q, projected_field(model, v, q))
-    )
+        lambda q: bundle_map(model, op, q, projected_field(model, v, q)))
     ny_field = model.ambient_extension(
-        lambda q: bundle_map(model, pair, op, q, projected_field(model, w, q))
-    )
+        lambda q: bundle_map(model, op, q, projected_field(model, w, q)))
 
     b1 = fd_bracket(model, nx_field, y_field, p, h)
     b2 = fd_bracket(model, x_field, ny_field, p, h)
     b3 = fd_bracket(model, nx_field, ny_field, p, h)
     b4 = fd_bracket(model, x_field, y_field, p, h)
     omega = (
-        bundle_map(model, pair, op, p, b1)
-        + bundle_map(model, pair, op, p, b2)
+        bundle_map(model, op, p, b1)
+        + bundle_map(model, op, p, b2)
         - b3
-        - bundle_map(model, pair, op, p, bundle_map(model, pair, op, p, b4))
+        - bundle_map(model, op, p, bundle_map(model, op, p, b4))
     )
 
     g = model.section(p)
@@ -612,7 +604,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
         v2 = np.zeros(model.dim)
         v2[2] = 1.0
         z = projected_field(model, v2, p_rot)
-        rot_bundle = bundle_map(model, pair, op, p_rot, z)
+        rot_bundle = bundle_map(model, op, p_rot, z)
         rot_field = projected_field(model, _apply(op_float, v2), p_rot)
 
     return RelationReport(
@@ -679,7 +671,7 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
     columns = []
     for count in _chunks(samples):
         (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
-        stack = numerical_torsion(model, pair, op, v, w, p, h)
+        stack = numerical_torsion(model, op, v, w, p, h)
         columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
     return DeviationReport(model.kind, h, seed, relation, torsion_report.verdict,
                            *map(np.concatenate, zip(*columns)))

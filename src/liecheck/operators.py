@@ -57,14 +57,6 @@ class LinearOperator:
     def apply(self, v: Sequence) -> tuple:
         return self.matrix.apply(v)
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        return self.alg is other.alg and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash((id(self.alg), self.matrix))
-
     def __repr__(self):
         return f"LinearOperator(on {self.alg.name!r})"
 

@@ -108,6 +108,28 @@ def scalar_div(a, b):
     return a * (1 / Fraction(b))
 
 
+def conjugate_vector(v):
+    """The entrywise complex conjugate of a Q(i) vector."""
+    return tuple(x.conjugate() if isinstance(x, GaussianRational) else x for x in v)
+
+
+def over_gaussian(space):
+    """The same subspace with every basis entry a GaussianRational."""
+    entries = [e if isinstance(e, GaussianRational) else GaussianRational(e)
+               for e in space.basis.entries]
+    return Subspace(space.ambient_dim, ExactMatrix(space.basis.rows, space.ambient_dim, entries),
+                    space.pivot_cols)
+
+
+def random_point(model, rng):
+    """One ``(group element, point)`` sample of a harness model, drawn as the
+    harness draws its points."""
+    from liecheck.harness import _draw
+
+    _, g, p = _draw(model, rng, 1, (None,))
+    return g[0], p[0]
+
+
 def identity_operator(alg):
     return LinearOperator(alg, identity_matrix(alg.dim))
 

@@ -10,7 +10,6 @@ from liecheck import (
     GaussianRational,
     LieAlgebra,
     Subspace,
-    conjugate_vector,
     from_matrix_generators,
     make_subalgebra,
 )
@@ -26,9 +25,11 @@ from liecheck.errors import (
 from conftest import (
     CORPUS,
     LOOP_CASES,
+    conjugate_vector,
     draw_matrix,
     imag_unit_matrix,
     matrix_sum,
+    over_gaussian,
     property_test,
     rand_gaussian_vector,
     rand_vector,
@@ -567,6 +568,6 @@ def test_conjugation_commutes_with_bracket(so3):
 
 
 def test_complexify_subspace(so3, so3_pair):
-    kc = so3_pair.k.space.over_gaussian()
+    kc = over_gaussian(so3_pair.k.space)
     assert kc.dim == 1
     assert (GaussianRational(2, 3), GaussianRational(0), GaussianRational(0)) in kc

@@ -46,6 +46,7 @@ from conftest import (
     identity_operator,
     imag_unit_matrix,
     matrix_sum,
+    over_gaussian,
     property_test,
     scaled_operator,
     sphere_family,
@@ -103,7 +104,7 @@ def test_z_spaces_rotation(so3, so3_pair):
     expected_plus = Subspace.from_vectors(3, [
         (GaussianRational(1), GaussianRational(0), GaussianRational(0)),
         (GaussianRational(0), GaussianRational(1), I),
-    ]).over_gaussian()
+    ])
     assert z_plus == expected_plus
     assert z_plus.conjugated() == z_minus
     assert z_plus.dim == 2 and z_minus.dim == 2
@@ -131,7 +132,7 @@ def test_kc_inside_z_plus_and_conjugation(so3, so3_pair, u4, u4_pair):
     ]
     for pair, op in cases:
         z_plus, z_minus = compute_z_spaces(pair, op)
-        kc = pair.k.space.over_gaussian()
+        kc = over_gaussian(pair.k.space)
         assert contains_subspace(z_plus, kc)
         assert z_plus.conjugated() == z_minus
         assert z_minus.conjugated() == z_plus
@@ -145,7 +146,7 @@ def test_integrable_rotation(so3, so3_pair):
     assert report.z_plus_mod_k == (
         (GaussianRational(0), GaussianRational(1), I),
     )
-    assert report.split is not None and report.split.all_hold
+    assert report.split is not None and report.split == SplitDiagnostics(True, True, True)
 
 
 def test_family_unit_beta_integrable_and_conjugate(so3, so3_pair):
@@ -170,15 +171,15 @@ def test_grassmann_integrable(u4, u4_pair):
     assert report.z_plus.dim == 12
     # Z+ = k_C + the upper-right single-entry block: a13-like combinations
     # (a - i s)/2 reduce to plain matrix units E_jk.
-    expected = list(u4_pair.k.space.over_gaussian().vectors())
+    expected = list(over_gaussian(u4_pair.k.space).vectors())
     for j in (1, 2):
         for k in (3, 4):
             vec = [GaussianRational(0)] * 16
             vec[u4.index_of(f"a{j}{k}")] = GaussianRational(Fraction(1, 2))
             vec[u4.index_of(f"s{j}{k}")] = GaussianRational(0, Fraction(-1, 2))
             expected.append(tuple(vec))
-    assert report.z_plus == Subspace.from_vectors(16, expected).over_gaussian()
-    assert report.split is not None and report.split.all_hold
+    assert report.z_plus == over_gaussian(Subspace.from_vectors(16, expected))
+    assert report.split is not None and report.split == SplitDiagnostics(True, True, True)
 
 
 def test_nilpotent_twisted_structure_not_integrable():
@@ -224,7 +225,7 @@ def test_split_diagnostics_rotation(so3, so3_pair):
 
 def test_split_diagnostics_grassmann(u4, u4_pair):
     diag = split_diagnostics(u4_pair, operator_ad(u4, grassmann_center_vector(u4)))
-    assert diag.all_hold
+    assert diag == SplitDiagnostics(True, True, True)
 
 
 def test_split_diagnostics_plane_rotation():
@@ -237,7 +238,7 @@ def test_split_diagnostics_plane_rotation():
         "v": tuple(-a for a in ab2.basis_vector("u")),
     })
     diag = split_diagnostics(pair, rot)
-    assert diag.all_hold
+    assert diag == SplitDiagnostics(True, True, True)
     z_plus, z_minus = compute_z_spaces(pair, rot)
     assert z_plus.dim == 1 and z_minus.dim == 1
     assert subspace_sum(z_plus, z_minus).dim == 2
@@ -308,7 +309,7 @@ def reference_z_spaces(pair, op):
             for c in range(dk):
                 entries.append(GaussianRational(-pair.k.space.basis.entry(c, r)))
         kern = kernel_basis(ExactMatrix(n, n + dk, entries))
-        out.append(Subspace.from_vectors(n, [row[:n] for row in kern.vectors()]).over_gaussian())
+        out.append(over_gaussian(Subspace.from_vectors(n, [row[:n] for row in kern.vectors()])))
     return tuple(out)
 
 
@@ -316,7 +317,7 @@ def reference_split_diagnostics(pair, op):
     """The split identities with both eigenspaces of J on m_C computed."""
     n, dm = pair.alg.dim, pair.m.dim
     z_plus, z_minus = reference_z_spaces(pair, op)
-    kc = pair.k.space.over_gaussian()
+    kc = over_gaussian(pair.k.space)
     m_rows = pair.m.vectors()
     cols = [pair.m.coordinates_of(op.apply(x)) for x in m_rows]
     eig_ok = True
@@ -330,11 +331,11 @@ def reference_split_diagnostics(pair, op):
             for c, row in zip(coords, m_rows):
                 vec = [a + c * b for a, b in zip(vec, row)]
             vectors.append(vec)
-        eig_space = Subspace.from_vectors(n, vectors).over_gaussian()
-        eig_ok = eig_ok and subspace_sum(kc, eig_space).over_gaussian() == z_space
+        eig_space = over_gaussian(Subspace.from_vectors(n, vectors))
+        eig_ok = eig_ok and over_gaussian(subspace_sum(kc, eig_space)) == z_space
     return SplitDiagnostics(
         subspace_sum(z_plus, z_minus).dim == n,
-        subspace_intersection(z_plus, z_minus).over_gaussian() == kc,
+        over_gaussian(subspace_intersection(z_plus, z_minus)) == kc,
         eig_ok,
     )
 
@@ -425,6 +426,36 @@ def _closure_algebras():
     }
 
 
+def _plus_values_in_k(data, pair, op):
+    """``op`` plus a random operator with values in k.  The sum of an
+    AC-admissible operator and such an operator is AC-admissible: it still
+    preserves k, commutes with ad k modulo k and squares to -1 modulo k."""
+    n, k_basis = pair.alg.dim, pair.k.space.vectors()
+    coeffs = data.draw(st.lists(st.sampled_from([Fraction(0)] * 4 + [Fraction(1, 2)]),
+                                min_size=n * len(k_basis), max_size=n * len(k_basis)))
+    entries = list(op.matrix.entries)
+    for j in range(n):
+        for r, z in enumerate(k_basis):
+            for i in range(n):
+                entries[i * n + j] += coeffs[j * len(k_basis) + r] * z[i]
+    return LinearOperator(pair.alg, ExactMatrix(n, n, entries))
+
+
+@property_test(max_examples=30)
+def test_z_plus_mod_k_completes_k_to_z_plus(loop_cases, data):
+    # The representatives are the echelon rows of Z+ whose pivot is not a
+    # pivot of k: each is zero at every pivot of k, and with k_C they span
+    # Z+, one row per dimension of the quotient.
+    name, seed = data.draw(st.sampled_from([("so3_split", 1), ("so3_plain", 2), ("so3_skew", 1),
+                                            ("u4_grass", 1)]))
+    pair, seeds, _ = loop_cases[name]
+    report = check_integrable(pair, _plus_values_in_k(data, pair, seeds[seed]))
+    k, reps = pair.k.space, report.z_plus_mod_k
+    assert len(reps) == report.z_plus.dim - k.dim
+    assert all(not row[p] for row in reps for p in k.pivot_cols)
+    assert subspace_sum(k, Subspace.from_vectors(pair.alg.dim, reps)) == report.z_plus
+
+
 @property_test(max_examples=40)
 def test_z_plus_closure_matches_gaussian_reference(loop_cases, data):
     # J = P J0 P^-1 squares to -1, and with k = 0 every J is admissible; most
@@ -434,15 +465,7 @@ def test_z_plus_closure_matches_gaussian_reference(loop_cases, data):
     name = data.draw(st.sampled_from(["gl2", "u2", "nil4", "upper3", "u4_grass"]))
     if name == "u4_grass":
         pair, seeds, _ = loop_cases[name]
-        n, k_basis = pair.alg.dim, pair.k.space.vectors()
-        coeffs = data.draw(st.lists(st.sampled_from([Fraction(0)] * 4 + [Fraction(1, 2)]),
-                                    min_size=n * len(k_basis), max_size=n * len(k_basis)))
-        entries = list(seeds[1].matrix.entries)
-        for j in range(n):
-            for r, z in enumerate(k_basis):
-                for i in range(n):
-                    entries[i * n + j] += coeffs[j * len(k_basis) + r] * z[i]
-        op = LinearOperator(pair.alg, ExactMatrix(n, n, entries))
+        op = _plus_values_in_k(data, pair, seeds[1])
     else:
         alg = _closure_algebras()[name]
         n = alg.dim

@@ -278,9 +278,9 @@ def test_exact_matrix_rejects_floats():
 
 def test_complexified_subspace_and_conjugation():
     s = Subspace.from_vectors(2, [(1, 2)])
-    sc = s.over_gaussian()
+    sc = Subspace.from_vectors(2, [(GaussianRational(1), GaussianRational(2))])
     assert sc.dim == 1
-    assert sc == s.over_gaussian()
+    assert sc == s and s == sc  # subspaces compare by value across the two fields
     t = Subspace.from_vectors(2, [(GaussianRational(1), GaussianRational(0, 1))])
     assert t.conjugated().vectors() == ((GaussianRational(1), GaussianRational(0, -1)),)
     assert t.conjugated().conjugated() == t
@@ -290,8 +290,8 @@ def test_complexified_subspace_and_conjugation():
 #
 # apply, @ and membership iterate the nonzero rows of a matrix.  The
 # references below are the dense definitions.  Values and entry types
-# (Fraction or GaussianRational) must both agree, because kernel_basis,
-# over_gaussian and format_scalar branch on the type.
+# (Fraction or GaussianRational) must both agree, because kernel_basis
+# and format_scalar branch on the type.
 
 _FLAVOURS = ("rational", "gaussian", "mixed")
 
@@ -380,8 +380,8 @@ def test_coordinates_of_matches_dense(flavour):
                 inside = [s + w * b for s, b in zip(inside, row)]
             for v in (outside, tuple(inside), (0,) * ambient):
                 _assert_same(space.coordinates_of(v), _dense_coordinates(space, v))
-    assert Subspace.zero(2).coordinates_of((GaussianRational(0), 0)) == ()
-    assert Subspace.zero(2).coordinates_of((0, 1)) is None
+    assert Subspace.from_vectors(2, []).coordinates_of((GaussianRational(0), 0)) == ()
+    assert Subspace.from_vectors(2, []).coordinates_of((0, 1)) is None
 
 
 def _dense_span_coords(gens, target):
@@ -427,7 +427,8 @@ def test_span_solver_coords_match_dense(flavour):
 # -- Gaussian-integer elimination against the scalar Gauss-Jordan -----------
 #
 # rref and kernel_basis eliminate over Gaussian integers with one common
-# denominator per row and a per-row type mask.  The references are the
+# denominator per row, and type the rows they build by one rule: Gaussian
+# when the input has a Gaussian entry.  The references are the
 # former implementations: Gauss-Jordan on the scalars themselves, and a
 # kernel built from that RREF and row-reduced once more.
 
@@ -491,11 +492,20 @@ def test_rref_matches_scalar_reference(flavour, data):
     expected, expected_pivots = reference_rref(m)
     assert pivots == expected_pivots
     assert red == expected
-    assert _types(red) == _types(expected)
+    if flavour == "mixed":
+        # A row the elimination never changed is returned as given; every
+        # other row is typed by whether m has a Gaussian entry.
+        gaussian = any(isinstance(e, GaussianRational) for e in m.entries)
+        for i in range(red.rows):
+            row = red.row(i)
+            assert (any(all(a is b for a, b in zip(row, m.row(j))) for j in range(m.rows))
+                    or set(map(type, row)) == {GaussianRational if gaussian else Fraction})
+    else:
+        assert _types(red) == _types(expected)
     # Every row the elimination produces has its content divided out.
     rows = _integer_rows(m)
     _eliminate(rows, m.cols, range(m.cols))
-    for re, im, den, _ in rows:
+    for re, im, den in rows:
         assert den > 0 and gcd(den, *re, *(im or ())) == 1
 
 
@@ -518,19 +528,19 @@ def test_kernel_basis_matches_two_step_reference(flavour, data):
 
 def test_rref_types_follow_the_scalar_operations():
     g1, gi = GaussianRational(1), GaussianRational(0, 1)
-    # A Gaussian-typed pivot equal to 1 is not divided out, so the rational
-    # entries of its row stay rational; a rational factor passes the pivot
-    # row's types on.
+    # One Gaussian entry makes every row the elimination changes Gaussian.
     red, _ = rref(ExactMatrix.from_rows([[g1, Fraction(2)], [Fraction(3), Fraction(5)]]))
-    assert _types(red) == [GaussianRational, Fraction, GaussianRational, Fraction]
-    # A Gaussian-typed pivot other than 1 makes its whole row Gaussian.
+    assert _types(red) == [GaussianRational] * 4
     red, _ = rref(ExactMatrix.from_rows([[GaussianRational(2), Fraction(2)]]))
     assert _types(red) == [GaussianRational, GaussianRational]
-    # A Gaussian-typed factor makes the whole row it is subtracted from Gaussian.
+    # A row the elimination never changed keeps the types it was given.
     red, _ = rref(ExactMatrix.from_rows([[Fraction(1), Fraction(0), Fraction(1)],
                                          [gi, Fraction(1), Fraction(0)]]))
     assert red == ExactMatrix.from_rows([[1, 0, 1], [0, 1, -gi]])
     assert _types(red) == [Fraction] * 3 + [GaussianRational] * 3
+    # Without a Gaussian entry every row is rational.
+    red, _ = rref(ExactMatrix.from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]))
+    assert _types(red) == [Fraction] * 4
 
 
 def test_rref_keeps_untouched_rows():

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     identity_matrix,
     matrix_of_element,
+    random_point,
     sphere_family,
     zero_operator,
 )
@@ -87,7 +88,7 @@ def test_no_model_for_grassmann_pair(u4_pair):
 def test_sphere_samples_on_manifold(sphere):
     rng = np.random.default_rng(3)
     for _ in range(50):
-        _, p = sphere.random_point(rng)
+        _, p = random_point(sphere, rng)
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
 
@@ -112,9 +113,9 @@ def test_bundle_map_zero_operator(sphere, so3_pair):
     zero = zero_operator(so3_pair.alg)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        _, p = sphere.random_point(rng)
+        _, p = random_point(sphere, rng)
         z = projected_field(sphere, rng.uniform(-1, 1, 3), p)
-        assert np.allclose(bundle_map(sphere, so3_pair, zero, p, z), 0, atol=1e-15)
+        assert np.allclose(bundle_map(sphere, zero, p, z), 0, atol=1e-15)
 
 
 def test_bundle_map_rotation_demo(sphere, so3, so3_pair):
@@ -126,7 +127,7 @@ def test_bundle_map_rotation_demo(sphere, so3, so3_pair):
     g = expm(theta * sphere.generators[2])
     p = g @ P0
     z = projected_field(sphere, np.array([0.0, 0.0, 1.0]), p)  # field of e2
-    nz = bundle_map(sphere, so3_pair, op, p, z)
+    nz = bundle_map(sphere, op, p, z)
     assert np.max(np.abs(nz - np.array([1.0, 0.0, 0.0]))) <= 1e-12
     image_field = projected_field(sphere, np.array([0.0, 1.0, 0.0]), p)  # e1
     assert np.max(np.abs(image_field - np.array([math.cos(theta), 0, 0]))) <= 1e-12
@@ -135,7 +136,7 @@ def test_bundle_map_rotation_demo(sphere, so3, so3_pair):
 def test_bundle_map_section_singular(sphere, so3, so3_pair):
     op = operator_ad(so3, so3.basis_vector("k0"))
     with pytest.raises(SectionSingular):
-        bundle_map(sphere, so3_pair, op, -P0, np.array([1.0, 0.0, 0.0]))
+        bundle_map(sphere, op, -P0, np.array([1.0, 0.0, 0.0]))
 
 
 def test_bundle_map_representative_independence(sphere, so3, so3_pair):
@@ -151,7 +152,7 @@ def test_fd_bracket_linear_fields(sphere, so3):
     # brackets of pushed-down fields reproduce minus the algebra bracket
     rng = np.random.default_rng(7)
     for _ in range(50):
-        _, p = sphere.random_point(rng)
+        _, p = random_point(sphere, rng)
         v = rng.uniform(-1, 1, 3)
         w = rng.uniform(-1, 1, 3)
         x = sphere.ambient_extension(lambda q: projected_field(sphere, v, q))
@@ -170,7 +171,7 @@ def _to_fraction(x):
 
 def test_fd_bracket_self_and_constant(sphere):
     rng = np.random.default_rng(9)
-    _, p = sphere.random_point(rng)
+    _, p = random_point(sphere, rng)
     v = rng.uniform(-1, 1, 3)
     x = sphere.ambient_extension(lambda q: projected_field(sphere, v, q))
     assert np.max(np.abs(fd_bracket(sphere, x, x, p, 1e-4))) <= 1e-9
@@ -227,9 +228,9 @@ def test_fd_bracket_quadratic_convergence(sphere):
 def test_numerical_torsion_diagonal_exactly_zero(sphere, so3, so3_pair):
     op = operator_ad(so3, so3.basis_vector("k0"))
     rng = np.random.default_rng(13)
-    _, p = sphere.random_point(rng)
+    _, p = random_point(sphere, rng)
     v = rng.uniform(-1, 1, 3)
-    sample = numerical_torsion(sphere, so3_pair, op, v, v, p)
+    sample = numerical_torsion(sphere, op, v, v, p)
     assert np.all(sample.numerical == 0.0)
     assert np.all(sample.predicted == 0.0)
     assert sample.deviation == 0.0
@@ -239,9 +240,9 @@ def test_numerical_torsion_rotation_vanishes(sphere, so3, so3_pair):
     op = operator_ad(so3, so3.basis_vector("k0"))
     rng = np.random.default_rng(15)
     for _ in range(10):
-        _, p = sphere.random_point(rng)
+        _, p = random_point(sphere, rng)
         v, w = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        sample = numerical_torsion(sphere, so3_pair, op, v, w, p)
+        sample = numerical_torsion(sphere, op, v, w, p)
         assert np.max(np.abs(sample.numerical)) <= 1e-5
         assert sample.deviation <= 1e-5
 
@@ -259,7 +260,7 @@ def test_numerical_torsion_matches_exact_form_at_identity(gl3, gl3_pair):
         v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9))
         w = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9))
         exact = torsion_form(gl3, op, v, w)
-        sample = numerical_torsion(model, gl3_pair, op, v, w, np.eye(3))
+        sample = numerical_torsion(model, op, v, w, np.eye(3))
         exact_mat = np.array(
             [[float(x) for x in matrix_of_element(gl3, exact).row(i)] for i in range(3)]
         )
@@ -276,9 +277,9 @@ def test_numerical_torsion_nonzero_case_agrees(gl3, gl3_pair):
     rng = np.random.default_rng(19)
     saw_nonzero = False
     for _ in range(10):
-        _, p = model.random_point(rng)
+        _, p = random_point(model, rng)
         v, w = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9)
-        sample = numerical_torsion(model, gl3_pair, op, v, w, p)
+        sample = numerical_torsion(model, op, v, w, p)
         assert sample.deviation <= 1e-5
         if np.max(np.abs(sample.numerical)) > 1.0:
             saw_nonzero = True
@@ -433,8 +434,8 @@ def _record_stacks(monkeypatch):
     real = harness.numerical_torsion
     stacks = []
 
-    def recording(model, pair, op, v, w, p, *args):
-        stack = real(model, pair, op, v, w, p, *args)
+    def recording(model, op, v, w, p, *args):
+        stack = real(model, op, v, w, p, *args)
         stacks.append((p, v, w, stack))
         return stack
 
@@ -467,7 +468,7 @@ def test_run_harness_keeps_nan_deviation_at_chunk_boundary(monkeypatch, so3, so3
 # -- stacks of points ----------------------------------------------------------
 
 def _stack(model, rng, count):
-    points = np.stack([model.random_point(rng)[1] for _ in range(count)])
+    points = np.stack([random_point(model, rng)[1] for _ in range(count)])
     v = rng.uniform(-1, 1, (count, model.dim))
     w = rng.uniform(-1, 1, (count, model.dim))
     return points, v, w
@@ -485,16 +486,16 @@ def test_stack_matches_point_by_point(kind, so3, so3_pair, gl3, gl3_pair):
     model = build_model(pair)
     p, v, w = _stack(model, np.random.default_rng(29), 7)
     z = projected_field(model, w, p)
-    stack = numerical_torsion(model, pair, op, v, w, p)
-    mapped = bundle_map(model, pair, op, p, z)
+    stack = numerical_torsion(model, op, v, w, p)
+    mapped = bundle_map(model, op, p, z)
     assert stack.deviation.shape == (7,)
     for i in range(7):
-        one = numerical_torsion(model, pair, op, v[i], w[i], p[i])
+        one = numerical_torsion(model, op, v[i], w[i], p[i])
         for name in ("numerical", "predicted"):
             assert np.max(np.abs(getattr(stack, name)[i] - getattr(one, name))) <= 1e-12
         for name in ("deviation", "numerical_max", "predicted_max"):
             assert abs(getattr(stack, name)[i] - getattr(one, name)) <= 1e-12
-        assert np.max(np.abs(mapped[i] - bundle_map(model, pair, op, p[i], z[i]))) <= 1e-12
+        assert np.max(np.abs(mapped[i] - bundle_map(model, op, p[i], z[i]))) <= 1e-12
 
 
 def test_stack_guards_sphere(sphere, so3, so3_pair):
@@ -506,22 +507,22 @@ def test_stack_guards_sphere(sphere, so3, so3_pair):
     with pytest.raises(PointOffManifold):
         projected_field(sphere, v, off)
     with pytest.raises(PointOffManifold):
-        bundle_map(sphere, so3_pair, op, off, z)
+        bundle_map(sphere, op, off, z)
     with pytest.raises(PointOffManifold):
-        numerical_torsion(sphere, so3_pair, op, v, w, off)
+        numerical_torsion(sphere, op, v, w, off)
     x = sphere.ambient_extension(lambda q: projected_field(sphere, v, q))
     with pytest.raises(PointOffManifold):
         fd_bracket(sphere, x, x, off, 1e-4)
     antipode = p.copy()
     antipode[3] = -P0
     with pytest.raises(SectionSingular):
-        bundle_map(sphere, so3_pair, op, antipode, z)
+        bundle_map(sphere, op, antipode, z)
     with pytest.raises(SectionSingular):
-        numerical_torsion(sphere, so3_pair, op, v, w, antipode)
+        numerical_torsion(sphere, op, v, w, antipode)
     with pytest.raises(StepTooSmall):
         fd_bracket(sphere, x, x, p, 1e-9)
     with pytest.raises(StepTooSmall):
-        numerical_torsion(sphere, so3_pair, op, v, w, p, 1e-9)
+        numerical_torsion(sphere, op, v, w, p, 1e-9)
 
 
 def test_stack_guards_full_group(gl3_model, gl3, gl3_pair):
@@ -534,9 +535,9 @@ def test_stack_guards_full_group(gl3_model, gl3, gl3_pair):
     with pytest.raises(PointOffManifold):
         projected_field(gl3_model, v, singular)
     with pytest.raises(PointOffManifold):
-        bundle_map(gl3_model, gl3_pair, op, singular, z)
+        bundle_map(gl3_model, op, singular, z)
     with pytest.raises(PointOffManifold):
-        numerical_torsion(gl3_model, gl3_pair, op, v, w, singular)
+        numerical_torsion(gl3_model, op, v, w, singular)
 
 
 def test_expm_stack_matches_single():
