@@ -86,7 +86,7 @@ def _corpus_argvs() -> dict:
     return dict(sorted(argvs.items()))
 
 
-def _run(argv: list, workdir: str = None) -> dict:
+def _run(argv: list, workdir: str | None = None) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
