@@ -8,7 +8,9 @@ ad`` and ``torsion --mode all`` on two fixtures that no workload reaches: the
 ``reps(...)`` pair of ``so3_flip_reps.lie`` and the ``right(...)`` operators
 of ``right_mult.lie``.  ``check`` runs, text and JSON, on two more:
 ``not_closed.lie`` and ``non_real_constants.lie``, whose generators span no
-real Lie algebra.  The exit code, the ``error:`` lines of stderr and stdout
+real Lie algebra.  ``parse`` runs, text only, on ``right_mult.lie`` and
+``so3_flip_reps.lie``, to pin the canonical dumps of ``right(...)`` and
+``reps(...)``.  The exit code, the ``error:`` lines of stderr and stdout
 (the JSON without ``elapsed_ms``) must equal those in
 ``tests/data/golden/corpus.json``.
 
@@ -48,7 +50,10 @@ FIXTURE_COMMANDS = [
                              [["--operator", "rdiag"], ["--operator", "rrot"]])]
     for operator in operators
     for command in (["check"], ["torsion", "--mode", "ad"], ["torsion", "--mode", "all"])
-] + [["check", f"tests/data/{name}.lie"] for name in ("not_closed", "non_real_constants")]
+] + [[command, f"tests/data/{name}.lie"]
+     for command, names in (("check", ("not_closed", "non_real_constants")),
+                            ("parse", ("right_mult", "so3_flip_reps")))
+     for name in names]
 
 
 def _load(path: Path) -> dict:
@@ -82,7 +87,8 @@ def _corpus_argvs() -> dict:
         argvs[cmd.cid] = argv
     for argv in FIXTURE_COMMANDS:
         argvs[" ".join(argv)] = argv
-        argvs[" ".join(argv) + " [json]"] = argv + ["--report", "json"]
+        if argv[0] != "parse":  # parse has no --report
+            argvs[" ".join(argv) + " [json]"] = argv + ["--report", "json"]
     return dict(sorted(argvs.items()))
 
 

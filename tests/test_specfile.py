@@ -204,6 +204,17 @@ PINNED_DIAGNOSTICS = [
      SpecSyntaxError, "2:33: coefficients in vectors must be rational"),
     (_A + "subalgebra s of a = span(q;", UnresolvedReference,
      "2:26: unknown basis label 'q'"),
+    # Lines split at "\n" only; a column counts characters, a tab or a "\r"
+    # included, and a comment ends at its line.
+    ("algebra a { basis x; }\n\tpair", SpecSyntaxError,
+     "2:6: expected a pair name, found 'end of input'"),
+    ("algebra a {\r basis x; } $", SpecSyntaxError, "1:25: unexpected character '$'"),
+    ("algebra a { basis x; } # c $\n  @", SpecSyntaxError, "2:3: unexpected character '@'"),
+    ("algebra a { basis x; bracket [x,x] = 1/\n0*x; }", SpecSyntaxError,
+     "2:1: zero denominator"),
+    # An invalid literal is diagnosed where the parser first takes it.
+    (_A + "operator o on a { x -> 3/0*y; }\noperator p on a = ad(3/0*x);", SpecSyntaxError,
+     "2:26: zero denominator"),
 ]
 
 
