@@ -42,6 +42,12 @@ resolved as it is parsed, so of several errors the first in the text is
 reported; a character outside the grammar is the exception, because the
 whole text is scanned first.
 
+A diagnostic starts ``line:col:``, the start of a token: the unexpected one,
+or the name or matrix the error is about.  Lines split at ``\\n`` only, and
+columns count characters from 1, so a tab or a ``\\r`` is one column.  A
+scalar literal without a value (a zero denominator, or an integer too long
+for ``int``) is diagnosed at that integer, where the parser takes the literal.
+
 Every parsed document round-trips: ``parse(serialize(doc)) == doc``.
 Serialization is canonical: items sorted by kind then name, one declaration
 per line, scalars in canonical form, brackets emitted only for i < j.
@@ -122,9 +128,19 @@ class SubspaceDecl(FrozenValue):
 
 
 class OperatorDecl(FrozenValue):
-    """``form`` is ``"rules"``, ``"ad"``, ``"left"``, ``"right"`` or ``"sandwich"``."""
+    """``form`` is ``"rules"`` or a call form of :data:`_CALL_FORMS`."""
 
     __slots__ = ("name", "algebra", "form", "data")
+
+
+#: The call forms of an operator: the kinds of their arguments, and the name
+#: of the :mod:`liecheck.operators` constructor that :func:`build` calls.
+_CALL_FORMS = {
+    "ad": (("lincomb",), "operator_ad"),
+    "left": (("matrix",), "operator_left_mult"),
+    "right": (("matrix",), "operator_right_mult"),
+    "sandwich": (("matrix", "matrix"), "operator_sandwich"),
+}
 
 
 class PairDecl(FrozenValue):
@@ -154,24 +170,12 @@ class SpecDocument(Value):
 # scanner
 # ---------------------------------------------------------------------------
 
-class _Token:
-    """A token: its kind (NAME, SCALAR, PUNCT or EOF), text, position and value."""
-
-    __slots__ = ("kind", "text", "line", "col", "value")
-
-    def __init__(self, kind: str, text: str, line: int, col: int, value):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.value = value
-
-
-# A lone ``i`` is a NAME: it may name an algebra, and the parser reads it as
-# the imaginary unit where a scalar is expected.
+# A token is a match of _TOKEN: its kind is ``m.lastgroup`` (NAME, SCALAR,
+# PUNCT or EOF), its text ``m[0]`` and its offset ``m.start()``.  A lone
+# ``i`` is a NAME: it may name an algebra, and the parser reads it as the
+# imaginary unit where a scalar is expected.
 _TOKEN = re.compile(rf"""
-      (?P<NEWLINE> \n )
-    | (?P<SKIP> [ \t\r]+ | \#[^\n]* )
+      (?P<SKIP> [ \t\r\n]+ | \#[^\n]* )
     | (?P<NAME> [^\W\d]\w* )
     | (?P<SCALAR> {SCALAR_SYNTAX} )
     | (?P<PUNCT> -> | [{{}}()\[\],;=*+\-/] )
@@ -180,37 +184,37 @@ _TOKEN = re.compile(rf"""
 """, re.VERBOSE)
 
 
-def _scan(text: str) -> list:
-    tokens = []
-    values = {}  # scalars are immutable: one value per literal text, as I is
-    line, line_start = 1, 0
+def _position(text: str, offset: int) -> tuple:
+    """The ``(line, col)`` of ``offset`` in ``text``, both from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _scan(text: str) -> tuple:
+    """The tokens of ``text`` and ``{literal text: value}`` for its scalars.
+
+    Scalars are immutable, so each literal text is converted once.  The
+    value of an invalid literal is a :class:`ScalarLiteralError` whose offset
+    counts from the start of the literal; the parser raises it when it takes
+    the token.
+    """
+    tokens, values = [], {}
     for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m[0]
+        kind = m.lastgroup
         if kind == "SKIP":
             continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        col = m.start() - line_start + 1
-        value = None
         if kind == "SCALAR":
-            value = values.get(word)
-            if value is None:
+            word = m[0]
+            if word not in values:
                 try:
-                    value = values[word] = scalar_from_match(m)
-                except ScalarLiteralError as exc:  # raised when the parser takes the token
-                    at = exc.offset
-                    value = SpecSyntaxError(str(exc), text.count("\n", 0, at) + 1,
-                                            at - text.rfind("\n", 0, at))
+                    values[word] = scalar_from_match(m)
+                except ScalarLiteralError as exc:
+                    values[word] = ScalarLiteralError(str(exc), exc.offset - m.start())
         # \w admits numerals such as "²"; a name starts with a letter or "_".
-        elif kind == "BAD" or kind == "NAME" and not (word[0].isalpha() or word[0] == "_"):
-            raise SpecSyntaxError(f"unexpected character {word[0]!r}", line, col,
-                                  found=word[0])
-        tokens.append(_Token(kind, word, line, col, value))
-        if "\n" in word:  # the parts of a scalar may stand on several lines
-            line += word.count("\n")
-            line_start = m.start() + word.rindex("\n") + 1
-    return tokens
+        elif kind == "BAD" or kind == "NAME" and not (m[0][0].isalpha() or m[0][0] == "_"):
+            raise SpecSyntaxError(f"unexpected character {m[0][0]!r}",
+                                  *_position(text, m.start()), found=m[0][0])
+        tokens.append(m)
+    return tokens, values
 
 
 # ---------------------------------------------------------------------------
@@ -219,112 +223,116 @@ def _scan(text: str) -> list:
 
 class _Parser:
     """Parses the items in order, resolving each into its declaration and
-    registering it in :attr:`doc` before the next item starts."""
+    registering it in :attr:`doc` before the next item starts.
+
+    Only a PUNCT token reads as punctuation and only a NAME as a word, so a
+    token's text alone tells whether it is a given mark or keyword.
+    """
 
     def __init__(self, text: str):
-        self.tokens = _scan(text)
+        self.text = text
+        self.tokens, self.values = _scan(text)
         self.pos = 0
         self.doc = SpecDocument()
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> _Token:
+    def error(self, cls, message: str, offset: int, **fields) -> SpecfileError:
+        """A diagnostic of class ``cls`` at ``offset`` in the text."""
+        return cls(message, *_position(self.text, offset), **fields)
+
+    def peek(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> re.Match:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok.lastgroup != "EOF":
             self.pos += 1
         return tok
 
-    def fail(self, expected, tok: Optional[_Token] = None):
+    def fail(self, expected, tok: Optional[re.Match] = None):
         tok = tok or self.peek()
-        shown = tok.text or "end of input"
-        exp = ", ".join(expected)
-        raise SpecSyntaxError(
-            f"expected {exp}, found {shown!r}", tok.line, tok.col,
-            found=shown, expected=expected,
-        )
+        shown = tok[0] or "end of input"
+        raise self.error(SpecSyntaxError, f"expected {', '.join(expected)}, found {shown!r}",
+                         tok.start(), found=shown, expected=expected)
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
+    def expect(self, text: str) -> re.Match:
+        """Take the punctuation mark or keyword ``text``."""
+        if self.tokens[self.pos][0] == text:
             return self.advance()
         self.fail([repr(text)])
 
-    def expect_name(self, what: str = "a name") -> _Token:
-        tok = self.peek()
-        if tok.kind == "NAME":
+    def expect_name(self, what: str = "a name") -> re.Match:
+        if self.tokens[self.pos].lastgroup == "NAME":
             return self.advance()
         self.fail([what])
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text == word:
-            return self.advance()
-        self.fail([repr(word)])
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][0] == text
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "PUNCT" and tok.text == text
-
-    def at_name(self, text: Optional[str] = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "NAME" and (text is None or tok.text == text)
+    def at_name(self) -> bool:
+        return self.tokens[self.pos].lastgroup == "NAME"
 
     # -- names ----------------------------------------------------------------
 
     def _new_name(self, what: str) -> str:
         """The name an item declares; no earlier item may hold it."""
         tok = self.expect_name(what)
-        if any(tok.text in getattr(self.doc, table) for table in SpecDocument.__slots__):
-            raise DuplicateName(f"name {tok.text!r} already declared", tok.line, tok.col)
-        return tok.text
+        if any(tok[0] in getattr(self.doc, table) for table in SpecDocument.__slots__):
+            raise self.error(DuplicateName, f"name {tok[0]!r} already declared", tok.start())
+        return tok[0]
 
     def _algebra_ref(self) -> tuple:
         """An algebra declared earlier: its name and ``{label: index}``."""
         tok = self.expect_name("an algebra name")
-        labels = self.doc.labels(tok.text)
+        labels = self.doc.labels(tok[0])
         if labels is None:
-            raise UnresolvedReference(f"unknown algebra {tok.text!r}", tok.line, tok.col)
-        return tok.text, {lab: i for i, lab in enumerate(labels)}
+            raise self.error(UnresolvedReference, f"unknown algebra {tok[0]!r}", tok.start())
+        return tok[0], {lab: i for i, lab in enumerate(labels)}
 
     def _subspace_ref(self, table: dict, kind: str, algebra: str) -> str:
         """A subalgebra or complement declared earlier on ``algebra``."""
         tok = self.expect_name(f"a {kind} name")
-        decl = table.get(tok.text)
+        decl = table.get(tok[0])
         if decl is None:
-            raise UnresolvedReference(f"unknown {kind} {tok.text!r}", tok.line, tok.col)
+            raise self.error(UnresolvedReference, f"unknown {kind} {tok[0]!r}", tok.start())
         if decl.algebra != algebra:
-            raise UnresolvedReference(
-                f"{kind} {tok.text!r} is declared on {decl.algebra!r}, not {algebra!r}",
-                tok.line, tok.col,
+            raise self.error(
+                UnresolvedReference,
+                f"{kind} {tok[0]!r} is declared on {decl.algebra!r}, not {algebra!r}",
+                tok.start(),
             )
-        return tok.text
+        return tok[0]
 
-    def _label(self, index: dict) -> _Token:
+    def _label(self, index: dict) -> re.Match:
         """A basis label of the algebra whose labels ``index`` maps."""
         tok = self.expect_name("a basis label")
-        if tok.text not in index:
-            raise UnresolvedReference(f"unknown basis label {tok.text!r}", tok.line, tok.col)
+        if tok[0] not in index:
+            raise self.error(UnresolvedReference, f"unknown basis label {tok[0]!r}", tok.start())
         return tok
 
     # -- scalars ------------------------------------------------------------
 
+    def _value(self, tok: re.Match):
+        """The value of a SCALAR token; raises at an invalid literal."""
+        value = self.values[tok[0]]
+        if value.__class__ is ScalarLiteralError:
+            raise self.error(SpecSyntaxError, str(value), tok.start() + value.offset)
+        return value
+
     def _try_scalar(self):
         """Take a scalar if one starts here; returns None otherwise."""
         tok = self.tokens[self.pos]
-        if tok.kind == "SCALAR":
-            value = tok.value
-            if value.__class__ is SpecSyntaxError:  # a literal without a value
-                raise value
-        elif tok.kind == "NAME" and tok.text == "i":
+        word = tok[0]
+        if tok.lastgroup == "SCALAR":
+            value = self._value(tok)
+        elif word == "i":
             value = I
         else:
             return None
         self.pos += 1
         # In "3//2" the first "/" starts a denominator that is not there.
-        if self.tokens[self.pos].text == "/" and tok.text[-1] != "i" and "/" not in tok.text:
+        if self.tokens[self.pos][0] == "/" and word[-1] != "i" and "/" not in word:
             self.advance()
             self.fail(["a denominator"])
         return value
@@ -340,66 +348,66 @@ class _Parser:
     def _lincomb(self, index: dict) -> tuple:
         """A vector over the labels that ``index`` maps to their positions,
         as a tuple of Fractions; each term is resolved as it is read."""
-        head = self.peek()
+        head = self.peek().start()
         coords = [_ZERO] * len(index)
         terms = 0
         bare = False
         while True:
             sign = 1
-            if self.at_punct("+"):
+            if self.at("+"):
                 self.advance()
-            elif self.at_punct("-"):
+            elif self.at("-"):
                 sign = -1
                 self.advance()
             elif terms:
                 # A signed scalar is a term of its own: "x -2*y".
                 tok = self.peek()
-                if tok.kind != "SCALAR" or tok.text[0] not in "+-":
+                if tok.lastgroup != "SCALAR" or tok[0][0] not in "+-":
                     break
             terms += 1
-            if self.at_name() and not self.at_name("i"):
-                coords[index[self._label(index).text]] += sign
+            if self.at_name() and not self.at("i"):
+                coords[index[self._label(index)[0]]] += sign
                 continue
             coeff = self._try_scalar()
             if coeff is None:
                 self.fail(["a scalar or a basis label"])
-            if not self.at_punct("*"):
+            if not self.at("*"):
                 if coeff != 0:
-                    raise SpecSyntaxError("a bare scalar in a vector position must be 0",
-                                          head.line, head.col)
+                    raise self.error(SpecSyntaxError,
+                                     "a bare scalar in a vector position must be 0", head)
                 bare = True
                 continue
             self.advance()
             label = self._label(index)
             if isinstance(coeff, GaussianRational):
                 if not coeff.is_real:
-                    raise SpecSyntaxError("coefficients in vectors must be rational",
-                                          label.line, label.col)
+                    raise self.error(SpecSyntaxError, "coefficients in vectors must be rational",
+                                     label.start())
                 coeff = coeff.re
-            coords[index[label.text]] += sign * coeff
+            coords[index[label[0]]] += sign * coeff
         if bare and terms > 1:
-            raise SpecSyntaxError("a bare scalar cannot be mixed with basis terms",
-                                  head.line, head.col)
+            raise self.error(SpecSyntaxError, "a bare scalar cannot be mixed with basis terms",
+                             head)
         return tuple(coords)
 
     def _matrix(self) -> ExactMatrix:
-        head = self.expect_punct("[")
+        head = self.expect("[")
         entries, widths = [], []
         while True:
-            self.expect_punct("[")
+            self.expect("[")
             start = len(entries)
             entries.append(self._scalar())
-            while self.tokens[self.pos].text == ",":  # only a PUNCT reads ","
+            while self.tokens[self.pos][0] == ",":
                 self.pos += 1
                 entries.append(self._scalar())
-            self.expect_punct("]")
+            self.expect("]")
             widths.append(len(entries) - start)
-            if not self.at_punct(","):
+            if not self.at(","):
                 break
             self.pos += 1
-        self.expect_punct("]")
+        self.expect("]")
         if widths.count(widths[0]) != len(widths):
-            raise SpecSyntaxError("ragged matrix rows", head.line, head.col)
+            raise self.error(SpecSyntaxError, "ragged matrix rows", head.start())
         # The entries are exact scalars already.
         return ExactMatrix._of(len(widths), widths[0], tuple(entries))
 
@@ -414,60 +422,58 @@ class _Parser:
             "operator": self._item_operator,
             "pair": self._item_pair,
         }
-        while not self.peek().kind == "EOF":
-            tok = self.peek()
-            handler = handlers.get(tok.text) if tok.kind == "NAME" else None
+        while self.peek().lastgroup != "EOF":
+            handler = handlers.get(self.peek()[0])
             if handler is None:
-                self.fail(["algebra", "matrix_algebra", "subalgebra",
-                           "complement", "operator", "pair"])
+                self.fail(list(handlers))
             handler()
         return self.doc
 
     def _item_algebra(self):
-        self.expect_keyword("algebra")
+        self.expect("algebra")
         name = self._new_name("an algebra name")
-        self.expect_punct("{")
-        self.expect_keyword("basis")
+        self.expect("{")
+        self.expect("basis")
         index = {}
         while self.at_name():
             tok = self.advance()
-            if tok.text in index:
-                raise DuplicateName(f"duplicate basis label {tok.text!r}", tok.line, tok.col)
-            if tok.text == "i":
-                raise SpecSyntaxError("basis label 'i' is reserved for the imaginary unit",
-                                      tok.line, tok.col)
-            index[tok.text] = len(index)
+            if tok[0] in index:
+                raise self.error(DuplicateName, f"duplicate basis label {tok[0]!r}", tok.start())
+            if tok[0] == "i":
+                raise self.error(SpecSyntaxError,
+                                 "basis label 'i' is reserved for the imaginary unit", tok.start())
+            index[tok[0]] = len(index)
         if not index:
             self.fail(["at least one basis label"])
-        self.expect_punct(";")
+        self.expect(";")
         given = {}
-        while self.at_name("bracket"):
+        while self.at("bracket"):
             self.advance()
-            self.expect_punct("[")
+            self.expect("[")
             a = self._label(index)
-            self.expect_punct(",")
-            b = self._label(index)
-            self.expect_punct("]")
-            self.expect_punct("=")
+            self.expect(",")
+            b = self._label(index)[0]
+            self.expect("]")
+            self.expect("=")
             coords = self._lincomb(index)
-            ia, ib = index[a.text], index[b.text]
+            ia, ib = index[a[0]], index[b]
             if ia == ib:
                 if any(coords):
-                    raise InconsistentBracket(f"[{a.text},{a.text}] must be 0", a.line, a.col)
+                    raise self.error(InconsistentBracket, f"[{a[0]},{b}] must be 0", a.start())
             elif (ia, ib) in given and given[(ia, ib)] != coords:
-                raise InconsistentBracket(
-                    f"bracket [{a.text},{b.text}] declared twice with different values",
-                    a.line, a.col,
+                raise self.error(
+                    InconsistentBracket,
+                    f"bracket [{a[0]},{b}] declared twice with different values", a.start(),
                 )
             elif (ib, ia) in given and given[(ib, ia)] != tuple(-x for x in coords):
-                raise InconsistentBracket(
-                    f"brackets [{a.text},{b.text}] and [{b.text},{a.text}] are not negatives",
-                    a.line, a.col,
+                raise self.error(
+                    InconsistentBracket,
+                    f"brackets [{a[0]},{b}] and [{b},{a[0]}] are not negatives", a.start(),
                 )
             else:
                 given[(ia, ib)] = coords
-            self.expect_punct(";")
-        self.expect_punct("}")
+            self.expect(";")
+        self.expect("}")
         canonical = {}
         for (ia, ib), coords in given.items():
             if ia < ib:
@@ -480,145 +486,140 @@ class _Parser:
         self.doc.algebras[name] = AlgebraDecl(name, tuple(index), brackets)
 
     def _item_matrix_algebra(self):
-        self.expect_keyword("matrix_algebra")
+        self.expect("matrix_algebra")
         name = self._new_name("an algebra name")
-        self.expect_keyword("dim")
-        self.expect_punct("=")
+        self.expect("dim")
+        self.expect("=")
         size_tok = self.peek()
-        if size_tok.kind != "SCALAR" or not size_tok.text.isdigit():
+        if size_tok.lastgroup != "SCALAR" or not size_tok[0].isdigit():
             self.fail(["the matrix size"])
         self.advance()
-        if isinstance(size_tok.value, SpecSyntaxError):  # too many digits
-            raise size_tok.value
-        size = size_tok.value.numerator
+        size = self._value(size_tok).numerator
         if size < 1:
-            raise SpecSyntaxError("matrix size must be positive",
-                                  size_tok.line, size_tok.col)
-        self.expect_punct("{")
+            raise self.error(SpecSyntaxError, "matrix size must be positive", size_tok.start())
+        self.expect("{")
         gens = {}
-        while self.at_name("gen"):
+        while self.at("gen"):
             self.advance()
             gname = self.expect_name("a generator name")
-            if gname.text in gens:
-                raise DuplicateName(f"duplicate generator {gname.text!r}",
-                                    gname.line, gname.col)
-            if gname.text == "i":
-                raise SpecSyntaxError("generator name 'i' is reserved for the imaginary unit",
-                                      gname.line, gname.col)
-            self.expect_punct("=")
+            gen = gname[0]
+            if gen in gens:
+                raise self.error(DuplicateName, f"duplicate generator {gen!r}", gname.start())
+            if gen == "i":
+                raise self.error(SpecSyntaxError,
+                                 "generator name 'i' is reserved for the imaginary unit",
+                                 gname.start())
+            self.expect("=")
             mat = self._matrix()
-            self.expect_punct(";")
+            self.expect(";")
             if mat.rows != size or mat.cols != size:
-                raise SpecSyntaxError(
-                    f"generator {gname.text!r} must be {size}x{size}",
-                    gname.line, gname.col,
-                )
-            gens[gname.text] = mat
+                raise self.error(SpecSyntaxError, f"generator {gen!r} must be {size}x{size}",
+                                 gname.start())
+            gens[gen] = mat
         if not gens:
             self.fail(["at least one generator"])
-        self.expect_punct("}")
+        self.expect("}")
         self.doc.matrix_algebras[name] = MatrixAlgebraDecl(
             name, size, tuple(gens), tuple(gens.values())
         )
 
     def _item_subspace(self):
-        kind = self.advance().text  # subalgebra | complement
+        kind = self.advance()[0]  # subalgebra | complement
         name = self._new_name("a name")
-        self.expect_keyword("of")
+        self.expect("of")
         algebra, index = self._algebra_ref()
-        self.expect_punct("=")
-        self.expect_keyword("span")
-        self.expect_punct("(")
+        self.expect("=")
+        self.expect("span")
+        self.expect("(")
         vectors = [self._lincomb(index)]
-        while self.at_punct(","):
+        while self.at(","):
             self.advance()
             vectors.append(self._lincomb(index))
-        self.expect_punct(")")
-        self.expect_punct(";")
+        self.expect(")")
+        self.expect(";")
         table = self.doc.subalgebras if kind == "subalgebra" else self.doc.complements
         table[name] = SubspaceDecl(kind, name, algebra, tuple(vectors))
 
     def _item_operator(self):
-        self.expect_keyword("operator")
+        self.expect("operator")
         name = self._new_name("an operator name")
-        self.expect_keyword("on")
+        self.expect("on")
         algebra, index = self._algebra_ref()
-        if self.at_punct("{"):
+        if self.at("{"):
             self.advance()
             rules = {}
             while self.at_name():
                 label = self._label(index)
-                if label.text in rules:
-                    raise DuplicateName(f"rule for {label.text!r} given twice",
-                                        label.line, label.col)
-                self.expect_punct("->")
-                rules[label.text] = self._lincomb(index)
-                self.expect_punct(";")
+                if label[0] in rules:
+                    raise self.error(DuplicateName, f"rule for {label[0]!r} given twice",
+                                     label.start())
+                self.expect("->")
+                rules[label[0]] = self._lincomb(index)
+                self.expect(";")
             if not rules:
                 self.fail(["at least one rule"])
-            self.expect_punct("}")
+            self.expect("}")
             form = "rules"
             data = tuple(sorted(rules.items(), key=lambda kv: index[kv[0]]))
         else:
-            self.expect_punct("=")
-            form_tok = self.expect_name("ad, left, right or sandwich")
-            form = form_tok.text
-            if form not in ("ad", "left", "right", "sandwich"):
-                self.fail(["'ad'", "'left'", "'right'", "'sandwich'"], form_tok)
-            self.expect_punct("(")
-            if form == "ad":
-                data = (self._lincomb(index),)
-            elif form in ("left", "right"):
-                data = (self._matrix(),)
-            else:
-                a = self._matrix()
-                self.expect_punct(",")
-                data = (a, self._matrix())
-            self.expect_punct(")")
-        if self.at_punct(";"):
+            self.expect("=")
+            *first, last = _CALL_FORMS
+            form_tok = self.expect_name(f"{', '.join(first)} or {last}")
+            form = form_tok[0]
+            if form not in _CALL_FORMS:
+                self.fail([repr(f) for f in _CALL_FORMS], form_tok)
+            self.expect("(")
+            data = []
+            for kind in _CALL_FORMS[form][0]:
+                if data:
+                    self.expect(",")
+                data.append(self._lincomb(index) if kind == "lincomb" else self._matrix())
+            data = tuple(data)
+            self.expect(")")
+        if self.at(";"):
             self.advance()
         self.doc.operators[name] = OperatorDecl(name, algebra, form, data)
 
     def _item_pair(self):
-        self.expect_keyword("pair")
-        name_tok = self.peek()
+        self.expect("pair")
+        name_at = self.peek().start()
         name = self._new_name("a pair name")
-        self.expect_punct("=")
-        self.expect_punct("(")
+        self.expect("=")
+        self.expect("(")
         algebra, index = self._algebra_ref()
-        self.expect_punct(",")
+        self.expect(",")
         subalgebra = self._subspace_ref(self.doc.subalgebras, "subalgebra", algebra)
         complement = None
         connected = True
         reps = []
         n = len(index)
-        while self.at_punct(","):
+        while self.at(","):
             self.advance()
             key = self.expect_name("complement, connected or reps")
-            if key.text == "complement":
+            if key[0] == "complement":
                 complement = self._subspace_ref(self.doc.complements, "complement", algebra)
-            elif key.text == "connected":
-                self.expect_punct("=")
+            elif key[0] == "connected":
+                self.expect("=")
                 val = self.expect_name("true or false")
-                if val.text not in ("true", "false"):
+                if val[0] not in ("true", "false"):
                     self.fail(["'true'", "'false'"], val)
-                connected = val.text == "true"
-            elif key.text == "reps":
-                self.expect_punct("(")
+                connected = val[0] == "true"
+            elif key[0] == "reps":
+                self.expect("(")
                 while True:
                     rep = self._matrix()
                     if rep.rows != n or rep.cols != n:
-                        raise SpecSyntaxError(f"component rep must be {n}x{n}",
-                                              name_tok.line, name_tok.col)
+                        raise self.error(SpecSyntaxError, f"component rep must be {n}x{n}",
+                                         name_at)
                     reps.append(rep)
-                    if not self.at_punct(","):
+                    if not self.at(","):
                         break
                     self.advance()
-                self.expect_punct(")")
+                self.expect(")")
             else:
                 self.fail(["'complement'", "'connected'", "'reps'"], key)
-        self.expect_punct(")")
-        self.expect_punct(";")
+        self.expect(")")
+        self.expect(";")
         self.doc.pairs[name] = PairDecl(name, algebra, subalgebra, complement,
                                         connected, tuple(reps))
 
@@ -694,19 +695,10 @@ def serialize(doc: SpecDocument) -> str:
                 f"{lab} -> {_lincomb_text(coords, labels)};" for lab, coords in o.data
             )
             lines.append(f"operator {o.name} on {o.algebra} {{ {body} }}")
-        elif o.form == "ad":
-            lines.append(
-                f"operator {o.name} on {o.algebra} = ad({_lincomb_text(o.data[0], labels)});"
-            )
-        elif o.form in ("left", "right"):
-            lines.append(
-                f"operator {o.name} on {o.algebra} = {o.form}({_matrix_text(o.data[0])});"
-            )
         else:
-            lines.append(
-                f"operator {o.name} on {o.algebra} = sandwich("
-                f"{_matrix_text(o.data[0])}, {_matrix_text(o.data[1])});"
-            )
+            args = ", ".join(_lincomb_text(x, labels) if kind == "lincomb" else _matrix_text(x)
+                             for kind, x in zip(_CALL_FORMS[o.form][0], o.data))
+            lines.append(f"operator {o.name} on {o.algebra} = {o.form}({args});")
     for name in sorted(doc.pairs):
         p = doc.pairs[name]
         parts = [p.algebra, p.subalgebra]
@@ -756,14 +748,9 @@ def build(doc: SpecDocument) -> BuiltDocument:
         alg = algebras[decl.algebra]
         if decl.form == "rules":
             operators[name] = _operators.operator_from_rules(alg, dict(decl.data))
-        elif decl.form == "ad":
-            operators[name] = _operators.operator_ad(alg, decl.data[0])
-        elif decl.form == "left":
-            operators[name] = _operators.operator_left_mult(alg, decl.data[0])
-        elif decl.form == "right":
-            operators[name] = _operators.operator_right_mult(alg, decl.data[0])
         else:
-            operators[name] = _operators.operator_sandwich(alg, decl.data[0], decl.data[1])
+            constructor = getattr(_operators, _CALL_FORMS[decl.form][1])
+            operators[name] = constructor(alg, *decl.data)
     pairs = {}
     for name, decl in doc.pairs.items():
         pairs[name] = _operators.HomogeneousPair(
