@@ -34,6 +34,7 @@ from .errors import (
 )
 from .exact import (
     AMBIENT_DIM_CAP,
+    _ONE,
     _ZERO,
     ExactMatrix,
     GaussianRational,
@@ -238,7 +239,7 @@ class LieAlgebra:
     def basis_vector(self, which) -> tuple:
         if isinstance(which, str):
             which = self.index_of(which)
-        return tuple(Fraction(int(i == which)) for i in range(self.dim))
+        return tuple(_ONE if i == which else _ZERO for i in range(self.dim))
 
     def index_of(self, label: str) -> int:
         try:
@@ -247,7 +248,7 @@ class LieAlgebra:
             raise LieCheckError(f"unknown basis label {label!r}") from None
 
     def zero_vector(self) -> tuple:
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return (_ZERO,) * self.dim
 
     def format_element(self, v: Sequence) -> str:
         """Human-readable form of a coordinate vector, e.g. ``e1 - 2*e2``."""

@@ -189,10 +189,10 @@ def split_diagnostics(pair: HomogeneousPair, op: LinearOperator) -> SplitDiagnos
     failure = _split_kernel_failure(pair, op)
     if failure is not None:
         raise NotSplitACAdmissible(failure[0])
-    zero = pair.alg.zero_vector()
-    for x in pair.m.vectors():
-        if tuple(a + b for a, b in zip(op.apply(op.apply(x)), x)) != zero:
-            raise NotSplitACAdmissible("square_is_minus_one_on_m")
+    # J kills k and keeps m, and k + m = g with k n m = 0: so J^2 = -1 on m
+    # exactly when J^2 = -1 modulo k.
+    if not _squares_to_minus_one(pair, op):
+        raise NotSplitACAdmissible("square_is_minus_one_on_m")
     z_plus, z_minus = compute_z_spaces(pair, op)
     return _split_identities(pair, op, z_plus, z_minus)
 

@@ -62,8 +62,9 @@ Rational = Fraction
 AMBIENT_DIM_CAP = 64
 
 
-#: The shared zero that untouched entries of sparse results refer to.
-_ZERO = Fraction(0)
+#: The shared zero that untouched entries of sparse results refer to, and
+#: the shared one.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -579,7 +580,7 @@ class Subspace:
     when their ``(ambient_dim, basis)`` data are equal.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_annihilator")
+    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_eqs", "_annihilator")
 
     def __init__(self, ambient_dim: int, basis: ExactMatrix, pivot_cols: tuple):
         if ambient_dim > AMBIENT_DIM_CAP:
@@ -589,7 +590,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivot_cols = pivot_cols
-        self._annihilator = None
+        self._eqs = self._annihilator = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -617,23 +618,19 @@ class Subspace:
     def coordinates_of(self, v: Sequence) -> Optional[tuple]:
         """Coordinates of ``v`` in the echelon basis, or None if outside.
 
-        The coordinates are the entries of ``v`` at the pivot columns.
+        ``v`` lies in the subspace exactly when it satisfies every row of
+        :meth:`_equations`, and then its coordinates are its entries at the
+        pivot columns.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
             )
-        residual = [_coerce_scalar(x) for x in v]
-        coords = []
-        for p, terms in zip(self.pivot_cols, self.basis.nonzero_rows):
-            c = residual[p]
-            coords.append(c)
-            if c:
-                for j, b in terms:
-                    residual[j] = residual[j] - c * b
-        if any(residual):
-            return None
-        return tuple(coords)
+        v = [_coerce_scalar(x) for x in v]
+        for terms in self._equations():
+            if sum(x * v[j] for j, x in terms if v[j]):
+                return None
+        return tuple(v[p] for p in self.pivot_cols)
 
     def __contains__(self, v) -> bool:
         return self.coordinates_of(v) is not None
@@ -644,10 +641,14 @@ class Subspace:
         vector lies in the span of the echelon basis exactly when its
         entries at the non-pivot columns are those of the combination of
         basis rows given by its pivot entries, that is, when its product
-        with every such row vanishes."""
-        pivots = self.pivot_cols
-        return [[(f, Fraction(1))] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
+        with every such row vanishes.  Computed once."""
+        eqs = self._eqs
+        if eqs is None:
+            pivots = self.pivot_cols
+            eqs = self._eqs = [
+                [(f, _ONE)] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
                 for f in sorted(set(range(self.ambient_dim)) - set(pivots))]
+        return eqs
 
     @property
     def annihilator(self) -> ExactMatrix:

@@ -582,7 +582,6 @@ class _Parser:
 
     def _item_pair(self):
         self.expect("pair")
-        name_at = self.peek().start()
         name = self._new_name("a pair name")
         self.expect("=")
         self.expect("(")
@@ -607,10 +606,11 @@ class _Parser:
             elif key[0] == "reps":
                 self.expect("(")
                 while True:
+                    rep_at = self.peek().start()
                     rep = self._matrix()
                     if rep.rows != n or rep.cols != n:
-                        raise self.error(SpecSyntaxError, f"component rep must be {n}x{n}",
-                                         name_at)
+                        raise self.error(SpecSyntaxError,
+                                         f"component rep #{len(reps)} must be {n}x{n}", rep_at)
                     reps.append(rep)
                     if not self.at(","):
                         break

@@ -6,8 +6,11 @@ exactly when every value of beta lies in the subalgebra.  By bilinearity the
 basis pairs suffice, and when a complement of k is declared the complement
 pairs suffice by themselves.  Admissibility is a hard precondition, not a
 warning; the verdict is meaningless for operators that do not descend.
+For an inner operator ``ad(d)``, a derivation by the Jacobi identity, beta
+is ``-[[d, v], [d, w]]``, so :func:`check_nijenhuis_ad` is the all-pairs
+verdict of ``ad(d)`` with its witness value negated.
 
-The pair loops run in the integer views of :mod:`liecheck.exact` and
+The pair loop runs in the integer views of :mod:`liecheck.exact` and
 :class:`~liecheck.algebra.LieAlgebra`: the operator's columns and the
 structure constants each times one positive integer, the pair's vectors
 scaled to integers, and membership in k as ``Q beta = 0`` for the integer
@@ -23,16 +26,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import bracket_into
-from .errors import DimensionMismatch, LieCheckError, MissingComplement, NotAdmissible
+from .errors import LieCheckError, MissingComplement
 from .exact import annihilated, apply_columns, integer_vector
-from .operators import (
-    HomogeneousPair,
-    LinearOperator,
-    _failing_clause,
-    _require_admissible,
-    check_admissible,
-    operator_ad,
-)
+from .operators import HomogeneousPair, LinearOperator, _require_admissible, operator_ad
 from .values import FrozenValue
 
 
@@ -105,28 +101,18 @@ def check_nijenhuis(
 
 
 def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
-    """Specialized verdict for inner operators: [[d, v], [d, w]] in k.
+    """The all-pairs verdict for the inner operator ``ad(d)``, read as
+    ``[[d, v], [d, w]] in k``.
 
-    Requires ``ad(d)`` to be admissible, by all the clauses of
-    :func:`check_admissible` (raises :class:`NotAdmissible` with its report
-    otherwise).  The verdict agrees with
-    ``check_nijenhuis(pair, operator_ad(d))``.
+    ``ad(d)`` is a derivation, so ``beta(v, w) = -[[d, v], [d, w]]``: the
+    report is that of ``check_nijenhuis(pair, operator_ad(d), pairs="all")``
+    with mode ``ad_d-specialized`` and the witness value negated.  ``d``
+    follows the input rule of :func:`operator_ad`, and a non-admissible
+    ``ad(d)`` raises :class:`NotAdmissible` with its report.
     """
-    alg = pair.alg
-    if len(d) != alg.dim:
-        raise DimensionMismatch("ad argument must have the algebra dimension")
-    constants = alg.integer_constants
-    dv = integer_vector(d)
-    images = [bracket_into(constants, dv, {j: 1}, {}) for j in range(alg.dim)]  # [d, b_j]
-    if _failing_clause(pair, [tuple(image.items()) for image in images]) is not None:
-        raise NotAdmissible(check_admissible(pair, operator_ad(alg, d)))
-    k = pair.k.space.annihilator.integer_columns
-    checked = 0
-    for a in range(alg.dim):
-        for b in range(a + 1, alg.dim):
-            checked += 1
-            if not annihilated(k, bracket_into(constants, images[a], images[b], {})):
-                ea, eb = alg.basis_vector(a), alg.basis_vector(b)
-                val = alg.bracket(alg.bracket(d, ea), alg.bracket(d, eb))
-                return TorsionReport(False, checked, "ad_d-specialized", (ea, eb, val))
-    return TorsionReport(True, checked, "ad_d-specialized")
+    report = check_nijenhuis(pair, operator_ad(pair.alg, d), pairs="all")
+    witness = report.witness
+    if witness is not None:
+        v, w, beta = witness
+        witness = (v, w, tuple(-x for x in beta))
+    return TorsionReport(report.verdict, report.checked_pairs, "ad_d-specialized", witness)

@@ -1,5 +1,6 @@
 """Almost complex admissibility, the Z subspaces, and integrability."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,8 @@ from conftest import (
     matrix_sum,
     over_gaussian,
     property_test,
+    rand_fraction,
+    scaled_matrix,
     scaled_operator,
     sphere_family,
     st,
@@ -314,7 +317,13 @@ def reference_z_spaces(pair, op):
 
 
 def reference_split_diagnostics(pair, op):
-    """The split identities with both eigenspaces of J on m_C computed."""
+    """The split identities with both eigenspaces of J on m_C computed, for
+    a J that kills k and keeps m.  J^2 = -1 is first scanned on the basis of
+    m in Fraction arithmetic; NotSplitACAdmissible is raised if it fails."""
+    zero = pair.alg.zero_vector()
+    for x in pair.m.vectors():
+        if tuple(a + b for a, b in zip(op.apply(op.apply(x)), x)) != zero:
+            raise NotSplitACAdmissible("square_is_minus_one_on_m")
     n, dm = pair.alg.dim, pair.m.dim
     z_plus, z_minus = reference_z_spaces(pair, op)
     kc = over_gaussian(pair.k.space)
@@ -374,6 +383,36 @@ def test_split_diagnostics_match_two_kernel_reference(name, pair, op):
     pair, op = built.pairs[pair], built.operators[op]
     assert split_diagnostics(pair, op) == reference_split_diagnostics(pair, op)
     assert compute_z_spaces(pair, op) == reference_z_spaces(pair, op)
+    clauses = []
+    for drawn in draw_split_kernel_operators(random.Random(name), pair, op, 12):
+        outcome = _split_outcome(split_diagnostics, pair, drawn)
+        assert outcome == _split_outcome(reference_split_diagnostics, pair, drawn)
+        clauses.append(outcome)
+    assert "square_is_minus_one_on_m" in clauses
+
+
+def _split_outcome(diagnose, pair, op):
+    """The split diagnostics, or the clause of the NotSplitACAdmissible raised."""
+    try:
+        return diagnose(pair, op)
+    except NotSplitACAdmissible as err:
+        return err.clause
+
+
+def draw_split_kernel_operators(rng, pair, op, count):
+    """Operators that kill k and keep m, drawn around a J with J^2 = -1 on m:
+    ``c J + P X P`` for c in {0, 1, -1, 2} and, half of the time, a random
+    sparse X, where ``P = -J^2`` is the projection onto m along k.  Only
+    ``c = +-1`` without X is sure to square to -1 on m."""
+    n = pair.alg.dim
+    proj = scaled_matrix(op.matrix @ op.matrix, -1)
+    for _ in range(count):
+        matrix = scaled_matrix(op.matrix, rng.choice((0, 1, -1, 2)))
+        if rng.random() < 0.5:
+            x = ExactMatrix(n, n, [rand_fraction(rng, 3) if rng.random() < 0.3 else Fraction(0)
+                                   for _ in range(n * n)])
+            matrix = matrix_sum(matrix, proj @ x @ proj)
+        yield LinearOperator(pair.alg, matrix)
 
 
 def reference_squares_to_minus_one(pair, op):

@@ -176,6 +176,9 @@ PINNED_DIAGNOSTICS = [
      "3:29: expected 'true', 'false', found 'maybe'"),
     (_S + "pair p = (a, s, colour = red);", SpecSyntaxError,
      "3:17: expected 'complement', 'connected', 'reps', found 'colour'"),
+    # A component rep of the wrong size is diagnosed at its matrix, by index.
+    (_S + "pair p = (a, s, connected = false,\n  reps([[1,0],[0,1]], [[1]]));",
+     SpecSyntaxError, "4:23: component rep #1 must be 2x2"),
     # Digits are ASCII: other digits are neither integers nor names.
     (_M + "[[\u00b2]]; }", SpecSyntaxError, "1:38: unexpected character '\u00b2'"),
     (_M + "[[1\u00b2]]; }", SpecSyntaxError, "1:39: unexpected character '\u00b2'"),

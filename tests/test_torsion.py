@@ -7,6 +7,7 @@ import pytest
 
 from liecheck import (
     ExactMatrix,
+    GaussianRational,
     HomogeneousPair,
     check_admissible,
     check_nijenhuis,
@@ -18,7 +19,7 @@ from liecheck import (
     operator_sandwich,
     torsion_form,
 )
-from liecheck.errors import MissingComplement, NotAdmissible
+from liecheck.errors import LieCheckError, MissingComplement, NotAdmissible
 
 from conftest import (
     LOOP_CASES,
@@ -169,6 +170,15 @@ def test_ad_specialized_negative_case(sl2):
 def test_ad_specialized_rejects_inadmissible(so3, so3_pair):
     with pytest.raises(NotAdmissible):
         check_nijenhuis_ad(so3_pair, so3.basis_vector("e1"))
+
+
+@pytest.mark.parametrize("k0", [GaussianRational(1, 1), GaussianRational(1)],
+                         ids=["non-real", "real-valued"])
+def test_ad_specialized_takes_the_operator_ad_input_rule(so3, so3_pair, k0):
+    # d goes through operator_ad, whose matrices are real: a Q(i) entry is a
+    # library error, also when its imaginary part is 0.
+    with pytest.raises(LieCheckError, match=r"^operator matrices are real; got a Q\(i\) entry$"):
+        check_nijenhuis_ad(so3_pair, (k0, Fraction(0), Fraction(0)))
 
 
 def test_center_is_trivially_nijenhuis(u4, u4_pair):
