@@ -154,12 +154,9 @@ def _check(args, pair, op) -> tuple:
 
 
 def _torsion(args, pair, op) -> tuple:
-    if args.mode == "ad":
-        if op.ad_generator is None:
-            raise LieCheckError("--mode ad needs an operator declared as ad(...)")
-        report = torsion.check_nijenhuis_ad(pair, op.ad_generator)
-    else:
-        report = torsion.check_nijenhuis(pair, op, pairs=args.mode or "auto")
+    if args.mode == "ad" and op.ad_generator is None:
+        raise LieCheckError("--mode ad needs an operator declared as ad(...)")
+    report = torsion.check_nijenhuis(pair, op, pairs=args.mode or "auto")
     witnesses, witness_lines = _witness(pair.alg, report.witness,
                                         ("v", "w", "torsion_value"))
     fields = {

@@ -26,17 +26,20 @@ stack with a fixed number of array operations, and every guard
 (:class:`PointOffManifold`, :class:`SectionSingular`) raises if any one point
 of the stack is bad.  The generator stack and the operator matrix are
 converted to floats once.  :func:`run_harness` and :func:`relation_checks`
-draw their samples from the random number generator in the order of a
-per-sample loop and evaluate them ``CHUNK`` at a time, so the arrays in
-flight never hold more than ``CHUNK`` samples whatever the sample count; what
-grows with the sample count is only the report's three float columns.
+draw their samples from ``random.Random(seed)`` in the order of a per-sample
+loop and evaluate them ``CHUNK`` at a time, so the arrays in flight never
+hold more than ``CHUNK`` samples whatever the sample count; what grows with
+the sample count is only the report's three float columns.  The draws are
+those of ``random()``, a stream that does not depend on numpy's version.
 numpy itself is imported by the first computation, not by importing this
-module.
+module, and only numpy's core is used: nothing loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from typing import Callable, Sequence
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
@@ -275,7 +278,26 @@ class MatrixModel:
         return lambda z: field_fn(self.retract(z))
 
 
-def _draw(model: MatrixModel, rng: np.random.Generator, count: int,
+def _rng(seed: int) -> random.Random:
+    """The sample generator of ``seed``: Python's Mersenne Twister, whose
+    ``random()`` stream Python keeps the same across versions."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise LieCheckError(f"the seed must be a non-negative integer, not {seed!r}")
+    return random.Random(int(seed))
+
+
+def _uniform(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` draws of ``rng.random()``, bitwise, as one float array.
+
+    ``random()`` builds each double from two 32-bit words, the high 27 and
+    26 bits of the first and second; ``getrandbits`` yields the same words
+    in order, least significant first.  So splitting a draw into several
+    gives the same values."""
+    w = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
+
+
+def _draw(model: MatrixModel, rng: random.Random, count: int,
           layout: tuple) -> tuple:
     """``count`` samples drawn from ``rng`` in the order of a per-sample loop.
 
@@ -294,7 +316,7 @@ def _draw(model: MatrixModel, rng: np.random.Generator, count: int,
     blocks = [(-spread, spread, model.dim) if b is None else b for b in layout]
     at = layout.index(None)
     edges = np.cumsum([0] + [width for _, _, width in blocks])
-    stream = rng.random(count * edges[-1])
+    stream = _uniform(rng, count * edges[-1])
     while True:
         rows = stream.reshape(count, edges[-1])
         draws = [low + (high - low) * rows[:, a:b]
@@ -310,7 +332,7 @@ def _draw(model: MatrixModel, rng: np.random.Generator, count: int,
             return uniform, g, p
         cut = int(np.argmax(near)) * edges[-1] + edges[at]
         stream = np.concatenate([stream[:cut], stream[cut + model.dim:],
-                                 rng.random(model.dim)])
+                                 _uniform(rng, model.dim)])
 
 
 def _chunks(total: int):
@@ -553,7 +575,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     """
     if samples < 1:
         raise LieCheckError(f"the relation checks need at least 1 sample, not {samples}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     unit = (-1.0, 1.0, model.dim)
     alpha_max = 0.0
     base_max = 0.0
@@ -666,7 +688,7 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
     torsion_report = check_nijenhuis(pair, op)
     relation = relation_checks(model, pair, op, samples=max(20, samples),
                                theta=theta, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     unit = (-1.0, 1.0, model.dim)
     columns = []
     for count in _chunks(samples):

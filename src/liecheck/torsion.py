@@ -7,8 +7,8 @@ basis pairs suffice, and when a complement of k is declared the complement
 pairs suffice by themselves.  Admissibility is a hard precondition, not a
 warning; the verdict is meaningless for operators that do not descend.
 For an inner operator ``ad(d)``, a derivation by the Jacobi identity, beta
-is ``-[[d, v], [d, w]]``, so :func:`check_nijenhuis_ad` is the all-pairs
-verdict of ``ad(d)`` with its witness value negated.
+is ``-[[d, v], [d, w]]``, so the pair mode ``ad`` is the all-pairs verdict
+of ``ad(d)`` with its witness value negated.
 
 The pair loop runs in the integer views of :mod:`liecheck.exact` and
 :class:`~liecheck.algebra.LieAlgebra`: the operator's columns and the
@@ -62,9 +62,10 @@ def _pair_vectors(pair: HomogeneousPair, pairs: str):
         if pair.m is None:
             raise MissingComplement("complement-pairs mode needs a declared complement")
         return list(pair.m.vectors()), "complement-pairs"
-    if pairs == "all":
+    if pairs in ("all", "ad"):
         alg = pair.alg
-        return [alg.basis_vector(j) for j in range(alg.dim)], "all-pairs"
+        mode = "all-pairs" if pairs == "all" else "ad_d-specialized"
+        return [alg.basis_vector(j) for j in range(alg.dim)], mode
     raise LieCheckError(f"unknown pair mode {pairs!r}")
 
 
@@ -76,7 +77,12 @@ def check_nijenhuis(
     Requires admissibility (raises :class:`NotAdmissible` otherwise).  With a
     declared complement only the complement basis pairs are iterated, which
     is sufficient because torsion values on pairs touching k always lie in k.
+    ``pairs="ad"`` reads the all-pairs verdict of an operator built by
+    :func:`operator_ad` as ``[[d, v], [d, w]] in k``: the mode is
+    ``ad_d-specialized`` and the witness value is ``[[d, v], [d, w]]``.
     """
+    if pairs == "ad" and op.ad_generator is None:
+        raise LieCheckError("pair mode 'ad' needs an operator built by operator_ad")
     _require_admissible(pair, op)
     vectors, mode = _pair_vectors(pair, pairs)
     constants = pair.alg.integer_constants
@@ -96,23 +102,18 @@ def check_nijenhuis(
             beta = bracket_into(constants, iv, iw, apply_columns(columns, inner, {}), -1)
             if not annihilated(k, beta):
                 beta = torsion_form(pair.alg, op, vectors[a], vectors[b])
+                if pairs == "ad":
+                    beta = tuple(-x for x in beta)
                 return TorsionReport(False, checked, mode, (vectors[a], vectors[b], beta))
     return TorsionReport(True, checked, mode)
 
 
 def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:
     """The all-pairs verdict for the inner operator ``ad(d)``, read as
-    ``[[d, v], [d, w]] in k``.
+    ``[[d, v], [d, w]] in k``: ``check_nijenhuis(pair, operator_ad(d),
+    pairs="ad")``.
 
-    ``ad(d)`` is a derivation, so ``beta(v, w) = -[[d, v], [d, w]]``: the
-    report is that of ``check_nijenhuis(pair, operator_ad(d), pairs="all")``
-    with mode ``ad_d-specialized`` and the witness value negated.  ``d``
-    follows the input rule of :func:`operator_ad`, and a non-admissible
-    ``ad(d)`` raises :class:`NotAdmissible` with its report.
+    ``d`` follows the input rule of :func:`operator_ad`, and a
+    non-admissible ``ad(d)`` raises :class:`NotAdmissible` with its report.
     """
-    report = check_nijenhuis(pair, operator_ad(pair.alg, d), pairs="all")
-    witness = report.witness
-    if witness is not None:
-        v, w, beta = witness
-        witness = (v, w, tuple(-x for x in beta))
-    return TorsionReport(report.verdict, report.checked_pairs, "ad_d-specialized", witness)
+    return check_nijenhuis(pair, operator_ad(pair.alg, d), pairs="ad")

@@ -123,10 +123,11 @@ def over_gaussian(space):
 
 def random_point(model, rng):
     """One ``(group element, point)`` sample of a harness model, drawn as the
-    harness draws its points."""
+    harness draws its points, from a ``random.Random`` seeded by the numpy
+    generator ``rng``."""
     from liecheck.harness import _draw
 
-    _, g, p = _draw(model, rng, 1, (None,))
+    _, g, p = _draw(model, random.Random(int(rng.integers(1 << 32))), 1, (None,))
     return g[0], p[0]
 
 

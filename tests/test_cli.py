@@ -517,6 +517,29 @@ def test_cli_does_not_import_dataclasses_or_traceback(corpus_dir):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["so3_sphere.lie"],
+    ["gl3_full.lie", "--pair", "full", "--operator", "lmul", "--samples", "200"],
+], ids=["sphere", "full-group"])
+def test_harness_does_not_import_numpy_random(corpus_dir, argv):
+    # The samples come from the standard library's generator, so a harness
+    # run loads numpy's core only: not numpy.random, nor the hashing and
+    # secrets modules that numpy.random's seeding pulls in.
+    argv = ["harness", str(corpus_dir / argv[0]), *argv[1:]]
+    run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import liecheck.cli\n"
+        f"status = liecheck.cli.main({argv!r})\n"
+        "if status != 0: sys.exit(f'harness exited {status}')\n"
+        "if 'numpy' not in sys.modules: sys.exit('the harness ran without numpy')\n"
+        "new = set(sys.modules) - before\n"
+        "loaded = sorted(m for m in new if m in ('hashlib', 'secrets')\n"
+        "                or m == 'numpy.random' or m.startswith('numpy.random.'))\n"
+        "if loaded: sys.exit(f'harness imported {loaded}')\n"
+    )
+
+
 def test_package_names_resolve_on_first_use():
     run_fresh(
         "import sys, types\n"

@@ -551,40 +551,78 @@ def test_expm_stack_matches_single():
 
 
 def _reference_draws(model, rng, count):
-    """The per-sample loop the stacked draw must reproduce: a point (retried
-    near the antipode on the sphere), then v, then w."""
-    out = []
+    """The per-sample loop the stacked draw must reproduce, one
+    ``rng.random()`` at a time: a point (retried near the antipode on the
+    sphere), then v, then w.  Returns the samples and the number of redraws
+    before each point."""
+
+    def uniform(low, high):
+        return np.array([low + (high - low) * rng.random() for _ in range(model.dim)])
+
+    out, redraws = [], []
     for _ in range(count):
+        tries = 0
         while True:
             if model.kind == "full-group":
-                g = expm(model.element(rng.uniform(-0.3, 0.3, size=model.dim)))
+                g = expm(model.element(uniform(-0.3, 0.3)))
                 p = g
                 break
-            g = expm(model.element(rng.uniform(-1.0, 1.0, size=model.dim)))
+            g = expm(model.element(uniform(-1.0, 1.0)))
             p = g @ P0
             p = p / np.linalg.norm(p)
             if np.linalg.norm(p + P0) > harness.ANTIPODE_SAMPLING_CAP:
                 break
-        out.append((p, rng.uniform(-1.0, 1.0, size=model.dim),
-                    rng.uniform(-1.0, 1.0, size=model.dim)))
-    return out
+            tries += 1
+        out.append((p, uniform(-1.0, 1.0), uniform(-1.0, 1.0)))
+        redraws.append(tries)
+    return out, redraws
 
 
 @pytest.mark.parametrize("cap", [harness.ANTIPODE_SAMPLING_CAP, 1.9])
 def test_run_harness_draws_in_per_sample_order(monkeypatch, cap, so3, so3_pair):
     # Cap 1.9 rejects every point more than about 36 degrees from the pole:
-    # with seed 43, 69 redraws among 40 samples, some of them in a row.
+    # with seed 43, 82 redraws among 40 samples, up to 11 of them in a row.
     monkeypatch.setattr(harness, "ANTIPODE_SAMPLING_CAP", cap)
     stacks = _record_stacks(monkeypatch)
     op = operator_ad(so3, so3.basis_vector("k0"))
     report = run_harness(so3_pair, op, samples=40, seed=43)
     model = build_model(so3_pair)
-    want = _reference_draws(model, np.random.default_rng(43), 40)
+    want, redraws = _reference_draws(model, random.Random(43), 40)
+    if cap == 1.9:
+        assert sum(redraws) >= 40 and max(redraws) >= 2
     points, vs, ws = (np.concatenate(column) for column in list(zip(*stacks))[:3])
     assert len(points) == len(report.deviation) == 40
     for point, sv, sw, (p, v, w) in zip(points, vs, ws, want):
         assert np.max(np.abs(point - p)) <= 1e-12
         assert np.array_equal(sv, v) and np.array_equal(sw, w)
+
+
+def test_uniform_is_the_random_stream():
+    # Bitwise the floats of rng.random(), and a draw split in two gives the
+    # values of one draw of the combined length.
+    for count in (1, 2, 3, 7, 64, 1000):
+        reference = random.Random(count)
+        want = [reference.random() for _ in range(count)]
+        rng = random.Random(count)
+        got = harness._uniform(rng, count)
+        assert got.dtype == np.float64 and got.tolist() == want
+        assert rng.getstate() == reference.getstate()
+        for cut in (0, 1, count // 2, count):
+            rng = random.Random(count)
+            parts = np.concatenate([harness._uniform(rng, cut),
+                                    harness._uniform(rng, count - cut)])
+            assert parts.tolist() == want
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "1"])
+def test_seed_must_be_a_non_negative_integer(so3, so3_pair, seed):
+    # random.Random would take -1 as 1 and hash a str; neither is a seed.
+    # An integer of another type, such as a numpy integer, is one.
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    assert run_harness(so3_pair, op, samples=1, seed=np.int64(3)) == run_harness(
+        so3_pair, op, samples=1, seed=3)
+    with pytest.raises(LieCheckError, match="^the seed must be a non-negative integer"):
+        run_harness(so3_pair, op, samples=1, seed=seed)
 
 
 def test_chunking_changes_nothing(monkeypatch, gl3, gl3_pair):

@@ -9,6 +9,7 @@ from liecheck import (
     ExactMatrix,
     GaussianRational,
     HomogeneousPair,
+    LinearOperator,
     check_admissible,
     check_nijenhuis,
     check_nijenhuis_ad,
@@ -181,6 +182,16 @@ def test_ad_specialized_takes_the_operator_ad_input_rule(so3, so3_pair, k0):
         check_nijenhuis_ad(so3_pair, (k0, Fraction(0), Fraction(0)))
 
 
+def test_ad_pair_mode_needs_an_inner_operator(so3, so3_pair):
+    # The ad reading negates the witness of beta, which is right only for a
+    # derivation; an operator with the same matrix but not built by
+    # operator_ad is refused before any pair is checked.
+    inner = operator_ad(so3, so3.basis_vector("k0"))
+    assert check_nijenhuis(so3_pair, inner, pairs="ad").verdict
+    with pytest.raises(LieCheckError, match=r"^pair mode 'ad' needs an operator built by operator_ad$"):
+        check_nijenhuis(so3_pair, LinearOperator(so3, inner.matrix), pairs="ad")
+
+
 def test_center_is_trivially_nijenhuis(u4, u4_pair):
     # i * Id spans the center: all brackets with it vanish.
     d = [Fraction(0)] * 16
@@ -252,6 +263,7 @@ def test_ad_mode_checks_component_reps(fixtures_dir):
     expected = check_admissible(pair, op)
     assert expected.failed_clause == "commutes_with_component_reps"
     for check in (lambda: check_nijenhuis_ad(pair, op.ad_generator),
+                  lambda: check_nijenhuis(pair, op, pairs="ad"),
                   lambda: check_nijenhuis(pair, op, pairs="all")):
         with pytest.raises(NotAdmissible) as err:
             check()
@@ -319,5 +331,7 @@ def test_torsion_matches_fraction_reference(loop_cases, case, mode, data):
 def test_torsion_ad_matches_fraction_reference(loop_cases, case, data):
     pair, _, seeds = loop_cases[case]
     d = draw_ad_vector(data, pair, seeds)
-    _assert_report_matches(lambda: check_nijenhuis_ad(pair, d), operator_ad(pair.alg, d),
-                           pair, reference_nijenhuis_ad(pair, d))
+    op = operator_ad(pair.alg, d)
+    for check in (lambda: check_nijenhuis_ad(pair, d),
+                  lambda: check_nijenhuis(pair, op, pairs="ad")):
+        _assert_report_matches(check, op, pair, reference_nijenhuis_ad(pair, d))
