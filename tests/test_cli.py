@@ -315,6 +315,92 @@ def test_parse_has_no_report_option(capsys, corpus_dir):
     assert "--report" in capsys.readouterr().err
 
 
+SPHERE = ["--pair", "sphere", "--operator", "I"]
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["check", "so3_sphere.lie", "--pair=sphere", "--operator=I"],
+     ["check", "so3_sphere.lie", *SPHERE]),
+    (["check", "so3_sphere.lie", "--pa", "sphere", "--op=I", "--rep", "json"],
+     ["check", "so3_sphere.lie", *SPHERE, "--report", "json"]),
+    (["check", *SPHERE, "so3_sphere.lie"], ["check", "so3_sphere.lie", *SPHERE]),
+    (["check", "gl3_full.lie", "--pair", "full", "--operator", "lmul", "--pair", "modsl3"],
+     ["check", "gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"]),
+    (["check", *SPHERE, "--", "so3_sphere.lie"], ["check", "so3_sphere.lie", *SPHERE]),
+    (["torsion", "so3_family.lie", "--operator", "rot", "--mode=all", "--report=json"],
+     ["torsion", "so3_family.lie", "--operator", "rot", "--mode", "all", "--report", "json"]),
+    (["harness", "so3_sphere.lie", "--sa", "3", "--st=1e-3", "--se", "2", "--th", "0.5",
+      "--report", "json"], ["harness", "so3_sphere.lie", "--samples", "3", "--step",
+                            "1e-3", "--seed", "2", "--theta", "0.5", "--report", "json"]),
+], ids=["equals", "prefix", "options-first", "repeated", "double-dash", "choices",
+        "numbers"])
+def test_argv_forms_accepted(capsys, corpus_dir, argv, same_as):
+    # Each spelling reads as the plain one: same exit code, same report.
+    def outcome(words):
+        words = [str(corpus_dir / w) if w.endswith(".lie") else w for w in words]
+        code, out, err = run(capsys, *words)
+        return code, without_elapsed(out) if out.startswith("{") else out, err
+
+    assert outcome(argv) == outcome(same_as)
+    assert outcome(argv)[0] in (0, 1)
+
+
+@pytest.mark.parametrize("seed", [["--seed=-1"], ["--seed", "-1"]], ids=["equals", "split"])
+def test_argv_negative_number_is_a_value(capsys, corpus_dir, seed):
+    code, out, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"), *seed)
+    assert (code, out) == (2, "")
+    assert err == "error: LieCheckError: --seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], ["command"]),
+    (["foo", "so3_sphere.lie"], ["foo"]),
+    (["check"], ["file"]),
+    (["check", "so3_sphere.lie", "--bogus"], ["--bogus"]),
+    (["check", "so3_sphere.lie", "--o", "x"], ["--o", "--operator", "--out"]),
+    (["check", "so3_sphere.lie", "--pair"], ["--pair"]),
+    (["check", "so3_sphere.lie", "--pair", "--report", "json"], ["--pair"]),
+    (["check", "so3_sphere.lie", "--report", "xml"], ["--report", "xml"]),
+    (["torsion", "so3_sphere.lie", "--mode", "x"], ["--mode", "'x'"]),
+    (["harness", "so3_sphere.lie", "--samples", "abc"], ["--samples", "abc"]),
+    (["harness", "so3_sphere.lie", "--step", "x"], ["--step", "'x'"]),
+    (["harness", "so3_sphere.lie", "--seed", "1.5"], ["--seed", "1.5"]),
+    (["check", "so3_sphere.lie", "extra"], ["extra"]),
+    (["check", "--", "so3_sphere.lie", "--pair", "sphere"], ["--pair"]),
+    (["parse", "so3_sphere.lie", "--report", "json"], ["--report"]),
+    (["parse", "so3_sphere.lie", "--pair", "sphere"], ["--pair"]),
+], ids=["no-command", "unknown-command", "no-file", "unknown-option", "ambiguous-prefix",
+        "no-value", "option-as-value", "report-choice", "mode-choice", "int", "float",
+        "int-not-float", "extra-positional", "option-after-double-dash", "parse-report",
+        "parse-pair"])
+def test_argv_usage_error_exit_two(capsys, corpus_dir, argv, named):
+    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: liecheck")
+    errors = [line for line in lines if "error: " in line]
+    assert len(errors) == 1 and all(word in errors[0] for word in named), errors
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["check", "-h"],
+                                  ["check", "so3_sphere.lie", "--help"],
+                                  ["torsion", "--h"], ["parse", "-h"],
+                                  ["harness", "so3_sphere.lie", "--samples", "3", "-h"]])
+def test_argv_help_exit_zero(capsys, corpus_dir, argv):
+    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    prog = " ".join(["liecheck", *argv[:1]]) if argv[0][0] != "-" else "liecheck"
+    assert captured.out.startswith(f"usage: {prog} ")
+    if argv[0] == "harness":
+        assert all(f"--{name}" in captured.out for name in ("samples", "step", "seed", "theta"))
+
+
 def test_harness_csv_output_prints_json_report(capsys, corpus_dir, tmp_path):
     out_path = tmp_path / "samples.csv"
     code, out, _ = run(capsys, "harness", str(corpus_dir / "gl3_full.lie"),
