@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     DimensionCapExceeded,
@@ -78,8 +78,8 @@ class LieAlgebra:
         basis_labels: Sequence[str],
         nonzeros: Sequence[Sequence[Sequence]],
         *,
-        matrix_size: Optional[int] = None,
-        matrix_generators: Optional[tuple] = None,
+        matrix_size: int | None = None,
+        matrix_generators: tuple | None = None,
     ):
         labels = tuple(basis_labels)
         n = len(labels)
@@ -361,7 +361,7 @@ def _gaussian_rows(m: ExactMatrix) -> tuple:
                    for c, a, b in terms} for r, terms in enumerate(parts) if terms}
 
 
-def _times(x: dict, y: dict, out: Optional[dict] = None, sign: int = 1) -> dict:
+def _times(x: dict, y: dict, out: dict | None = None, sign: int = 1) -> dict:
     """Add ``sign * X Y`` to the rows ``out`` (zero by default) and return
     them, for matrices given by :func:`_gaussian_rows`."""
     out = {} if out is None else out
@@ -417,7 +417,7 @@ class _SpanSolver:
                 if a:
                     self._columns[p].append((r, a * scale))
 
-    def solve(self, rows: dict, scale: int) -> Optional[tuple]:
+    def solve(self, rows: dict, scale: int) -> tuple | None:
         """The nonzero ``(k, coordinate)`` pairs, in increasing ``k``, of the
         matrix with Gaussian-integer ``rows`` divided by ``scale``; None
         outside the real span.  A Fraction is made per nonzero coordinate."""
@@ -458,7 +458,7 @@ def from_matrix_generators(
     size: int,
     generators: Sequence[ExactMatrix],
     *,
-    labels: Optional[Sequence[str]] = None,
+    labels: Sequence[str] | None = None,
     name: str = "matrix_algebra",
 ) -> LieAlgebra:
     """Build a real Lie algebra from square matrix generators.

@@ -20,13 +20,13 @@ and the exit code is 2.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
+import re
 import sys
 import time
-from typing import Optional, Sequence
+import types
+from collections.abc import Sequence
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_STEP, MIN_STEP, _lazy_module
 from .errors import LieCheckError
@@ -60,8 +60,8 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _write(path: Optional[str], text: str):
-    if path:
+def _write(path: str | None, text: str):
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     elif sys.stdout is None:
@@ -79,7 +79,7 @@ def _stderr(text: str):
         pass
 
 
-def _pick(table: dict, requested: Optional[str], what: str):
+def _pick(table: dict, requested: str | None, what: str):
     if requested is not None:
         if requested not in table:
             raise LieCheckError(f"no {what} named {requested!r} in the input")
@@ -100,7 +100,7 @@ def _vector_json(alg, v) -> dict:
     }
 
 
-def _witness(alg, witness, names: Optional[tuple] = None) -> tuple:
+def _witness(alg, witness, names: tuple | None = None) -> tuple:
     """A witness as its JSON list and its text lines.
 
     ``witness`` holds ``(name, value)`` pairs, or values that ``names``
@@ -212,7 +212,7 @@ def _integrability(args, pair, op) -> tuple:
 
 
 def _writes_csv(args) -> bool:
-    return args.command == "harness" and bool(args.out) and args.out.endswith(".csv")
+    return args.command == "harness" and args.out is not None and args.out.endswith(".csv")
 
 
 def _check_harness_options(args):
@@ -281,14 +281,6 @@ def _harness(args, pair, op) -> tuple:
     return passed, fields, lines
 
 
-_COMMANDS = {
-    "check": _check,
-    "torsion": _torsion,
-    "integrability": _integrability,
-    "harness": _harness,
-}
-
-
 def _report(args) -> int:
     """Load the input, run the command on the chosen pair and operator, and
     emit its report; the exit code follows the verdict."""
@@ -297,7 +289,7 @@ def _report(args) -> int:
     pair = _pick(built.pairs, args.pair, "pair")
     op = _pick(built.operators, args.operator, "operator")
     operators._require_same_algebra(pair, op)
-    verdict, fields, lines = _COMMANDS[args.command](args, pair, op)
+    verdict, fields, lines = _COMMAND_LINE[args.command][0](args, pair, op)
     payload = {
         "command": args.command,
         "input": args.file,
@@ -310,44 +302,173 @@ def _report(args) -> int:
         **fields,
     }
     payload["elapsed_ms"] = float((time.perf_counter() - started) * 1000.0)
-    body = json.dumps(payload, indent=2) if args.report == "json" else "\n".join(lines)
+    if args.report == "json":
+        import json  # only JSON reports use it
+
+        body = json.dumps(payload, indent=2)
+    else:
+        body = "\n".join(lines)
     _write(None if _writes_csv(args) else args.out, body + "\n")
     return 0 if verdict else 1
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="liecheck",
-        description="Exact checks for operators on homogeneous pairs of Lie algebras",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# The command line, read by _read_argv and printed by _usage and _help.  A
+# command maps to (its report function, or None for parse; its summary; its
+# options).  An option maps its name to (a converter, or a tuple of the
+# values it accepts; its default; its help).  Every command also takes FILE
+# and -h/--help.
+_OUT = {"out": (str, None, "write the report to this path")}
+_VERDICT = {
+    "pair": (str, None, "pair name (optional when unique)"),
+    "operator": (str, None, "operator name (optional when unique)"),
+    "report": (("text", "json"), "text", "report format"),
+    **_OUT,
+}
+_COMMAND_LINE = {
+    "parse": (None, "syntax check and canonical dump", _OUT),
+    "check": (_check, "admissibility verdict", _VERDICT),
+    "torsion": (_torsion, "Nijenhuis torsion verdict", {
+        **_VERDICT,
+        "mode": (("all", "complement", "ad"), None,
+                 "pair iteration mode (default: complement when declared)"),
+    }),
+    "integrability": (_integrability, "almost complex integrability verdict", _VERDICT),
+    "harness": (_harness, "numerical cross-validation", {
+        **_VERDICT,
+        "samples": (int, DEFAULT_SAMPLES, "number of sample points, 1 to 1000000"),
+        "step": (float, DEFAULT_STEP, f"finite-difference step in [{MIN_STEP}, {MAX_STEP}]"),
+        "seed": (int, DEFAULT_SEED, "seed of the sample points, a non-negative integer"),
+        "theta": (float, 1.0, "rotation angle of the sphere model's bundle-map demo"),
+    }),
+}
+# A word that reads as a negative number is a value, not an option.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    def command(name, help_text, verdict=True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="input .lie file")
-        if verdict:
-            p.add_argument("--pair", help="pair name (optional when unique)")
-            p.add_argument("--operator", help="operator name (optional when unique)")
-            p.add_argument("--report", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the report to this path")
-        return p
 
-    command("parse", "syntax check and canonical dump", verdict=False)
-    command("check", "admissibility verdict")
-    p = command("torsion", "Nijenhuis torsion verdict")
-    p.add_argument("--mode", choices=("all", "complement", "ad"),
-                   help="pair iteration mode (default: complement when declared)")
-    command("integrability", "almost complex integrability verdict")
-    p = command("harness", "numerical cross-validation")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--theta", type=float, default=1.0)
-    return ap
+def _metavar(name: str, kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: liecheck [-h] {{{','.join(_COMMAND_LINE)}}} ..."
+    options = (f"[--{name} {_metavar(name, kind)}]"
+               for name, (kind, _, _) in _COMMAND_LINE[command][2].items())
+    return " ".join(["usage: liecheck", command, "[-h]", *options, "file"])
+
+
+def _help(command: str | None) -> str:
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        about = "Exact checks for operators on homogeneous pairs of Lie algebras"
+        rows = [*((name, summary) for name, (_, summary, _) in _COMMAND_LINE.items()),
+                help_row]
+    else:
+        _, about, options = _COMMAND_LINE[command]
+        rows = [("file", "input .lie file"), help_row, *(
+            (f"--{name} {_metavar(name, kind)}",
+             text if default is None else f"{text} (default: {default})")
+            for name, (kind, default, text) in options.items())]
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(command), "", about, "", "arguments:",
+                      *(f"  {left:<{width}}{right}" for left, right in rows)]) + "\n"
+
+
+def _usage_error(command: str | None, message: str):
+    prog = "liecheck" if command is None else f"liecheck {command}"
+    _stderr(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(command: str | None, word: str, names) -> tuple:
+    """``(name, value)`` for an option word: ``--name``, ``--name=value`` or
+    a unique prefix of a name (value ``None`` without ``=``);
+    ``("", None)`` for an option of no such name, ``(None, None)`` for a
+    positional word."""
+    if word == "-h":
+        return "help", None
+    if word.startswith("--") and len(word) > 2:
+        key, eq, value = word[2:].partition("=")
+        found = [key] if key in names else [name for name in names if name.startswith(key)]
+        if len(found) > 1:
+            _usage_error(command, f"ambiguous option: {word} could match "
+                                  + ", ".join(f"--{name}" for name in found))
+        if found:
+            return found[0], value if eq else None
+    if (len(word) < 2 or word[0] != "-" or " " in word
+            or _NEGATIVE_NUMBER.fullmatch(word)):
+        return None, None
+    return "", None
+
+
+def _read_argv(argv: Sequence[str]):
+    """The command and its options that ``argv`` holds, read against
+    ``_COMMAND_LINE``.
+
+    An option reads as ``--name value`` or ``--name=value``, by its full
+    name or a unique prefix, before or after FILE; when it is repeated the
+    last one counts, and ``--`` ends the options.  A usage error prints the
+    usage line and an ``error:`` line to stderr and raises
+    ``SystemExit(2)``; ``-h``/``--help`` prints the help to stdout and raises
+    ``SystemExit(0)``.
+    """
+    words = iter(argv)
+    command = next(words, None)
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    if command not in _COMMAND_LINE:
+        name, value = _option(None, command, ("help",))
+        if name != "help" or value is not None:
+            _usage_error(None, f"argument command: invalid choice: {command!r} (choose from "
+                               + ", ".join(map(repr, _COMMAND_LINE)) + ")")
+        print(_help(None), end="")
+        raise SystemExit(0)
+    options = _COMMAND_LINE[command][2]
+    names = ("help", *options)
+    args = types.SimpleNamespace(command=command, **{
+        name: default for name, (_, default, _) in options.items()})
+    positional, unknown = [], []
+    for word in words:
+        if word == "--":
+            positional.extend(words)
+            break
+        name, value = _option(command, word, names)
+        if name is None:
+            positional.append(word)
+        elif not name:
+            unknown.append(word)
+        elif name == "help":
+            if value is not None:
+                _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_help(command), end="")
+            raise SystemExit(0)
+        else:
+            if value is None:
+                value = next(words, None)
+                if value is None or _option(command, value, names)[0] is not None:
+                    _usage_error(command, f"argument --{name}: expected one argument")
+            kind = options[name][0]
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    _usage_error(command, f"argument --{name}: invalid choice: {value!r} "
+                                          f"(choose from {', '.join(map(repr, kind))})")
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    _usage_error(command, f"argument --{name}: invalid {kind.__name__} "
+                                          f"value: {value!r}")
+            setattr(args, name, value)
+    if not positional:
+        _usage_error(command, "the following arguments are required: file")
+    args.file, *extra = positional
+    if unknown or extra:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown + extra)}")
+    return args
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "parse":
             _write(args.out, serialize(parse(_read(args.file))))

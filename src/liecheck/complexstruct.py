@@ -19,7 +19,6 @@ integer columns, like the pair loops of the other checks.
 from __future__ import annotations
 
 from math import lcm
-from typing import Optional
 
 from .algebra import bracket_into
 from .errors import (
@@ -121,7 +120,7 @@ def _mod_k_representatives(k: Subspace, z_plus: Subspace) -> tuple:
 
 
 def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
-                    z_plus: Subspace) -> Optional[tuple]:
+                    z_plus: Subspace) -> tuple | None:
     """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+.
 
     Z+ is the kernel of ``Q (J - i)``, so ``v = a + ib`` lies in it exactly

@@ -51,7 +51,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionCapExceeded, DimensionMismatch
 
@@ -92,7 +92,7 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     @staticmethod
-    def _coerce(x) -> Optional["GaussianRational"]:
+    def _coerce(x) -> GaussianRational | None:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
@@ -330,7 +330,7 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "ExactMatrix":
+    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "ExactMatrix":
         rows = [tuple(r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -437,7 +437,7 @@ def _integer_rows(m: ExactMatrix) -> list:
     return rows
 
 
-def _primitive(re: list, im: Optional[list], den: int) -> list:
+def _primitive(re: list, im: list | None, den: int) -> list:
     """An integer row with the common content of its numerators and its
     denominator divided out."""
     g = gcd(den, *re, *(im or ()))
@@ -615,7 +615,7 @@ class Subspace:
     def vectors(self) -> tuple:
         return tuple(self.basis.row(i) for i in range(self.dim))
 
-    def coordinates_of(self, v: Sequence) -> Optional[tuple]:
+    def coordinates_of(self, v: Sequence) -> tuple | None:
         """Coordinates of ``v`` in the echelon basis, or None if outside.
 
         ``v`` lies in the subspace exactly when it satisfies every row of

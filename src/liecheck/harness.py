@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
 from .errors import (

@@ -9,7 +9,7 @@ scoped to the identity component and the report says so.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 from .algebra import LieAlgebra, Subalgebra, _gaussian_rows, _times, bracket_into
 from .errors import (
@@ -71,7 +71,7 @@ class HomogeneousPair:
         alg: LieAlgebra,
         k: Subalgebra,
         *,
-        m: Optional[Subspace] = None,
+        m: Subspace | None = None,
         connected: bool = True,
         component_reps: Sequence[ExactMatrix] = (),
     ):
@@ -179,7 +179,7 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     return VerdictReport(False, scope, clauses, clause, witness)
 
 
-def _failing_clause(pair: HomogeneousPair, columns: Sequence) -> Optional[tuple]:
+def _failing_clause(pair: HomogeneousPair, columns: Sequence) -> tuple | None:
     """The first admissibility clause instance whose value leaves k, as
     ``(clause, i, j)`` with i indexing the basis of k or the representatives
     and j the basis of g; None if there is none.
@@ -242,7 +242,7 @@ def _split_verdict(pair: HomogeneousPair, op: LinearOperator,
     return VerdictReport(True, adm.scope, clauses)
 
 
-def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> Optional[tuple]:
+def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> tuple | None:
     """The first failing split clause with its witness: the operator kills k
     (``k_in_kernel``) and maps the complement into itself (``m_invariant``)."""
     zero = pair.alg.zero_vector()
@@ -287,8 +287,8 @@ def operator_ad(alg: LieAlgebra, d: Sequence) -> LinearOperator:
     return LinearOperator(alg, alg.ad_matrix(d), ad_generator=d)
 
 
-def _multiplication_operator(alg: LieAlgebra, a: Optional[ExactMatrix] = None,
-                             b: Optional[ExactMatrix] = None) -> LinearOperator:
+def _multiplication_operator(alg: LieAlgebra, a: ExactMatrix | None = None,
+                             b: ExactMatrix | None = None) -> LinearOperator:
     """X -> A X B, an absent factor standing for the identity: each product
     is taken on the Gaussian-integer rows of the generators and the factors,
     and solved for its coordinates by the generators' span solver."""

@@ -56,7 +56,7 @@ per line, scalars in canonical form, brackets emitted only for i < j.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import _lazy_module
 from .errors import LieCheckError
@@ -157,7 +157,7 @@ class SpecDocument(Value):
                  "operators", "pairs")
     _defaults = dict.fromkeys(__slots__, {})
 
-    def labels(self, algebra: str) -> Optional[tuple]:
+    def labels(self, algebra: str) -> tuple | None:
         """The basis labels of a declared algebra, or None."""
         if algebra in self.algebras:
             return self.algebras[algebra].labels
@@ -250,7 +250,7 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, expected, tok: Optional[re.Match] = None):
+    def fail(self, expected, tok: re.Match | None = None):
         tok = tok or self.peek()
         shown = tok[0] or "end of input"
         raise self.error(SpecSyntaxError, f"expected {', '.join(expected)}, found {shown!r}",

@@ -23,7 +23,7 @@ recomputes the witness in the rationals.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import bracket_into
 from .errors import LieCheckError, MissingComplement

@@ -588,19 +588,55 @@ def test_witness_past_the_int_string_limit(capsys, tmp_path):
     assert code == 1 and decimal_value(witness["image"]["coords"][1]) == m * n * n
 
 
-def test_cli_does_not_import_dataclasses_or_traceback(corpus_dir):
+@pytest.mark.parametrize("argv, status", [
+    (["parse", "so3_sphere.lie"], 0),
+    (["check", "so3_sphere.lie"], 0),
+    (["check", "so3_sphere.lie", "--report", "json"], 0),
+    (["torsion", "so3_sphere.lie"], 0),
+    (["integrability", "so3_sphere.lie"], 0),
+    (["harness", "so3_sphere.lie", "--samples", "3"], 0),
+    (["check"], 2),
+    (["check", "--help"], 0),
+], ids=["parse", "check", "check-json", "torsion", "integrability", "harness", "usage-error",
+        "help"])
+def test_cli_import_budget(corpus_dir, argv, status):
     # Compared against the modules loaded before the import, since site
-    # imports modules of its own.
+    # imports modules of its own.  Only a JSON report may load json.
+    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    banned = {"dataclasses", "traceback", "argparse", "gettext", "locale"}
+    if "json" not in argv:
+        banned.add("json")
     run_fresh(
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
-        "def loaded(): return {'dataclasses', 'traceback'} & (set(sys.modules) - before)\n"
+        f"def loaded(): return {banned!r} & (set(sys.modules) - before)\n"
         "import liecheck.cli\n"
         "if loaded(): sys.exit(f'liecheck.cli imported {loaded()}')\n"
-        f"status = liecheck.cli.main(['check', {str(corpus_dir / 'so3_sphere.lie')!r}])\n"
-        "if status != 0: sys.exit(f'check exited {status}')\n"
-        "if loaded(): sys.exit(f'check imported {loaded()}')\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        status = liecheck.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        status = exc.code\n"
+        f"if status != {status}: sys.exit(f'exit {{status}}')\n"
+        f"if loaded(): sys.exit(f'{argv[0]} imported {{loaded()}}')\n"
     )
+
+
+def test_exact_commands_do_not_import_typing(corpus_dir):
+    # Without site (-S) nothing preloads typing, so this sees what the exact
+    # commands load themselves; numpy loads it for the harness.
+    sphere = str(corpus_dir / "so3_sphere.lie")
+    done = fresh("-S", "-c", (
+        "import contextlib, io, sys\n"
+        "if 'typing' in sys.modules: sys.exit('typing loaded at start-up')\n"
+        "import liecheck.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for command in ('parse', 'check', 'torsion', 'integrability'):\n"
+        f"        status = liecheck.cli.main([command, {sphere!r}])\n"
+        "        if status != 0: sys.exit(f'{command} exited {status}')\n"
+        "if 'typing' in sys.modules: sys.exit('typing loaded')\n"))
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -812,3 +848,16 @@ def test_entry_point_with_closed_or_unwritable_streams(corpus_dir):
     with open(os.devnull, encoding="utf-8") as read_only:
         done = fresh("-m", "liecheck.cli", "check", "missing.lie", stderr=read_only)
     assert (done.returncode, done.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "so3_sphere.lie", "--out", ""],
+    ["check", "so3_sphere.lie", "--out", ""],
+    ["check", "so3_sphere.lie", "--report", "json", "--out="],
+    ["harness", "so3_sphere.lie", "--samples", "3", "--out", ""],
+], ids=["parse", "check", "check-json", "harness"])
+def test_empty_out_path_is_an_output_error(capsys, corpus_dir, argv):
+    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "''" in err
