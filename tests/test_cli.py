@@ -318,6 +318,11 @@ def test_parse_has_no_report_option(capsys, corpus_dir):
 SPHERE = ["--pair", "sphere", "--operator", "I"]
 
 
+def in_corpus(corpus_dir, argv):
+    """``argv`` with each ``.lie`` name made a path in the corpus."""
+    return [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+
+
 @pytest.mark.parametrize("argv, same_as", [
     (["check", "so3_sphere.lie", "--pair=sphere", "--operator=I"],
      ["check", "so3_sphere.lie", *SPHERE]),
@@ -337,8 +342,7 @@ SPHERE = ["--pair", "sphere", "--operator", "I"]
 def test_argv_forms_accepted(capsys, corpus_dir, argv, same_as):
     # Each spelling reads as the plain one: same exit code, same report.
     def outcome(words):
-        words = [str(corpus_dir / w) if w.endswith(".lie") else w for w in words]
-        code, out, err = run(capsys, *words)
+        code, out, err = run(capsys, *in_corpus(corpus_dir, words))
         return code, without_elapsed(out) if out.startswith("{") else out, err
 
     assert outcome(argv) == outcome(same_as)
@@ -374,7 +378,7 @@ def test_argv_negative_number_is_a_value(capsys, corpus_dir, seed):
         "int-not-float", "extra-positional", "option-after-double-dash", "parse-report",
         "parse-pair"])
 def test_argv_usage_error_exit_two(capsys, corpus_dir, argv, named):
-    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    argv = in_corpus(corpus_dir, argv)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
@@ -390,7 +394,7 @@ def test_argv_usage_error_exit_two(capsys, corpus_dir, argv, named):
                                   ["torsion", "--h"], ["parse", "-h"],
                                   ["harness", "so3_sphere.lie", "--samples", "3", "-h"]])
 def test_argv_help_exit_zero(capsys, corpus_dir, argv):
-    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    argv = in_corpus(corpus_dir, argv)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
@@ -602,7 +606,7 @@ def test_witness_past_the_int_string_limit(capsys, tmp_path):
 def test_cli_import_budget(corpus_dir, argv, status):
     # Compared against the modules loaded before the import, since site
     # imports modules of its own.  Only a JSON report may load json.
-    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    argv = in_corpus(corpus_dir, argv)
     banned = {"dataclasses", "traceback", "argparse", "gettext", "locale"}
     if "json" not in argv:
         banned.add("json")
@@ -857,7 +861,7 @@ def test_entry_point_with_closed_or_unwritable_streams(corpus_dir):
     ["harness", "so3_sphere.lie", "--samples", "3", "--out", ""],
 ], ids=["parse", "check", "check-json", "harness"])
 def test_empty_out_path_is_an_output_error(capsys, corpus_dir, argv):
-    argv = [str(corpus_dir / w) if w.endswith(".lie") else w for w in argv]
+    argv = in_corpus(corpus_dir, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "''" in err
