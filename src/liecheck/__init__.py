@@ -21,13 +21,16 @@ import types
 
 __version__ = "0.1.0"
 
-# The harness command's option defaults and --step bounds, kept here so that
-# the command line reads them without loading the harness.
+# The harness command's option defaults and --step and --theta bounds, kept
+# here so that the command line reads them without loading the harness.
 DEFAULT_SAMPLES = 20
 DEFAULT_STEP = 1e-4
 DEFAULT_SEED = 0
 MIN_STEP = 1e-8
 MAX_STEP = 1e-1
+# expm(theta * G) loses accuracy as |theta| grows: the sphere model's demo
+# fails its 1e-12 gate on a correct model from about |theta| = 1000 on.
+MAX_THETA = 100.0
 
 _EXPORTS = {
     "algebra": ("LieAlgebra", "Subalgebra", "from_matrix_generators", "make_subalgebra"),

@@ -8,6 +8,9 @@ Commands::
     liecheck integrability FILE --pair P --operator J
     liecheck harness FILE --pair P --operator I [--samples N --step H --seed S --theta T]
 
+Each command builds one JSON payload; ``_text`` renders the text report from
+it, and a harness ``--out FILE.csv`` table streams from its float columns.
+
 Exit codes: 0 the checked property holds, 1 it fails (a mathematical
 verdict, with an exact witness in the report), 2 usage or input error.
 The two are never conflated: a malformed or non-UTF-8 file, an unknown
@@ -20,15 +23,17 @@ and the exit code is 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
 import sys
 import time
 import types
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_STEP, MIN_STEP, _lazy_module
+from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_STEP, MAX_THETA, MIN_STEP,
+               _lazy_module)
 from .errors import LieCheckError
 from .exact import format_scalar
 from .specfile import SpecfileError, build, parse, serialize
@@ -46,10 +51,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -60,14 +61,16 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str | Iterable[str]):
+    """Write ``text``, or each string that it yields, to ``path`` or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     elif sys.stdout is None:
         raise OSError("standard output is closed")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _stderr(text: str):
@@ -94,91 +97,64 @@ def _pick(table: dict, requested: str | None, what: str):
 
 
 def _vector_json(alg, v) -> dict:
-    return {
-        "coords": [format_scalar(x) for x in v],
-        "pretty": alg.format_element(v),
-    }
+    return {"coords": [format_scalar(x) for x in v], "pretty": alg.format_element(v)}
 
 
-def _witness(alg, witness, names: tuple | None = None) -> tuple:
-    """A witness as its JSON list and its text lines.
+def _witness(alg, witness, names: tuple | None = None) -> list:
+    """A witness as its JSON list.
 
     ``witness`` holds ``(name, value)`` pairs, or values that ``names``
     labels.  Each vector appears in label form and in raw coordinates.
     """
     if witness is None:
-        return [], []
-    entries, lines = {}, ["witness:"]
-    for key, val in witness if names is None else zip(names, witness):
-        if isinstance(val, tuple):
-            vec = entries[key] = _vector_json(alg, val)
-            lines.append(f"  {key} = {vec['pretty']}   coords ({', '.join(vec['coords'])})")
-        else:
-            entries[key] = val
-            lines.append(f"  {key} = {val}")
-    return [entries], lines
+        return []
+    return [{key: _vector_json(alg, val) if isinstance(val, tuple) else val
+             for key, val in (witness if names is None else zip(names, witness))}]
 
 
 def _dims(pair, **extra) -> dict:
     return {"g": pair.alg.dim, "k": pair.k.dim, **extra}
 
 
-# Each command maps (args, pair, operator) to (verdict, report fields, text
-# lines); _report does the rest.
+# Each command maps (args, pair, operator) to its report fields, the verdict
+# among them; _report adds the fields every report has and renders it.
 
-def _check(args, pair, op) -> tuple:
+def _check(args, pair, op) -> dict:
     report = operators.check_admissible(pair, op)
-    witnesses, witness_lines = _witness(pair.alg, report.witness)
     fields = {
-        "witnesses": witnesses,
+        "verdict": report.holds,
+        "witnesses": _witness(pair.alg, report.witness),
         "dims": _dims(pair),
         "scope": report.scope,
         "clauses": list(report.clauses),
         "failed_clause": report.failed_clause,
     }
-    lines = [
-        f"admissible: {_yes(report.holds)} (scope: {report.scope})",
-        f"clauses evaluated: {', '.join(report.clauses)}",
-    ]
-    if not report.holds:
-        lines.append(f"failed clause: {report.failed_clause}")
-        lines.extend(witness_lines)
     if pair.m is not None:
         split = operators._split_verdict(pair, op, report)
         fields["split_admissible"] = split.holds
         fields["split_failed_clause"] = split.failed_clause
-        lines.append(f"split admissible: {_yes(split.holds)}")
-        if not split.holds:
-            lines.append(f"split failed clause: {split.failed_clause}")
-    return report.holds, fields, lines
+    return fields
 
 
-def _torsion(args, pair, op) -> tuple:
+def _torsion(args, pair, op) -> dict:
     if args.mode == "ad" and op.ad_generator is None:
         raise LieCheckError("--mode ad needs an operator declared as ad(...)")
     report = torsion.check_nijenhuis(pair, op, pairs=args.mode or "auto")
-    witnesses, witness_lines = _witness(pair.alg, report.witness,
-                                        ("v", "w", "torsion_value"))
-    fields = {
-        "witnesses": witnesses,
+    return {
+        "verdict": report.verdict,
+        "witnesses": _witness(pair.alg, report.witness, ("v", "w", "torsion_value")),
         "dims": _dims(pair),
         "mode": report.mode,
         "checked_pairs": report.checked_pairs,
     }
-    lines = [
-        f"nijenhuis: {_yes(report.verdict)} "
-        f"({report.mode}, {report.checked_pairs} pairs checked)",
-        *witness_lines,
-    ]
-    return report.verdict, fields, lines
 
 
-def _integrability(args, pair, op) -> tuple:
+def _integrability(args, pair, op) -> dict:
     report = complexstruct.check_integrable(pair, op)
     alg = pair.alg
-    witnesses, witness_lines = _witness(alg, report.witness, ("x", "y", "bracket"))
     fields = {
-        "witnesses": witnesses,
+        "verdict": report.integrable,
+        "witnesses": _witness(alg, report.witness, ("x", "y", "bracket")),
         "dims": _dims(pair, z_plus=report.z_plus.dim, z_minus=report.z_minus.dim),
         "ac_admissible": report.ac_admissible,
         "z_plus_closed": report.z_plus_closed,
@@ -186,15 +162,6 @@ def _integrability(args, pair, op) -> tuple:
         "z_plus_basis": [_vector_json(alg, v) for v in report.z_plus.vectors()],
         "z_plus_mod_k": [_vector_json(alg, v) for v in report.z_plus_mod_k],
     }
-    lines = [
-        f"integrable: {_yes(report.integrable)}",
-        f"dim Z+: {report.z_plus.dim}   (Z+ closed under bracket: "
-        f"{_yes(report.z_plus_closed)}; torsion verdict agrees)",
-        "Z+ basis:",
-        *(f"  {v['pretty']}" for v in fields["z_plus_basis"]),
-        "Z+ modulo k_C:",
-        *(f"  {v['pretty']}" for v in fields["z_plus_mod_k"]),
-    ]
     if report.split is not None:
         d = report.split
         fields["split_diagnostics"] = {
@@ -202,13 +169,7 @@ def _integrability(args, pair, op) -> tuple:
             "intersection_is_kc": d.intersection_is_kc,
             "eigenspace_decomposition_holds": d.eigenspace_decomposition_holds,
         }
-        lines.append(
-            "split diagnostics: sum_is_all="
-            f"{d.sum_is_all} intersection_is_kc={d.intersection_is_kc} "
-            f"eigenspace_decomposition={d.eigenspace_decomposition_holds}"
-        )
-    lines.extend(witness_lines)
-    return report.integrable, fields, lines
+    return fields
 
 
 def _writes_csv(args) -> bool:
@@ -217,21 +178,16 @@ def _writes_csv(args) -> bool:
 
 def _check_harness_options(args):
     if not (MIN_STEP <= args.step <= MAX_STEP):
-        raise LieCheckError(
-            f"--step must lie in [{MIN_STEP}, {MAX_STEP}]"
-        )
+        raise LieCheckError(f"--step must lie in [{MIN_STEP}, {MAX_STEP}]")
     if not (1 <= args.samples <= 10 ** 6):
         raise LieCheckError("--samples must lie in [1, 1000000]")
-    if not math.isfinite(args.theta):
-        raise LieCheckError("--theta must be a finite number")
     if args.seed < 0:
         raise LieCheckError("--seed must be a non-negative integer")
 
 
-def _harness(args, pair, op) -> tuple:
+def _harness(args, pair, op) -> dict:
     report = harness.run_harness(pair, op, samples=args.samples, h=args.step,
                                  seed=args.seed, theta=args.theta)
-    passed = report.passed
     rel = report.relation
     residuals = {
         "alpha_related": rel.alpha_related_max,
@@ -240,6 +196,7 @@ def _harness(args, pair, op) -> tuple:
         "representative_independence": rel.rep_independence_max,
     }
     fields = {
+        "verdict": report.passed,
         "model": report.model_kind,
         "seed": report.seed,
         "tolerances": {k: _fmt_float(v) for k, v in harness.TOLERANCES.items()},
@@ -258,27 +215,69 @@ def _harness(args, pair, op) -> tuple:
             "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
             "theta": _fmt_float(rel.theta),
         }
-    if args.report == "json" or _writes_csv(args):
+    columns = (report.deviation, report.numerical_max, report.predicted_max)
+    if _writes_csv(args):
+        _write(args.out, itertools.chain(
+            ["index,deviation,numerical_max,predicted_max\n"],
+            (f"{idx},{_fmt_float(d)},{_fmt_float(n)},{_fmt_float(p)}\n"
+             for idx, (d, n, p) in enumerate(zip(*columns)))))
+    if args.report == "json":
         fields["samples"] = [
             {"deviation": _fmt_float(d), "numerical_max": _fmt_float(n),
              "predicted_max": _fmt_float(p)}
-            for d, n, p in zip(report.deviation.tolist(), report.numerical_max.tolist(),
-                               report.predicted_max.tolist())
+            for d, n, p in zip(*columns)
         ]
-    if _writes_csv(args):
-        rows = [",".join((str(idx), *s.values())) for idx, s in enumerate(fields["samples"])]
-        _write(args.out, "\n".join(["index,deviation,numerical_max,predicted_max", *rows]) + "\n")
-    lines = [
-        f"harness: {'pass' if passed else 'FAIL'} on {report.model_kind} model",
-        f"samples: {len(report.deviation)}  step: {_fmt_float(report.h)}  "
-        f"seed: {report.seed}",
-        f"max |numerical - predicted|: {_fmt_float(report.max_deviation)}",
-        f"exact torsion verdict: {'holds' if report.nijenhuis_exact else 'fails'}"
-        + (f"  (max |numerical|: {_fmt_float(report.max_numerical)})"
-           if report.nijenhuis_exact else ""),
-        f"relation residual (worst): {_fmt_float(rel.max_residual)}",
-    ]
-    return passed, fields, lines
+    return fields
+
+
+def _text(args, p: dict):
+    """The lines of the text report whose JSON payload is ``p``."""
+    yes = ("no", "yes")
+    witness = []
+    for entry in p["witnesses"]:
+        witness.append("witness:")
+        witness.extend(f"  {key} = {val['pretty']}   coords ({', '.join(val['coords'])})"
+                       if isinstance(val, dict) else f"  {key} = {val}"
+                       for key, val in entry.items())
+    if args.command == "check":
+        yield f"admissible: {yes[p['verdict']]} (scope: {p['scope']})"
+        yield f"clauses evaluated: {', '.join(p['clauses'])}"
+        if not p["verdict"]:
+            yield f"failed clause: {p['failed_clause']}"
+            yield from witness
+        if "split_admissible" in p:
+            yield f"split admissible: {yes[p['split_admissible']]}"
+            if not p["split_admissible"]:
+                yield f"split failed clause: {p['split_failed_clause']}"
+    elif args.command == "torsion":
+        yield (f"nijenhuis: {yes[p['verdict']]} "
+               f"({p['mode']}, {p['checked_pairs']} pairs checked)")
+        yield from witness
+    elif args.command == "integrability":
+        yield f"integrable: {yes[p['verdict']]}"
+        yield (f"dim Z+: {p['dims']['z_plus']}   (Z+ closed under bracket: "
+               f"{yes[p['z_plus_closed']]}; torsion verdict agrees)")
+        yield "Z+ basis:"
+        yield from (f"  {v['pretty']}" for v in p["z_plus_basis"])
+        yield "Z+ modulo k_C:"
+        yield from (f"  {v['pretty']}" for v in p["z_plus_mod_k"])
+        if "split_diagnostics" in p:
+            d = p["split_diagnostics"]
+            yield ("split diagnostics: sum_is_all="
+                   f"{d['sum_is_all']} intersection_is_kc={d['intersection_is_kc']} "
+                   f"eigenspace_decomposition={d['eigenspace_decomposition_holds']}")
+        yield from witness
+    else:
+        # The key ranks a NaN above every number, so a NaN residual is the worst.
+        worst = max(map(float, p["relation_residuals"].values()),
+                    key=lambda x: (math.isnan(x), x))
+        yield f"harness: {'pass' if p['verdict'] else 'FAIL'} on {p['model']} model"
+        yield f"samples: {args.samples}  step: {p['h']}  seed: {p['seed']}"
+        yield f"max |numerical - predicted|: {p['max_deviation']}"
+        yield (f"exact torsion verdict: {'holds' if p['nijenhuis_exact'] else 'fails'}"
+               + (f"  (max |numerical|: {p['max_numerical_torsion']})"
+                  if p["nijenhuis_exact"] else ""))
+        yield f"relation residual (worst): {_fmt_float(worst)}"
 
 
 def _report(args) -> int:
@@ -289,27 +288,18 @@ def _report(args) -> int:
     pair = _pick(built.pairs, args.pair, "pair")
     op = _pick(built.operators, args.operator, "operator")
     operators._require_same_algebra(pair, op)
-    verdict, fields, lines = _COMMAND_LINE[args.command][0](args, pair, op)
-    payload = {
-        "command": args.command,
-        "input": args.file,
-        "verdict": verdict,
-        "witnesses": [],
-        "dims": {},
-        "tolerances": {},
-        "seed": None,
-        "elapsed_ms": None,
-        **fields,
-    }
+    payload = {"command": args.command, "input": args.file, "verdict": None, "witnesses": [],
+               "dims": {}, "tolerances": {}, "seed": None, "elapsed_ms": None,
+               **_COMMAND_LINE[args.command][0](args, pair, op)}
     payload["elapsed_ms"] = float((time.perf_counter() - started) * 1000.0)
     if args.report == "json":
         import json  # only JSON reports use it
 
-        body = json.dumps(payload, indent=2)
+        body = json.dumps(payload, indent=2) + "\n"
     else:
-        body = "\n".join(lines)
-    _write(None if _writes_csv(args) else args.out, body + "\n")
-    return 0 if verdict else 1
+        body = (f"{line}\n" for line in _text(args, payload))
+    _write(None if _writes_csv(args) else args.out, body)
+    return 0 if payload["verdict"] else 1
 
 
 # The command line, read by _read_argv and printed by _usage and _help.  A
@@ -338,7 +328,8 @@ _COMMAND_LINE = {
         "samples": (int, DEFAULT_SAMPLES, "number of sample points, 1 to 1000000"),
         "step": (float, DEFAULT_STEP, f"finite-difference step in [{MIN_STEP}, {MAX_STEP}]"),
         "seed": (int, DEFAULT_SEED, "seed of the sample points, a non-negative integer"),
-        "theta": (float, 1.0, "rotation angle of the sphere model's bundle-map demo"),
+        "theta": (float, 1.0, "rotation angle of the sphere model's bundle-map demo, "
+                              f"in [-{MAX_THETA:g}, {MAX_THETA:g}]"),
     }),
 }
 # A word that reads as a negative number is a value, not an option.

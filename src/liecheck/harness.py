@@ -42,7 +42,7 @@ import numbers
 import random
 from collections.abc import Callable, Sequence
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_THETA, MIN_STEP
 from .errors import (
     LieCheckError,
     PointOffManifold,
@@ -681,9 +681,12 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 samples: int = DEFAULT_SAMPLES, h: float = DEFAULT_STEP,
                 seed: int = DEFAULT_SEED, theta: float = 1.0) -> DeviationReport:
     """Full harness: relation checks plus sampled torsion cross-validation,
-    evaluated ``CHUNK`` samples at a time."""
+    evaluated ``CHUNK`` samples at a time; ``|theta|`` is at most ``MAX_THETA``."""
     if samples < 1:
         raise LieCheckError(f"the harness needs at least 1 sample, not {samples}")
+    if not (abs(theta) <= MAX_THETA):  # NaN fails too
+        raise LieCheckError(f"theta (--theta) must lie in [-{MAX_THETA:g}, {MAX_THETA:g}], "
+                            f"not {theta!r}")
     model = build_model(pair)
     torsion_report = check_nijenhuis(pair, op)
     relation = relation_checks(model, pair, op, samples=max(20, samples),

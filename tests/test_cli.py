@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import liecheck
+from liecheck import cli
 from liecheck.cli import main
 
 from test_exact import decimal_value
+from test_golden import ROOT, WANT, corpus_argvs
 
 
 def run(capsys, *argv):
@@ -243,6 +245,22 @@ def test_harness_non_finite_theta_exit_two(capsys, corpus_dir):
         assert "--theta" in err
 
 
+@pytest.mark.parametrize("theta, code", [
+    ("100", 0), ("-100", 0), ("100.5", 2), ("-6000", 2), ("6000", 2), ("1e12", 2), ("1e300", 2),
+])
+def test_harness_theta_bound(capsys, corpus_dir, theta, code):
+    # Past |theta| = 100 the angle is an input error: expm(theta * G) in the
+    # sphere demo loses accuracy as |theta| grows and fails a correct model.
+    got, out, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
+                        f"--theta={theta}")
+    assert got == code
+    if code == 0:
+        assert out.startswith("harness: pass") and err == ""
+    else:
+        assert out == "" and err == ("error: LieCheckError: theta (--theta) must lie in "
+                                     f"[-100, 100], not {float(theta)!r}\n")
+
+
 def test_harness_negative_seed_exit_two(capsys, corpus_dir):
     code, out, err = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
                          "--seed=-1")
@@ -416,6 +434,73 @@ def test_harness_csv_output_prints_json_report(capsys, corpus_dir, tmp_path):
     rows = out_path.read_text().strip().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == [
         s["deviation"] for s in payload["samples"]]
+
+
+def render(argv: list, payload: dict) -> str:
+    """The text report of ``payload``, the JSON report of ``argv``."""
+    return "".join(f"{line}\n" for line in cli._text(cli._read_argv(argv), payload))
+
+
+@pytest.fixture(scope="module")
+def golden_argvs():
+    return corpus_argvs()
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in WANT if f"{name} [json]" in WANT and WANT[name]["code"] != 2))
+def test_text_report_renders_the_json_report(capsys, monkeypatch, golden_argvs, name):
+    # Each golden text report is the rendering of its command's live JSON report.
+    monkeypatch.chdir(ROOT)
+    argv = golden_argvs[f"{name} [json]"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (WANT[name]["code"], "")
+    assert render(argv, json.loads(out)) == WANT[name]["stdout"]
+
+
+HARNESS_MODELS = [["so3_sphere.lie"], ["gl3_full.lie", "--pair", "full", "--operator", "smix"],
+                  ["gl3_full.lie", "--pair", "full", "--operator", "lmul"],
+                  ["gl2_complex.lie", "--pair", "group2", "--operator", "jleft"]]
+
+
+@pytest.mark.parametrize("argv", HARNESS_MODELS, ids=["sphere", "smix", "lmul", "gl2"])
+def test_harness_text_report_renders_the_json_report(capsys, corpus_dir, argv):
+    argv = in_corpus(corpus_dir, ["harness", *argv, "--samples", "50", "--seed", "3"])
+    text = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--report", "json")
+    assert text[0] == code == 0 and text[2] == err == ""
+    assert render(argv, json.loads(out)) == text[1]
+
+
+def test_harness_text_report_shows_a_nan_residual(capsys, monkeypatch, corpus_dir):
+    # The worst residual is rebuilt from the payload's strings and keeps a NaN.
+    real = liecheck.harness.relation_checks
+
+    def nan_residual(*args, **kwargs):
+        report = real(*args, **kwargs)
+        fields = {name: getattr(report, name) for name in type(report).__slots__}
+        return type(report)(**{**fields, "base_consistency_max": float("nan")})
+
+    monkeypatch.setattr(liecheck.harness, "relation_checks", nan_residual)
+    argv = in_corpus(corpus_dir, ["harness", *HARNESS_MODELS[2], "--samples", "3"])
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "relation residual (worst): nan\n" in out
+    assert render(argv, json.loads(run(capsys, *argv, "--report", "json")[1])) == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "so3_family.lie", "--pair", "sphere_split", "--operator", "fam_bad"],
+    ["torsion", "gl3_full.lie", "--pair", "full", "--operator", "smix"],
+    ["integrability", "nil4.lie", "--operator", "jtwist"],
+    ["harness", *HARNESS_MODELS[0], "--samples", "3"],
+], ids=["check", "torsion", "integrability", "harness"])
+def test_json_report_does_not_render_text(capsys, monkeypatch, corpus_dir, argv):
+    def no_text(*args):
+        raise AssertionError("the text renderer ran")
+
+    monkeypatch.setattr(cli, "_text", no_text)
+    code, out, err = run(capsys, *in_corpus(corpus_dir, argv), "--report", "json")
+    assert (code, err) == (0 if argv[0] == "harness" else 1, "")
+    assert json.loads(out)["command"] == argv[0]
 
 
 @pytest.mark.parametrize("command", [["check"], ["torsion", "--mode", "all"],

@@ -73,7 +73,7 @@ def _workloads():
     return workloads
 
 
-def _corpus_argvs() -> dict:
+def corpus_argvs() -> dict:
     """``{name: argv}`` for every non-harness corpus command and every
     fixture command, text and JSON."""
     argvs = {}
@@ -111,7 +111,7 @@ def _capture() -> dict:
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        return {name: _run(argv) for name, argv in _corpus_argvs().items()}
+        return {name: _run(argv) for name, argv in corpus_argvs().items()}
     finally:
         os.chdir(cwd)
 

@@ -369,10 +369,19 @@ def test_run_harness_report_memory_per_sample(gl3, gl3_pair):
 # -- NaN must fail the float gates ----------------------------------------------
 
 def test_run_harness_nan_theta_fails(so3, so3_pair):
+    # run_harness rejects the angle; a NaN that reaches the rotation demo
+    # fails its gate.
     op = operator_ad(so3, so3.basis_vector("k0"))
-    report = run_harness(so3_pair, op, samples=2, theta=float("nan"))
-    assert np.isnan(report.relation.rotation_bundle_value).all()
-    assert report.passed is False
+    with pytest.raises(LieCheckError, match="--theta"):
+        run_harness(so3_pair, op, samples=2, theta=float("nan"))
+    report = run_harness(so3_pair, op, samples=2)
+    relation = relation_checks(build_model(so3_pair), so3_pair, op, samples=2,
+                               theta=float("nan"))
+    assert np.isnan(relation.rotation_bundle_value).all()
+    nan_report = DeviationReport(
+        report.model_kind, report.h, report.seed, relation,
+        report.nijenhuis_exact, report.deviation, report.numerical_max, report.predicted_max)
+    assert report.passed is True and nan_report.passed is False
 
 
 def test_deviation_report_nan_deviation_fails(so3, so3_pair):
