@@ -33,6 +33,9 @@ the sample count is only the report's three float columns.  The draws are
 those of ``random()``, a stream that does not depend on numpy's version.
 numpy itself is imported by the first computation, not by importing this
 module, and only numpy's core is used: nothing loads ``numpy.random``.
+
+The ``harness`` command passes its options on unchecked: :func:`run_harness`
+checks every input of a run, for the command and library callers alike.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numbers
 import random
 from collections.abc import Callable, Sequence
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_THETA, MIN_STEP
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_SAMPLES, MAX_STEP, MIN_STEP
 from .errors import (
     LieCheckError,
     PointOffManifold,
@@ -79,6 +82,8 @@ ANTIPODE_SAMPLING_CAP = 1e-3
 RELATION_TOL = 1e-10
 TORSION_TOL = 1e-5
 DEMO_TOL = 1e-12
+# The angle by which the sphere model's bundle-map demo rotates the pole.
+DEMO_THETA = 1.0
 # The float gates of DeviationReport.passed, as the JSON report prints them.
 TOLERANCES = {"torsion": TORSION_TOL, "relation": RELATION_TOL, "demo": DEMO_TOL}
 STRUCTURE_TOL = 1e-12
@@ -538,11 +543,10 @@ class RelationReport(_Record):
     demonstration computations on the sphere.  The last six fields are None
     for other models; the last four are vectors in R^3."""
 
-    __slots__ = ("samples", "seed", "theta", "alpha_related_max",
-                 "base_consistency_max", "stabilizer_max", "rep_independence_max",
-                 "flip_pushforward", "flip_field_at_image", "rotation_bundle_value",
-                 "rotation_field_value")
-    _defaults = dict.fromkeys(__slots__[5:])
+    __slots__ = ("samples", "seed", "alpha_related_max", "base_consistency_max",
+                 "stabilizer_max", "rep_independence_max", "flip_pushforward",
+                 "flip_field_at_image", "rotation_bundle_value", "rotation_field_value")
+    _defaults = dict.fromkeys(__slots__[4:])
 
     @property
     def max_residual(self) -> float:
@@ -562,7 +566,7 @@ def _worst(acc: float, x: float) -> float:
 
 def relation_checks(model: MatrixModel, pair: HomogeneousPair,
                     op: LinearOperator, *, samples: int = 100,
-                    theta: float = 1.0, seed: int = DEFAULT_SEED) -> RelationReport:
+                    seed: int = DEFAULT_SEED) -> RelationReport:
     """Verify the push-forward identities at sampled points.
 
     Checks the transport identity h Xv(h^-1 p) = X(Ad_h v)(p), the two
@@ -621,7 +625,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
         flip_push = flip @ (e1 @ base)
         flip_field = e1 @ (flip @ base)
 
-        g_rot = expm(theta * model.generators[2])
+        g_rot = expm(DEMO_THETA * model.generators[2])
         p_rot = g_rot @ base
         v2 = np.zeros(model.dim)
         v2[2] = 1.0
@@ -630,7 +634,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
         rot_field = projected_field(model, _apply(op_float, v2), p_rot)
 
     return RelationReport(
-        samples=samples, seed=seed, theta=theta,
+        samples=samples, seed=seed,
         alpha_related_max=alpha_max, base_consistency_max=base_max,
         stabilizer_max=stab_max, rep_independence_max=rep_max,
         flip_pushforward=flip_push, flip_field_at_image=flip_field,
@@ -663,13 +667,12 @@ class DeviationReport(_Record):
         if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):
             return False
         if self.relation.flip_pushforward is not None:
-            theta = self.relation.theta
             checks = (
                 (self.relation.flip_pushforward, np.array([1.0, 0.0, 0.0])),
                 (self.relation.flip_field_at_image, np.array([-1.0, 0.0, 0.0])),
                 (self.relation.rotation_bundle_value, np.array([1.0, 0.0, 0.0])),
                 (self.relation.rotation_field_value,
-                 np.array([math.cos(theta), 0.0, 0.0])),
+                 np.array([math.cos(DEMO_THETA), 0.0, 0.0])),
             )
             for got, want in checks:
                 if not (float(np.max(np.abs(got - want))) <= DEMO_TOL):
@@ -679,19 +682,22 @@ class DeviationReport(_Record):
 
 def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 samples: int = DEFAULT_SAMPLES, h: float = DEFAULT_STEP,
-                seed: int = DEFAULT_SEED, theta: float = 1.0) -> DeviationReport:
+                seed: int = DEFAULT_SEED) -> DeviationReport:
     """Full harness: relation checks plus sampled torsion cross-validation,
-    evaluated ``CHUNK`` samples at a time; ``|theta|`` is at most ``MAX_THETA``."""
-    if samples < 1:
-        raise LieCheckError(f"the harness needs at least 1 sample, not {samples}")
-    if not (abs(theta) <= MAX_THETA):  # NaN fails too
-        raise LieCheckError(f"theta (--theta) must lie in [-{MAX_THETA:g}, {MAX_THETA:g}], "
-                            f"not {theta!r}")
+    evaluated ``CHUNK`` samples at a time.  The inputs are checked first:
+    ``samples`` an integer in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``,
+    ``MAX_STEP``] (written ``not (lo <= h <= hi)``, so a NaN fails) and
+    ``seed`` by ``_rng``."""
+    if not (isinstance(samples, numbers.Integral) and 1 <= samples <= MAX_SAMPLES):
+        raise LieCheckError(f"the sample count (--samples) must be an integer in "
+                            f"[1, {MAX_SAMPLES}], not {samples!r}")
+    if not (MIN_STEP <= h <= MAX_STEP):
+        raise LieCheckError(f"the step h (--step) must lie in [{MIN_STEP}, {MAX_STEP}], "
+                            f"not {h!r}")
+    rng = _rng(seed)
     model = build_model(pair)
     torsion_report = check_nijenhuis(pair, op)
-    relation = relation_checks(model, pair, op, samples=max(20, samples),
-                               theta=theta, seed=seed)
-    rng = _rng(seed)
+    relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
     unit = (-1.0, 1.0, model.dim)
     columns = []
     for count in _chunks(samples):

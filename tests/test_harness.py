@@ -1,5 +1,6 @@
 """Floating-point models: fields, finite-difference brackets, torsion."""
 
+import copy
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from conftest import (
     sphere_family,
     zero_operator,
 )
-from liecheck import harness, operator_ad, operator_sandwich
+from liecheck import MAX_STEP, MIN_STEP, harness, operator_ad, operator_sandwich
 from liecheck.errors import (
     LieCheckError,
     PointOffManifold,
@@ -338,10 +339,31 @@ def test_run_harness_sandwich(gl3, gl3_pair):
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sample_count_below_one_is_an_error(samples, so3, so3_pair, sphere):
     op = operator_ad(so3, so3.basis_vector("k0"))
-    with pytest.raises(LieCheckError, match="at least 1 sample"):
+    with pytest.raises(LieCheckError, match=r"^the sample count \(--samples\) must be an "
+                                            rf"integer in \[1, 1000000\], not {samples}$"):
         run_harness(so3_pair, op, samples=samples)
     with pytest.raises(LieCheckError, match="at least 1 sample"):
         relation_checks(sphere, so3_pair, op, samples=samples)
+
+
+@pytest.mark.parametrize("bad, message", [
+    *(({"samples": n}, rf"\(--samples\) must be an integer in \[1, 1000000\], not {n}$")
+      for n in (0, 10 ** 6 + 1, 2.5)),
+    *(({"h": h}, rf"\(--step\) must lie in \[{MIN_STEP}, {MAX_STEP}\], not {h!r}$")
+      for h in (MIN_STEP / 2, 0.5, math.nan, math.inf, -math.inf)),
+    ({"seed": -1}, "^the seed must be a non-negative integer, not -1$"),
+], ids=["samples-0", "samples-cap", "samples-not-integer", "h-small", "h-large", "h-nan", "h-inf", "h-minus-inf",
+        "seed"])
+def test_run_harness_checks_every_bound_first(monkeypatch, so3, so3_pair, bad, message):
+    # The command line passes its options on unchecked, so run_harness holds
+    # a library call to the same bounds, before it builds a float model.
+    def no_model(pair):
+        raise AssertionError("a float model was built")
+
+    monkeypatch.setattr(harness, "build_model", no_model)
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    with pytest.raises(LieCheckError, match=message):
+        run_harness(so3_pair, op, **bad)
 
 
 def _retained_bytes(run) -> int:
@@ -369,19 +391,20 @@ def test_run_harness_report_memory_per_sample(gl3, gl3_pair):
 # -- NaN must fail the float gates ----------------------------------------------
 
 def test_run_harness_nan_theta_fails(so3, so3_pair):
-    # run_harness rejects the angle; a NaN that reaches the rotation demo
-    # fails its gate.
+    # A NaN in one entry of any sphere demo vector, as a NaN angle would
+    # put into the rotation demo, fails the demo gate.
     op = operator_ad(so3, so3.basis_vector("k0"))
-    with pytest.raises(LieCheckError, match="--theta"):
-        run_harness(so3_pair, op, samples=2, theta=float("nan"))
     report = run_harness(so3_pair, op, samples=2)
-    relation = relation_checks(build_model(so3_pair), so3_pair, op, samples=2,
-                               theta=float("nan"))
-    assert np.isnan(relation.rotation_bundle_value).all()
-    nan_report = DeviationReport(
-        report.model_kind, report.h, report.seed, relation,
-        report.nijenhuis_exact, report.deviation, report.numerical_max, report.predicted_max)
-    assert report.passed is True and nan_report.passed is False
+    assert report.passed is True
+    for name in ("flip_pushforward", "flip_field_at_image", "rotation_bundle_value",
+                 "rotation_field_value"):
+        relation = copy.copy(report.relation)
+        vector = getattr(relation, name).copy()
+        vector[0] = np.nan
+        setattr(relation, name, vector)
+        nan_report = copy.copy(report)
+        nan_report.relation = relation
+        assert nan_report.passed is False, name
 
 
 def test_deviation_report_nan_deviation_fails(so3, so3_pair):

@@ -130,8 +130,8 @@ def test_defaults():
     assert report.witness is None and report.split is None
     pair = PairDecl("p", "g", "k")
     assert (pair.complement, pair.connected, pair.reps) == (None, True, ())
-    relation = RelationReport(20, 0, 1.0, 0.0, 0.0)
-    assert all(getattr(relation, name) is None for name in fields(RelationReport)[5:])
+    relation = RelationReport(20, 0, 0.0, 0.0)
+    assert all(getattr(relation, name) is None for name in fields(RelationReport)[4:])
     # A fresh dict per object, never one shared default.
     docs = SpecDocument(), SpecDocument()
     for name in fields(SpecDocument):
