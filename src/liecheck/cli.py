@@ -208,18 +208,14 @@ def _harness(args, pair, op) -> dict:
             "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
             "theta": _fmt_float(harness.DEMO_THETA),
         }
+    # The per-sample columns, named alike in the .csv table and in samples[].
+    keys = ("deviation", "numerical_max", "predicted_max")
     columns = (report.deviation, report.numerical_max, report.predicted_max)
     if _writes_csv(args):
-        _write(args.out, itertools.chain(
-            ["index,deviation,numerical_max,predicted_max\n"],
-            (f"{idx},{_fmt_float(d)},{_fmt_float(n)},{_fmt_float(p)}\n"
-             for idx, (d, n, p) in enumerate(zip(*columns)))))
+        _write(args.out, itertools.chain([",".join(("index", *keys)) + "\n"], (
+            f"{idx},{','.join(map(_fmt_float, row))}\n" for idx, row in enumerate(zip(*columns)))))
     if args.report == "json":
-        fields["samples"] = [
-            {"deviation": _fmt_float(d), "numerical_max": _fmt_float(n),
-             "predicted_max": _fmt_float(p)}
-            for d, n, p in zip(*columns)
-        ]
+        fields["samples"] = [dict(zip(keys, map(_fmt_float, row))) for row in zip(*columns)]
     return fields
 
 

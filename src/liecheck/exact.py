@@ -167,13 +167,6 @@ def _coerce_scalar(x):
     raise TypeError(f"exact scalar required, got {type(x).__name__}")
 
 
-def conjugate_scalar(x):
-    x = _coerce_scalar(x)
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return x
-
-
 # ---------------------------------------------------------------------------
 # scalar text syntax
 # ---------------------------------------------------------------------------
@@ -388,7 +381,8 @@ class ExactMatrix:
         return tuple(out)
 
     def conjugated(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [conjugate_scalar(e) for e in self.entries])
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            e.conjugate() if e.__class__ is GaussianRational else e for e in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -657,14 +651,12 @@ class Subspace:
         denominators."""
         q = self._annihilator
         if q is None:
-            n = self.ambient_dim
-            rows = []
-            for terms in self._equations():
-                row = [_ZERO] * n
+            n, eqs = self.ambient_dim, self._equations()
+            entries = [_ZERO] * (len(eqs) * n)
+            for r, terms in enumerate(eqs):
                 for j, a in scaled_integers(terms):
-                    row[j] = Fraction(a)
-                rows.append(row)
-            q = self._annihilator = ExactMatrix.from_rows(rows, cols=n)
+                    entries[r * n + j] = Fraction(a)
+            q = self._annihilator = ExactMatrix._of(len(eqs), n, tuple(entries))
         return q
 
     def conjugated(self) -> "Subspace":

@@ -25,14 +25,16 @@ point is a stack without leading axes.  Every function below, from
 stack with a fixed number of array operations, and every guard
 (:class:`PointOffManifold`, :class:`SectionSingular`) raises if any one point
 of the stack is bad.  The generator stack and the operator matrix are
-converted to floats once.  :func:`run_harness` and :func:`relation_checks`
-draw their samples from ``random.Random(seed)`` in the order of a per-sample
-loop and evaluate them ``CHUNK`` at a time, so the arrays in flight never
-hold more than ``CHUNK`` samples whatever the sample count; what grows with
-the sample count is only the report's three float columns.  The draws are
-those of ``random()``, a stream that does not depend on numpy's version.
-numpy itself is imported by the first computation, not by importing this
-module, and only numpy's core is used: nothing loads ``numpy.random``.
+converted to floats once, and :func:`numerical_torsion` takes the section at
+its points once, for its four bundle maps there and its prediction.
+:func:`run_harness` and :func:`relation_checks` draw their samples from
+``random.Random(seed)`` in the order of a per-sample loop and evaluate them
+``CHUNK`` at a time, so the arrays in flight never hold more than ``CHUNK``
+samples whatever the sample count; what grows with the sample count is only
+the report's three float columns.  The draws are those of ``random()``, a
+stream that does not depend on numpy's version.  numpy itself is imported by
+the first computation, not by importing this module, and only numpy's core
+is used: nothing loads ``numpy.random``.
 
 The ``harness`` command passes its options on unchecked: :func:`run_harness`
 checks every input of a run, for the command and library callers alike.
@@ -176,15 +178,12 @@ class MatrixModel:
     """A concrete float realization mirroring an exact algebra basis."""
 
     def __init__(self, kind: str, generators: Sequence[np.ndarray],
-                 base_point: np.ndarray, structure: np.ndarray, labels: tuple):
-        if kind not in ("sphere-orbit", "full-group"):
-            raise LieCheckError(f"unknown model kind {kind!r}")
+                 base_point: np.ndarray, structure: np.ndarray):
         self.kind = kind
         self.generators = np.stack([np.asarray(g) for g in generators])
         self.dim, self.n = self.generators.shape[:2]
         self.base_point = np.asarray(base_point)
         self.structure = np.asarray(structure, dtype=float)
-        self.labels = labels
         # The axes of one point: a vector on the sphere, a matrix on the group.
         self.point_axes = (-1,) if kind == "sphere-orbit" else (-2, -1)
         self._complex = np.iscomplexobj(self.generators)
@@ -381,15 +380,13 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
             else [_float_matrix(g, f"generator {label}")
                   for g, label in zip(alg.matrix_generators, alg.basis_labels)])
     if not sphere:
-        return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]),
-                           structure, alg.basis_labels)
+        return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]), structure)
     for g in gens:
         if float(np.max(np.abs(g + g.T))) > 1e-12:
             raise LieCheckError(
                 "sphere-model generators must be antisymmetric (rotations)"
             )
-    model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure,
-                        alg.basis_labels)
+    model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure)
     for row in _float_matrix(pair.k.space.basis, "subalgebra basis"):
         if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
             raise LieCheckError(
@@ -431,6 +428,8 @@ def fd_bracket(model: MatrixModel, x_field: Callable, y_field: Callable,
     :meth:`MatrixModel.ambient_extension` for fields living on the sphere).
     The truncation error is O(h^2).
     """
+    if not math.isfinite(h):
+        raise LieCheckError(f"the step h must be a finite number, not {h!r}")
     if h < MIN_STEP:
         raise StepTooSmall(f"step {h} below the minimum {MIN_STEP}")
     model.check_point(p)
@@ -501,32 +500,36 @@ def numerical_torsion(model: MatrixModel, op: LinearOperator, v, w, p: np.ndarra
     fields by four finite-difference brackets, next to the algebraic
     prediction transported to the same points."""
     model.check_point(p)
+    op_float = model.operator_matrix(op)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
 
+    def mapped(u):
+        def field(q):
+            z = projected_field(model, u, q)  # checks q before its section
+            return _bundle_with_section(model, op_float, model.section(q), z)
+        return model.ambient_extension(field)
+
     x_field = model.ambient_extension(lambda q: projected_field(model, v, q))
     y_field = model.ambient_extension(lambda q: projected_field(model, w, q))
-    nx_field = model.ambient_extension(
-        lambda q: bundle_map(model, op, q, projected_field(model, v, q)))
-    ny_field = model.ambient_extension(
-        lambda q: bundle_map(model, op, q, projected_field(model, w, q)))
+    nx_field = mapped(v)
+    ny_field = mapped(w)
 
     b1 = fd_bracket(model, nx_field, y_field, p, h)
     b2 = fd_bracket(model, x_field, ny_field, p, h)
     b3 = fd_bracket(model, nx_field, ny_field, p, h)
     b4 = fd_bracket(model, x_field, y_field, p, h)
-    omega = (
-        bundle_map(model, op, p, b1)
-        + bundle_map(model, op, p, b2)
-        - b3
-        - bundle_map(model, op, p, bundle_map(model, op, p, b4))
-    )
-
     g = model.section(p)
+
+    def at_p(z):  # the bundle map at p
+        return _bundle_with_section(model, op_float, g, z)
+
+    omega = at_p(b1) + at_p(b2) - b3 - at_p(at_p(b4))
+
     g_inv = np.linalg.inv(g)
     v0 = model.algebra_coords(g_inv @ model.element(v) @ g)
     w0 = model.algebra_coords(g_inv @ model.element(w) @ g)
-    predicted = model.push(g, _torsion_float(model, model.operator_matrix(op), v0, w0))
+    predicted = model.push(g, _torsion_float(model, op_float, v0, w0))
     axes = model.point_axes
     return FieldSample(omega, predicted,
                        deviation=np.max(np.abs(omega - predicted), axis=axes),
@@ -550,12 +553,9 @@ class RelationReport(_Record):
 
     @property
     def max_residual(self) -> float:
-        vals = [self.alpha_related_max, self.base_consistency_max]
-        if self.stabilizer_max is not None:
-            vals.append(self.stabilizer_max)
-        if self.rep_independence_max is not None:
-            vals.append(self.rep_independence_max)
-        return float(np.max(vals))
+        residuals = (self.alpha_related_max, self.base_consistency_max,
+                     self.stabilizer_max, self.rep_independence_max)
+        return float(np.max([x for x in residuals if x is not None]))  # np.max keeps a NaN
 
 
 def _worst(acc: float, x: float) -> float:

@@ -139,12 +139,6 @@ class VerdictReport(FrozenValue):
     _defaults = {"failed_clause": None, "witness": None}
 
 
-def _scope_of(pair: HomogeneousPair) -> str:
-    if pair.connected or pair.component_reps:
-        return "full"
-    return "identity_component"
-
-
 def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport:
     """Decide membership in the admissible set of the pair.
 
@@ -157,7 +151,7 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     """
     _require_same_algebra(pair, op)
     alg = pair.alg
-    scope = _scope_of(pair)
+    scope = "full" if pair.connected or pair.component_reps else "identity_component"
     clauses = ("preserves_k", "commutes_with_ad_k")
     if pair.component_reps:
         clauses += ("commutes_with_component_reps",)

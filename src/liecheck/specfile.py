@@ -33,8 +33,9 @@ separate its parts but a comment may not, and DIGITS are ASCII ``0-9``.  In
 
 A bare scalar as a lincomb must be 0 (the zero vector).  Unspecified
 brackets default to zero and ``[b,a]`` is inferred as ``-[a,b]``; declaring
-both with values that are not negatives of each other is an error.  The name
-``i`` is reserved for the imaginary unit and cannot be a basis label.
+both with values that are not negatives of each other is an error, and so is
+declaring one twice with different values.  The name ``i`` is reserved for
+the imaginary unit and cannot be a basis label or a generator name.
 
 A name must be declared before it is used: an item may refer only to the
 algebras, subalgebras and complements declared above it.  Each item is
@@ -311,6 +312,17 @@ class _Parser:
             raise self.error(UnresolvedReference, f"unknown basis label {tok[0]!r}", tok.start())
         return tok
 
+    def _new_label(self, tok: re.Match, labels: dict, what: str):
+        """Check a newly declared ``what``, a basis label or a generator name:
+        ``labels`` does not hold it yet (a duplicate generator is named
+        without ``name``), and ``i`` is reserved."""
+        if tok[0] in labels:
+            raise self.error(DuplicateName, f"duplicate {what.removesuffix(' name')} {tok[0]!r}",
+                             tok.start())
+        if tok[0] == "i":
+            raise self.error(SpecSyntaxError, f"{what} 'i' is reserved for the imaginary unit",
+                             tok.start())
+
     # -- scalars ------------------------------------------------------------
 
     def _value(self, tok: re.Match):
@@ -390,10 +402,18 @@ class _Parser:
                              head)
         return tuple(coords)
 
+    def _commas(self):
+        """Yield once, then again after each ``,``: the caller reads one
+        item of a comma-separated list per step."""
+        yield
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            yield
+
     def _matrix(self) -> ExactMatrix:
         head = self.expect("[")
         entries, widths = [], []
-        while True:
+        for _ in self._commas():
             self.expect("[")
             start = len(entries)
             entries.append(self._scalar())
@@ -402,9 +422,6 @@ class _Parser:
                 entries.append(self._scalar())
             self.expect("]")
             widths.append(len(entries) - start)
-            if not self.at(","):
-                break
-            self.pos += 1
         self.expect("]")
         if widths.count(widths[0]) != len(widths):
             raise self.error(SpecSyntaxError, "ragged matrix rows", head.start())
@@ -437,16 +454,13 @@ class _Parser:
         index = {}
         while self.at_name():
             tok = self.advance()
-            if tok[0] in index:
-                raise self.error(DuplicateName, f"duplicate basis label {tok[0]!r}", tok.start())
-            if tok[0] == "i":
-                raise self.error(SpecSyntaxError,
-                                 "basis label 'i' is reserved for the imaginary unit", tok.start())
+            self._new_label(tok, index, "basis label")
             index[tok[0]] = len(index)
         if not index:
             self.fail(["at least one basis label"])
         self.expect(";")
-        given = {}
+        # Each bracket in the orientation i < j, and the orientations declared.
+        table, declared = {}, set()
         while self.at("bracket"):
             self.advance()
             self.expect("[")
@@ -460,28 +474,18 @@ class _Parser:
             if ia == ib:
                 if any(coords):
                     raise self.error(InconsistentBracket, f"[{a[0]},{b}] must be 0", a.start())
-            elif (ia, ib) in given and given[(ia, ib)] != coords:
-                raise self.error(
-                    InconsistentBracket,
-                    f"bracket [{a[0]},{b}] declared twice with different values", a.start(),
-                )
-            elif (ib, ia) in given and given[(ib, ia)] != tuple(-x for x in coords):
-                raise self.error(
-                    InconsistentBracket,
-                    f"brackets [{a[0]},{b}] and [{b},{a[0]}] are not negatives", a.start(),
-                )
             else:
-                given[(ia, ib)] = coords
+                value = coords if ia < ib else tuple(-x for x in coords)
+                if table.setdefault((min(ia, ib), max(ia, ib)), value) != value:
+                    message = (f"bracket [{a[0]},{b}] declared twice with different values"
+                               if (ia, ib) in declared
+                               else f"brackets [{a[0]},{b}] and [{b},{a[0]}] are not negatives")
+                    raise self.error(InconsistentBracket, message, a.start())
+                declared.add((ia, ib))
             self.expect(";")
         self.expect("}")
-        canonical = {}
-        for (ia, ib), coords in given.items():
-            if ia < ib:
-                canonical[(ia, ib)] = coords
-            else:
-                canonical[(ib, ia)] = tuple(-x for x in coords)
         brackets = tuple(
-            (ia, ib, coords) for (ia, ib), coords in sorted(canonical.items()) if any(coords)
+            (ia, ib, coords) for (ia, ib), coords in sorted(table.items()) if any(coords)
         )
         self.doc.algebras[name] = AlgebraDecl(name, tuple(index), brackets)
 
@@ -503,12 +507,7 @@ class _Parser:
             self.advance()
             gname = self.expect_name("a generator name")
             gen = gname[0]
-            if gen in gens:
-                raise self.error(DuplicateName, f"duplicate generator {gen!r}", gname.start())
-            if gen == "i":
-                raise self.error(SpecSyntaxError,
-                                 "generator name 'i' is reserved for the imaginary unit",
-                                 gname.start())
+            self._new_label(gname, gens, "generator name")
             self.expect("=")
             mat = self._matrix()
             self.expect(";")
@@ -531,10 +530,7 @@ class _Parser:
         self.expect("=")
         self.expect("span")
         self.expect("(")
-        vectors = [self._lincomb(index)]
-        while self.at(","):
-            self.advance()
-            vectors.append(self._lincomb(index))
+        vectors = [self._lincomb(index) for _ in self._commas()]
         self.expect(")")
         self.expect(";")
         table = self.doc.subalgebras if kind == "subalgebra" else self.doc.complements
@@ -605,16 +601,13 @@ class _Parser:
                 connected = val[0] == "true"
             elif key[0] == "reps":
                 self.expect("(")
-                while True:
+                for _ in self._commas():
                     rep_at = self.peek().start()
                     rep = self._matrix()
                     if rep.rows != n or rep.cols != n:
                         raise self.error(SpecSyntaxError,
                                          f"component rep #{len(reps)} must be {n}x{n}", rep_at)
                     reps.append(rep)
-                    if not self.at(","):
-                        break
-                    self.advance()
                 self.expect(")")
             else:
                 self.fail(["'complement'", "'connected'", "'reps'"], key)

@@ -34,6 +34,7 @@ from liecheck.harness import (
     relation_checks,
     run_harness,
 )
+from liecheck.specfile import build, parse
 
 P0 = np.array([0.0, 0.0, 1.0])
 
@@ -186,6 +187,21 @@ def test_fd_bracket_step_guard(sphere):
         fd_bracket(sphere, x, x, P0, 1e-9)
     with pytest.raises(PointOffManifold):
         fd_bracket(sphere, x, x, np.array([0.0, 0.0, 1.5]), 1e-4)
+
+    def unused(z):
+        raise AssertionError("a field was evaluated")
+
+    # A step that is not a finite number is rejected before any field runs.
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(LieCheckError, match="finite number"):
+            fd_bracket(sphere, unused, unused, P0, h)
+
+
+def test_numerical_torsion_rejects_an_infinite_step(corpus_dir):
+    built = build(parse((corpus_dir / "so3_sphere.lie").read_text(encoding="utf-8")))
+    (pair,), (op,) = built.pairs.values(), built.operators.values()
+    with pytest.raises(LieCheckError, match="finite number"):
+        numerical_torsion(build_model(pair), op, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], P0, math.inf)
 
 
 def _quadratic_field(a, mat):

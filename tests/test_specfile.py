@@ -106,6 +106,7 @@ def test_syntax_error_positions():
 _A = "algebra a { basis x y; }\n"
 _S = _A + "subalgebra s of a = span(x);\n"
 _M = "matrix_algebra m dim = 1 { gen d = "
+_B = "algebra a { basis x y z; "
 
 # One snippet per diagnostic the scanner, the parser and the lincomb resolver
 # raise, with its exact position and message.
@@ -131,6 +132,16 @@ PINNED_DIAGNOSTICS = [
      "1:21: basis label 'i' is reserved for the imaginary unit"),
     (_M.replace("gen d", "gen i") + "[[1]]; }", SpecSyntaxError,
      "1:32: generator name 'i' is reserved for the imaginary unit"),
+    # The three bracket checks, each at the first label of the bracket.  Of
+    # "declared twice" and "are not negatives", the first takes precedence.
+    (_B + "bracket [x,y] = z; bracket [x,y] = y; }", InconsistentBracket,
+     "1:54: bracket [x,y] declared twice with different values"),
+    (_B + "bracket [y,x] = z; bracket [x,y] = z; }", InconsistentBracket,
+     "1:54: brackets [x,y] and [y,x] are not negatives"),
+    ("algebra a { basis x y; bracket [x,x] = y; }", InconsistentBracket,
+     "1:33: [x,x] must be 0"),
+    (_B + "bracket [x,y] = z; bracket [y,x] = -1*z; bracket [x,y] = y; }", InconsistentBracket,
+     "1:76: bracket [x,y] declared twice with different values"),
     ("algebra a { basis x y; bracket [x,y] = 3//2*x; }", SpecSyntaxError,
      "1:42: expected a denominator, found '/'"),
     ((Path(__file__).parent / "data" / "bad_scalar.lie").read_text(encoding="utf-8"),
