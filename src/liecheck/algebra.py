@@ -11,8 +11,11 @@ triple.  Matrix algebras are converted at the door by
 :func:`from_matrix_generators`, in integers: each generator is scaled to
 Gaussian-integer rows, commutators are taken on those rows, and one integer
 elimination (:class:`_SpanSolver`) gives their coordinates; a Fraction is
-made only per nonzero structure constant.  The generators and their solver
-are retained, so multiplication operators are expressed the same way.
+made only per nonzero structure constant.  The solver is retained and holds
+the generators (:attr:`LieAlgebra.matrix_generators` reads them), so
+multiplication operators are expressed the same way; only
+:func:`from_matrix_generators`, which derives the constants from those
+generators, attaches one.
 """
 
 from __future__ import annotations
@@ -69,18 +72,10 @@ class LieAlgebra:
     pair loops of the checks use it too (:func:`bracket_into`).
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz",
-                 "matrix_size", "matrix_generators", "_span_solver")
+    __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz", "_span_solver")
 
-    def __init__(
-        self,
-        name: str,
-        basis_labels: Sequence[str],
-        nonzeros: Sequence[Sequence[Sequence]],
-        *,
-        matrix_size: int | None = None,
-        matrix_generators: tuple | None = None,
-    ):
+    def __init__(self, name: str, basis_labels: Sequence[str],
+                 nonzeros: Sequence[Sequence[Sequence]]):
         labels = tuple(basis_labels)
         n = len(labels)
         if n == 0:
@@ -101,10 +96,7 @@ class LieAlgebra:
                    for j, terms in enumerate(row)])
             for i, row in enumerate(nonzeros)
         )
-        self.matrix_size = matrix_size
-        self.matrix_generators = matrix_generators
-        self._integer_nz = None
-        self._span_solver = None
+        self._integer_nz = self._span_solver = None
         nz = self.integer_constants  # packed as in the class docstring
         top = max((abs(c) for row in nz for terms in row for _, c in terms), default=0)
         w = (3 * n * top * top).bit_length()
@@ -278,13 +270,16 @@ class LieAlgebra:
                 parts.append(f" {head} {body}")
         return "".join(parts)
 
+    @property
+    def matrix_generators(self) -> tuple | None:
+        """The matrix generators of an algebra made by
+        :func:`from_matrix_generators`, held by their span solver; else None."""
+        return None if self._span_solver is None else self._span_solver.matrices
+
     def _solver(self) -> "_SpanSolver":
-        """The coordinate solver of the matrix generators, built once per
-        algebra (:func:`from_matrix_generators` hands over its own)."""
-        if self.matrix_generators is None:
-            raise LieCheckError(f"algebra {self.name!r} was not built from matrix generators")
+        """The coordinate solver that :func:`from_matrix_generators` attached."""
         if self._span_solver is None:
-            self._span_solver = _SpanSolver(self.matrix_generators)
+            raise LieCheckError(f"algebra {self.name!r} was not built from matrix generators")
         return self._span_solver
 
     def __repr__(self):
@@ -499,6 +494,6 @@ def from_matrix_generators(
                 raise NotClosed(labels[i], labels[j], comm)
             nonzeros[i][j] = terms
             nonzeros[j][i] = tuple([(k, -x) for k, x in terms])
-    alg = LieAlgebra(name, labels, nonzeros, matrix_size=size, matrix_generators=tuple(gens))
+    alg = LieAlgebra(name, labels, nonzeros)
     alg._span_solver = solver
     return alg

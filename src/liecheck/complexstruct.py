@@ -35,6 +35,7 @@ from .exact import (
     annihilated,
     apply_columns,
     kernel_basis,
+    rref,
     scaled_integers,
     subspace_intersection,
     subspace_sum,
@@ -209,19 +210,13 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator,
 
     # J, m and k are real and Z- is the conjugate of Z+, so k_C + E- = Z-
     # is the conjugate of k_C + E+ = Z+: only the (+i)-eigenspace E+ of J
-    # on m_C is computed, from J restricted to m in its echelon coordinates.
+    # on m_C is computed, from J restricted to m in its echelon coordinates,
+    # and carried to ambient coordinates by the basis of m.
     m_rows = pair.m.vectors()
     dm = pair.m.dim
     cols = [pair.m.coordinates_of(op.apply(x)) for x in m_rows]
     restricted = ExactMatrix(dm, dm, [GaussianRational(cols[c][r], -int(r == c))
                                       for r in range(dm) for c in range(dm)])
-    ambient_vectors = []
-    for coords in kernel_basis(restricted).vectors():
-        vec = [GaussianRational(0)] * n
-        for c, row in zip(coords, m_rows):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        ambient_vectors.append(vec)
-    eig_space = Subspace.from_vectors(n, ambient_vectors)
+    eig_space = Subspace(rref(kernel_basis(restricted).basis @ pair.m.basis)[0])
     eig_ok = subspace_sum(kc, eig_space) == z_plus
     return SplitDiagnostics(sum_is_all, intersection_is_kc, eig_ok)

@@ -29,12 +29,14 @@ so the scales are never divided out.
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
 above and below), which makes equality of subspaces plain structural
-equality.  The elimination behind :func:`rref` and :func:`kernel_basis` is
-fraction-free: each row is a list of Gaussian integers over one positive
-common denominator (a real row has no imaginary list), kept free of common
-content, and scalars are built again only for the result.  One rule types
-those scalars: every entry is a :class:`GaussianRational` when the input
-has a GaussianRational entry, and a Fraction otherwise.
+equality.  A :class:`Subspace` is made of that basis alone; its ambient
+dimension and pivot columns are read off it.  The elimination behind
+:func:`rref` and :func:`kernel_basis` is fraction-free: each row is a list
+of Gaussian integers over one positive common denominator (a real row has
+no imaginary list), kept free of common content, and scalars are built
+again only for the result.  One rule types those scalars, every row of
+either result alike: every entry is a :class:`GaussianRational` when the
+input has a GaussianRational entry, and a Fraction otherwise.
 :func:`kernel_basis` eliminates once, choosing pivot columns from the
 right, and reads the canonical kernel basis off that form;
 :func:`subspace_intersection` is the kernel of both subspaces' equations.
@@ -53,7 +55,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionCapExceeded, DimensionMismatch
+from .errors import DimensionCapExceeded, DimensionMismatch, LieCheckError
 
 Rational = Fraction
 
@@ -514,20 +516,15 @@ def rref(m: ExactMatrix) -> tuple:
     Returns ``(reduced, pivot_cols)``.  The pivot rule is deterministic:
     leftmost nonzero column first, first nonzero row as pivot row, pivot
     normalized to 1, eliminated above and below.  The elimination runs on
-    Gaussian integers (:func:`_eliminate`).  A row it changed is typed
+    Gaussian integers (:func:`_eliminate`).  Every row is typed
     GaussianRational when ``m`` has a GaussianRational entry and Fraction
-    otherwise; a row it never changed is returned as given.
+    otherwise.
     """
     cols = m.cols
     rows = _integer_rows(m)
-    gaussian = _is_gaussian(m)
-    given = rows[:]  # holds the given rows, so no changed row can reuse their ids
     pivots = _eliminate(rows, cols, range(cols))
-    index = {id(row): i for i, row in enumerate(given)}
-    entries = []
-    for row in rows[:len(pivots)]:
-        i = index.get(id(row))
-        entries.extend(_scalar_row(row, gaussian) if i is None else m.row(i))
+    gaussian = _is_gaussian(m)
+    entries = [e for row in rows[:len(pivots)] for e in _scalar_row(row, gaussian)]
     return ExactMatrix._of(len(pivots), cols, tuple(entries)), tuple(pivots)
 
 
@@ -560,7 +557,7 @@ def _kernel(m: ExactMatrix, gaussian: bool) -> "Subspace":
         for p, x, y, d in terms:
             kre[p], kim[p] = -x * (kden // d), -y * (kden // d)
         kernel.extend(_scalar_row([kre, kim, kden], gaussian))
-    return Subspace(cols, ExactMatrix._of(len(free), cols, tuple(kernel)), tuple(free))
+    return Subspace(ExactMatrix._of(len(free), cols, tuple(kernel)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,39 +565,37 @@ def _kernel(m: ExactMatrix, gaussian: bool) -> "Subspace":
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A linear subspace held as a reduced row-echelon basis.
+    """A linear subspace held as its reduced row-echelon basis.
 
-    Because the representation is canonical, two subspaces are equal exactly
-    when their ``(ambient_dim, basis)`` data are equal.
+    The basis is the only datum: the ambient dimension is its column count
+    and the pivot columns are the first nonzero column of each row.  Because
+    the representation is canonical, two subspaces are equal exactly when
+    their bases are.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivot_cols", "_eqs", "_annihilator")
 
-    def __init__(self, ambient_dim: int, basis: ExactMatrix, pivot_cols: tuple):
-        if ambient_dim > AMBIENT_DIM_CAP:
+    def __init__(self, basis: ExactMatrix):
+        if basis.cols > AMBIENT_DIM_CAP:
             raise DimensionCapExceeded(
-                f"ambient dimension {ambient_dim} exceeds the cap {AMBIENT_DIM_CAP}"
+                f"ambient dimension {basis.cols} exceeds the cap {AMBIENT_DIM_CAP}"
             )
-        self.ambient_dim = ambient_dim
+        if not all(basis.nonzero_rows):
+            raise LieCheckError("a subspace basis has a zero row")
+        self.ambient_dim = basis.cols
         self.basis = basis
-        self.pivot_cols = pivot_cols
+        self.pivot_cols = tuple(terms[0][0] for terms in basis.nonzero_rows)
         self._eqs = self._annihilator = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        if ambient_dim > AMBIENT_DIM_CAP:
-            raise DimensionCapExceeded(
-                f"ambient dimension {ambient_dim} exceeds the cap {AMBIENT_DIM_CAP}"
-            )
         vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        m = ExactMatrix.from_rows(vecs, cols=ambient_dim)
-        red, piv = rref(m)
-        return cls(ambient_dim, red, piv)
+        return cls(rref(ExactMatrix.from_rows(vecs, cols=ambient_dim))[0])
 
     @property
     def dim(self) -> int:
@@ -661,19 +656,15 @@ class Subspace:
 
     def conjugated(self) -> "Subspace":
         # Conjugation fixes the pivot structure, so the result stays canonical.
-        return Subspace(self.ambient_dim, self.basis.conjugated(), self.pivot_cols)
+        return Subspace(self.basis.conjugated())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivot_cols == other.pivot_cols
-            and self.basis == other.basis
-        )
+        return self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.pivot_cols, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

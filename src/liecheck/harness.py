@@ -24,9 +24,10 @@ point is a stack without leading axes.  Every function below, from
 :meth:`MatrixModel.element` to :func:`numerical_torsion`, evaluates a whole
 stack with a fixed number of array operations, and every guard
 (:class:`PointOffManifold`, :class:`SectionSingular`) raises if any one point
-of the stack is bad.  The generator stack and the operator matrix are
-converted to floats once, and :func:`numerical_torsion` takes the section at
-its points once, for its four bundle maps there and its prediction.
+of the stack is bad.  The generator stack is converted to floats once per
+model, and the operator matrix is converted to floats once per call, so once
+per stack; the model holds no operator.  :func:`numerical_torsion` takes the
+section at its points once, for its four bundle maps there and its prediction.
 :func:`run_harness` and :func:`relation_checks` draw their samples from
 ``random.Random(seed)`` in the order of a per-sample loop and evaluate them
 ``CHUNK`` at a time, so the arrays in flight never hold more than ``CHUNK``
@@ -187,7 +188,6 @@ class MatrixModel:
         # The axes of one point: a vector on the sphere, a matrix on the group.
         self.point_axes = (-1,) if kind == "sphere-orbit" else (-2, -1)
         self._complex = np.iscomplexobj(self.generators)
-        self._op = self._op_float = None
         self._verify_commutators()
         self._coord_pinv = np.linalg.pinv(self._flatten(self.generators).T)
         if kind == "sphere-orbit":
@@ -209,13 +209,6 @@ class MatrixModel:
             raise LieCheckError(
                 "model generators do not reproduce the structure constants"
             )
-
-    def operator_matrix(self, op: LinearOperator) -> np.ndarray:
-        """The float matrix of ``op``; converted once while ``op`` is the
-        operator last asked for."""
-        if self._op is not op:
-            self._op, self._op_float = op, _float_matrix(op.matrix, "operator")
-        return self._op_float
 
     # -- geometry -------------------------------------------------------------
 
@@ -351,9 +344,10 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
     The model kind, and every reason for having none that needs no floats,
     is decided before numpy is first used."""
     alg = pair.alg
+    generators = alg.matrix_generators
     sphere = alg.dim == 3 and pair.k.dim == 1
     if pair.k.dim == 0:
-        if alg.matrix_generators is None:
+        if generators is None:
             raise LieCheckError(
                 "the full-group model needs an algebra built from matrix generators"
             )
@@ -362,8 +356,8 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
             "no numerical model for this pair (supported: trivial stabilizer on a "
             "matrix algebra, or the 3-dimensional rotation pair)"
         )
-    elif alg.matrix_generators is not None:
-        if alg.matrix_size != 3:
+    elif generators is not None:
+        if generators[0].rows != 3:
             raise LieCheckError("the sphere model needs 3x3 generators")
     elif any(alg.nonzeros[i][j] != want for (i, j), want in _SO3_TENSOR.items()):
         raise LieCheckError(
@@ -376,9 +370,9 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
             for k, x in terms:
                 structure[i, j, k] = _float(x, "structure constant [{},{}] component {}",
                                             *(alg.basis_labels[t] for t in (i, j, k)))
-    gens = ([np.array(g) for g in _SO3_STANDARD] if alg.matrix_generators is None
+    gens = ([np.array(g) for g in _SO3_STANDARD] if generators is None
             else [_float_matrix(g, f"generator {label}")
-                  for g, label in zip(alg.matrix_generators, alg.basis_labels)])
+                  for g, label in zip(generators, alg.basis_labels)])
     if not sphere:
         return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]), structure)
     for g in gens:
@@ -409,7 +403,7 @@ def bundle_map(model: MatrixModel, op: LinearOperator, p: np.ndarray,
                z: np.ndarray) -> np.ndarray:
     """Apply the induced bundle map at p to a tangent vector z."""
     model.check_point(p)
-    return _bundle_with_section(model, model.operator_matrix(op), model.section(p), z)
+    return _bundle_with_section(model, _float_matrix(op.matrix, "operator"), model.section(p), z)
 
 
 def _bundle_with_section(model: MatrixModel, op_float: np.ndarray,
@@ -500,7 +494,7 @@ def numerical_torsion(model: MatrixModel, op: LinearOperator, v, w, p: np.ndarra
     fields by four finite-difference brackets, next to the algebraic
     prediction transported to the same points."""
     model.check_point(p)
-    op_float = model.operator_matrix(op)
+    op_float = _float_matrix(op.matrix, "operator")
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
 
@@ -599,7 +593,7 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
     rep_max = None
     flip_push = flip_field = rot_bundle = rot_field = None
     if model.kind == "sphere-orbit":
-        op_float = model.operator_matrix(op)
+        op_float = _float_matrix(op.matrix, "operator")
         base = model.base_point
         k_gen = model.element(pair.k.space.vectors()[0])
         stab_max = 0.0

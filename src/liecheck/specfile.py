@@ -588,9 +588,14 @@ class _Parser:
         connected = True
         reps = []
         n = len(index)
+        keys = set()
         while self.at(","):
             self.advance()
             key = self.expect_name("complement, connected or reps")
+            if key[0] in keys:
+                raise self.error(DuplicateName, f"{key[0]!r} given twice in pair {name!r}",
+                                 key.start())
+            keys.add(key[0])
             if key[0] == "complement":
                 complement = self._subspace_ref(self.doc.complements, "complement", algebra)
             elif key[0] == "connected":

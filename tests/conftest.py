@@ -82,7 +82,8 @@ def scaled_matrix(m, s):
 
 def matrix_of_element(alg, v):
     """The matrix ``sum_j v_j g_j`` over the generators of a matrix algebra."""
-    acc = zero_matrix(alg.matrix_size, alg.matrix_size)
+    size = alg.matrix_generators[0].rows
+    acc = zero_matrix(size, size)
     for coeff, gen in zip(v, alg.matrix_generators):
         if coeff:
             acc = matrix_sum(acc, scaled_matrix(gen, coeff))
@@ -117,8 +118,7 @@ def over_gaussian(space):
     """The same subspace with every basis entry a GaussianRational."""
     entries = [e if isinstance(e, GaussianRational) else GaussianRational(e)
                for e in space.basis.entries]
-    return Subspace(space.ambient_dim, ExactMatrix(space.basis.rows, space.ambient_dim, entries),
-                    space.pivot_cols)
+    return Subspace(ExactMatrix(space.basis.rows, space.ambient_dim, entries))
 
 
 def random_point(model, rng):

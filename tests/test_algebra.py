@@ -12,10 +12,12 @@ from liecheck import (
     Subspace,
     from_matrix_generators,
     make_subalgebra,
+    operator_left_mult,
 )
 from liecheck.errors import (
     DimensionMismatch,
     InvalidStructureConstants,
+    LieCheckError,
     NonRealStructureConstants,
     NotClosed,
     NotClosedUnderBracket,
@@ -442,6 +444,26 @@ def test_single_generator_abelian():
     alg = from_matrix_generators(2, [unit_matrix(2, 0, 0)])
     assert alg.dim == 1
     assert alg.bracket((Fraction(2),), (Fraction(3),)) == (Fraction(0),)
+
+
+def test_matrix_generators_come_only_from_their_solver(so3):
+    # Generators are attached only with the constants derived from them: the
+    # constructor takes neither generators nor a size, and an algebra given
+    # by constants has no multiplication operators.
+    nonzeros = so3.nonzeros
+    with pytest.raises(TypeError):
+        LieAlgebra("so3", so3.basis_labels, nonzeros, matrix_size=5)
+    with pytest.raises(TypeError):
+        LieAlgebra("so3", so3.basis_labels, nonzeros,
+                   matrix_generators=tuple(unit_matrix(3, i, i) for i in range(3)))
+    assert so3.matrix_generators is None
+    with pytest.raises(LieCheckError, match="not built from matrix generators"):
+        operator_left_mult(so3, unit_matrix(3, 0, 0))
+    gens = [unit_matrix(2, 0, 0), unit_matrix(2, 1, 1)]
+    alg = from_matrix_generators(2, gens)
+    assert alg.matrix_generators == tuple(gens)
+    with pytest.raises(AttributeError):
+        alg.matrix_generators = ()
 
 
 def test_u2_structure_constants_real():

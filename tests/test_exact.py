@@ -17,7 +17,7 @@ from liecheck import (
     subspace_intersection,
     subspace_sum,
 )
-from liecheck.errors import DimensionCapExceeded, DimensionMismatch
+from liecheck.errors import DimensionCapExceeded, DimensionMismatch, LieCheckError
 
 from conftest import (
     draw_matrix,
@@ -163,7 +163,8 @@ def test_rref_idempotent_and_row_space_preserving():
         red, piv = rref(m)
         again, piv2 = rref(red)
         assert red == again and piv == piv2
-        span = Subspace(cols, red, piv)
+        span = Subspace(red)
+        assert span.pivot_cols == piv
         for i in range(rows):
             assert m.row(i) in span
 
@@ -269,6 +270,22 @@ def test_canonical_equality():
 def test_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
         Subspace.from_vectors(65, [])
+
+
+def test_subspace_is_its_basis():
+    # The ambient dimension and the pivots are read off the basis; no
+    # second copy of them can be given.
+    basis = ExactMatrix.from_rows([[0, 1, 0, 2], [0, 0, 1, 3]])
+    s = Subspace(basis)
+    assert (s.ambient_dim, s.pivot_cols, s.dim) == (4, (1, 2), 2)
+    assert s == Subspace.from_vectors(4, [basis.row(0), basis.row(1)])
+    with pytest.raises(TypeError):
+        Subspace(2, ExactMatrix.from_rows([[1, 0, 0, 0]]), (0,))
+    with pytest.raises(LieCheckError, match="zero row"):
+        Subspace(ExactMatrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(DimensionCapExceeded):
+        Subspace(ExactMatrix(0, 65, []))
+    assert Subspace(ExactMatrix(0, 3, [])) == Subspace.from_vectors(3, [])
 
 
 def test_exact_matrix_rejects_floats():
@@ -493,13 +510,9 @@ def test_rref_matches_scalar_reference(flavour, data):
     assert pivots == expected_pivots
     assert red == expected
     if flavour == "mixed":
-        # A row the elimination never changed is returned as given; every
-        # other row is typed by whether m has a Gaussian entry.
+        # Every row is typed by whether m has a Gaussian entry.
         gaussian = any(isinstance(e, GaussianRational) for e in m.entries)
-        for i in range(red.rows):
-            row = red.row(i)
-            assert (any(all(a is b for a, b in zip(row, m.row(j))) for j in range(m.rows))
-                    or set(map(type, row)) == {GaussianRational if gaussian else Fraction})
+        assert set(_types(red)) <= {GaussianRational if gaussian else Fraction}
     else:
         assert _types(red) == _types(expected)
     # Every row the elimination produces has its content divided out.
@@ -528,22 +541,28 @@ def test_kernel_basis_matches_two_step_reference(flavour, data):
 
 def test_rref_types_follow_the_scalar_operations():
     g1, gi = GaussianRational(1), GaussianRational(0, 1)
-    # One Gaussian entry makes every row the elimination changes Gaussian.
+    # One Gaussian entry makes every row Gaussian.
     red, _ = rref(ExactMatrix.from_rows([[g1, Fraction(2)], [Fraction(3), Fraction(5)]]))
     assert _types(red) == [GaussianRational] * 4
     red, _ = rref(ExactMatrix.from_rows([[GaussianRational(2), Fraction(2)]]))
     assert _types(red) == [GaussianRational, GaussianRational]
-    # A row the elimination never changed keeps the types it was given.
+    # So is a row the elimination never changed.
     red, _ = rref(ExactMatrix.from_rows([[Fraction(1), Fraction(0), Fraction(1)],
                                          [gi, Fraction(1), Fraction(0)]]))
     assert red == ExactMatrix.from_rows([[1, 0, 1], [0, 1, -gi]])
-    assert _types(red) == [Fraction] * 3 + [GaussianRational] * 3
+    assert _types(red) == [GaussianRational] * 6
     # Without a Gaussian entry every row is rational.
     red, _ = rref(ExactMatrix.from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]))
     assert _types(red) == [Fraction] * 4
 
 
 def test_rref_keeps_untouched_rows():
+    # A row the elimination only moves keeps its values, typed by the rule.
     m = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0]])
     red, _ = rref(m)
-    assert all(a is b for a, b in zip(red.entries, m.row(1) + m.row(0)))
+    assert red.entries == m.row(1) + m.row(0)
+    assert _types(red) == [Fraction] * 6
+    gi = GaussianRational(0, 1)
+    red, _ = rref(ExactMatrix.from_rows([[0, 1, 0], [1, 0, gi]]))
+    assert red.entries == (1, 0, gi, 0, 1, 0)
+    assert _types(red) == [GaussianRational] * 6

@@ -1,6 +1,7 @@
 """Random character edits of the corpus inputs keep the exit-code contract.
 
-Every command of :func:`test_golden.corpus_argvs` runs, in process through
+Every command of :func:`test_golden.corpus_argvs`, and every harness command
+of :func:`harness_argvs`, runs, in process through
 :func:`liecheck.cli.main`, on ``EDITS_PER_COMMAND`` edited copies of its
 ``.lie`` file.  An edited copy has 1 to 3 random character edits (insert,
 delete or replace) drawn from the characters of the ``.lie`` syntax and a
@@ -17,12 +18,14 @@ import io
 import random
 
 from liecheck.cli import main
-from test_golden import ROOT, corpus_argvs
+from test_golden import ROOT, _workloads, corpus_argvs
 
 #: The characters of the ``.lie`` syntax, then ``$``, ``²`` and ``é``.
 ALPHABET = "abdeghijknprsxyz_0129/+-*=,;[](){}>#\n \t$²é"
 EDITS_PER_COMMAND = 5
 SEED = 20261019
+#: The sample count of a fuzzed harness command.
+HARNESS_SAMPLES = "20"
 
 
 def _edit(text: str, rng: random.Random) -> str:
@@ -38,11 +41,30 @@ def _edit(text: str, rng: random.Random) -> str:
     return "".join(chars)
 
 
-def edited_commands(seed: int = SEED):
-    """Yield ``(name, argv, text)``: a corpus command, its argv and an edited
-    copy of its input file, whose path in ``argv`` the caller replaces."""
+def harness_argvs() -> dict:
+    """``{name: argv}`` for the harness commands of the ``corpus`` workload,
+    which :func:`corpus_argvs` skips, and of the ``harness`` workload, each
+    at ``HARNESS_SAMPLES`` samples."""
+    workloads = _workloads()
+    argvs = {}
+    for workload in ("corpus", "harness"):
+        for cmd in workloads.WORKLOADS[workload](1, None):
+            argv = list(cmd.argv)
+            if argv[0] == "harness":
+                if "--samples" in argv:
+                    argv[argv.index("--samples") + 1] = HARNESS_SAMPLES
+                else:
+                    argv += ["--samples", HARNESS_SAMPLES]
+                argvs[f"{workload}: {cmd.cid}"] = argv
+    return dict(sorted(argvs.items()))
+
+
+def edited_commands(seed: int = SEED, commands: dict | None = None):
+    """Yield ``(name, argv, text)``: a command of ``commands`` (by default
+    :func:`corpus_argvs`), its argv and an edited copy of its input file,
+    whose path in ``argv`` the caller replaces."""
     rng = random.Random(seed)
-    for name, argv in corpus_argvs().items():
+    for name, argv in (corpus_argvs() if commands is None else commands).items():
         (source,) = [word for word in argv if word.endswith(".lie")]
         text = (ROOT / source).read_text(encoding="utf-8")
         for edit in range(EDITS_PER_COMMAND):
@@ -59,10 +81,12 @@ def run_edited(text: str, argv: list, path) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def test_edited_inputs_keep_the_exit_code_contract(tmp_path):
+def _check_contract(commands: dict, path) -> int:
+    """Run every edited copy of ``commands`` and check its exit code and
+    streams; returns the number of runs."""
     runs = 0
-    for name, argv, text in edited_commands():
-        code, stdout, stderr = run_edited(text, argv, tmp_path / "edited.lie")
+    for name, argv, text in edited_commands(commands=commands):
+        code, stdout, stderr = run_edited(text, argv, path)
         assert code in (0, 1, 2), (name, text)
         if code == 2:
             assert stdout == "", (name, text)
@@ -70,4 +94,15 @@ def test_edited_inputs_keep_the_exit_code_contract(tmp_path):
             assert stderr.startswith("error: "), (name, text, stderr)
             assert not stderr.startswith("error: internal error"), (name, text, stderr)
         runs += 1
-    assert runs == len(corpus_argvs()) * EDITS_PER_COMMAND
+    return runs
+
+
+def test_edited_inputs_keep_the_exit_code_contract(tmp_path):
+    commands = corpus_argvs()
+    assert _check_contract(commands, tmp_path / "edited.lie") == len(commands) * EDITS_PER_COMMAND
+
+
+def test_edited_harness_inputs_keep_the_exit_code_contract(tmp_path):
+    commands = harness_argvs()
+    assert len(commands) == 21
+    assert _check_contract(commands, tmp_path / "edited.lie") == len(commands) * EDITS_PER_COMMAND

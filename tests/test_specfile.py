@@ -187,6 +187,14 @@ PINNED_DIAGNOSTICS = [
      "3:29: expected 'true', 'false', found 'maybe'"),
     (_S + "pair p = (a, s, colour = red);", SpecSyntaxError,
      "3:17: expected 'complement', 'connected', 'reps', found 'colour'"),
+    # A pair key given twice is diagnosed at its second occurrence.
+    (_S + "pair p = (a, s, connected = false, connected = true);", DuplicateName,
+     "3:36: 'connected' given twice in pair 'p'"),
+    (_S + "complement m of a = span(y);\ncomplement n of a = span(x + y);\n"
+     "pair p = (a, s, complement m, complement n);", DuplicateName,
+     "5:31: 'complement' given twice in pair 'p'"),
+    (_S + "pair p = (a, s, reps([[1,0],[0,1]]), connected = false, reps([[1,0],[0,-1]]));",
+     DuplicateName, "3:57: 'reps' given twice in pair 'p'"),
     # A component rep of the wrong size is diagnosed at its matrix, by index.
     (_S + "pair p = (a, s, connected = false,\n  reps([[1,0],[0,1]], [[1]]));",
      SpecSyntaxError, "4:23: component rep #1 must be 2x2"),
