@@ -10,12 +10,14 @@ construction: antisymmetry entrywise and the Jacobi identity on every basis
 triple.  Matrix algebras are converted at the door by
 :func:`from_matrix_generators`, in integers: each generator is scaled to
 Gaussian-integer rows, commutators are taken on those rows, and one integer
-elimination (:class:`_SpanSolver`) gives their coordinates; a Fraction is
-made only per nonzero structure constant.  The solver is retained and holds
-the generators (:attr:`LieAlgebra.matrix_generators` reads them), so
-multiplication operators are expressed the same way; only
-:func:`from_matrix_generators`, which derives the constants from those
-generators, attaches one.
+elimination (:class:`liecheck.matrix_span._SpanSolver`) gives their
+coordinates; a Fraction is made only per nonzero structure constant.  The
+solver is retained and holds the generators
+(:attr:`LieAlgebra.matrix_generators` reads them), so multiplication
+operators are expressed the same way; only :func:`from_matrix_generators`,
+which derives the constants from those generators, attaches one.  The
+solver and the integer rows live in :mod:`liecheck.matrix_span`, which an
+algebra given by structure constants never runs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from itertools import compress
 from math import lcm
 from collections.abc import Sequence
 
+from . import _lazy_module
 from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -42,12 +45,13 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
-    _eliminate,
     annihilated,
     format_scalar,
     integer_vector,
-    rref,
 )
+
+# Only algebras given by matrix generators run the span solver.
+_matrix_span = _lazy_module("liecheck.matrix_span")
 
 
 def _as_fraction(x) -> Fraction:
@@ -276,7 +280,7 @@ class LieAlgebra:
         :func:`from_matrix_generators`, held by their span solver; else None."""
         return None if self._span_solver is None else self._span_solver.matrices
 
-    def _solver(self) -> "_SpanSolver":
+    def _solver(self) -> "_matrix_span._SpanSolver":
         """The coordinate solver that :func:`from_matrix_generators` attached."""
         if self._span_solver is None:
             raise LieCheckError(f"algebra {self.name!r} was not built from matrix generators")
@@ -345,110 +349,6 @@ def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
 # matrix-generator construction
 # ---------------------------------------------------------------------------
 
-def _gaussian_rows(m: ExactMatrix) -> tuple:
-    """``(s, rows)``: ``s * m`` for ``s`` the lcm of the denominators of the
-    entries of ``m``, as its nonzero rows ``{row: {col: (re, im)}}`` of
-    Gaussian integers."""
-    parts = [[(c, e.re, e.im) if e.__class__ is GaussianRational else (c, e, 0) for c, e in terms]
-             for terms in m.nonzero_rows]
-    s = lcm(*(x.denominator for terms in parts for _, a, b in terms for x in (a, b)))
-    return s, {r: {c: (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
-                   for c, a, b in terms} for r, terms in enumerate(parts) if terms}
-
-
-def _times(x: dict, y: dict, out: dict | None = None, sign: int = 1) -> dict:
-    """Add ``sign * X Y`` to the rows ``out`` (zero by default) and return
-    them, for matrices given by :func:`_gaussian_rows`."""
-    out = {} if out is None else out
-    for r, terms in x.items():
-        acc = out.setdefault(r, {})
-        for k, (a, b) in terms.items():
-            for c, (u, v) in y.get(k, {}).items():
-                re, im = acc.get(c, (0, 0))
-                acc[c] = (re + sign * (a * u - b * v), im + sign * (a * v + b * u))
-    return out
-
-
-class _SpanSolver:
-    """Solve for coordinates of matrices inside the real span of matrices.
-
-    Each generator is scaled to Gaussian-integer rows (:func:`_gaussian_rows`)
-    and flattened into an integer column of ``A``, real parts first and, when
-    any generator has one, imaginary parts below.  One integer elimination of
-    ``[A | Id]`` over the columns of ``A`` leaves the rows ``[Id | T]`` on
-    top, with ``T A = Id``, and ``[0 | N]`` below, whose rows span the left
-    null space.  Both blocks are kept by column, as integers over one
-    denominator per row of T: a target ``t`` lies in the span exactly when
-    ``N t = 0``, and its coordinates are ``T t``, so a target costs one pass
-    over its nonzero entries.
-    """
-
-    def __init__(self, matrices: Sequence[ExactMatrix]):
-        self.matrices = tuple(matrices)
-        self.size = size = matrices[0].rows
-        self.scales, self.rows = zip(*map(_gaussian_rows, matrices))
-        self.has_imag = any(b for rows in self.rows for row in rows.values()
-                            for _, b in row.values())
-        n, half = len(matrices), size * size
-        height = half * (2 if self.has_imag else 1)
-        system = [[[0] * n + [int(r == p) for p in range(height)], None, 1]
-                  for r in range(height)]
-        for k, rows in enumerate(self.rows):
-            for r, row in rows.items():
-                for c, (a, b) in row.items():
-                    system[r * size + c][0][k] = a
-                    if b:
-                        system[half + r * size + c][0][k] = b
-        pivots = _eliminate(system, n + height, range(n))
-        self.independent = len(pivots) == n
-        self.n = n
-        # Rows of T are multiplied by their generator's scale, so that they
-        # give coordinates of the generators as given.
-        self._den = [den for _, _, den in system[:len(pivots)]]
-        self._columns = [[] for _ in range(height)]
-        for r, (re, _, _) in enumerate(system):
-            scale = self.scales[pivots[r]] if r < len(pivots) else 1
-            for p, a in enumerate(re[n:]):
-                if a:
-                    self._columns[p].append((r, a * scale))
-
-    def solve(self, rows: dict, scale: int) -> tuple | None:
-        """The nonzero ``(k, coordinate)`` pairs, in increasing ``k``, of the
-        matrix with Gaussian-integer ``rows`` divided by ``scale``; None
-        outside the real span.  A Fraction is made per nonzero coordinate."""
-        size, half = self.size, self.size * self.size
-        flat = {}
-        for r, row in rows.items():
-            for c, (a, b) in row.items():
-                if a:
-                    flat[r * size + c] = a
-                if b:
-                    if not self.has_imag:
-                        return None
-                    flat[half + r * size + c] = b
-        acc = {}  # rows of [T; N] times the flattened target
-        for p, x in flat.items():
-            for r, a in self._columns[p]:
-                acc[r] = acc.get(r, 0) + a * x
-        if any(x for r, x in acc.items() if r >= len(self._den)):
-            return None
-        return tuple([(k, Fraction(x, scale * self._den[k])) for k, x in sorted(acc.items()) if x])
-
-    def matrix(self, rows: dict, scale: int) -> ExactMatrix:
-        """The matrix with Gaussian-integer ``rows`` divided by ``scale``."""
-        size = self.size
-        return ExactMatrix(size, size, [
-            GaussianRational(Fraction(a, scale), Fraction(b, scale)) if b else Fraction(a, scale)
-            for r in range(size) for a, b in (rows.get(r, {}).get(c, (0, 0)) for c in range(size))])
-
-    def in_complex_span(self, target: ExactMatrix) -> bool:
-        """Whether ``target`` lies in the Q(i)-span of the generators."""
-        columns = [[e if isinstance(e, GaussianRational) else GaussianRational(e)
-                    for e in m.entries] for m in self.matrices + (target,)]
-        _, pivots = rref(ExactMatrix.from_rows(list(zip(*columns))))
-        return self.n not in pivots
-
-
 def from_matrix_generators(
     size: int,
     generators: Sequence[ExactMatrix],
@@ -475,9 +375,10 @@ def from_matrix_generators(
         labels = tuple(labels)
         if len(labels) != n:
             raise DimensionMismatch("one label per generator required")
-    solver = _SpanSolver(gens)
+    solver = _matrix_span._SpanSolver(gens)
     if not solver.independent:
         raise NotIndependent("generators are linearly dependent")
+    times = _matrix_span._times
     nonzeros = [[()] * n for _ in range(n)]
     rows, scales = solver.rows, solver.scales
     cols = [{c for row in x.values() for c in row} for x in rows]
@@ -485,7 +386,7 @@ def from_matrix_generators(
         for j in range(i + 1, n):
             if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
                 continue  # no column of one generator is a row of the other
-            comm = _times(rows[j], rows[i], _times(rows[i], rows[j]), -1)
+            comm = times(rows[j], rows[i], times(rows[i], rows[j]), -1)
             terms = solver.solve(comm, scales[i] * scales[j])
             if terms is None:
                 comm = solver.matrix(comm, scales[i] * scales[j])

@@ -10,8 +10,16 @@ Commands::
 
 The command line is only read here, against one option table; the harness
 checks its own inputs (``harness.run_harness``).  Each command builds one
-JSON payload; ``_text`` renders the text report from it, and a harness
-``--out FILE.csv`` table streams from its float columns.
+JSON payload; :mod:`liecheck.text_report` renders the text report from it,
+and a harness ``--out FILE.csv`` table streams from its float columns
+(``harness.report_fields``).  What only some commands run lives in modules
+that this one reaches through placeholders (``liecheck._lazy_module``) and
+runs on first use: the canonical dump (:mod:`liecheck.serializer`), the text
+renderer, the harness's float-free input checks
+(:mod:`liecheck.harness_inputs`) and the float harness past them, and the
+usage line and ``--help`` text (:mod:`liecheck.usage`).  No such module imports this one: under ``python -m
+liecheck.cli`` it is ``__main__``, and importing it by name would run it a
+second time, so it passes in its option table and its writer instead.
 
 Exit codes: 0 the checked property holds, 1 it fails (a mathematical
 verdict, with an exact witness in the report), 2 usage or input error.
@@ -25,8 +33,6 @@ and the exit code is 2.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 import re
 import sys
@@ -38,19 +44,21 @@ from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_SAMPLES, MAX_STE
                _lazy_module)
 from .errors import LieCheckError
 from .exact import format_scalar
-from .specfile import SpecfileError, build, parse, serialize
+from .specfile import SpecfileError, build, parse
 
 # Each module below runs when a command first reads from it: ``parse`` runs
-# none of them, ``check`` and ``torsion`` no complexstruct, and only
-# ``harness`` the harness (which imports numpy on first use).
+# only the serializer, ``check`` and ``torsion`` no complexstruct, only
+# ``harness`` the harness inputs and, past them, the harness (which imports
+# numpy on first use), only a text report the text renderer, and only a
+# usage error or --help the usage text.
 operators = _lazy_module("liecheck.operators")
 torsion = _lazy_module("liecheck.torsion")
 complexstruct = _lazy_module("liecheck.complexstruct")
+harness_inputs = _lazy_module("liecheck.harness_inputs")
 harness = _lazy_module("liecheck.harness")
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+serializer = _lazy_module("liecheck.serializer")
+text_report = _lazy_module("liecheck.text_report")
+usage = _lazy_module("liecheck.usage")
 
 
 def _read(path: str) -> str:
@@ -179,94 +187,12 @@ def _writes_csv(args) -> bool:
 
 
 def _harness(args, pair, op) -> dict:
-    report = harness.run_harness(pair, op, samples=args.samples, h=args.step,
-                                 seed=args.seed)
-    rel = report.relation
-    residuals = {
-        "alpha_related": rel.alpha_related_max,
-        "base_consistency": rel.base_consistency_max,
-        "stabilizer": rel.stabilizer_max,
-        "representative_independence": rel.rep_independence_max,
-    }
-    fields = {
-        "verdict": report.passed,
-        "model": report.model_kind,
-        "seed": report.seed,
-        "tolerances": {k: _fmt_float(v) for k, v in harness.TOLERANCES.items()},
-        "h": _fmt_float(report.h),
-        "nijenhuis_exact": report.nijenhuis_exact,
-        "max_deviation": _fmt_float(report.max_deviation),
-        "max_numerical_torsion": _fmt_float(report.max_numerical),
-        "relation_residuals": {k: _fmt_float(v) for k, v in residuals.items()
-                               if v is not None},
-    }
-    if rel.flip_pushforward is not None:
-        fields["sphere_demos"] = {
-            "pushforward_of_field": [_fmt_float(x) for x in rel.flip_pushforward],
-            "field_at_moved_point": [_fmt_float(x) for x in rel.flip_field_at_image],
-            "bundle_map_of_field": [_fmt_float(x) for x in rel.rotation_bundle_value],
-            "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
-            "theta": _fmt_float(harness.DEMO_THETA),
-        }
-    # The per-sample columns, named alike in the .csv table and in samples[].
-    keys = ("deviation", "numerical_max", "predicted_max")
-    columns = (report.deviation, report.numerical_max, report.predicted_max)
-    if _writes_csv(args):
-        _write(args.out, itertools.chain([",".join(("index", *keys)) + "\n"], (
-            f"{idx},{','.join(map(_fmt_float, row))}\n" for idx, row in enumerate(zip(*columns)))))
-    if args.report == "json":
-        fields["samples"] = [dict(zip(keys, map(_fmt_float, row))) for row in zip(*columns)]
-    return fields
-
-
-def _text(args, p: dict):
-    """The lines of the text report whose JSON payload is ``p``."""
-    yes = ("no", "yes")
-    witness = []
-    for entry in p["witnesses"]:
-        witness.append("witness:")
-        witness.extend(f"  {key} = {val['pretty']}   coords ({', '.join(val['coords'])})"
-                       if isinstance(val, dict) else f"  {key} = {val}"
-                       for key, val in entry.items())
-    if args.command == "check":
-        yield f"admissible: {yes[p['verdict']]} (scope: {p['scope']})"
-        yield f"clauses evaluated: {', '.join(p['clauses'])}"
-        if not p["verdict"]:
-            yield f"failed clause: {p['failed_clause']}"
-            yield from witness
-        if "split_admissible" in p:
-            yield f"split admissible: {yes[p['split_admissible']]}"
-            if not p["split_admissible"]:
-                yield f"split failed clause: {p['split_failed_clause']}"
-    elif args.command == "torsion":
-        yield (f"nijenhuis: {yes[p['verdict']]} "
-               f"({p['mode']}, {p['checked_pairs']} pairs checked)")
-        yield from witness
-    elif args.command == "integrability":
-        yield f"integrable: {yes[p['verdict']]}"
-        yield (f"dim Z+: {p['dims']['z_plus']}   (Z+ closed under bracket: "
-               f"{yes[p['z_plus_closed']]}; torsion verdict agrees)")
-        yield "Z+ basis:"
-        yield from (f"  {v['pretty']}" for v in p["z_plus_basis"])
-        yield "Z+ modulo k_C:"
-        yield from (f"  {v['pretty']}" for v in p["z_plus_mod_k"])
-        if "split_diagnostics" in p:
-            d = p["split_diagnostics"]
-            yield ("split diagnostics: sum_is_all="
-                   f"{d['sum_is_all']} intersection_is_kc={d['intersection_is_kc']} "
-                   f"eigenspace_decomposition={d['eigenspace_decomposition_holds']}")
-        yield from witness
-    else:
-        # The key ranks a NaN above every number, so a NaN residual is the worst.
-        worst = max(map(float, p["relation_residuals"].values()),
-                    key=lambda x: (math.isnan(x), x))
-        yield f"harness: {'pass' if p['verdict'] else 'FAIL'} on {p['model']} model"
-        yield f"samples: {args.samples}  step: {p['h']}  seed: {p['seed']}"
-        yield f"max |numerical - predicted|: {p['max_deviation']}"
-        yield (f"exact torsion verdict: {'holds' if p['nijenhuis_exact'] else 'fails'}"
-               + (f"  (max |numerical|: {p['max_numerical_torsion']})"
-                  if p["nijenhuis_exact"] else ""))
-        yield f"relation residual (worst): {_fmt_float(worst)}"
+    # The inputs and the model kind first (run_harness checks them again),
+    # so that a run that stops there never compiles the float harness.
+    harness_inputs.check_run(pair, args.samples, args.step, args.seed)
+    # A .csv --out gets the per-sample table, and the report goes to stdout.
+    write_csv = (lambda lines: _write(args.out, lines)) if _writes_csv(args) else None
+    return harness.report_fields(args, pair, op, write_csv)
 
 
 def _report(args) -> int:
@@ -286,12 +212,12 @@ def _report(args) -> int:
 
         body = json.dumps(payload, indent=2) + "\n"
     else:
-        body = (f"{line}\n" for line in _text(args, payload))
+        body = (f"{line}\n" for line in text_report.lines(args, payload))
     _write(None if _writes_csv(args) else args.out, body)
     return 0 if payload["verdict"] else 1
 
 
-# The command line, read by _read_argv and printed by _usage and _help.  A
+# The command line, read by _read_argv and printed by liecheck.usage.  A
 # command maps to (its report function, or None for parse; its summary; its
 # options).  An option maps its name to (a converter, or a tuple of the
 # values it accepts; its default; its help).  Every command also takes FILE
@@ -323,38 +249,9 @@ _COMMAND_LINE = {
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _metavar(name: str, kind) -> str:
-    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: liecheck [-h] {{{','.join(_COMMAND_LINE)}}} ..."
-    options = (f"[--{name} {_metavar(name, kind)}]"
-               for name, (kind, _, _) in _COMMAND_LINE[command][2].items())
-    return " ".join(["usage: liecheck", command, "[-h]", *options, "file"])
-
-
-def _help(command: str | None) -> str:
-    help_row = ("-h, --help", "show this help message and exit")
-    if command is None:
-        about = "Exact checks for operators on homogeneous pairs of Lie algebras"
-        rows = [*((name, summary) for name, (_, summary, _) in _COMMAND_LINE.items()),
-                help_row]
-    else:
-        _, about, options = _COMMAND_LINE[command]
-        rows = [("file", "input .lie file"), help_row, *(
-            (f"--{name} {_metavar(name, kind)}",
-             text if default is None else f"{text} (default: {default})")
-            for name, (kind, default, text) in options.items())]
-    width = max(len(left) for left, _ in rows) + 2
-    return "\n".join([_usage(command), "", about, "", "arguments:",
-                      *(f"  {left:<{width}}{right}" for left, right in rows)]) + "\n"
-
-
 def _usage_error(command: str | None, message: str):
     prog = "liecheck" if command is None else f"liecheck {command}"
-    _stderr(f"{_usage(command)}\n{prog}: error: {message}\n")
+    _stderr(f"{usage.usage(_COMMAND_LINE, command)}\n{prog}: error: {message}\n")
     raise SystemExit(2)
 
 
@@ -399,7 +296,7 @@ def _read_argv(argv: Sequence[str]):
         if name != "help" or value is not None:
             _usage_error(None, f"argument command: invalid choice: {command!r} (choose from "
                                + ", ".join(map(repr, _COMMAND_LINE)) + ")")
-        print(_help(None), end="")
+        print(usage.help_text(_COMMAND_LINE, None), end="")
         raise SystemExit(0)
     options = _COMMAND_LINE[command][2]
     names = ("help", *options)
@@ -418,7 +315,7 @@ def _read_argv(argv: Sequence[str]):
         elif name == "help":
             if value is not None:
                 _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
-            print(_help(command), end="")
+            print(usage.help_text(_COMMAND_LINE, command), end="")
             raise SystemExit(0)
         else:
             if value is None:
@@ -449,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "parse":
-            _write(args.out, serialize(parse(_read(args.file))))
+            _write(args.out, serializer.serialize(parse(_read(args.file))))
             return 0
         return _report(args)
     except SpecfileError as exc:

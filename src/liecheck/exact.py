@@ -349,18 +349,37 @@ class ExactMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product; row i of the result combines the rows of ``other``
-        selected by the nonzeros of row i of ``self``."""
+        """Matrix product; row i of the result combines the nonzeros of the
+        rows of ``other`` selected by the nonzeros of row i of ``self``.
+
+        The zeros skipped keep the type rule of the module docstring: a row
+        of ``self`` with a GaussianRational nonzero gives a GaussianRational
+        row, and a GaussianRational entry of ``other`` (a zero included)
+        makes its column GaussianRational in every row that selects it.
+        """
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions do not match")
         width = other.cols
+        right = other.nonzero_rows
+        # Per row of other, the columns that hold a GaussianRational.
+        gaussian = [[j for j, e in enumerate(other.row(k)) if e.__class__ is GaussianRational]
+                    for k in range(other.rows)] if _is_gaussian(other) else None
         out = []
         for terms in self.nonzero_rows:
             acc = [_ZERO] * width
             for k, a in terms:
-                acc = [x + a * b for x, b in zip(acc, other.row(k))]
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b
+            if any(a.__class__ is GaussianRational for _, a in terms):
+                acc = [x if x.__class__ is GaussianRational else GaussianRational(x)
+                       for x in acc]
+            elif gaussian is not None:
+                for k, _ in terms:
+                    for j in gaussian[k]:
+                        if acc[j].__class__ is not GaussianRational:
+                            acc[j] = GaussianRational(acc[j])
             out.extend(acc)
-        return ExactMatrix(self.rows, width, out)
+        return ExactMatrix._of(self.rows, width, tuple(out))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector.
@@ -580,11 +599,20 @@ class Subspace:
             raise DimensionCapExceeded(
                 f"ambient dimension {basis.cols} exceeds the cap {AMBIENT_DIM_CAP}"
             )
-        if not all(basis.nonzero_rows):
+        rows = basis.nonzero_rows
+        if not all(rows):
             raise LieCheckError("a subspace basis has a zero row")
+        pivots = tuple(terms[0][0] for terms in rows)
+        # Reduced echelon form: pivots 1, in increasing columns, and the only
+        # nonzero entry of their columns.
+        at_pivots = set(pivots)
+        if (any(terms[0][1] != 1 for terms in rows)
+                or any(p >= q for p, q in zip(pivots, pivots[1:]))
+                or sum([j in at_pivots for terms in rows for j, _ in terms]) != len(rows)):
+            raise LieCheckError("a subspace basis is not in reduced row-echelon form")
         self.ambient_dim = basis.cols
         self.basis = basis
-        self.pivot_cols = tuple(terms[0][0] for terms in basis.nonzero_rows)
+        self.pivot_cols = pivots
         self._eqs = self._annihilator = None
 
     @classmethod

@@ -38,17 +38,26 @@ the first computation, not by importing this module, and only numpy's core
 is used: nothing loads ``numpy.random``.
 
 The ``harness`` command passes its options on unchecked: :func:`run_harness`
-checks every input of a run, for the command and library callers alike.
+checks every input of a run, for the command and library callers alike,
+through :mod:`liecheck.harness_inputs`, which also decides the model kind
+and the reasons for having none; the command runs those checks before it
+loads this module.  Then admissibility is decided, through the exact torsion
+verdict, before numpy is first used: an operator that is not admissible
+leaves nothing to sample, so it raises :class:`NotAdmissible` before the
+float model is built; only then do float-model errors (a number out of the
+float range, sphere generators that are not rotations) come.
+:func:`report_fields` turns a run into the command's report fields and its
+``.csv`` table, so that only the ``harness`` command compiles that code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import numbers
 import random
 from collections.abc import Callable, Sequence
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MAX_SAMPLES, MAX_STEP, MIN_STEP
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
 from .errors import (
     LieCheckError,
     PointOffManifold,
@@ -56,6 +65,7 @@ from .errors import (
     StepTooSmall,
 )
 from .exact import ExactMatrix, GaussianRational
+from .harness_inputs import _model_kind, _rng, check_run
 from .operators import HomogeneousPair, LinearOperator
 from .torsion import check_nijenhuis
 from .values import Value
@@ -63,9 +73,9 @@ from .values import Value
 
 class _LazyNumpy:
     """Stands in for numpy until the first harness computation, which
-    replaces it with the module.  A harness command whose pair has no model
-    runs this module but exits 2 before any float work, and never needs
-    numpy.  A lazy placeholder module would not do: it sits in
+    replaces it with the module.  A harness command whose operator is not
+    admissible runs this module but exits 2 before any float work, and never
+    needs numpy.  A lazy placeholder module would not do: it sits in
     ``sys.modules`` as ``numpy`` from the start, where code that asks
     whether numpy is imported finds it."""
 
@@ -103,7 +113,6 @@ _SO3_STANDARD = (
     ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
     ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
 )
-_SO3_TENSOR = {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)}
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -275,14 +284,6 @@ class MatrixModel:
         return lambda z: field_fn(self.retract(z))
 
 
-def _rng(seed: int) -> random.Random:
-    """The sample generator of ``seed``: Python's Mersenne Twister, whose
-    ``random()`` stream Python keeps the same across versions."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise LieCheckError(f"the seed must be a non-negative integer, not {seed!r}")
-    return random.Random(int(seed))
-
-
 def _uniform(rng: random.Random, count: int) -> np.ndarray:
     """``count`` draws of ``rng.random()``, bitwise, as one float array.
 
@@ -342,28 +343,11 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
     """Choose the float model matching a pair, or explain why none fits.
 
     The model kind, and every reason for having none that needs no floats,
-    is decided before numpy is first used."""
+    is decided first (:func:`liecheck.harness_inputs._model_kind`), before
+    numpy is used."""
+    kind = _model_kind(pair)
     alg = pair.alg
     generators = alg.matrix_generators
-    sphere = alg.dim == 3 and pair.k.dim == 1
-    if pair.k.dim == 0:
-        if generators is None:
-            raise LieCheckError(
-                "the full-group model needs an algebra built from matrix generators"
-            )
-    elif not sphere:
-        raise LieCheckError(
-            "no numerical model for this pair (supported: trivial stabilizer on a "
-            "matrix algebra, or the 3-dimensional rotation pair)"
-        )
-    elif generators is not None:
-        if generators[0].rows != 3:
-            raise LieCheckError("the sphere model needs 3x3 generators")
-    elif any(alg.nonzeros[i][j] != want for (i, j), want in _SO3_TENSOR.items()):
-        raise LieCheckError(
-            "no matrix realization: the structure constants are not the "
-            "standard rotation-algebra table"
-        )
     structure = np.zeros((alg.dim,) * 3)
     for i, row in enumerate(alg.nonzeros):
         for j, terms in enumerate(row):
@@ -373,14 +357,14 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
     gens = ([np.array(g) for g in _SO3_STANDARD] if generators is None
             else [_float_matrix(g, f"generator {label}")
                   for g, label in zip(generators, alg.basis_labels)])
-    if not sphere:
-        return MatrixModel("full-group", gens, np.eye(gens[0].shape[0]), structure)
+    if kind == "full-group":
+        return MatrixModel(kind, gens, np.eye(gens[0].shape[0]), structure)
     for g in gens:
         if float(np.max(np.abs(g + g.T))) > 1e-12:
             raise LieCheckError(
                 "sphere-model generators must be antisymmetric (rotations)"
             )
-    model = MatrixModel("sphere-orbit", gens, np.array(_P0), structure)
+    model = MatrixModel(kind, gens, np.array(_P0), structure)
     for row in _float_matrix(pair.k.space.basis, "subalgebra basis"):
         if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
             raise LieCheckError(
@@ -623,8 +607,8 @@ def relation_checks(model: MatrixModel, pair: HomogeneousPair,
         p_rot = g_rot @ base
         v2 = np.zeros(model.dim)
         v2[2] = 1.0
-        z = projected_field(model, v2, p_rot)
-        rot_bundle = bundle_map(model, op, p_rot, z)
+        z = projected_field(model, v2, p_rot)  # checks p_rot before its section
+        rot_bundle = _bundle_with_section(model, op_float, model.section(p_rot), z)
         rot_field = projected_field(model, _apply(op_float, v2), p_rot)
 
     return RelationReport(
@@ -678,19 +662,15 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 samples: int = DEFAULT_SAMPLES, h: float = DEFAULT_STEP,
                 seed: int = DEFAULT_SEED) -> DeviationReport:
     """Full harness: relation checks plus sampled torsion cross-validation,
-    evaluated ``CHUNK`` samples at a time.  The inputs are checked first:
-    ``samples`` an integer in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``,
-    ``MAX_STEP``] (written ``not (lo <= h <= hi)``, so a NaN fails) and
-    ``seed`` by ``_rng``."""
-    if not (isinstance(samples, numbers.Integral) and 1 <= samples <= MAX_SAMPLES):
-        raise LieCheckError(f"the sample count (--samples) must be an integer in "
-                            f"[1, {MAX_SAMPLES}], not {samples!r}")
-    if not (MIN_STEP <= h <= MAX_STEP):
-        raise LieCheckError(f"the step h (--step) must lie in [{MIN_STEP}, {MAX_STEP}], "
-                            f"not {h!r}")
-    rng = _rng(seed)
-    model = build_model(pair)
+    evaluated ``CHUNK`` samples at a time.  In this order: the inputs and
+    the pair's model kind (:func:`liecheck.harness_inputs.check_run`), the
+    exact torsion verdict (which raises :class:`NotAdmissible` for an
+    operator that does not descend), and only then the float model."""
+    rng = check_run(pair, samples, h, seed)
+    # An operator that is not admissible (NotAdmissible) stops the run here,
+    # before numpy is used.
     torsion_report = check_nijenhuis(pair, op)
+    model = build_model(pair)
     relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
     unit = (-1.0, 1.0, model.dim)
     columns = []
@@ -700,3 +680,53 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
         columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
     return DeviationReport(model.kind, h, seed, relation, torsion_report.verdict,
                            *map(np.concatenate, zip(*columns)))
+
+
+def _fmt_float(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def report_fields(args, pair: HomogeneousPair, op: LinearOperator,
+                  write_csv: Callable | None) -> dict:
+    """The fields of the ``harness`` command's report, verdict included,
+    for the command line ``args`` (``samples``, ``step``, ``seed`` and
+    ``report``).  Floats are written with 17 significant digits.  A JSON
+    report gets one ``samples[]`` record per sample; ``write_csv``, when
+    given, gets the lines of the per-sample ``.csv`` table."""
+    report = run_harness(pair, op, samples=args.samples, h=args.step, seed=args.seed)
+    rel = report.relation
+    residuals = {
+        "alpha_related": rel.alpha_related_max,
+        "base_consistency": rel.base_consistency_max,
+        "stabilizer": rel.stabilizer_max,
+        "representative_independence": rel.rep_independence_max,
+    }
+    fields = {
+        "verdict": report.passed,
+        "model": report.model_kind,
+        "seed": report.seed,
+        "tolerances": {k: _fmt_float(v) for k, v in TOLERANCES.items()},
+        "h": _fmt_float(report.h),
+        "nijenhuis_exact": report.nijenhuis_exact,
+        "max_deviation": _fmt_float(report.max_deviation),
+        "max_numerical_torsion": _fmt_float(report.max_numerical),
+        "relation_residuals": {k: _fmt_float(v) for k, v in residuals.items()
+                               if v is not None},
+    }
+    if rel.flip_pushforward is not None:
+        fields["sphere_demos"] = {
+            "pushforward_of_field": [_fmt_float(x) for x in rel.flip_pushforward],
+            "field_at_moved_point": [_fmt_float(x) for x in rel.flip_field_at_image],
+            "bundle_map_of_field": [_fmt_float(x) for x in rel.rotation_bundle_value],
+            "field_of_mapped_element": [_fmt_float(x) for x in rel.rotation_field_value],
+            "theta": _fmt_float(DEMO_THETA),
+        }
+    # The per-sample columns, named alike in the .csv table and in samples[].
+    keys = ("deviation", "numerical_max", "predicted_max")
+    columns = (report.deviation, report.numerical_max, report.predicted_max)
+    if write_csv is not None:
+        write_csv(itertools.chain([",".join(("index", *keys)) + "\n"], (
+            f"{idx},{','.join(map(_fmt_float, row))}\n" for idx, row in enumerate(zip(*columns)))))
+    if args.report == "json":
+        fields["samples"] = [dict(zip(keys, map(_fmt_float, row))) for row in zip(*columns)]
+    return fields

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .algebra import LieAlgebra, Subalgebra, _gaussian_rows, _times, bracket_into
+from . import _lazy_module
+from .algebra import LieAlgebra, Subalgebra, bracket_into
 from .errors import (
     DimensionMismatch,
     ImageOutsideAlgebra,
@@ -32,6 +33,9 @@ from .exact import (
     subspace_intersection,
 )
 from .values import FrozenValue
+
+# Only the multiplication operators, on matrix algebras, use it.
+_matrix_span = _lazy_module("liecheck.matrix_span")
 
 
 class LinearOperator:
@@ -292,13 +296,13 @@ def _multiplication_operator(alg: LieAlgebra, a: ExactMatrix | None = None,
         raise DimensionMismatch("inner dimensions do not match")
     if (a is not None and a.rows != size) or (b is not None and b.cols != size):
         raise DimensionMismatch(f"multiplication factors must be {size}x{size}")
-    sa, ra = (1, None) if a is None else _gaussian_rows(a)
-    sb, rb = (1, None) if b is None else _gaussian_rows(b)
+    sa, ra = (1, None) if a is None else _matrix_span._gaussian_rows(a)
+    sb, rb = (1, None) if b is None else _matrix_span._gaussian_rows(b)
     n = alg.dim
     columns = []
     for j, (s, x) in enumerate(zip(solver.scales, solver.rows)):
-        x = x if ra is None else _times(ra, x)
-        terms = solver.solve(x if rb is None else _times(x, rb), sa * s * sb)
+        x = x if ra is None else _matrix_span._times(ra, x)
+        terms = solver.solve(x if rb is None else _matrix_span._times(x, rb), sa * s * sb)
         if terms is None:
             raise ImageOutsideAlgebra(alg.basis_labels[j])
         columns.append(dict(terms))

@@ -15,7 +15,7 @@ from liecheck import (
     make_subalgebra,
     operator_from_rules,
 )
-from liecheck.algebra import _gaussian_rows
+from liecheck.matrix_span import _gaussian_rows
 from liecheck.complexstruct import _squares_to_minus_one
 from liecheck.errors import DimensionMismatch, LieCheckError, MissingComplement
 from liecheck.operators import _require_admissible, _split_verdict, check_admissible
@@ -92,7 +92,7 @@ def matrix_of_element(alg, v):
 
 def span_coords(solver, target):
     """Rational coordinates of ``target`` in the real span of a
-    :class:`~liecheck.algebra._SpanSolver`, or None outside it."""
+    :class:`~liecheck.matrix_span._SpanSolver`, or None outside it."""
     scale, rows = _gaussian_rows(target)
     terms = solver.solve(rows, scale)
     return None if terms is None else tuple(dict(terms).get(k, Fraction(0))

@@ -36,12 +36,12 @@ from liecheck.harness import (
     projected_field,
     run_harness,
 )
+from liecheck.serializer import serialize
 from liecheck.specfile import (
     InconsistentBracket,
     SpecSyntaxError,
     UnresolvedReference,
     parse,
-    serialize,
 )
 
 from conftest import (

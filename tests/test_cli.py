@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import liecheck
-from liecheck import cli
+from liecheck import cli, text_report
 from liecheck.cli import main
 
 from test_exact import decimal_value
@@ -279,16 +279,35 @@ def test_harness_number_out_of_float_range_exit_two(capsys, tmp_path, generators
                          ids=["overflow", "underflow"])
 def test_harness_stabilizer_out_of_float_range_exit_two(capsys, tmp_path, span):
     # The sphere model tests that k fixes the base point in floats; the
-    # echelon row of k is (1, 10^400, 0) or (1, 10^-400, 0).
+    # echelon row of k is (1, 10^400, 0) or (1, 10^-400, 0).  The identity
+    # is admissible for any k, so the float model is built.
     path = tmp_path / "far.lie"
     path.write_text("algebra so3 { basis k0 e1 e2; bracket [k0,e1] = -1*e2; "
                     "bracket [k0,e2] = e1; bracket [e1,e2] = -1*k0; }\n"
                     f"subalgebra k of so3 = span({span});\n"
-                    "operator I on so3 = ad(k0);\n"
+                    "operator I on so3 { k0 -> k0; e1 -> e1; e2 -> e2; }\n"
                     "pair sphere = (so3, k);\n", encoding="utf-8")
     code, out, err = run(capsys, "harness", str(path), "--samples", "3")
     assert (code, out) == (2, "")
     assert err == "error: LieCheckError: subalgebra basis entry (1,2) is out of the float range\n"
+
+
+@pytest.mark.parametrize("operator, error", [
+    ("ad(k0)", "LieCheckError: sphere-model generators must be antisymmetric (rotations)"),
+    ("ad(e1)", "NotAdmissible: operator is not admissible for the pair"),
+], ids=["admissible", "not-admissible"])
+def test_harness_admissibility_before_the_float_model(capsys, tmp_path, operator, error):
+    # so(3) conjugated by diag(1, 2, 1): the sphere pair has a model kind,
+    # but its generators are not rotations.  That is a float-model error,
+    # and an operator that is not admissible is reported before it.
+    path = tmp_path / "skew.lie"
+    path.write_text("matrix_algebra A dim = 3 { gen k0 = [[0,1/2,0],[-2,0,0],[0,0,0]]; "
+                    "gen e1 = [[0,0,1],[0,0,0],[-1,0,0]]; "
+                    "gen e2 = [[0,0,0],[0,0,2],[0,-1/2,0]]; }\n"
+                    "subalgebra k of A = span(k0);\n"
+                    f"operator I on A = {operator};\n"
+                    "pair sphere = (A, k);\n", encoding="utf-8")
+    assert run(capsys, "harness", str(path)) == (2, "", f"error: {error}\n")
 
 
 def test_internal_fault_exit_two(capsys, corpus_dir, monkeypatch):
@@ -416,7 +435,7 @@ def test_harness_csv_output_prints_json_report(capsys, corpus_dir, tmp_path):
 
 def render(argv: list, payload: dict) -> str:
     """The text report of ``payload``, the JSON report of ``argv``."""
-    return "".join(f"{line}\n" for line in cli._text(cli._read_argv(argv), payload))
+    return "".join(f"{line}\n" for line in text_report.lines(cli._read_argv(argv), payload))
 
 
 @pytest.fixture(scope="module")
@@ -475,7 +494,7 @@ def test_json_report_does_not_render_text(capsys, monkeypatch, corpus_dir, argv)
     def no_text(*args):
         raise AssertionError("the text renderer ran")
 
-    monkeypatch.setattr(cli, "_text", no_text)
+    monkeypatch.setattr(text_report, "lines", no_text)
     code, out, err = run(capsys, *in_corpus(corpus_dir, argv), "--report", "json")
     assert (code, err) == (0 if argv[0] == "harness" else 1, "")
     assert json.loads(out)["command"] == argv[0]
@@ -609,19 +628,23 @@ def test_exact_commands_do_not_import_numpy(corpus_dir):
 
 def test_harness_without_model_does_not_import_numpy(corpus_dir):
     # The model kind and the three "no model" errors are decided before any
-    # float work, so these commands exit 2 without importing numpy.
+    # float work, and so is admissibility: these commands exit 2 without
+    # importing numpy.  A pair without a model stops before the float
+    # harness module runs at all.
     no_model = ("error: LieCheckError: no numerical model for this pair (supported: "
                 "trivial stabilizer on a matrix algebra, or the 3-dimensional rotation pair)\n")
     cases = [
         (["nil4.lie", "--operator", "jplane"], "error: LieCheckError: the full-group model "
-         "needs an algebra built from matrix generators\n"),
-        (["u4_grassmannian.lie"], no_model),
-        (["gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], no_model),
+         "needs an algebra built from matrix generators\n", False),
+        (["u4_grassmannian.lie"], no_model, False),
+        (["gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], no_model, False),
+        (["so3_family.lie", "--pair", "sphere_split", "--operator", "fam_bad"],
+         "error: NotAdmissible: operator is not admissible for the pair\n", True),
     ]
-    for argv, stderr in cases:
+    for argv, stderr, harness_runs in cases:
         argv = ["harness", str(corpus_dir / argv[0]), *argv[1:]]
         run_fresh(
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, types\n"
             "import liecheck.cli\n"
             "err = io.StringIO()\n"
             "with contextlib.redirect_stderr(err):\n"
@@ -629,6 +652,8 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
             f"if (status, err.getvalue()) != (2, {stderr!r}):\n"
             "    sys.exit(f'exit {status}: {err.getvalue()!r}')\n"
             "if 'numpy' in sys.modules: sys.exit('numpy imported')\n"
+            "ran = type(sys.modules.get('liecheck.harness')) is types.ModuleType\n"
+            f"if ran != {harness_runs}: sys.exit(f'liecheck.harness ran: {{ran}}')\n"
         )
 
 
@@ -808,24 +833,78 @@ def test_concurrent_first_build(corpus_dir):
     )
 
 
+# Modules that only some commands run: the canonical dump, the text report,
+# the usage line and --help, the span solver of matrix generators, and the
+# harness's input checks.
+_ON_DEMAND = ("serializer", "text_report", "usage", "matrix_span", "harness_inputs")
+
+
 @pytest.mark.parametrize("command, not_run", [
-    ("parse", ("algebra", "operators", "torsion", "complexstruct", "harness")),
-    ("check", ("complexstruct", "harness")),
-    ("torsion", ("complexstruct", "harness")),
-    ("integrability", ("harness",)),
+    ("parse", ("algebra", "operators", "torsion", "complexstruct", "harness", "text_report",
+               "usage", "matrix_span", "harness_inputs")),
+    ("check", ("complexstruct", "harness", "serializer", "usage", "matrix_span",
+               "harness_inputs")),
+    ("torsion", ("complexstruct", "harness", "serializer", "usage", "matrix_span",
+                 "harness_inputs")),
+    ("integrability", ("harness", "serializer", "usage", "matrix_span", "harness_inputs")),
+    ("check --report json", ("complexstruct", "harness", *_ON_DEMAND)),
+    ("torsion --report json", ("complexstruct", "harness", *_ON_DEMAND)),
+    ("integrability --report json", ("harness", *_ON_DEMAND)),
 ])
 def test_command_runs_only_the_modules_it_uses(corpus_dir, command, not_run):
     # A module not yet run may sit in sys.modules as a lazy placeholder, whose
     # type is a subclass of ModuleType until its first attribute access.
+    # so3_sphere.lie gives its algebra by structure constants.  parse runs
+    # the serializer, and a text report the text renderer.
+    name, *options = command.split()
+    ran = (("serializer",) if name == "parse" else () if options else ("text_report",))
+    argv = [name, str(corpus_dir / "so3_sphere.lie"), *options]
     run_fresh(
         "import contextlib, io, sys, types\n"
         "import liecheck.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    status = liecheck.cli.main([{command!r}, {str(corpus_dir / 'so3_sphere.lie')!r}])\n"
+        f"    status = liecheck.cli.main({argv!r})\n"
         "if status != 0: sys.exit(f'exit {status}')\n"
-        f"ran = [m for m in {not_run!r}\n"
-        "       if type(sys.modules.get('liecheck.' + m)) is types.ModuleType]\n"
-        f"if ran: sys.exit(f'{command} ran {{ran}}')\n"
+        "def run(m): return type(sys.modules.get('liecheck.' + m)) is types.ModuleType\n"
+        f"wrong = [m for m in {not_run!r} if run(m)] + [m for m in {ran!r} if not run(m)]\n"
+        f"if wrong: sys.exit(f'{command} ran, or did not run, {{wrong}}')\n"
+    )
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["check", "so3_sphere.lie", "--report", "json"], 0),
+    (["check", "gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], 1),
+    (["--help"], 0),
+    (["check", "--help"], 0),
+    (["check", "so3_sphere.lie", "--report", "xml"], 2),
+    (["parse", "so3_sphere.lie"], 0),
+    (["harness", "gl3_full.lie", "--pair", "full", "--operator", "lmul", "--samples", "3",
+      "--out", "samples.csv"], 0),
+    (["harness", "so3_family.lie", "--pair", "sphere_split", "--operator", "fam_bad"], 2),
+], ids=["json", "text", "help", "command-help", "usage-error", "parse", "harness-csv",
+        "harness-not-admissible"])
+def test_module_entry_point_runs_the_command_line_once(corpus_dir, tmp_path, argv, status):
+    # Under python -m liecheck.cli the command line runs as __main__; a
+    # module that imported liecheck.cli by name would run cli.py again.
+    argv = [str(corpus_dir / word) if word.endswith(".lie")
+            else str(tmp_path / word) if word.endswith(".csv") else word for word in argv]
+    run_fresh(
+        "import contextlib, io, os, runpy, sys\n"
+        "class Exit(Exception): pass\n"
+        "def leave(code): raise Exit(code)\n"
+        "os._exit = leave  # console_main ends the process with os._exit\n"
+        f"sys.argv = ['liecheck', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('liecheck.cli', run_name='__main__')\n"
+        "        status = 'no exit'\n"
+        "    except Exit as exc:\n"
+        "        status = exc.args[0]\n"
+        "    except SystemExit as exc:\n"
+        "        status = exc.code\n"
+        f"if status != {status}: sys.exit(f'exit {{status}}')\n"
+        "if 'liecheck.cli' in sys.modules: sys.exit('liecheck.cli was imported by name')\n"
     )
 
 

@@ -288,6 +288,22 @@ def test_subspace_is_its_basis():
     assert Subspace(ExactMatrix(0, 3, [])) == Subspace.from_vectors(3, [])
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 0]],
+    [[GaussianRational(0, 1), 0]],
+    [[1, 1], [0, 1]],
+    [[1, 0, 0], [1, 1, 0]],
+    [[0, 1], [1, 0]],
+], ids=["pivot-2", "pivot-i", "above-pivot", "same-pivot", "pivot-order"])
+def test_subspace_basis_must_be_reduced(rows):
+    # A basis that is not in reduced row-echelon form would give wrong
+    # coordinates and compare unequal to its own span.
+    with pytest.raises(LieCheckError, match="reduced row-echelon form"):
+        Subspace(ExactMatrix.from_rows(rows))
+    span = Subspace.from_vectors(len(rows[0]), rows)
+    assert Subspace(span.basis) == span
+
+
 def test_exact_matrix_rejects_floats():
     with pytest.raises(TypeError):
         ExactMatrix(1, 1, [0.5])
@@ -419,7 +435,7 @@ def _dense_span_coords(gens, target):
 
 @pytest.mark.parametrize("flavour", _FLAVOURS)
 def test_span_solver_coords_match_dense(flavour):
-    from liecheck.algebra import _SpanSolver
+    from liecheck.matrix_span import _SpanSolver
 
     rng = random.Random(20 + _FLAVOURS.index(flavour))
     checked = 0

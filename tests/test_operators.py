@@ -322,17 +322,17 @@ def test_one_generator_elimination_per_algebra(corpus_dir, monkeypatch):
     # gl3_full.lie declares left, sandwich and rules operators on gl3; the
     # multiplication operators reuse the elimination of the generators.
     # The elimination runs on the integer rows of [A | Id], 9 x (9 + 9).
-    import liecheck.algebra
+    import liecheck.matrix_span
     from liecheck.specfile import build, parse
     shapes = []
-    original = liecheck.algebra._eliminate
+    original = liecheck.matrix_span._eliminate
 
     def counting_eliminate(rows, cols, order):
         shapes.append((len(rows), cols))
         return original(rows, cols, order)
 
-    monkeypatch.setattr(liecheck.algebra, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(liecheck.algebra, "rref", None)  # no elimination of scalars
+    monkeypatch.setattr(liecheck.matrix_span, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(liecheck.matrix_span, "rref", None)  # no elimination of scalars
     build(parse((corpus_dir / "gl3_full.lie").read_text()))
     assert shapes == [(9, 18)]
 

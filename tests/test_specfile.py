@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from liecheck.exact import GaussianRational, parse_scalar
+from liecheck.serializer import serialize
 from liecheck.specfile import (
     DuplicateName,
     InconsistentBracket,
@@ -15,7 +16,6 @@ from liecheck.specfile import (
     UnresolvedReference,
     build,
     parse,
-    serialize,
 )
 
 CANONICAL_SPHERE = """\

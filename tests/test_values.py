@@ -13,6 +13,7 @@ import pytest
 from liecheck.complexstruct import IntegrabilityReport, SplitDiagnostics
 from liecheck.harness import DeviationReport, FieldSample, RelationReport
 from liecheck.operators import VerdictReport, check_admissible
+from liecheck.serializer import serialize
 from liecheck.specfile import (
     AlgebraDecl,
     BuiltDocument,
@@ -23,7 +24,6 @@ from liecheck.specfile import (
     SubspaceDecl,
     build,
     parse,
-    serialize,
 )
 from liecheck.torsion import TorsionReport, check_nijenhuis
 from liecheck.values import Value
