@@ -21,7 +21,7 @@ import types
 
 __version__ = "0.1.0"
 
-# The harness's defaults and the bounds that harness.run_harness checks,
+# The harness's defaults and the bounds that harness_inputs.check_run checks,
 # kept here so that the command line prints them without loading the harness.
 DEFAULT_SAMPLES = 20
 DEFAULT_STEP = 1e-4

@@ -9,13 +9,13 @@ Commands::
     liecheck harness FILE --pair P --operator I [--samples N --step H --seed S]
 
 The command line is only read here, against one option table; the harness
-checks its own inputs (``harness.run_harness``).  Each command builds one
+decides its inputs once (``harness_inputs.check_run``).  Each command builds one
 JSON payload; :mod:`liecheck.text_report` renders the text report from it,
 and a harness ``--out FILE.csv`` table streams from its float columns
 (``harness.report_fields``).  What only some commands run lives in modules
 that this one reaches through placeholders (``liecheck._lazy_module``) and
 runs on first use: the canonical dump (:mod:`liecheck.serializer`), the text
-renderer, the harness's float-free input checks
+renderer, the harness's float-free checks
 (:mod:`liecheck.harness_inputs`) and the float harness past them, and the
 usage line and ``--help`` text (:mod:`liecheck.usage`).  No such module imports this one: under ``python -m
 liecheck.cli`` it is ``__main__``, and importing it by name would run it a
@@ -49,7 +49,7 @@ from .specfile import SpecfileError, build, parse
 # Each module below runs when a command first reads from it: ``parse`` runs
 # only the serializer, ``check`` and ``torsion`` no complexstruct, only
 # ``harness`` the harness inputs and, past them, the harness (which imports
-# numpy on first use), only a text report the text renderer, and only a
+# numpy), only a text report the text renderer, and only a
 # usage error or --help the usage text.
 operators = _lazy_module("liecheck.operators")
 torsion = _lazy_module("liecheck.torsion")
@@ -154,6 +154,7 @@ def _torsion(args, pair, op) -> dict:
         "verdict": report.verdict,
         "witnesses": _witness(pair.alg, report.witness, ("v", "w", "torsion_value")),
         "dims": _dims(pair),
+        "scope": report.scope,
         "mode": report.mode,
         "checked_pairs": report.checked_pairs,
     }
@@ -166,6 +167,7 @@ def _integrability(args, pair, op) -> dict:
         "verdict": report.integrable,
         "witnesses": _witness(alg, report.witness, ("x", "y", "bracket")),
         "dims": _dims(pair, z_plus=report.z_plus.dim, z_minus=report.z_minus.dim),
+        "scope": report.scope,
         "ac_admissible": report.ac_admissible,
         "z_plus_closed": report.z_plus_closed,
         "nijenhuis_verdict": report.nijenhuis_verdict,
@@ -187,12 +189,12 @@ def _writes_csv(args) -> bool:
 
 
 def _harness(args, pair, op) -> dict:
-    # The inputs and the model kind first (run_harness checks them again),
-    # so that a run that stops there never compiles the float harness.
-    harness_inputs.check_run(pair, args.samples, args.step, args.seed)
+    # Everything float-free first, so that a run that stops there never
+    # compiles the float harness.
+    checked = harness_inputs.check_run(pair, op, args.samples, args.step, args.seed)
     # A .csv --out gets the per-sample table, and the report goes to stdout.
     write_csv = (lambda lines: _write(args.out, lines)) if _writes_csv(args) else None
-    return harness.report_fields(args, pair, op, write_csv)
+    return harness.report_fields(args, pair, op, checked, write_csv)
 
 
 def _report(args) -> int:

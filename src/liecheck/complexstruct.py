@@ -63,12 +63,13 @@ class IntegrabilityReport(FrozenValue):
     always contained in Z+, so the quotient is the geometrically meaningful
     part); the full Z+ basis is in ``z_plus``.  ``witness`` is None or
     ``(x, y, [x, y])`` outside Z+; ``split`` is None or the
-    :class:`SplitDiagnostics` of a split-admissible operator.
+    :class:`SplitDiagnostics` of a split-admissible operator.  ``scope`` is
+    that of the admissibility report, as in the torsion report.
     """
 
     __slots__ = ("ac_admissible", "z_plus", "z_minus", "z_plus_closed",
-                 "nijenhuis_verdict", "z_plus_mod_k", "witness", "split")
-    _defaults = {"witness": None, "split": None}
+                 "nijenhuis_verdict", "z_plus_mod_k", "witness", "split", "scope")
+    _defaults = {"witness": None, "split": None, "scope": None}
 
     @property
     def integrable(self) -> bool:
@@ -178,6 +179,7 @@ def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> Integrability
         z_plus_mod_k=_mod_k_representatives(pair.k.space, z_plus),
         witness=witness,
         split=split,
+        scope=nij.scope,
     )
 
 

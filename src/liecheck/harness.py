@@ -33,21 +33,19 @@ section at its points once, for its four bundle maps there and its prediction.
 ``CHUNK`` at a time, so the arrays in flight never hold more than ``CHUNK``
 samples whatever the sample count; what grows with the sample count is only
 the report's three float columns.  The draws are those of ``random()``, a
-stream that does not depend on numpy's version.  numpy itself is imported by
-the first computation, not by importing this module, and only numpy's core
-is used: nothing loads ``numpy.random``.
+stream that does not depend on numpy's version, and only numpy's core is
+used: nothing loads ``numpy.random``.
 
-The ``harness`` command passes its options on unchecked: :func:`run_harness`
-checks every input of a run, for the command and library callers alike,
-through :mod:`liecheck.harness_inputs`, which also decides the model kind
-and the reasons for having none; the command runs those checks before it
-loads this module.  Then admissibility is decided, through the exact torsion
-verdict, before numpy is first used: an operator that is not admissible
-leaves nothing to sample, so it raises :class:`NotAdmissible` before the
-float model is built; only then do float-model errors (a number out of the
-float range, sphere generators that are not rotations) come.
-:func:`report_fields` turns a run into the command's report fields and its
-``.csv`` table, so that only the ``harness`` command compiles that code.
+A run first decides everything that needs no floats, through
+:func:`liecheck.harness_inputs.check_run`: its inputs, the model kind and
+the reasons for having none, and admissibility, through the exact torsion
+verdict.  The ``harness`` command runs it before it loads this module, so an
+input error or an operator that is not admissible (:class:`NotAdmissible`)
+exits without compiling the float harness or importing numpy.  Only then do
+float-model errors (a number out of the float range, sphere generators that
+are not rotations) come.  :func:`report_fields` turns a run into the
+command's report fields and its ``.csv`` table, so that only the ``harness``
+command compiles that code.
 """
 
 from __future__ import annotations
@@ -56,6 +54,8 @@ import itertools
 import math
 import random
 from collections.abc import Callable, Sequence
+
+import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_STEP, MIN_STEP
 from .errors import (
@@ -67,27 +67,8 @@ from .errors import (
 from .exact import ExactMatrix, GaussianRational
 from .harness_inputs import _model_kind, _rng, check_run
 from .operators import HomogeneousPair, LinearOperator
-from .torsion import check_nijenhuis
+from .torsion import TorsionReport
 from .values import Value
-
-
-class _LazyNumpy:
-    """Stands in for numpy until the first harness computation, which
-    replaces it with the module.  A harness command whose operator is not
-    admissible runs this module but exits 2 before any float work, and never
-    needs numpy.  A lazy placeholder module would not do: it sits in
-    ``sys.modules`` as ``numpy`` from the start, where code that asks
-    whether numpy is imported finds it."""
-
-    def __getattr__(self, name):
-        global np
-        import numpy
-
-        np = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
 
 SPHERE_TOL = 1e-9
 SECTION_CAP = 1e-6
@@ -343,8 +324,7 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
     """Choose the float model matching a pair, or explain why none fits.
 
     The model kind, and every reason for having none that needs no floats,
-    is decided first (:func:`liecheck.harness_inputs._model_kind`), before
-    numpy is used."""
+    is decided first (:func:`liecheck.harness_inputs._model_kind`)."""
     kind = _model_kind(pair)
     alg = pair.alg
     generators = alg.matrix_generators
@@ -662,14 +642,16 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
                 samples: int = DEFAULT_SAMPLES, h: float = DEFAULT_STEP,
                 seed: int = DEFAULT_SEED) -> DeviationReport:
     """Full harness: relation checks plus sampled torsion cross-validation,
-    evaluated ``CHUNK`` samples at a time.  In this order: the inputs and
-    the pair's model kind (:func:`liecheck.harness_inputs.check_run`), the
-    exact torsion verdict (which raises :class:`NotAdmissible` for an
-    operator that does not descend), and only then the float model."""
-    rng = check_run(pair, samples, h, seed)
-    # An operator that is not admissible (NotAdmissible) stops the run here,
-    # before numpy is used.
-    torsion_report = check_nijenhuis(pair, op)
+    evaluated ``CHUNK`` samples at a time, after the float-free checks of
+    :func:`liecheck.harness_inputs.check_run`: the inputs, the model kind and
+    admissibility (:class:`NotAdmissible` for an operator that does not descend)."""
+    return _sampled(pair, op, samples, h, seed, *check_run(pair, op, samples, h, seed))
+
+
+def _sampled(pair: HomogeneousPair, op: LinearOperator, samples: int, h: float, seed: int,
+             rng: random.Random, torsion_report: TorsionReport) -> DeviationReport:
+    """The float part of a run that :func:`check_run` passed, with the sample
+    generator and the torsion report that it returned."""
     model = build_model(pair)
     relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
     unit = (-1.0, 1.0, model.dim)
@@ -686,14 +668,15 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def report_fields(args, pair: HomogeneousPair, op: LinearOperator,
+def report_fields(args, pair: HomogeneousPair, op: LinearOperator, checked: tuple,
                   write_csv: Callable | None) -> dict:
     """The fields of the ``harness`` command's report, verdict included,
     for the command line ``args`` (``samples``, ``step``, ``seed`` and
-    ``report``).  Floats are written with 17 significant digits.  A JSON
+    ``report``), whose run :func:`check_run` passed with the result
+    ``checked``.  Floats are written with 17 significant digits.  A JSON
     report gets one ``samples[]`` record per sample; ``write_csv``, when
     given, gets the lines of the per-sample ``.csv`` table."""
-    report = run_harness(pair, op, samples=args.samples, h=args.step, seed=args.seed)
+    report = _sampled(pair, op, args.samples, args.step, args.seed, *checked)
     rel = report.relation
     residuals = {
         "alpha_related": rel.alpha_related_max,
@@ -704,6 +687,7 @@ def report_fields(args, pair: HomogeneousPair, op: LinearOperator,
     fields = {
         "verdict": report.passed,
         "model": report.model_kind,
+        "scope": checked[1].scope,
         "seed": report.seed,
         "tolerances": {k: _fmt_float(v) for k, v in TOLERANCES.items()},
         "h": _fmt_float(report.h),

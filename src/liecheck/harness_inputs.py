@@ -1,11 +1,11 @@
 """What a harness run decides before any float work.
 
-A run checks its inputs and its pair's model kind first, in this order:
-the sample count, the step, the seed, then whether the pair has a float
-model at all.  :func:`liecheck.harness.run_harness` starts with
-:func:`check_run`, and the ``harness`` command calls it before it loads
-:mod:`liecheck.harness`, so a command that stops here compiles none of the
-float harness and imports no numpy.
+:func:`check_run` decides, in this order: the sample count, the step and
+the seed; whether the pair has a float model at all; and admissibility,
+through the run's one exact torsion verdict.  Both
+:func:`liecheck.harness.run_harness` and the ``harness`` command run it once
+and hand its result to the float part, so a command that stops here
+compiles none of the float harness and imports no numpy.
 """
 
 from __future__ import annotations
@@ -15,18 +15,19 @@ import random
 
 from . import MAX_SAMPLES, MAX_STEP, MIN_STEP
 from .errors import LieCheckError
+from .torsion import check_nijenhuis
 
 # The brackets of the rotation algebra in the sphere model's basis order:
 # an algebra given by structure constants has a sphere model only with them.
 _SO3_TENSOR = {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)}
 
 
-def check_run(pair, samples, h, seed) -> random.Random:
-    """Check the inputs of a harness run on ``pair`` and return the sample
-    generator of ``seed``: ``samples`` an integer in [1, ``MAX_SAMPLES``],
-    ``h`` in [``MIN_STEP``, ``MAX_STEP``] (written ``not (lo <= h <= hi)``,
-    so a NaN fails), ``seed`` by :func:`_rng`, and then the model kind
-    (:func:`_model_kind`)."""
+def check_run(pair, op, samples, h, seed) -> tuple:
+    """Check a harness run of ``op`` on ``pair``; return the sample generator
+    of ``seed`` and the exact torsion report.  In order: ``samples`` an integer
+    in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``, ``MAX_STEP``] (written
+    ``not (lo <= h <= hi)``, so a NaN fails), ``seed`` (:func:`_rng`), the
+    model kind (:func:`_model_kind`), then admissibility (:class:`NotAdmissible`)."""
     if not (isinstance(samples, numbers.Integral) and 1 <= samples <= MAX_SAMPLES):
         raise LieCheckError(f"the sample count (--samples) must be an integer in "
                             f"[1, {MAX_SAMPLES}], not {samples!r}")
@@ -35,7 +36,7 @@ def check_run(pair, samples, h, seed) -> random.Random:
                             f"not {h!r}")
     rng = _rng(seed)
     _model_kind(pair)
-    return rng
+    return rng, check_nijenhuis(pair, op)
 
 
 def _rng(seed: int) -> random.Random:

@@ -221,11 +221,12 @@ def _require_same_algebra(pair: HomogeneousPair, op: LinearOperator):
         )
 
 
-def _require_admissible(pair: HomogeneousPair, op: LinearOperator):
-    """Raise NotAdmissible, carrying the report, unless the operator is admissible."""
+def _require_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport:
+    """The admissibility report; raise NotAdmissible, carrying it, unless it holds."""
     adm = check_admissible(pair, op)
     if not adm.holds:
         raise NotAdmissible(adm)
+    return adm
 
 
 def _split_verdict(pair: HomogeneousPair, op: LinearOperator,

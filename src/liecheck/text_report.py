@@ -32,10 +32,10 @@ def lines(args, p: dict):
                 yield f"split failed clause: {p['split_failed_clause']}"
     elif args.command == "torsion":
         yield (f"nijenhuis: {yes[p['verdict']]} "
-               f"({p['mode']}, {p['checked_pairs']} pairs checked)")
+               f"({p['mode']}, {p['checked_pairs']} pairs checked) (scope: {p['scope']})")
         yield from witness
     elif args.command == "integrability":
-        yield f"integrable: {yes[p['verdict']]}"
+        yield f"integrable: {yes[p['verdict']]} (scope: {p['scope']})"
         yield (f"dim Z+: {p['dims']['z_plus']}   (Z+ closed under bracket: "
                f"{yes[p['z_plus_closed']]}; torsion verdict agrees)")
         yield "Z+ basis:"
@@ -53,7 +53,8 @@ def lines(args, p: dict):
         # worst; each residual is already written with 17 significant digits.
         worst = max(p["relation_residuals"].values(),
                     key=lambda x: (math.isnan(float(x)), float(x)))
-        yield f"harness: {'pass' if p['verdict'] else 'FAIL'} on {p['model']} model"
+        yield (f"harness: {'pass' if p['verdict'] else 'FAIL'} on {p['model']} model "
+               f"(scope: {p['scope']})")
         yield f"samples: {args.samples}  step: {p['h']}  seed: {p['seed']}"
         yield f"max |numerical - predicted|: {p['max_deviation']}"
         yield (f"exact torsion verdict: {'holds' if p['nijenhuis_exact'] else 'fails'}"

@@ -38,10 +38,11 @@ class TorsionReport(FrozenValue):
     ``mode`` is one of ``all-pairs``, ``complement-pairs`` or
     ``ad_d-specialized``; iteration is in lexicographic pair order, so the
     witness is deterministic.  ``witness`` is None or ``(v, w, beta(v, w))``.
+    ``scope`` is that of the admissibility report (:class:`~liecheck.operators.VerdictReport`).
     """
 
-    __slots__ = ("verdict", "checked_pairs", "mode", "witness")
-    _defaults = {"witness": None}
+    __slots__ = ("verdict", "checked_pairs", "mode", "witness", "scope")
+    _defaults = {"witness": None, "scope": None}
 
 
 def torsion_form(alg, op: LinearOperator, v: Sequence, w: Sequence) -> tuple:
@@ -83,7 +84,7 @@ def check_nijenhuis(
     """
     if pairs == "ad" and op.ad_generator is None:
         raise LieCheckError("pair mode 'ad' needs an operator built by operator_ad")
-    _require_admissible(pair, op)
+    scope = _require_admissible(pair, op).scope
     vectors, mode = _pair_vectors(pair, pairs)
     constants = pair.alg.integer_constants
     columns = op.matrix.integer_columns
@@ -104,8 +105,8 @@ def check_nijenhuis(
                 beta = torsion_form(pair.alg, op, vectors[a], vectors[b])
                 if pairs == "ad":
                     beta = tuple(-x for x in beta)
-                return TorsionReport(False, checked, mode, (vectors[a], vectors[b], beta))
-    return TorsionReport(True, checked, mode)
+                return TorsionReport(False, checked, mode, (vectors[a], vectors[b], beta), scope)
+    return TorsionReport(True, checked, mode, scope=scope)
 
 
 def check_nijenhuis_ad(pair: HomogeneousPair, d: Sequence) -> TorsionReport:

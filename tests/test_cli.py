@@ -629,8 +629,7 @@ def test_exact_commands_do_not_import_numpy(corpus_dir):
 def test_harness_without_model_does_not_import_numpy(corpus_dir):
     # The model kind and the three "no model" errors are decided before any
     # float work, and so is admissibility: these commands exit 2 without
-    # importing numpy.  A pair without a model stops before the float
-    # harness module runs at all.
+    # importing numpy, and before the float harness module runs at all.
     no_model = ("error: LieCheckError: no numerical model for this pair (supported: "
                 "trivial stabilizer on a matrix algebra, or the 3-dimensional rotation pair)\n")
     cases = [
@@ -639,7 +638,7 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
         (["u4_grassmannian.lie"], no_model, False),
         (["gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], no_model, False),
         (["so3_family.lie", "--pair", "sphere_split", "--operator", "fam_bad"],
-         "error: NotAdmissible: operator is not admissible for the pair\n", True),
+         "error: NotAdmissible: operator is not admissible for the pair\n", False),
     ]
     for argv, stderr, harness_runs in cases:
         argv = ["harness", str(corpus_dir / argv[0]), *argv[1:]]
@@ -655,6 +654,28 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
             "ran = type(sys.modules.get('liecheck.harness')) is types.ModuleType\n"
             f"if ran != {harness_runs}: sys.exit(f'liecheck.harness ran: {{ran}}')\n"
         )
+
+
+def test_harness_command_decides_float_free_questions_once(capsys, corpus_dir, monkeypatch):
+    # The command decides the inputs, the model kind and admissibility in one
+    # check_run call, and the float harness reuses its torsion report.  Each
+    # function is counted under every liecheck name that holds it.
+    calls = dict.fromkeys(("check_run", "check_nijenhuis"), 0)
+    for home, attr in (("harness_inputs", "check_run"), ("torsion", "check_nijenhuis")):
+        original = getattr(importlib.import_module(f"liecheck.{home}"), attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for name in ("cli", "harness", "harness_inputs", "torsion"):
+            module = importlib.import_module(f"liecheck.{name}")
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    code, out, _ = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
+                       "--samples", "3", "--report", "json")
+    assert code == 0 and json.loads(out)["scope"] == "full"
+    assert calls == {"check_run": 1, "check_nijenhuis": 1}
 
 
 def test_witness_past_the_int_string_limit(capsys, tmp_path):

@@ -10,7 +10,9 @@ of ``right_mult.lie``.  ``check`` runs, text and JSON, on two more:
 ``not_closed.lie`` and ``non_real_constants.lie``, whose generators span no
 real Lie algebra.  ``parse`` runs, text only, on ``right_mult.lie`` and
 ``so3_flip_reps.lie``, to pin the canonical dumps of ``right(...)`` and
-``reps(...)``.  The exit code, the ``error:`` lines of stderr and stdout
+``reps(...)``.  ``check``, ``torsion`` and ``integrability`` run, text and
+JSON, on ``so3_identity_component.lie``, a non-connected pair without
+``reps(...)``, to pin the ``identity_component`` scope of each report.  The exit code, the ``error:`` lines of stderr and stdout
 (the JSON without ``elapsed_ms``) must equal those in
 ``tests/data/golden/corpus.json``.
 
@@ -53,7 +55,9 @@ FIXTURE_COMMANDS = [
 ] + [[command, f"tests/data/{name}.lie"]
      for command, names in (("check", ("not_closed", "non_real_constants")),
                             ("parse", ("right_mult", "so3_flip_reps")))
-     for name in names]
+     for name in names
+] + [[command, "tests/data/so3_identity_component.lie"]
+     for command in ("check", "torsion", "integrability")]
 
 
 def _load(path: Path) -> dict:

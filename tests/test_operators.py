@@ -246,8 +246,12 @@ def test_ad_specialized_agrees_with_generic_in_u4(u4, u4_pair):
 def test_nonconnected_without_reps_scopes_verdict(so3):
     k = make_subalgebra(so3, [so3.basis_vector("k0")])
     pair = HomogeneousPair(so3, k, connected=False)
-    report = check_admissible(pair, operator_ad(so3, so3.basis_vector("k0")))
+    op = operator_ad(so3, so3.basis_vector("k0"))
+    report = check_admissible(pair, op)
     assert report.holds and report.scope == "identity_component"
+    # The torsion and integrability verdicts rest on it and keep its scope.
+    assert check_nijenhuis(pair, op).scope == "identity_component"
+    assert check_integrable(pair, op).scope == "identity_component"
 
 
 def test_component_rep_clause(so3):
