@@ -220,17 +220,13 @@ class LieAlgebra:
         return view
 
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
-        """Matrix of ``w -> [d, w]`` in the algebra basis; linear in d.  Column
-        j is ``sum_i d_i sum_k c_ijk b_k``, in the order and types of :meth:`bracket`."""
+        """Matrix of ``w -> [d, w]`` in the algebra basis: column j is
+        ``bracket(d, basis_vector(j))``, values and types alike."""
         n = self.dim
         if len(d) != n:
             raise DimensionMismatch("ad argument must have the algebra dimension")
-        cols = [[_ZERO] * n for _ in range(n)]
-        for i, di in compress(enumerate(d), d):
-            for col, terms in zip(cols, self.nonzeros[i]):
-                for k, c in terms:
-                    col[k] = col[k] + di * c
-        return ExactMatrix(n, n, [cols[j][k] for k in range(n) for j in range(n)])
+        cols = [self.bracket(d, self.basis_vector(j)) for j in range(n)]
+        return ExactMatrix(n, n, [x for row in zip(*cols) for x in row])
 
     def basis_vector(self, which) -> tuple:
         if isinstance(which, str):

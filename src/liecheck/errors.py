@@ -81,10 +81,12 @@ class MissingComplement(LieCheckError):
 
 
 class NotAdmissible(LieCheckError):
-    """Operator fails the admissibility precondition; carries the report."""
+    """Operator fails the admissibility precondition; carries the report and
+    names its failed clause."""
 
     def __init__(self, report):
-        super().__init__("operator is not admissible for the pair")
+        super().__init__("operator is not admissible for the pair "
+                         f"(failed clause: {report.failed_clause})")
         self.report = report
 
 

@@ -6,15 +6,17 @@ field Q(i)).  Matrices and subspaces are immutable and every operation is a
 pure function, so values can be shared freely between threads.
 
 A matrix is stored as its dense row-major ``entries``; equality, hashing
-and row reduction read only those.  The products (``apply``, ``@``) and
-subspace membership iterate a view derived from them instead,
+and row reduction read only those.  The product with a vector,
+:meth:`ExactMatrix.apply`, iterates a view derived from them instead,
 :attr:`ExactMatrix.nonzero_rows`: per row, the ``(column, value)`` pairs of
 its nonzero entries, built once on first use.  The matrices of this package
 are mostly zeros (a unit generator of gl(n) has one nonzero entry, an
-operator ``ad(D)`` one per row), so those loops skip the zeros without
-testing them.  An entry of a product is a :class:`GaussianRational` exactly
-when one of its terms ``a_ik * b_kj`` with ``a_ik`` nonzero is; membership
-coordinates are the vector's own entries at the pivot columns.
+operator ``ad(D)`` one per row), so that loop skips the zeros without
+testing them.  Column j of a matrix product ``a @ b`` is
+``a.apply(b.column(j))``, so ``apply`` alone types a product's entries: one
+is a :class:`GaussianRational` exactly when one of its terms ``a_ik * b_kj``
+with ``a_ik`` nonzero is.  Membership coordinates are the vector's own
+entries at the pivot columns.
 
 The pair loops of the checks ("does this value lie in k?") run in integer
 arithmetic instead.  :attr:`ExactMatrix.integer_columns` holds a real
@@ -346,47 +348,23 @@ class ExactMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product; row i of the result combines the nonzeros of the
-        rows of ``other`` selected by the nonzeros of row i of ``self``.
-
-        The zeros skipped keep the type rule of the module docstring: a row
-        of ``self`` with a GaussianRational nonzero gives a GaussianRational
-        row, and a GaussianRational entry of ``other`` (a zero included)
-        makes its column GaussianRational in every row that selects it.
-        """
+        """Matrix product: column j is ``self.apply(other.column(j))``."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions do not match")
-        width = other.cols
-        right = other.nonzero_rows
-        # Per row of other, the columns that hold a GaussianRational.
-        gaussian = [[j for j, e in enumerate(other.row(k)) if e.__class__ is GaussianRational]
-                    for k in range(other.rows)] if _is_gaussian(other) else None
-        out = []
-        for terms in self.nonzero_rows:
-            acc = [_ZERO] * width
-            for k, a in terms:
-                for j, b in right[k]:
-                    acc[j] = acc[j] + a * b
-            if any(a.__class__ is GaussianRational for _, a in terms):
-                acc = [x if x.__class__ is GaussianRational else GaussianRational(x)
-                       for x in acc]
-            elif gaussian is not None:
-                for k, _ in terms:
-                    for j in gaussian[k]:
-                        if acc[j].__class__ is not GaussianRational:
-                            acc[j] = GaussianRational(acc[j])
-            out.extend(acc)
-        return ExactMatrix._of(self.rows, width, tuple(out))
+        columns = [self.apply(other.column(j)) for j in range(other.cols)]
+        return ExactMatrix._of(self.rows, other.cols, tuple(
+            x for row in zip(*columns) for x in row))
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector.
-
-        A term whose factors are a rational entry and a rational zero of
-        ``vec`` is skipped: it changes neither the value nor the type of its
-        sum.
+        """Matrix times column vector: entry i sums ``a * vec[j]`` over the
+        nonzero entries ``a`` of row i, and is a GaussianRational exactly when
+        one of those terms is (so a row with a GaussianRational nonzero gives
+        one whatever ``vec`` holds).  A term of a rational entry and a
+        rational zero of ``vec`` is skipped: it changes neither the value nor
+        the type of the sum.
         """
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")

@@ -32,16 +32,17 @@ section at its points once, for its four bundle maps there and its prediction.
 ``random.Random(seed)`` in the order of a per-sample loop and evaluate them
 ``CHUNK`` at a time, so the arrays in flight never hold more than ``CHUNK``
 samples whatever the sample count; what grows with the sample count is only
-the report's three float columns.  The draws are those of ``random()``, a
-stream that does not depend on numpy's version, and only numpy's core is
+the report's three float columns.  Each draw is one ``rng.random()`` call,
+a stream that does not depend on numpy's version, and only numpy's core is
 used: nothing loads ``numpy.random``.
 
 A run first decides everything that needs no floats, through
 :func:`liecheck.harness_inputs.check_run`: its inputs, the model kind and
 the reasons for having none, and admissibility, through the exact torsion
-verdict.  The ``harness`` command runs it before it loads this module, so an
-input error or an operator that is not admissible (:class:`NotAdmissible`)
-exits without compiling the float harness or importing numpy.  Only then do
+verdict; the float part builds the model of the kind it returned.  The
+``harness`` command runs it before it loads this module, so an input error
+or an operator that is not admissible (:class:`NotAdmissible`) exits
+without compiling the float harness or importing numpy.  Only then do
 float-model errors (a number out of the float range, sphere generators that
 are not rotations) come.  :func:`report_fields` turns a run into the
 command's report fields and its ``.csv`` table, so that only the ``harness``
@@ -265,17 +266,6 @@ class MatrixModel:
         return lambda z: field_fn(self.retract(z))
 
 
-def _uniform(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` draws of ``rng.random()``, bitwise, as one float array.
-
-    ``random()`` builds each double from two 32-bit words, the high 27 and
-    26 bits of the first and second; ``getrandbits`` yields the same words
-    in order, least significant first.  So splitting a draw into several
-    gives the same values."""
-    w = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
-
-
 def _draw(model: MatrixModel, rng: random.Random, count: int,
           layout: tuple) -> tuple:
     """``count`` samples drawn from ``rng`` in the order of a per-sample loop.
@@ -295,7 +285,7 @@ def _draw(model: MatrixModel, rng: random.Random, count: int,
     blocks = [(-spread, spread, model.dim) if b is None else b for b in layout]
     at = layout.index(None)
     edges = np.cumsum([0] + [width for _, _, width in blocks])
-    stream = _uniform(rng, count * edges[-1])
+    stream = np.array([rng.random() for _ in range(count * edges[-1])])
     while True:
         rows = stream.reshape(count, edges[-1])
         draws = [low + (high - low) * rows[:, a:b]
@@ -311,7 +301,7 @@ def _draw(model: MatrixModel, rng: random.Random, count: int,
             return uniform, g, p
         cut = int(np.argmax(near)) * edges[-1] + edges[at]
         stream = np.concatenate([stream[:cut], stream[cut + model.dim:],
-                                 _uniform(rng, model.dim)])
+                                 [rng.random() for _ in range(model.dim)]])
 
 
 def _chunks(total: int):
@@ -325,7 +315,11 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
 
     The model kind, and every reason for having none that needs no floats,
     is decided first (:func:`liecheck.harness_inputs._model_kind`)."""
-    kind = _model_kind(pair)
+    return _build_model(pair, _model_kind(pair))
+
+
+def _build_model(pair: HomogeneousPair, kind: str) -> MatrixModel:
+    """The float model of ``kind``, which :func:`_model_kind` decided for ``pair``."""
     alg = pair.alg
     generators = alg.matrix_generators
     structure = np.zeros((alg.dim,) * 3)
@@ -649,10 +643,10 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
 
 
 def _sampled(pair: HomogeneousPair, op: LinearOperator, samples: int, h: float, seed: int,
-             rng: random.Random, torsion_report: TorsionReport) -> DeviationReport:
+             rng: random.Random, torsion_report: TorsionReport, kind: str) -> DeviationReport:
     """The float part of a run that :func:`check_run` passed, with the sample
-    generator and the torsion report that it returned."""
-    model = build_model(pair)
+    generator, the torsion report and the model kind that it returned."""
+    model = _build_model(pair, kind)
     relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
     unit = (-1.0, 1.0, model.dim)
     columns = []

@@ -24,10 +24,11 @@ _SO3_TENSOR = {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)}
 
 def check_run(pair, op, samples, h, seed) -> tuple:
     """Check a harness run of ``op`` on ``pair``; return the sample generator
-    of ``seed`` and the exact torsion report.  In order: ``samples`` an integer
-    in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``, ``MAX_STEP``] (written
-    ``not (lo <= h <= hi)``, so a NaN fails), ``seed`` (:func:`_rng`), the
-    model kind (:func:`_model_kind`), then admissibility (:class:`NotAdmissible`)."""
+    of ``seed``, the exact torsion report and the model kind.  In order:
+    ``samples`` an integer in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``,
+    ``MAX_STEP``] (written ``not (lo <= h <= hi)``, so a NaN fails), ``seed``
+    (:func:`_rng`), the model kind (:func:`_model_kind`), then admissibility
+    (:class:`NotAdmissible`)."""
     if not (isinstance(samples, numbers.Integral) and 1 <= samples <= MAX_SAMPLES):
         raise LieCheckError(f"the sample count (--samples) must be an integer in "
                             f"[1, {MAX_SAMPLES}], not {samples!r}")
@@ -35,8 +36,8 @@ def check_run(pair, op, samples, h, seed) -> tuple:
         raise LieCheckError(f"the step h (--step) must lie in [{MIN_STEP}, {MAX_STEP}], "
                             f"not {h!r}")
     rng = _rng(seed)
-    _model_kind(pair)
-    return rng, check_nijenhuis(pair, op)
+    kind = _model_kind(pair)
+    return rng, check_nijenhuis(pair, op), kind
 
 
 def _rng(seed: int) -> random.Random:

@@ -112,7 +112,8 @@ def test_torsion_checks_component_reps_exit_two(capsys, fixtures_dir, mode):
     path = str(fixtures_dir / "so3_flip_reps.lie")
     code, out, err = run(capsys, "torsion", path, "--mode", mode)
     assert code == 2 and out == ""
-    assert err == "error: NotAdmissible: operator is not admissible for the pair\n"
+    assert err == ("error: NotAdmissible: operator is not admissible for the pair "
+                   "(failed clause: commutes_with_component_reps)\n")
     code, out, _ = run(capsys, "check", path, "--report", "json")
     assert code == 1
     assert json.loads(out)["failed_clause"] == "commutes_with_component_reps"
@@ -294,7 +295,8 @@ def test_harness_stabilizer_out_of_float_range_exit_two(capsys, tmp_path, span):
 
 @pytest.mark.parametrize("operator, error", [
     ("ad(k0)", "LieCheckError: sphere-model generators must be antisymmetric (rotations)"),
-    ("ad(e1)", "NotAdmissible: operator is not admissible for the pair"),
+    ("ad(e1)", "NotAdmissible: operator is not admissible for the pair "
+               "(failed clause: preserves_k)"),
 ], ids=["admissible", "not-admissible"])
 def test_harness_admissibility_before_the_float_model(capsys, tmp_path, operator, error):
     # so(3) conjugated by diag(1, 2, 1): the sphere pair has a model kind,
@@ -638,7 +640,8 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
         (["u4_grassmannian.lie"], no_model, False),
         (["gl3_full.lie", "--pair", "modsl3", "--operator", "lmul"], no_model, False),
         (["so3_family.lie", "--pair", "sphere_split", "--operator", "fam_bad"],
-         "error: NotAdmissible: operator is not admissible for the pair\n", False),
+         "error: NotAdmissible: operator is not admissible for the pair "
+         "(failed clause: commutes_with_ad_k)\n", False),
     ]
     for argv, stderr, harness_runs in cases:
         argv = ["harness", str(corpus_dir / argv[0]), *argv[1:]]
@@ -658,10 +661,12 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
 
 def test_harness_command_decides_float_free_questions_once(capsys, corpus_dir, monkeypatch):
     # The command decides the inputs, the model kind and admissibility in one
-    # check_run call, and the float harness reuses its torsion report.  Each
-    # function is counted under every liecheck name that holds it.
-    calls = dict.fromkeys(("check_run", "check_nijenhuis"), 0)
-    for home, attr in (("harness_inputs", "check_run"), ("torsion", "check_nijenhuis")):
+    # check_run call, and the float harness reuses its torsion report and
+    # its model kind.  Each function is counted under every liecheck name
+    # that holds it.
+    calls = dict.fromkeys(("check_run", "check_nijenhuis", "_model_kind"), 0)
+    for home, attr in (("harness_inputs", "check_run"), ("torsion", "check_nijenhuis"),
+                       ("harness_inputs", "_model_kind")):
         original = getattr(importlib.import_module(f"liecheck.{home}"), attr)
 
         def counted(*args, _attr=attr, _original=original, **kwargs):
@@ -675,7 +680,7 @@ def test_harness_command_decides_float_free_questions_once(capsys, corpus_dir, m
     code, out, _ = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
                        "--samples", "3", "--report", "json")
     assert code == 0 and json.loads(out)["scope"] == "full"
-    assert calls == {"check_run": 1, "check_nijenhuis": 1}
+    assert calls == {"check_run": 1, "check_nijenhuis": 1, "_model_kind": 1}
 
 
 def test_witness_past_the_int_string_limit(capsys, tmp_path):

@@ -373,10 +373,10 @@ def test_sample_count_below_one_is_an_error(samples, so3, so3_pair, sphere):
 def test_run_harness_checks_every_bound_first(monkeypatch, so3, so3_pair, bad, message):
     # The command line passes its options on unchecked, so run_harness holds
     # a library call to the same bounds, before it builds a float model.
-    def no_model(pair):
+    def no_model(pair, kind):
         raise AssertionError("a float model was built")
 
-    monkeypatch.setattr(harness, "build_model", no_model)
+    monkeypatch.setattr(harness, "_build_model", no_model)
     op = operator_ad(so3, so3.basis_vector("k0"))
     with pytest.raises(LieCheckError, match=message):
         run_harness(so3_pair, op, **bad)
@@ -643,23 +643,6 @@ def test_run_harness_draws_in_per_sample_order(monkeypatch, cap, so3, so3_pair):
     for point, sv, sw, (p, v, w) in zip(points, vs, ws, want):
         assert np.max(np.abs(point - p)) <= 1e-12
         assert np.array_equal(sv, v) and np.array_equal(sw, w)
-
-
-def test_uniform_is_the_random_stream():
-    # Bitwise the floats of rng.random(), and a draw split in two gives the
-    # values of one draw of the combined length.
-    for count in (1, 2, 3, 7, 64, 1000):
-        reference = random.Random(count)
-        want = [reference.random() for _ in range(count)]
-        rng = random.Random(count)
-        got = harness._uniform(rng, count)
-        assert got.dtype == np.float64 and got.tolist() == want
-        assert rng.getstate() == reference.getstate()
-        for cut in (0, 1, count // 2, count):
-            rng = random.Random(count)
-            parts = np.concatenate([harness._uniform(rng, cut),
-                                    harness._uniform(rng, count - cut)])
-            assert parts.tolist() == want
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, "1"])

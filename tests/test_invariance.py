@@ -11,7 +11,11 @@ mathematics says must agree:
   ``(-J - i) v`` lies in k_C exactly when ``(J + i) v`` does;
 * for an admissible operator, torsion values on pairs that touch k lie in
   k, so the pairs of any complement of k decide the verdict that all the
-  basis pairs decide.
+  basis pairs decide;
+* a change of basis ``P`` of g is an isomorphism of the pair with its
+  conjugate (brackets ``P^-1 [P v, P w]``, k, m and the reps moved by
+  ``P^-1``, the operator ``P^-1 I P``): it changes no verdict, and ``P``
+  maps each witness of the conjugate to a witness of the original.
 """
 
 from fractions import Fraction
@@ -20,11 +24,14 @@ import pytest
 
 from liecheck import (
     HomogeneousPair,
+    LieAlgebra,
     LinearOperator,
     Subspace,
     check_admissible,
     check_integrable,
     check_nijenhuis,
+    make_subalgebra,
+    torsion_form,
 )
 from liecheck.errors import LieCheckError
 
@@ -123,3 +130,84 @@ def test_every_complement_decides_torsion(loop_cases, case, data):
         assert some == every
     else:
         assert (some.verdict, some.mode) == (every.verdict, "complement-pairs")
+
+
+def _conjugate(pair, op, p, p_inv):
+    """The pair and operator in the basis of the columns of ``p``."""
+    alg, n = pair.alg, pair.alg.dim
+    brackets = [[alg.zero_vector()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = p_inv.apply(alg.bracket(p.column(i), p.column(j)))
+            brackets[i][j], brackets[j][i] = c, tuple(-x for x in c)
+    moved = LieAlgebra.from_structure_tensor("moved", alg.basis_labels, brackets)
+
+    def back(space):
+        return [p_inv.apply(v) for v in space.vectors()]
+
+    k = make_subalgebra(moved, back(pair.k.space))
+    m = None if pair.m is None else Subspace.from_vectors(n, back(pair.m))
+    reps = [p_inv @ rep @ p for rep in pair.component_reps]
+    return (HomogeneousPair(moved, k, m=m, connected=pair.connected, component_reps=reps),
+            LinearOperator(moved, p_inv @ op.matrix @ p))
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@property_test(max_examples=4)
+def test_change_of_basis_keeps_verdicts_and_maps_witnesses(loop_cases, case, data):
+    pair, seeds, _ = loop_cases[case]
+    structures = [index for name, index in STRUCTURES if name == case]
+    if structures and data.draw(st.booleans()):
+        op = _plus_values_in_k(data, pair, seeds[data.draw(st.sampled_from(structures))])
+    else:
+        op = draw_operator(data, pair, seeds)
+    p, p_inv = draw_conjugator(data, pair.alg.dim)
+    moved_pair, moved_op = _conjugate(pair, op, p, p_inv)
+    k, alg = pair.k.space, pair.alg
+
+    adm, moved = check_admissible(pair, op), check_admissible(moved_pair, moved_op)
+    assert (moved.holds, moved.scope, moved.failed_clause) == (adm.holds, adm.scope,
+                                                               adm.failed_clause)
+    if not adm.holds:
+        witness = dict(moved.witness)
+        if moved.failed_clause == "preserves_k":
+            x = p.apply(witness["vector"])
+            value = op.apply(x)
+            assert x in k and value == p.apply(witness["image"])
+        else:
+            v = p.apply(witness["v"])
+            if moved.failed_clause == "commutes_with_ad_k":
+                z = p.apply(witness["z"])
+                assert z in k
+                got, want = op.apply(alg.bracket(z, v)), alg.bracket(z, op.apply(v))
+            else:
+                rep = pair.component_reps[witness["rep_index"]]
+                got, want = rep.apply(op.apply(v)), op.apply(rep.apply(v))
+            value = tuple(a - b for a, b in zip(got, want))
+            assert value == p.apply(witness["value"])
+        assert value not in k
+        assert outcome(check_integrable, moved_pair, moved_op) == outcome(
+            check_integrable, pair, op)
+        return
+
+    torsion, moved = check_nijenhuis(pair, op), check_nijenhuis(moved_pair, moved_op)
+    assert (moved.verdict, moved.scope) == (torsion.verdict, torsion.scope)
+    if not moved.verdict:
+        v, w, value = moved.witness
+        mapped = p.apply(value)
+        assert torsion_form(alg, op, p.apply(v), p.apply(w)) == mapped
+        assert mapped not in k
+
+    report = outcome(check_integrable, pair, op)
+    moved = outcome(check_integrable, moved_pair, moved_op)
+    if isinstance(report, tuple):
+        assert moved == report
+        return
+    assert ((moved.integrable, moved.nijenhuis_verdict, moved.z_plus.dim)
+            == (report.integrable, report.nijenhuis_verdict, report.z_plus.dim))
+    z_plus = report.z_plus
+    assert Subspace.from_vectors(alg.dim, [p.apply(v) for v in moved.z_plus.vectors()]) == z_plus
+    if moved.witness is not None:
+        x, y, value = (p.apply(u) for u in moved.witness)
+        assert x in z_plus and y in z_plus
+        assert alg.bracket(x, y) == value and value not in z_plus
