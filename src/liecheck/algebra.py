@@ -47,6 +47,7 @@ from .exact import (
     Subspace,
     annihilated,
     format_scalar,
+    from_integers,
     integer_vector,
 )
 
@@ -69,11 +70,11 @@ class LieAlgebra:
     ``[b_i, b_j]`` with a nonzero rational coefficient, in increasing ``k``;
     it is the only storage, and :meth:`from_structure_tensor` builds an
     algebra from the dense tensor ``c[i][j][k]`` instead.
-    :attr:`integer_constants` is the same view times one positive integer,
-    which keeps every verdict of the antisymmetry and (quadratic) Jacobi
-    checks; those read it packed, ``P[a][m] = sum_t c_amt << (w t)`` with
-    ``2^w > 3 n max|c|^2``, which bounds every field they sum.  The integer
-    pair loops of the checks use it too (:func:`bracket_into`).
+    :attr:`integer_constants` is the same view times one positive integer
+    ``c``, which keeps every verdict of the antisymmetry and (quadratic)
+    Jacobi checks; those read it packed, ``P[a][m] = sum_t c_amt << (w t)``
+    with ``2^w > 3 n max|c|^2``, which bounds every field they sum.  The
+    integer pair loops of the checks use it too (:func:`bracket_into`).
     """
 
     __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz", "_span_solver")
@@ -101,7 +102,7 @@ class LieAlgebra:
             for i, row in enumerate(nonzeros)
         )
         self._integer_nz = self._span_solver = None
-        nz = self.integer_constants  # packed as in the class docstring
+        _, nz = self.integer_constants  # packed as in the class docstring
         top = max((abs(c) for row in nz for terms in row for _, c in terms), default=0)
         w = (3 * n * top * top).bit_length()
         packed = [[sum([c << w * t for t, c in terms]) if terms else 0 for terms in row]
@@ -162,7 +163,7 @@ class LieAlgebra:
         of at most ``3 n`` products, so under ``2^w``, and a sum of such fields
         is zero only if each is: the lowest nonzero one is no multiple of 2^w."""
         n = self.dim
-        nz = self.integer_constants
+        _, nz = self.integer_constants
         for i in range(n):
             nzi, pi = nz[i], packed[i]
             for j in range(i + 1, n):
@@ -206,17 +207,17 @@ class LieAlgebra:
 
     @property
     def integer_constants(self) -> tuple:
-        """:attr:`nonzeros` with every structure constant times one positive
-        integer, the lcm of their denominators; computed once."""
+        """``(c, constants)``: :attr:`nonzeros` with every structure constant
+        times ``c``, the lcm of their denominators; computed once."""
         view = self._integer_nz
         if view is None:
             scale = lcm(*(x.denominator for ci in self.nonzeros for terms in ci for _, x in terms))
-            view = self._integer_nz = tuple(
+            view = self._integer_nz = (scale, tuple(
                 tuple([terms and tuple([(k, x.numerator * (scale // x.denominator))
                                         for k, x in terms])
                        for terms in ci])
                 for ci in self.nonzeros
-            )
+            ))
         return view
 
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
@@ -288,8 +289,8 @@ class LieAlgebra:
 
 def bracket_into(constants: tuple, v: dict, w: dict, acc: dict, sign: int = 1) -> dict:
     """Add ``sign * [v, w]`` to ``acc`` and return it, for sparse integer
-    vectors and the integer structure constants
-    (:attr:`LieAlgebra.integer_constants`)."""
+    vectors and the integer structure constants of
+    :attr:`LieAlgebra.integer_constants`; every entry a term touches is keyed."""
     w_items = [(j, y) for j, y in w.items() if y]
     for i, x in v.items():
         if x:
@@ -324,20 +325,24 @@ def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     """Echelonize the span and certify closure under the bracket.
 
     Closure is decided in integers, as the checks decide membership in k:
-    the basis rows scaled to integers, their brackets taken on
-    :attr:`LieAlgebra.integer_constants`, and membership as ``Q [a, b] = 0``
-    for the integer annihilator ``Q`` of the span.  Only the witness of the
-    first pair outside is recomputed in the rationals.
+    the basis rows ``a`` times ``λa``, their brackets taken on
+    :attr:`LieAlgebra.integer_constants` (``c``), and membership as
+    ``Q [a, b] = 0`` for the integer annihilator ``Q`` of the span.  The
+    witness of the first pair outside is that bracket over ``c λa λb``.
     """
     space = Subspace.from_vectors(alg.dim, vectors)
     rows = space.vectors()
-    constants = alg.integer_constants
-    q = space.annihilator.integer_columns
+    c, constants = alg.integer_constants
+    _, q = space.annihilator.integer_columns
     ints = [integer_vector(row) for row in rows]
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if not annihilated(q, bracket_into(constants, ints[a], ints[b], {})):
-                raise NotClosedUnderBracket(rows[a], rows[b], alg.bracket(rows[a], rows[b]))
+    for a, (la, va) in enumerate(ints):
+        for b, (lb, vb) in enumerate(ints[a + 1:], a + 1):
+            value = bracket_into(constants, va, vb, {})
+            if not annihilated(q, value):
+                # Typed as bracket(rows[a], rows[b]) types it.
+                im = {} if rows[a][0].__class__ is GaussianRational else None
+                value = from_integers(alg.dim, c * la * lb, value, im)
+                raise NotClosedUnderBracket(rows[a], rows[b], value, alg.format_element)
     return Subalgebra(alg, space)
 
 

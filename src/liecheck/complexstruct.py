@@ -11,14 +11,12 @@ complex conjugate of Z+, and the split identities for Z- are the conjugates
 of those for Z+.  The induced almost complex structure is integrable
 exactly when Z+ is closed under the bracket, and that is equivalent to the
 torsion verdict; both are computed, and a disagreement raises
-:class:`InternalInconsistency`.  The closure is decided on ``Q (J - i)`` in
-Gaussian integers, and the test that J squares to -1 modulo k on J's
-integer columns, like the pair loops of the other checks.
+:class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as Gaussian-
+integer equations (:func:`_z_plus_equations`): Z+ is their kernel, and the
+closure is tested on them in integers, like the other checks' pair loops.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .algebra import bracket_into
 from .errors import (
@@ -31,12 +29,13 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    _integer_rows,
     _kernel,
     annihilated,
     apply_columns,
+    from_integers,
     kernel_basis,
     rref,
-    scaled_integers,
     subspace_intersection,
     subspace_sum,
 )
@@ -76,35 +75,41 @@ class IntegrabilityReport(FrozenValue):
         return self.z_plus_closed
 
 
-def _integer_operator(op: LinearOperator) -> tuple:
-    """J's integer columns ``s J`` and their scale ``s``."""
-    return op.matrix.integer_columns, lcm(*(e.denominator for e in op.matrix.entries))
-
-
 def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
     """Whether (J^2 + 1) e_j lies in k for every j, decided on J's integer
     columns ``s J``: ``(s J)^2 e_j + s^2 e_j`` is ``s^2 (J^2 + 1) e_j``."""
-    columns, s = _integer_operator(op)
-    k = pair.k.space.annihilator.integer_columns
-    return all(
-        annihilated(k, apply_columns(columns, dict(columns[j]), {j: s * s}))
-        for j in range(pair.alg.dim)
-    )
+    s, columns = op.matrix.integer_columns
+    _, k = pair.k.space.annihilator.integer_columns
+    return all(annihilated(k, apply_columns(columns, dict(column), {j: s * s}))
+               for j, column in enumerate(columns))
+
+
+def _z_plus_equations(pair: HomogeneousPair, op: LinearOperator) -> tuple:
+    """The equations of Z+, ``Q (sJ) - i s Q = s Q (J - i)``: the integer
+    columns of their real part ``Q (sJ)`` (Q times each integer column of J)
+    and of their imaginary part ``-s Q``."""
+    s, columns = op.matrix.integer_columns
+    _, q = pair.k.space.annihilator.integer_columns
+    return ([tuple(apply_columns(q, dict(col), {}).items()) for col in columns],
+            [tuple((t, -s * x) for t, x in col) for col in q])
 
 
 def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     """The exact subspaces Z+ and Z- of the complexified algebra.
 
     k_C is the kernel of the annihilator ``Q`` of k, so Z+ is the kernel of
-    ``Q (J - i) = Q J - i Q`` over Q(i), typed so also when ``Q`` has no
-    rows (k is everything).  Conjugation fixes Q, J and k, so Z- is the
-    conjugate of Z+, and conjugation keeps the echelon basis canonical.
+    ``Q (J - i)`` over Q(i), read as rows off :func:`_z_plus_equations`, and
+    typed so also when ``Q`` has no rows (k is everything).  Conjugation
+    fixes Q, J and k, so Z- is the conjugate of Z+, and conjugation keeps
+    the echelon basis canonical.
     """
-    q = pair.k.space.annihilator
-    qj = q @ op.matrix
-    shifted = ExactMatrix(q.rows, q.cols, [GaussianRational(a, -b)
-                                           for a, b in zip(qj.entries, q.entries)])
-    z_plus = _kernel(shifted, gaussian=True)
+    n = pair.alg.dim
+    rows = [[[0] * n, [0] * n, 1] for _ in range(n - pair.k.dim)]
+    for part, columns in enumerate(_z_plus_equations(pair, op)):
+        for j, column in enumerate(columns):
+            for t, x in column:
+                rows[t][part][j] = x
+    z_plus = _kernel(rows, n, gaussian=True)
     return z_plus, z_plus.conjugated()
 
 
@@ -125,29 +130,27 @@ def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
                     z_plus: Subspace) -> tuple | None:
     """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+.
 
-    Z+ is the kernel of ``Q (J - i)``, so ``v = a + ib`` lies in it exactly
-    when ``Q (s J a + s b)`` and ``Q (s J b - s a)`` vanish.  Each basis row
-    is scaled to Gaussian integers, its brackets are taken on the integer
-    structure constants, and only the witness is recomputed in Q(i).
+    Each basis row ``x`` is scaled to Gaussian integers (``λx x``), its
+    brackets are taken on the integer structure constants (``c``), and
+    tested against the equations of Z+, :func:`_z_plus_equations`.  The
+    witness is the failing integer bracket over ``c λx λy``, typed as
+    :meth:`~liecheck.algebra.LieAlgebra.bracket` types it.
     """
-    constants = pair.alg.integer_constants
-    columns, s = _integer_operator(op)
-    q = pair.k.space.annihilator.integer_columns
-    vectors, rows = z_plus.vectors(), []
-    for v in vectors:
-        scaled = scaled_integers(((part, j), x) for j, e in enumerate(v)
-                                 for part, x in enumerate((e.re, e.im)) if x)
-        rows.append([{j: x for (p, j), x in scaled if p == part} for part in (0, 1)])
-    for i, (x_re, x_im) in enumerate(rows):
-        for t in range(i + 1, len(rows)):
-            y_re, y_im = rows[t]
+    n = pair.alg.dim
+    c, constants = pair.alg.integer_constants
+    a, b = _z_plus_equations(pair, op)  # Z+ is the kernel of A + iB
+    scaled = _integer_rows(z_plus.basis.nonzero_rows, n)  # λx x, for each row x
+    rows = [(v, den, [{j: x for j, x in enumerate(part or ()) if x} for part in (re, im)])
+            for v, (re, im, den) in zip(z_plus.vectors(), scaled)]
+    for i, (x, lx, (x_re, x_im)) in enumerate(rows):
+        for y, ly, (y_re, y_im) in rows[i + 1:]:
             # [x, y] = [x_re, y_re] - [x_im, y_im] + i ([x_re, y_im] + [x_im, y_re])
             re = bracket_into(constants, x_im, y_im, bracket_into(constants, x_re, y_re, {}), -1)
             im = bracket_into(constants, x_im, y_re, bracket_into(constants, x_re, y_im, {}))
-            if not (annihilated(q, apply_columns(columns, re, {j: s * x for j, x in im.items()}))
-                    and annihilated(q, apply_columns(columns, im,
-                                                     {j: -s * x for j, x in re.items()}))):
-                return vectors[i], vectors[t], pair.alg.bracket(vectors[i], vectors[t])
+            # (A + iB) (re + i im) = (A re - B im) + i (B re + A im)
+            if (any(apply_columns(b, im, apply_columns(a, re, {}), -1).values())
+                    or any(apply_columns(b, re, apply_columns(a, im, {})).values())):
+                return x, y, from_integers(n, c * lx * ly, re, im)
     return None
 
 

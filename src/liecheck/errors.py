@@ -47,10 +47,11 @@ class InvalidStructureConstants(LieCheckError):
 
 
 class NotClosedUnderBracket(LieCheckError):
-    """A candidate subalgebra is not closed; carries an exact witness pair."""
+    """A candidate subalgebra is not closed; carries and names an exact witness pair."""
 
-    def __init__(self, x, y, value):
-        super().__init__("span is not closed under the bracket")
+    def __init__(self, x, y, value, format_element):
+        super().__init__("span is not closed under the bracket: "
+                         f"[{format_element(x)}, {format_element(y)}] = {format_element(value)}")
         self.x = x
         self.y = y
         self.value = value

@@ -19,14 +19,15 @@ with ``a_ik`` nonzero is.  Membership coordinates are the vector's own
 entries at the pivot columns.
 
 The pair loops of the checks ("does this value lie in k?") run in integer
-arithmetic instead.  :attr:`ExactMatrix.integer_columns` holds a real
-matrix's nonzero columns times the lcm of all its denominators, and
-:attr:`Subspace.annihilator` is an integer matrix ``Q`` with one row per
-non-pivot column of the echelon basis, so that ``v`` lies in the subspace
-exactly when ``Q v = 0`` (:func:`annihilated`).  Vectors in that arithmetic
-are sparse dicts ``{index: int}`` (:func:`integer_vector`).  Scaling a
-vector by a positive integer does not change whether it lies in a subspace,
-so the scales are never divided out.
+arithmetic instead.  Each integer view is built from the integer rows that
+the eliminations use (:func:`_integer_rows`) and carries its positive scale,
+computed once there: :attr:`ExactMatrix.integer_columns` holds a real
+matrix's nonzero columns times ``s``, the lcm of its denominators, and
+:func:`integer_vector` a real vector's nonzeros times ``λ``, as a sparse
+dict ``{index: int}``.  :attr:`Subspace.annihilator` is an integer matrix
+``Q`` whose kernel is the subspace (:func:`annihilated`).  A positive
+multiple lies in a subspace exactly when the vector does, so a loop never
+divides its scales out; a check does, for its witness (:func:`from_integers`).
 
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
@@ -304,18 +305,18 @@ class ExactMatrix:
 
     @property
     def integer_columns(self) -> tuple:
-        """Per column, the ``(row, int)`` pairs of its nonzero entries, all
-        times one positive integer (the lcm of the denominators).  Real
+        """``(s, columns)``: per column, the ``(row, int)`` pairs of its
+        nonzero entries, all times ``s``, the lcm of the denominators.  Real
         matrices only."""
         view = self._integer_columns
         if view is None:
+            rows = _real_rows(self.nonzero_rows, self.cols)
+            scale = lcm(*(den for _, _, den in rows))
             columns = [[] for _ in range(self.cols)]
-            terms = scaled_integers(
-                ((i, j), e) for i, row in enumerate(self.nonzero_rows) for j, e in row
-            )
-            for (i, j), a in terms:
-                columns[j].append((i, a))
-            view = self._integer_columns = tuple(map(tuple, columns))
+            for i, (re, _, den) in enumerate(rows):
+                for j, _ in self.nonzero_rows[i]:
+                    columns[j].append((i, re[j] * (scale // den)))
+            view = self._integer_columns = (scale, tuple(map(tuple, columns)))
         return view
 
     @classmethod
@@ -409,13 +410,13 @@ def _is_gaussian(m: ExactMatrix) -> bool:
     return GaussianRational in set(map(type, m.entries))
 
 
-def _integer_rows(m: ExactMatrix) -> list:
-    """The rows of ``m`` as ``[re, im, den]``: entry j is
-    ``(re[j] + i*im[j]) / den`` with int lists ``re``, ``im`` and a positive
-    int ``den``; ``im`` is None in a row without imaginary parts."""
-    cols = m.cols
+def _integer_rows(sparse: Iterable, cols: int) -> list:
+    """Rows of length ``cols``, given by their nonzero ``(column, scalar)``
+    terms (as :attr:`ExactMatrix.nonzero_rows`), as ``[re, im, den]``: entry
+    j is ``(re[j] + i*im[j]) / den`` with int lists ``re``, ``im`` and a
+    positive int ``den``; ``im`` is None in a row without imaginary parts."""
     rows = []
-    for terms in m.nonzero_rows:
+    for terms in sparse:
         parts = [(j, e.re, e.im) if e.__class__ is GaussianRational else (j, e, _ZERO)
                  for j, e in terms]
         den = lcm(*(x.denominator for _, a, b in parts for x in (a, b)))
@@ -518,7 +519,7 @@ def rref(m: ExactMatrix) -> tuple:
     otherwise.
     """
     cols = m.cols
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.nonzero_rows, cols)
     pivots = _eliminate(rows, cols, range(cols))
     gaussian = _is_gaussian(m)
     entries = [e for row in rows[:len(pivots)] for e in _scalar_row(row, gaussian)]
@@ -528,11 +529,11 @@ def rref(m: ExactMatrix) -> tuple:
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Canonical basis of the right kernel ``{x : m x = 0}``, entries typed
     GaussianRational when ``m`` has a GaussianRational entry."""
-    return _kernel(m, _is_gaussian(m))
+    return _kernel(_integer_rows(m.nonzero_rows, m.cols), m.cols, _is_gaussian(m))
 
 
-def _kernel(m: ExactMatrix, gaussian: bool) -> "Subspace":
-    """The kernel of ``m``, typed by ``gaussian``.
+def _kernel(rows: list, cols: int, gaussian: bool) -> "Subspace":
+    """The kernel of :func:`_integer_rows` ``rows`` of length ``cols``, typed by ``gaussian``.
 
     One elimination, with pivot columns chosen from the right.  Then each
     free column f leads its kernel vector ``e_f - sum_r red[r][f] e_{p_r}``
@@ -540,8 +541,6 @@ def _kernel(m: ExactMatrix, gaussian: bool) -> "Subspace":
     entries at the other free columns are zero: by ascending f these
     vectors are already the canonical reduced row-echelon basis.
     """
-    cols = m.cols
-    rows = _integer_rows(m)
     pivots = _eliminate(rows, cols, range(cols - 1, -1, -1))
     free = sorted(set(range(cols)) - set(pivots))
     kernel = []
@@ -650,15 +649,11 @@ class Subspace:
         """An integer matrix whose kernel is this subspace (real subspaces
         only): the rows of :meth:`_equations`, each times the lcm of its
         denominators."""
-        q = self._annihilator
-        if q is None:
-            n, eqs = self.ambient_dim, self._equations()
-            entries = [_ZERO] * (len(eqs) * n)
-            for r, terms in enumerate(eqs):
-                for j, a in scaled_integers(terms):
-                    entries[r * n + j] = Fraction(a)
-            q = self._annihilator = ExactMatrix._of(len(eqs), n, tuple(entries))
-        return q
+        if self._annihilator is None:
+            n, rows = self.ambient_dim, _real_rows(self._equations(), self.ambient_dim)
+            self._annihilator = ExactMatrix._of(len(rows), n, tuple(
+                [Fraction(x) if x else _ZERO for re, _, _ in rows for x in re]))
+        return self._annihilator
 
     def conjugated(self) -> "Subspace":
         # Conjugation fixes the pivot structure, so the result stays canonical.
@@ -688,41 +683,37 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = a.ambient_dim
-    equations = a._equations() + b._equations()
-    entries = [_ZERO] * (len(equations) * n)
-    for r, terms in enumerate(equations):
-        for j, x in terms:
-            entries[r * n + j] = x
-    stacked = ExactMatrix._of(len(equations), n, tuple(entries))
-    return _kernel(stacked, _is_gaussian(a.basis) or _is_gaussian(b.basis))
+    return _kernel(_integer_rows(a._equations() + b._equations(), n), n,
+                   _is_gaussian(a.basis) or _is_gaussian(b.basis))
 
 
 # ---------------------------------------------------------------------------
 # integer views
 # ---------------------------------------------------------------------------
 
-def _real_rational(x):
-    """A real scalar as a Fraction (or int); a Q(i) scalar with a nonzero
-    imaginary part is rejected."""
-    if isinstance(x, GaussianRational):
-        if x.im:
-            raise TypeError("integer views need real entries")
-        return x.re
-    return x
+def _real_rows(sparse: Iterable, cols: int) -> list:
+    """:func:`_integer_rows` of real rows; a non-real entry is a TypeError."""
+    rows = _integer_rows(sparse, cols)
+    if any(im for _, im, _ in rows):
+        raise TypeError("integer views need real entries")
+    return rows
 
 
-def scaled_integers(terms) -> tuple:
-    """``(key, value)`` pairs with real values, as ``(key, int)``: every value
-    times one positive integer, the lcm of their denominators."""
-    terms = [(key, _real_rational(x)) for key, x in terms]
-    scale = lcm(*(x.denominator for _, x in terms))
-    return tuple((key, x.numerator * (scale // x.denominator)) for key, x in terms)
+def integer_vector(v: Sequence) -> tuple:
+    """``(λ, {index: int})``: the nonzeros of a real vector times ``λ``, the
+    lcm of their denominators."""
+    [(re, _, den)] = _real_rows([[(j, x) for j, x in enumerate(v) if x]], len(v))
+    return den, {j: x for j, x in enumerate(re) if x}
 
 
-def integer_vector(v: Sequence) -> dict:
-    """The nonzeros of a real vector times the lcm of their denominators, as
-    ``{index: int}``: a positive multiple of ``v``."""
-    return dict(scaled_integers((j, x) for j, x in enumerate(v) if x))
+def from_integers(n: int, scale: int, re: dict, im: dict | None = None) -> tuple:
+    """``(re + i im) / scale`` of length ``n``, a witness from its integer loop:
+    Fraction entries without ``im``; with it, typed as a complex bracket, a
+    GaussianRational where ``re`` or ``im`` has a key (a term touched it)."""
+    if im is None:
+        return tuple(Fraction(re[j], scale) if j in re else _ZERO for j in range(n))
+    return tuple(GaussianRational(Fraction(re.get(j, 0), scale), Fraction(im.get(j, 0), scale))
+                 if j in re or j in im else _ZERO for j in range(n))
 
 
 def apply_columns(columns: Sequence, v: dict, acc: dict, sign: int = 1) -> dict:

@@ -28,6 +28,7 @@ from .exact import (
     Subspace,
     annihilated,
     apply_columns,
+    from_integers,
     integer_vector,
     rref,
     subspace_intersection,
@@ -149,65 +150,61 @@ def check_admissible(pair: HomogeneousPair, op: LinearOperator) -> VerdictReport
     Clause (a): the operator preserves k.  Clause (b): it commutes with
     ad_z modulo k for every basis element z of k.  Clause (c), when component
     representatives are declared: it commutes with each of them modulo k.
-    For a connected subgroup (a) and (b) suffice.  The clauses are decided
-    by :func:`_failing_clause`; the witness of the first failing one is
-    recomputed in the rationals.
+    For a connected subgroup (a) and (b) suffice.  The clauses and the
+    witness of the first failing one come from :func:`_failing_clause`.
     """
     _require_same_algebra(pair, op)
-    alg = pair.alg
     scope = "full" if pair.connected or pair.component_reps else "identity_component"
     clauses = ("preserves_k", "commutes_with_ad_k")
     if pair.component_reps:
         clauses += ("commutes_with_component_reps",)
-    failure = _failing_clause(pair, op.matrix.integer_columns)
+    failure = _failing_clause(pair, op)
     if failure is None:
         return VerdictReport(True, scope, clauses)
-    clause, i, j = failure
-    if clause == "preserves_k":
-        x = pair.k.space.vectors()[i]
-        witness = (("vector", x), ("image", op.apply(x)))
-    elif clause == "commutes_with_ad_k":
-        z, bj = pair.k.space.vectors()[i], alg.basis_vector(j)
-        witness = (("z", z), ("v", bj),
-                   ("value", _sub(op.apply(alg.bracket(z, bj)), alg.bracket(z, op.apply(bj)))))
-    else:
-        rep, bj = pair.component_reps[i], alg.basis_vector(j)
-        witness = (("rep_index", i), ("v", bj),
-                   ("value", _sub(rep.apply(op.apply(bj)), op.apply(rep.apply(bj)))))
-    return VerdictReport(False, scope, clauses, clause, witness)
+    return VerdictReport(False, scope, clauses, *failure)
 
 
-def _failing_clause(pair: HomogeneousPair, columns: Sequence) -> tuple | None:
+def _failing_clause(pair: HomogeneousPair, op: LinearOperator) -> tuple | None:
     """The first admissibility clause instance whose value leaves k, as
-    ``(clause, i, j)`` with i indexing the basis of k or the representatives
-    and j the basis of g; None if there is none.
+    ``(clause, witness)``; None if there is none.  The witness names where
+    the clause failed (``z`` in k, the representative, ``v`` in g) and its
+    value: ``I z``, ``I [z, v] - [z, I v]`` or ``R I v - I R v``.
 
-    The operator is given by its integer columns.  Each clause is linear in
-    the operator, in the structure constants and in the representative, and
-    scaling a value by a positive integer does not move it in or out of k,
-    so the integer views decide the clauses exactly.
+    The clauses run on the integer views: the operator's columns times
+    ``s``, the structure constants times ``c``, each ``z`` times ``λz`` and
+    each representative's columns times ``r``.  Each clause is linear in
+    each of them, so its integer value is its rational value times
+    ``s λz``, ``s c λz`` or ``s r``.  A positive multiple lies in k exactly
+    when the value does, so the integer values decide the clauses, and the
+    failing one over its scale is the witness value.
     """
-    n = pair.alg.dim
-    constants = pair.alg.integer_constants
-    k = pair.k.space.annihilator.integer_columns
-    zs = [integer_vector(z) for z in pair.k.space.vectors()]
-    for i, z in enumerate(zs):
-        if not annihilated(k, apply_columns(columns, z, {})):
-            return "preserves_k", i, None
+    alg, n = pair.alg, pair.alg.dim
+    s, columns = op.matrix.integer_columns
+    c, constants = alg.integer_constants
+    _, k = pair.k.space.annihilator.integer_columns
+    zs = pair.k.space.vectors()
+    ints = [integer_vector(z) for z in zs]
+    for i, (lz, z) in enumerate(ints):
+        value = apply_columns(columns, z, {})
+        if not annihilated(k, value):
+            return "preserves_k", (("vector", zs[i]), ("image", from_integers(n, s * lz, value)))
     images = [dict(col) for col in columns]  # I b_j
-    for i, z in enumerate(zs):
+    for i, (lz, z) in enumerate(ints):
         for j in range(n):
             # I [z, b_j] - [z, I b_j]
             value = apply_columns(columns, bracket_into(constants, z, {j: 1}, {}), {})
             if not annihilated(k, bracket_into(constants, z, images[j], value, -1)):
-                return "commutes_with_ad_k", i, j
+                return "commutes_with_ad_k", (("z", zs[i]), ("v", alg.basis_vector(j)),
+                                              ("value", from_integers(n, s * c * lz, value)))
     for idx, rep in enumerate(pair.component_reps):
-        rep_columns = rep.integer_columns
+        r, rep_columns = rep.integer_columns
         for j in range(n):
             # R I b_j - I R b_j
             value = apply_columns(rep_columns, images[j], {})
             if not annihilated(k, apply_columns(columns, dict(rep_columns[j]), value, -1)):
-                return "commutes_with_component_reps", idx, j
+                return "commutes_with_component_reps", (
+                    ("rep_index", idx), ("v", alg.basis_vector(j)),
+                    ("value", from_integers(n, s * r, value)))
     return None
 
 
@@ -254,10 +251,6 @@ def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> tuple | 
         if img not in pair.m:
             return "m_invariant", (("vector", x), ("image", img))
     return None
-
-
-def _sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

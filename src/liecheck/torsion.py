@@ -11,14 +11,15 @@ is ``-[[d, v], [d, w]]``, so the pair mode ``ad`` is the all-pairs verdict
 of ``ad(d)`` with its witness value negated.
 
 The pair loop runs in the integer views of :mod:`liecheck.exact` and
-:class:`~liecheck.algebra.LieAlgebra`: the operator's columns and the
-structure constants each times one positive integer, the pair's vectors
-scaled to integers, and membership in k as ``Q beta = 0`` for the integer
-annihilator ``Q`` of k.  Beta is of degree 2 in the operator and 1 in the
-structure constants on every term, and linear in each argument, so the
-integer value is a positive multiple of the rational one and lies in k
-exactly when it does.  At the first failing pair :func:`torsion_form`
-recomputes the witness in the rationals.
+:class:`~liecheck.algebra.LieAlgebra`: the operator's columns times ``s``,
+the structure constants times ``c``, the pair's vectors ``v`` and ``w``
+times ``λv`` and ``λw``, and membership in k as ``Q beta = 0`` for the
+integer annihilator ``Q`` of k.  Beta is of degree 2 in the operator and 1
+in the structure constants on every term, and linear in each argument, so
+the integer value is the rational one times ``s^2 c λv λw``, and lies in k
+exactly when it does.  The first failing pair's integer value over that
+scale is its witness; :func:`torsion_form` is the form in the rationals, a
+reference that no check calls.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Sequence
 
 from .algebra import bracket_into
 from .errors import LieCheckError, MissingComplement
-from .exact import annihilated, apply_columns, integer_vector
+from .exact import annihilated, apply_columns, from_integers, integer_vector
 from .operators import HomogeneousPair, LinearOperator, _require_admissible, operator_ad
 from .values import FrozenValue
 
@@ -46,7 +47,7 @@ class TorsionReport(FrozenValue):
 
 
 def torsion_form(alg, op: LinearOperator, v: Sequence, w: Sequence) -> tuple:
-    """Evaluate I[v,Iw] + I[Iv,w] - [Iv,Iw] - I^2[v,w] exactly."""
+    """Evaluate I[v,Iw] + I[Iv,w] - [Iv,Iw] - I^2[v,w] in the rationals."""
     iv = op.apply(v)
     iw = op.apply(w)
     t1 = op.apply(alg.bracket(v, iw))
@@ -86,25 +87,24 @@ def check_nijenhuis(
         raise LieCheckError("pair mode 'ad' needs an operator built by operator_ad")
     scope = _require_admissible(pair, op).scope
     vectors, mode = _pair_vectors(pair, pairs)
-    constants = pair.alg.integer_constants
-    columns = op.matrix.integer_columns
-    k = pair.k.space.annihilator.integer_columns
+    s, columns = op.matrix.integer_columns
+    c, constants = pair.alg.integer_constants
+    _, k = pair.k.space.annihilator.integer_columns
+    scale = -c * s * s if pairs == "ad" else c * s * s  # the ad mode reports -beta
     vs = [integer_vector(v) for v in vectors]
-    ivs = [apply_columns(columns, v, {}) for v in vs]
+    ivs = [apply_columns(columns, v, {}) for _, v in vs]
     checked = 0
     for a in range(len(vs)):
-        v, iv = vs[a], ivs[a]
+        (lv, v), iv = vs[a], ivs[a]
         for b in range(a + 1, len(vs)):
-            w, iw = vs[b], ivs[b]
+            (lw, w), iw = vs[b], ivs[b]
             checked += 1
             # beta = I([v, Iw] + [Iv, w] - I[v, w]) - [Iv, Iw]
             inner = bracket_into(constants, v, iw, bracket_into(constants, iv, w, {}))
             apply_columns(columns, bracket_into(constants, v, w, {}), inner, -1)
             beta = bracket_into(constants, iv, iw, apply_columns(columns, inner, {}), -1)
             if not annihilated(k, beta):
-                beta = torsion_form(pair.alg, op, vectors[a], vectors[b])
-                if pairs == "ad":
-                    beta = tuple(-x for x in beta)
+                beta = from_integers(pair.alg.dim, scale * lv * lw, beta)
                 return TorsionReport(False, checked, mode, (vectors[a], vectors[b], beta), scope)
     return TorsionReport(True, checked, mode, scope=scope)
 

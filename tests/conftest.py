@@ -13,6 +13,7 @@ from liecheck import (
     Subspace,
     from_matrix_generators,
     make_subalgebra,
+    operator_ad,
     operator_from_rules,
 )
 from liecheck.matrix_span import _gaussian_rows
@@ -324,6 +325,52 @@ def _built(path):
     return build(parse(path.read_text(encoding="utf-8")))
 
 
+def conjugate_algebra(alg, p, p_inv):
+    """The algebra in the basis of the columns of ``p`` (``p_inv`` its
+    inverse): brackets ``P^-1 [P v, P w]``."""
+    n = alg.dim
+    brackets = [[alg.zero_vector()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = p_inv.apply(alg.bracket(p.column(i), p.column(j)))
+            brackets[i][j], brackets[j][i] = c, tuple(-x for x in c)
+    return LieAlgebra.from_structure_tensor("moved", alg.basis_labels, brackets)
+
+
+def conjugate_pair(pair, p, p_inv):
+    """The pair in the basis of the columns of ``p``: the algebra of
+    :func:`conjugate_algebra`, and k, m and the reps moved by ``P^-1``."""
+    moved, n = conjugate_algebra(pair.alg, p, p_inv), pair.alg.dim
+
+    def back(space):
+        return [p_inv.apply(v) for v in space.vectors()]
+
+    k = make_subalgebra(moved, back(pair.k.space))
+    m = None if pair.m is None else Subspace.from_vectors(n, back(pair.m))
+    reps = [p_inv @ rep @ p for rep in pair.component_reps]
+    return HomogeneousPair(moved, k, m=m, connected=pair.connected, component_reps=reps)
+
+
+def conjugate_operator(moved_pair, op, p, p_inv):
+    """The operator ``P^-1 I P`` on a pair made by :func:`conjugate_pair`."""
+    return LinearOperator(moved_pair.alg, p_inv @ op.matrix @ p)
+
+
+def _fractions(rows):
+    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+
+
+#: Fixed rational changes of basis, with their inverses, of dimension 3 and
+#: 4.  Conjugated by them, the integer-valued fixtures get denominators in
+#: their structure constants, their k and m bases and their reps.
+MOVE_3 = (_fractions([[1, "1/2", 0], [0, 1, "1/3"], ["1/2", 0, 1]]),
+          _fractions([["12/13", "-6/13", "2/13"], ["2/13", "12/13", "-4/13"],
+                      ["-6/13", "3/13", "12/13"]]))
+MOVE_4 = (_fractions([[1, "1/2", 0, 0], [0, 1, "1/3", 0], [0, 0, 1, "-1/2"], ["1/3", 0, 0, 1]]),
+          _fractions([["36/37", "-18/37", "6/37", "3/37"], ["2/37", "36/37", "-12/37", "-6/37"],
+                      ["-6/37", "3/37", "36/37", "18/37"], ["-12/37", "6/37", "-2/37", "36/37"]]))
+
+
 @pytest.fixture(scope="session")
 def loop_cases():
     """name -> (pair, operator seeds, ad seeds).  Combinations of the
@@ -344,6 +391,30 @@ def loop_cases():
     def basis(alg):
         return [alg.basis_vector(j) for j in range(alg.dim)]
 
+    # The diagonal of gl3, and a complement of it whose echelon basis has
+    # denominators.
+    gl3_alg = gl3.algebras["gl3"]
+    diagonal = [gl3_alg.basis_vector(label) for label in ("e11", "e22", "e33")]
+
+    def plus(x, c, y):  # e_x + c e_y
+        return tuple(a + c * b for a, b in zip(gl3_alg.basis_vector(x), gl3_alg.basis_vector(y)))
+
+    gl3_skew = Subspace.from_vectors(9, [
+        plus("e12", Fraction(1, 2), "e11"), plus("e13", Fraction(-1, 3), "e22"),
+        plus("e21", Fraction(1, 2), "e33"), plus("e23", 0, "e11"), plus("e31", 0, "e11"),
+        plus("e32", Fraction(2, 3), "e11")])
+    diag_skew = HomogeneousPair(gl3_alg, make_subalgebra(gl3_alg, diagonal), m=gl3_skew)
+
+    def moved(pair, ops, ad, move=MOVE_3):
+        # The pair, the identity and ops conjugated by P; ad(d) becomes
+        # ad(P^-1 d).
+        p, p_inv = move
+        assert p @ p_inv == identity_matrix(p.rows)
+        pair = conjugate_pair(pair, p, p_inv)
+        return (pair, [identity_operator(pair.alg)]
+                + [conjugate_operator(pair, op, p, p_inv) for op in ops],
+                [p_inv.apply(d) for d in ad])
+
     return {
         "so3_split": (fam.pairs["sphere_split"], [identity_operator(so3)] + so3_ops, so3_ad),
         "so3_plain": (HomogeneousPair(so3, k), [identity_operator(so3)] + so3_ops, so3_ad),
@@ -361,11 +432,26 @@ def loop_cases():
                       u4_alg.basis_vector("d1"), u4_alg.basis_vector("d3")]),
         "nil4": (nil4.pairs["nilgroup"], [nil4.operators["jplane"], nil4.operators["jtwist"]],
                  basis(nil4.algebras["nil4"])),
+        # Structure constants, k, m and the rep with denominators, so that
+        # every scale of the integer pair loops differs from 1.  fam_bad
+        # preserves k but fails commutes_with_ad_k; jtwist has torsion.
+        "so3_moved": moved(fam.pairs["sphere_split"], so3_ops, so3_ad),
+        "so3_plain_moved": moved(HomogeneousPair(so3, k), [fam.operators["fam_bad"]], so3_ad),
+        "so3_reps_moved": moved(flip.pairs["flip"], [flip.operators["I"]], so3_ad),
+        "nil4_moved": moved(nil4.pairs["nilgroup"], [nil4.operators["jplane"],
+                                                      nil4.operators["jtwist"]],
+                            basis(nil4.algebras["nil4"]), MOVE_4),
+        # For the complement pairs only: the diagonal of gl3 with a
+        # complement whose echelon basis has denominators; ad(D) of a
+        # diagonal D is admissible and mostly has torsion outside k.
+        "gl3_diag_skew": (diag_skew, [identity_operator(gl3_alg)]
+                          + [operator_ad(gl3_alg, d) for d in diagonal[:2]], diagonal),
     }
 
 
 LOOP_CASES = ("so3_split", "so3_plain", "so3_skew", "so3_reps", "gl3_modsl3",
-              "gl3_full", "u4_grass", "nil4")
+              "gl3_full", "u4_grass", "nil4", "so3_moved", "so3_plain_moved", "so3_reps_moved",
+              "nil4_moved")
 
 
 def _rationals(sparse: bool):

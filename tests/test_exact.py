@@ -532,7 +532,7 @@ def test_rref_matches_scalar_reference(flavour, data):
     else:
         assert _types(red) == _types(expected)
     # Every row the elimination produces has its content divided out.
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.nonzero_rows, m.cols)
     _eliminate(rows, m.cols, range(m.cols))
     for re, im, den in rows:
         assert den > 0 and gcd(den, *re, *(im or ())) == 1

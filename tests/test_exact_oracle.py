@@ -21,7 +21,7 @@ from liecheck import (
     rref,
     subspace_intersection,
 )
-from liecheck.exact import annihilated, integer_vector
+from liecheck.exact import annihilated, from_integers, integer_vector
 
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
@@ -161,5 +161,7 @@ def test_annihilator_matches_oracle_membership(data):
                          False)
     inside = stacked.rank() == dm.rank()
     assert (not any(q.apply(v))) == inside
-    assert annihilated(q.integer_columns, integer_vector(v)) == inside
+    scale, ints = integer_vector(v)
+    assert from_integers(m.cols, scale, ints) == v  # the integer view and its scale
+    assert annihilated(q.integer_columns[1], ints) == inside
     assert (v in space) == inside

@@ -24,19 +24,19 @@ import pytest
 
 from liecheck import (
     HomogeneousPair,
-    LieAlgebra,
     LinearOperator,
     Subspace,
     check_admissible,
     check_integrable,
     check_nijenhuis,
-    make_subalgebra,
     torsion_form,
 )
 from liecheck.errors import LieCheckError
 
 from conftest import (
     LOOP_CASES,
+    conjugate_operator,
+    conjugate_pair,
     draw_operator,
     identity_operator,
     operator_sum,
@@ -132,26 +132,6 @@ def test_every_complement_decides_torsion(loop_cases, case, data):
         assert (some.verdict, some.mode) == (every.verdict, "complement-pairs")
 
 
-def _conjugate(pair, op, p, p_inv):
-    """The pair and operator in the basis of the columns of ``p``."""
-    alg, n = pair.alg, pair.alg.dim
-    brackets = [[alg.zero_vector()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = p_inv.apply(alg.bracket(p.column(i), p.column(j)))
-            brackets[i][j], brackets[j][i] = c, tuple(-x for x in c)
-    moved = LieAlgebra.from_structure_tensor("moved", alg.basis_labels, brackets)
-
-    def back(space):
-        return [p_inv.apply(v) for v in space.vectors()]
-
-    k = make_subalgebra(moved, back(pair.k.space))
-    m = None if pair.m is None else Subspace.from_vectors(n, back(pair.m))
-    reps = [p_inv @ rep @ p for rep in pair.component_reps]
-    return (HomogeneousPair(moved, k, m=m, connected=pair.connected, component_reps=reps),
-            LinearOperator(moved, p_inv @ op.matrix @ p))
-
-
 @pytest.mark.parametrize("case", LOOP_CASES)
 @property_test(max_examples=4)
 def test_change_of_basis_keeps_verdicts_and_maps_witnesses(loop_cases, case, data):
@@ -162,7 +142,8 @@ def test_change_of_basis_keeps_verdicts_and_maps_witnesses(loop_cases, case, dat
     else:
         op = draw_operator(data, pair, seeds)
     p, p_inv = draw_conjugator(data, pair.alg.dim)
-    moved_pair, moved_op = _conjugate(pair, op, p, p_inv)
+    moved_pair = conjugate_pair(pair, p, p_inv)
+    moved_op = conjugate_operator(moved_pair, op, p, p_inv)
     k, alg = pair.k.space, pair.alg
 
     adm, moved = check_admissible(pair, op), check_admissible(moved_pair, moved_op)

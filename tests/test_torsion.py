@@ -315,7 +315,8 @@ def _assert_report_matches(run, op, pair, expected):
 
 
 @pytest.mark.parametrize("case,mode", [(case, "all") for case in LOOP_CASES] + [
-    (case, "complement") for case in ("so3_split", "so3_skew", "u4_grass", "nil4")])
+    (case, "complement") for case in ("so3_split", "so3_skew", "u4_grass", "nil4", "so3_moved",
+                                      "gl3_diag_skew")])
 @property_test(max_examples=20)
 def test_torsion_matches_fraction_reference(loop_cases, case, mode, data):
     pair, seeds, _ = loop_cases[case]
