@@ -14,6 +14,7 @@ torsion verdict; both are computed, and a disagreement raises
 :class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as Gaussian-
 integer equations (:func:`_z_plus_equations`): Z+ is their kernel, and the
 closure is tested on them in integers, like the other checks' pair loops.
+With Q = 1 their kernel is ker(J - i), which is E+ in the split case.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from .errors import (
     NotSplitACAdmissible,
 )
 from .exact import (
-    ExactMatrix,
-    GaussianRational,
     Subspace,
     _integer_rows,
     _kernel,
     annihilated,
     apply_columns,
     from_integers,
-    kernel_basis,
-    rref,
     subspace_intersection,
     subspace_sum,
 )
@@ -84,32 +81,36 @@ def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
                for j, column in enumerate(columns))
 
 
-def _z_plus_equations(pair: HomogeneousPair, op: LinearOperator) -> tuple:
-    """The equations of Z+, ``Q (sJ) - i s Q = s Q (J - i)``: the integer
-    columns of their real part ``Q (sJ)`` (Q times each integer column of J)
-    and of their imaginary part ``-s Q``."""
+def _z_plus_equations(q: tuple, op: LinearOperator) -> tuple:
+    """The equations ``Q (sJ) - i s Q = s Q (J - i)`` for ``Q`` given by its
+    integer columns: the integer columns of their real part ``Q (sJ)`` (Q
+    times each integer column of J) and of their imaginary part ``-s Q``.
+    Q is the annihilator of k for Z+, and 1 for the (+i)-eigenspace of J."""
     s, columns = op.matrix.integer_columns
-    _, q = pair.k.space.annihilator.integer_columns
     return ([tuple(apply_columns(q, dict(col), {}).items()) for col in columns],
             [tuple((t, -s * x) for t, x in col) for col in q])
+
+
+def _z_plus_kernel(q: tuple, op: LinearOperator) -> Subspace:
+    """The kernel over Q(i) of :func:`_z_plus_equations`, one row per row of Q
+    (their order leaves the canonical basis as it is), typed so without rows too."""
+    n, rows = op.alg.dim, {}
+    for part, columns in enumerate(_z_plus_equations(q, op)):
+        for j, column in enumerate(columns):
+            for t, x in column:
+                rows.setdefault(t, [[0] * n, [0] * n, 1])[part][j] = x
+    return _kernel(list(rows.values()), n, gaussian=True)
 
 
 def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     """The exact subspaces Z+ and Z- of the complexified algebra.
 
     k_C is the kernel of the annihilator ``Q`` of k, so Z+ is the kernel of
-    ``Q (J - i)`` over Q(i), read as rows off :func:`_z_plus_equations`, and
-    typed so also when ``Q`` has no rows (k is everything).  Conjugation
-    fixes Q, J and k, so Z- is the conjugate of Z+, and conjugation keeps
-    the echelon basis canonical.
+    ``Q (J - i)`` over Q(i) (:func:`_z_plus_kernel`).  Conjugation fixes Q,
+    J and k, so Z- is the conjugate of Z+, and conjugation keeps the echelon
+    basis canonical.
     """
-    n = pair.alg.dim
-    rows = [[[0] * n, [0] * n, 1] for _ in range(n - pair.k.dim)]
-    for part, columns in enumerate(_z_plus_equations(pair, op)):
-        for j, column in enumerate(columns):
-            for t, x in column:
-                rows[t][part][j] = x
-    z_plus = _kernel(rows, n, gaussian=True)
+    z_plus = _z_plus_kernel(pair.k.space.annihilator.integer_columns[1], op)
     return z_plus, z_plus.conjugated()
 
 
@@ -138,7 +139,7 @@ def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
     """
     n = pair.alg.dim
     c, constants = pair.alg.integer_constants
-    a, b = _z_plus_equations(pair, op)  # Z+ is the kernel of A + iB
+    a, b = _z_plus_equations(pair.k.space.annihilator.integer_columns[1], op)  # Z+ = ker(A + iB)
     scaled = _integer_rows(z_plus.basis.nonzero_rows, n)  # λx x, for each row x
     rows = [(v, den, [{j: x for j, x in enumerate(part or ()) if x} for part in (re, im)])
             for v, (re, im, den) in zip(z_plus.vectors(), scaled)]
@@ -206,22 +207,13 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator,
                       z_plus: Subspace, z_minus: Subspace) -> SplitDiagnostics:
     """The split identities for Z+ and Z- already computed.  Subspaces
     compare by value, so k stands for k_C."""
-    n = pair.alg.dim
-    kc = pair.k.space
+    n, kc = pair.alg.dim, pair.k.space
     inter = subspace_intersection(z_plus, z_minus)
-    intersection_is_kc = inter == kc
-    # dim(Z+ + Z-) = dim Z+ + dim Z- - dim(Z+ n Z-)
-    sum_is_all = z_plus.dim + z_minus.dim - inter.dim == n
-
     # J, m and k are real and Z- is the conjugate of Z+, so k_C + E- = Z-
     # is the conjugate of k_C + E+ = Z+: only the (+i)-eigenspace E+ of J
-    # on m_C is computed, from J restricted to m in its echelon coordinates,
-    # and carried to ambient coordinates by the basis of m.
-    m_rows = pair.m.vectors()
-    dm = pair.m.dim
-    cols = [pair.m.coordinates_of(op.apply(x)) for x in m_rows]
-    restricted = ExactMatrix(dm, dm, [GaussianRational(cols[c][r], -int(r == c))
-                                      for r in range(dm) for c in range(dm)])
-    eig_space = Subspace(rref(kernel_basis(restricted).basis @ pair.m.basis)[0])
-    eig_ok = subspace_sum(kc, eig_space) == z_plus
-    return SplitDiagnostics(sum_is_all, intersection_is_kc, eig_ok)
+    # on m_C is computed.  J kills k, keeps m and g = k + m, so the kernel
+    # of J - i over Q(i) lies in m_C and is E+: Z+'s equations with Q = 1.
+    e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op)
+    # dim(Z+ + Z-) = dim Z+ + dim Z- - dim(Z+ n Z-)
+    return SplitDiagnostics(z_plus.dim + z_minus.dim - inter.dim == n, inter == kc,
+                            subspace_sum(kc, e_plus) == z_plus)

@@ -58,7 +58,11 @@ class NotClosedUnderBracket(LieCheckError):
 
 
 class InvalidComponentRep(LieCheckError):
-    """A declared component representative is not a k-preserving automorphism."""
+    """A component rep is not a k-preserving automorphism; carries its index and witness."""
+
+    def __init__(self, message, rep_index, witness=None):
+        super().__init__(f"component rep #{rep_index} {message}")
+        self.rep_index, self.witness = rep_index, witness
 
 
 class RuleIncomplete(LieCheckError):

@@ -18,7 +18,7 @@ is a :class:`GaussianRational` exactly when one of its terms ``a_ik * b_kj``
 with ``a_ik`` nonzero is.  Membership coordinates are the vector's own
 entries at the pivot columns.
 
-The pair loops of the checks ("does this value lie in k?") run in integer
+The checks ("does this value lie in k, in m, in Z+?") run in integer
 arithmetic instead.  Each integer view is built from the integer rows that
 the eliminations use (:func:`_integer_rows`) and carries its positive scale,
 computed once there: :attr:`ExactMatrix.integer_columns` holds a real
@@ -273,8 +273,8 @@ class ExactMatrix:
     """An immutable matrix with exact entries, stored row-major.
 
     :attr:`nonzero_rows` is the sparse view of the same entries that the
-    products and membership tests iterate; :attr:`integer_columns` is the
-    integer view that the pair loops of the checks use.
+    products and the eliminations read; :attr:`integer_columns` is the
+    integer view that every clause of the checks runs on.
     """
 
     __slots__ = ("rows", "cols", "entries", "_nonzero_rows", "_integer_columns")

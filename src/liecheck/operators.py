@@ -4,7 +4,8 @@ An operator is admissible for a pair (g, k) when it preserves k and commutes
 with the adjoint action of the subgroup modulo k.  For a connected subgroup
 the infinitesimal conditions suffice; for a declared non-connected subgroup
 the caller must supply component representatives, otherwise the verdict is
-scoped to the identity component and the report says so.
+scoped to the identity component and the report says so.  Every clause,
+the split ones and the validation of representatives too, runs in integers.
 """
 
 from __future__ import annotations
@@ -103,27 +104,30 @@ class HomogeneousPair:
 
     @staticmethod
     def _validate_rep(alg: LieAlgebra, k: Subalgebra, idx: int, rep: ExactMatrix):
-        n = alg.dim
+        n, fmt, labels = alg.dim, alg.format_element, alg.basis_labels
         if rep.rows != n or rep.cols != n:
-            raise InvalidComponentRep(f"component rep #{idx} must be {n}x{n}")
+            raise InvalidComponentRep(f"must be {n}x{n}", idx)
         if any(isinstance(e, GaussianRational) and e.im for e in rep.entries):
-            raise InvalidComponentRep(f"component rep #{idx} is not real")
-        _, pivots = rref(rep)
-        if len(pivots) != n:
-            raise InvalidComponentRep(f"component rep #{idx} is singular")
-        for row in k.space.vectors():
-            if rep.apply(row) not in k.space:
-                raise InvalidComponentRep(f"component rep #{idx} does not preserve k")
+            raise InvalidComponentRep("is not real", idx)
+        if len(rref(rep)[1]) != n:
+            raise InvalidComponentRep("is singular", idx)
+        (r, columns), (c, constants) = rep.integer_columns, alg.integer_constants
+        _, q = k.space.annihilator.integer_columns
+        for z in k.space.vectors():  # R z times r λz
+            lz, v = integer_vector(z)
+            value = apply_columns(columns, v, {})
+            if not annihilated(q, value):
+                value = from_integers(n, r * lz, value)
+                raise InvalidComponentRep(f"does not preserve k: R({fmt(z)}) = {fmt(value)}",
+                                          idx, value)
         for a in range(n):
-            ea = alg.basis_vector(a)
-            for b in range(a + 1, n):
-                eb = alg.basis_vector(b)
-                lhs = rep.apply(alg.bracket(ea, eb))
-                rhs = alg.bracket(rep.apply(ea), rep.apply(eb))
-                if lhs != rhs:
-                    raise InvalidComponentRep(
-                        f"component rep #{idx} is not a bracket automorphism"
-                    )
+            for b in range(a + 1, n):  # R [e_a, e_b] - [R e_a, R e_b] times r² c
+                value = apply_columns(columns, bracket_into(constants, {a: r}, {b: 1}, {}), {})
+                value = bracket_into(constants, dict(columns[a]), dict(columns[b]), value, -1)
+                if any(value.values()):
+                    x, y, value = labels[a], labels[b], from_integers(n, r * r * c, value)
+                    raise InvalidComponentRep(f"is not a bracket automorphism: R[{x}, {y}] - "
+                                              f"[R {x}, R {y}] = {fmt(value)}", idx, value)
 
     def __repr__(self):
         extra = "" if self.m is None else f", split m dim {self.m.dim}"
@@ -239,17 +243,17 @@ def _split_verdict(pair: HomogeneousPair, op: LinearOperator,
 
 
 def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> tuple | None:
-    """The first failing split clause with its witness: the operator kills k
-    (``k_in_kernel``) and maps the complement into itself (``m_invariant``)."""
-    zero = pair.alg.zero_vector()
-    for x in pair.k.space.vectors():
-        img = op.apply(x)
-        if img != zero:
-            return "k_in_kernel", (("vector", x), ("image", img))
-    for x in pair.m.vectors():
-        img = op.apply(x)
-        if img not in pair.m:
-            return "m_invariant", (("vector", x), ("image", img))
+    """The first failing split clause with its witness: ``(sJ)(λx x)`` lies in
+    0 for x in k (``k_in_kernel``) and in m for x in m (``m_invariant``); the
+    witness image is the failing one over ``s λx``."""
+    n, (s, columns) = pair.alg.dim, op.matrix.integer_columns
+    for clause, space, q in (("k_in_kernel", pair.k.space, [((j, 1),) for j in range(n)]),
+                             ("m_invariant", pair.m, pair.m.annihilator.integer_columns[1])):
+        for x in space.vectors():
+            lx, v = integer_vector(x)
+            image = apply_columns(columns, v, {})
+            if not annihilated(q, image):
+                return clause, (("vector", x), ("image", from_integers(n, s * lx, image)))
     return None
 
 

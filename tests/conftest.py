@@ -16,6 +16,7 @@ from liecheck import (
     operator_ad,
     operator_from_rules,
 )
+from liecheck.exact import rref
 from liecheck.matrix_span import _gaussian_rows
 from liecheck.complexstruct import _squares_to_minus_one
 from liecheck.errors import DimensionMismatch, LieCheckError, MissingComplement
@@ -354,6 +355,19 @@ def conjugate_pair(pair, p, p_inv):
 def conjugate_operator(moved_pair, op, p, p_inv):
     """The operator ``P^-1 I P`` on a pair made by :func:`conjugate_pair`."""
     return LinearOperator(moved_pair.alg, p_inv @ op.matrix @ p)
+
+
+def projection_onto_m(pair) -> ExactMatrix:
+    """The projection onto the complement along k: ``B D B^-1`` with the
+    basis of k, then of m, as the columns of B and D = diag(0, ..., 1, ...).
+    ``X P`` kills k for any X, and ``P X P`` also keeps m."""
+    n, basis = pair.alg.dim, pair.k.space.vectors() + pair.m.vectors()
+    # [B | 1] reduces to [1 | B^-1].
+    reduced, _ = rref(ExactMatrix.from_rows(
+        [[v[i] for v in basis] + list(identity_matrix(n).row(i)) for i in range(n)]))
+    inverse = [reduced.row(i)[n:] for i in range(n)]
+    return ExactMatrix(n, n, [sum((basis[c][i] * inverse[c][j] for c in range(pair.k.dim, n)),
+                                  Fraction(0)) for i in range(n) for j in range(n)])
 
 
 def _fractions(rows):

@@ -26,6 +26,7 @@ from liecheck import (
 )
 from liecheck import complexstruct
 from liecheck.complexstruct import SplitDiagnostics
+from liecheck.exact import rref
 from liecheck.specfile import build, parse
 from liecheck.errors import (
     InternalInconsistency,
@@ -50,6 +51,7 @@ from conftest import (
     imag_unit_matrix,
     matrix_sum,
     over_gaussian,
+    projection_onto_m,
     property_test,
     rand_fraction,
     scaled_matrix,
@@ -60,6 +62,7 @@ from conftest import (
     zero_operator,
 )
 from test_algebra import draw_conjugator
+from test_operators import SPLIT_CASES
 
 I = GaussianRational(0, 1)
 
@@ -293,12 +296,14 @@ def test_closure_and_torsion_disagreement_raises(monkeypatch, so3, so3_pair):
         check_integrable(so3_pair, operator_ad(so3, so3.basis_vector("k0")))
 
 
-# -- Z+/Z- and the split identities against the stacked-kernel references ---
+# -- Z+/Z-, E+ and the split identities against the former computations ----
 #
 # compute_z_spaces takes Z+ as the kernel of Q (J - i), Q the annihilator of
-# k, and Z- as its conjugate; _split_identities computes the (+i)-eigenspace
-# of J on m_C only.  The references are the former computations: Z+ and Z-
-# from one stacked system each, and both eigenspaces.
+# k, and Z- as its conjugate; _split_identities takes the (+i)-eigenspace E+
+# of J on m_C as the kernel of the same equations with Q = 1, the kernel of
+# J - i over Q(i).  The references are the former computations: Z+ and Z-
+# from one stacked system each, both eigenspaces, and E+ from J restricted
+# to m in its echelon coordinates.
 
 def reference_z_spaces(pair, op):
     """Z-+ as the kernels of [J -/+ i | -K^T], projected onto the first n
@@ -391,6 +396,43 @@ def test_split_diagnostics_match_two_kernel_reference(name, pair, op):
         assert outcome == _split_outcome(reference_split_diagnostics, pair, drawn)
         clauses.append(outcome)
     assert "square_is_minus_one_on_m" in clauses
+
+
+def reference_e_plus(pair, op):
+    """E+ for a J that kills k and keeps m: the kernel of J - i restricted to
+    m in its echelon coordinates, carried to ambient coordinates by the
+    basis of m and row-reduced again."""
+    dm = pair.m.dim
+    cols = [pair.m.coordinates_of(op.apply(x)) for x in pair.m.vectors()]
+    restricted = ExactMatrix(dm, dm, [GaussianRational(cols[c][r], -int(r == c))
+                                      for r in range(dm) for c in range(dm)])
+    return Subspace(rref(kernel_basis(restricted).basis @ pair.m.basis)[0])
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@property_test(max_examples=25)
+def test_e_plus_matches_restricted_reference(loop_cases, case, data):
+    # P X P kills k and keeps m, for P the projection onto m along k.  X is
+    # a seed or its negative (a split J has E+ of half the dimension of m),
+    # or a drawn operator (E+ mostly 0).  For k = 0, X may also be a
+    # rotation block next to a random block, conjugated: E+ is then a line.
+    pair, seeds, _ = loop_cases[case]
+    n = pair.alg.dim
+    x = (data.draw(st.sampled_from(seeds)) if data.draw(st.booleans())
+         else draw_operator(data, pair, seeds)).matrix
+    if pair.k.dim == 0 and data.draw(st.booleans()):
+        rest = draw_matrix(data, "rational", n - 2, n - 2)
+        block = ExactMatrix(n, n, [Fraction(r - c) if r < 2 and c < 2 else
+                                   rest.entry(r - 2, c - 2) if r >= 2 and c >= 2 else 0
+                                   for r in range(n) for c in range(n)])
+        p, p_inv = draw_conjugator(data, n)
+        x = p @ block @ p_inv
+    proj = projection_onto_m(pair)
+    op = LinearOperator(pair.alg, proj @ scaled_matrix(x, data.draw(st.sampled_from([1, -1])))
+                        @ proj)
+    e_plus = complexstruct._z_plus_kernel([((j, 1),) for j in range(n)], op)
+    assert e_plus == reference_e_plus(pair, op)
+    assert all(type(e) is GaussianRational for e in e_plus.basis.entries)
 
 
 def _split_outcome(diagnose, pair, op):

@@ -6,10 +6,12 @@ from the repository root.  A verdict command runs twice, once with its text
 report and once with ``--report json``.  So do ``check``, ``torsion --mode
 ad`` and ``torsion --mode all`` on two fixtures that no workload reaches: the
 ``reps(...)`` pair of ``so3_flip_reps.lie`` and the ``right(...)`` operators
-of ``right_mult.lie``.  ``check`` runs, text and JSON, on three more:
+of ``right_mult.lie``.  ``check`` runs, text and JSON, on four more:
 ``not_closed.lie`` and ``non_real_constants.lie``, whose generators span no
-real Lie algebra, and ``not_subalgebra.lie``, whose subalgebra is not closed
-under the bracket (its error line names the witness pair).  ``parse`` runs,
+real Lie algebra, ``not_subalgebra.lie``, whose subalgebra is not closed
+under the bracket (its error line names the witness pair), and
+``bad_component_rep.lie``, whose representative is not a bracket
+automorphism (its error line names the failing value).  ``parse`` runs,
 text only, on ``right_mult.lie`` and ``so3_flip_reps.lie``, to pin the
 canonical dumps of ``right(...)`` and ``reps(...)``.  ``check``, ``torsion`` and ``integrability`` run, text and
 JSON, on ``so3_identity_component.lie``, a non-connected pair without
@@ -54,7 +56,8 @@ FIXTURE_COMMANDS = [
     for operator in operators
     for command in (["check"], ["torsion", "--mode", "ad"], ["torsion", "--mode", "all"])
 ] + [[command, f"tests/data/{name}.lie"]
-     for command, names in (("check", ("not_closed", "non_real_constants", "not_subalgebra")),
+     for command, names in (("check", ("not_closed", "non_real_constants", "not_subalgebra",
+                                       "bad_component_rep")),
                             ("parse", ("right_mult", "so3_flip_reps")))
      for name in names
 ] + [[command, "tests/data/so3_identity_component.lie"]

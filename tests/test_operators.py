@@ -9,6 +9,7 @@ from liecheck import (
     ExactMatrix,
     HomogeneousPair,
     LieAlgebra,
+    LinearOperator,
     check_admissible,
     make_subalgebra,
     operator_ad,
@@ -26,6 +27,8 @@ from liecheck.errors import (
     MissingComplement,
     RuleIncomplete,
 )
+from liecheck.exact import rref
+from liecheck.operators import _split_kernel_failure
 from liecheck.torsion import check_nijenhuis
 
 from conftest import (
@@ -38,6 +41,7 @@ from conftest import (
     identity_operator,
     matrix_of_element,
     operator_sum,
+    projection_onto_m,
     property_test,
     rand_vector,
     scaled_operator,
@@ -104,6 +108,20 @@ def test_split_strictly_stronger(so3, so3_pair):
     assert check_admissible(so3_pair, op).holds
     report = split_admissible(so3_pair, op)
     assert not report.holds and report.failed_clause == "k_in_kernel"
+
+
+def test_split_kernel_and_complement_clauses(so3, so3_pair):
+    # k0 -> 0 kills k, and e1 -> k0 leaves the complement span(e1, e2).
+    op = operator_from_rules(so3, {"k0": so3.zero_vector(), "e1": so3.basis_vector("k0"),
+                                   "e2": so3.zero_vector()})
+    report = split_admissible(so3_pair, op)
+    assert not report.holds and report.failed_clause == "m_invariant"
+    assert report.witness == (("vector", so3.basis_vector("e1")),
+                              ("image", so3.basis_vector("k0")))
+    # k0 -> e1 keeps all of g in m but does not kill k.
+    op = operator_from_rules(so3, {"k0": so3.basis_vector("e1"), "e1": so3.zero_vector(),
+                                   "e2": so3.zero_vector()})
+    assert split_admissible(so3_pair, op).failed_clause == "k_in_kernel"
 
 
 def test_split_needs_complement(so3_pair_plain):
@@ -273,11 +291,21 @@ def test_component_rep_clause(so3):
 
 def test_invalid_component_rep_rejected(so3):
     k = make_subalgebra(so3, [so3.basis_vector("k0")])
-    with pytest.raises(InvalidComponentRep):
+    with pytest.raises(InvalidComponentRep) as err:
         HomogeneousPair(so3, k, component_reps=(zero_matrix(3, 3),))
+    assert (err.value.rep_index, err.value.witness) == (0, None)
+    # diag(1, 2, 1) preserves k: R[k0, e1] = -e2 but [R k0, R e1] = -2 e2.
     not_automorphism = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
-    with pytest.raises(InvalidComponentRep):
-        HomogeneousPair(so3, k, component_reps=(not_automorphism,))
+    with pytest.raises(InvalidComponentRep) as err:
+        HomogeneousPair(so3, k, component_reps=(identity_matrix(3), not_automorphism))
+    assert (err.value.rep_index, err.value.witness) == (1, so3.basis_vector("e2"))
+    assert str(err.value) == ("component rep #1 is not a bracket automorphism: "
+                              "R[k0, e1] - [R k0, R e1] = e2")
+    swap = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    with pytest.raises(InvalidComponentRep) as err:
+        HomogeneousPair(so3, k, connected=False, component_reps=(swap,))
+    assert (err.value.rep_index, err.value.witness) == (0, so3.basis_vector("e1"))
+    assert str(err.value) == "component rep #0 does not preserve k: R(k0) = e1"
 
 
 def test_pair_complement_validation(so3):
@@ -384,3 +412,91 @@ def test_admissible_matches_fraction_reference(loop_cases, case, data):
     assert report.failed_clause == clause
     assert report.witness == (None if witness is None else tuple(witness.items()))  # key order
     assert _types(report.witness and dict(report.witness)) == _types(witness)
+
+
+# -- component reps and the split clauses against the Fraction references ---
+#
+# HomogeneousPair._validate_rep and _split_kernel_failure decide their
+# clauses on the integer views.  The references are the former computations,
+# clause by clause in Fraction arithmetic.
+
+def reference_validate_rep(alg, k, idx, rep):
+    """``(message, witness)`` of the first failing clause of a real rep of
+    the right shape, or None."""
+    fmt, labels = alg.format_element, alg.basis_labels
+    if len(rref(rep)[1]) != alg.dim:
+        return f"component rep #{idx} is singular", None
+    for z in k.space.vectors():
+        image = rep.apply(z)
+        if image not in k.space:
+            return f"component rep #{idx} does not preserve k: R({fmt(z)}) = {fmt(image)}", image
+    for a in range(alg.dim):
+        ea = alg.basis_vector(a)
+        for b in range(a + 1, alg.dim):
+            eb = alg.basis_vector(b)
+            value = tuple(x - y for x, y in zip(rep.apply(alg.bracket(ea, eb)),
+                                                alg.bracket(rep.apply(ea), rep.apply(eb))))
+            if any(value):
+                return (f"component rep #{idx} is not a bracket automorphism: "
+                        f"R[{labels[a]}, {labels[b]}] - [R {labels[a]}, R {labels[b]}] = "
+                        f"{fmt(value)}", value)
+    return None
+
+
+def _typed(outcome):
+    return outcome and (outcome, [type(x) for x in outcome[1] or ()])
+
+
+@pytest.mark.parametrize("case", ["so3_reps", "so3_reps_moved", "so3_split", "gl3_diag_skew",
+                                  "nil4_moved", "u4_grass"])
+@property_test(max_examples=25)
+def test_validate_rep_matches_fraction_reference(loop_cases, case, data):
+    # The reps, the identity and the operator seeds, or a combination of
+    # them: the reps and the identity pass, their multiples mostly fail the
+    # automorphism clause, noise mostly fails preserving k, and zero
+    # combinations are singular.
+    pair, seeds, _ = loop_cases[case]
+    seeds = [LinearOperator(pair.alg, rep) for rep in pair.component_reps] + list(seeds)
+    rep = (data.draw(st.sampled_from(seeds)) if data.draw(st.booleans())
+           else draw_operator(data, pair, seeds)).matrix
+    try:
+        HomogeneousPair._validate_rep(pair.alg, pair.k, 2, rep)
+        outcome = None
+    except InvalidComponentRep as err:
+        assert err.rep_index == 2
+        outcome = str(err), err.witness
+    assert _typed(outcome) == _typed(reference_validate_rep(pair.alg, pair.k, 2, rep))
+
+
+def reference_split_kernel_failure(pair, op):
+    """The first failing split clause and its witness, in Fraction arithmetic."""
+    zero = pair.alg.zero_vector()
+    for x in pair.k.space.vectors():
+        image = op.apply(x)
+        if image != zero:
+            return "k_in_kernel", (("vector", x), ("image", image))
+    for x in pair.m.vectors():
+        image = op.apply(x)
+        if image not in pair.m:
+            return "m_invariant", (("vector", x), ("image", image))
+    return None
+
+
+SPLIT_CASES = ("so3_split", "so3_skew", "u4_grass", "nil4", "so3_moved", "nil4_moved",
+               "gl3_diag_skew")
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@property_test(max_examples=25)
+def test_split_kernel_failure_matches_fraction_reference(loop_cases, case, data):
+    # X and P X (values in m) mostly fail k_in_kernel, X P kills k and mostly
+    # fails m_invariant, and P X P passes both, for P the projection onto m
+    # along k.
+    pair, seeds, _ = loop_cases[case]
+    x, p = draw_operator(data, pair, seeds).matrix, projection_onto_m(pair)
+    matrix = data.draw(st.sampled_from([x, p @ x, x @ p, p @ x @ p]))
+    op = LinearOperator(pair.alg, matrix)
+    got, want = _split_kernel_failure(pair, op), reference_split_kernel_failure(pair, op)
+    assert got == want
+    if want is not None:
+        assert [type(x) for _, v in got[1] for x in v] == [type(x) for _, v in want[1] for x in v]
