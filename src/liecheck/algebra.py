@@ -17,7 +17,8 @@ solver is retained and holds the generators
 operators are expressed the same way; only :func:`from_matrix_generators`,
 which derives the constants from those generators, attaches one.  The
 solver and the integer rows live in :mod:`liecheck.matrix_span`, which an
-algebra given by structure constants never runs.
+algebra given by structure constants never runs.  One integer test,
+:func:`_bracket_escape`, certifies closure under the bracket, of k and of Z+.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
-    annihilated,
+    _integer_rows,
+    _is_gaussian,
+    apply_columns,
     format_scalar,
     from_integers,
-    integer_vector,
 )
 
 # Only algebras given by matrix generators run the span solver.
@@ -304,6 +306,35 @@ def bracket_into(constants: tuple, v: dict, w: dict, acc: dict, sign: int = 1) -
     return acc
 
 
+def _bracket_escape(alg: LieAlgebra, space: Subspace, a: Sequence, b: Sequence) -> tuple | None:
+    """The first basis pair ``(x, y, [x, y])`` of ``space`` whose bracket
+    leaves the kernel of ``A + iB`` over Q(i) (A and B by integer columns),
+    or None: the closure test of k (A its annihilator, B = 0) and of Z+.
+
+    Rows are scaled once to Gaussian integers (``λx x``), brackets taken on
+    :attr:`LieAlgebra.integer_constants` (``c``), and the witness is the
+    bracket over ``c λx λy``, typed as :meth:`LieAlgebra.bracket` types it.
+    On Z+ (``A + iB = s Q (J - i)``) the imaginary half follows from the
+    real one once J is admissible: J(k) in k and J^2 = -1 modulo k give
+    ``J im - re = J (J re + im) - (J^2 + 1) re`` in k.
+    """
+    n = alg.dim
+    c, constants = alg.integer_constants
+    rows = [(x, lx, [{j: v for j, v in enumerate(part or ()) if v} for part in (re, im)])
+            for x, (re, im, lx) in zip(space.vectors(), _integer_rows(space.basis.nonzero_rows, n))]
+    for i, (x, lx, (x_re, x_im)) in enumerate(rows):
+        for y, ly, (y_re, y_im) in rows[i + 1:]:
+            # [x, y] = [x_re, y_re] - [x_im, y_im] + i ([x_re, y_im] + [x_im, y_re])
+            re = bracket_into(constants, x_im, y_im, bracket_into(constants, x_re, y_re, {}), -1)
+            im = bracket_into(constants, x_im, y_re, bracket_into(constants, x_re, y_im, {}))
+            # (A + iB) (re + i im) = (A re - B im) + i (B re + A im)
+            if (any(apply_columns(b, im, apply_columns(a, re, {}), -1).values())
+                    or any(apply_columns(b, re, apply_columns(a, im, {})).values())):
+                im = im if _is_gaussian(space.basis) else None
+                return x, y, from_integers(n, c * lx * ly, re, im)
+    return None
+
+
 class Subalgebra:
     """A bracket-closed subspace of a parent algebra."""
 
@@ -322,27 +353,12 @@ class Subalgebra:
 
 
 def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
-    """Echelonize the span and certify closure under the bracket.
-
-    Closure is decided in integers, as the checks decide membership in k:
-    the basis rows ``a`` times ``λa``, their brackets taken on
-    :attr:`LieAlgebra.integer_constants` (``c``), and membership as
-    ``Q [a, b] = 0`` for the integer annihilator ``Q`` of the span.  The
-    witness of the first pair outside is that bracket over ``c λa λb``.
-    """
+    """Echelonize the span and certify closure under the bracket: the span is
+    the kernel of its integer annihilator Q, so :func:`_bracket_escape` with A = Q, B = 0."""
     space = Subspace.from_vectors(alg.dim, vectors)
-    rows = space.vectors()
-    c, constants = alg.integer_constants
-    _, q = space.annihilator.integer_columns
-    ints = [integer_vector(row) for row in rows]
-    for a, (la, va) in enumerate(ints):
-        for b, (lb, vb) in enumerate(ints[a + 1:], a + 1):
-            value = bracket_into(constants, va, vb, {})
-            if not annihilated(q, value):
-                # Typed as bracket(rows[a], rows[b]) types it.
-                im = {} if rows[a][0].__class__ is GaussianRational else None
-                value = from_integers(alg.dim, c * la * lb, value, im)
-                raise NotClosedUnderBracket(rows[a], rows[b], value, alg.format_element)
+    escape = _bracket_escape(alg, space, space.annihilator.integer_columns[1], ((),) * alg.dim)
+    if escape is not None:
+        raise NotClosedUnderBracket(*escape, alg.format_element)
     return Subalgebra(alg, space)
 
 

@@ -12,14 +12,15 @@ of those for Z+.  The induced almost complex structure is integrable
 exactly when Z+ is closed under the bracket, and that is equivalent to the
 torsion verdict; both are computed, and a disagreement raises
 :class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as Gaussian-
-integer equations (:func:`_z_plus_equations`): Z+ is their kernel, and the
-closure is tested on them in integers, like the other checks' pair loops.
+integer equations (:func:`_z_plus_equations`): Z+ is their kernel, and its
+closure is :func:`liecheck.algebra._bracket_escape` on them, the test that
+certifies k.
 With Q = 1 their kernel is ker(J - i), which is E+ in the split case.
 """
 
 from __future__ import annotations
 
-from .algebra import bracket_into
+from .algebra import _bracket_escape
 from .errors import (
     InternalInconsistency,
     MissingComplement,
@@ -28,11 +29,9 @@ from .errors import (
 )
 from .exact import (
     Subspace,
-    _integer_rows,
     _kernel,
     annihilated,
     apply_columns,
-    from_integers,
     subspace_intersection,
     subspace_sum,
 )
@@ -127,34 +126,6 @@ def _mod_k_representatives(k: Subspace, z_plus: Subspace) -> tuple:
                  if piv not in k_pivots)
 
 
-def _bracket_escape(pair: HomogeneousPair, op: LinearOperator,
-                    z_plus: Subspace) -> tuple | None:
-    """The first basis pair (x, y, [x, y]) of Z+ whose bracket leaves Z+.
-
-    Each basis row ``x`` is scaled to Gaussian integers (``λx x``), its
-    brackets are taken on the integer structure constants (``c``), and
-    tested against the equations of Z+, :func:`_z_plus_equations`.  The
-    witness is the failing integer bracket over ``c λx λy``, typed as
-    :meth:`~liecheck.algebra.LieAlgebra.bracket` types it.
-    """
-    n = pair.alg.dim
-    c, constants = pair.alg.integer_constants
-    a, b = _z_plus_equations(pair.k.space.annihilator.integer_columns[1], op)  # Z+ = ker(A + iB)
-    scaled = _integer_rows(z_plus.basis.nonzero_rows, n)  # λx x, for each row x
-    rows = [(v, den, [{j: x for j, x in enumerate(part or ()) if x} for part in (re, im)])
-            for v, (re, im, den) in zip(z_plus.vectors(), scaled)]
-    for i, (x, lx, (x_re, x_im)) in enumerate(rows):
-        for y, ly, (y_re, y_im) in rows[i + 1:]:
-            # [x, y] = [x_re, y_re] - [x_im, y_im] + i ([x_re, y_im] + [x_im, y_re])
-            re = bracket_into(constants, x_im, y_im, bracket_into(constants, x_re, y_re, {}), -1)
-            im = bracket_into(constants, x_im, y_re, bracket_into(constants, x_re, y_im, {}))
-            # (A + iB) (re + i im) = (A re - B im) + i (B re + A im)
-            if (any(apply_columns(b, im, apply_columns(a, re, {}), -1).values())
-                    or any(apply_columns(b, re, apply_columns(a, im, {})).values())):
-                return x, y, from_integers(n, c * lx * ly, re, im)
-    return None
-
-
 def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> IntegrabilityReport:
     """Full integrability verdict: Z+ closure, cross-checked against torsion.
 
@@ -167,7 +138,8 @@ def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> Integrability
         raise NotACAdmissible("the operator does not square to -1 modulo the subalgebra")
     nij = check_nijenhuis(pair, op)
     z_plus, z_minus = compute_z_spaces(pair, op)
-    witness = _bracket_escape(pair, op, z_plus)
+    witness = _bracket_escape(pair.alg, z_plus, *_z_plus_equations(
+        pair.k.space.annihilator.integer_columns[1], op))
     if (witness is None) != nij.verdict:
         raise InternalInconsistency("Z+ closure and the torsion verdict disagree")
     # J^2 = -1 modulo k, J kills k and keeps m, and k n m = 0: so J^2 = -1 on m.

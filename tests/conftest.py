@@ -28,6 +28,10 @@ try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the property tests are skipped without hypothesis
     given = st = None
+else:
+    # tests/mutants.py runs its tests under this profile: the same draws on
+    # every run and no example database, so that a kill never rests on luck.
+    settings.register_profile("mutants", derandomize=True, database=None)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -244,8 +248,8 @@ def gl3_pair(gl3):
     return HomogeneousPair(gl3, triv)
 
 
-def u4_algebra():
-    n = 4
+def u_algebra(n):
+    """u(n) on the basis d_j (i E_jj), a_jk (E_jk - E_kj) and s_jk (i (E_jk + E_kj))."""
     gens, labels = [], []
     for j in range(n):
         gens.append(imag_unit_matrix(n, j, j))
@@ -256,12 +260,12 @@ def u4_algebra():
             labels.append(f"a{j+1}{k+1}")
             gens.append(matrix_sum(imag_unit_matrix(n, j, k), imag_unit_matrix(n, k, j)))
             labels.append(f"s{j+1}{k+1}")
-    return from_matrix_generators(4, gens, labels=tuple(labels), name="u4")
+    return from_matrix_generators(n, gens, labels=tuple(labels), name=f"u{n}")
 
 
 @pytest.fixture(scope="session")
 def u4():
-    return u4_algebra()
+    return u_algebra(4)
 
 
 @pytest.fixture(scope="session")

@@ -6,16 +6,21 @@ from the repository root.  A verdict command runs twice, once with its text
 report and once with ``--report json``.  So do ``check``, ``torsion --mode
 ad`` and ``torsion --mode all`` on two fixtures that no workload reaches: the
 ``reps(...)`` pair of ``so3_flip_reps.lie`` and the ``right(...)`` operators
-of ``right_mult.lie``.  ``check`` runs, text and JSON, on four more:
+of ``right_mult.lie``.  ``check`` runs, text and JSON, on five more:
 ``not_closed.lie`` and ``non_real_constants.lie``, whose generators span no
 real Lie algebra, ``not_subalgebra.lie``, whose subalgebra is not closed
-under the bracket (its error line names the witness pair), and
+under the bracket (its error line names the witness pair),
 ``bad_component_rep.lie``, whose representative is not a bracket
-automorphism (its error line names the failing value).  ``parse`` runs,
+automorphism (its error line names the failing value), and
+``split_not_admissible.lie``, whose split verdict fails at its
+``admissible`` clause.  ``parse`` runs,
 text only, on ``right_mult.lie`` and ``so3_flip_reps.lie``, to pin the
 canonical dumps of ``right(...)`` and ``reps(...)``.  ``check``, ``torsion`` and ``integrability`` run, text and
 JSON, on ``so3_identity_component.lie``, a non-connected pair without
-``reps(...)``, to pin the ``identity_component`` scope of each report.  The exit code, the ``error:`` lines of stderr and stdout
+``reps(...)``, to pin the ``identity_component`` scope of each report.  ``integrability`` runs, text
+and JSON, on the three operators of ``flag_u3.lie``, invariant structures
+on the flag manifold U(3)/T^3: one integrable, one not, and the first plus
+a map into the torus, which is integrable but not split.  The exit code, the ``error:`` lines of stderr and stdout
 (the JSON without ``elapsed_ms``) must equal those in
 ``tests/data/golden/corpus.json``.
 
@@ -57,11 +62,13 @@ FIXTURE_COMMANDS = [
     for command in (["check"], ["torsion", "--mode", "ad"], ["torsion", "--mode", "all"])
 ] + [[command, f"tests/data/{name}.lie"]
      for command, names in (("check", ("not_closed", "non_real_constants", "not_subalgebra",
-                                       "bad_component_rep")),
+                                       "bad_component_rep", "split_not_admissible")),
                             ("parse", ("right_mult", "so3_flip_reps")))
      for name in names
 ] + [[command, "tests/data/so3_identity_component.lie"]
-     for command in ("check", "torsion", "integrability")]
+     for command in ("check", "torsion", "integrability")
+] + [["integrability", "tests/data/flag_u3.lie", "--operator", operator]
+     for operator in ("jplus", "jcyclic", "jplus_b")]
 
 
 def _load(path: Path) -> dict:

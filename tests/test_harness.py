@@ -22,9 +22,12 @@ from liecheck.errors import (
     SectionSingular,
     StepTooSmall,
 )
+from liecheck.cli import main
 from liecheck.harness import (
     RELATION_TOL,
+    TORSION_TOL,
     DeviationReport,
+    MatrixModel,
     build_model,
     bundle_map,
     expm,
@@ -85,6 +88,50 @@ def test_full_group_model_detected(gl3_model):
 def test_no_model_for_grassmann_pair(u4_pair):
     with pytest.raises(LieCheckError):
         build_model(u4_pair)
+
+
+#: Rotation pairs that no float model takes: 2x2 generators (su(2)), a
+#: rotation algebra with every bracket negated, and k = span(e1), which moves
+#: the base point (0, 0, 1).
+NO_MODEL = {
+    "the sphere model needs 3x3 generators": """
+        matrix_algebra su2 dim = 2 {
+          gen k0 = [[i,0],[0,-i]]; gen e1 = [[0,1],[-1,0]]; gen e2 = [[0,i],[i,0]];
+        }
+        subalgebra k of su2 = span(k0);
+        operator rot on su2 = ad(k0);
+        pair p = (su2, k, connected = true);""",
+    "no matrix realization": """
+        algebra so3 { basis k0 e1 e2;
+                      bracket [k0,e1] = e2; bracket [k0,e2] = -1*e1; bracket [e1,e2] = k0; }
+        subalgebra k of so3 = span(k0);
+        operator rot on so3 = ad(k0);
+        pair p = (so3, k, connected = true);""",
+    "the subalgebra does not stabilize the base point": """
+        algebra so3 { basis k0 e1 e2;
+                      bracket [k0,e1] = -1*e2; bracket [k0,e2] = e1; bracket [e1,e2] = -1*k0; }
+        subalgebra k of so3 = span(e1);
+        operator rot on so3 = ad(e1);
+        pair p = (so3, k, connected = true);""",
+}
+
+
+@pytest.mark.parametrize("message", sorted(NO_MODEL))
+def test_no_float_model(message, tmp_path, capsys):
+    built = build(parse(NO_MODEL[message]))
+    (pair,), (op,) = built.pairs.values(), built.operators.values()
+    with pytest.raises(LieCheckError, match=f"^{message}"):
+        run_harness(pair, op, samples=2)
+    path = tmp_path / "p.lie"
+    path.write_text(NO_MODEL[message], encoding="utf-8")
+    assert main(["harness", str(path), "--samples", "2"]) == 2
+    assert f"error: LieCheckError: {message}" in capsys.readouterr().err
+
+
+def test_model_generators_must_reproduce_the_structure(gl3_model):
+    with pytest.raises(LieCheckError,
+                       match=r"^model generators do not reproduce the structure constants$"):
+        MatrixModel("full-group", gl3_model.generators, np.eye(3), -gl3_model.structure)
 
 
 def test_sphere_samples_on_manifold(sphere):
@@ -433,6 +480,20 @@ def test_deviation_report_nan_deviation_fails(so3, so3_pair):
         report.model_kind, report.h, report.seed, report.relation,
         report.nijenhuis_exact, deviation, report.numerical_max, report.predicted_max)
     assert nan_report.passed is False
+
+
+def test_deviation_report_exact_torsion_gate(so3, so3_pair):
+    # With an exact torsion verdict of "holds", the sampled torsion itself
+    # must stay below the tolerance, whatever its prediction; a NaN fails too.
+    report = run_harness(so3_pair, operator_ad(so3, so3.basis_vector("k0")), samples=2)
+    assert report.nijenhuis_exact is True and report.passed is True
+    for bad in (2 * TORSION_TOL, float("nan")):
+        fields = [getattr(report, name) for name in DeviationReport.__slots__]
+        fields[6] = report.numerical_max.copy()
+        fields[6][0] = bad
+        assert DeviationReport(*fields).passed is False, bad
+        fields[4] = False  # the gate reads only an exact "holds"
+        assert DeviationReport(*fields).passed is True, bad
 
 
 def test_reports_compare_field_by_field(so3, so3_pair, gl3, gl3_pair):

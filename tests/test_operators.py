@@ -137,6 +137,14 @@ def test_rules_operator(so3):
     assert set(err.value.missing) == {"e1", "e2"}
 
 
+def test_rules_operator_input_guards(so3):
+    rules = {label: so3.zero_vector() for label in so3.basis_labels}
+    with pytest.raises(LieCheckError, match=r"^rule for unknown basis label 'x'$"):
+        operator_from_rules(so3, {**rules, "x": so3.zero_vector()})
+    with pytest.raises(DimensionMismatch, match=r"^rule image has the wrong length$"):
+        operator_from_rules(so3, {**rules, "e1": (0, 1)})
+
+
 def test_operator_ad_matches_ad_matrix(so3):
     rng = random.Random(29)
     for _ in range(10):
@@ -316,6 +324,16 @@ def test_pair_complement_validation(so3):
     with pytest.raises(LieCheckError):
         HomogeneousPair(so3, k, m=Subspace.from_vectors(
             3, [so3.basis_vector("k0"), so3.basis_vector("e1")]))
+
+
+def test_pair_input_guards(so3, sl2):
+    from liecheck import Subspace
+    with pytest.raises(LieCheckError, match=r"^subalgebra does not belong to the given algebra$"):
+        HomogeneousPair(so3, make_subalgebra(sl2, [sl2.basis_vector("h")]))
+    k = make_subalgebra(so3, [so3.basis_vector("k0")])
+    with pytest.raises(DimensionMismatch,
+                       match=r"^complement lives in the wrong ambient space$"):
+        HomogeneousPair(so3, k, m=Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)]))
 
 
 def test_grassmann_operator_admissible(u4, u4_pair):

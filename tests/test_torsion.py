@@ -192,6 +192,11 @@ def test_ad_pair_mode_needs_an_inner_operator(so3, so3_pair):
         check_nijenhuis(so3_pair, LinearOperator(so3, inner.matrix), pairs="ad")
 
 
+def test_unknown_pair_mode(so3, so3_pair):
+    with pytest.raises(LieCheckError, match=r"^unknown pair mode 'bogus'$"):
+        check_nijenhuis(so3_pair, operator_ad(so3, so3.basis_vector("k0")), pairs="bogus")
+
+
 def test_center_is_trivially_nijenhuis(u4, u4_pair):
     # i * Id spans the center: all brackets with it vanish.
     d = [Fraction(0)] * 16

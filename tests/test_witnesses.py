@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import liecheck.algebra
 import liecheck.complexstruct
 import liecheck.operators
 import liecheck.torsion
@@ -144,3 +145,25 @@ def test_checks_name_no_rational_kernel(module):
     assert not {"bracket", "coordinates_of", "kernel_basis"} & set(names)
     assert names.count("apply") == (module is liecheck.operators)
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
+def test_k_and_z_plus_share_one_closure_loop(monkeypatch):
+    # make_subalgebra certifies k and check_integrable certifies Z+ through
+    # the same integer pair loop; complexstruct brackets nothing itself.
+    loop = liecheck.algebra._bracket_escape
+    assert liecheck.complexstruct._bracket_escape is loop
+    tree = ast.parse(inspect.getsource(liecheck.complexstruct))
+    assert "bracket_into" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    spaces = []
+
+    def counted(alg, space, a, b):
+        spaces.append(space)
+        return loop(alg, space, a, b)
+
+    monkeypatch.setattr(liecheck.algebra, "_bracket_escape", counted)
+    monkeypatch.setattr(liecheck.complexstruct, "_bracket_escape", counted)
+    with pytest.raises(NotClosedUnderBracket) as err:
+        CASES["make_subalgebra"][0]()
+    report = CASES["integrable"][0]()
+    assert spaces[0].vectors() == (err.value.x, err.value.y)
+    assert spaces[1:] == [report.z_plus] and report.witness is not None
