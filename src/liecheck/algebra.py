@@ -17,8 +17,8 @@ solver is retained and holds the generators
 operators are expressed the same way; only :func:`from_matrix_generators`,
 which derives the constants from those generators, attaches one.  The
 solver and the integer rows live in :mod:`liecheck.matrix_span`, which an
-algebra given by structure constants never runs.  One integer test,
-:func:`_bracket_escape`, certifies closure under the bracket, of k and of Z+.
+algebra given by structure constants never runs.  One integer test on a
+subspace's own equations, :func:`_bracket_escape`, certifies k and Z+ closed.
 """
 
 from __future__ import annotations
@@ -306,20 +306,23 @@ def bracket_into(constants: tuple, v: dict, w: dict, acc: dict, sign: int = 1) -
     return acc
 
 
-def _bracket_escape(alg: LieAlgebra, space: Subspace, a: Sequence, b: Sequence) -> tuple | None:
-    """The first basis pair ``(x, y, [x, y])`` of ``space`` whose bracket
-    leaves the kernel of ``A + iB`` over Q(i) (A and B by integer columns),
-    or None: the closure test of k (A its annihilator, B = 0) and of Z+.
+def _bracket_escape(alg: LieAlgebra, space: Subspace) -> tuple | None:
+    """The first pair ``(x, y, [x, y])`` of echelon basis rows of ``space``
+    whose bracket leaves ``space``, or None: the closure test of k and of Z+.
 
-    Rows are scaled once to Gaussian integers (``λx x``), brackets taken on
+    The subspace's own equations (:meth:`Subspace._equations`) and its basis
+    rows are each scaled once to Gaussian integers: the equations are read by
+    column as ``A + iB``, a row as ``λx x``.  Brackets are taken on
     :attr:`LieAlgebra.integer_constants` (``c``), and the witness is the
     bracket over ``c λx λy``, typed as :meth:`LieAlgebra.bracket` types it.
-    On Z+ (``A + iB = s Q (J - i)``) the imaginary half follows from the
-    real one once J is admissible: J(k) in k and J^2 = -1 modulo k give
-    ``J im - re = J (J re + im) - (J^2 + 1) re`` in k.
     """
     n = alg.dim
     c, constants = alg.integer_constants
+    a, b = [[] for _ in range(n)], [[] for _ in range(n)]
+    for t, (re, im, _) in enumerate(_integer_rows(space._equations(), n)):
+        for columns, part in ((a, re), (b, im or ())):
+            for j in compress(range(n), part):
+                columns[j].append((t, part[j]))
     rows = [(x, lx, [{j: v for j, v in enumerate(part or ()) if v} for part in (re, im)])
             for x, (re, im, lx) in zip(space.vectors(), _integer_rows(space.basis.nonzero_rows, n))]
     for i, (x, lx, (x_re, x_im)) in enumerate(rows):
@@ -353,10 +356,10 @@ class Subalgebra:
 
 
 def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
-    """Echelonize the span and certify closure under the bracket: the span is
-    the kernel of its integer annihilator Q, so :func:`_bracket_escape` with A = Q, B = 0."""
+    """Echelonize the span, which must be real, and certify its bracket closure."""
     space = Subspace.from_vectors(alg.dim, vectors)
-    escape = _bracket_escape(alg, space, space.annihilator.integer_columns[1], ((),) * alg.dim)
+    space.annihilator  # the integer view the checks read raises TypeError on a non-real span
+    escape = _bracket_escape(alg, space)
     if escape is not None:
         raise NotClosedUnderBracket(*escape, alg.format_element)
     return Subalgebra(alg, space)

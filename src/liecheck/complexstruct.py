@@ -11,11 +11,11 @@ complex conjugate of Z+, and the split identities for Z- are the conjugates
 of those for Z+.  The induced almost complex structure is integrable
 exactly when Z+ is closed under the bracket, and that is equivalent to the
 torsion verdict; both are computed, and a disagreement raises
-:class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as Gaussian-
-integer equations (:func:`_z_plus_equations`): Z+ is their kernel, and its
-closure is :func:`liecheck.algebra._bracket_escape` on them, the test that
-certifies k.
-With Q = 1 their kernel is ker(J - i), which is E+ in the split case.
+:class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as the
+Gaussian-integer rows ``Q (sJ) - i s Q`` of :func:`_z_plus_kernel`: Z+ is
+their kernel, and its closure is :func:`liecheck.algebra._bracket_escape`
+on Z+ itself, the test that certifies k.  With Q = 1 their kernel is
+ker(J - i), which is E+ in the split case.
 """
 
 from __future__ import annotations
@@ -80,24 +80,19 @@ def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
                for j, column in enumerate(columns))
 
 
-def _z_plus_equations(q: tuple, op: LinearOperator) -> tuple:
-    """The equations ``Q (sJ) - i s Q = s Q (J - i)`` for ``Q`` given by its
-    integer columns: the integer columns of their real part ``Q (sJ)`` (Q
-    times each integer column of J) and of their imaginary part ``-s Q``.
-    Q is the annihilator of k for Z+, and 1 for the (+i)-eigenspace of J."""
-    s, columns = op.matrix.integer_columns
-    return ([tuple(apply_columns(q, dict(col), {}).items()) for col in columns],
-            [tuple((t, -s * x) for t, x in col) for col in q])
-
-
 def _z_plus_kernel(q: tuple, op: LinearOperator) -> Subspace:
-    """The kernel over Q(i) of :func:`_z_plus_equations`, one row per row of Q
-    (their order leaves the canonical basis as it is), typed so without rows too."""
+    """The kernel over Q(i) of ``Q (sJ) - i s Q = s Q (J - i)``, ``Q`` by its integer
+    columns (k's annihilator for Z+, 1 for the (+i)-eigenspace of J): one row
+    per row of Q (their order leaves the canonical basis as it is), typed so
+    without rows too."""
     n, rows = op.alg.dim, {}
-    for part, columns in enumerate(_z_plus_equations(q, op)):
-        for j, column in enumerate(columns):
-            for t, x in column:
-                rows.setdefault(t, [[0] * n, [0] * n, 1])[part][j] = x
+    s, columns = op.matrix.integer_columns
+    for j, col in enumerate(columns):
+        for t, x in apply_columns(q, dict(col), {}).items():
+            rows.setdefault(t, [[0] * n, [0] * n, 1])[0][j] = x
+    for j, col in enumerate(q):
+        for t, x in col:
+            rows.setdefault(t, [[0] * n, [0] * n, 1])[1][j] = -s * x
     return _kernel(list(rows.values()), n, gaussian=True)
 
 
@@ -138,8 +133,7 @@ def check_integrable(pair: HomogeneousPair, op: LinearOperator) -> Integrability
         raise NotACAdmissible("the operator does not square to -1 modulo the subalgebra")
     nij = check_nijenhuis(pair, op)
     z_plus, z_minus = compute_z_spaces(pair, op)
-    witness = _bracket_escape(pair.alg, z_plus, *_z_plus_equations(
-        pair.k.space.annihilator.integer_columns[1], op))
+    witness = _bracket_escape(pair.alg, z_plus)
     if (witness is None) != nij.verdict:
         raise InternalInconsistency("Z+ closure and the torsion verdict disagree")
     # J^2 = -1 modulo k, J kills k and keeps m, and k n m = 0: so J^2 = -1 on m.

@@ -86,6 +86,8 @@ class HomogeneousPair:
         if m is not None:
             if m.ambient_dim != alg.dim:
                 raise DimensionMismatch("complement lives in the wrong ambient space")
+            if any(isinstance(e, GaussianRational) and e.im for e in m.basis.entries):
+                raise LieCheckError("complement is not real")
             if k.dim + m.dim != alg.dim:
                 raise LieCheckError(
                     f"complement dimension {m.dim} does not complete k "

@@ -3,7 +3,8 @@
 A mutant is one exact replacement in one module of ``src/liecheck``, and
 the tests that must catch it.  The runner copies ``src`` to a temporary
 directory and runs ``pytest -x`` on the named tests against the copy: once
-unmutated, where they must pass, and once per mutant, where they must fail.
+unmutated, where they must pass, and once per mutant, where they must fail;
+a kill names the first failing test.
 Hypothesis runs under the ``mutants`` profile of ``conftest.py``
 (derandomized, no example database), so a kill does not depend on a draw.
 
@@ -11,15 +12,7 @@ Run it from the root of a source checkout (it is not part of tier-1)::
 
     python tests/mutants.py
 
-A mutant that survives is a finding; keep it in the table.  An equivalent
-mutant, one that no test can catch because the program computes the same
-verdicts with it, is left out, with the reason here:
-
-- testing only the real half of ``(A + iB) [x, y]`` in
-  ``algebra._bracket_escape``: on Z+ the imaginary half follows from the
-  real one once J is admissible, which every caller checks first (see that
-  function's docstring), and for k, ``B = 0`` and a real basis leave no
-  imaginary half.
+A mutant that survives is a finding; keep it in the table.
 """
 
 import os
@@ -48,6 +41,14 @@ ESCAPE_TESTS = (
     "tests/test_flags.py",
     "tests/test_golden.py",
 )
+ADMISSIBLE_TESTS = ("tests/test_operators.py::test_admissible_matches_fraction_reference",)
+REP_TESTS = ("tests/test_operators.py::test_validate_rep_matches_fraction_reference",)
+SPLIT_TESTS = ("tests/test_operators.py::test_split_kernel_failure_matches_fraction_reference",
+               "tests/test_operators.py::test_split_kernel_and_complement_clauses")
+TORSION_TESTS = ("tests/test_torsion.py::test_torsion_matches_fraction_reference",
+                 "tests/test_torsion.py::test_torsion_ad_matches_fraction_reference")
+TORSION_SCALE = 'scale = -c * s * s if pairs == "ad" else c * s * s'
+
 
 MUTANTS = (
     Mutant("escape: drop c from the witness scale", "algebra.py",
@@ -56,11 +57,19 @@ MUTANTS = (
     Mutant("escape: drop λx from the witness scale", "algebra.py",
            "from_integers(n, c * lx * ly, re, im)", "from_integers(n, c * ly, re, im)",
            ESCAPE_TESTS),
+    Mutant("escape: drop λy from the witness scale", "algebra.py",
+           "from_integers(n, c * lx * ly, re, im)", "from_integers(n, c * lx, re, im)",
+           ESCAPE_TESTS),
     Mutant("escape: ignore B", "algebra.py",
            "if (any(apply_columns(b, im, apply_columns(a, re, {}), -1).values())\n"
            "                    or any(apply_columns(b, re, apply_columns(a, im, {})).values())):",
            "if (any(apply_columns(a, re, {}).values())\n"
            "                    or any(apply_columns(a, im, {}).values())):",
+           ESCAPE_TESTS),
+    Mutant("escape: test only the real half", "algebra.py",
+           "if (any(apply_columns(b, im, apply_columns(a, re, {}), -1).values())\n"
+           "                    or any(apply_columns(b, re, apply_columns(a, im, {})).values())):",
+           "if any(apply_columns(b, im, apply_columns(a, re, {}), -1).values()):",
            ESCAPE_TESTS),
     Mutant("escape: + [x_im, y_im] in the real part", "algebra.py",
            "bracket_into(constants, x_re, y_re, {}), -1)",
@@ -70,9 +79,51 @@ MUTANTS = (
            "im = im if _is_gaussian(space.basis) else None", "im = im",
            ESCAPE_TESTS),
     Mutant("Z+ equations: J + i in place of J - i", "complexstruct.py",
-           "[tuple((t, -s * x) for t, x in col) for col in q]",
-           "[tuple((t, s * x) for t, x in col) for col in q]",
+           "[1][j] = -s * x", "[1][j] = s * x",
            ESCAPE_TESTS),
+    Mutant("split identities: E+ as ker(J + i)", "complexstruct.py",
+           "e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op)",
+           "e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op).conjugated()",
+           ("tests/test_complexstruct.py::test_integrable_rotation",)),
+    Mutant("preserves_k: drop s", "operators.py", "from_integers(n, s * lz, value)",
+           "from_integers(n, lz, value)", ADMISSIBLE_TESTS),
+    Mutant("preserves_k: drop λz", "operators.py", "from_integers(n, s * lz, value)",
+           "from_integers(n, s, value)", ADMISSIBLE_TESTS),
+    Mutant("commutes_with_ad_k: drop s", "operators.py", "from_integers(n, s * c * lz, value)",
+           "from_integers(n, c * lz, value)", ADMISSIBLE_TESTS),
+    Mutant("commutes_with_ad_k: drop c", "operators.py", "from_integers(n, s * c * lz, value)",
+           "from_integers(n, s * lz, value)", ADMISSIBLE_TESTS),
+    Mutant("commutes_with_ad_k: drop λz", "operators.py", "from_integers(n, s * c * lz, value)",
+           "from_integers(n, s * c, value)", ADMISSIBLE_TESTS),
+    Mutant("commutes_with_component_reps: drop s", "operators.py", "from_integers(n, s * r, value)",
+           "from_integers(n, r, value)", ADMISSIBLE_TESTS),
+    Mutant("commutes_with_component_reps: drop r", "operators.py", "from_integers(n, s * r, value)",
+           "from_integers(n, s, value)", ADMISSIBLE_TESTS),
+    Mutant("rep preserves k: drop r", "operators.py", "from_integers(n, r * lz, value)",
+           "from_integers(n, lz, value)", REP_TESTS),
+    Mutant("rep automorphism: drop one r", "operators.py", "from_integers(n, r * r * c, value)",
+           "from_integers(n, r * c, value)", REP_TESTS),
+    Mutant("rep automorphism: R e_a taken unscaled", "operators.py",
+           "bracket_into(constants, {a: r}, {b: 1}, {})",
+           "bracket_into(constants, {a: 1}, {b: 1}, {})", REP_TESTS),
+    Mutant("split witness: drop s", "operators.py", "from_integers(n, s * lx, image)",
+           "from_integers(n, lx, image)", SPLIT_TESTS),
+    Mutant("split witness: drop λx", "operators.py", "from_integers(n, s * lx, image)",
+           "from_integers(n, s, image)", SPLIT_TESTS),
+    Mutant("split: k_in_kernel given m's annihilator", "operators.py",
+           '("k_in_kernel", pair.k.space, [((j, 1),) for j in range(n)])',
+           '("k_in_kernel", pair.k.space, pair.m.annihilator.integer_columns[1])',
+           SPLIT_TESTS),
+    Mutant("torsion: drop one s", "torsion.py", TORSION_SCALE,
+           'scale = -c * s if pairs == "ad" else c * s', TORSION_TESTS),
+    Mutant("torsion: drop c", "torsion.py", TORSION_SCALE,
+           'scale = -s * s if pairs == "ad" else s * s', TORSION_TESTS),
+    Mutant("torsion --mode ad: drop the negation", "torsion.py", TORSION_SCALE, "scale = c * s * s",
+           TORSION_TESTS),
+    Mutant("torsion: drop λv", "torsion.py", "from_integers(pair.alg.dim, scale * lv * lw, beta)",
+           "from_integers(pair.alg.dim, scale * lw, beta)", TORSION_TESTS),
+    Mutant("torsion: drop λw", "torsion.py", "from_integers(pair.alg.dim, scale * lv * lw, beta)",
+           "from_integers(pair.alg.dim, scale * lv, beta)", TORSION_TESTS),
     Mutant("harness gate: drop the exact-torsion gate", "harness.py",
            "        if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):\n"
            "            return False\n",
@@ -82,14 +133,17 @@ MUTANTS = (
 
 
 def _pytest(src: Path, tests) -> tuple:
-    """``(exit code, seconds)`` of ``pytest -x`` on ``tests`` against ``src``."""
+    """``(exit code, seconds, first failing test)`` of ``pytest -x`` on
+    ``tests`` against ``src``; the test is "" when none failed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
             "--hypothesis-profile=mutants", *tests]
     start = time.perf_counter()
-    code = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
-    return code, time.perf_counter() - start
+    run = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode, time.perf_counter() - start, (failed or [""])[0]
 
 
 def main() -> int:
@@ -97,8 +151,8 @@ def main() -> int:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        code, seconds = _pytest(src, tests)
-        print(f"unmutated: exit {code} in {seconds:.1f} s")
+        code, seconds, failed = _pytest(src, tests)
+        print(f"unmutated: exit {code} in {seconds:.1f} s {failed}".rstrip())
         failures = int(code != 0)
         for m in MUTANTS:
             path = src / "liecheck" / m.module
@@ -109,12 +163,12 @@ def main() -> int:
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
             try:
-                code, seconds = _pytest(src, m.tests)
+                code, seconds, failed = _pytest(src, m.tests)
             finally:
                 path.write_text(text, encoding="utf-8")
             # Exit 1 is a failing test; any other code (a collection error,
             # an interrupted run) does not show that a test bites.
-            print(f"{m.name}: {'killed' if code == 1 else f'SURVIVED (exit {code})'}"
+            print(f"{m.name}: {f'killed by {failed}' if code == 1 else f'SURVIVED (exit {code})'}"
                   f" in {seconds:.1f} s")
             failures += code != 1
     print(f"{len(MUTANTS)} mutants, {failures} failures")

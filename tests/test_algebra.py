@@ -536,6 +536,20 @@ def test_make_subalgebra(so3):
         make_subalgebra(so3, [so3.basis_vector("e1"), so3.basis_vector("e2")])
     # the witness bracket is [e1, e2] = -k0
     assert err.value.value == tuple(map(Fraction, (-1, 0, 0)))
+    # The span must be real, also when it is not closed.
+    i, one = GaussianRational(0, 1), GaussianRational(1)
+    for vectors in ([(0, 1, i)], [(0, 1, i), (1, 0, 0)]):
+        with pytest.raises(TypeError, match=r"^integer views need real entries$"):
+            make_subalgebra(so3, vectors)
+    # A real span given with GaussianRational entries is certified as before,
+    # and its witness is typed as the bracket types it.
+    assert make_subalgebra(so3, [(one, 0, 0)]).space == Subspace.from_vectors(3, [(one, 0, 0)])
+    with pytest.raises(NotClosedUnderBracket) as err:
+        make_subalgebra(so3, [(0, one, 0), (0, 0, one)])
+    expected = so3.bracket(err.value.x, err.value.y)
+    assert err.value.value == expected == (-1, 0, 0)
+    assert [type(x) for x in err.value.value] == [type(x) for x in expected]
+    assert type(expected[0]) is GaussianRational
 
 
 def _reference_closure_failure(alg, space):

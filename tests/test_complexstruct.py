@@ -435,6 +435,30 @@ def test_e_plus_matches_restricted_reference(loop_cases, case, data):
     assert all(type(e) is GaussianRational for e in e_plus.basis.entries)
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_z_plus_is_built_once(monkeypatch, so3_pair, so3_pair_plain, split):
+    # One check_integrable computes Z+ once, through compute_z_spaces (the
+    # closure test reads Z+ itself), and E+ once more on the split path.
+    pair = so3_pair if split else so3_pair_plain
+    op = operator_from_rules(pair.alg, {"k0": (0, 0, 0), "e1": (0, 0, 1), "e2": (0, -1, 0)})
+    calls = []
+
+    def spy(name, original):
+        def counted(*args):
+            calls.append((name, args[0]))
+            return original(*args)
+        monkeypatch.setattr(complexstruct, name, counted)
+
+    spy("_z_plus_kernel", complexstruct._z_plus_kernel)
+    spy("compute_z_spaces", complexstruct.compute_z_spaces)
+    report = check_integrable(pair, op)
+    identity = [((j, 1),) for j in range(3)]
+    assert calls == [("compute_z_spaces", pair),
+                     ("_z_plus_kernel", pair.k.space.annihilator.integer_columns[1]),
+                     *[("_z_plus_kernel", identity)] * split]
+    assert report.integrable and (report.split is not None) == split
+
+
 def _split_outcome(diagnose, pair, op):
     """The split diagnostics, or the clause of the NotSplitACAdmissible raised."""
     try:

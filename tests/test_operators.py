@@ -317,13 +317,21 @@ def test_invalid_component_rep_rejected(so3):
 
 
 def test_pair_complement_validation(so3):
-    from liecheck import Subspace
+    from liecheck import GaussianRational, Subspace
     k = make_subalgebra(so3, [so3.basis_vector("k0")])
     with pytest.raises(LieCheckError):
         HomogeneousPair(so3, k, m=Subspace.from_vectors(3, [so3.basis_vector("e1")]))
     with pytest.raises(LieCheckError):
         HomogeneousPair(so3, k, m=Subspace.from_vectors(
             3, [so3.basis_vector("k0"), so3.basis_vector("e1")]))
+    # Of dimension 2 and meeting k only in 0, but not real.
+    i, one = GaussianRational(0, 1), GaussianRational(1)
+    with pytest.raises(LieCheckError, match=r"^complement is not real$"):
+        HomogeneousPair(so3, k, m=Subspace.from_vectors(3, [(0, 1, i), (1, i, 0)]))
+    # A real complement with GaussianRational entries is accepted and checked.
+    m = Subspace.from_vectors(3, [(0, one, 0), (0, 0, one)])
+    op = operator_from_rules(so3, {"k0": (0, 0, 0), "e1": (0, 0, 1), "e2": (0, -1, 0)})
+    assert check_integrable(HomogeneousPair(so3, k, m=m), op).split is not None
 
 
 def test_pair_input_guards(so3, sl2):

@@ -156,9 +156,9 @@ def test_k_and_z_plus_share_one_closure_loop(monkeypatch):
     assert "bracket_into" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     spaces = []
 
-    def counted(alg, space, a, b):
+    def counted(alg, space):
         spaces.append(space)
-        return loop(alg, space, a, b)
+        return loop(alg, space)
 
     monkeypatch.setattr(liecheck.algebra, "_bracket_escape", counted)
     monkeypatch.setattr(liecheck.complexstruct, "_bracket_escape", counted)
