@@ -8,17 +8,18 @@ zero, so the bracket, the validation and the construction from generators
 loop over nonzero entries only.  The constants are validated on
 construction: antisymmetry entrywise and the Jacobi identity on every basis
 triple.  Matrix algebras are converted at the door by
-:func:`from_matrix_generators`, in integers: each generator is scaled to
-Gaussian-integer rows, commutators are taken on those rows, and one integer
-elimination (:class:`liecheck.matrix_span._SpanSolver`) gives their
-coordinates; a Fraction is made only per nonzero structure constant.  The
+:func:`from_matrix_generators`, in integers: commutators are taken on the
+generators' Gaussian-integer rows (:meth:`ExactMatrix.gaussian_rows`), and
+one integer elimination (:class:`liecheck.matrix_span._SpanSolver`) gives
+their coordinates; a Fraction is made only per nonzero structure constant.  The
 solver is retained and holds the generators
 (:attr:`LieAlgebra.matrix_generators` reads them), so multiplication
 operators are expressed the same way; only :func:`from_matrix_generators`,
 which derives the constants from those generators, attaches one.  The
-solver and the integer rows live in :mod:`liecheck.matrix_span`, which an
-algebra given by structure constants never runs.  One integer test on a
-subspace's own equations, :func:`_bracket_escape`, certifies k and Z+ closed.
+solver lives in :mod:`liecheck.matrix_span`, which an algebra given by
+structure constants never runs.  One integer test on a subspace's own
+equations, :func:`_bracket_escape`, certifies k and Z+ closed; a
+:class:`Subalgebra` runs it on its span when it is built.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     InvalidStructureConstants,
     LieCheckError,
+    NonRealSpan,
     NonRealStructureConstants,
     NotClosed,
     NotClosedUnderBracket,
@@ -46,6 +48,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    _as_fraction,
     _integer_rows,
     _is_gaussian,
     apply_columns,
@@ -57,12 +60,12 @@ from .exact import (
 _matrix_span = _lazy_module("liecheck.matrix_span")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("structure constants must be rational")
+def _constant(x) -> Fraction:
+    """A structure constant as a Fraction (:func:`liecheck.exact._as_fraction`)."""
+    try:
+        return _as_fraction(x)
+    except TypeError:
+        raise TypeError("structure constants must be rational") from None
 
 
 class LieAlgebra:
@@ -72,14 +75,15 @@ class LieAlgebra:
     ``[b_i, b_j]`` with a nonzero rational coefficient, in increasing ``k``;
     it is the only storage, and :meth:`from_structure_tensor` builds an
     algebra from the dense tensor ``c[i][j][k]`` instead.
-    :attr:`integer_constants` is the same view times one positive integer
-    ``c``, which keeps every verdict of the antisymmetry and (quadratic)
-    Jacobi checks; those read it packed, ``P[a][m] = sum_t c_amt << (w t)``
-    with ``2^w > 3 n max|c|^2``, which bounds every field they sum.  The
-    integer pair loops of the checks use it too (:func:`bracket_into`).
+    :attr:`integer_constants`, set once here, is ``(c, constants)``: the
+    same view times ``c``, the lcm of its denominators, which keeps every
+    verdict of the antisymmetry and (quadratic) Jacobi checks; those read
+    it packed, ``P[a][m] = sum_t c_amt << (w t)`` with ``2^w > 3 n max|c|^2``,
+    which bounds every field they sum.  The integer pair loops of the
+    checks use it too (:func:`bracket_into`).
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "nonzeros", "_integer_nz", "_span_solver")
+    __slots__ = ("name", "dim", "basis_labels", "nonzeros", "integer_constants", "_span_solver")
 
     def __init__(self, name: str, basis_labels: Sequence[str],
                  nonzeros: Sequence[Sequence[Sequence]]):
@@ -103,8 +107,13 @@ class LieAlgebra:
                    for j, terms in enumerate(row)])
             for i, row in enumerate(nonzeros)
         )
-        self._integer_nz = self._span_solver = None
-        _, nz = self.integer_constants  # packed as in the class docstring
+        self._span_solver = None
+        scale = lcm(*(x.denominator for ci in self.nonzeros for terms in ci for _, x in terms))
+        nz = tuple(
+            tuple([terms and tuple([(k, x.numerator * (scale // x.denominator)) for k, x in terms])
+                   for terms in ci])
+            for ci in self.nonzeros)
+        self.integer_constants = scale, nz  # packed as in the class docstring
         top = max((abs(c) for row in nz for terms in row for _, c in terms), default=0)
         w = (3 * n * top * top).bit_length()
         packed = [[sum([c << w * t for t, c in terms]) if terms else 0 for terms in row]
@@ -122,7 +131,7 @@ class LieAlgebra:
                                       for row in structure):
             raise DimensionMismatch("structure tensor is not n x n x n")
         return cls(name, labels, [
-            [tuple([(k, x) for k, x in enumerate(map(_as_fraction, c)) if x]) for c in row]
+            [tuple([(k, x) for k, x in enumerate(map(_constant, c)) if x]) for c in row]
             for row in structure
         ])
 
@@ -142,7 +151,7 @@ class LieAlgebra:
                 raise InvalidStructureConstants(
                     f"component {labels[k]} of {where} "
                     + ("repeated" if k == out[-1][0] else "out of increasing order"))
-            x = _as_fraction(x)
+            x = _constant(x)
             if not x:
                 raise InvalidStructureConstants(
                     f"zero structure constant stored for {where} component {labels[k]}")
@@ -206,21 +215,6 @@ class LieAlgebra:
                     for k, coeff in terms:
                         acc[k] = acc[k] + f * coeff
         return tuple(acc)
-
-    @property
-    def integer_constants(self) -> tuple:
-        """``(c, constants)``: :attr:`nonzeros` with every structure constant
-        times ``c``, the lcm of their denominators; computed once."""
-        view = self._integer_nz
-        if view is None:
-            scale = lcm(*(x.denominator for ci in self.nonzeros for terms in ci for _, x in terms))
-            view = self._integer_nz = (scale, tuple(
-                tuple([terms and tuple([(k, x.numerator * (scale // x.denominator))
-                                        for k, x in terms])
-                       for terms in ci])
-                for ci in self.nonzeros
-            ))
-        return view
 
     def ad_matrix(self, d: Sequence) -> ExactMatrix:
         """Matrix of ``w -> [d, w]`` in the algebra basis: column j is
@@ -339,11 +333,19 @@ def _bracket_escape(alg: LieAlgebra, space: Subspace) -> tuple | None:
 
 
 class Subalgebra:
-    """A bracket-closed subspace of a parent algebra."""
+    """A bracket-closed subspace of a parent algebra, certified when built: a
+    non-real span raises NonRealSpan, and one not closed NotClosedUnderBracket."""
 
     __slots__ = ("parent", "space")
 
     def __init__(self, parent: LieAlgebra, space: Subspace):
+        try:
+            space.annihilator  # the integer view that the checks read
+        except TypeError as err:
+            raise NonRealSpan(str(err)) from None
+        escape = _bracket_escape(parent, space)
+        if escape is not None:
+            raise NotClosedUnderBracket(*escape, parent.format_element)
         self.parent = parent
         self.space = space
 
@@ -356,13 +358,8 @@ class Subalgebra:
 
 
 def make_subalgebra(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
-    """Echelonize the span, which must be real, and certify its bracket closure."""
-    space = Subspace.from_vectors(alg.dim, vectors)
-    space.annihilator  # the integer view the checks read raises TypeError on a non-real span
-    escape = _bracket_escape(alg, space)
-    if escape is not None:
-        raise NotClosedUnderBracket(*escape, alg.format_element)
-    return Subalgebra(alg, space)
+    """The :class:`Subalgebra` of the echelonized span of ``vectors``."""
+    return Subalgebra(alg, Subspace.from_vectors(alg.dim, vectors))
 
 
 # ---------------------------------------------------------------------------

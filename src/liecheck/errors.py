@@ -46,6 +46,10 @@ class InvalidStructureConstants(LieCheckError):
     """Structure tensor violates antisymmetry or the Jacobi identity."""
 
 
+class NonRealSpan(LieCheckError, TypeError):
+    """A span that must be real, such as a subalgebra's, has a non-real entry."""
+
+
 class NotClosedUnderBracket(LieCheckError):
     """A candidate subalgebra is not closed; carries and names an exact witness pair."""
 

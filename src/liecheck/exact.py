@@ -19,13 +19,13 @@ with ``a_ik`` nonzero is.  Membership coordinates are the vector's own
 entries at the pivot columns.
 
 The checks ("does this value lie in k, in m, in Z+?") run in integer
-arithmetic instead.  Each integer view is built from the integer rows that
-the eliminations use (:func:`_integer_rows`) and carries its positive scale,
-computed once there: :attr:`ExactMatrix.integer_columns` holds a real
-matrix's nonzero columns times ``s``, the lcm of its denominators, and
-:func:`integer_vector` a real vector's nonzeros times ``λ``, as a sparse
-dict ``{index: int}``.  :attr:`Subspace.annihilator` is an integer matrix
-``Q`` whose kernel is the subspace (:func:`annihilated`).  A positive
+arithmetic instead.  Each integer view carries its positive scale: a
+matrix is scaled once, by :meth:`ExactMatrix.gaussian_rows`, to its nonzero
+rows of Gaussian integers times ``s``, the lcm of its denominators, and
+:attr:`ExactMatrix.integer_columns` is that view by column.  From the rows
+of :func:`_integer_rows`, :func:`integer_vector` is a real vector's nonzeros
+times ``λ`` as ``{index: int}``, and :attr:`Subspace.annihilator` an integer
+matrix ``Q`` whose kernel is the subspace (:func:`annihilated`).  A positive
 multiple lies in a subspace exactly when the vector does, so a loop never
 divides its scales out; a check does, for its witness (:func:`from_integers`).
 
@@ -273,8 +273,8 @@ class ExactMatrix:
     """An immutable matrix with exact entries, stored row-major.
 
     :attr:`nonzero_rows` is the sparse view of the same entries that the
-    products and the eliminations read; :attr:`integer_columns` is the
-    integer view that every clause of the checks runs on.
+    products and the eliminations read; :attr:`integer_columns` (the view of
+    :meth:`gaussian_rows` by column) is the one every clause of the checks reads.
     """
 
     __slots__ = ("rows", "cols", "entries", "_nonzero_rows", "_integer_columns")
@@ -303,20 +303,29 @@ class ExactMatrix:
             )
         return view
 
+    def gaussian_rows(self) -> tuple:
+        """``(s, rows)``: the matrix times ``s``, the lcm of its denominators, as
+        its nonzero rows ``{row: {col: (re, im)}}`` of Gaussian integers."""
+        parts = [[(c, e.re, e.im) if e.__class__ is GaussianRational else (c, e, 0)
+                  for c, e in terms] for terms in self.nonzero_rows]
+        s = lcm(*(x.denominator for terms in parts for _, a, b in terms for x in (a, b)))
+        return s, {r: {c: (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+                       for c, a, b in terms} for r, terms in enumerate(parts) if terms}
+
     @property
     def integer_columns(self) -> tuple:
-        """``(s, columns)``: per column, the ``(row, int)`` pairs of its
-        nonzero entries, all times ``s``, the lcm of the denominators.  Real
-        matrices only."""
+        """``(s, columns)``: :meth:`gaussian_rows` by column, as the
+        ``(row, int)`` pairs of its nonzero entries.  Real matrices only."""
         view = self._integer_columns
         if view is None:
-            rows = _real_rows(self.nonzero_rows, self.cols)
-            scale = lcm(*(den for _, _, den in rows))
+            s, rows = self.gaussian_rows()
             columns = [[] for _ in range(self.cols)]
-            for i, (re, _, den) in enumerate(rows):
-                for j, _ in self.nonzero_rows[i]:
-                    columns[j].append((i, re[j] * (scale // den)))
-            view = self._integer_columns = (scale, tuple(map(tuple, columns)))
+            for i, row in rows.items():
+                for j, (x, y) in row.items():
+                    if y:
+                        raise TypeError("integer views need real entries")
+                    columns[j].append((i, x))
+            view = self._integer_columns = (s, tuple(map(tuple, columns)))
         return view
 
     @classmethod

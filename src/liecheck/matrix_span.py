@@ -3,35 +3,23 @@
 Only an algebra given by matrix generators, and the multiplication operators
 on it, need this module; :mod:`liecheck.algebra` and
 :mod:`liecheck.operators` load it on first use, so an input given by
-structure constants never runs it.  A matrix is scaled to Gaussian-integer
-rows (:func:`_gaussian_rows`), products are taken on those rows
-(:func:`_times`), and :class:`_SpanSolver` gives the coordinates of a
-product in the generators by one integer elimination.
+structure constants never runs it.  Products are taken on the
+Gaussian-integer rows of the matrices (:meth:`ExactMatrix.gaussian_rows`,
+which owns their scale) by :func:`_times`, and :class:`_SpanSolver` gives
+the coordinates of a product in the generators by one integer elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from collections.abc import Sequence
 
 from .exact import ExactMatrix, GaussianRational, _eliminate, rref
 
 
-def _gaussian_rows(m: ExactMatrix) -> tuple:
-    """``(s, rows)``: ``s * m`` for ``s`` the lcm of the denominators of the
-    entries of ``m``, as its nonzero rows ``{row: {col: (re, im)}}`` of
-    Gaussian integers."""
-    parts = [[(c, e.re, e.im) if e.__class__ is GaussianRational else (c, e, 0) for c, e in terms]
-             for terms in m.nonzero_rows]
-    s = lcm(*(x.denominator for terms in parts for _, a, b in terms for x in (a, b)))
-    return s, {r: {c: (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
-                   for c, a, b in terms} for r, terms in enumerate(parts) if terms}
-
-
 def _times(x: dict, y: dict, out: dict | None = None, sign: int = 1) -> dict:
     """Add ``sign * X Y`` to the rows ``out`` (zero by default) and return
-    them, for matrices given by :func:`_gaussian_rows`."""
+    them, for matrices given by :meth:`ExactMatrix.gaussian_rows`."""
     out = {} if out is None else out
     for r, terms in x.items():
         acc = out.setdefault(r, {})
@@ -45,8 +33,8 @@ def _times(x: dict, y: dict, out: dict | None = None, sign: int = 1) -> dict:
 class _SpanSolver:
     """Solve for coordinates of matrices inside the real span of matrices.
 
-    Each generator is scaled to Gaussian-integer rows (:func:`_gaussian_rows`)
-    and flattened into an integer column of ``A``, real parts first and, when
+    Each generator's Gaussian-integer rows (:meth:`ExactMatrix.gaussian_rows`)
+    are flattened into an integer column of ``A``, real parts first and, when
     any generator has one, imaginary parts below.  One integer elimination of
     ``[A | Id]`` over the columns of ``A`` leaves the rows ``[Id | T]`` on
     top, with ``T A = Id``, and ``[0 | N]`` below, whose rows span the left
@@ -59,7 +47,7 @@ class _SpanSolver:
     def __init__(self, matrices: Sequence[ExactMatrix]):
         self.matrices = tuple(matrices)
         self.size = size = matrices[0].rows
-        self.scales, self.rows = zip(*map(_gaussian_rows, matrices))
+        self.scales, self.rows = zip(*(m.gaussian_rows() for m in matrices))
         self.has_imag = any(b for rows in self.rows for row in rows.values()
                             for _, b in row.values())
         n, half = len(matrices), size * size

@@ -296,8 +296,8 @@ def _multiplication_operator(alg: LieAlgebra, a: ExactMatrix | None = None,
         raise DimensionMismatch("inner dimensions do not match")
     if (a is not None and a.rows != size) or (b is not None and b.cols != size):
         raise DimensionMismatch(f"multiplication factors must be {size}x{size}")
-    sa, ra = (1, None) if a is None else _matrix_span._gaussian_rows(a)
-    sb, rb = (1, None) if b is None else _matrix_span._gaussian_rows(b)
+    sa, ra = (1, None) if a is None else a.gaussian_rows()
+    sb, rb = (1, None) if b is None else b.gaussian_rows()
     n = alg.dim
     columns = []
     for j, (s, x) in enumerate(zip(solver.scales, solver.rows)):

@@ -17,7 +17,6 @@ from liecheck import (
     operator_from_rules,
 )
 from liecheck.exact import rref
-from liecheck.matrix_span import _gaussian_rows
 from liecheck.complexstruct import _squares_to_minus_one
 from liecheck.errors import DimensionMismatch, LieCheckError, MissingComplement
 from liecheck.operators import _require_admissible, _split_verdict, check_admissible
@@ -25,13 +24,17 @@ from liecheck.specfile import build, parse
 from liecheck.torsion import torsion_form
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import Phase, given, settings, strategies as st
 except ImportError:  # the property tests are skipped without hypothesis
     given = st = None
 else:
     # tests/mutants.py runs its tests under this profile: the same draws on
     # every run and no example database, so that a kill never rests on luck.
-    settings.register_profile("mutants", derandomize=True, database=None)
+    # A kill needs only the first failing draw: shrinking it, and explaining
+    # it under a tracer, can take minutes and hundreds of MB on a mutant of
+    # the elimination.
+    settings.register_profile("mutants", derandomize=True, database=None,
+                              phases=(Phase.explicit, Phase.generate))
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -99,7 +102,7 @@ def matrix_of_element(alg, v):
 def span_coords(solver, target):
     """Rational coordinates of ``target`` in the real span of a
     :class:`~liecheck.matrix_span._SpanSolver`, or None outside it."""
-    scale, rows = _gaussian_rows(target)
+    scale, rows = target.gaussian_rows()
     terms = solver.solve(rows, scale)
     return None if terms is None else tuple(dict(terms).get(k, Fraction(0))
                                             for k in range(solver.n))

@@ -6,7 +6,8 @@ directory and runs ``pytest -x`` on the named tests against the copy: once
 unmutated, where they must pass, and once per mutant, where they must fail;
 a kill names the first failing test.
 Hypothesis runs under the ``mutants`` profile of ``conftest.py``
-(derandomized, no example database), so a kill does not depend on a draw.
+(derandomized, no example database, no shrinking), so a kill does not
+depend on a draw.
 
 Run it from the root of a source checkout (it is not part of tier-1)::
 
@@ -48,6 +49,19 @@ SPLIT_TESTS = ("tests/test_operators.py::test_split_kernel_failure_matches_fract
 TORSION_TESTS = ("tests/test_torsion.py::test_torsion_matches_fraction_reference",
                  "tests/test_torsion.py::test_torsion_ad_matches_fraction_reference")
 TORSION_SCALE = 'scale = -c * s * s if pairs == "ad" else c * s * s'
+ELIMINATION_TESTS = ("tests/test_exact.py::test_rref_matches_scalar_reference",
+                     "tests/test_exact.py::test_kernel_basis_matches_two_step_reference",
+                     "tests/test_exact_oracle.py")
+JACOBI_TESTS = ("tests/test_algebra.py::test_integer_jacobi_matches_fraction_reference",
+                "tests/test_algebra.py::test_jacobi_packing_width_at_the_bound",
+                "tests/test_algebra.py::test_jacobi_packing_matches_reference_near_the_bound",
+                "tests/test_algebra.py::test_construction_rejects_jacobi_violation")
+SPAN_TESTS = ("tests/test_exact.py::test_span_solver_coords_match_dense",
+              "tests/test_algebra.py::test_from_matrix_generators_so3",
+              "tests/test_algebra.py::test_from_matrix_generators_matches_dense_reference",
+              "tests/test_operators.py::test_multiplication_operators_match_dense_reference")
+VIEW_TESTS = ("tests/test_exact.py::test_integer_views_match_fraction_reference",
+              "tests/test_exact.py::test_span_solver_coords_match_dense")
 
 
 MUTANTS = (
@@ -124,6 +138,36 @@ MUTANTS = (
            "from_integers(pair.alg.dim, scale * lw, beta)", TORSION_TESTS),
     Mutant("torsion: drop λw", "torsion.py", "from_integers(pair.alg.dim, scale * lv * lw, beta)",
            "from_integers(pair.alg.dim, scale * lv, beta)", TORSION_TESTS),
+    Mutant("elimination: drop the content division", "exact.py",
+           "    g = gcd(den, *re, *(im or ()))\n", "    g = 1\n", ELIMINATION_TESTS),
+    Mutant("elimination: wrong sign in the pivot's conjugate product", "exact.py",
+           "[x * a + y * b for x, y in zip(re, im)]", "[x * a - y * b for x, y in zip(re, im)]",
+           ELIMINATION_TESTS),
+    Mutant("elimination: wrong sign of the imaginary factor", "exact.py",
+           "[den * s - fx * t + fy * u for s, t, u in zip(x, re, w)]",
+           "[den * s - fx * t - fy * u for s, t, u in zip(x, re, w)]", ELIMINATION_TESTS),
+    Mutant("packed Jacobi: width w - 1", "algebra.py",
+           "w = (3 * n * top * top).bit_length()", "w = (3 * n * top * top).bit_length() - 1",
+           JACOBI_TESTS),
+    Mutant("packed Jacobi: unsigned fields", "algebra.py",
+           "sum([c << w * t for t, c in terms])",
+           "sum([(c & ((1 << w) - 1)) << w * t for t, c in terms])", JACOBI_TESTS),
+    Mutant("packed Jacobi: drop one cyclic term", "algebra.py",
+           "                    for m, c in ij:\n"
+           "                        acc += c * packed[k][m]\n",
+           "", JACOBI_TESTS),
+    Mutant("from_matrix_generators: nonzeros[j][i] not negated", "algebra.py",
+           "nonzeros[j][i] = tuple([(k, -x) for k, x in terms])", "nonzeros[j][i] = terms",
+           SPAN_TESTS),
+    Mutant("span solver: skip the N t test", "matrix_span.py",
+           "if any(x for r, x in acc.items() if r >= len(self._den)):", "if False:",
+           SPAN_TESTS),
+    Mutant("span solver: drop the generator scale in T", "matrix_span.py",
+           "scale = self.scales[pivots[r]] if r < len(pivots) else 1", "scale = 1", SPAN_TESTS),
+    Mutant("span solver: drop the b v term of _times", "matrix_span.py",
+           "(re + sign * (a * u - b * v),", "(re + sign * a * u,", SPAN_TESTS),
+    Mutant("Gaussian-integer view: drop s // a.denominator", "exact.py",
+           "(a.numerator * (s // a.denominator),", "(a.numerator,", VIEW_TESTS),
     Mutant("harness gate: drop the exact-torsion gate", "harness.py",
            "        if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):\n"
            "            return False\n",

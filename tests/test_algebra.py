@@ -8,7 +8,9 @@ import pytest
 from liecheck import (
     ExactMatrix,
     GaussianRational,
+    HomogeneousPair,
     LieAlgebra,
+    Subalgebra,
     Subspace,
     from_matrix_generators,
     make_subalgebra,
@@ -550,6 +552,26 @@ def test_make_subalgebra(so3):
     assert err.value.value == expected == (-1, 0, 0)
     assert [type(x) for x in err.value.value] == [type(x) for x in expected]
     assert type(expected[0]) is GaussianRational
+
+
+def test_subalgebra_certifies_its_span(so3):
+    # The constructor runs the checks of make_subalgebra, so no pair is built
+    # on a span that is not a real subalgebra.
+    e1, e2 = so3.basis_vector("e1"), so3.basis_vector("e2")
+    with pytest.raises(NotClosedUnderBracket) as named:
+        make_subalgebra(so3, [e1, e2])
+    with pytest.raises(NotClosedUnderBracket) as err:
+        HomogeneousPair(so3, Subalgebra(so3, Subspace.from_vectors(3, [e1, e2])))
+    assert (err.value.x, err.value.y, err.value.value) == (
+        named.value.x, named.value.y, named.value.value)
+    assert str(err.value) == str(named.value)
+    # A non-real span is an input error of the library, and still a TypeError.
+    i = GaussianRational(0, 1)
+    for build in (lambda: make_subalgebra(so3, [(0, 1, i)]),
+                  lambda: Subalgebra(so3, Subspace.from_vectors(3, [(0, 1, i)]))):
+        with pytest.raises(LieCheckError, match=r"^integer views need real entries$") as err:
+            build()
+        assert isinstance(err.value, TypeError)
 
 
 def _reference_closure_failure(alg, space):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -455,6 +455,32 @@ def test_span_solver_coords_match_dense(flavour):
             for target in (inside, _rand_sparse_matrix(rng, size, size, target_flavour),
                            zero_matrix(size, size)):
                 _assert_same(span_coords(solver, target), _dense_span_coords(gens, target))
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+@property_test(max_examples=60)
+def test_integer_views_match_fraction_reference(flavour, data):
+    # span_coords reads gaussian_rows, so the view is checked here against
+    # the entries themselves: entry (i, j) is (re + i im) / s, s the lcm.
+    m = draw_matrix(data, flavour)
+    parts = [(e.re, e.im) if isinstance(e, GaussianRational) else (e, Fraction(0))
+             for e in m.entries]
+    s, rows = m.gaussian_rows()
+    assert s == lcm(*(x.denominator for part in parts for x in part))
+    assert all(rows.values())  # only nonzero rows are keyed
+    for i in range(m.rows):
+        for j in range(m.cols):
+            re, im = rows.get(i, {}).get(j, (0, 0))
+            assert type(re) is int and type(im) is int
+            assert (Fraction(re, s), Fraction(im, s)) == parts[i * m.cols + j]
+            assert (j in rows.get(i, {})) == bool(m.entry(i, j))
+    if any(im for _, im in parts):
+        with pytest.raises(TypeError, match=r"^integer views need real entries$"):
+            m.integer_columns
+        return
+    assert m.integer_columns == (s, tuple(
+        tuple((i, m.entry(i, j) * s) for i in range(m.rows) if m.entry(i, j))
+        for j in range(m.cols)))
 
 
 # -- Gaussian-integer elimination against the scalar Gauss-Jordan -----------
