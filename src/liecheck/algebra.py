@@ -18,7 +18,7 @@ operators are expressed the same way; only :func:`from_matrix_generators`,
 which derives the constants from those generators, attaches one.  The
 solver lives in :mod:`liecheck.matrix_span`, which an algebra given by
 structure constants never runs.  One integer test on a subspace's own
-equations, :func:`_bracket_escape`, certifies k and Z+ closed; a
+integer views, :func:`_bracket_escape`, certifies k and Z+ closed; a
 :class:`Subalgebra` runs it on its span when it is built.
 """
 
@@ -49,7 +49,6 @@ from .exact import (
     GaussianRational,
     Subspace,
     _as_fraction,
-    _integer_rows,
     _is_gaussian,
     apply_columns,
     format_scalar,
@@ -304,23 +303,18 @@ def _bracket_escape(alg: LieAlgebra, space: Subspace) -> tuple | None:
     """The first pair ``(x, y, [x, y])`` of echelon basis rows of ``space``
     whose bracket leaves ``space``, or None: the closure test of k and of Z+.
 
-    The subspace's own equations (:meth:`Subspace._equations`) and its basis
-    rows are each scaled once to Gaussian integers: the equations are read by
-    column as ``A + iB``, a row as ``λx x``.  Brackets are taken on
+    It reads the subspace's integer views: its equations by column as
+    ``A + iB`` (:attr:`Subspace.equation_columns`) and its rows as ``λx x``
+    (:attr:`Subspace.integer_rows`).  Brackets are taken on
     :attr:`LieAlgebra.integer_constants` (``c``), and the witness is the
     bracket over ``c λx λy``, typed as :meth:`LieAlgebra.bracket` types it.
     """
     n = alg.dim
     c, constants = alg.integer_constants
-    a, b = [[] for _ in range(n)], [[] for _ in range(n)]
-    for t, (re, im, _) in enumerate(_integer_rows(space._equations(), n)):
-        for columns, part in ((a, re), (b, im or ())):
-            for j in compress(range(n), part):
-                columns[j].append((t, part[j]))
-    rows = [(x, lx, [{j: v for j, v in enumerate(part or ()) if v} for part in (re, im)])
-            for x, (re, im, lx) in zip(space.vectors(), _integer_rows(space.basis.nonzero_rows, n))]
-    for i, (x, lx, (x_re, x_im)) in enumerate(rows):
-        for y, ly, (y_re, y_im) in rows[i + 1:]:
+    a, b = space.equation_columns
+    rows = list(zip(space.vectors(), space.integer_rows))
+    for i, (x, (lx, x_re, x_im)) in enumerate(rows):
+        for y, (ly, y_re, y_im) in rows[i + 1:]:
             # [x, y] = [x_re, y_re] - [x_im, y_im] + i ([x_re, y_im] + [x_im, y_re])
             re = bracket_into(constants, x_im, y_im, bracket_into(constants, x_re, y_re, {}), -1)
             im = bracket_into(constants, x_im, y_re, bracket_into(constants, x_re, y_im, {}))
@@ -334,15 +328,16 @@ def _bracket_escape(alg: LieAlgebra, space: Subspace) -> tuple | None:
 
 class Subalgebra:
     """A bracket-closed subspace of a parent algebra, certified when built: a
-    non-real span raises NonRealSpan, and one not closed NotClosedUnderBracket."""
+    span in another ambient space raises DimensionMismatch, a non-real span
+    NonRealSpan, and one not closed NotClosedUnderBracket."""
 
     __slots__ = ("parent", "space")
 
     def __init__(self, parent: LieAlgebra, space: Subspace):
-        try:
-            space.annihilator  # the integer view that the checks read
-        except TypeError as err:
-            raise NonRealSpan(str(err)) from None
+        if space.ambient_dim != parent.dim:
+            raise DimensionMismatch("span lives in the wrong ambient space")
+        if any(space.equation_columns[1]):
+            raise NonRealSpan("integer views need real entries")
         escape = _bracket_escape(parent, space)
         if escape is not None:
             raise NotClosedUnderBracket(*escape, parent.format_element)

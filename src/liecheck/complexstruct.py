@@ -5,7 +5,7 @@ For an operator J whose square is -1 modulo k, the subspaces
     Z_pm = { v in the complexified algebra : (J -/+ i) v  in  k_C }
 
 are not eigenspaces of the complex extension in general.  With ``Q`` the
-integer annihilator of k, k_C is the kernel of ``Q`` over Q(i), so Z+ is
+integer equations of k, k_C is the kernel of ``Q`` over Q(i), so Z+ is
 one exact kernel, that of ``Q (J - i)``; J, Q and k are real, so Z- is the
 complex conjugate of Z+, and the split identities for Z- are the conjugates
 of those for Z+.  The induced almost complex structure is integrable
@@ -14,8 +14,8 @@ torsion verdict; both are computed, and a disagreement raises
 :class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as the
 Gaussian-integer rows ``Q (sJ) - i s Q`` of :func:`_z_plus_kernel`: Z+ is
 their kernel, and its closure is :func:`liecheck.algebra._bracket_escape`
-on Z+ itself, the test that certifies k.  With Q = 1 their kernel is
-ker(J - i), which is E+ in the split case.
+on Z+'s own integer views, the test that certifies k.  With Q = 1 their
+kernel is ker(J - i), which is E+ in the split case.
 """
 
 from __future__ import annotations
@@ -75,14 +75,14 @@ def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
     """Whether (J^2 + 1) e_j lies in k for every j, decided on J's integer
     columns ``s J``: ``(s J)^2 e_j + s^2 e_j`` is ``s^2 (J^2 + 1) e_j``."""
     s, columns = op.matrix.integer_columns
-    _, k = pair.k.space.annihilator.integer_columns
+    k, _ = pair.k.space.equation_columns
     return all(annihilated(k, apply_columns(columns, dict(column), {j: s * s}))
                for j, column in enumerate(columns))
 
 
 def _z_plus_kernel(q: tuple, op: LinearOperator) -> Subspace:
     """The kernel over Q(i) of ``Q (sJ) - i s Q = s Q (J - i)``, ``Q`` by its integer
-    columns (k's annihilator for Z+, 1 for the (+i)-eigenspace of J): one row
+    columns (k's equations for Z+, 1 for the (+i)-eigenspace of J): one row
     per row of Q (their order leaves the canonical basis as it is), typed so
     without rows too."""
     n, rows = op.alg.dim, {}
@@ -99,12 +99,12 @@ def _z_plus_kernel(q: tuple, op: LinearOperator) -> Subspace:
 def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     """The exact subspaces Z+ and Z- of the complexified algebra.
 
-    k_C is the kernel of the annihilator ``Q`` of k, so Z+ is the kernel of
+    k_C is the kernel of k's integer equations ``Q``, so Z+ is the kernel of
     ``Q (J - i)`` over Q(i) (:func:`_z_plus_kernel`).  Conjugation fixes Q,
     J and k, so Z- is the conjugate of Z+, and conjugation keeps the echelon
     basis canonical.
     """
-    z_plus = _z_plus_kernel(pair.k.space.annihilator.integer_columns[1], op)
+    z_plus = _z_plus_kernel(pair.k.space.equation_columns[0], op)
     return z_plus, z_plus.conjugated()
 
 

@@ -22,12 +22,13 @@ The checks ("does this value lie in k, in m, in Z+?") run in integer
 arithmetic instead.  Each integer view carries its positive scale: a
 matrix is scaled once, by :meth:`ExactMatrix.gaussian_rows`, to its nonzero
 rows of Gaussian integers times ``s``, the lcm of its denominators, and
-:attr:`ExactMatrix.integer_columns` is that view by column.  From the rows
-of :func:`_integer_rows`, :func:`integer_vector` is a real vector's nonzeros
-times ``λ`` as ``{index: int}``, and :attr:`Subspace.annihilator` an integer
-matrix ``Q`` whose kernel is the subspace (:func:`annihilated`).  A positive
-multiple lies in a subspace exactly when the vector does, so a loop never
-divides its scales out; a check does, for its witness (:func:`from_integers`).
+:attr:`ExactMatrix.integer_columns` is that view by column.  A subspace
+caches its own, scaled per row by :func:`_integer_rows`: its equations by
+column as ``A + iB`` (:attr:`Subspace.equation_columns`, whose kernel it
+is; :func:`annihilated`), and its rows each times ``λ``
+(:attr:`Subspace.integer_rows`).  A positive multiple lies in a subspace
+exactly when the vector does, so a loop never divides its scales out; a
+check does, for its witness (:func:`from_integers`).
 
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
@@ -578,7 +580,7 @@ class Subspace:
     their bases are.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_eqs", "_annihilator")
+    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_eqs", "_columns", "_rows")
 
     def __init__(self, basis: ExactMatrix):
         if basis.cols > AMBIENT_DIM_CAP:
@@ -599,7 +601,7 @@ class Subspace:
         self.ambient_dim = basis.cols
         self.basis = basis
         self.pivot_cols = pivots
-        self._eqs = self._annihilator = None
+        self._eqs = self._columns = self._rows = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -654,15 +656,30 @@ class Subspace:
         return eqs
 
     @property
-    def annihilator(self) -> ExactMatrix:
-        """An integer matrix whose kernel is this subspace (real subspaces
-        only): the rows of :meth:`_equations`, each times the lcm of its
-        denominators."""
-        if self._annihilator is None:
-            n, rows = self.ambient_dim, _real_rows(self._equations(), self.ambient_dim)
-            self._annihilator = ExactMatrix._of(len(rows), n, tuple(
-                [Fraction(x) if x else _ZERO for re, _, _ in rows for x in re]))
-        return self._annihilator
+    def equation_columns(self) -> tuple:
+        """``(A, B)``: the rows of :meth:`_equations`, each times the lcm of
+        its denominators, by column as the ``(row, int)`` pairs of ``A + iB``,
+        whose kernel is the subspace; ``B`` is empty exactly when it is real."""
+        if self._columns is None:
+            n = self.ambient_dim
+            a, b = [[] for _ in range(n)], [[] for _ in range(n)]
+            for t, (re, im, _) in enumerate(_integer_rows(self._equations(), n)):
+                for columns, part in ((a, re), (b, im or ())):
+                    for j in compress(range(n), part):
+                        columns[j].append((t, part[j]))
+            self._columns = tuple(map(tuple, a)), tuple(map(tuple, b))
+        return self._columns
+
+    @property
+    def integer_rows(self) -> tuple:
+        """The echelon basis rows as ``(λ, re, im)``: the row times ``λ``, the
+        lcm of its denominators, as its nonzero parts ``{column: int}``."""
+        if self._rows is None:
+            self._rows = tuple((lam, {j: x for j, x in enumerate(re) if x},
+                                {j: y for j, y in enumerate(im or ()) if y})
+                               for re, im, lam in _integer_rows(self.basis.nonzero_rows,
+                                                                self.ambient_dim))
+        return self._rows
 
     def conjugated(self) -> "Subspace":
         # Conjugation fixes the pivot structure, so the result stays canonical.
@@ -700,21 +717,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 # integer views
 # ---------------------------------------------------------------------------
 
-def _real_rows(sparse: Iterable, cols: int) -> list:
-    """:func:`_integer_rows` of real rows; a non-real entry is a TypeError."""
-    rows = _integer_rows(sparse, cols)
-    if any(im for _, im, _ in rows):
-        raise TypeError("integer views need real entries")
-    return rows
-
-
-def integer_vector(v: Sequence) -> tuple:
-    """``(λ, {index: int})``: the nonzeros of a real vector times ``λ``, the
-    lcm of their denominators."""
-    [(re, _, den)] = _real_rows([[(j, x) for j, x in enumerate(v) if x]], len(v))
-    return den, {j: x for j, x in enumerate(re) if x}
-
-
 def from_integers(n: int, scale: int, re: dict, im: dict | None = None) -> tuple:
     """``(re + i im) / scale`` of length ``n``, a witness from its integer loop:
     Fraction entries without ``im``; with it, typed as a complex bracket, a
@@ -737,6 +739,7 @@ def apply_columns(columns: Sequence, v: dict, acc: dict, sign: int = 1) -> dict:
 
 
 def annihilated(columns: Sequence, v: dict) -> bool:
-    """Whether ``Q v = 0`` for ``Q`` given by its integer columns: with ``Q``
-    a :attr:`Subspace.annihilator`, whether ``v`` lies in the subspace."""
+    """Whether ``A v = 0`` for ``A`` given by its integer columns: with ``A``
+    the first of a real subspace's :attr:`Subspace.equation_columns` and a
+    real ``v``, whether ``v`` lies in the subspace."""
     return not any(apply_columns(columns, v, {}).values())

@@ -5,7 +5,8 @@ with the adjoint action of the subgroup modulo k.  For a connected subgroup
 the infinitesimal conditions suffice; for a declared non-connected subgroup
 the caller must supply component representatives, otherwise the verdict is
 scoped to the identity component and the report says so.  Every clause,
-the split ones and the validation of representatives too, runs in integers.
+the split ones and the validation of representatives too, runs in integers
+on the integer views that k and m cache.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exact import (
     annihilated,
     apply_columns,
     from_integers,
-    integer_vector,
     rref,
     subspace_intersection,
 )
@@ -86,7 +86,7 @@ class HomogeneousPair:
         if m is not None:
             if m.ambient_dim != alg.dim:
                 raise DimensionMismatch("complement lives in the wrong ambient space")
-            if any(isinstance(e, GaussianRational) and e.im for e in m.basis.entries):
+            if any(m.equation_columns[1]):
                 raise LieCheckError("complement is not real")
             if k.dim + m.dim != alg.dim:
                 raise LieCheckError(
@@ -114,9 +114,8 @@ class HomogeneousPair:
         if len(rref(rep)[1]) != n:
             raise InvalidComponentRep("is singular", idx)
         (r, columns), (c, constants) = rep.integer_columns, alg.integer_constants
-        _, q = k.space.annihilator.integer_columns
-        for z in k.space.vectors():  # R z times r λz
-            lz, v = integer_vector(z)
+        q, _ = k.space.equation_columns
+        for z, (lz, v, _) in zip(k.space.vectors(), k.space.integer_rows):  # R z times r λz
             value = apply_columns(columns, v, {})
             if not annihilated(q, value):
                 value = from_integers(n, r * lz, value)
@@ -187,15 +186,14 @@ def _failing_clause(pair: HomogeneousPair, op: LinearOperator) -> tuple | None:
     alg, n = pair.alg, pair.alg.dim
     s, columns = op.matrix.integer_columns
     c, constants = alg.integer_constants
-    _, k = pair.k.space.annihilator.integer_columns
-    zs = pair.k.space.vectors()
-    ints = [integer_vector(z) for z in zs]
-    for i, (lz, z) in enumerate(ints):
+    k, _ = pair.k.space.equation_columns
+    zs, ints = pair.k.space.vectors(), pair.k.space.integer_rows
+    for i, (lz, z, _) in enumerate(ints):
         value = apply_columns(columns, z, {})
         if not annihilated(k, value):
             return "preserves_k", (("vector", zs[i]), ("image", from_integers(n, s * lz, value)))
     images = [dict(col) for col in columns]  # I b_j
-    for i, (lz, z) in enumerate(ints):
+    for i, (lz, z, _) in enumerate(ints):
         for j in range(n):
             # I [z, b_j] - [z, I b_j]
             value = apply_columns(columns, bracket_into(constants, z, {j: 1}, {}), {})
@@ -250,9 +248,8 @@ def _split_kernel_failure(pair: HomogeneousPair, op: LinearOperator) -> tuple | 
     witness image is the failing one over ``s λx``."""
     n, (s, columns) = pair.alg.dim, op.matrix.integer_columns
     for clause, space, q in (("k_in_kernel", pair.k.space, [((j, 1),) for j in range(n)]),
-                             ("m_invariant", pair.m, pair.m.annihilator.integer_columns[1])):
-        for x in space.vectors():
-            lx, v = integer_vector(x)
+                             ("m_invariant", pair.m, pair.m.equation_columns[0])):
+        for x, (lx, v, _) in zip(space.vectors(), space.integer_rows):
             image = apply_columns(columns, v, {})
             if not annihilated(q, image):
                 return clause, (("vector", x), ("image", from_integers(n, s * lx, image)))

@@ -13,13 +13,13 @@ of ``ad(d)`` with its witness value negated.
 The pair loop runs in the integer views of :mod:`liecheck.exact` and
 :class:`~liecheck.algebra.LieAlgebra`: the operator's columns times ``s``,
 the structure constants times ``c``, the pair's vectors ``v`` and ``w``
-times ``λv`` and ``λw``, and membership in k as ``Q beta = 0`` for the
-integer annihilator ``Q`` of k.  Beta is of degree 2 in the operator and 1
-in the structure constants on every term, and linear in each argument, so
-the integer value is the rational one times ``s^2 c λv λw``, and lies in k
-exactly when it does.  The first failing pair's integer value over that
-scale is its witness; :func:`torsion_form` is the form in the rationals, a
-reference that no check calls.
+times ``λv`` and ``λw`` (m's integer rows, or unit rows), and membership
+in k as ``A beta = 0`` for k's integer equations ``A``.  Beta is of degree 2
+in the operator and 1 in the structure constants on every term, and linear
+in each argument, so the integer value is the rational one times
+``s^2 c λv λw``, and lies in k exactly when it does.  The first failing
+pair's integer value over that scale is its witness; :func:`torsion_form`
+is the form in the rationals, a reference that no check calls.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 from .algebra import bracket_into
 from .errors import LieCheckError, MissingComplement
-from .exact import annihilated, apply_columns, from_integers, integer_vector
+from .exact import annihilated, apply_columns, from_integers
 from .operators import HomogeneousPair, LinearOperator, _require_admissible, operator_ad
 from .values import FrozenValue
 
@@ -58,16 +58,18 @@ def torsion_form(alg, op: LinearOperator, v: Sequence, w: Sequence) -> tuple:
 
 
 def _pair_vectors(pair: HomogeneousPair, pairs: str):
+    """The mode's vectors, their integer rows ``(λ, re, im)``, and its name."""
     if pairs == "auto":
         pairs = "complement" if pair.m is not None else "all"
     if pairs == "complement":
         if pair.m is None:
             raise MissingComplement("complement-pairs mode needs a declared complement")
-        return list(pair.m.vectors()), "complement-pairs"
+        return pair.m.vectors(), pair.m.integer_rows, "complement-pairs"
     if pairs in ("all", "ad"):
         alg = pair.alg
         mode = "all-pairs" if pairs == "all" else "ad_d-specialized"
-        return [alg.basis_vector(j) for j in range(alg.dim)], mode
+        rows = [(1, {j: 1}, {}) for j in range(alg.dim)]
+        return [alg.basis_vector(j) for j in range(alg.dim)], rows, mode
     raise LieCheckError(f"unknown pair mode {pairs!r}")
 
 
@@ -86,18 +88,17 @@ def check_nijenhuis(
     if pairs == "ad" and op.ad_generator is None:
         raise LieCheckError("pair mode 'ad' needs an operator built by operator_ad")
     scope = _require_admissible(pair, op).scope
-    vectors, mode = _pair_vectors(pair, pairs)
+    vectors, vs, mode = _pair_vectors(pair, pairs)
     s, columns = op.matrix.integer_columns
     c, constants = pair.alg.integer_constants
-    _, k = pair.k.space.annihilator.integer_columns
+    k, _ = pair.k.space.equation_columns
     scale = -c * s * s if pairs == "ad" else c * s * s  # the ad mode reports -beta
-    vs = [integer_vector(v) for v in vectors]
-    ivs = [apply_columns(columns, v, {}) for _, v in vs]
+    ivs = [apply_columns(columns, v, {}) for _, v, _ in vs]
     checked = 0
     for a in range(len(vs)):
-        (lv, v), iv = vs[a], ivs[a]
+        (lv, v, _), iv = vs[a], ivs[a]
         for b in range(a + 1, len(vs)):
-            (lw, w), iw = vs[b], ivs[b]
+            (lw, w, _), iw = vs[b], ivs[b]
             checked += 1
             # beta = I([v, Iw] + [Iv, w] - I[v, w]) - [Iv, Iw]
             inner = bracket_into(constants, v, iw, bracket_into(constants, iv, w, {}))

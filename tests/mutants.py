@@ -62,6 +62,10 @@ SPAN_TESTS = ("tests/test_exact.py::test_span_solver_coords_match_dense",
               "tests/test_operators.py::test_multiplication_operators_match_dense_reference")
 VIEW_TESTS = ("tests/test_exact.py::test_integer_views_match_fraction_reference",
               "tests/test_exact.py::test_span_solver_coords_match_dense")
+SUBSPACE_VIEW_TESTS = (
+    "tests/test_exact_oracle.py::test_annihilator_matches_oracle_membership",
+    "tests/test_exact_oracle.py::test_gaussian_annihilator_matches_oracle_membership",
+    *ADMISSIBLE_TESTS, *ESCAPE_TESTS)
 
 
 MUTANTS = (
@@ -124,9 +128,9 @@ MUTANTS = (
            "from_integers(n, lx, image)", SPLIT_TESTS),
     Mutant("split witness: drop λx", "operators.py", "from_integers(n, s * lx, image)",
            "from_integers(n, s, image)", SPLIT_TESTS),
-    Mutant("split: k_in_kernel given m's annihilator", "operators.py",
+    Mutant("split: k_in_kernel given m's equations", "operators.py",
            '("k_in_kernel", pair.k.space, [((j, 1),) for j in range(n)])',
-           '("k_in_kernel", pair.k.space, pair.m.annihilator.integer_columns[1])',
+           '("k_in_kernel", pair.k.space, pair.m.equation_columns[0])',
            SPLIT_TESTS),
     Mutant("torsion: drop one s", "torsion.py", TORSION_SCALE,
            'scale = -c * s if pairs == "ad" else c * s', TORSION_TESTS),
@@ -168,6 +172,16 @@ MUTANTS = (
            "(re + sign * (a * u - b * v),", "(re + sign * a * u,", SPAN_TESTS),
     Mutant("Gaussian-integer view: drop s // a.denominator", "exact.py",
            "(a.numerator * (s // a.denominator),", "(a.numerator,", VIEW_TESTS),
+    Mutant("subspace integer rows: λ taken as 1", "exact.py",
+           "self._rows = tuple((lam, {j: x", "self._rows = tuple((1, {j: x",
+           SUBSPACE_VIEW_TESTS),
+    Mutant("subspace equation columns: drop B", "exact.py",
+           "for columns, part in ((a, re), (b, im or ())):", "for columns, part in ((a, re),):",
+           SUBSPACE_VIEW_TESTS),
+    Mutant("Subalgebra: no ambient dimension check", "algebra.py",
+           "        if space.ambient_dim != parent.dim:\n"
+           "            raise DimensionMismatch(", "        if False:\n            raise DimensionMismatch(",
+           ("tests/test_algebra.py::test_subalgebra_checks_its_ambient_dimension",)),
     Mutant("harness gate: drop the exact-torsion gate", "harness.py",
            "        if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):\n"
            "            return False\n",

@@ -574,6 +574,16 @@ def test_subalgebra_certifies_its_span(so3):
         assert isinstance(err.value, TypeError)
 
 
+
+@pytest.mark.parametrize("ambient", [2, 4])
+def test_subalgebra_checks_its_ambient_dimension(so3, ambient):
+    # A span of another ambient dimension is rejected before the closure
+    # test: a shorter one would read as a subalgebra of so3's first
+    # coordinates, a longer one index past its structure constants.
+    space = Subspace.from_vectors(ambient, [(1,) + (0,) * (ambient - 1)])
+    with pytest.raises(DimensionMismatch, match="^span lives in the wrong ambient space$"):
+        Subalgebra(so3, space)
+
 def _reference_closure_failure(alg, space):
     """The first echelon pair whose bracket, in Fractions, leaves the span."""
     rows = space.vectors()

@@ -24,7 +24,7 @@ from liecheck import (
     subspace_intersection,
     subspace_sum,
 )
-from liecheck import complexstruct
+from liecheck import complexstruct, exact
 from liecheck.complexstruct import SplitDiagnostics
 from liecheck.exact import rref
 from liecheck.specfile import build, parse
@@ -454,9 +454,33 @@ def test_z_plus_is_built_once(monkeypatch, so3_pair, so3_pair_plain, split):
     report = check_integrable(pair, op)
     identity = [((j, 1),) for j in range(3)]
     assert calls == [("compute_z_spaces", pair),
-                     ("_z_plus_kernel", pair.k.space.annihilator.integer_columns[1]),
+                     ("_z_plus_kernel", pair.k.space.equation_columns[0]),
                      *[("_z_plus_kernel", identity)] * split]
     assert report.integrable and (report.split is not None) == split
+
+
+def test_each_subspace_is_scaled_once(monkeypatch):
+    # An integrability command on the Grassmannian, build included, scales
+    # the equations and the echelon rows of each subspace (k, m, Z+, Z-) to
+    # integers at most once: every check reads the views the subspace caches.
+    scaled = []
+
+    def spy(sparse, cols, scale=exact._integer_rows):
+        scaled.append(sparse)
+        return scale(sparse, cols)
+
+    monkeypatch.setattr(exact, "_integer_rows", spy)
+    built = build(parse((CORPUS / "u4_grassmannian.lie").read_text(encoding="utf-8")))
+    pair = built.pairs["grass"]
+    report = check_integrable(pair, built.operators["jgr"])
+    assert report.integrable and report.split.eigenspace_decomposition_holds
+    for space in (pair.k.space, pair.m, report.z_plus, report.z_minus):
+        for sparse in (space._equations(), space.basis.nonzero_rows):
+            assert sum(x is sparse for x in scaled) <= 1
+    # The Z+ closure read both views of Z+, and no rows were scaled twice.
+    assert all(any(x is sparse for x in scaled)
+               for sparse in (report.z_plus._equations(), report.z_plus.basis.nonzero_rows))
+    assert len(set(map(id, scaled))) == len(scaled)
 
 
 def _split_outcome(diagnose, pair, op):

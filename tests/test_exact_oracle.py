@@ -4,12 +4,16 @@ Zero-heavy random matrices over QQ and QQ_I, so that sparse rows, empty rows
 and columns and rank deficiency are common.  The reduced row-echelon form is
 unique, so the oracle's RREF (with its zero rows dropped) must match ours
 entry for entry; kernels and intersections are compared through the oracle's
-own RREF of the spanning sets it computes; the integer annihilator of a
-subspace is compared with the oracle's rank test for membership.  The module
+own RREF of the spanning sets it computes.  A subspace's integer views
+are checked too: its equations ``A + iB`` have the subspace as their
+oracle kernel, its integer rows over their scales are its basis rows, and
+membership read on ``A + iB`` agrees with the oracle's rank test, over QQ
+and over QQ_I.  The module
 is skipped when hypothesis or sympy is not installed.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -21,7 +25,7 @@ from liecheck import (
     rref,
     subspace_intersection,
 )
-from liecheck.exact import annihilated, from_integers, integer_vector
+from liecheck.exact import annihilated, apply_columns, from_integers
 
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
@@ -140,28 +144,89 @@ def test_subspace_intersection_matches_oracle(gaussian, data):
     _assert_same_rows(ours.basis, expected, gaussian)
 
 
+def _check_integer_views(space, gaussian):
+    """The subspace's integer views against the oracle: the kernel of the
+    equations ``A + iB`` is the subspace, and each integer row over its
+    ``λ`` is its echelon basis row.  Returns ``A + iB`` as a matrix."""
+    n, (a, b) = space.ambient_dim, space.equation_columns
+    rows = n - space.dim
+    assert len(a) == len(b) == n
+    if not gaussian:
+        assert not any(b)
+    parts = [[[0, 0] for _ in range(n)] for _ in range(rows)]
+    for half, columns in enumerate((a, b)):
+        for j, column in enumerate(columns):
+            for t, x in column:
+                assert type(x) is int and x
+                parts[t][j][half] = x
+    q = ExactMatrix.from_rows([[GaussianRational(*e) if gaussian else Fraction(e[0])
+                                for e in row] for row in parts], cols=n)
+    null = _to_domain(q, gaussian).nullspace()
+    expected, expected_pivots = _oracle_rref(null, gaussian) if null.shape[0] else ([], ())
+    assert space.pivot_cols == expected_pivots
+    _assert_same_rows(space.basis, expected, gaussian)
+    assert len(space.integer_rows) == space.dim
+    for i, (lam, re, im) in enumerate(space.integer_rows):
+        assert lam > 0 and gcd(lam, *re.values(), *im.values()) == 1
+        assert all(type(x) is int and x for x in (*re.values(), *im.values()))
+        assert from_integers(n, lam, re, im if gaussian else None) == space.basis.row(i)
+        if not gaussian:
+            assert not im
+    return q
+
+
+def _draw_vector(data, m, gaussian):
+    """A combination of the spanning rows of ``m``, or any vector."""
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_sparse_scalars(gaussian), min_size=m.rows,
+                                    max_size=m.rows))
+        return tuple(sum((c * x for c, x in zip(coeffs, m.column(j))), Fraction(0))
+                     for j in range(m.cols))
+    return tuple(data.draw(st.lists(_sparse_scalars(gaussian), min_size=m.cols,
+                                    max_size=m.cols)))
+
+
+def _oracle_inside(m, v, gaussian):
+    """Whether ``v`` lies in the row space of ``m``: the oracle's rank test."""
+    stacked = ExactMatrix.from_rows([m.row(i) for i in range(m.rows)] + [v])
+    return _to_domain(stacked, gaussian).rank() == _to_domain(m, gaussian).rank()
+
+
 @_SETTINGS
 @given(data=st.data())
 def test_annihilator_matches_oracle_membership(data):
     m = data.draw(_sparse_matrices(False))
     space = Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
-    q = space.annihilator
-    assert (q.rows, q.cols) == (m.cols - space.dim, m.cols)
-    assert all(type(e) is Fraction and e.denominator == 1 for e in q.entries)
-    if data.draw(st.booleans()):  # a combination of the spanning rows
-        coeffs = data.draw(st.lists(_sparse_scalars(False), min_size=m.rows,
-                                    max_size=m.rows))
-        v = tuple(sum((c * x for c, x in zip(coeffs, m.column(j))), Fraction(0))
-                  for j in range(m.cols))
-    else:
-        v = tuple(data.draw(st.lists(_sparse_scalars(False), min_size=m.cols,
-                                     max_size=m.cols)))
-    dm = _to_domain(m, False)
-    stacked = _to_domain(ExactMatrix.from_rows([m.row(i) for i in range(m.rows)] + [v]),
-                         False)
-    inside = stacked.rank() == dm.rank()
+    q = _check_integer_views(space, False)
+    v = _draw_vector(data, m, False)
+    inside = _oracle_inside(m, v, False)
     assert (not any(q.apply(v))) == inside
-    scale, ints = integer_vector(v)
-    assert from_integers(m.cols, scale, ints) == v  # the integer view and its scale
-    assert annihilated(q.integer_columns[1], ints) == inside
+    scale = lcm(*(x.denominator for x in v))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in enumerate(v) if x}
+    assert from_integers(m.cols, scale, ints) == v
+    assert annihilated(space.equation_columns[0], ints) == inside
+    assert (v in space) == inside
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_gaussian_annihilator_matches_oracle_membership(data):
+    m = data.draw(_sparse_matrices(True))
+    space = Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
+    q = _check_integer_views(space, True)
+    a, b = space.equation_columns
+    # B has an entry exactly when the subspace is not real.
+    assert any(b) == any(e.im for e in space.basis.entries)
+    v = _draw_vector(data, m, True)
+    inside = _oracle_inside(m, v, True)
+    assert (not any(q.apply(v))) == inside
+    parts = [(j, x) for j, x in enumerate(v) if x]  # each a GaussianRational
+    scale = lcm(*(y.denominator for _, x in parts for y in (x.re, x.im)))
+    re = {j: x.re.numerator * (scale // x.re.denominator) for j, x in parts if x.re}
+    im = {j: x.im.numerator * (scale // x.im.denominator) for j, x in parts if x.im}
+    assert from_integers(m.cols, scale, re, im) == v
+    # (A + iB) (re + i im) = (A re - B im) + i (B re + A im)
+    real = apply_columns(b, im, apply_columns(a, re, {}), -1)
+    imag = apply_columns(b, re, apply_columns(a, im, {}))
+    assert (not any(real.values()) and not any(imag.values())) == inside
     assert (v in space) == inside
