@@ -12,10 +12,11 @@ of those for Z+.  The induced almost complex structure is integrable
 exactly when Z+ is closed under the bracket, and that is equivalent to the
 torsion verdict; both are computed, and a disagreement raises
 :class:`InternalInconsistency`.  ``Q (J - i)`` is written once, as the
-Gaussian-integer rows ``Q (sJ) - i s Q`` of :func:`_z_plus_kernel`: Z+ is
-their kernel, and its closure is :func:`liecheck.algebra._bracket_escape`
-on Z+'s own integer views, the test that certifies k.  With Q = 1 their
-kernel is ker(J - i), which is E+ in the split case.
+Gaussian-integer rows ``Q (sJ) - i s Q`` of :func:`_z_plus_kernel`, read
+from k's cached equation rows as they are: Z+ is their kernel, and its
+closure is :func:`liecheck.algebra._bracket_escape` on Z+'s own integer
+views, the test that certifies k.  With Q = 1 (the equations of the zero
+subspace) their kernel is ker(J - i), which is E+ in the split case.
 """
 
 from __future__ import annotations
@@ -80,20 +81,14 @@ def _squares_to_minus_one(pair: HomogeneousPair, op: LinearOperator) -> bool:
                for j, column in enumerate(columns))
 
 
-def _z_plus_kernel(q: tuple, op: LinearOperator) -> Subspace:
-    """The kernel over Q(i) of ``Q (sJ) - i s Q = s Q (J - i)``, ``Q`` by its integer
-    columns (k's equations for Z+, 1 for the (+i)-eigenspace of J): one row
-    per row of Q (their order leaves the canonical basis as it is), typed so
-    without rows too."""
-    n, rows = op.alg.dim, {}
+def _z_plus_kernel(q: list, op: LinearOperator) -> Subspace:
+    """The kernel over Q(i) of ``Q (sJ) - i s Q = s Q (J - i)``, typed so
+    without rows too, for ``Q`` given by its real integer rows ``[re, im,
+    den]`` (k's :meth:`Subspace._equation_rows` for Z+, the identity for
+    the (+i)-eigenspace of J).  Row t of ``Q (sJ)`` is ``Q[t] . (sJ e_j)``."""
     s, columns = op.matrix.integer_columns
-    for j, col in enumerate(columns):
-        for t, x in apply_columns(q, dict(col), {}).items():
-            rows.setdefault(t, [[0] * n, [0] * n, 1])[0][j] = x
-    for j, col in enumerate(q):
-        for t, x in col:
-            rows.setdefault(t, [[0] * n, [0] * n, 1])[1][j] = -s * x
-    return _kernel(list(rows.values()), n, gaussian=True)
+    return _kernel([[[sum([re[i] * x for i, x in col]) for col in columns],
+                     [-s * x for x in re], 1] for re, _, _ in q], op.alg.dim, gaussian=True)
 
 
 def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
@@ -104,7 +99,7 @@ def compute_z_spaces(pair: HomogeneousPair, op: LinearOperator):
     J and k, so Z- is the conjugate of Z+, and conjugation keeps the echelon
     basis canonical.
     """
-    z_plus = _z_plus_kernel(pair.k.space.equation_columns[0], op)
+    z_plus = _z_plus_kernel(pair.k.space._equation_rows(), op)
     return z_plus, z_plus.conjugated()
 
 
@@ -179,7 +174,7 @@ def _split_identities(pair: HomogeneousPair, op: LinearOperator,
     # is the conjugate of k_C + E+ = Z+: only the (+i)-eigenspace E+ of J
     # on m_C is computed.  J kills k, keeps m and g = k + m, so the kernel
     # of J - i over Q(i) lies in m_C and is E+: Z+'s equations with Q = 1.
-    e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op)
+    e_plus = _z_plus_kernel([[[int(i == j) for i in range(n)], None, 1] for j in range(n)], op)
     # dim(Z+ + Z-) = dim Z+ + dim Z- - dim(Z+ n Z-)
     return SplitDiagnostics(z_plus.dim + z_minus.dim - inter.dim == n, inter == kc,
                             subspace_sum(kc, e_plus) == z_plus)

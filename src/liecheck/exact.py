@@ -23,12 +23,13 @@ arithmetic instead.  Each integer view carries its positive scale: a
 matrix is scaled once, by :meth:`ExactMatrix.gaussian_rows`, to its nonzero
 rows of Gaussian integers times ``s``, the lcm of its denominators, and
 :attr:`ExactMatrix.integer_columns` is that view by column.  A subspace
-caches its own, scaled per row by :func:`_integer_rows`: its equations by
-column as ``A + iB`` (:attr:`Subspace.equation_columns`, whose kernel it
-is; :func:`annihilated`), and its rows each times ``λ``
-(:attr:`Subspace.integer_rows`).  A positive multiple lies in a subspace
-exactly when the vector does, so a loop never divides its scales out; a
-check does, for its witness (:func:`from_integers`).
+scales its echelon rows once, each times its ``λ``
+(:attr:`Subspace.integer_rows`), and reads its integer equations off them
+as a kernel reads its basis, by column as ``A + iB``
+(:attr:`Subspace.equation_columns`, whose kernel it is; :func:`annihilated`).
+A positive multiple lies in a subspace exactly when the vector does, so a
+loop never divides its scales out; a check does, for its witness
+(:func:`from_integers`).
 
 Subspaces are kept in reduced row-echelon form with a fixed pivot rule
 (leftmost nonzero column, first nonzero row, pivot normalized to 1, zeros
@@ -42,8 +43,9 @@ again only for the result.  One rule types those scalars, every row of
 either result alike: every entry is a :class:`GaussianRational` when the
 input has a GaussianRational entry, and a Fraction otherwise.
 :func:`kernel_basis` eliminates once, choosing pivot columns from the
-right, and reads the canonical kernel basis off that form;
-:func:`subspace_intersection` is the kernel of both subspaces' equations.
+right, and reads the canonical kernel basis off that form
+(:func:`_null_rows`); :func:`subspace_intersection` takes both subspaces'
+equation rows as they are.
 
 The textual scalar syntax (``-3``, ``3/2``, ``3/2+1/4i``, ``-i``, ``2i``) is
 shared with the declarative input format.  It is written once, as the
@@ -464,7 +466,8 @@ def _eliminate(rows: list, cols: int, order: Iterable) -> list:
     other row with a nonzero entry in the column subtracts that multiple of
     the pivot row, brought over the common denominator.  Each row keeps its
     content removed, so the integers stay as small as the rationals they
-    represent.
+    represent.  Rows are replaced in ``rows``, never edited, so cached rows
+    may be passed in a new list.
     """
     nrows = len(rows)
     pivots = []
@@ -543,19 +546,13 @@ def kernel_basis(m: ExactMatrix) -> "Subspace":
     return _kernel(_integer_rows(m.nonzero_rows, m.cols), m.cols, _is_gaussian(m))
 
 
-def _kernel(rows: list, cols: int, gaussian: bool) -> "Subspace":
-    """The kernel of :func:`_integer_rows` ``rows`` of length ``cols``, typed by ``gaussian``.
-
-    One elimination, with pivot columns chosen from the right.  Then each
-    free column f leads its kernel vector ``e_f - sum_r red[r][f] e_{p_r}``
-    (a pivot ``p_r`` with ``red[r][f]`` nonzero lies right of f), whose
-    entries at the other free columns are zero: by ascending f these
-    vectors are already the canonical reduced row-echelon basis.
-    """
-    pivots = _eliminate(rows, cols, range(cols - 1, -1, -1))
-    free = sorted(set(range(cols)) - set(pivots))
-    kernel = []
-    for f in free:
+def _null_rows(rows: list, pivots: Sequence, cols: int) -> list:
+    """Per free column f of reduced :func:`_integer_rows` ``rows`` with pivot
+    columns ``pivots``, ``e_f - sum_r red[r][f] e_{p_r}``, which vanishes on
+    every row, as its primitive :func:`_integer_rows` row: the vector times
+    ``den``, the lcm of its denominators, with ``im`` None when it is real."""
+    out = []
+    for f in sorted(set(range(cols)) - set(pivots)):
         terms = [(p, re[f], 0 if im is None else im[f], den)
                  for (re, im, den), p in zip(rows, pivots)]
         kden = lcm(*(d for _, x, y, d in terms if x or y))
@@ -563,8 +560,19 @@ def _kernel(rows: list, cols: int, gaussian: bool) -> "Subspace":
         kre[f] = kden
         for p, x, y, d in terms:
             kre[p], kim[p] = -x * (kden // d), -y * (kden // d)
-        kernel.extend(_scalar_row([kre, kim, kden], gaussian))
-    return Subspace(ExactMatrix._of(len(free), cols, tuple(kernel)))
+        out.append(_primitive(kre, kim if any(kim) else None, kden))
+    return out
+
+
+def _kernel(rows: list, cols: int, gaussian: bool) -> "Subspace":
+    """The kernel of :func:`_integer_rows` ``rows`` of length ``cols``, typed by
+    ``gaussian``.  Pivot columns are chosen from the right, so ``red[r][f]``
+    is nonzero only for pivots right of f, and the :func:`_null_rows` by
+    ascending f are already the canonical reduced row-echelon basis."""
+    pivots = _eliminate(rows, cols, range(cols - 1, -1, -1))
+    null = _null_rows(rows, pivots, cols)
+    return Subspace(ExactMatrix._of(len(null), cols, tuple(
+        e for row in null for e in _scalar_row(row, gaussian))))
 
 
 # ---------------------------------------------------------------------------
@@ -623,47 +631,47 @@ class Subspace:
     def coordinates_of(self, v: Sequence) -> tuple | None:
         """Coordinates of ``v`` in the echelon basis, or None if outside.
 
-        ``v`` lies in the subspace exactly when it satisfies every row of
-        :meth:`_equations`, and then its coordinates are its entries at the
-        pivot columns.
+        ``v`` lies in the subspace exactly when its product with every
+        integer equation ``re + i im`` (:meth:`_equation_rows`) vanishes,
+        and then its coordinates are its entries at the pivot columns.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
             )
         v = [_coerce_scalar(x) for x in v]
-        for terms in self._equations():
-            if sum(x * v[j] for j, x in terms if v[j]):
+        for re, im, _ in self._equation_rows():
+            if (sum([x * v[j] for j, x in enumerate(re) if x])
+                    + I * sum([y * v[j] for j, y in enumerate(im or ()) if y])):
                 return None
         return tuple(v[p] for p in self.pivot_cols)
 
     def __contains__(self, v) -> bool:
         return self.coordinates_of(v) is not None
 
-    def _equations(self) -> list:
-        """Per non-pivot column ``f`` of the echelon basis, the nonzero terms
-        ``(column, scalar)`` of ``e_f - sum_r basis[r][f] e_{pivot_r}``: a
-        vector lies in the span of the echelon basis exactly when its
-        entries at the non-pivot columns are those of the combination of
-        basis rows given by its pivot entries, that is, when its product
-        with every such row vanishes.  Computed once."""
-        eqs = self._eqs
-        if eqs is None:
-            pivots = self.pivot_cols
-            eqs = self._eqs = [
-                [(f, _ONE)] + [(p, -b) for p, b in zip(pivots, self.basis.column(f)) if b]
-                for f in sorted(set(range(self.ambient_dim)) - set(pivots))]
-        return eqs
+    def _equation_rows(self) -> list:
+        """The :func:`_null_rows` of the echelon basis, ``e_f - sum_r basis[r][f]
+        e_{pivot_r}`` per non-pivot column f: a vector lies in the span exactly
+        when its entries at the non-pivot columns are those of the combination
+        of basis rows given by its pivot entries, that is, when it annihilates
+        each.  Computed once, with :attr:`integer_rows`, from one scaling."""
+        if self._eqs is None:
+            rows = _integer_rows(self.basis.nonzero_rows, self.ambient_dim)
+            self._rows = tuple((lam, {j: x for j, x in enumerate(re) if x},
+                                {j: y for j, y in enumerate(im or ()) if y})
+                               for re, im, lam in rows)
+            self._eqs = _null_rows(rows, self.pivot_cols, self.ambient_dim)
+        return self._eqs
 
     @property
     def equation_columns(self) -> tuple:
-        """``(A, B)``: the rows of :meth:`_equations`, each times the lcm of
-        its denominators, by column as the ``(row, int)`` pairs of ``A + iB``,
-        whose kernel is the subspace; ``B`` is empty exactly when it is real."""
+        """``(A, B)``: the :meth:`_equation_rows` by column, as the ``(row,
+        int)`` pairs of ``A + iB``, whose kernel is the subspace; ``B`` is
+        empty exactly when it is real."""
         if self._columns is None:
             n = self.ambient_dim
             a, b = [[] for _ in range(n)], [[] for _ in range(n)]
-            for t, (re, im, _) in enumerate(_integer_rows(self._equations(), n)):
+            for t, (re, im, _) in enumerate(self._equation_rows()):
                 for columns, part in ((a, re), (b, im or ())):
                     for j in compress(range(n), part):
                         columns[j].append((t, part[j]))
@@ -675,10 +683,7 @@ class Subspace:
         """The echelon basis rows as ``(λ, re, im)``: the row times ``λ``, the
         lcm of its denominators, as its nonzero parts ``{column: int}``."""
         if self._rows is None:
-            self._rows = tuple((lam, {j: x for j, x in enumerate(re) if x},
-                                {j: y for j, y in enumerate(im or ()) if y})
-                               for re, im, lam in _integer_rows(self.basis.nonzero_rows,
-                                                                self.ambient_dim))
+            self._equation_rows()
         return self._rows
 
     def conjugated(self) -> "Subspace":
@@ -708,8 +713,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     GaussianRational when either basis has a GaussianRational entry."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    n = a.ambient_dim
-    return _kernel(_integer_rows(a._equations() + b._equations(), n), n,
+    return _kernel(a._equation_rows() + b._equation_rows(), a.ambient_dim,
                    _is_gaussian(a.basis) or _is_gaussian(b.basis))
 
 

@@ -196,7 +196,8 @@ class MatrixModel:
         comm = comm - comm.transpose(1, 0, 2, 3)
         expected = np.tensordot(self.structure, g, axes=1)
         scale = np.maximum(1.0, np.abs(comm).max(axis=(-2, -1)))
-        if np.any(np.abs(comm - expected).max(axis=(-2, -1)) > STRUCTURE_TOL * scale):
+        # Each float gate is written "not (x <= tol)" so that a NaN fails it.
+        if not np.all(np.abs(comm - expected).max(axis=(-2, -1)) <= STRUCTURE_TOL * scale):
             raise LieCheckError(
                 "model generators do not reproduce the structure constants"
             )
@@ -228,9 +229,9 @@ class MatrixModel:
 
     def check_point(self, p: np.ndarray):
         if self.kind == "sphere-orbit":
-            if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > SPHERE_TOL):
+            if not np.all(np.abs(np.linalg.norm(p, axis=-1) - 1.0) <= SPHERE_TOL):
                 raise PointOffManifold("point is not on the unit sphere")
-        elif np.any(np.abs(np.linalg.det(p)) < 1e-12):
+        elif not np.all(np.abs(np.linalg.det(p)) >= 1e-12):
             raise PointOffManifold("point is not an invertible matrix")
 
     def section(self, p: np.ndarray) -> np.ndarray:
@@ -646,14 +647,17 @@ def _sampled(pair: HomogeneousPair, op: LinearOperator, samples: int, h: float, 
              rng: random.Random, torsion_report: TorsionReport, kind: str) -> DeviationReport:
     """The float part of a run that :func:`check_run` passed, with the sample
     generator, the torsion report and the model kind that it returned."""
-    model = _build_model(pair, kind)
-    relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
-    unit = (-1.0, 1.0, model.dim)
-    columns = []
-    for count in _chunks(samples):
-        (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
-        stack = numerical_torsion(model, op, v, w, p, h)
-        columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
+    try:
+        model = _build_model(pair, kind)
+        relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
+        unit = (-1.0, 1.0, model.dim)
+        columns = []
+        for count in _chunks(samples):
+            (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
+            stack = numerical_torsion(model, op, v, w, p, h)
+            columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
+    except np.linalg.LinAlgError as exc:
+        raise LieCheckError(f"the float model leaves the double-precision range ({exc})") from None
     return DeviationReport(model.kind, h, seed, relation, torsion_report.verdict,
                            *map(np.concatenate, zip(*columns)))
 

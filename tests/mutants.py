@@ -66,6 +66,7 @@ SUBSPACE_VIEW_TESTS = (
     "tests/test_exact_oracle.py::test_annihilator_matches_oracle_membership",
     "tests/test_exact_oracle.py::test_gaussian_annihilator_matches_oracle_membership",
     *ADMISSIBLE_TESTS, *ESCAPE_TESTS)
+READOFF_TESTS = (*ELIMINATION_TESTS, *SUBSPACE_VIEW_TESTS)
 
 
 MUTANTS = (
@@ -97,11 +98,11 @@ MUTANTS = (
            "im = im if _is_gaussian(space.basis) else None", "im = im",
            ESCAPE_TESTS),
     Mutant("Z+ equations: J + i in place of J - i", "complexstruct.py",
-           "[1][j] = -s * x", "[1][j] = s * x",
-           ESCAPE_TESTS),
+           "[-s * x for x in re]", "[s * x for x in re]",
+           (*ESCAPE_TESTS, "tests/test_exact_oracle.py::test_z_spaces_match_oracle")),
     Mutant("split identities: E+ as ker(J + i)", "complexstruct.py",
-           "e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op)",
-           "e_plus = _z_plus_kernel([((j, 1),) for j in range(n)], op).conjugated()",
+           "for i in range(n)], None, 1] for j in range(n)], op)",
+           "for i in range(n)], None, 1] for j in range(n)], op).conjugated()",
            ("tests/test_complexstruct.py::test_integrable_rotation",)),
     Mutant("preserves_k: drop s", "operators.py", "from_integers(n, s * lz, value)",
            "from_integers(n, lz, value)", ADMISSIBLE_TESTS),
@@ -175,6 +176,14 @@ MUTANTS = (
     Mutant("subspace integer rows: λ taken as 1", "exact.py",
            "self._rows = tuple((lam, {j: x", "self._rows = tuple((1, {j: x",
            SUBSPACE_VIEW_TESTS),
+    Mutant("null rows: e_f taken times 1, not the lcm", "exact.py",
+           "kre[f] = kden", "kre[f] = 1", READOFF_TESTS),
+    Mutant("null rows: drop the imaginary part", "exact.py",
+           "_primitive(kre, kim if any(kim) else None, kden)", "_primitive(kre, None, kden)",
+           READOFF_TESTS),
+    Mutant("null rows: not made primitive", "exact.py",
+           "out.append(_primitive(kre, kim if any(kim) else None, kden))",
+           "out.append([kre, kim if any(kim) else None, kden])", READOFF_TESTS),
     Mutant("subspace equation columns: drop B", "exact.py",
            "for columns, part in ((a, re), (b, im or ())):", "for columns, part in ((a, re),):",
            SUBSPACE_VIEW_TESTS),

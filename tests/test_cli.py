@@ -293,6 +293,25 @@ def test_harness_stabilizer_out_of_float_range_exit_two(capsys, tmp_path, span):
     assert err == "error: LieCheckError: subalgebra basis entry (1,2) is out of the float range\n"
 
 
+@pytest.mark.parametrize("entry", ["10000", "1" + "0" * 200], ids=["singular", "nan"])
+def test_harness_float_model_out_of_range_exit_two(tmp_path, entry):
+    # Every number fits a float, but the model does not.  exp of the drawn
+    # multiples of [[10^4]] overflows, and a relation check meets a singular
+    # matrix; for [[10^200]] the commutator is inf - inf, and the generator
+    # check must fail on that NaN.  Both are input errors, not internal faults.
+    # The run is a fresh process: this suite turns numpy's RuntimeWarnings,
+    # which the overflow raises on the way, into errors.
+    path = tmp_path / "big.lie"
+    path.write_text(f"matrix_algebra g1 dim = 1 {{ gen x = [[{entry}]]; }}\n"
+                    "subalgebra z of g1 = span(0);\n"
+                    "operator I on g1 = left([[1]]);\n"
+                    "pair p = (g1, z, connected = true);\n", encoding="utf-8")
+    done = fresh("-m", "liecheck.cli", "harness", str(path), "--samples", "3")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].startswith("error: LieCheckError: ")
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("operator, error", [
     ("ad(k0)", "LieCheckError: sphere-model generators must be antisymmetric (rotations)"),
     ("ad(e1)", "NotAdmissible: operator is not admissible for the pair "

@@ -430,7 +430,8 @@ def test_e_plus_matches_restricted_reference(loop_cases, case, data):
     proj = projection_onto_m(pair)
     op = LinearOperator(pair.alg, proj @ scaled_matrix(x, data.draw(st.sampled_from([1, -1])))
                         @ proj)
-    e_plus = complexstruct._z_plus_kernel([((j, 1),) for j in range(n)], op)
+    # Q = 1: the equations of the zero subspace.
+    e_plus = complexstruct._z_plus_kernel(Subspace.from_vectors(n, [])._equation_rows(), op)
     assert e_plus == reference_e_plus(pair, op)
     assert all(type(e) is GaussianRational for e in e_plus.basis.entries)
 
@@ -438,7 +439,9 @@ def test_e_plus_matches_restricted_reference(loop_cases, case, data):
 @pytest.mark.parametrize("split", [False, True])
 def test_z_plus_is_built_once(monkeypatch, so3_pair, so3_pair_plain, split):
     # One check_integrable computes Z+ once, through compute_z_spaces (the
-    # closure test reads Z+ itself), and E+ once more on the split path.
+    # closure test reads Z+ itself), from k's cached equation rows as they
+    # are, and E+ once more on the split path, from the identity rows: the
+    # equations of the zero subspace.
     pair = so3_pair if split else so3_pair_plain
     op = operator_from_rules(pair.alg, {"k0": (0, 0, 0), "e1": (0, 0, 1), "e2": (0, -1, 0)})
     calls = []
@@ -452,17 +455,21 @@ def test_z_plus_is_built_once(monkeypatch, so3_pair, so3_pair_plain, split):
     spy("_z_plus_kernel", complexstruct._z_plus_kernel)
     spy("compute_z_spaces", complexstruct.compute_z_spaces)
     report = check_integrable(pair, op)
-    identity = [((j, 1),) for j in range(3)]
+    identity = Subspace.from_vectors(3, [])._equation_rows()
+    assert identity == [[[int(i == j) for i in range(3)], None, 1] for j in range(3)]
     assert calls == [("compute_z_spaces", pair),
-                     ("_z_plus_kernel", pair.k.space.equation_columns[0]),
+                     ("_z_plus_kernel", pair.k.space._equation_rows()),
                      *[("_z_plus_kernel", identity)] * split]
+    assert calls[1][1] is pair.k.space._equation_rows()
     assert report.integrable and (report.split is not None) == split
 
 
 def test_each_subspace_is_scaled_once(monkeypatch):
-    # An integrability command on the Grassmannian, build included, scales
-    # the equations and the echelon rows of each subspace (k, m, Z+, Z-) to
-    # integers at most once: every check reads the views the subspace caches.
+    # An integrability command on the Grassmannian, build included: no
+    # integer scaling reads equation rows (a subspace reads its equations off
+    # its scaled echelon rows), the echelon rows of each subspace (k, m, Z+,
+    # Z-) are scaled at most once, and the kernels of cached equations (the
+    # intersection, Z+) scale nothing.
     scaled = []
 
     def spy(sparse, cols, scale=exact._integer_rows):
@@ -471,16 +478,23 @@ def test_each_subspace_is_scaled_once(monkeypatch):
 
     monkeypatch.setattr(exact, "_integer_rows", spy)
     built = build(parse((CORPUS / "u4_grassmannian.lie").read_text(encoding="utf-8")))
-    pair = built.pairs["grass"]
-    report = check_integrable(pair, built.operators["jgr"])
+    pair, op = built.pairs["grass"], built.operators["jgr"]
+    report = check_integrable(pair, op)
     assert report.integrable and report.split.eigenspace_decomposition_holds
-    for space in (pair.k.space, pair.m, report.z_plus, report.z_minus):
-        for sparse in (space._equations(), space.basis.nonzero_rows):
-            assert sum(x is sparse for x in scaled) <= 1
-    # The Z+ closure read both views of Z+, and no rows were scaled twice.
-    assert all(any(x is sparse for x in scaled)
-               for sparse in (report.z_plus._equations(), report.z_plus.basis.nonzero_rows))
-    assert len(set(map(id, scaled))) == len(scaled)
+    spaces = (pair.k.space, pair.m, report.z_plus, report.z_minus)
+    # Every scaled row is given by its (column, scalar) terms.
+    assert all(type(e) in (Fraction, GaussianRational)
+               for sparse in scaled for terms in sparse for _, e in terms)
+    assert not any(x is space._equation_rows() for x in scaled for space in spaces)
+    for space in spaces:
+        assert sum(x is space.basis.nonzero_rows for x in scaled) == 1
+    # The four subspaces, and the row reductions of the spans of k and m and
+    # of k + E+.
+    assert len(scaled) == 7 and len(set(map(id, scaled))) == len(scaled)
+    del scaled[:]
+    assert subspace_intersection(report.z_plus, report.z_minus) == pair.k.space
+    assert complexstruct._z_plus_kernel(pair.k.space._equation_rows(), op) == report.z_plus
+    assert scaled == []
 
 
 def _split_outcome(diagnose, pair, op):

@@ -6,9 +6,11 @@ unique, so the oracle's RREF (with its zero rows dropped) must match ours
 entry for entry; kernels and intersections are compared through the oracle's
 own RREF of the spanning sets it computes.  A subspace's integer views
 are checked too: its equations ``A + iB`` have the subspace as their
-oracle kernel, its integer rows over their scales are its basis rows, and
+oracle kernel and are primitive positive multiples of their rational
+definition, its integer rows over their scales are its basis rows, and
 membership read on ``A + iB`` agrees with the oracle's rank test, over QQ
-and over QQ_I.  The module
+and over QQ_I.  Z+ and Z- of an abelian algebra are the oracle's kernels
+of ``Q (J -/+ i)``, with ``Q`` the oracle's own equations of k.  The module
 is skipped when hypothesis or sympy is not installed.
 """
 
@@ -20,8 +22,13 @@ import pytest
 from liecheck import (
     ExactMatrix,
     GaussianRational,
+    HomogeneousPair,
+    LieAlgebra,
+    LinearOperator,
     Subspace,
+    compute_z_spaces,
     kernel_basis,
+    make_subalgebra,
     rref,
     subspace_intersection,
 )
@@ -144,10 +151,22 @@ def test_subspace_intersection_matches_oracle(gaussian, data):
     _assert_same_rows(ours.basis, expected, gaussian)
 
 
+def _reference_equations(space):
+    """Per non-pivot column ``f`` of the echelon basis, in ascending order,
+    ``(f, e_f - sum_r basis[r][f] e_{pivot_r})`` with scalar entries: the
+    rational definition of a subspace's equations."""
+    n, basis = space.ambient_dim, space.basis
+    return [(f, [Fraction(j == f) - sum((basis.entry(r, f) for r, p in enumerate(space.pivot_cols)
+                                         if p == j), Fraction(0)) for j in range(n)])
+            for f in sorted(set(range(n)) - set(space.pivot_cols))]
+
+
 def _check_integer_views(space, gaussian):
     """The subspace's integer views against the oracle: the kernel of the
-    equations ``A + iB`` is the subspace, and each integer row over its
-    ``λ`` is its echelon basis row.  Returns ``A + iB`` as a matrix."""
+    equations ``A + iB`` is the subspace, each equation row is a primitive
+    positive multiple of :func:`_reference_equations`' row, and each integer
+    row over its ``λ`` is its echelon basis row.  Returns ``A + iB`` as a
+    matrix."""
     n, (a, b) = space.ambient_dim, space.equation_columns
     rows = n - space.dim
     assert len(a) == len(b) == n
@@ -159,6 +178,11 @@ def _check_integer_views(space, gaussian):
             for t, x in column:
                 assert type(x) is int and x
                 parts[t][j][half] = x
+    for row, (f, reference) in zip(parts, _reference_equations(space), strict=True):
+        scale = row[f][0]
+        assert scale > 0 and row[f][1] == 0
+        assert all(GaussianRational(*x) == scale * e for x, e in zip(row, reference))
+        assert gcd(*(y for x in row for y in x)) == 1
     q = ExactMatrix.from_rows([[GaussianRational(*e) if gaussian else Fraction(e[0])
                                 for e in row] for row in parts], cols=n)
     null = _to_domain(q, gaussian).nullspace()
@@ -230,3 +254,27 @@ def test_gaussian_annihilator_matches_oracle_membership(data):
     imag = apply_columns(b, re, apply_columns(a, im, {}))
     assert (not any(real.values()) and not any(imag.values())) == inside
     assert (v in space) == inside
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_z_spaces_match_oracle(data):
+    # In an abelian algebra every real span is a subalgebra, so k and J are
+    # drawn freely.  The oracle takes k's equations Q from its own nullspace
+    # of the drawn spanning rows, and Z+ and Z- are the kernels of Q (J - i)
+    # and Q (J + i) over QQ_I.
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(_sparse_matrices(False, cols=n))
+    j = ExactMatrix(n, n, data.draw(st.lists(_sparse_scalars(False), min_size=n * n,
+                                             max_size=n * n)))
+    alg = LieAlgebra("abelian", [f"x{a}" for a in range(n)], [[()] * n for _ in range(n)])
+    pair = HomogeneousPair(alg, make_subalgebra(alg, [m.row(i) for i in range(m.rows)]))
+    z_plus, z_minus = compute_z_spaces(pair, LinearOperator(alg, j))
+    q = _to_domain(m, False).nullspace().convert_to(QQ_I)
+    for ours, sign in ((z_plus, -1), (z_minus, 1)):
+        shifted = ExactMatrix(n, n, [j.entry(r, c) + GaussianRational(0, sign * (r == c))
+                                     for r in range(n) for c in range(n)])
+        null = (q * _to_domain(shifted, True)).nullspace()
+        expected, expected_pivots = _oracle_rref(null, True) if null.shape[0] else ([], ())
+        assert ours.pivot_cols == expected_pivots
+        _assert_same_rows(ours.basis, expected, True)
