@@ -5,7 +5,9 @@ constants: ``nonzeros[i][j]`` holds the ``(k, c_ijk)`` pairs of
 ``[b_i, b_j] = sum_k c_ijk b_k`` with a nonzero rational ``c_ijk``, in
 increasing ``k``.  Structure constants of matrix algebras are almost all
 zero, so the bracket, the validation and the construction from generators
-loop over nonzero entries only.  The constants are validated on
+loop over nonzero entries only; the rational :meth:`LieAlgebra.bracket` is
+a reference that no command runs, and the checks and ``ad(d)`` bracket on
+:attr:`LieAlgebra.integer_constants`.  The constants are validated on
 construction: antisymmetry entrywise and the Jacobi identity on every basis
 triple.  Matrix algebras are converted at the door by
 :func:`from_matrix_generators`, in integers: commutators are taken on the
@@ -214,15 +216,6 @@ class LieAlgebra:
                     for k, coeff in terms:
                         acc[k] = acc[k] + f * coeff
         return tuple(acc)
-
-    def ad_matrix(self, d: Sequence) -> ExactMatrix:
-        """Matrix of ``w -> [d, w]`` in the algebra basis: column j is
-        ``bracket(d, basis_vector(j))``, values and types alike."""
-        n = self.dim
-        if len(d) != n:
-            raise DimensionMismatch("ad argument must have the algebra dimension")
-        cols = [self.bracket(d, self.basis_vector(j)) for j in range(n)]
-        return ExactMatrix(n, n, [x for row in zip(*cols) for x in row])
 
     def basis_vector(self, which) -> tuple:
         if isinstance(which, str):

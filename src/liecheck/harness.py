@@ -39,12 +39,13 @@ used: nothing loads ``numpy.random``.
 A run first decides everything that needs no floats, through
 :func:`liecheck.harness_inputs.check_run`: its inputs, the model kind and
 the reasons for having none, and admissibility, through the exact torsion
-verdict; the float part builds the model of the kind it returned.  The
+verdict; the float part builds the model (:func:`build_model`).  The
 ``harness`` command runs it before it loads this module, so an input error
 or an operator that is not admissible (:class:`NotAdmissible`) exits
 without compiling the float harness or importing numpy.  Only then do
 float-model errors (a number out of the float range, sphere generators that
-are not rotations) come.  :func:`report_fields` turns a run into the
+are not rotations, an overflow or a NaN under ``np.errstate(over="raise",
+invalid="raise")``) come.  :func:`report_fields` turns a run into the
 command's report fields and its ``.csv`` table, so that only the ``harness``
 command compiles that code.
 """
@@ -124,7 +125,8 @@ def expm(a: np.ndarray) -> np.ndarray:
         if np.all(_norm1(term) < 1e-18 * np.maximum(1.0, _norm1(result))):
             break
     for i in range(int(np.max(squarings, initial=0))):
-        result = np.where((i < squarings)[..., None, None], result @ result, result)
+        m = i < squarings  # the samples still squaring
+        result[m] = result[m] @ result[m]
     return result
 
 
@@ -198,9 +200,7 @@ class MatrixModel:
         scale = np.maximum(1.0, np.abs(comm).max(axis=(-2, -1)))
         # Each float gate is written "not (x <= tol)" so that a NaN fails it.
         if not np.all(np.abs(comm - expected).max(axis=(-2, -1)) <= STRUCTURE_TOL * scale):
-            raise LieCheckError(
-                "model generators do not reproduce the structure constants"
-            )
+            raise LieCheckError("model generators do not reproduce the structure constants")
 
     # -- geometry -------------------------------------------------------------
 
@@ -316,11 +316,7 @@ def build_model(pair: HomogeneousPair) -> MatrixModel:
 
     The model kind, and every reason for having none that needs no floats,
     is decided first (:func:`liecheck.harness_inputs._model_kind`)."""
-    return _build_model(pair, _model_kind(pair))
-
-
-def _build_model(pair: HomogeneousPair, kind: str) -> MatrixModel:
-    """The float model of ``kind``, which :func:`_model_kind` decided for ``pair``."""
+    kind = _model_kind(pair)
     alg = pair.alg
     generators = alg.matrix_generators
     structure = np.zeros((alg.dim,) * 3)
@@ -336,15 +332,11 @@ def _build_model(pair: HomogeneousPair, kind: str) -> MatrixModel:
         return MatrixModel(kind, gens, np.eye(gens[0].shape[0]), structure)
     for g in gens:
         if float(np.max(np.abs(g + g.T))) > 1e-12:
-            raise LieCheckError(
-                "sphere-model generators must be antisymmetric (rotations)"
-            )
+            raise LieCheckError("sphere-model generators must be antisymmetric (rotations)")
     model = MatrixModel(kind, gens, np.array(_P0), structure)
     for row in _float_matrix(pair.k.space.basis, "subalgebra basis"):
         if np.linalg.norm(model.act(model.element(row), model.base_point)) > 1e-12:
-            raise LieCheckError(
-                "the subalgebra does not stabilize the base point"
-            )
+            raise LieCheckError("the subalgebra does not stabilize the base point")
     return model
 
 
@@ -644,19 +636,20 @@ def run_harness(pair: HomogeneousPair, op: LinearOperator, *,
 
 
 def _sampled(pair: HomogeneousPair, op: LinearOperator, samples: int, h: float, seed: int,
-             rng: random.Random, torsion_report: TorsionReport, kind: str) -> DeviationReport:
+             rng: random.Random, torsion_report: TorsionReport) -> DeviationReport:
     """The float part of a run that :func:`check_run` passed, with the sample
-    generator, the torsion report and the model kind that it returned."""
+    generator and the torsion report that it returned."""
     try:
-        model = _build_model(pair, kind)
-        relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
-        unit = (-1.0, 1.0, model.dim)
-        columns = []
-        for count in _chunks(samples):
-            (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
-            stack = numerical_torsion(model, op, v, w, p, h)
-            columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            model = build_model(pair)
+            relation = relation_checks(model, pair, op, samples=max(20, samples), seed=seed)
+            unit = (-1.0, 1.0, model.dim)
+            columns = []
+            for count in _chunks(samples):
+                (v, w), _, p = _draw(model, rng, count, (None, unit, unit))
+                stack = numerical_torsion(model, op, v, w, p, h)
+                columns.append((stack.deviation, stack.numerical_max, stack.predicted_max))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise LieCheckError(f"the float model leaves the double-precision range ({exc})") from None
     return DeviationReport(model.kind, h, seed, relation, torsion_report.verdict,
                            *map(np.concatenate, zip(*columns)))

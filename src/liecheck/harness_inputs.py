@@ -24,7 +24,7 @@ _SO3_TENSOR = {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)}
 
 def check_run(pair, op, samples, h, seed) -> tuple:
     """Check a harness run of ``op`` on ``pair``; return the sample generator
-    of ``seed``, the exact torsion report and the model kind.  In order:
+    of ``seed`` and the exact torsion report.  In order:
     ``samples`` an integer in [1, ``MAX_SAMPLES``], ``h`` in [``MIN_STEP``,
     ``MAX_STEP``] (written ``not (lo <= h <= hi)``, so a NaN fails), ``seed``
     (:func:`_rng`), the model kind (:func:`_model_kind`), then admissibility
@@ -36,8 +36,8 @@ def check_run(pair, op, samples, h, seed) -> tuple:
         raise LieCheckError(f"the step h (--step) must lie in [{MIN_STEP}, {MAX_STEP}], "
                             f"not {h!r}")
     rng = _rng(seed)
-    kind = _model_kind(pair)
-    return rng, check_nijenhuis(pair, op), kind
+    _model_kind(pair)  # an input error when the pair has no float model
+    return rng, check_nijenhuis(pair, op)
 
 
 def _rng(seed: int) -> random.Random:

@@ -6,7 +6,8 @@ the infinitesimal conditions suffice; for a declared non-connected subgroup
 the caller must supply component representatives, otherwise the verdict is
 scoped to the identity component and the report says so.  Every clause,
 the split ones and the validation of representatives too, runs in integers
-on the integer views that k and m cache.
+on the integer views that k and m cache, and ``ad(d)`` is built on the
+integer structure constants.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     Subspace,
+    _as_fraction,
+    _integer_rows,
     annihilated,
     apply_columns,
     from_integers,
@@ -53,9 +56,8 @@ class LinearOperator:
     def __init__(self, alg: LieAlgebra, matrix: ExactMatrix, *, ad_generator=None):
         if matrix.rows != alg.dim or matrix.cols != alg.dim:
             raise DimensionMismatch("operator matrix must be dim x dim")
-        for e in matrix.entries:
-            if isinstance(e, GaussianRational):
-                raise LieCheckError("operator matrices are real; got a Q(i) entry")
+        if any(isinstance(e, GaussianRational) for e in matrix.entries):
+            raise LieCheckError("operator matrices are real; got a Q(i) entry")
         self.alg = alg
         self.matrix = matrix
         self.ad_generator = tuple(ad_generator) if ad_generator is not None else None
@@ -278,8 +280,19 @@ def operator_from_rules(alg: LieAlgebra, rules: Mapping[str, Sequence]) -> Linea
 
 
 def operator_ad(alg: LieAlgebra, d: Sequence) -> LinearOperator:
-    """The inner operator v -> [d, v]."""
-    return LinearOperator(alg, alg.ad_matrix(d), ad_generator=d)
+    """The inner operator v -> [d, v] of a rational ``d`` (a GaussianRational
+    entry raises, also a real one).  Column j is ``[d, b_j]``, bracketed on the
+    integer structure constants ``c`` with ``d`` times ``λ``, over ``c λ``."""
+    n, (c, constants) = alg.dim, alg.integer_constants
+    if len(d) != n:
+        raise DimensionMismatch("ad argument must have the algebra dimension")
+    if any(isinstance(x, GaussianRational) for x in d):
+        raise LieCheckError("operator matrices are real; got a Q(i) entry")
+    [(re, _, lam)] = _integer_rows([[(j, x) for j, x in enumerate(map(_as_fraction, d)) if x]], n)
+    v = dict(enumerate(re))  # bracket_into skips the zeros
+    columns = [from_integers(n, c * lam, bracket_into(constants, v, {j: 1}, {})) for j in range(n)]
+    return LinearOperator(alg, ExactMatrix._of(n, n, tuple(
+        [columns[j][k] for k in range(n) for j in range(n)])), ad_generator=d)
 
 
 def _multiplication_operator(alg: LieAlgebra, a: ExactMatrix | None = None,

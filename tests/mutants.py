@@ -67,6 +67,10 @@ SUBSPACE_VIEW_TESTS = (
     "tests/test_exact_oracle.py::test_gaussian_annihilator_matches_oracle_membership",
     *ADMISSIBLE_TESTS, *ESCAPE_TESTS)
 READOFF_TESTS = (*ELIMINATION_TESTS, *SUBSPACE_VIEW_TESTS)
+AD_TESTS = ("tests/test_algebra.py::test_ad_matrix_matches_dense_bracket_reference",
+            "tests/test_operators.py::test_operator_ad_matches_ad_matrix",
+            "tests/test_torsion.py::test_ad_specialized_takes_the_operator_ad_input_rule")
+AD_COLUMNS = "from_integers(n, c * lam, bracket_into(constants, v, {j: 1}, {}))"
 
 
 MUTANTS = (
@@ -191,6 +195,20 @@ MUTANTS = (
            "        if space.ambient_dim != parent.dim:\n"
            "            raise DimensionMismatch(", "        if False:\n            raise DimensionMismatch(",
            ("tests/test_algebra.py::test_subalgebra_checks_its_ambient_dimension",)),
+    Mutant("operator_ad: drop c from the scale", "operators.py", AD_COLUMNS,
+           AD_COLUMNS.replace("c * lam", "lam"), AD_TESTS),
+    Mutant("operator_ad: drop λ from the scale", "operators.py", AD_COLUMNS,
+           AD_COLUMNS.replace("c * lam", "c"), AD_TESTS),
+    Mutant("operator_ad: columns written as rows", "operators.py",
+           "[columns[j][k] for k in range(n) for j in range(n)]",
+           "[columns[k][j] for k in range(n) for j in range(n)]", AD_TESTS),
+    Mutant("operator_ad: no up-front Q(i) check", "operators.py",
+           "    if any(isinstance(x, GaussianRational) for x in d):\n"
+           "        raise LieCheckError(\"operator matrices are real; got a Q(i) entry\")\n",
+           "", AD_TESTS),
+    Mutant("expm: square every sample", "harness.py",
+           "result[m] = result[m] @ result[m]", "result = result @ result",
+           ("tests/test_harness.py::test_expm_stack_matches_single",)),
     Mutant("harness gate: drop the exact-torsion gate", "harness.py",
            "        if self.nijenhuis_exact and not (self.max_numerical <= TORSION_TOL):\n"
            "            return False\n",

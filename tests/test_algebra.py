@@ -14,6 +14,7 @@ from liecheck import (
     Subspace,
     from_matrix_generators,
     make_subalgebra,
+    operator_ad,
     operator_left_mult,
 )
 from liecheck.errors import (
@@ -75,7 +76,7 @@ def test_gl2_commutator():
 
 
 def test_ad_matrix_so3(so3):
-    ad = so3.ad_matrix(so3.basis_vector("k0"))
+    ad = operator_ad(so3, so3.basis_vector("k0")).matrix
     assert ad.apply(so3.basis_vector("e1")) == so3.bracket(
         so3.basis_vector("k0"), so3.basis_vector("e1"))
     assert ad.apply(so3.basis_vector("k0")) == so3.zero_vector()
@@ -83,10 +84,10 @@ def test_ad_matrix_so3(so3):
 
 def test_ad_zero_and_self(so3):
     rng = random.Random(5)
-    assert so3.ad_matrix(so3.zero_vector()) == zero_matrix(3, 3)
+    assert operator_ad(so3, so3.zero_vector()).matrix == zero_matrix(3, 3)
     for _ in range(20):
         d = rand_vector(rng, 3)
-        assert so3.ad_matrix(d).apply(d) == so3.zero_vector()
+        assert operator_ad(so3, d).matrix.apply(d) == so3.zero_vector()
 
 
 def _dense_ad_reference(alg, d) -> tuple:
@@ -100,14 +101,19 @@ def _dense_ad_reference(alg, d) -> tuple:
 @property_test(max_examples=40)
 def test_ad_matrix_matches_dense_bracket_reference(data):
     # d with denominators, sometimes with Q(i) entries, on a conjugated
-    # generator family: the same entries and the same entry types.
+    # generator family: a rational d gives the reference's entries, types
+    # alike; a Q(i) entry raises.
     gens = draw_conjugated_family(data)
     alg = from_matrix_generators(gens[0].rows, gens)
     values = [Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5, 6), Fraction(7, 2)]
     if data.draw(st.booleans()):
         values += [GaussianRational(Fraction(1, 2), 1), GaussianRational(0, Fraction(-2, 3))]
     d = tuple(data.draw(st.sampled_from(values)) for _ in range(alg.dim))
-    got, want = alg.ad_matrix(d).entries, _dense_ad_reference(alg, d)
+    if any(isinstance(x, GaussianRational) for x in d):
+        with pytest.raises(LieCheckError, match=r"^operator matrices are real; got a Q\(i\) entry$"):
+            operator_ad(alg, d)
+        return
+    got, want = operator_ad(alg, d).matrix.entries, _dense_ad_reference(alg, d)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
 
@@ -201,7 +207,7 @@ def test_from_matrix_generators_so3(so3):
         for j in range(3):
             b_i, b_j = alg.basis_vector(i), alg.basis_vector(j)
             assert alg.bracket(b_i, b_j) == so3.bracket(b_i, b_j)
-    ad = alg.ad_matrix(alg.basis_vector("k0"))
+    ad = operator_ad(alg, alg.basis_vector("k0")).matrix
     assert ad.apply(alg.basis_vector("e1")) == alg.bracket(
         alg.basis_vector("k0"), alg.basis_vector("e1"))
 

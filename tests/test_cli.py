@@ -296,11 +296,11 @@ def test_harness_stabilizer_out_of_float_range_exit_two(capsys, tmp_path, span):
 @pytest.mark.parametrize("entry", ["10000", "1" + "0" * 200], ids=["singular", "nan"])
 def test_harness_float_model_out_of_range_exit_two(tmp_path, entry):
     # Every number fits a float, but the model does not.  exp of the drawn
-    # multiples of [[10^4]] overflows, and a relation check meets a singular
-    # matrix; for [[10^200]] the commutator is inf - inf, and the generator
-    # check must fail on that NaN.  Both are input errors, not internal faults.
-    # The run is a fresh process: this suite turns numpy's RuntimeWarnings,
-    # which the overflow raises on the way, into errors.
+    # multiples of [[10^4]] overflows; for [[10^200]] the generator check
+    # computes inf - inf.  Both are input errors, not internal faults, and
+    # the float part stops at the first overflow or NaN, so stderr holds the
+    # error line alone, no numpy RuntimeWarning.  The run is a fresh
+    # process, outside this suite's RuntimeWarning filter.
     path = tmp_path / "big.lie"
     path.write_text(f"matrix_algebra g1 dim = 1 {{ gen x = [[{entry}]]; }}\n"
                     "subalgebra z of g1 = span(0);\n"
@@ -308,8 +308,9 @@ def test_harness_float_model_out_of_range_exit_two(tmp_path, entry):
                     "pair p = (g1, z, connected = true);\n", encoding="utf-8")
     done = fresh("-m", "liecheck.cli", "harness", str(path), "--samples", "3")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.splitlines()[-1].startswith("error: LieCheckError: ")
-    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: LieCheckError: the float model leaves the double-precision "
+                           "range (")
 
 
 @pytest.mark.parametrize("operator, error", [
@@ -680,9 +681,9 @@ def test_harness_without_model_does_not_import_numpy(corpus_dir):
 
 def test_harness_command_decides_float_free_questions_once(capsys, corpus_dir, monkeypatch):
     # The command decides the inputs, the model kind and admissibility in one
-    # check_run call, and the float harness reuses its torsion report and
-    # its model kind.  Each function is counted under every liecheck name
-    # that holds it.
+    # check_run call, and the float harness reuses its torsion report; its
+    # build_model derives the model kind again, from the exact data alone.
+    # Each function is counted under every liecheck name that holds it.
     calls = dict.fromkeys(("check_run", "check_nijenhuis", "_model_kind"), 0)
     for home, attr in (("harness_inputs", "check_run"), ("torsion", "check_nijenhuis"),
                        ("harness_inputs", "_model_kind")):
@@ -699,7 +700,7 @@ def test_harness_command_decides_float_free_questions_once(capsys, corpus_dir, m
     code, out, _ = run(capsys, "harness", str(corpus_dir / "so3_sphere.lie"),
                        "--samples", "3", "--report", "json")
     assert code == 0 and json.loads(out)["scope"] == "full"
-    assert calls == {"check_run": 1, "check_nijenhuis": 1, "_model_kind": 1}
+    assert calls == {"check_run": 1, "check_nijenhuis": 1, "_model_kind": 2}
 
 
 def test_witness_past_the_int_string_limit(capsys, tmp_path):

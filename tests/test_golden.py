@@ -30,21 +30,33 @@ Z+/Z- and the split identities at their largest sizes.  Their commands
 report JSON only, and the directory their ``.lie`` files are written to
 reads ``<workdir>`` in the pinned output.
 
+Every command above, and the four commands of the ``harness`` workload at
+seed 1, runs on the integer views alone: the rational layer that the tests
+check verdicts and witnesses against (``LieAlgebra.bracket``,
+``ExactMatrix.apply`` and ``@``, ``Subspace.coordinates_of`` and ``in``,
+``kernel_basis``, ``torsion_form`` and the arithmetic of
+``GaussianRational``) is counted while they run, and must not be called.
+
 Regenerate the files, after a deliberate change of output, with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import liecheck
+from liecheck import ExactMatrix, GaussianRational, LieAlgebra, Subspace
 from liecheck.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +81,44 @@ FIXTURE_COMMANDS = [
      for command in ("check", "torsion", "integrability")
 ] + [["integrability", "tests/data/flag_u3.lie", "--operator", operator]
      for operator in ("jplus", "jcyclic", "jplus_b")]
+
+
+#: The rational layer, as ``(owner, name)``: a method of a class, or a
+#: function of a liecheck module, counted under every liecheck name that
+#: holds it.
+RATIONAL_LAYER = (
+    (LieAlgebra, "bracket"), (ExactMatrix, "apply"), (ExactMatrix, "__matmul__"),
+    (Subspace, "coordinates_of"), (Subspace, "__contains__"),
+    *((GaussianRational, name) for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                                             "__mul__", "__rmul__", "__neg__")),
+    ("liecheck.exact", "kernel_basis"), ("liecheck.torsion", "torsion_form"),
+)
+#: ``{capture: Counter}``: the rational-layer calls made by each capture.
+RATIONAL_CALLS = {}
+
+
+@contextlib.contextmanager
+def _rational_layer_counted(capture: str):
+    """Count the rational-layer calls made in the block as ``capture``."""
+    calls = RATIONAL_CALLS.setdefault(capture, Counter())
+    modules = [importlib.import_module(f"liecheck.{m.name}")
+               for m in pkgutil.iter_modules(liecheck.__path__)]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in RATIONAL_LAYER:
+            if isinstance(owner, str):
+                original = getattr(sys.modules[owner], name)
+                homes = [m for m in modules if getattr(m, name, None) is original]
+            else:
+                original, homes = getattr(owner, name), [owner]
+
+            def counted(*args, _name=f"{getattr(owner, '__name__', owner)}.{name}",
+                        _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for home in homes:
+                patch.setattr(home, name, counted)
+        yield
 
 
 def _load(path: Path) -> dict:
@@ -140,13 +190,25 @@ def _capture_workload(name: str, workdir: str) -> dict:
 
 @pytest.fixture(scope="module")
 def outputs():
-    return _capture()
+    with _rational_layer_counted("corpus"):
+        return _capture()
 
 
 @pytest.fixture(scope="module")
 def workload_outputs(tmp_path_factory):
-    return {name: _capture_workload(name, str(tmp_path_factory.mktemp(name)))
-            for name in WORKLOADS}
+    outputs = {}
+    for name in WORKLOADS:
+        with _rational_layer_counted(name):
+            outputs[name] = _capture_workload(name, str(tmp_path_factory.mktemp(name)))
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def harness_codes(tmp_path_factory):
+    """The exit codes of the ``harness`` workload's commands at seed 1."""
+    with _rational_layer_counted("harness"):
+        return {cid: output["code"] for cid, output in _capture_workload(
+            "harness", str(tmp_path_factory.mktemp("harness"))).items()}
 
 
 def test_golden_covers_every_command(outputs):
@@ -167,6 +229,11 @@ def test_workload_golden_covers_every_command(workload_outputs):
                                           for cid in sorted(WANT_WORKLOADS[name])])
 def test_workload_golden_output(workload_outputs, workload, cid):
     assert workload_outputs[workload][cid] == WANT_WORKLOADS[workload][cid]
+
+
+def test_no_command_runs_the_rational_layer(outputs, workload_outputs, harness_codes):
+    assert set(harness_codes.values()) == {0}
+    assert {capture: dict(calls) for capture, calls in RATIONAL_CALLS.items() if calls} == {}
 
 
 def _write(path: Path, outputs: dict) -> None:

@@ -420,10 +420,10 @@ def test_sample_count_below_one_is_an_error(samples, so3, so3_pair, sphere):
 def test_run_harness_checks_every_bound_first(monkeypatch, so3, so3_pair, bad, message):
     # The command line passes its options on unchecked, so run_harness holds
     # a library call to the same bounds, before it builds a float model.
-    def no_model(pair, kind):
+    def no_model(pair):
         raise AssertionError("a float model was built")
 
-    monkeypatch.setattr(harness, "_build_model", no_model)
+    monkeypatch.setattr(harness, "build_model", no_model)
     op = operator_ad(so3, so3.basis_vector("k0"))
     with pytest.raises(LieCheckError, match=message):
         run_harness(so3_pair, op, **bad)

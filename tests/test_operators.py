@@ -131,7 +131,7 @@ def test_split_needs_complement(so3_pair_plain):
 
 def test_rules_operator(so3):
     op = sphere_family(so3, 0, -1, 1)  # same table as ad(k0)
-    assert op.matrix == so3.ad_matrix(so3.basis_vector("k0"))
+    assert op.matrix == operator_ad(so3, so3.basis_vector("k0")).matrix
     with pytest.raises(RuleIncomplete) as err:
         operator_from_rules(so3, {"k0": so3.zero_vector()})
     assert set(err.value.missing) == {"e1", "e2"}
@@ -145,11 +145,17 @@ def test_rules_operator_input_guards(so3):
         operator_from_rules(so3, {**rules, "e1": (0, 1)})
 
 
-def test_operator_ad_matches_ad_matrix(so3):
+def test_operator_ad_matches_ad_matrix(so3, loop_cases):
+    # Column j of ad(d) is the rational bracket [d, b_j], also on the moved
+    # algebras, whose structure constants have denominators.
     rng = random.Random(29)
-    for _ in range(10):
-        d = rand_vector(rng, 3)
-        assert operator_ad(so3, d).matrix == so3.ad_matrix(d)
+    for alg in (so3, loop_cases["so3_moved"][0].alg, loop_cases["nil4_moved"][0].alg):
+        assert alg.integer_constants[0] > 1 or alg is so3
+        for _ in range(10):
+            d = rand_vector(rng, alg.dim)
+            matrix = operator_ad(alg, d).matrix
+            for j in range(alg.dim):
+                assert matrix.column(j) == alg.bracket(d, alg.basis_vector(j))
 
 
 def test_sandwich_identity_is_identity(gl3):

@@ -13,6 +13,7 @@ from liecheck import (
     check_admissible,
     check_nijenhuis,
     check_nijenhuis_ad,
+    from_matrix_generators,
     make_subalgebra,
     operator_ad,
     operator_from_rules,
@@ -173,13 +174,27 @@ def test_ad_specialized_rejects_inadmissible(so3, so3_pair):
         check_nijenhuis_ad(so3_pair, so3.basis_vector("e1"))
 
 
-@pytest.mark.parametrize("k0", [GaussianRational(1, 1), GaussianRational(1)],
-                         ids=["non-real", "real-valued"])
-def test_ad_specialized_takes_the_operator_ad_input_rule(so3, so3_pair, k0):
+@pytest.fixture
+def gl2_pair():
+    """gl(2) in the basis (1, h, e, f), whose first element is central, with
+    the trivial subalgebra."""
+    gens = [ExactMatrix.from_rows(rows) for rows in (
+        [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])]
+    gl2 = from_matrix_generators(2, gens, labels=("one", "h", "e", "f"), name="gl2")
+    return HomogeneousPair(gl2, make_subalgebra(gl2, []))
+
+
+@pytest.mark.parametrize("pair, d", [
+    ("so3_pair", (GaussianRational(1, 1), Fraction(0), Fraction(0))),
+    ("so3_pair", (GaussianRational(1), Fraction(0), Fraction(0))),
+    ("gl2_pair", (GaussianRational(1), Fraction(0), Fraction(1), Fraction(0))),
+], ids=["non-real", "real-valued", "central"])
+def test_ad_specialized_takes_the_operator_ad_input_rule(request, pair, d):
     # d goes through operator_ad, whose matrices are real: a Q(i) entry is a
-    # library error, also when its imaginary part is 0.
+    # library error, also when its imaginary part is 0, and also on gl(2)'s
+    # central identity, where no bracket term touches it.
     with pytest.raises(LieCheckError, match=r"^operator matrices are real; got a Q\(i\) entry$"):
-        check_nijenhuis_ad(so3_pair, (k0, Fraction(0), Fraction(0)))
+        check_nijenhuis_ad(request.getfixturevalue(pair), d)
 
 
 def test_ad_pair_mode_needs_an_inner_operator(so3, so3_pair):
